@@ -22,8 +22,10 @@ use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 use sparkle::SparkleContext;
 use spca_core::{Spca, SpcaConfig};
 
-/// The obs collector is process-global; tests that install one must not
-/// overlap (cargo runs `#[test]`s on parallel threads).
+/// The obs collector is process-global; a test that installs one must not
+/// overlap any other test that drives a cluster, or that test's spans land
+/// in the installed collector half-open and count as nesting violations
+/// (cargo runs `#[test]`s on parallel threads). Every test here takes it.
 static COLLECTOR_LOCK: Mutex<()> = Mutex::new(());
 
 fn collector_guard() -> MutexGuard<'static, ()> {
@@ -74,6 +76,7 @@ impl MapReduceJob for SumJob {
 
 #[test]
 fn intermediate_bytes_equals_network_plus_dfs_under_interleaving() {
+    let _guard = collector_guard();
     let cluster = small_cluster();
     let hdfs = Dfs::new();
     let mut rng = Prng::seed_from_u64(42);
@@ -133,6 +136,7 @@ fn intermediate_bytes_equals_network_plus_dfs_under_interleaving() {
 
 #[test]
 fn byte_invariant_survives_reset() {
+    let _guard = collector_guard();
     let cluster = small_cluster();
     cluster.charge_network(1000);
     cluster.charge_dfs_write(500);
@@ -198,6 +202,7 @@ fn tracing_disabled_is_inert_and_runs_unchanged() {
 /// same sized inputs as the original attempt).
 #[test]
 fn byte_invariant_holds_under_both_sizing_policies_and_faults() {
+    let _guard = collector_guard();
     let y = datasets::tweets::generate(400, 120, &mut Prng::seed_from_u64(7));
     let config = SpcaConfig::new(3).with_max_iters(2).with_partitions(4).with_seed(7);
 
@@ -249,6 +254,7 @@ fn byte_invariant_holds_under_both_sizing_policies_and_faults() {
 
 #[test]
 fn backwards_clock_is_dropped_and_counted() {
+    let _guard = collector_guard();
     let cluster = small_cluster();
     cluster.advance_time(2.0);
     cluster.advance_time(-5.0);

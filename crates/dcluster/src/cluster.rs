@@ -186,8 +186,8 @@ pub struct LinkStat {
     pub bytes: f64,
     /// Virtual seconds the link spent with at least one active flow.
     pub busy_secs: f64,
-    /// Peak allocated-rate / capacity over all re-solves (≤ 1.0: the
-    /// max-min solver never over-allocates a link).
+    /// Peak allocated-rate / capacity over every rate set that lasted
+    /// (≤ 1.0: the max-min solver never over-allocates a link).
     pub peak_util: f64,
 }
 
@@ -197,7 +197,8 @@ pub struct EngineStats {
     /// Heap events processed (arrivals, completions, cancels, stale pops,
     /// and slot-schedule completions).
     pub events: u64,
-    /// Max-min rate re-solves performed.
+    /// Max-min rate re-solves performed (one per virtual instant at which
+    /// a transfer group's active set changed).
     pub resolves: u64,
     /// Peak number of simultaneously active flows.
     pub peak_flows: usize,

@@ -1,6 +1,6 @@
 //! Shared-bandwidth network/disk model: concurrent transfers split link
-//! capacity max-min-fairly, with rates re-solved on every transfer start,
-//! finish, and cancellation.
+//! capacity max-min-fairly, with rates re-solved once per virtual instant
+//! at which a transfer starts, finishes, or is cancelled.
 //!
 //! # Topology
 //!
@@ -23,6 +23,18 @@
 //! saturated link freeze at the waterline; repeat. The solver never
 //! allocates more than a link's capacity, so per-link utilization is
 //! ≤ 100 % at every virtual instant by construction.
+//!
+//! # One re-solve per instant
+//!
+//! Rates can only change when the active set does, and a rate set that
+//! lasts zero virtual time moves no bytes. So [`simulate`] drains every
+//! event sharing the popped `time_ns` — in `(time_ns, seq)` order, the
+//! order a one-event-at-a-time loop would apply them — accounts the
+//! elapsed interval once, and re-solves once for the state the instant
+//! ends in. A stage whose 2001 equal partials arrive together and finish
+//! on the same nanosecond costs 3 solves, not 4002; the work follows the
+//! number of distinct instants, not the number of flows. Each solve
+//! visits only the active flows and the links they cross.
 //!
 //! # Determinism
 //!
@@ -166,97 +178,122 @@ pub struct FlowOutcome {
     /// Per-input-flow completion time (reattempts report under the
     /// original index).
     pub finish_secs: Vec<f64>,
-    /// Heap events processed (arrivals, completions, cancels, and stale
-    /// re-solve tombstones).
+    /// Heap events processed (arrivals, completions, cancels, and
+    /// completions a later re-solve made stale).
     pub events: u64,
-    /// Rate re-solves performed (one per processed live event).
+    /// Rate re-solves performed: one per distinct virtual instant at which
+    /// the active set changed, however many events share that instant.
     pub resolves: u64,
     /// Bytes carried per link, indexed like [`Topology::capacities`].
     pub link_bytes: Vec<f64>,
     /// Virtual seconds each link spent with at least one active flow.
     pub link_busy_secs: Vec<f64>,
-    /// Peak allocated-rate / capacity per link (≤ 1.0 by construction).
+    /// Peak allocated-rate / capacity per link (≤ 1.0 by construction),
+    /// over the rate sets that lasted. A state that stands for zero
+    /// virtual time — between two events of one instant, or while a
+    /// zero-byte flow is nominally active — carries no bytes and is not
+    /// recorded.
     pub link_peak_util: Vec<f64>,
-    /// Maximum number of simultaneously active flows.
+    /// Maximum number of flows active together for a non-zero interval (a
+    /// flow arriving on the nanosecond another completes does not overlap
+    /// it).
     pub peak_flows: usize,
 }
 
-/// Max-min fair rates for `flows` (each a link pair) over `caps`,
-/// touching only links listed in `touched`. `out` is overwritten.
-fn solve_into(
-    caps: &[f64],
-    flows: &[(usize, [u32; 2])],
-    touched: &[u32],
-    nflows: &mut [u32],
-    cap_left: &mut [f64],
-    out: &mut [f64],
-) {
-    for &l in touched {
-        nflows[l as usize] = 0;
-        cap_left[l as usize] = caps[l as usize];
-    }
-    for (_, links) in flows {
-        for &l in links {
-            if l != NO_LINK {
-                nflows[l as usize] += 1;
-            }
+/// Progressive-filling solver with its per-link and per-flow scratch
+/// sized once, so a re-solve allocates nothing and visits only the links
+/// its flows cross.
+struct Solver {
+    /// Unfrozen flows per link. All-zero between solves: every flow
+    /// freezes and takes its count back out.
+    nflows: Vec<u32>,
+    cap_left: Vec<f64>,
+    frozen: Vec<bool>,
+    /// Links the last solve's flows cross, in order of first appearance.
+    live: Vec<u32>,
+}
+
+impl Solver {
+    fn new(nlinks: usize) -> Self {
+        Solver {
+            nflows: vec![0; nlinks],
+            cap_left: vec![0.0; nlinks],
+            frozen: Vec::new(),
+            live: Vec::new(),
         }
     }
-    let f = flows.len();
-    let mut frozen = vec![false; f];
-    let mut water = 0.0_f64;
-    let mut remaining = f;
-    while remaining > 0 {
-        let mut delta = f64::INFINITY;
-        for &l in touched {
-            let l = l as usize;
-            if nflows[l] > 0 {
-                let share = cap_left[l] / nflows[l] as f64;
-                if share < delta {
-                    delta = share;
+
+    /// Max-min fair rates for `flows` (each a link pair) over `caps`.
+    /// `out` is overwritten.
+    fn solve(&mut self, caps: &[f64], flows: &[(usize, [u32; 2])], out: &mut [f64]) {
+        self.live.clear();
+        for (_, links) in flows {
+            for &l in links {
+                if l != NO_LINK {
+                    if self.nflows[l as usize] == 0 {
+                        self.live.push(l);
+                        self.cap_left[l as usize] = caps[l as usize];
+                    }
+                    self.nflows[l as usize] += 1;
                 }
             }
         }
-        if !delta.is_finite() {
-            // No constrained link left (flows with no links): unreachable
-            // through the public API, but freeze defensively.
-            for (i, fr) in frozen.iter_mut().enumerate() {
-                if !*fr {
-                    out[i] = f64::INFINITY;
+        self.frozen.clear();
+        self.frozen.resize(flows.len(), false);
+        let mut water = 0.0_f64;
+        let mut remaining = flows.len();
+        while remaining > 0 {
+            let mut delta = f64::INFINITY;
+            for &l in &self.live {
+                let l = l as usize;
+                if self.nflows[l] > 0 {
+                    let share = self.cap_left[l] / self.nflows[l] as f64;
+                    if share < delta {
+                        delta = share;
+                    }
                 }
             }
-            break;
-        }
-        water += delta;
-        // Drain every constrained link by the uniform fill; links whose
-        // pre-fill share equals the minimum saturate exactly.
-        let mut any_saturated = false;
-        for &l in touched {
-            let l = l as usize;
-            if nflows[l] > 0 {
-                let share = cap_left[l] / nflows[l] as f64;
-                cap_left[l] -= delta * nflows[l] as f64;
-                if share == delta {
-                    cap_left[l] = 0.0;
-                    any_saturated = true;
+            if !delta.is_finite() {
+                // No constrained link left (flows with no links): unreachable
+                // through the public API, but freeze defensively.
+                for (i, fr) in self.frozen.iter().enumerate() {
+                    if !*fr {
+                        out[i] = f64::INFINITY;
+                    }
+                }
+                break;
+            }
+            water += delta;
+            // Drain every constrained link by the uniform fill; links whose
+            // pre-fill share equals the minimum saturate exactly.
+            let mut any_saturated = false;
+            for &l in &self.live {
+                let l = l as usize;
+                if self.nflows[l] > 0 {
+                    let share = self.cap_left[l] / self.nflows[l] as f64;
+                    self.cap_left[l] -= delta * self.nflows[l] as f64;
+                    if share == delta {
+                        self.cap_left[l] = 0.0;
+                        any_saturated = true;
+                    }
                 }
             }
-        }
-        for (i, (_, links)) in flows.iter().enumerate() {
-            if frozen[i] {
-                continue;
-            }
-            let hit_bottleneck = !any_saturated
-                || links.iter().any(|&l| l != NO_LINK && nflows[l as usize] > 0 && {
-                    cap_left[l as usize] == 0.0
-                });
-            if hit_bottleneck {
-                frozen[i] = true;
-                out[i] = water;
-                remaining -= 1;
-                for &l in links {
-                    if l != NO_LINK {
-                        nflows[l as usize] -= 1;
+            for (i, (_, links)) in flows.iter().enumerate() {
+                if self.frozen[i] {
+                    continue;
+                }
+                let hit_bottleneck = !any_saturated
+                    || links.iter().any(|&l| l != NO_LINK && self.nflows[l as usize] > 0 && {
+                        self.cap_left[l as usize] == 0.0
+                    });
+                if hit_bottleneck {
+                    self.frozen[i] = true;
+                    out[i] = water;
+                    remaining -= 1;
+                    for &l in links {
+                        if l != NO_LINK {
+                            self.nflows[l as usize] -= 1;
+                        }
                     }
                 }
             }
@@ -265,16 +302,12 @@ fn solve_into(
 }
 
 /// Max-min fair rates for concurrent `flows` over `topo` — the solver the
-/// event loop re-runs at every transfer start/finish. Exposed for the
-/// fair-share property tests.
+/// event loop re-runs at every instant the active set changes. Exposed for
+/// the fair-share property tests.
 pub fn solve_rates(topo: &Topology, flows: &[[u32; 2]]) -> Vec<f64> {
-    let caps = topo.capacities();
-    let touched: Vec<u32> = (0..caps.len() as u32).collect();
     let indexed: Vec<(usize, [u32; 2])> = flows.iter().copied().enumerate().collect();
     let mut out = vec![0.0; flows.len()];
-    let mut nflows = vec![0u32; caps.len()];
-    let mut cap_left = vec![0.0; caps.len()];
-    solve_into(caps, &indexed, &touched, &mut nflows, &mut cap_left, &mut out);
+    Solver::new(topo.len()).solve(topo.capacities(), &indexed, &mut out);
     out
 }
 
@@ -304,9 +337,10 @@ enum Ev {
 }
 
 /// Runs the shared-bandwidth simulation: every flow arrives at its start
-/// offset, rates re-solve max-min-fairly at each arrival / completion /
-/// cancellation, and the outcome reports completion times plus per-link
-/// contention statistics. `queue_capacity` pre-sizes the event heap.
+/// offset, rates re-solve max-min-fairly once per instant at which flows
+/// arrive, complete or are cancelled, and the outcome reports completion
+/// times plus per-link contention statistics. `queue_capacity` pre-sizes
+/// the event heap.
 pub fn simulate(
     topo: &Topology,
     flows: &[FlowSpec],
@@ -338,17 +372,6 @@ pub fn simulate(
         })
         .collect();
 
-    // Links any flow can touch — the only ones the solver and the
-    // accounting pass visit (the full topology can be 3000+ links at
-    // 1000 virtual nodes; a charge group usually touches a fraction).
-    let mut touched: Vec<u32> = flows
-        .iter()
-        .flat_map(|f| f.links.into_iter())
-        .filter(|&l| l != NO_LINK)
-        .collect();
-    touched.sort_unstable();
-    touched.dedup();
-
     let mut queue: EventQueue<Ev> = EventQueue::with_capacity(queue_capacity);
     for (i, f) in flows.iter().enumerate() {
         queue.push(secs_to_ns(f.start_secs), Ev::Arrival(i));
@@ -358,29 +381,39 @@ pub fn simulate(
         queue.push(secs_to_ns(spec.at_secs), Ev::Cancel(c));
     }
 
-    let mut nflows_scratch = vec![0u32; nlinks];
-    let mut cap_left_scratch = vec![0.0_f64; nlinks];
-    // Per-link allocated rate under the *current* rate set, refreshed at
-    // every re-solve. Keeping it incrementally makes the inter-event
-    // accounting O(touched + active) instead of O(touched × instances) —
-    // the difference between minutes and milliseconds at 1000 virtual
-    // nodes with thousands of per-partition flows.
+    // Everything below is kept per instant, not rebuilt: the active flows
+    // in instance-index order (so per-link sums add in a fixed order),
+    // their rates, the per-link allocated rate under the standing rate
+    // set, and the solver's scratch — whose `live` list is exactly the
+    // links that carry a flow, the only ones accounting has to visit.
+    // The full topology is 3000+ links at 1000 virtual nodes and a long
+    // simulation has far more instances than live flows.
+    let mut solver = Solver::new(nlinks);
     let mut link_alloc = vec![0.0_f64; nlinks];
     let mut active: Vec<(usize, [u32; 2])> = Vec::with_capacity(flows.len());
     let mut rates: Vec<f64> = Vec::with_capacity(flows.len());
     let mut now_ns: SimNanos = 0;
 
-    while let Some(ev) = queue.pop() {
-        // Account the elapsed interval against the previous rate set.
-        // Between events no flow changes state, so `active` (rebuilt at
-        // the last re-solve) is exactly the set that moved bytes.
-        let dt = (ev.time_ns.saturating_sub(now_ns)) as f64 * 1e-9;
+    while let Some(first) = queue.pop() {
+        // Account the elapsed interval against the standing rate set.
+        // Between instants no flow changes state, so `active` is exactly
+        // the set that moved bytes. Peaks are taken here, not at the
+        // re-solve, so they cover only rate sets that lasted: an instant
+        // can be solved twice (a zero-byte flow completes the moment it
+        // starts) and the first of those states carries nothing.
+        let dt = (first.time_ns.saturating_sub(now_ns)) as f64 * 1e-9;
         if dt > 0.0 {
-            for &l in &touched {
-                let alloc = link_alloc[l as usize];
+            out.peak_flows = out.peak_flows.max(active.len());
+            for &l in &solver.live {
+                let l = l as usize;
+                let alloc = link_alloc[l];
                 if alloc > 0.0 {
-                    out.link_busy_secs[l as usize] += dt;
-                    out.link_bytes[l as usize] += alloc * dt;
+                    out.link_busy_secs[l] += dt;
+                    out.link_bytes[l] += alloc * dt;
+                    let util = alloc / topo.capacities()[l];
+                    if util > out.link_peak_util[l] {
+                        out.link_peak_util[l] = util;
+                    }
                 }
             }
             for &(i, _) in &active {
@@ -388,95 +421,84 @@ pub fn simulate(
                 inst.remaining = (inst.remaining - inst.rate * dt).max(0.0);
             }
         }
-        now_ns = ev.time_ns;
+        now_ns = first.time_ns;
 
+        // Apply every event of this instant in (time_ns, seq) order; rates
+        // are re-solved once, for the state the instant ends in.
         let mut changed = false;
-        match ev.payload {
-            Ev::Arrival(i) => {
-                if insts[i].state == FlowState::Pending {
-                    insts[i].state = FlowState::Active;
-                    changed = true;
+        let mut next = Some(first.payload);
+        while let Some(ev) = next {
+            match ev {
+                Ev::Arrival(i) => {
+                    if insts[i].state == FlowState::Pending {
+                        insts[i].state = FlowState::Active;
+                        let at = active.partition_point(|a| a.0 < i);
+                        active.insert(at, (i, insts[i].links));
+                        changed = true;
+                    }
+                }
+                Ev::Completion { inst, epoch } => {
+                    let f = &mut insts[inst];
+                    if f.state == FlowState::Active && f.epoch == epoch {
+                        f.state = FlowState::Done;
+                        f.remaining = 0.0;
+                        let t = now_ns as f64 * 1e-9;
+                        out.finish_secs[f.origin] = t;
+                        out.makespan_secs = out.makespan_secs.max(t);
+                        changed = true;
+                    }
+                }
+                Ev::Cancel(c) => {
+                    let spec = cancels[c];
+                    let f = &mut insts[spec.flow];
+                    if f.state == FlowState::Active || f.state == FlowState::Pending {
+                        // Drop the attempt (its completion event goes stale via
+                        // the epoch bump below) and re-enqueue a full-size
+                        // reattempt after the detection delay.
+                        f.state = FlowState::Done;
+                        f.epoch += 1;
+                        let origin = f.origin;
+                        let links = f.links;
+                        let bytes = flows[spec.flow].bytes as f64;
+                        insts.push(FlowInstance {
+                            links,
+                            remaining: bytes,
+                            rate: 0.0,
+                            epoch: 0,
+                            state: FlowState::Pending,
+                            origin,
+                        });
+                        let reattempt = insts.len() - 1;
+                        queue.push(
+                            now_ns.saturating_add(secs_to_ns(spec.requeue_delay_secs)),
+                            Ev::Arrival(reattempt),
+                        );
+                        changed = true;
+                    }
                 }
             }
-            Ev::Completion { inst, epoch } => {
-                let f = &mut insts[inst];
-                if f.state == FlowState::Active && f.epoch == epoch {
-                    f.state = FlowState::Done;
-                    f.remaining = 0.0;
-                    let t = now_ns as f64 * 1e-9;
-                    out.finish_secs[f.origin] = t;
-                    out.makespan_secs = out.makespan_secs.max(t);
-                    changed = true;
-                }
-            }
-            Ev::Cancel(c) => {
-                let spec = cancels[c];
-                let f = &mut insts[spec.flow];
-                if f.state == FlowState::Active || f.state == FlowState::Pending {
-                    // Drop the attempt (its completion event goes stale via
-                    // the epoch bump below) and re-enqueue a full-size
-                    // reattempt after the detection delay.
-                    f.state = FlowState::Done;
-                    f.epoch += 1;
-                    let origin = f.origin;
-                    let links = f.links;
-                    let bytes = flows[spec.flow].bytes as f64;
-                    insts.push(FlowInstance {
-                        links,
-                        remaining: bytes,
-                        rate: 0.0,
-                        epoch: 0,
-                        state: FlowState::Pending,
-                        origin,
-                    });
-                    let reattempt = insts.len() - 1;
-                    queue.push(
-                        now_ns + secs_to_ns(spec.requeue_delay_secs),
-                        Ev::Arrival(reattempt),
-                    );
-                    changed = true;
-                }
-            }
+            next = match queue.peek_time() {
+                Some(t) if t == now_ns => queue.pop().map(|e| e.payload),
+                _ => None,
+            };
         }
         if !changed {
-            continue; // stale completion — costs only the heap pop
+            continue; // only stale completions — costs the heap pops
         }
+        active.retain(|&(i, _)| insts[i].state == FlowState::Active);
 
         // Re-solve rates for the active set and re-schedule completions
         // for flows whose rate moved.
         out.resolves += 1;
-        active.clear();
-        for (i, inst) in insts.iter().enumerate() {
-            if inst.state == FlowState::Active {
-                active.push((i, inst.links));
-            }
-        }
-        out.peak_flows = out.peak_flows.max(active.len());
-        rates.resize(active.len(), 0.0);
-        solve_into(
-            topo.capacities(),
-            &active,
-            &touched,
-            &mut nflows_scratch,
-            &mut cap_left_scratch,
-            &mut rates,
-        );
-        for &l in &touched {
+        for &l in &solver.live {
             link_alloc[l as usize] = 0.0;
         }
+        rates.resize(active.len(), 0.0);
+        solver.solve(topo.capacities(), &active, &mut rates);
         for (k, (_, links)) in active.iter().enumerate() {
             for &l in links {
                 if l != NO_LINK {
                     link_alloc[l as usize] += rates[k];
-                }
-            }
-        }
-        for &l in &touched {
-            let cap = topo.capacity(l);
-            if cap > 0.0 {
-                let util = link_alloc[l as usize] / cap;
-                if util > out.link_peak_util[l as usize] {
-                    out.link_peak_util[l as usize] = util;
                 }
             }
         }
@@ -487,7 +509,7 @@ pub fn simulate(
                 inst.rate = new_rate;
                 inst.epoch += 1;
                 let dur_secs = if new_rate > 0.0 { inst.remaining / new_rate } else { 0.0 };
-                queue.push(now_ns + secs_to_ns(dur_secs), Ev::Completion {
+                queue.push(now_ns.saturating_add(secs_to_ns(dur_secs)), Ev::Completion {
                     inst: i,
                     epoch: inst.epoch,
                 });
@@ -684,5 +706,296 @@ mod tests {
         assert_eq!(a.events, b.events);
         assert_eq!(a.link_bytes, b.link_bytes);
         assert_eq!(a.link_peak_util, b.link_peak_util);
+    }
+
+    /// The PR-8 event loop, kept as the oracle the per-instant loop is
+    /// checked against: one full rescan and one full-topology re-solve per
+    /// live event, transient same-instant states included.
+    fn simulate_per_event(
+        topo: &Topology,
+        flows: &[FlowSpec],
+        cancels: &[CancelSpec],
+    ) -> FlowOutcome {
+        let nlinks = topo.len();
+        let mut out = FlowOutcome {
+            finish_secs: vec![0.0; flows.len()],
+            link_bytes: vec![0.0; nlinks],
+            link_busy_secs: vec![0.0; nlinks],
+            link_peak_util: vec![0.0; nlinks],
+            ..FlowOutcome::default()
+        };
+        let mut insts: Vec<FlowInstance> = flows
+            .iter()
+            .enumerate()
+            .map(|(i, f)| FlowInstance {
+                links: f.links,
+                remaining: f.bytes as f64,
+                rate: 0.0,
+                epoch: 0,
+                state: FlowState::Pending,
+                origin: i,
+            })
+            .collect();
+        let mut queue: EventQueue<Ev> = EventQueue::with_capacity(64);
+        for (i, f) in flows.iter().enumerate() {
+            queue.push(secs_to_ns(f.start_secs), Ev::Arrival(i));
+        }
+        for (c, spec) in cancels.iter().enumerate() {
+            queue.push(secs_to_ns(spec.at_secs), Ev::Cancel(c));
+        }
+        let mut link_alloc = vec![0.0_f64; nlinks];
+        let mut active: Vec<usize> = Vec::new();
+        let mut now_ns: SimNanos = 0;
+        while let Some(ev) = queue.pop() {
+            let dt = (ev.time_ns - now_ns) as f64 * 1e-9;
+            if dt > 0.0 {
+                for (l, &alloc) in link_alloc.iter().enumerate() {
+                    if alloc > 0.0 {
+                        out.link_busy_secs[l] += dt;
+                        out.link_bytes[l] += alloc * dt;
+                    }
+                }
+                for &i in &active {
+                    insts[i].remaining = (insts[i].remaining - insts[i].rate * dt).max(0.0);
+                }
+            }
+            now_ns = ev.time_ns;
+            match ev.payload {
+                Ev::Arrival(i) if insts[i].state == FlowState::Pending => {
+                    insts[i].state = FlowState::Active;
+                }
+                Ev::Completion { inst, epoch }
+                    if insts[inst].state == FlowState::Active && insts[inst].epoch == epoch =>
+                {
+                    insts[inst].state = FlowState::Done;
+                    let t = now_ns as f64 * 1e-9;
+                    out.finish_secs[insts[inst].origin] = t;
+                    out.makespan_secs = out.makespan_secs.max(t);
+                }
+                Ev::Cancel(c) if insts[cancels[c].flow].state != FlowState::Done => {
+                    let spec = cancels[c];
+                    insts[spec.flow].state = FlowState::Done;
+                    insts[spec.flow].epoch += 1;
+                    insts.push(FlowInstance {
+                        links: insts[spec.flow].links,
+                        remaining: flows[spec.flow].bytes as f64,
+                        rate: 0.0,
+                        epoch: 0,
+                        state: FlowState::Pending,
+                        origin: spec.flow,
+                    });
+                    queue.push(
+                        now_ns + secs_to_ns(spec.requeue_delay_secs),
+                        Ev::Arrival(insts.len() - 1),
+                    );
+                }
+                _ => continue,
+            }
+            out.resolves += 1;
+            active = (0..insts.len()).filter(|&i| insts[i].state == FlowState::Active).collect();
+            out.peak_flows = out.peak_flows.max(active.len());
+            let pairs: Vec<[u32; 2]> = active.iter().map(|&i| insts[i].links).collect();
+            let rates = solve_rates(topo, &pairs);
+            link_alloc.iter_mut().for_each(|a| *a = 0.0);
+            for (links, rate) in pairs.iter().zip(&rates) {
+                for &l in links.iter().filter(|&&l| l != NO_LINK) {
+                    link_alloc[l as usize] += rate;
+                }
+            }
+            for (l, &alloc) in link_alloc.iter().enumerate() {
+                out.link_peak_util[l] = out.link_peak_util[l].max(alloc / topo.capacities()[l]);
+            }
+            for (&i, &rate) in active.iter().zip(&rates) {
+                let inst = &mut insts[i];
+                if rate.to_bits() != inst.rate.to_bits() || inst.epoch == 0 {
+                    inst.rate = rate;
+                    inst.epoch += 1;
+                    let dur_secs = if rate > 0.0 { inst.remaining / rate } else { 0.0 };
+                    queue.push(now_ns + secs_to_ns(dur_secs), Ev::Completion {
+                        inst: i,
+                        epoch: inst.epoch,
+                    });
+                }
+            }
+        }
+        out.events = queue.processed();
+        out
+    }
+
+    /// A seeded flow set mixing everything the loop distinguishes: starts
+    /// on a coarse grid (so many coincide) or staggered to the ns, the
+    /// three link-pair shapes the cluster builds, zero-byte flows, repeated
+    /// sizes (simultaneous completions), and cancels landing before,
+    /// during and after their flow's transfer.
+    fn random_case(seed: u64) -> (Topology, Vec<FlowSpec>, Vec<CancelSpec>) {
+        let mut rng = linalg::Prng::seed_from_u64(seed ^ 0x5ca1e);
+        let nodes = 2 + rng.index(7);
+        let topo =
+            Topology::new(nodes, 100.0 + rng.index(900) as f64, 50.0 + rng.index(200) as f64);
+        let nflows = 1 + rng.index(40);
+        let coincident = rng.index(3) != 0;
+        let flows: Vec<FlowSpec> = (0..nflows)
+            .map(|_| {
+                let (a, b) = (rng.index(nodes), rng.index(nodes));
+                let links = match rng.index(3) {
+                    0 => [topo.disk(a), NO_LINK],
+                    1 => [topo.downlink(a), topo.fabric()],
+                    _ => [topo.uplink(a), topo.downlink(b)],
+                };
+                let bytes = match rng.index(8) {
+                    0 => 0,
+                    1..=3 => 1_000 * (1 + rng.index(4) as u64),
+                    _ => 1 + rng.index(20_000) as u64,
+                };
+                let start = if coincident {
+                    rng.index(4) as f64 * 2.5
+                } else {
+                    rng.index(30_000_000_000) as f64 * 1e-9
+                };
+                FlowSpec::new(bytes, links).at(start)
+            })
+            .collect();
+        let cancels: Vec<CancelSpec> = (0..rng.index(4))
+            .map(|_| CancelSpec {
+                flow: rng.index(nflows),
+                at_secs: rng.index(16) as f64 * 2.5,
+                requeue_delay_secs: rng.index(3) as f64 * 1.25,
+            })
+            .collect();
+        (topo, flows, cancels)
+    }
+
+    #[test]
+    fn per_instant_loop_matches_the_per_event_oracle() {
+        const TOL: f64 = 10e-9;
+        let (mut fewer_resolves, mut lower_peak) = (0, 0);
+        for seed in 0..400u64 {
+            let (topo, flows, cancels) = random_case(seed);
+            let new = simulate(&topo, &flows, &cancels, 64);
+            let old = simulate_per_event(&topo, &flows, &cancels);
+            for (i, (a, b)) in new.finish_secs.iter().zip(&old.finish_secs).enumerate() {
+                assert!((a - b).abs() <= TOL, "seed {seed} flow {i}: finish {a} vs {b}");
+            }
+            assert!((new.makespan_secs - old.makespan_secs).abs() <= TOL, "seed {seed}");
+            for l in 0..topo.len() {
+                let cap = topo.capacities()[l];
+                assert!(
+                    (new.link_busy_secs[l] - old.link_busy_secs[l]).abs() <= TOL,
+                    "seed {seed} link {l}: busy {} vs {}",
+                    new.link_busy_secs[l],
+                    old.link_busy_secs[l]
+                );
+                assert!(
+                    (new.link_bytes[l] - old.link_bytes[l]).abs() <= cap * TOL,
+                    "seed {seed} link {l}: bytes {} vs {}",
+                    new.link_bytes[l],
+                    old.link_bytes[l]
+                );
+                // ≤ 1 up to the rounding of summing a link's shares.
+                let (pn, po) = (new.link_peak_util[l], old.link_peak_util[l]);
+                assert!(pn <= 1.0 + 1e-12, "seed {seed} link {l} over capacity: {pn}");
+                assert!(pn <= po, "seed {seed} link {l}: peak {pn} above the oracle's {po}");
+            }
+            assert!(new.peak_flows <= old.peak_flows, "seed {seed}");
+            assert!(new.resolves <= old.resolves && new.events <= old.events, "seed {seed}");
+            fewer_resolves += usize::from(new.resolves < old.resolves);
+            lower_peak += usize::from(new.peak_flows < old.peak_flows);
+        }
+        // The generator must actually reach the cases where the loops differ.
+        assert!(fewer_resolves > 100, "only {fewer_resolves} cases batched anything");
+        assert!(lower_peak > 0, "no case had a same-instant arrival/completion overlap");
+    }
+
+    #[test]
+    fn equal_flows_on_distinct_links_cost_two_resolves() {
+        let n = 64;
+        let t = Topology::new(n, 100.0, 50.0);
+        let flows: Vec<FlowSpec> =
+            (0..n).map(|p| FlowSpec::new(5_000, [t.downlink(p), t.fabric()])).collect();
+        let out = simulate(&t, &flows, &[], 256);
+        assert_eq!(out.resolves, 2, "one solve for the arrivals, one for the completions");
+        assert_eq!(out.events, 2 * n as u64, "no completion was ever re-scheduled");
+        assert!(out.finish_secs.iter().all(|&f| f == 50.0), "{:?}", out.finish_secs);
+    }
+
+    #[test]
+    fn accumulator_stage_at_1000_nodes_costs_a_handful_of_resolves() {
+        // The shape `SimCluster` charges per stage: 2n + 1 equal partials,
+        // partition p onto downlink p % n, all arriving together. Downlink
+        // 0 carries three flows (a third of the link each), the rest two,
+        // so there are three distinct instants. The per-event loop paid
+        // 4002 solves for this.
+        let n = 1000;
+        let t = Topology::new(n, 1.25e8, 1.0e8);
+        let flows: Vec<FlowSpec> =
+            (0..2 * n + 1).map(|p| FlowSpec::new(65_536, [t.downlink(p), t.fabric()])).collect();
+        let out = simulate(&t, &flows, &[], 1 << 12);
+        assert!(out.resolves <= 4, "{} resolves", out.resolves);
+        assert_eq!(out.peak_flows, 2 * n + 1);
+        // Conservation: every network flow crosses the fabric once, so the
+        // fabric carried exactly the bytes offered.
+        let offered = (2 * n + 1) as f64 * 65_536.0;
+        let carried = out.link_bytes[t.fabric() as usize];
+        assert!((carried - offered).abs() <= 1e-9 * offered, "{carried} vs {offered}");
+    }
+
+    #[test]
+    fn fabric_bytes_are_conserved_under_skew_and_staggered_starts() {
+        let t = topo8();
+        let flows: Vec<FlowSpec> = (0..40)
+            .map(|i| {
+                FlowSpec::new(10_000 + 977 * i as u64, [t.downlink(i * i % 8), t.fabric()])
+                    .at((i % 7) as f64 * 1.5)
+            })
+            .collect();
+        let out = simulate(&t, &flows, &[], 128);
+        let offered: f64 = flows.iter().map(|f| f.bytes as f64).sum();
+        let carried = out.link_bytes[t.fabric() as usize];
+        assert!((carried - offered).abs() <= 1e-9 * offered, "{carried} vs {offered}");
+    }
+
+    #[test]
+    fn peaks_describe_states_that_persist() {
+        let t = topo8();
+        // A and B arrive together and share downlink 1. Between the two
+        // arrivals A alone would hold uplink 0 at 100 % — for zero virtual
+        // time. The standing state is 50 % on each uplink.
+        let flows = vec![
+            FlowSpec::new(500, [t.uplink(0), t.downlink(1)]),
+            FlowSpec::new(500, [t.uplink(2), t.downlink(1)]),
+            // C arrives on the nanosecond A and B complete: it never
+            // overlaps them, though its arrival event pops first.
+            FlowSpec::new(500, [t.uplink(0), t.downlink(1)]).at(10.0),
+        ];
+        let new = simulate(&t, &flows, &[], 16);
+        let old = simulate_per_event(&t, &flows, &[]);
+        for (got, want) in new.finish_secs.iter().zip([10.0, 10.0, 15.0]) {
+            assert!((got - want).abs() < 1e-9, "{:?}", new.finish_secs);
+        }
+        assert_eq!(new.link_peak_util[t.uplink(2) as usize], 0.5);
+        assert_eq!(new.link_peak_util[t.downlink(1) as usize], 1.0);
+        assert_eq!(new.link_peak_util[t.uplink(0) as usize], 1.0, "C alone, for 5 s");
+        assert_eq!(new.peak_flows, 2);
+        assert_eq!(new.resolves, 3, "t = 0, 10 and 15 s");
+        // What the per-event loop recorded for the same input.
+        assert_eq!(old.peak_flows, 3);
+        assert!(old.resolves > new.resolves);
+    }
+
+    #[test]
+    fn saturated_times_do_not_overflow() {
+        // u64::MAX bytes at 1 B/s and a 1e30 s requeue delay both saturate
+        // `secs_to_ns`; added to a non-zero `now` they used to wrap (or
+        // panic in debug builds).
+        let t = Topology::new(2, 1.0, 1.0);
+        let flows = vec![
+            FlowSpec::new(u64::MAX, [t.disk(0), NO_LINK]).at(1.0),
+            FlowSpec::new(u64::MAX, [t.disk(1), NO_LINK]).at(1.0),
+        ];
+        let cancels = vec![CancelSpec { flow: 1, at_secs: 2.0, requeue_delay_secs: 1e30 }];
+        let out = simulate(&t, &flows, &cancels, 8);
+        let end = u64::MAX as f64 * 1e-9;
+        assert_eq!(out.finish_secs, vec![end, end]);
+        assert_eq!(out.makespan_secs, end);
     }
 }

@@ -31,6 +31,10 @@ done
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo test -q --release --offline --workspace
+# The benchmark harness is a package of its own (benchmark/Cargo.toml has an
+# empty [workspace] table), so the workspace runs above never reach its
+# tests — among them the one that keeps BENCHMARK.json equal to spec.rs.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # Bounded wire-codec fuzz: the seeded round-trip property suite at a higher
 # iteration count (deterministic — failures reproduce with the same seed).
 WIRE_FUZZ_ITERS=512 cargo test -q --release --offline -p linalg --test wire_roundtrip
@@ -55,9 +59,10 @@ cargo run --release --offline -p spca-bench --bin bench_wire -- \
 # worker-count bit-determinism; its hashes/bytes gate below.
 cargo run --release --offline -p spca-bench --bin bench_rpca -- \
     --smoke --out "$TRACE_DIR/BENCH_rpca.json"
-# bench_scale asserts the event-engine throughput floor (1M events/sec),
-# the ≤100% per-link utilization invariant at 1000 virtual nodes, and
-# timing-model bit-identity of the fitted models.
+# bench_scale asserts the event-queue throughput floor (1M events/sec),
+# the flow-simulator floor (100k sim_storm flows/sec), the ≤100% per-link
+# utilization invariant at 1000 virtual nodes, and timing-model
+# bit-identity of the fitted models.
 cargo run --release --offline -p spca-bench --bin bench_scale -- \
     --smoke --out "$TRACE_DIR/BENCH_scale.json"
 # bench_serving replays the skewed multi-tenant fit+serve mix under all
