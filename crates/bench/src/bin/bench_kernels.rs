@@ -1,5 +1,6 @@
 //! Self-contained kernel benchmark: seed-naive vs blocked vs
-//! blocked+threaded at the paper's sPCA shapes.
+//! blocked+threaded at the paper's sPCA shapes, plus the randomized
+//! driver's per-pass factorisation (Jacobi + Householder vs Gram-based).
 //!
 //! No external harness — each variant is timed with `Instant`, best of
 //! several repetitions, and the results are written as hand-rolled JSON.
@@ -12,8 +13,9 @@
 
 use std::time::Instant;
 
+use linalg::decomp::{qr_thin, singular_basis, svd_jacobi};
 use linalg::kernels::{self, naive};
-use linalg::{kernels_f32, MatF32, Prng, SparseMat, WorkerPool};
+use linalg::{kernels_f32, Mat, MatF32, Prng, SparseMat, WorkerPool};
 
 /// Times `f` best-of-`reps` (minimum wall time, the usual noise filter for
 /// single-machine microbenchmarks).
@@ -230,6 +232,27 @@ fn main() {
         });
     }
 
+    // driver_decomp: the randomized driver's per-pass work on its D×K sketch,
+    // Jacobi SVD plus Householder QR (through PR 12) against the one Gram-based
+    // factorisation, at `rpca_spark_sparse`'s sketch shape and cond(Z) ≈ 30.
+    let (m, k) = if smoke { (2_000, 24) } else { (10_000, 60) };
+    let g = rng.normal_mat(m, k);
+    let z = Mat::from_fn(m, k, |i, j| g[(i, j)] * 30f64.powf(-(j as f64) / (k - 1) as f64));
+    let (jacobi_qr_secs, (oracle, _)) =
+        best_of(reps, || (svd_jacobi(&z).expect("jacobi converges"), qr_thin(&z).q));
+    let (gram_secs, (basis, sigma, _)) =
+        best_of(reps, || singular_basis(&z, k).expect("well-conditioned sketch"));
+    let mut gram = basis.matmul_tn(&basis);
+    gram.add_diag(-1.0);
+    let ortho_defect = gram.data().iter().fold(0.0f64, |w, v| w.max(v.abs()));
+    let max_rel_sigma_diff =
+        sigma.iter().zip(&oracle.s).map(|(s, o)| (s - o).abs() / o).fold(0.0f64, f64::max);
+    let driver_decomp = format!(
+        "{{\"shape\": \"{m}x{k}\", \"jacobi_qr_secs\": {jacobi_qr_secs:.6e}, \"gram_secs\": {gram_secs:.6e}, \"speedup\": {:.3}, \"ortho_defect\": {ortho_defect:.3e}, \"max_rel_sigma_diff\": {max_rel_sigma_diff:.3e}}}",
+        jacobi_qr_secs / gram_secs,
+    );
+    println!("{:>18} {driver_decomp}", "driver_decomp");
+
     // Report + hand-rolled JSON.
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"mode\": \"{}\",\n", if smoke { "smoke" } else { "full" }));
@@ -278,7 +301,7 @@ fn main() {
             if i + 1 < f32_results.len() { "," } else { "" },
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str(&format!("  ],\n  \"driver_decomp\": {driver_decomp}\n}}\n"));
     std::fs::write(&out_path, &json).expect("write benchmark output");
     println!("wrote {out_path}");
 
@@ -300,4 +323,13 @@ fn main() {
             r.max_rel_diff
         );
     }
+    assert!(
+        ortho_defect <= 1e-12 && max_rel_sigma_diff <= 1e-10,
+        "driver_decomp: Gram route disagrees with Jacobi/Householder: {driver_decomp}"
+    );
+    // An in-run ratio, so the floor survives machine changes (10x smoke, 25x full).
+    assert!(
+        cfg!(debug_assertions) || jacobi_qr_secs >= 5.0 * gram_secs,
+        "driver_decomp: Gram route under 5x over Jacobi + Householder: {driver_decomp}"
+    );
 }

@@ -25,9 +25,25 @@
 //!
 //! so the N×K sketch `Q` is never materialized or shuffled — the paper's
 //! minimized-intermediate-data discipline carried over to the challenger.
-//! The driver then recovers the current top-d model from the small D×K `Z`
-//! (`top_singular_triplets`), re-orthonormalizes `Z` into the next basis
-//! (`orthonormal_columns`), and repeats for `q` power passes.
+//! The driver then factors the small D×K `Z` **once** per pass
+//! (`linalg::decomp::singular_basis`: `Z = U·diag(s)·Vᵀ` through the K×K
+//! Gram matrix, two rounds). Halko et al. only ask for *an* orthonormal
+//! basis of range(Z) for the next power step, so `U` is both answers: its
+//! first `d` columns with `s[..d]` are the current model, all `K` columns
+//! are the next basis `W` — and a checkpoint's `c` slot, so a checkpoint
+//! written after the last pass already holds the model. `driver_bytes =
+//! 4·D·K·8 + D·8` bounds the driver's live set: `W`, `Z`, the
+//! factorisation's two D×K products (`U₁` is gone before the D×d model
+//! copy is made) and the mean; the rest of its scratch is K×K.
+//!
+//! When that Gram matrix is numerically singular (rank < K, or cond(Z) ≳
+//! 3·10⁴ as on the dense diabetes shape) the same call returns what the
+//! arm computed before it existed, bit for bit: the model from one-sided
+//! Jacobi, the next basis from Householder QR. The basis then does not
+//! carry the model, so a last-pass checkpoint is not written (a resume
+//! re-runs that pass from the one before), and the live set is the old
+//! one: `W`, `Z`, QR's copy and `Q`, plus the D×d Jacobi model that
+//! `driver_bytes` never counted.
 //!
 //! **Bitwise determinism.** EM's two engines agree only to round-off
 //! (their reduction trees differ); the randomized arm is held to a harder
@@ -44,7 +60,7 @@
 //! measures.
 
 use dcluster::SimCluster;
-use linalg::decomp::{orthonormal_columns, top_singular_triplets};
+use linalg::decomp::singular_basis;
 use linalg::sparse::SparseRow;
 use linalg::{Mat, SparseMat};
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
@@ -165,13 +181,20 @@ pub fn run_rpca(
     // whole arm, derived from the config seed alone.
     let mut w = linalg::Prng::seed_from_u64(config.seed ^ 0x03e6a).normal_mat(d_in, k);
 
+    // The model is `w[:, ..d]` — or `left`, Jacobi's columns, after a pass
+    // that took the singular-Gram fallback — with noise variance `ss`: set
+    // by the first pass or by the checkpoint, whichever the run starts from.
+    let mut ss = f64::NAN;
+    let mut left: Option<Mat> = None;
+
     let mut iterations: Vec<IterationStat> = Vec::new();
     let mut prev_error = f64::INFINITY;
-    let mut final_state: Option<(Mat, f64)> = None;
 
     // Resume: the blob layout is shared with EM (`W` travels in the `c`
     // slot) but under a distinct DFS name, so the two arms' crash state
     // can never cross-contaminate. Anything unreadable is a fresh start.
+    // A checkpoint of the last pass leaves no pass to run: it is only
+    // written when `W` and `ss` are the finished model.
     let mut start_pass = 1;
     let checkpoint_file = checkpoint::rpca_file_name(config.job_id.as_deref());
     if config.checkpoint_every.is_some() {
@@ -186,6 +209,7 @@ pub fn run_rpca(
             start_pass = ck.iteration + 1;
             prev_error = ck.prev_error;
             w = ck.c;
+            ss = ck.ss;
         }
     }
 
@@ -206,9 +230,10 @@ pub fn run_rpca(
         let (mut z, mut tsum) = (Mat::zeros(d_in, k), vec![0.0; k]);
         {
             let _s = obs::span("driver", "rpca driver fold");
-            for (zraw, t) in &partials {
-                z.add_assign(zraw);
-                linalg::vector::axpy(1.0, t, &mut tsum);
+            // By value: each D×K partial is freed as soon as it is folded.
+            for (zraw, t) in partials {
+                z.add_assign(&zraw);
+                linalg::vector::axpy(1.0, &t, &mut tsum);
             }
             // Mean correction: Z = YᵀP − μ⊗(1ᵀP) = YcᵀP.
             for j in 0..d_in {
@@ -216,21 +241,22 @@ pub fn run_rpca(
             }
         }
 
-        // Driver: recover the current top-d model from the small sketch.
-        // Z = YcᵀYc·W has singular values ≤ σᵢ²(Yc), so the captured
-        // energy Σ_{i<d} sᵢ(Z) never exceeds ‖Yc‖²_F and the residual
-        // noise estimate stays non-negative by construction.
-        let (c, ss, captured) = cluster.run_driver("rpca/recover", || -> Result<_> {
-            let svd = top_singular_triplets(&z, d).map_err(SpcaError::Numeric)?;
-            let captured: f64 = svd.s.iter().sum();
+        // Driver: the pass's one decomposition. Z = YcᵀYc·W has singular
+        // values ≤ σᵢ²(Yc), so the captured energy Σ_{i<d} sᵢ(Z) never
+        // exceeds ‖Yc‖²_F and the residual noise estimate stays
+        // non-negative by construction.
+        let captured;
+        (w, left, ss, captured) = cluster.run_driver("rpca/recover", || -> Result<_> {
+            let (basis, s, left) = singular_basis(&z, d).map_err(SpcaError::Numeric)?;
+            let captured: f64 = s[..d].iter().sum();
             let residual = (fnorm_c - captured).max(0.0);
             let free_dims = (n * (d_in - d)).max(1) as f64;
-            let ss = (residual / free_dims).max(1e-12);
-            Ok((svd.u, ss, captured))
+            Ok((basis, left, (residual / free_dims).max(1e-12), captured))
         })?;
 
         // Instrumentation: sampled reconstruction error (not charged).
-        let model = PcaModel::new(c.clone(), mean.clone(), ss);
+        let c = left.clone().unwrap_or_else(|| w.leading_cols(d));
+        let model = PcaModel::new(c, mean.clone(), ss);
         let error = accuracy::reconstruction_error(error_sample, &model)?;
         iterations.push(IterationStat {
             iteration: pass,
@@ -238,7 +264,6 @@ pub fn run_rpca(
             ss,
             virtual_time_secs: cluster.metrics().virtual_time_secs - start_time,
         });
-        final_state = Some((c, ss));
 
         // Convergence telemetry: fraction of centered energy the top-d
         // sketch captures — the randomized analogue of EM's objective.
@@ -274,15 +299,13 @@ pub fn run_rpca(
             });
         }
 
-        // Next basis: re-orthonormalize the sketch on the driver (the
-        // power-iteration step — cheap at D×K, no distributed TSQR
-        // needed because Z already lives on the driver).
-        w = cluster.run_driver("rpca/orthonormalize", || orthonormal_columns(&z));
-
         // Pass-boundary checkpoint, written before the stop checks so a
-        // crash at any point resumes to exactly this state.
+        // crash at any point resumes to exactly this state. After the last
+        // pass that state is the model, which `W` does not carry on the
+        // fallback route: the earlier checkpoint stays, and a resume
+        // re-runs the pass.
         if let Some(every) = config.checkpoint_every {
-            if pass % every == 0 {
+            if pass % every == 0 && (pass < passes || left.is_none()) {
                 let blob =
                     EmCheckpoint { iteration: pass, c: w.clone(), ss, prev_error: error }.encode();
                 let bytes = blob.len() as u64;
@@ -318,9 +341,8 @@ pub fn run_rpca(
     if obs::enabled() {
         cluster.trace_end("run", "run_rpca", vec![("passes", (iterations.len() as u64).into())]);
     }
-    let (c, ss) = final_state.expect("at least one pass runs");
     let end = cluster.metrics();
-    let model = PcaModel::new(c, mean, ss);
+    let model = PcaModel::new(left.unwrap_or_else(|| w.leading_cols(d)), mean, ss);
     if ledger_on {
         let mut fingerprint = config.fingerprint();
         fingerprint.extend(cluster.config().fingerprint());

@@ -13,9 +13,10 @@
 //!    recovered subspace overlaps the exact top-d PCA subspace to ≥ 0.999
 //!    (clean spectrum, q = 2) and ≥ 0.9 (noisy spectrum, q = 3); overlap
 //!    is the smallest principal-angle cosine (`subspace_overlap`).
-//! 3. **Fault composition** — chaos fault plans and a mid-pass driver
-//!    crash with checkpoint resume are bitwise transparent (the
-//!    `faults.rs` invariant, replayed for the fat-pass loop).
+//! 3. **Fault composition** — chaos fault plans and a driver crash with
+//!    checkpoint resume, mid-run or after the final pass, are bitwise
+//!    transparent (the `faults.rs` invariant, replayed for the fat-pass
+//!    loop).
 //! 4. **Knob validation** — each nonsensical randomized configuration is
 //!    rejected with `SpcaError::InvalidConfig` before any cluster work.
 
@@ -160,6 +161,38 @@ fn subspace_matches_exact_pca_on_noisy_spectrum_with_power_passes() {
 }
 
 #[test]
+fn rank_deficient_sketch_takes_the_fallback_and_still_recovers_the_subspace() {
+    // Noise-free rank 3 (rank 4 once centered) under a K = 8 sketch: every
+    // pass's Gram matrix is singular, so the driver factors Z by the
+    // Householder/Jacobi route — same bars as the Gram route.
+    let d = 3;
+    let y = planted(120, 30, &[9.0, 6.0, 4.0], 0.0, 53);
+    let config = SpcaConfig { components: d, ..rpca_config() }.with_checkpoint_every(1);
+    let spark = Spca::new(config.clone())
+        .fit_spark(&SimCluster::new(ClusterConfig::paper_cluster()), &y)
+        .unwrap();
+    assert!(
+        linalg::decomp::gram_svd(WorkerPool::global(), spark.model.components()).is_some(),
+        "the model is a full-rank basis"
+    );
+    let overlap = subspace_overlap(spark.model.components(), &exact_pca_basis(&y, d)).unwrap();
+    assert!(overlap >= 0.999, "rank-deficient overlap {overlap} < 0.999");
+    let mr = Spca::new(config.clone())
+        .fit_mapreduce(&SimCluster::new(ClusterConfig::paper_cluster()), &y)
+        .unwrap();
+    assert_eq!(model_bits(&spark), model_bits(&mr), "engines diverged on the fallback route");
+    // On this route the basis does not carry the model (Householder's Q
+    // vs Jacobi's U), so the last pass leaves pass 2's checkpoint in place
+    // and a resume re-runs it.
+    let c = SimCluster::new(ClusterConfig::paper_cluster());
+    assert!(Spca::new(config.clone().with_crash_at_iteration(3)).fit_spark(&c, &y).is_err());
+    let resumed = Spca::new(config).fit_spark(&c, &y).unwrap();
+    assert_eq!(model_bits(&spark), model_bits(&resumed), "final-pass resume diverged");
+    assert_eq!(resumed.iterations.len(), 1, "only the last pass is redone");
+    assert!(c.dfs().stat(RPCA_CHECKPOINT_FILE).is_none(), "a completed run removes its checkpoint");
+}
+
+#[test]
 fn power_passes_improve_sampled_error_on_noisy_input() {
     // The fat-pass tradeoff in one assertion: more passes, better error.
     let y = planted(200, 50, &[12.0, 9.0, 6.0], 0.5, 47);
@@ -267,6 +300,35 @@ fn mapreduce_crash_resume_is_bitwise_identical_too() {
     ));
     let resumed = Spca::new(config).fit_mapreduce(&c, &y).unwrap();
     assert_eq!(model_bits(&clean), model_bits(&resumed));
+}
+
+#[test]
+fn crash_after_the_final_pass_resumes_to_the_finished_model_on_both_engines() {
+    // The crash lands after the last pass's checkpoint: nothing is left to
+    // run, and the checkpoint's basis and noise variance are the model.
+    let y = test_matrix(39);
+    let config = rpca_config().with_rpca_power_iters(2).with_checkpoint_every(1);
+    for spark in [true, false] {
+        let fit = |cl: &SimCluster, config: SpcaConfig| {
+            let spca = Spca::new(config);
+            if spark { spca.fit_spark(cl, &y) } else { spca.fit_mapreduce(cl, &y) }
+        };
+        let clean = fit(&SimCluster::new(ClusterConfig::paper_cluster()), config.clone()).unwrap();
+        assert_eq!(clean.iterations.len(), 3);
+
+        let c = SimCluster::new(ClusterConfig::paper_cluster());
+        assert!(matches!(
+            fit(&c, config.clone().with_crash_at_iteration(3)),
+            Err(SpcaError::DriverCrashed { iteration: 3 })
+        ));
+        let resumed = fit(&c, config.clone()).unwrap();
+        assert_eq!(model_bits(&clean), model_bits(&resumed), "spark={spark}: resume diverged");
+        assert!(resumed.iterations.is_empty(), "spark={spark}: no pass is left to redo");
+        assert!(
+            c.dfs().stat(RPCA_CHECKPOINT_FILE).is_none(),
+            "spark={spark}: a completed run removes its checkpoint"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ pub mod helpers;
 pub mod lanczos;
 pub mod lu;
 pub mod qr;
-pub mod randomized;
 pub mod svd;
 pub mod tsqr;
 
@@ -26,10 +25,12 @@ pub use bidiag::{bidiagonalize, svd_via_bidiag, Bidiagonal};
 pub use bidiag_svd::golub_reinsch_svd;
 pub use cholesky::Cholesky;
 pub use eig::{jacobi_eigen, sym_eigen, tridiag_eigen, SymEigen};
-pub use helpers::{orthonormal_columns, subspace_overlap, top_singular_triplets};
+pub use helpers::{
+    gram_svd, orthonormal_columns, singular_basis, subspace_overlap, top_singular_triplets,
+    GRAM_MIN_EIGEN_RATIO,
+};
 pub use lanczos::lanczos_svd;
 pub use lu::Lu;
 pub use qr::{qr_thin, Qr};
-pub use randomized::randomized_svd;
 pub use svd::{svd_jacobi, Svd};
 pub use tsqr::tsqr;

@@ -27,7 +27,7 @@ impl Svd {
     pub fn truncate(mut self, k: usize) -> Svd {
         let k = k.min(self.s.len());
         self.s.truncate(k);
-        self.u = keep_cols(&self.u, k);
+        self.u = self.u.leading_cols(k);
         self.vt = self.vt.row_block(0, k);
         self
     }
@@ -42,14 +42,6 @@ impl Svd {
         }
         us.matmul(&self.vt)
     }
-}
-
-fn keep_cols(m: &Mat, k: usize) -> Mat {
-    let mut out = Mat::zeros(m.rows(), k);
-    for r in 0..m.rows() {
-        out.row_mut(r).copy_from_slice(&m.row(r)[..k]);
-    }
-    out
 }
 
 /// Computes the thin SVD of a dense matrix by one-sided Jacobi.

@@ -267,6 +267,15 @@ impl Mat {
         Mat::from_vec(end - start, self.cols, self.data[start * self.cols..end * self.cols].to_vec())
     }
 
+    /// Copies the first `k` columns into a fresh matrix.
+    pub fn leading_cols(&self, k: usize) -> Mat {
+        let mut out = Mat::zeros(self.rows, k);
+        for r in 0..self.rows {
+            out.row_mut(r).copy_from_slice(&self.row(r)[..k]);
+        }
+        out
+    }
+
     /// Copies the selected rows into a fresh matrix.
     pub fn select_rows(&self, idx: &[usize]) -> Mat {
         let mut out = Mat::zeros(idx.len(), self.cols);

@@ -5,9 +5,7 @@
 //! sweeps a fixed number of seeded cases — deterministic, reproducible
 //! from the case index, and covering the same invariants.
 
-use linalg::decomp::{
-    bidiagonalize, golub_reinsch_svd, lanczos_svd, randomized_svd, svd_via_bidiag, Cholesky,
-};
+use linalg::decomp::{bidiagonalize, golub_reinsch_svd, lanczos_svd, svd_via_bidiag, Cholesky};
 use linalg::{io, Mat, Prng, SparseMat};
 
 const CASES: u64 = 48;
@@ -93,23 +91,6 @@ fn lanczos_finds_the_dominant_value() {
         let lan = lanczos_svd(&a, 1, 10, &mut lrng).unwrap();
         let exact = linalg::decomp::svd_jacobi(&a).unwrap();
         assert!((lan.s[0] - exact.s[0]).abs() < 1e-6 * exact.s[0], "seed {seed}");
-    }
-}
-
-#[test]
-fn randomized_svd_never_overestimates_much() {
-    for seed in 0..CASES {
-        let mut rng = Prng::seed_from_u64(seed);
-        let a = rng.normal_mat(16, 10);
-        let mut srng = Prng::seed_from_u64(seed ^ 2);
-        let approx = randomized_svd(&a, 3, 4, 1, &mut srng).unwrap();
-        let exact = linalg::decomp::svd_jacobi(&a).unwrap();
-        for i in 0..3 {
-            // Interlacing: sketched values never exceed the true ones
-            // (beyond roundoff) and with q=1 stay within a loose factor.
-            assert!(approx.s[i] <= exact.s[i] * (1.0 + 1e-9), "seed {seed}");
-            assert!(approx.s[i] >= exact.s[i] * 0.3, "seed {seed}");
-        }
     }
 }
 

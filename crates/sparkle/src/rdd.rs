@@ -412,21 +412,28 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         (tree_merge(partials, init, merge), bytes)
     }
 
-    /// Copies every element to the driver, charging the transfer.
-    pub fn collect(&self) -> Vec<T>
+    /// Brings every element to the driver, charging the transfer. Consumes
+    /// the handle: blocks nothing else holds (the stage output this is
+    /// usually called on) are *moved* out; blocks a cache or another handle
+    /// still shares are cloned and stay where they are.
+    pub fn collect(self) -> Vec<T>
     where
         T: Clone + Wire,
     {
         self.charge_spill();
-        let mut out = Vec::with_capacity(self.count());
+        let cluster = self.cluster;
+        let parts = self.snapshot();
+        // Release this handle's references: unshared blocks are now unique.
+        drop(self);
         // One flow per partition endpoint for the contended timing model;
         // the byte meter charges the per-partition sum as before.
-        let mut sizes = Vec::new();
-        for p in self.snapshot() {
-            sizes.push(p.iter().map(|t| self.cluster.wire_size(t)).sum());
-            out.extend(p.iter().cloned());
+        let sizes: Vec<u64> =
+            parts.iter().map(|p| p.iter().map(|t| cluster.wire_size(t)).sum()).collect();
+        cluster.charge_network_flows(&sizes, "collect");
+        let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+        for p in parts {
+            out.extend(Arc::try_unwrap(p).unwrap_or_else(|shared| shared.to_vec()));
         }
-        self.cluster.charge_network_flows(&sizes, "collect");
         out
     }
 
@@ -642,6 +649,97 @@ mod tests {
         assert_eq!(c.metrics().network_bytes, 10);
     }
 
+    /// A `u64` on the wire that counts how often it is cloned.
+    #[derive(Debug)]
+    struct Counted(u64, Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Counted(self.0, Arc::clone(&self.1))
+        }
+    }
+
+    impl linalg::ByteSized for Counted {
+        fn size_bytes(&self) -> u64 {
+            self.0.size_bytes()
+        }
+    }
+
+    impl Wire for Counted {
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            self.0.encode_into(out)
+        }
+        fn encoded_size(&self) -> u64 {
+            self.0.encoded_size()
+        }
+        fn decode_from(r: &mut linalg::WireReader<'_>) -> Result<Self, linalg::WireError> {
+            Ok(Counted(u64::decode_from(r)?, Arc::default()))
+        }
+    }
+
+    #[test]
+    fn collect_moves_unshared_partitions_and_charges_like_a_cloning_collect() {
+        use dcluster::TimingModel;
+        // `keep_handle` holds a second handle on the stage output across
+        // the collect, which forces the clone-every-element path — the only
+        // path there was before `collect` consumed its receiver.
+        let run = |keep_handle: bool| {
+            let c = SimCluster::new(
+                ClusterConfig::scaled_cluster().with_timing(TimingModel::Contended),
+            );
+            let ctx = SparkleContext::new(&c);
+            let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let rdd = ctx.parallelize((0_u64..1_000).collect(), 7);
+            let counter = Arc::clone(&clones);
+            let staged = rdd.map("wrap", move |x| Counted(x * 1_000, Arc::clone(&counter)));
+            let kept = keep_handle.then(|| staged.clone());
+            let out: Vec<u64> = staged.collect().iter().map(|c| c.0).collect();
+            drop(kept);
+            let links: Vec<(f64, f64)> =
+                c.link_stats().iter().map(|l| (l.bytes, l.busy_secs)).collect();
+            let n_clones = clones.load(std::sync::atomic::Ordering::Relaxed);
+            (out, n_clones, c.metrics().network_bytes, links)
+        };
+        let (moved, moved_clones, moved_bytes, moved_links) = run(false);
+        let (cloned, cloned_clones, cloned_bytes, cloned_links) = run(true);
+        assert_eq!(moved_clones, 0, "a temporary's partitions must move, not clone");
+        assert_eq!(cloned_clones, 1_000, "shared partitions are cloned, one clone per element");
+        assert_eq!(moved, cloned, "same elements, same order");
+        assert_eq!(moved, (0..1_000).map(|x| x * 1_000).collect::<Vec<u64>>());
+        assert!(moved_bytes > 0);
+        assert_eq!(moved_bytes, cloned_bytes, "same bytes charged");
+        assert_eq!(moved_links, cloned_links, "same per-partition flows on every link");
+    }
+
+    #[test]
+    fn collect_over_a_persisted_rdd_leaves_the_cache_readable() {
+        use dcluster::{FaultPlan, FaultSpec};
+        let c = SimCluster::new(ClusterConfig::paper_cluster().with_nodes(2));
+        let ctx = SparkleContext::new(&c);
+        let mut rdd = ctx.parallelize((0_u64..40).collect(), 8);
+        let layout = rdd.partition_sizes();
+        rdd.persist_with_lineage(Lineage::new(
+            vec!["parallelize".into()],
+            Box::new(move |pidx| {
+                let start: u64 = layout[..pidx].iter().sum::<usize>() as u64;
+                (start..start + layout[pidx] as u64).collect()
+            }),
+        ));
+        let want: Vec<u64> = (0..40).collect();
+        // The cache holds every block, so collecting through a handle
+        // clones; the blocks stay put for the stages that follow.
+        assert_eq!(rdd.clone().collect(), want);
+        assert_eq!(rdd.map("id", |x| *x).collect(), want, "a later stage still reads the cache");
+        // And a crash between collects heals from lineage as for any stage.
+        let plan = FaultPlan::new().with_crash(1, c.next_stage_index());
+        c.install_fault_plan(FaultSpec::new(0), plan).unwrap();
+        let _ = c.run_stage(StageOptions::new("tick"), vec![|| ()]);
+        assert_eq!(rdd.clone().collect(), want, "collect after a crash reads recomputed blocks");
+        assert_eq!(c.registry().counter("faults.partitions_recomputed").get(), 4);
+        assert_eq!(rdd.map("id", |x| *x).collect(), want);
+    }
+
     #[test]
     fn persist_detects_oversized_dataset_and_charges_spill() {
         let small = SimCluster::new(
@@ -698,11 +796,12 @@ mod tests {
         let rdd = ctx.parallelize((0_u64..10_000).collect(), 4);
         let s1 = rdd.sample("s", 0.2, 9);
         let s2 = rdd.sample("s", 0.2, 9);
-        assert_eq!(s1.collect(), s2.collect(), "same seed, same sample");
         let count = s1.count() as f64;
         assert!((count / 10_000.0 - 0.2).abs() < 0.03, "got fraction {}", count / 10_000.0);
+        let first = s1.collect();
+        assert_eq!(first, s2.collect(), "same seed, same sample");
         let s3 = rdd.sample("s", 0.2, 10);
-        assert_ne!(s1.collect(), s3.collect(), "different seed, different sample");
+        assert_ne!(first, s3.collect(), "different seed, different sample");
     }
 
     #[test]
