@@ -14,7 +14,8 @@
 //!   µs-unit metrics additionally tolerate a few µs of absolute delta
 //!   (integer-µs truncation jitter on near-zero windows).
 //! * **ignore** — host wall-clock measurements (`*_mb_per_sec`, kernel
-//!   `*_secs` timings, `speedup`), the cpu attribution slot and `*cpu_us`
+//!   `*_secs` timings, `speedup`), host shape (`pool_workers`, the core
+//!   count a bench found), the cpu attribution slot and `*cpu_us`
 //!   counters (the one *measured* clock in the simulator — host compute
 //!   time in disguise), and histogram shape statistics (mean/p50/p99):
 //!   machine-dependent noise with no gate value.
@@ -74,6 +75,12 @@ pub fn classify(path: &str) -> Rule {
         || last == "rowwise_secs"
         || last == "batched_secs"
     {
+        return Rule::Ignore;
+    }
+    // Host shape, not a result: the benches record how many pool workers
+    // the machine gave them, and a baseline recorded on one core is not a
+    // regression on two.
+    if last == "pool_workers" {
         return Rule::Ignore;
     }
     // Serving latency histograms are virtual-time quantities, not host
@@ -389,6 +396,8 @@ mod tests {
         assert_eq!(classify("records.0.encode_mb_per_sec"), Rule::Ignore);
         assert_eq!(classify("speedup"), Rule::Ignore);
         assert_eq!(classify("rowwise_secs"), Rule::Ignore);
+        // Host shape: the core count a bench ran on is not a result.
+        assert_eq!(classify("pool_workers"), Rule::Ignore);
         assert_eq!(classify("registry.histograms.stage.compute_secs.p99"), Rule::Ignore);
         assert_eq!(classify("registry.histograms.stage.compute_secs.count"), Rule::Exact);
         // Serving latency histograms are virtual time: banded shape

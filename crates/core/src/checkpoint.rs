@@ -58,10 +58,13 @@ const VERSION: u32 = 2;
 /// Oldest version [`EmCheckpoint::decode`] still reads.
 const MIN_VERSION: u32 = 1;
 
-/// EM state at the end of iteration `iteration`.
+/// Driver state at a pass boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmCheckpoint {
-    /// The completed iteration this state belongs to.
+    /// The last pass a resume may skip: the completed iteration this state
+    /// belongs to — or, when that iteration ended the run (cap reached or
+    /// a stop condition fired), the iteration cap, so that a resume finds
+    /// nothing left to run.
     pub iteration: usize,
     /// Principal-subspace matrix `C` after that iteration.
     pub c: Mat,

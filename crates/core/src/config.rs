@@ -87,8 +87,9 @@ pub struct SpcaConfig {
     /// restarting — bitwise identically to the uninterrupted run.
     pub checkpoint_every: Option<usize>,
     /// Fault injection: kill the driver right after this iteration
-    /// completes (and after any due checkpoint is written). The fit
-    /// returns `SpcaError::DriverCrashed`; `None` disables.
+    /// completes (and after any due checkpoint is written — which, when
+    /// the iteration ended the run, says so: the resume has nothing left
+    /// to run). The fit returns `SpcaError::DriverCrashed`; `None` disables.
     pub crash_at_iteration: Option<usize>,
     /// Which arithmetic the EM inner loop runs in. The default `F64` arm
     /// is bit-identical to every previous release; the reduced-precision
@@ -169,11 +170,21 @@ impl SpcaConfig {
         self
     }
 
-    /// Rejects nonsensical knob combinations before any cluster work runs.
-    /// `n_cols` is the input width `D` (the sketch `d + p` must fit in it).
-    /// The EM arm currently has no rejectable combinations; the randomized
-    /// arm has three, each pinned by a test in `crates/core/tests/rpca.rs`.
+    /// Rejects nonsensical knob combinations before any cluster work runs;
+    /// both engines' `fit` call it first. `n_cols` is the input width `D`
+    /// (the sketch `d + p` must fit in it). A smart-guess sample fraction
+    /// outside `(0, 1]` is rejected on either arm; the randomized arm has
+    /// three more rejectable combinations, each pinned by a test in
+    /// `crates/core/tests/rpca.rs`, and its knobs are inert on the EM arm.
     pub fn validate(&self, n_cols: usize) -> Result<(), SpcaError> {
+        if let Some(fraction) = self.smart_guess.as_ref().map(|sg| sg.sample_fraction) {
+            // Written so that NaN fails it too.
+            if !(fraction > 0.0 && fraction <= 1.0) {
+                return Err(SpcaError::InvalidConfig {
+                    what: format!("smart-guess sample_fraction = {fraction} is not in (0, 1]"),
+                });
+            }
+        }
         if self.algorithm != Algorithm::Randomized {
             return Ok(());
         }

@@ -1,32 +1,29 @@
-//! The engine-agnostic EM driver (Algorithm 4).
+//! The engine-agnostic EM arm (Algorithm 4, lines 3–14).
 //!
 //! The paper stresses that only three computations are distributed — the
 //! consolidated `YtX`/`XtX` job, the `ss3` job, and the one-time
 //! mean/Frobenius jobs — while "all other operations can easily run on a
 //! single machine" in the driver. That split is made literal here: the
 //! [`EmJobs`] trait is the distributed surface (implemented once per
-//! engine in [`crate::spark`] and [`crate::mr`]) and [`run_em`] is the
-//! driver program, shared verbatim by both platforms.
+//! engine in [`crate::spark`] and [`crate::mr`]) and `EmArm` is one EM
+//! iteration's driver algebra around it, shared verbatim by both
+//! platforms. Everything around the iteration — resume, sampled error,
+//! telemetry, checkpoint, stop — is [`crate::driver::run_passes`], which
+//! the randomized arm runs on too.
 
-use dcluster::SimCluster;
 use linalg::decomp::cholesky::solve_spd_right;
 use linalg::decomp::lu::Lu;
 use linalg::{Mat, SparseMat};
 
-use crate::accuracy;
-use crate::checkpoint::{self, EmCheckpoint};
+use crate::checkpoint;
 use crate::config::SpcaConfig;
-use crate::error::SpcaError;
+use crate::driver::{ArmNames, Dims, PassArm, PassStats};
 use crate::mean_prop::{ss3_finalize, YtxPartial};
-use crate::model::{IterationStat, PcaModel, SpcaRun};
+use crate::model::PcaModel;
 use crate::Result;
 
 /// The distributed jobs an engine must provide.
 pub trait EmJobs {
-    /// Number of input rows N.
-    fn num_rows(&self) -> usize;
-    /// Number of input columns D.
-    fn num_cols(&self) -> usize;
     /// `meanJob`: column means of `Y` (Algorithm 4, line 3).
     fn mean_job(&mut self) -> Vec<f64>;
     /// `FnormJob`: `‖Y − 1⊗mean‖²_F` via Algorithm 3 (line 4).
@@ -43,7 +40,7 @@ pub trait EmJobs {
 /// `YtXJob` partial and the `f64` reference, both computed on the same
 /// small row sample. Driver-local instrumentation: never shipped, never
 /// charged.
-pub(crate) fn precision_divergence(
+fn precision_divergence(
     sample: &SparseMat,
     cm: &Mat,
     xm: &[f64],
@@ -59,108 +56,93 @@ pub(crate) fn precision_divergence(
     abs / scale
 }
 
-/// Runs the EM driver loop over the given engine jobs.
-///
-/// `error_sample` is the pre-drawn row sample the per-iteration accuracy
-/// estimate uses; it is instrumentation and charged to neither engine.
-pub fn run_em(
-    cluster: &SimCluster,
-    jobs: &mut dyn EmJobs,
-    error_sample: &SparseMat,
-    config: &SpcaConfig,
-    init: (Mat, f64),
-) -> Result<SpcaRun> {
-    let n = jobs.num_rows();
-    let d_in = jobs.num_cols();
-    let d = config.components;
-    if n == 0 || d_in == 0 {
-        return Err(SpcaError::EmptyInput);
+static NAMES: ArmNames = ArmNames {
+    run: "run_em",
+    count_key: "iterations",
+    pass: "iteration",
+    counters: "em",
+    category_infix: "iter",
+};
+
+/// PPCA-EM as a [`PassArm`]: one pass is one EM iteration over the
+/// engine's [`EmJobs`], updating `C` and `ss`.
+pub(crate) struct EmArm<'a> {
+    jobs: &'a mut dyn EmJobs,
+    config: &'a SpcaConfig,
+    /// Input shape N×D.
+    n: usize,
+    d_in: usize,
+    c: Mat,
+    ss: f64,
+    mean: Vec<f64>,
+    /// `‖Y − 1⊗mean‖²_F`.
+    ss1: f64,
+}
+
+impl<'a> EmArm<'a> {
+    /// `jobs` run over the `n`×`d_in` input; `init` is the starting
+    /// `(C, ss)` — random or smart-guess.
+    pub(crate) fn new(
+        jobs: &'a mut dyn EmJobs,
+        config: &'a SpcaConfig,
+        (n, d_in): (usize, usize),
+        init: (Mat, f64),
+    ) -> Self {
+        let (c, ss) = init;
+        assert_eq!((c.rows(), c.cols()), (d_in, config.components), "init C has wrong shape");
+        EmArm { jobs, config, n, d_in, c, ss, mean: Vec::new(), ss1: f64::NAN }
     }
-    if d > d_in.min(n) {
-        return Err(SpcaError::TooManyComponents { requested: d, available: d_in.min(n) });
-    }
+}
 
-    let start_metrics = cluster.metrics();
-    let start_time = start_metrics.virtual_time_secs;
-    let start_intermediate = start_metrics.intermediate_bytes;
-    // Run-ledger capture: skipped entirely (no record construction) when
-    // no sink is installed.
-    let ledger_on = obs::ledger::sink_enabled();
-    let mut ledger_rows: Vec<obs::ledger::IterationRow> = Vec::new();
-
-    let _run_host_span = obs::span_lazy("run", || format!("run_em N={n} D={d_in} d={d}"));
-    if obs::enabled() {
-        cluster.trace_begin(
-            "run",
-            "run_em",
-            vec![
-                ("N", (n as u64).into()),
-                ("D", (d_in as u64).into()),
-                ("d", (d as u64).into()),
-                ("precision", config.precision.label().into()),
-                ("codec", cluster.wire_codec().label().into()),
-            ],
-        );
-    }
-
-    // The driver holds C, CM, YtX and scratch — all O(D·d). This is the
-    // whole point of Figure 8: sPCA's driver memory does not grow with D².
-    let driver_bytes = 4 * (d_in * d * 8) as u64 + (d_in * 8) as u64;
-    let _driver_guard = cluster.alloc_driver(driver_bytes)?;
-
-    let (mut c, mut ss) = init;
-    assert_eq!((c.rows(), c.cols()), (d_in, d), "init C has wrong shape");
-
-    // Lines 3–4: one-time jobs. Also re-run on a resume: they are
-    // deterministic, so recomputing them reproduces the original values.
-    let mean = jobs.mean_job();
-    let ss1 = jobs.fnorm_job(&mean);
-
-    let mut iterations: Vec<IterationStat> = Vec::new();
-    let mut prev_error = f64::INFINITY;
-
-    // Resume: with checkpointing enabled and a readable checkpoint of the
-    // right shape on the DFS, continue from it instead of restarting. A
-    // missing/lost/corrupt/mismatched blob is a fresh start — recovery
-    // code must tolerate anything a crash can leave behind.
-    let mut start_iter = 1;
-    let checkpoint_file = checkpoint::file_name(config.job_id.as_deref());
-    if config.checkpoint_every.is_some() {
-        let restored = cluster
-            .dfs()
-            .get_blob(cluster, &checkpoint_file)
-            .ok()
-            .and_then(|blob| EmCheckpoint::decode(&blob).ok())
-            .filter(|ck| (ck.c.rows(), ck.c.cols()) == (d_in, d));
-        if let Some(ck) = restored {
-            cluster.note_checkpoint_restored(ck.iteration as u64);
-            start_iter = ck.iteration + 1;
-            prev_error = ck.prev_error;
-            c = ck.c;
-            ss = ck.ss;
-        }
+impl PassArm for EmArm<'_> {
+    fn names(&self) -> &'static ArmNames {
+        &NAMES
     }
 
-    for iter in start_iter..=config.max_iters {
-        let iter_cat_start = cluster.category_time_us();
-        if obs::enabled() {
-            cluster.trace_begin("iteration", &format!("iteration {iter}"), Vec::new());
-        }
-        let _iter_host_span = obs::span_lazy("iteration", || format!("em iteration {iter}"));
+    fn dims(&self) -> Dims {
+        Dims { n: self.n, d_in: self.d_in, width: self.config.components }
+    }
+
+    fn max_passes(&self) -> usize {
+        self.config.max_iters
+    }
+
+    fn checkpoint_file(&self) -> String {
+        checkpoint::file_name(self.config.job_id.as_deref())
+    }
+
+    fn run_args(&self) -> Vec<(&'static str, obs::ArgValue)> {
+        vec![("precision", self.config.precision.label().into())]
+    }
+
+    fn prepare(&mut self) {
+        // Lines 3–4: one-time jobs.
+        self.mean = self.jobs.mean_job();
+        self.ss1 = self.jobs.fnorm_job(&self.mean);
+    }
+
+    fn restore(&mut self, state: Mat, ss: f64) {
+        self.c = state;
+        self.ss = ss;
+    }
+
+    fn pass(&mut self, _pass: usize, error_sample: &SparseMat) -> Result<PassStats> {
+        let (n, d_in) = (self.n, self.d_in);
+        let (c, ss, mean) = (&self.c, self.ss, &self.mean);
 
         // Lines 6–8 (driver): M, CM = C·M⁻¹, Xm = Ym·CM.
         let (m_inv, cm, xm) = {
             let _s = obs::span("driver", "em driver update");
-            let mut m = c.matmul_tn(&c);
+            let mut m = c.matmul_tn(c);
             m.add_diag(ss);
             let m_inv = Lu::new(&m)?.inverse();
             let cm = c.matmul(&m_inv);
-            let xm = cm.vecmat(&mean);
+            let xm = cm.vecmat(mean);
             (m_inv, cm, xm)
         };
 
         // Line 9 (distributed): consolidated XtX/YtX pass.
-        let partial = jobs.ytx_job(&cm, &xm);
+        let partial = self.jobs.ytx_job(&cm, &xm);
         debug_assert_eq!(partial.rows_seen as usize, n, "YtXJob must see every row");
 
         // Line 10 (driver): XtX += N·ss·M⁻¹.
@@ -169,7 +151,7 @@ pub fn run_em(
             let mut xtx = partial.xtx.clone();
             xtx.add_scaled(n as f64 * ss, &m_inv);
             // Driver-side assembly of the dense YtX.
-            let ytx = partial.finalize_ytx(&mean);
+            let ytx = partial.finalize_ytx(mean);
 
             // Line 11: C = YtX / XtX.
             let c_new = solve_spd_right(&xtx, &ytx)?;
@@ -181,150 +163,34 @@ pub fn run_em(
         };
 
         // Line 13 (distributed): ss3.
-        let part = jobs.ss3_job(&cm, &xm, &c_new);
-        let ss3 = ss3_finalize(part, &partial.sum_x, &c_new, &mean);
+        let part = self.jobs.ss3_job(&cm, &xm, &c_new);
+        let ss3 = ss3_finalize(part, &partial.sum_x, &c_new, mean);
 
         // Line 14: variance update.
-        c = c_new;
-        ss = ((ss1 + ss2 - 2.0 * ss3) / (n as f64) / (d_in as f64)).max(1e-12);
-
-        // Instrumentation: sampled reconstruction error (not charged).
-        let model = PcaModel::new(c.clone(), mean.clone(), ss);
-        let error = accuracy::reconstruction_error(error_sample, &model)?;
-        iterations.push(IterationStat {
-            iteration: iter,
-            error,
-            ss,
-            virtual_time_secs: cluster.metrics().virtual_time_secs - start_time,
-        });
+        self.c = c_new;
+        self.ss = ((self.ss1 + ss2 - 2.0 * ss3) / (n as f64) / (d_in as f64)).max(1e-12);
 
         // Convergence telemetry: the paper's 1 − ss·N·D/‖Y−mean‖²_F
-        // objective plus the sampled error, plotted against virtual time.
-        let objective = 1.0 - ss * (n as f64) * (d_in as f64) / ss1;
+        // objective, plotted with the sampled error against virtual time.
+        let objective = 1.0 - self.ss * (n as f64) * (d_in as f64) / self.ss1;
         // Reduced-precision arms: track how far this iteration's arm
         // drifts from the f64 reference on the (uncharged) error sample —
         // the divergence meter the precision ladder is judged by. One
         // small local block, never shipped.
-        let divergence = if config.precision != linalg::Precision::F64
-            && (obs::enabled() || ledger_on)
-        {
-            precision_divergence(error_sample, &cm, &xm, d, config.precision)
-        } else {
-            f64::NAN
-        };
-        // Per-category time this iteration spent, by diffing the cluster's
-        // category meters across the iteration.
-        let iter_cat_end = cluster.category_time_us();
-        let mut cat_us = [0u64; 5];
-        for (i, slot) in cat_us.iter_mut().enumerate() {
-            *slot = iter_cat_end[i].saturating_sub(iter_cat_start[i]);
-        }
-        if obs::enabled() {
-            cluster.trace_counter("em.error", error);
-            cluster.trace_counter("em.ss", ss);
-            cluster.trace_counter("em.objective", objective);
-            if config.precision != linalg::Precision::F64 {
-                cluster.trace_counter("em.precision.divergence", divergence);
-            }
-            for (i, name) in obs::critpath::CATEGORIES.iter().enumerate() {
-                cluster.trace_counter(&format!("em.iter.{name}_secs"), cat_us[i] as f64 / 1e6);
-            }
-            cluster.trace_end(
-                "iteration",
-                &format!("iteration {iter}"),
-                vec![("error", error.into()), ("objective", objective.into())],
-            );
-        }
-        if ledger_on {
-            ledger_rows.push(obs::ledger::IterationRow {
-                iteration: iter as u64,
-                error,
-                objective,
-                divergence,
-                virtual_secs: cluster.metrics().virtual_time_secs - start_time,
-                cat_us,
-            });
-        }
-
-        // Iteration-boundary checkpoint: the complete driver state after
-        // this iteration, written before the stop checks so a crash at any
-        // point resumes to exactly this state.
-        if let Some(every) = config.checkpoint_every {
-            if iter % every == 0 {
-                let blob =
-                    EmCheckpoint { iteration: iter, c: c.clone(), ss, prev_error: error }.encode();
-                let bytes = blob.len() as u64;
-                cluster.dfs().put_blob(cluster, checkpoint_file.clone(), blob);
-                cluster.note_checkpoint_written(iter as u64, bytes);
-            }
-        }
-        // Injected driver crash (fault testing): state is on the DFS (if
-        // checkpointing is on); the next fit on this cluster resumes.
-        if config.crash_at_iteration == Some(iter) {
-            return Err(SpcaError::DriverCrashed { iteration: iter });
-        }
-
-        // STOP_CONDITION.
-        if let Some(target) = config.target_error {
-            if error <= target {
-                break;
-            }
-        }
-        if let Some(tol) = config.rel_tolerance {
-            if prev_error.is_finite() && (prev_error - error).abs() <= tol * prev_error.abs() {
-                break;
-            }
-        }
-        prev_error = error;
-    }
-
-    // The run completed: its checkpoint (if any) is spent. Removing it
-    // keeps a later, unrelated fit on this cluster from resuming into the
-    // wrong run.
-    if config.checkpoint_every.is_some() {
-        let _ = cluster.dfs().delete(&checkpoint_file);
-    }
-
-    if obs::enabled() {
-        cluster.trace_end("run", "run_em", vec![("iterations", (iterations.len() as u64).into())]);
-    }
-    let end = cluster.metrics();
-    let model = PcaModel::new(c, mean, ss);
-    if ledger_on {
-        let mut fingerprint = config.fingerprint();
-        fingerprint.extend(cluster.config().fingerprint());
-        fingerprint.push(("engine".to_string(), cluster.trace_label()));
-        fingerprint.sort();
-        let mut attribution_us = [0u64; 5];
-        for (i, slot) in attribution_us.iter_mut().enumerate() {
-            *slot = end.time_us[i].saturating_sub(start_metrics.time_us[i]);
-        }
-        obs::ledger::record_run(obs::ledger::RunRecord {
-            label: cluster.trace_label(),
-            config: fingerprint,
-            model_hash: format!("{:016x}", model.content_hash()),
-            iterations_run: iterations.len() as u64,
-            final_error: iterations.last().map_or(f64::INFINITY, |s| s.error),
-            virtual_time_secs: end.virtual_time_secs - start_time,
-            bytes: vec![
-                ("network_bytes".into(), end.network_bytes - start_metrics.network_bytes),
-                (
-                    "dfs_bytes_written".into(),
-                    end.dfs_bytes_written - start_metrics.dfs_bytes_written,
-                ),
-                ("dfs_bytes_read".into(), end.dfs_bytes_read - start_metrics.dfs_bytes_read),
-                ("intermediate_bytes".into(), end.intermediate_bytes - start_intermediate),
-            ],
-            attribution_us,
-            clock_violations: end.clock_violations - start_metrics.clock_violations,
-            registry: cluster.registry().snapshot(),
-            iterations: ledger_rows,
+        let precision = self.config.precision;
+        let recording = obs::enabled() || obs::ledger::sink_enabled();
+        let divergence = (precision != linalg::Precision::F64 && recording).then(|| {
+            precision_divergence(error_sample, &cm, &xm, self.config.components, precision)
         });
+        Ok(PassStats { objective, divergence })
     }
-    Ok(SpcaRun {
-        model,
-        iterations,
-        virtual_time_secs: end.virtual_time_secs - start_time,
-        intermediate_bytes: end.intermediate_bytes - start_intermediate,
-    })
+
+    fn model(&self) -> PcaModel {
+        PcaModel::new(self.c.clone(), self.mean.clone(), self.ss)
+    }
+
+    fn checkpoint_state(&self, _run_over: bool) -> Option<(Mat, f64)> {
+        // `C` and `ss` are the model, so any pass may be a run's last word.
+        Some((self.c.clone(), self.ss))
+    }
 }

@@ -30,6 +30,7 @@ pub mod ablation;
 pub mod accuracy;
 pub mod checkpoint;
 pub mod config;
+mod driver;
 pub mod em;
 pub mod error;
 pub mod frobenius;
@@ -62,6 +63,20 @@ pub(crate) fn scoped_input(config: &SpcaConfig, name: &str) -> String {
     match config.job_id.as_deref() {
         Some(job) => dcluster::hdfs::job_scoped(job, name),
         None => name.to_string(),
+    }
+}
+
+/// Names `cluster`'s virtual process in traces and ledgers after the arm
+/// and engine about to fit on it: `sPCA-Spark`, `sPCA-MR`, `rPCA-Spark`,
+/// `rPCA-MR`. Set before the fit's first trace event, so the process is
+/// born with its name.
+pub(crate) fn label_trace(cluster: &SimCluster, config: &SpcaConfig, engine: &str) {
+    if obs::enabled() {
+        let family = match config.algorithm {
+            Algorithm::PpcaEm => "sPCA",
+            Algorithm::Randomized => "rPCA",
+        };
+        cluster.set_trace_label(format!("{family}-{engine}"));
     }
 }
 

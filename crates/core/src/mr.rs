@@ -13,6 +13,12 @@
 //! * `ss3Job` — emits a single scalar per mapper (the paper: "the mapper
 //!   output of this job is a scalar, which reduces the amount of
 //!   intermediate data").
+//!
+//! `fit_with_input` is the engine's one scaffold for both algorithm
+//! families: it splits and seeds the input once, then builds the jobs of
+//! the arm `config.algorithm` names — these, or the partition-keyed ones in
+//! [`crate::rpca`] — and runs them under the shared pass loop
+//! ([`crate::driver`]).
 
 use dcluster::SimCluster;
 use linalg::bytes::ByteSized;
@@ -20,12 +26,14 @@ use linalg::wire::{self, Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 
-use crate::config::SpcaConfig;
-use crate::em::{run_em, EmJobs};
+use crate::config::{Algorithm, SpcaConfig};
+use crate::driver::run_passes;
+use crate::em::{EmArm, EmJobs};
 use crate::frobenius;
 use crate::init;
 use crate::mean_prop::{ss3_block_prec, ytx_counter_snapshot, YtxPartial};
 use crate::model::SpcaRun;
+use crate::rpca::{MrRpcaJobs, RpcaArm};
 use crate::Result;
 
 /// Composite shuffle key of the `YtXJob`.
@@ -187,21 +195,12 @@ struct MrJobs<'a> {
     engine: MapReduceEngine<'a>,
     blocks: Vec<SparseMat>,
     n: usize,
-    d_in: usize,
     d: usize,
     reducers: usize,
     precision: linalg::Precision,
 }
 
 impl EmJobs for MrJobs<'_> {
-    fn num_rows(&self) -> usize {
-        self.n
-    }
-
-    fn num_cols(&self) -> usize {
-        self.d_in
-    }
-
     fn mean_job(&mut self) -> Vec<f64> {
         let (out, _) = self.engine.run_job("meanJob", &MeanJob, &self.blocks, 1);
         let mut mean = out.into_iter().next().expect("meanJob output").1;
@@ -265,15 +264,12 @@ impl EmJobs for MrJobs<'_> {
     }
 }
 
-/// Fits sPCA on the MapReduce engine. With a `job_id` set the input
-/// file and stage labels are scoped to `jobs/<id>/` like the Spark
-/// engine's, so concurrent tenants on one cluster never collide.
+/// Fits on the MapReduce engine — PPCA-EM or the randomized arm, as
+/// `config.algorithm` says. With a `job_id` set the input file and stage
+/// labels are scoped to `jobs/<id>/` like the Spark engine's, so
+/// concurrent tenants on one cluster never collide.
 pub fn fit(cluster: &SimCluster, y: &SparseMat, config: &SpcaConfig) -> Result<SpcaRun> {
-    // Algorithm dispatch mirrors `spark::fit`: the randomized arm rides
-    // the same entry point, so job scoping and callers stay unchanged.
-    if config.algorithm == crate::config::Algorithm::Randomized {
-        return crate::rpca::fit_mapreduce(cluster, y, config);
-    }
+    config.validate(y.cols())?;
     let input = crate::scoped_input(config, "input/Y");
     let run = fit_with_input(cluster, y, config, &input);
     cluster.set_job_scope(None);
@@ -281,16 +277,16 @@ pub fn fit(cluster: &SimCluster, y: &SparseMat, config: &SpcaConfig) -> Result<S
 }
 
 /// [`fit`] with an explicit DFS name for the materialized input (the
-/// smart-guess warm-up uses a separate name for its row sample).
+/// smart-guess warm-up uses a separate name for its row sample). The one
+/// MapReduce scaffold: both arms get the same job scope, split blocks and
+/// HDFS-materialized input.
 fn fit_with_input(
     cluster: &SimCluster,
     y: &SparseMat,
     config: &SpcaConfig,
     input_file: &str,
 ) -> Result<SpcaRun> {
-    if obs::enabled() {
-        cluster.set_trace_label("sPCA-MR");
-    }
+    crate::label_trace(cluster, config, "MR");
     cluster.set_job_scope(config.job_id.as_deref());
     let partitions = config
         .partitions
@@ -304,63 +300,35 @@ fn fit_with_input(
     // length under the default policy, so re-reads match the real file.
     cluster.dfs().seed(cluster, input_file, cluster.wire_size(y));
 
-    // Smart guess warms up on the sample with this same engine; its cost
-    // is charged to this run (the paper counts the warm-up delay).
-    let warm_time = cluster.metrics().virtual_time_secs;
-    let warm_bytes = cluster.metrics().intermediate_bytes;
-    let tracing_init = obs::enabled() && config.smart_guess.is_some();
-    if tracing_init {
-        cluster.trace_begin("init", "init", Vec::new());
-    }
-    let init_state = match &config.smart_guess {
-        Some(sg) => {
-            let want = ((y.rows() as f64) * sg.sample_fraction).ceil() as usize;
-            let k = want.max(2 * config.components + 2).min(y.rows());
-            let mut rng = linalg::Prng::seed_from_u64(config.seed ^ 0x5650);
-            let idx = rng.sample_indices(y.rows(), k);
-            let sample = y.select_rows(&idx);
-            // The warm-up must not inherit fault knobs: checkpointing
-            // would collide with the full run's checkpoint file, and an
-            // injected crash belongs to the main loop only.
-            let warm = SpcaConfig {
-                smart_guess: None,
-                max_iters: sg.iterations,
-                rel_tolerance: None,
-                target_error: None,
-                checkpoint_every: None,
-                crash_at_iteration: None,
-                ..config.clone()
-            };
-            let run =
-                fit_with_input(cluster, &sample, &warm, &crate::scoped_input(&warm, "input/Y.sample"))?;
-            (run.model.components().clone(), run.model.noise_variance())
-        }
-        None => init::random_init(y.cols(), config.components, config.seed),
-    };
-    if tracing_init {
-        cluster.trace_end("init", "init", vec![("kind", "smart-guess".into())]);
-    }
-    let warm_elapsed = cluster.metrics().virtual_time_secs - warm_time;
-    let warm_intermediate = cluster.metrics().intermediate_bytes - warm_bytes;
-
     let error_sample = crate::accuracy::sample_rows(y, config.error_sample_rows, config.seed);
+    let engine = MapReduceEngine::new(cluster);
+    let (n, d_in) = (y.rows(), y.cols());
     let reducers = cluster.config().nodes.max(1);
-    let mut jobs = MrJobs {
-        engine: MapReduceEngine::new(cluster),
-        blocks,
-        n: y.rows(),
-        d_in: y.cols(),
-        d: config.components,
-        reducers,
-        precision: config.precision,
-    };
-    let mut run = run_em(cluster, &mut jobs, &error_sample, config, init_state)?;
-    for it in &mut run.iterations {
-        it.virtual_time_secs += warm_elapsed;
+    // The engine's one algorithm dispatch: which jobs the blocks feed and
+    // which arm runs over them. (The randomized jobs key each block by its
+    // partition index, so the two arms' job inputs differ in type.)
+    match config.algorithm {
+        Algorithm::PpcaEm => {
+            let (init, warm_up) = init::initial_state(cluster, y, config, fit_with_input)?;
+            let mut jobs = MrJobs {
+                engine,
+                blocks,
+                n,
+                d: config.components,
+                reducers,
+                precision: config.precision,
+            };
+            let mut arm = EmArm::new(&mut jobs, config, (n, d_in), init);
+            let mut run = run_passes(cluster, &mut arm, &error_sample, config)?;
+            warm_up.charge_to(&mut run);
+            Ok(run)
+        }
+        Algorithm::Randomized => {
+            let mut jobs = MrRpcaJobs::new(engine, blocks, reducers);
+            let mut arm = RpcaArm::new(cluster, &mut jobs, config, (n, d_in));
+            run_passes(cluster, &mut arm, &error_sample, config)
+        }
     }
-    run.virtual_time_secs += warm_elapsed;
-    run.intermediate_bytes += warm_intermediate;
-    Ok(run)
 }
 
 #[cfg(test)]

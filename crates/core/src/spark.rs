@@ -14,6 +14,12 @@
 //!   Section 4.2.
 //! * `ss3SparkJob` — one `aggregate_partitions` folding the scalar
 //!   `Σ xᵢ·(C'yᵢ')` via the blocked `ss3_block`.
+//!
+//! The randomized arm ([`crate::rpca`]) runs over the same persisted RDD:
+//! `SparkJobs` implements both arms' job traits, and `fit_with_input` is
+//! the engine's one scaffold — it builds the RDD and the jobs once, then
+//! hands them to the arm `config.algorithm` names and to the shared pass
+//! loop ([`crate::driver`]).
 
 use dcluster::SimCluster;
 use linalg::bytes::ByteSized;
@@ -22,11 +28,14 @@ use linalg::wire::{self, Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
 use sparkle::{Lineage, Rdd, SparkleContext};
 
-use crate::config::SpcaConfig;
-use crate::em::{run_em, EmJobs};
+use crate::config::{Algorithm, SpcaConfig};
+use crate::driver::run_passes;
+use crate::em::{EmArm, EmJobs};
+use crate::frobenius;
 use crate::init;
 use crate::mean_prop::{ss3_block_prec, ytx_counter_snapshot, YtxPartial};
 use crate::model::SpcaRun;
+use crate::rpca::{pass_partial, PassPartial, RpcaArm, RpcaJobs};
 use crate::Result;
 
 /// One sparse matrix row as an RDD element.
@@ -168,14 +177,6 @@ struct SparkJobs<'a> {
 }
 
 impl EmJobs for SparkJobs<'_> {
-    fn num_rows(&self) -> usize {
-        self.n
-    }
-
-    fn num_cols(&self) -> usize {
-        self.d_in
-    }
-
     fn mean_job(&mut self) -> Vec<f64> {
         let d_in = self.d_in;
         let (sums, _) = self.rdd.aggregate(
@@ -269,6 +270,48 @@ impl EmJobs for SparkJobs<'_> {
     }
 }
 
+/// The randomized arm's stages over the same persisted RDD.
+impl RpcaJobs for SparkJobs<'_> {
+    fn colsum_job(&mut self) -> Vec<Vec<f64>> {
+        let d_in = self.d_in;
+        self.rdd
+            .map_partitions("rpca/colsumJob", |part| {
+                let views: Vec<SparseRow> = part.iter().map(SpRow::view).collect();
+                vec![SparseMat::from_row_views(d_in, &views).col_sums()]
+            })
+            .collect()
+    }
+
+    fn fnorm_job(&mut self, mean: &[f64], mean_norm_sq: f64) -> Vec<f64> {
+        let d_in = self.d_in;
+        self.rdd
+            .map_partitions("rpca/FnormJob", |part| {
+                let views: Vec<SparseRow> = part.iter().map(SpRow::view).collect();
+                let block = SparseMat::from_row_views(d_in, &views);
+                vec![frobenius::centered_sq_block(&block, mean, mean_norm_sq)]
+            })
+            .collect()
+    }
+
+    fn pass_job(&mut self, w: &Mat, shift: &[f64], pass: usize) -> Vec<PassPartial> {
+        // Broadcast the pass's basis W (D×K) and shift vector to every
+        // node — the fat part of the fat pass, priced like every other
+        // broadcast.
+        let cluster = self.rdd.cluster();
+        cluster.charge_broadcast(cluster.wire_size(w) + cluster.sizing().f64_payload(shift.len()));
+        let d_in = self.d_in;
+        self.rdd
+            .map_partitions(&format!("rpca/pass{pass}"), |part| {
+                let views: Vec<SparseRow> = part.iter().map(SpRow::view).collect();
+                let block = SparseMat::from_row_views(d_in, &views);
+                vec![pass_partial(&block, w, shift)]
+            })
+            // collect() preserves partition order and charges one flow
+            // per partition — the D×K partial each executor ships home.
+            .collect()
+    }
+}
+
 /// Distributed projection: computes the reduced matrix `X = (Y − 1⊗μ)·CM`
 /// (the paper's §2.1 dimensionality-reduction output, `X = Y*C`) as one
 /// narrow stage over the cluster, returning the N×d latent matrix.
@@ -301,17 +344,13 @@ pub fn transform(
     Ok(Mat::from_rows(&refs))
 }
 
-/// Fits sPCA on the Spark-like engine. With a `job_id` set the input
-/// file and stage labels are scoped to `jobs/<id>/` so concurrent
-/// tenants on one cluster never collide (checkpoints scope through
-/// `checkpoint::file_name` inside `run_em`).
+/// Fits on the Spark-like engine — PPCA-EM or the randomized arm, as
+/// `config.algorithm` says. With a `job_id` set the input file and stage
+/// labels are scoped to `jobs/<id>/` so concurrent tenants on one cluster
+/// never collide (checkpoints scope through the arm's `checkpoint_file`).
+/// Every caller — the serving subsystem included — comes through here.
 pub fn fit(cluster: &SimCluster, y: &SparseMat, config: &SpcaConfig) -> Result<SpcaRun> {
-    // Algorithm dispatch happens here (not in `Spca`) so every caller —
-    // the serving subsystem included — gets the randomized arm through
-    // the same entry point.
-    if config.algorithm == crate::config::Algorithm::Randomized {
-        return crate::rpca::fit_spark(cluster, y, config);
-    }
+    config.validate(y.cols())?;
     let input = crate::scoped_input(config, "input/Y");
     let run = fit_with_input(cluster, y, config, &input);
     cluster.set_job_scope(None);
@@ -320,16 +359,17 @@ pub fn fit(cluster: &SimCluster, y: &SparseMat, config: &SpcaConfig) -> Result<S
 
 /// [`fit`] with an explicit DFS name for the materialized input — the
 /// smart-guess warm-up fits its row sample under a different name so it
-/// does not clobber the full run's input file.
-pub(crate) fn fit_with_input(
+/// does not clobber the full run's input file. The one Spark scaffold:
+/// both arms get the same job scope, partitioning, seeded input file and
+/// persisted RDD, so fault plans and multi-tenant scoping compose with
+/// either.
+fn fit_with_input(
     cluster: &SimCluster,
     y: &SparseMat,
     config: &SpcaConfig,
     input_file: &str,
 ) -> Result<SpcaRun> {
-    if obs::enabled() {
-        cluster.set_trace_label("sPCA-Spark");
-    }
+    crate::label_trace(cluster, config, "Spark");
     cluster.set_job_scope(config.job_id.as_deref());
     let ctx = SparkleContext::new(cluster);
     let partitions = config
@@ -343,58 +383,39 @@ pub(crate) fn fit_with_input(
     // re-reads and re-replication charge the same bytes a real file holds.
     cluster.dfs().seed(cluster, input_file, cluster.wire_size(y));
 
-    // Build and persist the input RDD (cached across all EM iterations),
-    // with the lineage that rebuilds any partition a node crash evicts:
-    // re-read the partition's slice of the input file and re-parse it.
+    // Build and persist the input RDD (cached across all passes), with the
+    // lineage that rebuilds any partition a node crash evicts: re-read the
+    // partition's slice of the input file and re-parse it.
     let blocks: Vec<Vec<SpRow>> = y.split_rows(partitions).iter().map(to_rows).collect();
     let mut rdd = ctx.from_partitions(blocks);
-    let n_rows = y.rows();
+    let (n, d_in) = (y.rows(), y.cols());
     rdd.persist_with_lineage(
         Lineage::new(
             vec![format!("textFile({input_file})"), "parse".into()],
             Box::new(move |p| {
-                let (start, len) = partition_range(n_rows, partitions, p);
+                let (start, len) = partition_range(n, partitions, p);
                 to_rows(&y.row_block(start, start + len))
             }),
         )
         .with_source(input_file),
     );
 
-    // Initialization: random, or smart-guess warm start (sPCA-SG). The
-    // warm-up's time and intermediate data are charged to this run — the
-    // paper reports the (527 s) initialization delay as part of sPCA-SG's
-    // timeline.
-    let warm_time = cluster.metrics().virtual_time_secs;
-    let warm_bytes = cluster.metrics().intermediate_bytes;
-    if obs::enabled() {
-        cluster.trace_begin("init", "init", Vec::new());
-    }
-    let init_state = match &config.smart_guess {
-        Some(sg) => init::smart_guess_init(cluster, y, config, sg)?,
-        None => init::random_init(y.cols(), config.components, config.seed),
-    };
-    if obs::enabled() {
-        let kind = if config.smart_guess.is_some() { "smart-guess" } else { "random" };
-        cluster.trace_end("init", "init", vec![("kind", kind.into())]);
-    }
-    let warm_elapsed = cluster.metrics().virtual_time_secs - warm_time;
-    let warm_intermediate = cluster.metrics().intermediate_bytes - warm_bytes;
-
     let error_sample = crate::accuracy::sample_rows(y, config.error_sample_rows, config.seed);
-    let mut jobs = SparkJobs {
-        rdd,
-        n: y.rows(),
-        d_in: y.cols(),
-        d: config.components,
-        precision: config.precision,
-    };
-    let mut run = run_em(cluster, &mut jobs, &error_sample, config, init_state)?;
-    for it in &mut run.iterations {
-        it.virtual_time_secs += warm_elapsed;
+    let mut jobs = SparkJobs { rdd, n, d_in, d: config.components, precision: config.precision };
+    // The engine's one algorithm dispatch: which arm runs over the jobs.
+    match config.algorithm {
+        Algorithm::PpcaEm => {
+            let (init, warm_up) = init::initial_state(cluster, y, config, fit_with_input)?;
+            let mut arm = EmArm::new(&mut jobs, config, (n, d_in), init);
+            let mut run = run_passes(cluster, &mut arm, &error_sample, config)?;
+            warm_up.charge_to(&mut run);
+            Ok(run)
+        }
+        Algorithm::Randomized => {
+            let mut arm = RpcaArm::new(cluster, &mut jobs, config, (n, d_in));
+            run_passes(cluster, &mut arm, &error_sample, config)
+        }
     }
-    run.virtual_time_secs += warm_elapsed;
-    run.intermediate_bytes += warm_intermediate;
-    Ok(run)
 }
 
 #[cfg(test)]

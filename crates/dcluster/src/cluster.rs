@@ -259,6 +259,15 @@ struct StageFaultEffects {
     backup_cpu_secs: f64,
 }
 
+/// Which byte meter a transfer charges. The meter fixes the time category
+/// (network, or disk for both DFS directions) and the trace counter too.
+#[derive(Clone, Copy)]
+enum Meter {
+    Network,
+    DfsWrite,
+    DfsRead,
+}
+
 /// Lazily-established link between a cluster and the installed collector:
 /// the virtual pid is allocated on first use and re-allocated whenever a
 /// *different* collector is installed (tests install fresh ones).
@@ -757,7 +766,7 @@ impl SimCluster {
                     flows.push(FlowSpec::new(share, [topo.disk(node), netsim::NO_LINK]));
                 }
                 let secs = self.contended_io_secs(&flows, &cancels);
-                self.dfs_read_charge_core(bytes, secs, "reexec-read");
+                self.charge_core(Meter::DfsRead, bytes, secs, "reexec-read");
             }
         }
     }
@@ -1088,26 +1097,31 @@ impl SimCluster {
         }
     }
 
-    /// Meters network bytes and advances the clock by a pre-computed
-    /// transfer time — the shared tail of every network charge site.
-    fn network_charge_core(&self, bytes: u64, secs: f64, label: &str) {
-        let total;
-        let win;
+    /// Meters `bytes` on `meter` and advances the clock by a pre-computed
+    /// transfer time — the shared tail of every byte-charge site.
+    fn charge_core(&self, meter: Meter, bytes: u64, secs: f64, label: &str) {
+        let (total, category, counter, win);
         {
             let mut m = self.metrics_lock();
-            m.add_network(bytes);
-            win = m.advance_cat(secs, TimeCategory::Network);
-            total = m.network_bytes.get();
+            (total, category, counter) = match meter {
+                Meter::Network => {
+                    m.add_network(bytes);
+                    (m.network_bytes.get(), TimeCategory::Network, "cluster.network_bytes")
+                }
+                Meter::DfsWrite => {
+                    m.add_dfs_write(bytes);
+                    (m.dfs_bytes_written.get(), TimeCategory::Disk, "cluster.dfs_bytes_written")
+                }
+                Meter::DfsRead => {
+                    m.add_dfs_read(bytes);
+                    (m.dfs_bytes_read.get(), TimeCategory::Disk, "cluster.dfs_bytes_read")
+                }
+            };
+            win = m.advance_cat(secs, category);
         }
-        self.trace_counter("cluster.network_bytes", total as f64);
+        self.trace_counter(counter, total as f64);
         if bytes > 0 {
-            self.emit_segment(
-                label,
-                TimeCategory::Network,
-                win.0,
-                win.1,
-                vec![("bytes", bytes.into())],
-            );
+            self.emit_segment(label, category, win.0, win.1, vec![("bytes", bytes.into())]);
         }
     }
 
@@ -1124,7 +1138,7 @@ impl SimCluster {
     /// ("shuffle", "re-replicate", ...), not just its category.
     pub fn charge_network_labeled(&self, bytes: u64, label: &str) {
         let secs = self.network_secs(bytes, None);
-        self.network_charge_core(bytes, secs, label);
+        self.charge_core(Meter::Network, bytes, secs, label);
     }
 
     /// Network charge with an explicit per-endpoint byte distribution:
@@ -1137,29 +1151,7 @@ impl SimCluster {
     pub fn charge_network_flows(&self, per_endpoint: &[u64], label: &str) {
         let bytes: u64 = per_endpoint.iter().sum();
         let secs = self.network_secs(bytes, Some(per_endpoint));
-        self.network_charge_core(bytes, secs, label);
-    }
-
-    /// Meters DFS write bytes and advances the clock (shared tail).
-    fn dfs_write_charge_core(&self, bytes: u64, secs: f64, label: &str) {
-        let total;
-        let win;
-        {
-            let mut m = self.metrics_lock();
-            m.add_dfs_write(bytes);
-            win = m.advance_cat(secs, TimeCategory::Disk);
-            total = m.dfs_bytes_written.get();
-        }
-        self.trace_counter("cluster.dfs_bytes_written", total as f64);
-        if bytes > 0 {
-            self.emit_segment(
-                label,
-                TimeCategory::Disk,
-                win.0,
-                win.1,
-                vec![("bytes", bytes.into())],
-            );
-        }
+        self.charge_core(Meter::Network, bytes, secs, label);
     }
 
     /// Meters `bytes` written to the distributed filesystem.
@@ -1170,7 +1162,7 @@ impl SimCluster {
     /// [`charge_dfs_write`](Self::charge_dfs_write) with a segment label.
     pub fn charge_dfs_write_labeled(&self, bytes: u64, label: &str) {
         let secs = self.disk_secs(bytes, None);
-        self.dfs_write_charge_core(bytes, secs, label);
+        self.charge_core(Meter::DfsWrite, bytes, secs, label);
     }
 
     /// DFS write with an explicit per-endpoint distribution (entry `p` →
@@ -1178,7 +1170,7 @@ impl SimCluster {
     pub fn charge_dfs_write_flows(&self, per_endpoint: &[u64], label: &str) {
         let bytes: u64 = per_endpoint.iter().sum();
         let secs = self.disk_secs(bytes, Some(per_endpoint));
-        self.dfs_write_charge_core(bytes, secs, label);
+        self.charge_core(Meter::DfsWrite, bytes, secs, label);
     }
 
     /// Meters a broadcast of `bytes` to every worker node (Spark torrent
@@ -1197,46 +1189,7 @@ impl SimCluster {
                 self.network_secs(fanout, Some(&per_node))
             }
         };
-        let total;
-        let win;
-        {
-            let mut m = self.metrics_lock();
-            m.add_network(fanout);
-            win = m.advance_cat(secs, TimeCategory::Network);
-            total = m.network_bytes.get();
-        }
-        self.trace_counter("cluster.network_bytes", total as f64);
-        if fanout > 0 {
-            self.emit_segment(
-                "broadcast",
-                TimeCategory::Network,
-                win.0,
-                win.1,
-                vec![("bytes", fanout.into())],
-            );
-        }
-    }
-
-    /// Meters DFS read bytes and advances the clock (shared tail).
-    fn dfs_read_charge_core(&self, bytes: u64, secs: f64, label: &str) {
-        let total;
-        let win;
-        {
-            let mut m = self.metrics_lock();
-            m.add_dfs_read(bytes);
-            win = m.advance_cat(secs, TimeCategory::Disk);
-            total = m.dfs_bytes_read.get();
-        }
-        self.trace_counter("cluster.dfs_bytes_read", total as f64);
-        if bytes > 0 {
-            self.emit_segment(
-                label,
-                TimeCategory::Disk,
-                win.0,
-                win.1,
-                vec![("bytes", bytes.into())],
-            );
-        }
+        self.charge_core(Meter::Network, fanout, secs, "broadcast");
     }
 
     /// Meters `bytes` read back from the distributed filesystem.
@@ -1247,15 +1200,7 @@ impl SimCluster {
     /// [`charge_dfs_read`](Self::charge_dfs_read) with a segment label.
     pub fn charge_dfs_read_labeled(&self, bytes: u64, label: &str) {
         let secs = self.disk_secs(bytes, None);
-        self.dfs_read_charge_core(bytes, secs, label);
-    }
-
-    /// DFS read with an explicit per-endpoint distribution (entry `p` →
-    /// node `p % nodes`' disk); see [`Self::charge_network_flows`].
-    pub fn charge_dfs_read_flows(&self, per_endpoint: &[u64], label: &str) {
-        let bytes: u64 = per_endpoint.iter().sum();
-        let secs = self.disk_secs(bytes, Some(per_endpoint));
-        self.dfs_read_charge_core(bytes, secs, label);
+        self.charge_core(Meter::DfsRead, bytes, secs, label);
     }
 
     /// Per-link contention statistics. Empty under the default timing

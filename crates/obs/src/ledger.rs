@@ -2,14 +2,15 @@
 //!
 //! A [`RunLedger`] is the durable record of one tool invocation: the
 //! config fingerprint of every fit it performed (engine, precision, codec,
-//! fault plan, cluster shape), per-iteration convergence telemetry
-//! (`em.error`, `em.objective`, precision divergence), the critical-path
-//! category attribution, the bytes-moved totals, and a full
+//! fault plan, cluster shape), per-pass convergence telemetry (the
+//! `em.*` / `rpca.*` `error` and `objective`, precision divergence), the
+//! critical-path category attribution, the bytes-moved totals, and a full
 //! [`RegistrySnapshot`] — everything `perf_gate` needs to decide whether a
 //! commit regressed the system, in one JSON file (`RUN_*.json`).
 //!
 //! Producers don't build ledgers by hand: a **sink** is installed
-//! process-wide (like the trace [`crate::Collector`]), `run_em` appends a
+//! process-wide (like the trace [`crate::Collector`]), `spca_core`'s pass
+//! loop — one loop for the EM and the randomized arm — appends a
 //! [`RunRecord`] per fit when one is active, and the owning harness drains
 //! it into a [`RunLedger`] at exit. The JSON is written by a deterministic
 //! std-only writer (object keys in fixed order, non-finite floats
