@@ -1,6 +1,8 @@
 //! Self-contained kernel benchmark: seed-naive vs blocked vs
 //! blocked+threaded at the paper's sPCA shapes, plus the randomized
-//! driver's per-pass factorisation (Jacobi + Householder vs Gram-based).
+//! driver's per-pass factorisation (Jacobi + Householder vs Gram-based) and
+//! the EM driver's right-division and sampled error (lane-blocked / tiled
+//! vs the column-by-column / row-at-a-time loops they replaced).
 //!
 //! No external harness — each variant is timed with `Instant`, best of
 //! several repetitions, and the results are written as hand-rolled JSON.
@@ -13,9 +15,12 @@
 
 use std::time::Instant;
 
+use linalg::decomp::cholesky::{solve_spd_right, Cholesky};
 use linalg::decomp::{qr_thin, singular_basis, svd_jacobi};
 use linalg::kernels::{self, naive};
 use linalg::{kernels_f32, Mat, MatF32, Prng, SparseMat, WorkerPool};
+use spca_core::accuracy::reconstruction_error;
+use spca_core::PcaModel;
 
 /// Times `f` best-of-`reps` (minimum wall time, the usual noise filter for
 /// single-machine microbenchmarks).
@@ -59,6 +64,28 @@ fn random_sparse(rng: &mut Prng, rows: usize, cols: usize, density: f64) -> Spar
         triplets.push((rng.index(rows), rng.index(cols) as u32, rng.normal()));
     }
     SparseMat::from_triplets(rows, cols, &triplets)
+}
+
+/// The sampled error one row at a time — the loop `reconstruction_error`
+/// replaced, rebuilt here from public pieces like [`naive`]'s kernels: the
+/// dense `ŷ` of each row, then the correction at the row's non-zeros.
+fn rowwise_error(sample: &SparseMat, model: &PcaModel) -> f64 {
+    let x = model.transform_sparse(sample).expect("model is well-conditioned");
+    let (c, mean) = (model.components(), model.mean());
+    let (mut err_sum, mut norm_sum) = (0.0, 0.0);
+    let mut recon = vec![0.0; model.input_dim()];
+    for r in 0..sample.rows() {
+        for (j, slot) in recon.iter_mut().enumerate() {
+            *slot = linalg::vector::dot(x.row(r), c.row(j)) + mean[j];
+        }
+        let mut row_err: f64 = recon.iter().map(|v| v.abs()).sum();
+        for (cidx, v) in sample.row(r).iter() {
+            row_err += (v - recon[cidx]).abs() - recon[cidx].abs();
+        }
+        err_sum += row_err;
+        norm_sum += linalg::vector::norm1(sample.row(r).values);
+    }
+    err_sum / norm_sum
 }
 
 fn main() {
@@ -253,6 +280,31 @@ fn main() {
     );
     println!("{:>18} {driver_decomp}", "driver_decomp");
 
+    // driver_em: the two serial pieces of an EM iteration's driver at
+    // `em_spark_sparse`'s shape (D = 10 000, d = 50, 256 sampled rows), each
+    // against the loop it replaced. Same shapes under --smoke: both are
+    // milliseconds, and the ratios are what is asserted.
+    let (d_in, d, sample_rows) = (10_000, 50, 256);
+    let g = rng.normal_mat(d + 2, d);
+    let mut xtx = g.matmul_tn(&g);
+    xtx.add_diag(0.5);
+    let ytx = rng.normal_mat(d_in, d);
+    let (columnwise_secs, columnwise) =
+        best_of(reps, || Cholesky::new(&xtx).expect("SPD").solve_mat(&ytx.transpose()).transpose());
+    let (lane_blocked_secs, lane_blocked) =
+        best_of(reps, || solve_spd_right(&xtx, &ytx).expect("SPD"));
+    let model = PcaModel::new(rng.normal_mat(d_in, d), rng.normal_vec(d_in), 0.3);
+    let sample = random_sparse(&mut rng, sample_rows, d_in, 6.6 / d_in as f64);
+    let (rowwise_secs, rowwise) = best_of(reps, || rowwise_error(&sample, &model));
+    let (tiled_secs, tiled) =
+        best_of(reps, || reconstruction_error(&sample, &model).expect("well-conditioned"));
+    let driver_em = format!(
+        "{{\"solve_spd_right\": {{\"shape\": \"{d_in}x{d}\", \"columnwise_secs\": {columnwise_secs:.6e}, \"lane_blocked_secs\": {lane_blocked_secs:.6e}, \"speedup\": {:.3}}}, \"sampled_error\": {{\"shape\": \"{sample_rows}x{d_in}x{d}\", \"rowwise_secs\": {rowwise_secs:.6e}, \"tiled_secs\": {tiled_secs:.6e}, \"speedup\": {:.3}}}}}",
+        columnwise_secs / lane_blocked_secs,
+        rowwise_secs / tiled_secs,
+    );
+    println!("{:>18} {driver_em}", "driver_em");
+
     // Report + hand-rolled JSON.
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"mode\": \"{}\",\n", if smoke { "smoke" } else { "full" }));
@@ -301,7 +353,9 @@ fn main() {
             if i + 1 < f32_results.len() { "," } else { "" },
         ));
     }
-    json.push_str(&format!("  ],\n  \"driver_decomp\": {driver_decomp}\n}}\n"));
+    json.push_str(&format!(
+        "  ],\n  \"driver_decomp\": {driver_decomp},\n  \"driver_em\": {driver_em}\n}}\n"
+    ));
     std::fs::write(&out_path, &json).expect("write benchmark output");
     println!("wrote {out_path}");
 
@@ -331,5 +385,15 @@ fn main() {
     assert!(
         cfg!(debug_assertions) || jacobi_qr_secs >= 5.0 * gram_secs,
         "driver_decomp: Gram route under 5x over Jacobi + Householder: {driver_decomp}"
+    );
+    assert!(
+        lane_blocked == columnwise && tiled.to_bits() == rowwise.to_bits(),
+        "driver_em: a new path is not bitwise the loop it replaced: {driver_em}"
+    );
+    // In-run ratios again (12x and 2.3–2.8x when written, on two cores).
+    assert!(
+        cfg!(debug_assertions)
+            || (columnwise_secs >= 2.0 * lane_blocked_secs && rowwise_secs >= 1.3 * tiled_secs),
+        "driver_em: lane-blocked solve under 2x or tiled error under 1.3x: {driver_em}"
     );
 }

@@ -194,8 +194,10 @@ pub(crate) fn run_passes(
         let PassStats { objective, divergence } = arm.pass(pass, error_sample)?;
 
         // Instrumentation: sampled reconstruction error (not charged).
+        let error_span = obs::span("driver", "sampled error");
         let model = arm.model();
         let error = accuracy::reconstruction_error(error_sample, &model)?;
+        drop(error_span);
         let ss = model.noise_variance();
         let virtual_time_secs = cluster.metrics().virtual_time_secs - start.virtual_time_secs;
         iterations.push(IterationStat { iteration: pass, error, ss, virtual_time_secs });

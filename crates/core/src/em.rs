@@ -151,10 +151,16 @@ impl PassArm for EmArm<'_> {
             let mut xtx = partial.xtx.clone();
             xtx.add_scaled(n as f64 * ss, &m_inv);
             // Driver-side assembly of the dense YtX.
-            let ytx = partial.finalize_ytx(mean);
+            let ytx = {
+                let _s = obs::span("driver", "finalize_ytx");
+                partial.finalize_ytx(mean)
+            };
 
             // Line 11: C = YtX / XtX.
-            let c_new = solve_spd_right(&xtx, &ytx)?;
+            let c_new = {
+                let _s = obs::span("driver", "solve_spd_right");
+                solve_spd_right(&xtx, &ytx)?
+            };
 
             // Line 12: ss2 = tr(XtX·C'C).
             let ctc = c_new.matmul_tn(&c_new);

@@ -20,7 +20,7 @@
 //!
 //! * [`YtxPartial::add_block`] — the batched path. A whole partition goes
 //!   through the blocked kernels: `X_blk = Y_blk·CM − 1⊗Xm` via the
-//!   threaded `sparse_mul_dense` into a reusable scratch buffer,
+//!   threaded `sparse_mul_dense` into a `linalg::scratch` buffer,
 //!   `XtX += syrk_tn(X_blk)`, `YtX += spmm_tn(Y_blk, X_blk)` scattered
 //!   straight into a packed slab (sorted column table, hash-free inner
 //!   loop), `Σx` via per-row column sums.
@@ -67,7 +67,7 @@ pub fn latent_row_dense(row: SparseRow<'_>, mean: &[f64], cm: &Mat) -> Vec<f64> 
 /// indices in ascending order and `slab` one d-vector per touched column,
 /// back to back — no hashing anywhere, O(z·d) shuffle size preserved, and
 /// merging two partials is a linear sorted merge.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YtxPartial {
     /// `Σᵢ xᵢ ⊗ xᵢ` (d × d).
     pub xtx: Mat,
@@ -79,19 +79,6 @@ pub struct YtxPartial {
     pub sum_x: Vec<f64>,
     /// Rows processed (for sanity checks).
     pub rows_seen: u64,
-    /// Reusable `X_blk` buffer for [`Self::add_block`] — driver-local
-    /// scratch, never shipped, excluded from equality and byte size.
-    scratch: Vec<f64>,
-}
-
-impl PartialEq for YtxPartial {
-    fn eq(&self, other: &Self) -> bool {
-        self.xtx == other.xtx
-            && self.cols == other.cols
-            && self.slab == other.slab
-            && self.sum_x == other.sum_x
-            && self.rows_seen == other.rows_seen
-    }
 }
 
 impl YtxPartial {
@@ -103,7 +90,6 @@ impl YtxPartial {
             slab: Vec::new(),
             sum_x: vec![0.0; d],
             rows_seen: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -187,8 +173,10 @@ impl YtxPartial {
     }
 
     /// Folds a whole partition block through the batched kernels:
-    /// `X_blk = Y_blk·CM − 1⊗Xm` (threaded sparse GEMM into the reusable
-    /// scratch — zero per-row allocation), `XtX += syrk_tn(X_blk)`,
+    /// `X_blk = Y_blk·CM − 1⊗Xm` (sparse GEMM into a buffer taken from
+    /// `linalg::scratch` and recycled before this returns — zero per-row
+    /// allocation, and no partial carries its `X_blk` to the driver),
+    /// `XtX += syrk_tn(X_blk)`,
     /// `YtX += spmm_tn(Y_blk, X_blk)` scattered into a packed slab keyed by
     /// a column-offset table built once per block, and `Σx` via per-row
     /// column sums.
@@ -235,12 +223,7 @@ impl YtxPartial {
 
         // X_blk = Y·CM − 1⊗Xm: multiply first, then subtract — the exact
         // operation order of `latent_row`.
-        let mut buf = match self.scratch.capacity() {
-            0 => linalg::scratch::take_cleared(n * d),
-            _ => std::mem::take(&mut self.scratch),
-        };
-        buf.clear();
-        buf.resize(n * d, 0.0);
+        let mut buf = linalg::scratch::take_zeroed(n * d);
         linalg::kernels::sparse_mul_dense_into_with_pool(pool, block, cm, &mut buf);
         let mut x_blk = Mat::from_vec(n, d, buf);
         for r in 0..n {
@@ -262,7 +245,7 @@ impl YtxPartial {
             linalg::vector::axpy(1.0, x_blk.row(r), &mut self.sum_x);
         }
         self.rows_seen += n as u64;
-        self.scratch = x_blk.into_vec();
+        linalg::scratch::recycle(x_blk.into_vec());
 
         if let Some(c) = obs::collector() {
             let reg = c.registry();
@@ -397,12 +380,11 @@ impl YtxPartial {
     }
 
     /// Merges another partial (accumulator semantics: associative add).
-    pub fn merge(&mut self, mut other: YtxPartial) {
+    pub fn merge(&mut self, other: YtxPartial) {
         self.xtx.add_assign(&other.xtx);
-        self.merge_packed(std::mem::take(&mut other.cols), std::mem::take(&mut other.slab));
+        self.merge_packed(other.cols, other.slab);
         linalg::vector::axpy(1.0, &other.sum_x, &mut self.sum_x);
         self.rows_seen += other.rows_seen;
-        linalg::scratch::recycle(std::mem::take(&mut other.scratch));
     }
 
     /// Linear sorted merge of a packed (cols, slab) pair into this
@@ -518,7 +500,7 @@ impl Wire for YtxPartial {
             return Err(WireError::Malformed("YtxPartial sum_x length mismatch"));
         }
         let rows_seen = r.uvarint()?;
-        Ok(YtxPartial { xtx, cols, slab, sum_x, rows_seen, scratch: Vec::new() })
+        Ok(YtxPartial { xtx, cols, slab, sum_x, rows_seen })
     }
 
     // v3 fast path: the touched-column set is strictly ascending, so it
@@ -558,7 +540,7 @@ impl Wire for YtxPartial {
             return Err(WireError::Malformed("YtxPartial sum_x length mismatch"));
         }
         let rows_seen = r.uvarint()?;
-        Ok(YtxPartial { xtx, cols, slab, sum_x, rows_seen, scratch: Vec::new() })
+        Ok(YtxPartial { xtx, cols, slab, sum_x, rows_seen })
     }
 }
 
@@ -899,18 +881,6 @@ mod tests {
         let mut by_block = YtxPartial::new(3);
         by_block.add_block(&y, &cm, &xm);
         assert_eq!(by_row, by_block, "batched path diverged from row-at-a-time");
-    }
-
-    #[test]
-    fn add_block_reuses_scratch_across_blocks() {
-        let (y, _, cm, xm) = fixture();
-        let mut p = YtxPartial::new(3);
-        p.add_block(&y.row_block(0, 4), &cm, &xm);
-        let cap = p.scratch.capacity();
-        assert!(cap >= 4 * 3);
-        p.add_block(&y.row_block(4, 6), &cm, &xm); // smaller block: same buffer
-        assert_eq!(p.scratch.capacity(), cap, "scratch was reallocated");
-        assert_eq!(p.rows_seen, 6);
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //! 3. **Clock monotonicity** — backwards `advance_time` is dropped and
 //!    counted in `clock_violations` instead of corrupting virtual time.
 
+use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
 use dcluster::{ClusterConfig, Dfs, SimCluster};
 use linalg::Prng;
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 use sparkle::SparkleContext;
-use spca_core::{Spca, SpcaConfig};
+use spca_core::{Algorithm, Spca, SpcaConfig};
 
 /// The obs collector is process-global; a test that installs one must not
 /// overlap any other test that drives a cluster, or that test's spans land
@@ -177,6 +178,76 @@ fn spans_nest_well_formed_across_both_engines() {
     assert!(json.contains("sPCA-MR"), "mapreduce cluster process label missing");
     assert_byte_invariant(&spark_cluster, "spark after traced run");
     assert_byte_invariant(&mr_cluster, "mapreduce after traced run");
+}
+
+/// `(name, enclosing span, previous sibling under that span)` of every host
+/// span, in begin order.
+fn host_span_context(events: &[obs::Event]) -> Vec<(String, Option<String>, Option<String>)> {
+    // Per thread: the open spans, each with the last child it has begun
+    // (index 0 is the thread's root, which has no span of its own).
+    let mut stacks: HashMap<u64, Vec<(Option<&str>, Option<&str>)>> = HashMap::new();
+    let mut out = Vec::new();
+    for ev in events.iter().filter(|ev| ev.pid == obs::HOST_PID) {
+        let stack = stacks.entry(ev.tid).or_insert_with(|| vec![(None, None)]);
+        match ev.phase {
+            obs::Phase::Begin => {
+                let (parent, last_child) = stack.last_mut().expect("root frame");
+                let sibling = last_child.replace(&ev.name);
+                out.push((ev.name.clone(), parent.map(String::from), sibling.map(String::from)));
+                stack.push((Some(&ev.name), None));
+            }
+            obs::Phase::End => {
+                stack.pop();
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The driver-side work between the distributed stages has spans of its
+/// own, so the host tree accounts for a whole pass: the sampled error under
+/// every pass of both arms on both engines, the accumulator merge right
+/// after every Spark `YtXJob` stage, and the two big pieces of the EM
+/// assemble step inside it.
+#[test]
+fn driver_side_work_of_every_pass_is_spanned() {
+    let _guard = collector_guard();
+    let collector = obs::install_new();
+
+    let y = datasets::tweets::generate(400, 120, &mut Prng::seed_from_u64(9));
+    let em = SpcaConfig::new(4).with_max_iters(3).with_partitions(4).with_seed(9);
+    let rpca = em.clone().with_algorithm(Algorithm::Randomized).with_rpca_power_iters(2);
+    Spca::new(em.clone()).fit_spark(&small_cluster(), &y).expect("spark EM");
+    Spca::new(em).fit_mapreduce(&small_cluster(), &y).expect("mapreduce EM");
+    Spca::new(rpca.clone()).fit_spark(&small_cluster(), &y).expect("spark randomized");
+    Spca::new(rpca).fit_mapreduce(&small_cluster(), &y).expect("mapreduce randomized");
+
+    let collector = obs::uninstall().unwrap_or(collector);
+    let spans = host_span_context(&collector.events());
+    let children = |parent: &str, child: &str| {
+        spans.iter().filter(|(n, p, _)| n == child && p.as_deref() == Some(parent)).count()
+    };
+
+    // 3 EM iterations, and 1 sketch + 2 power passes, on each of 2 engines.
+    let passes: Vec<String> =
+        (1..=3).flat_map(|i| [format!("em iteration {i}"), format!("rpca pass {i}")]).collect();
+    for pass in &passes {
+        assert_eq!(spans.iter().filter(|(n, _, _)| n == pass).count(), 2, "{pass}");
+        assert_eq!(children(pass, "sampled error"), 2, "{pass}: no sampled error under it");
+    }
+    assert_eq!(spans.iter().filter(|(n, _, _)| n == "sampled error").count(), 2 * passes.len());
+
+    // Spark only: the MapReduce YtXJob runs as `stage:YtXJob/map` + `/reduce`.
+    let after_ytx: Vec<&str> = spans
+        .iter()
+        .filter(|(_, _, sibling)| sibling.as_deref() == Some("stage:YtXJob"))
+        .map(|(name, _, _)| name.as_str())
+        .collect();
+    assert_eq!(after_ytx, vec!["accumulator merge"; 3], "merge follows every YtXJob stage");
+
+    assert_eq!(children("em driver assemble", "finalize_ytx"), 6);
+    assert_eq!(children("em driver assemble", "solve_spd_right"), 6);
 }
 
 #[test]

@@ -7,6 +7,8 @@
 
 use crate::dense::Mat;
 use crate::error::LinalgError;
+use crate::kernels::{chunk_count, row_ranges};
+use crate::pool::WorkerPool;
 use crate::Result;
 
 /// Lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
@@ -89,19 +91,108 @@ impl Cholesky {
     }
 }
 
+/// Rows of `B` solved together by [`solve_spd_right`]: one per SIMD lane.
+const LANES: usize = 8;
+
 /// Matlab-style right division `B / A = B · A⁻¹` for symmetric `A`.
 ///
-/// Solved without forming `A⁻¹`: `X A = B  ⇔  A Xᵀ = Bᵀ` (A symmetric).
-/// Falls back to LU when `A` is not numerically SPD.
+/// Solved without forming `A⁻¹`: `X A = B  ⇔  A xᵢ = bᵢ` row by row (A
+/// symmetric), so row `i` of the result is bitwise [`Cholesky::solve`] of
+/// row `i` of `B` — the rows are solved [`LANES`] at a time, one per SIMD
+/// lane, in row bands on the shared pool. Falls back to LU when `A` is not
+/// numerically SPD.
 pub fn solve_spd_right(a: &Mat, b: &Mat) -> Result<Mat> {
     assert_eq!(a.rows(), a.cols(), "solve_spd_right: A must be square");
     assert_eq!(b.cols(), a.rows(), "solve_spd_right: B/A dimension mismatch");
-    let bt = b.transpose();
-    let xt = match Cholesky::new(a) {
-        Ok(ch) => ch.solve_mat(&bt),
-        Err(_) => super::lu::Lu::new(a)?.solve_mat(&bt),
+    let ch = match Cholesky::new(a) {
+        Ok(ch) => ch,
+        Err(_) => {
+            let xt = super::lu::Lu::new(a)?.solve_mat(&b.transpose());
+            return Ok(xt.transpose());
+        }
     };
-    Ok(xt.transpose())
+    let (rows, n) = (b.rows(), a.rows());
+    let mut out = Mat::zeros(rows, n);
+    if rows == 0 || n == 0 {
+        return Ok(out);
+    }
+    // The backward sweep reads L by columns; transposed once, both sweeps
+    // stream contiguous rows.
+    let lt = ch.l.transpose();
+    let (l, lt) = (&ch.l, &lt);
+    let ranges = row_ranges(rows, chunk_count(rows, 2 * n * n));
+    let mut bands = Vec::with_capacity(ranges.len());
+    let mut rest = out.data_mut();
+    for &(start, end) in &ranges {
+        let (head, tail) = rest.split_at_mut((end - start) * n);
+        bands.push((start, head));
+        rest = tail;
+    }
+    WorkerPool::global().run(
+        bands
+            .into_iter()
+            .map(|(start, band)| move || solve_row_band(l, lt, b, start, band))
+            .collect(),
+    );
+    Ok(out)
+}
+
+/// Solves `A x = b` for rows `start..` of `b` into `out` (one n-row per
+/// input row), [`LANES`] rows at a time. The block is held transposed —
+/// `t[i]` is element `i` of every lane's vector — so each step of the two
+/// substitution sweeps is one vector operation in which lane `r` performs
+/// exactly the operation [`Cholesky::solve`] performs for row `r`, in the
+/// same order. Unused lanes of a short last block solve a zero vector.
+fn solve_row_band(l: &Mat, lt: &Mat, b: &Mat, start: usize, out: &mut [f64]) {
+    let n = l.rows();
+    let mut t = vec![[0.0f64; LANES]; n];
+    for (blk, out_blk) in out.chunks_mut(LANES * n).enumerate() {
+        let first = start + blk * LANES;
+        let lanes = out_blk.len() / n;
+        for ti in &mut t {
+            ti[lanes..].fill(0.0);
+        }
+        for lane in 0..lanes {
+            for (ti, &v) in t.iter_mut().zip(b.row(first + lane)) {
+                ti[lane] = v;
+            }
+        }
+        // Forward: L y = b.
+        for i in 0..n {
+            let li = l.row(i);
+            let (done, todo) = t.split_at_mut(i);
+            let mut s = todo[0];
+            for (tk, &lik) in done.iter().zip(li) {
+                for (sl, &xk) in s.iter_mut().zip(tk) {
+                    *sl -= lik * xk;
+                }
+            }
+            for sl in &mut s {
+                *sl /= li[i];
+            }
+            todo[0] = s;
+        }
+        // Backward: Lᵀ x = y.
+        for i in (0..n).rev() {
+            let lti = lt.row(i);
+            let (head, done) = t.split_at_mut(i + 1);
+            let mut s = head[i];
+            for (tk, &lki) in done.iter().zip(&lti[i + 1..]) {
+                for (sl, &xk) in s.iter_mut().zip(tk) {
+                    *sl -= lki * xk;
+                }
+            }
+            for sl in &mut s {
+                *sl /= lti[i];
+            }
+            head[i] = s;
+        }
+        for (lane, row) in out_blk.chunks_exact_mut(n).enumerate() {
+            for (o, ti) in row.iter_mut().zip(&t) {
+                *o = ti[lane];
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -156,11 +247,35 @@ mod tests {
     }
 
     #[test]
+    fn right_division_is_bitwise_per_row_cholesky_solve() {
+        // Empty, sub-block, exact-block, block + 1, and a shape that splits
+        // into pool bands with a short last block in each.
+        for &n in &[1usize, 3, 50] {
+            let a = random_spd(n, 10 + n as u64);
+            let ch = Cholesky::new(&a).unwrap();
+            for &rows in &[0usize, 1, 7, 8, 9, 1000] {
+                let b = Prng::seed_from_u64((rows * 100 + n) as u64).normal_mat(rows, n);
+                let x = solve_spd_right(&a, &b).unwrap();
+                assert_eq!((x.rows(), x.cols()), (rows, n));
+                for r in 0..rows {
+                    let expected = ch.solve(b.row(r));
+                    let same =
+                        x.row(r).iter().zip(&expected).all(|(p, q)| p.to_bits() == q.to_bits());
+                    assert!(same, "rows={rows} n={n}: row {r} differs from Cholesky::solve");
+                }
+            }
+        }
+        assert!(chunk_count(1000, 2 * 50 * 50) > 1, "the 1000x50 case must reach the pool");
+    }
+
+    #[test]
     fn right_division_falls_back_to_lu_for_indefinite() {
         // Symmetric but indefinite: Cholesky fails, LU must take over.
         let a = Mat::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
-        let b = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
+        let b = Mat::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[3.0, -2.0]]);
         let x = solve_spd_right(&a, &b).unwrap();
         assert!(x.matmul(&a).approx_eq(&b, 1e-10));
+        let lu_route = super::super::lu::Lu::new(&a).unwrap().solve_mat(&b.transpose()).transpose();
+        assert_eq!(x, lu_route, "the fallback is the LU route, bit for bit");
     }
 }

@@ -20,19 +20,37 @@
 //!
 //! # Nested submission
 //!
-//! A task running on a pool worker may itself call [`WorkerPool::run`]
-//! (a simulated stage whose tasks call a parallel kernel, say). This can
-//! never deadlock: the submitting thread does not sleep while the queue is
-//! non-empty — it pulls and executes queued tasks itself until its batch
-//! completes, so at least one thread is always making progress on the
-//! oldest incomplete batch.
+//! A task running on a pool may itself call [`WorkerPool::run`], on that
+//! pool or another (a simulated stage whose tasks call a parallel kernel,
+//! say). Such a nested batch never reaches a queue: it runs **inline on
+//! the calling thread, in submission order**, and returns the result
+//! vector a queued batch would.
+//!
+//! A stage task models one core of the virtual cluster and `dcluster`
+//! prices it by its wall time, so it gets one host core and its measured
+//! interval must hold its own work only. Queued behind its siblings in a
+//! FIFO, a task's kernel chunks made the waiting task pop a *sibling* and
+//! run it on its own stack: stage tasks nested 16–32 deep and their
+//! measured durations summed to many times wall × threads. Inline, that
+//! cannot happen, and a batch that never waits cannot deadlock. Kernels
+//! keep their pool parallelism exactly when called from outside any pool
+//! task — the driver — which is a property of the call site, not an
+//! option. A one-task batch never enters the queue, so it is not a pool
+//! task and a lone task's kernels still fan out.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
+
+thread_local! {
+    /// True while this thread is inside a queued task of some batch — what
+    /// makes a [`WorkerPool::run`] call *nested* (see the module docs).
+    static IN_POOL_TASK: Cell<bool> = const { Cell::new(false) };
+}
 
 /// A queued unit of work. Closures are lifetime-erased by [`WorkerPool::run`],
 /// which is sound because `run` never returns before every task it enqueued
@@ -117,6 +135,11 @@ impl WorkerPool {
     /// a 1-worker pool (or a pool whose workers are all busy) still makes
     /// progress. If any task panics, the first panic is re-raised here
     /// after the whole batch has finished.
+    ///
+    /// Called from inside a pool task, the batch runs inline on the calling
+    /// thread (module docs, *Nested submission*): same results, no queue
+    /// traffic, no `pool.*` counters, and a panic unwinds into the
+    /// enclosing task at once.
     pub fn run<'env, T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send + 'env,
@@ -130,6 +153,9 @@ impl WorkerPool {
             // One task: nothing to overlap, skip the queue round-trip.
             let mut tasks = tasks;
             return vec![tasks.pop().expect("len checked")()];
+        }
+        if IN_POOL_TASK.get() {
+            return tasks.into_iter().map(|task| task()).collect();
         }
 
         let batch: Arc<Batch<T>> = Arc::new(Batch {
@@ -148,7 +174,12 @@ impl WorkerPool {
             for (i, task) in tasks.into_iter().enumerate() {
                 let batch = Arc::clone(&batch);
                 let erased: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
+                    // Queued tasks start only from `worker_loop` and from
+                    // the helping loop below, neither of which is reached
+                    // with the flag set, so clearing restores it.
+                    IN_POOL_TASK.set(true);
                     let out = catch_unwind(AssertUnwindSafe(task));
+                    IN_POOL_TASK.set(false);
                     let mut st = lock_unpoisoned(&batch.state);
                     match out {
                         Ok(v) => st.results[i] = Some(v),
@@ -189,8 +220,8 @@ impl WorkerPool {
         }
 
         // Work-conserving wait: drain the queue ourselves (our own batch's
-        // tasks or anyone else's — progress either way, and the nested-run
-        // no-deadlock guarantee), then sleep until the batch completes.
+        // tasks or another submitter's — progress either way), then sleep
+        // until the batch completes.
         loop {
             let task = lock_unpoisoned(&self.shared.queue).pop_front();
             match task {
@@ -290,20 +321,88 @@ mod tests {
     }
 
     #[test]
-    fn nested_runs_do_not_deadlock() {
+    fn nested_batch_runs_inline_on_the_submitting_thread_in_order() {
         let pool = Arc::new(WorkerPool::new(2));
         let outer: Vec<_> = (0..8)
             .map(|i| {
                 let pool = Arc::clone(&pool);
                 move || {
-                    let inner: Vec<_> = (0..8).map(|j| move || i * 10 + j).collect();
+                    let me = std::thread::current().id();
+                    let order = Mutex::new(Vec::new());
+                    let inner: Vec<_> = (0..8)
+                        .map(|j| {
+                            let order = &order;
+                            move || {
+                                assert_eq!(std::thread::current().id(), me, "inner task migrated");
+                                order.lock().unwrap().push(j);
+                                i * 10 + j
+                            }
+                        })
+                        .collect();
+                    let out = pool.run(inner);
+                    assert_eq!(order.into_inner().unwrap(), (0..8).collect::<Vec<_>>());
+                    out
+                }
+            })
+            .collect();
+        let out = pool.run(outer);
+        for (i, inner) in out.iter().enumerate() {
+            assert_eq!(*inner, (0..8).map(|j| i as i32 * 10 + j).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn panic_in_nested_batch_propagates_and_pool_survives() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let outer: Vec<_> = (0..4)
+            .map(|i| {
+                let pool = Arc::clone(&pool);
+                move || {
+                    let inner: Vec<Box<dyn FnOnce() -> i32 + Send>> = vec![
+                        Box::new(move || i),
+                        Box::new(move || if i == 2 { panic!("inner boom") } else { i }),
+                    ];
                     pool.run(inner).into_iter().sum::<i32>()
                 }
             })
             .collect();
-        let sums = pool.run(outer);
-        assert_eq!(sums.len(), 8);
-        assert_eq!(sums[0], (0..8).sum::<i32>());
+        let r = catch_unwind(AssertUnwindSafe(|| pool.run(outer)));
+        assert!(r.is_err(), "nested panic must reach the outer submitter");
+        // Neither the pool nor any thread's nested-flag is left poisoned:
+        // a fresh batch is queued (not inlined) and completes.
+        assert!(!IN_POOL_TASK.get());
+        let ok = pool.run((0..4).map(|i| move || (i, IN_POOL_TASK.get())).collect::<Vec<_>>());
+        assert_eq!(ok, vec![(0, true), (1, true), (2, true), (3, true)]);
+    }
+
+    /// The regression test for the nesting bug: with a FIFO queue and a
+    /// helping submitter, a stage task that queued its kernel chunks behind
+    /// its siblings popped a *sibling* and ran it on its own stack.
+    #[test]
+    fn sibling_tasks_never_run_on_each_others_stack() {
+        thread_local! {
+            static DEPTH: Cell<u32> = const { Cell::new(0) };
+        }
+        let pool = WorkerPool::new(2);
+        // 2·160³ ≈ 8.2 Mflop ≥ PAR_MIN_FLOPS: the kernel splits into chunks
+        // and submits them to the same pool.
+        let a = crate::Prng::seed_from_u64(3).normal_mat(160, 160);
+        assert!(crate::kernels::chunk_count(160, 2 * 160 * 160) > 1);
+        let expected = crate::kernels::matmul_with_pool(&pool, &a, &a);
+        let (pool, a, expected) = (&pool, &a, &expected);
+        let outer: Vec<_> = (0..8)
+            .map(|_| {
+                move || {
+                    DEPTH.set(DEPTH.get() + 1);
+                    assert_eq!(DEPTH.get(), 1, "a sibling task is running on this stack");
+                    let got = crate::kernels::matmul_with_pool(pool, a, a);
+                    assert_eq!(DEPTH.get(), 1);
+                    DEPTH.set(DEPTH.get() - 1);
+                    got == *expected
+                }
+            })
+            .collect();
+        assert_eq!(pool.run(outer), vec![true; 8]);
     }
 
     #[test]

@@ -9,11 +9,20 @@
 //! them with an in-place memset, several times cheaper than faulting a
 //! fresh mapping.
 //!
+//! Small buffers stay out of it: below [`MIN_RECYCLED_LEN`] the allocator
+//! serves a request from its own bins without a fault, which is cheaper
+//! than this list's lock and best-fit scan — a fit over thousands of
+//! few-row partitions takes and retires a buffer per task.
+//!
 //! Recycling cannot affect results: every buffer handed out is fully
 //! cleared, so contents never leak across uses, and buffer identity is
 //! invisible to the arithmetic.
 
 use std::sync::{Mutex, MutexGuard};
+
+/// Requests and retirements under this many `f64`s (32 KiB) bypass the
+/// freelist.
+const MIN_RECYCLED_LEN: usize = 4_096;
 
 /// Upper bound on retained buffer count (keeps the best-fit scan short).
 const MAX_BUFFERS: usize = 128;
@@ -43,6 +52,9 @@ pub fn take_zeroed(len: usize) -> Vec<f64> {
 /// An empty buffer with capacity at least `min_capacity`: the smallest
 /// retired buffer that fits, or a fresh allocation if none does.
 pub fn take_cleared(min_capacity: usize) -> Vec<f64> {
+    if min_capacity < MIN_RECYCLED_LEN {
+        return Vec::with_capacity(min_capacity);
+    }
     let mut p = pool();
     let mut best: Option<usize> = None;
     for (i, b) in p.buffers.iter().enumerate() {
@@ -66,7 +78,7 @@ pub fn take_cleared(min_capacity: usize) -> Vec<f64> {
 /// at its count or byte bound).
 pub fn recycle(v: Vec<f64>) {
     let cap = v.capacity();
-    if cap == 0 {
+    if cap < MIN_RECYCLED_LEN {
         return;
     }
     let mut p = pool();
@@ -85,11 +97,10 @@ mod tests {
 
     #[test]
     fn take_zeroed_is_all_zeros_even_after_recycling_dirty_buffer() {
-        let mut v = vec![0.0; 1000];
-        v.iter_mut().for_each(|x| *x = 7.0);
+        let v = vec![7.0; 2 * MIN_RECYCLED_LEN];
         recycle(v);
-        let z = take_zeroed(1000);
-        assert_eq!(z.len(), 1000);
+        let z = take_zeroed(2 * MIN_RECYCLED_LEN);
+        assert_eq!(z.len(), 2 * MIN_RECYCLED_LEN);
         assert!(z.iter().all(|&x| x == 0.0));
     }
 
@@ -104,10 +115,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_buffers_are_not_retained() {
+    fn small_buffers_bypass_the_freelist() {
         recycle(Vec::new());
-        // No panic, nothing retained; a take still works.
+        // A capacity no other test retires, so finding it means it was kept.
+        let odd = MIN_RECYCLED_LEN - 3;
+        recycle(Vec::with_capacity(odd));
+        assert!(pool().buffers.iter().all(|b| b.capacity() != odd));
+        // A small take is a fresh allocation, never a (larger) retired one.
         let t = take_cleared(8);
-        assert!(t.capacity() >= 8);
+        assert!(t.capacity() >= 8 && t.capacity() < MIN_RECYCLED_LEN);
     }
 }

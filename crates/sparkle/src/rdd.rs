@@ -409,6 +409,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         if obs::enabled() {
             self.cluster.registry().counter("sparkle.accumulator_bytes").add(bytes);
         }
+        let _merge_span = obs::span("driver", "accumulator merge");
         (tree_merge(partials, init, merge), bytes)
     }
 
