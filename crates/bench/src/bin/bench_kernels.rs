@@ -39,6 +39,22 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, out.expect("reps >= 1"))
 }
 
+/// [`best_of`] for two variants of one computation, alternated rep by rep
+/// so a drift in machine speed lands on both — what an in-run ratio needs.
+fn best_of_pair<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> ((f64, A), (f64, B)) {
+    let mut best = (best_of(1, &mut a), best_of(1, &mut b));
+    for _ in 1..reps {
+        let (next_a, next_b) = (best_of(1, &mut a), best_of(1, &mut b));
+        best.0 = (best.0 .0.min(next_a.0), next_a.1);
+        best.1 = (best.1 .0.min(next_b.0), next_b.1);
+    }
+    best
+}
+
 struct KernelResult {
     kernel: &'static str,
     shape: String,
@@ -305,6 +321,74 @@ fn main() {
     );
     println!("{:>18} {driver_em}", "driver_em");
 
+    // dense_block: one `em_spark_dense` partition (188×1000 rows, d = 50)
+    // through the kernels' full-block routes, against the same block with
+    // one entry removed — which takes the sparse routes and does 0.0005 %
+    // less work — and one `em_spark_sparse` partition's Gram (3125×50)
+    // against the band loop it replaced. One core, as inside a stage task.
+    // Same shapes under --smoke: each is milliseconds, and the ratios are
+    // what is asserted.
+    let (blk_rows, blk_cols, gram_rows) = (188, 1000, 3125);
+    let dense_reps = 4 * reps;
+    let full = SparseMat::from_dense(&rng.normal_mat(blk_rows, blk_cols));
+    let holed = SparseMat::from_rows(
+        blk_rows,
+        blk_cols,
+        (0..blk_rows)
+            .map(|r| full.row(r).iter().skip(usize::from(r == 0)).map(|(c, v)| (c as u32, v)).collect())
+            .collect(),
+    );
+    assert_eq!((full.nnz(), holed.nnz()), (blk_rows * blk_cols, blk_rows * blk_cols - 1));
+    let cm = rng.normal_mat(blk_cols, d);
+    let x_blk = rng.normal_mat(blk_rows, d);
+    let identity: Vec<u32> = (0..blk_cols as u32).collect();
+    let scatter = |y: &SparseMat| {
+        let mut out = vec![0.0; blk_cols * d];
+        kernels::spmm_tn_packed_with_pool(&serial, y, &x_blk, &identity, &mut out);
+        out
+    };
+    let ((mul_sparse_secs, _), (mul_dense_secs, mul_dense)) = best_of_pair(
+        dense_reps,
+        || kernels::sparse_mul_dense_with_pool(&serial, &holed, &cm),
+        || kernels::sparse_mul_dense_with_pool(&serial, &full, &cm),
+    );
+    let ((tn_sparse_secs, _), (tn_dense_secs, tn_dense)) =
+        best_of_pair(dense_reps, || scatter(&holed), || scatter(&full));
+    // The row-at-a-time folds, one axpy per stored entry.
+    let mut mul_rowwise = Mat::zeros(blk_rows, d);
+    let mut tn_rowwise = Mat::zeros(blk_cols, d);
+    for r in 0..blk_rows {
+        for (c, v) in full.row(r).iter() {
+            linalg::vector::axpy(v, cm.row(c), mul_rowwise.row_mut(r));
+            linalg::vector::axpy(v, x_blk.row(r), tn_rowwise.row_mut(c));
+        }
+    }
+    let x_gram = rng.normal_mat(gram_rows, d);
+    let band_gram = || {
+        let mut g = Mat::zeros(d, d);
+        for r in 0..gram_rows {
+            let row = x_gram.row(r);
+            for i in 0..d {
+                linalg::vector::axpy(row[i], &row[i..], &mut g.row_mut(i)[i..]);
+            }
+        }
+        for i in 0..d {
+            for j in 0..i {
+                g[(i, j)] = g[(j, i)];
+            }
+        }
+        g
+    };
+    let ((band_secs, band), (tile_secs, tiled_gram)) =
+        best_of_pair(dense_reps, band_gram, || kernels::syrk_tn_with_pool(&serial, &x_gram));
+    let dense_block = format!(
+        "{{\"sparse_mul_dense\": {{\"shape\": \"{blk_rows}x{blk_cols}x{d}\", \"sparse_route_secs\": {mul_sparse_secs:.6e}, \"dense_route_secs\": {mul_dense_secs:.6e}, \"speedup\": {:.3}}}, \"spmm_tn_packed\": {{\"shape\": \"{blk_rows}x{blk_cols}x{d}\", \"sparse_route_secs\": {tn_sparse_secs:.6e}, \"dense_route_secs\": {tn_dense_secs:.6e}, \"speedup\": {:.3}}}, \"syrk_tn\": {{\"shape\": \"{gram_rows}x{d}\", \"band_secs\": {band_secs:.6e}, \"tile_secs\": {tile_secs:.6e}, \"speedup\": {:.3}}}}}",
+        mul_sparse_secs / mul_dense_secs,
+        tn_sparse_secs / tn_dense_secs,
+        band_secs / tile_secs,
+    );
+    println!("{:>18} {dense_block}", "dense_block");
+
     // Report + hand-rolled JSON.
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"mode\": \"{}\",\n", if smoke { "smoke" } else { "full" }));
@@ -354,7 +438,7 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"driver_decomp\": {driver_decomp},\n  \"driver_em\": {driver_em}\n}}\n"
+        "  ],\n  \"driver_decomp\": {driver_decomp},\n  \"driver_em\": {driver_em},\n  \"dense_block\": {dense_block}\n}}\n"
     ));
     std::fs::write(&out_path, &json).expect("write benchmark output");
     println!("wrote {out_path}");
@@ -395,5 +479,17 @@ fn main() {
         cfg!(debug_assertions)
             || (columnwise_secs >= 2.0 * lane_blocked_secs && rowwise_secs >= 1.3 * tiled_secs),
         "driver_em: lane-blocked solve under 2x or tiled error under 1.3x: {driver_em}"
+    );
+    assert!(
+        mul_dense == mul_rowwise && tn_dense == tn_rowwise.data() && tiled_gram == band,
+        "dense_block: a register-tile route is not bitwise the row-at-a-time fold: {dense_block}"
+    );
+    // In-run ratios once more (1.8–2.1x, 3.9–4.8x and 2.1–3.2x when written, on one core).
+    assert!(
+        cfg!(debug_assertions)
+            || (mul_sparse_secs >= 1.5 * mul_dense_secs
+                && tn_sparse_secs >= 1.5 * tn_dense_secs
+                && band_secs >= 1.3 * tile_secs),
+        "dense_block: a full-block route under 1.5x or the tiled Gram under 1.3x: {dense_block}"
     );
 }

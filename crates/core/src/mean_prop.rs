@@ -842,6 +842,18 @@ mod tests {
         (y, mean, cm, xm)
     }
 
+    /// A block storing every column of every row (37×19, d = 5): the
+    /// kernels take their register-tile routes on it.
+    fn full_row_fixture() -> (SparseMat, Vec<f64>, Mat, Vec<f64>) {
+        let mut rng = Prng::seed_from_u64(6);
+        let y = SparseMat::from_dense(&rng.normal_mat(37, 19));
+        assert_eq!(y.nnz(), 37 * 19);
+        let mean = y.col_means();
+        let cm = rng.normal_mat(19, 5);
+        let xm = cm.vecmat(&mean);
+        (y, mean, cm, xm)
+    }
+
     #[test]
     fn latent_row_matches_dense_centering() {
         let (y, mean, cm, xm) = fixture();
@@ -873,14 +885,15 @@ mod tests {
 
     #[test]
     fn add_block_is_bitwise_add_row() {
-        let (y, _, cm, xm) = fixture();
-        let mut by_row = YtxPartial::new(3);
-        for r in 0..y.rows() {
-            by_row.add_row(y.row(r), &cm, &xm);
+        for (y, _, cm, xm) in [fixture(), full_row_fixture()] {
+            let mut by_row = YtxPartial::new(cm.cols());
+            for r in 0..y.rows() {
+                by_row.add_row(y.row(r), &cm, &xm);
+            }
+            let mut by_block = YtxPartial::new(cm.cols());
+            by_block.add_block(&y, &cm, &xm);
+            assert_eq!(by_row, by_block, "batched path diverged from row-at-a-time");
         }
-        let mut by_block = YtxPartial::new(3);
-        by_block.add_block(&y, &cm, &xm);
-        assert_eq!(by_row, by_block, "batched path diverged from row-at-a-time");
     }
 
     #[test]
@@ -972,12 +985,13 @@ mod tests {
 
     #[test]
     fn ss3_block_is_bitwise_row_sum() {
-        let (y, _, cm, xm) = fixture();
-        let mut rng = Prng::seed_from_u64(9);
-        let c_new = rng.normal_mat(8, 3);
-        let by_row: f64 = (0..y.rows()).map(|r| ss3_row(y.row(r), &cm, &xm, &c_new)).sum();
-        let by_block = ss3_block(&y, &cm, &xm, &c_new);
-        assert_eq!(by_row.to_bits(), by_block.to_bits());
+        for (y, _, cm, xm) in [fixture(), full_row_fixture()] {
+            let mut rng = Prng::seed_from_u64(9);
+            let c_new = rng.normal_mat(cm.rows(), cm.cols());
+            let by_row: f64 = (0..y.rows()).map(|r| ss3_row(y.row(r), &cm, &xm, &c_new)).sum();
+            let by_block = ss3_block(&y, &cm, &xm, &c_new);
+            assert_eq!(by_row.to_bits(), by_block.to_bits());
+        }
     }
 
     #[test]

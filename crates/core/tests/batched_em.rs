@@ -149,56 +149,62 @@ fn batched_matches_rowwise_bitwise_across_workers_and_partitions() {
 }
 
 /// `fit` must be a pure function of (data, config): the host pool driving
-/// the simulated cluster must not leak into any result.
+/// the simulated cluster must not leak into any result — on a sparse
+/// low-rank matrix, and on diabetes-shaped spectra whose partitions are
+/// full-row blocks (the kernels' register-tile routes).
 #[test]
 fn fit_is_identical_across_worker_counts_on_both_engines() {
     let mut rng = Prng::seed_from_u64(21);
-    let spec = datasets::LowRankSpec::small_test();
-    let y = datasets::sparse_lowrank(&spec, &mut rng);
-    let config = SpcaConfig::new(3).with_max_iters(3).with_rel_tolerance(None).with_partitions(6);
-    let spca = Spca::new(config);
+    let sparse = datasets::sparse_lowrank(&datasets::LowRankSpec::small_test(), &mut rng);
+    let spectra = datasets::diabetes::generate_sparse(600, 120, &mut rng);
+    assert_eq!(spectra.nnz(), 600 * 120, "every spectrum stores every frequency");
+    for (y, d, input) in [(&sparse, 3, "sparse low-rank"), (&spectra, 6, "dense spectra")] {
+        let config =
+            SpcaConfig::new(d).with_max_iters(3).with_rel_tolerance(None).with_partitions(6);
+        let spca = Spca::new(config);
 
-    let cluster_cfg = || ClusterConfig::paper_cluster().with_nodes(2).with_cores_per_node(2);
-    let run_both = |workers: usize| {
-        let pool = Arc::new(WorkerPool::new(workers));
-        let c1 = SimCluster::new_with_pool(cluster_cfg(), pool.clone());
-        let spark = spca.fit_spark(&c1, &y).unwrap();
-        let c2 = SimCluster::new_with_pool(cluster_cfg(), pool);
-        let mr = spca.fit_mapreduce(&c2, &y).unwrap();
-        (spark, mr)
-    };
+        let cluster_cfg = || ClusterConfig::paper_cluster().with_nodes(2).with_cores_per_node(2);
+        let run_both = |workers: usize| {
+            let pool = Arc::new(WorkerPool::new(workers));
+            let c1 = SimCluster::new_with_pool(cluster_cfg(), pool.clone());
+            let spark = spca.fit_spark(&c1, y).unwrap();
+            let c2 = SimCluster::new_with_pool(cluster_cfg(), pool);
+            let mr = spca.fit_mapreduce(&c2, y).unwrap();
+            (spark, mr)
+        };
 
-    let (spark_ref, mr_ref) = run_both(1);
-    for &workers in &[2usize, 4] {
-        let (spark, mr) = run_both(workers);
-        for (run, reference, engine) in
-            [(&spark, &spark_ref, "spark"), (&mr, &mr_ref, "mapreduce")]
-        {
-            assert_eq!(run.iterations.len(), reference.iterations.len());
-            for (it, it_ref) in run.iterations.iter().zip(&reference.iterations) {
+        let (spark_ref, mr_ref) = run_both(1);
+        for &workers in &[2usize, 4] {
+            let (spark, mr) = run_both(workers);
+            for (run, reference, engine) in
+                [(&spark, &spark_ref, "spark"), (&mr, &mr_ref, "mapreduce")]
+            {
+                assert_eq!(run.iterations.len(), reference.iterations.len());
+                for (it, it_ref) in run.iterations.iter().zip(&reference.iterations) {
+                    assert_eq!(
+                        it.error.to_bits(),
+                        it_ref.error.to_bits(),
+                        "{input}: {engine} iteration {} error diverged at workers={workers}",
+                        it.iteration
+                    );
+                }
                 assert_eq!(
-                    it.error.to_bits(),
-                    it_ref.error.to_bits(),
-                    "{engine} iteration {} error diverged at workers={workers}",
-                    it.iteration
+                    run.model.components().max_abs_diff(reference.model.components()),
+                    0.0,
+                    "{input}: {engine} components diverged at workers={workers}"
+                );
+                assert_eq!(
+                    run.model.noise_variance().to_bits(),
+                    reference.model.noise_variance().to_bits(),
+                    "{input}: {engine} ss diverged at workers={workers}"
                 );
             }
-            assert_eq!(
-                run.model.components().max_abs_diff(reference.model.components()),
-                0.0,
-                "{engine} components diverged at workers={workers}"
-            );
-            assert_eq!(
-                run.model.noise_variance().to_bits(),
-                reference.model.noise_variance().to_bits(),
-                "{engine} ss diverged at workers={workers}"
-            );
         }
-    }
 
-    // And the two engines agree with each other to round-off (the paper's
-    // platform-independence claim), already covered per-iteration here.
-    for (s, m) in spark_ref.iterations.iter().zip(&mr_ref.iterations) {
-        assert!((s.error - m.error).abs() <= 1e-8 * s.error.abs().max(1.0));
+        // And the two engines agree with each other to round-off (the paper's
+        // platform-independence claim), already covered per-iteration here.
+        for (s, m) in spark_ref.iterations.iter().zip(&mr_ref.iterations) {
+            assert!((s.error - m.error).abs() <= 1e-8 * s.error.abs().max(1.0), "{input}");
+        }
     }
 }

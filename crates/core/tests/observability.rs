@@ -250,6 +250,52 @@ fn driver_side_work_of_every_pass_is_spanned() {
     assert_eq!(children("em driver assemble", "solve_spd_right"), 6);
 }
 
+/// The `route` argument of every `sparse_mul_dense` and `spmm_tn` kernel
+/// span a traced Spark + MapReduce EM fit of `y` closes, by kernel.
+fn kernel_routes(y: &linalg::SparseMat) -> HashMap<String, Vec<String>> {
+    let collector = obs::install_new();
+    let config = SpcaConfig::new(4).with_max_iters(2).with_partitions(4).with_seed(9);
+    Spca::new(config.clone()).fit_spark(&small_cluster(), y).expect("spark run");
+    Spca::new(config).fit_mapreduce(&small_cluster(), y).expect("mapreduce run");
+    let collector = obs::uninstall().unwrap_or(collector);
+
+    let mut routes: HashMap<String, Vec<String>> = HashMap::new();
+    for ev in collector.events() {
+        let kernel = ev.name.split(' ').next().unwrap_or_default();
+        if !matches!(ev.phase, obs::Phase::End)
+            || ev.cat != "kernel"
+            || !["sparse_mul_dense", "spmm_tn"].contains(&kernel)
+        {
+            continue;
+        }
+        let route = ev.args.iter().find(|(key, _)| *key == "route");
+        match route {
+            Some((_, obs::ArgValue::Str(route))) => {
+                routes.entry(kernel.to_string()).or_default().push(route.clone())
+            }
+            other => panic!("{}: no route argument ({other:?})", ev.name),
+        }
+    }
+    routes
+}
+
+/// The kernels that choose between a sparse and a dense route say which
+/// one ran: `dense` on every span of a fit over full-row spectra, `sparse`
+/// on every span of a fit over tweets.
+#[test]
+fn kernel_spans_report_the_route_they_took() {
+    let _guard = collector_guard();
+    let spectra = datasets::diabetes::generate_sparse(400, 60, &mut Prng::seed_from_u64(9));
+    let tweets = datasets::tweets::generate(400, 120, &mut Prng::seed_from_u64(9));
+    for (y, want) in [(&spectra, "dense"), (&tweets, "sparse")] {
+        let routes = kernel_routes(y);
+        for kernel in ["sparse_mul_dense", "spmm_tn"] {
+            let seen = routes.get(kernel).unwrap_or_else(|| panic!("no {kernel} span ({want})"));
+            assert!(seen.iter().all(|r| r == want), "{kernel} on the {want} input: {seen:?}");
+        }
+    }
+}
+
 #[test]
 fn tracing_disabled_is_inert_and_runs_unchanged() {
     let _guard = collector_guard();

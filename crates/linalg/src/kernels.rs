@@ -14,8 +14,12 @@
 //! * **Micro-kernels** — register-blocked inner loops: 4-row fused rank-1
 //!   updates ([`vector::axpy4`]) for the normal and transposed products,
 //!   a 2×4 accumulator tile for `A·Bᵀ`, pairwise-fused axpys for sparse
-//!   rows. The fusion is where the single-thread win comes from: one pass
-//!   over the output per 4 updates instead of 4 passes.
+//!   rows, and one 8×8 register tile over packed panels (`tn_tile`) for
+//!   everything dense in the EM pass: the Gram `XᵀX`, and `Y·B` / `YᵀX`
+//!   when the CSR block stores every column of every row. The fusion is
+//!   where the single-thread win comes from: one pass over the output per
+//!   4 updates instead of 4 passes — or, in the tile, none until it is
+//!   done.
 //! * **Blocking** — the reduction dimension of `matmul_tn` is cut into
 //!   fixed row chunks so each partial stays cache-resident.
 //! * **Threading** — large products fan row chunks out on the shared
@@ -26,7 +30,18 @@
 //! Split points depend on the *problem shape only*, never on the worker
 //! count, and reductions merge partials in chunk-index order. Kernel
 //! output is therefore bit-for-bit identical on any pool — 1, 2, or 64
-//! workers — which the kernel-equivalence suite asserts directly.
+//! workers — which the kernel-equivalence suite asserts directly. Where a
+//! kernel chooses between routes (sparse or full block, band or tile) the
+//! choice is a function of the input's structure and shape, and both
+//! routes perform the same rounded operations in the same order on every
+//! output element, so it is not observable in the result.
+//!
+//! One kernel is *not* independent of the host's instruction set:
+//! `matmul_tn` fuses its multiply-adds on AVX-512 hosts and rounds them
+//! separately elsewhere (see `matmul_tn_rows`), so on random inputs its
+//! last bits — and, through `em.rs`'s `c.matmul_tn(c)`, a model hash —
+//! differ between the two kinds of host. Every other kernel here rounds
+//! each multiply and each add on its own everywhere.
 
 use crate::dense::Mat;
 use crate::pool::WorkerPool;
@@ -36,6 +51,16 @@ use crate::vector;
 /// Products below this many flops (2·m·k·n) run single-threaded: pool
 /// round-trips cost more than they save on d×d-sized driver matrices.
 const PAR_MIN_FLOPS: usize = 2_000_000;
+
+/// Inputs of fewer rows than this (one register tile's height) stay on
+/// the kernels that accumulate in memory: a full CSR block on the sparse
+/// `Y·B` / `YᵀX`, `XᵀX` on its row-axpy bands. The tile routes first pack
+/// an operand into panels, which a handful of rows cannot repay — a fit
+/// over thousands of few-row partitions calls each kernel once per task —
+/// and all three break even at about eight rows (measured at d = 8 and
+/// d = 50). Both sides of the cut-over produce the same bits, so no
+/// result depends on it.
+const TILE_MIN_ROWS: usize = 8;
 
 /// Target flops per parallel chunk — big enough to amortize dispatch,
 /// small enough to load-balance.
@@ -80,6 +105,23 @@ pub(crate) fn row_ranges(rows: usize, chunks: usize) -> Vec<(usize, usize)> {
         start += len;
     }
     out
+}
+
+/// Cuts a row-major buffer of `width`-wide rows into the disjoint
+/// row-chunks of `ranges` (which tile its rows in order), so each pool task
+/// owns its slice: no copies and no reduction.
+fn split_rows_mut<'a>(
+    mut rest: &'a mut [f64],
+    ranges: &[(usize, usize)],
+    width: usize,
+) -> Vec<(usize, usize, &'a mut [f64])> {
+    let mut slices = Vec::with_capacity(ranges.len());
+    for &(start, end) in ranges {
+        let (head, tail) = rest.split_at_mut((end - start) * width);
+        slices.push((start, end, head));
+        rest = tail;
+    }
+    slices
 }
 
 /// Splits `0..y.rows()` into `chunks` ranges holding near-equal *non-zero*
@@ -158,18 +200,8 @@ pub fn matmul_with_pool(pool: &WorkerPool, a: &Mat, b: &Mat) -> Mat {
         matmul_rows(a, b, 0, m, out.data_mut());
         return out;
     }
-    let ranges = row_ranges(m, chunks);
-    // Disjoint output row-chunks: split the backing buffer and hand each
-    // task its own slice, so no copies and no reduction are needed.
-    let mut slices: Vec<(usize, usize, &mut [f64])> = Vec::with_capacity(chunks);
-    let mut rest = out.data_mut();
-    for &(start, end) in &ranges {
-        let (head, tail) = rest.split_at_mut((end - start) * n);
-        slices.push((start, end, head));
-        rest = tail;
-    }
     pool.run(
-        slices
+        split_rows_mut(out.data_mut(), &row_ranges(m, chunks), n)
             .into_iter()
             .map(|(start, end, slice)| move || matmul_rows(a, b, start, end, slice))
             .collect(),
@@ -292,11 +324,15 @@ const TN_IR: usize = 8;
 ///
 /// Dispatches to a hand-written AVX-512 kernel when the CPU has it, and
 /// to a portable blocked kernel otherwise. Both accumulate every output
-/// element as separate rounded multiply-then-add steps in ascending-`r`
-/// order — the exact per-element operation sequence of the naive
-/// reference — so the two paths (and every pool size) are bit-for-bit
-/// interchangeable; the only reassociation anywhere is at the fixed
-/// chunk boundaries of the parallel reduction.
+/// element in ascending-`r` order, and on either path every pool size
+/// gives the same bits (the only reassociation is at the fixed chunk
+/// boundaries of the parallel reduction). The two paths are **not**
+/// interchangeable bit for bit: the portable one rounds each multiply and
+/// each add separately — the naive reference's operation sequence — while
+/// the AVX-512 tile uses `_mm512_fmadd_pd`, one rounding per term. On
+/// integer-valued inputs both are exact; on random inputs they differ in
+/// the last bits, so a result that flows through `matmul_tn` depends on
+/// which kind of host computed it.
 fn matmul_tn_rows(a: &Mat, b: &Mat, start: usize, end: usize, out: &mut [f64]) {
     if end == start {
         return;
@@ -462,7 +498,7 @@ fn matmul_tn_rows_portable(a: &Mat, b: &Mat, start: usize, end: usize, out: &mut
         let i0 = p * TN_IR;
         for g in 0..jgroups {
             let bgrp = &bpack[g * len * TN_JR..(g + 1) * len * TN_JR];
-            let acc = tn_tile_portable(apanel, bgrp);
+            let acc = tn_tile(apanel, bgrp, [[0.0; TN_JR]; TN_IR]);
             let j0 = g * TN_JR;
             for (t, acc_row) in acc.iter().enumerate() {
                 let o = &mut out[(i0 + t) * bcols + j0..(i0 + t) * bcols + j0 + TN_JR];
@@ -476,17 +512,43 @@ fn matmul_tn_rows_portable(a: &Mat, b: &Mat, start: usize, end: usize, out: &mut
     tn_remainders(a, b, start, end, out, imain, jmain);
 }
 
-/// The `matmul_tn` portable micro-kernel: `acc[t][u] = Σ_rr apack[rr][t] ·
-/// bgrp[rr][u]` over two row-interleaved sequential panels.
+/// The 8×8 register-tile micro-kernel: `acc[t][u] += Σ_rr apanel[rr][t] ·
+/// bpanel[rr][u]` over two row-interleaved sequential panels, starting
+/// from the `acc` it is handed. Each element is a chain of separately
+/// rounded multiplies and adds in ascending `rr`, so a tile seeded from
+/// the output continues that element's sum exactly where a row-at-a-time
+/// axpy loop would be. `matmul_tn`'s portable path seeds it with zeros;
+/// the full-block `Y·B` and `YᵀX` and the Gram `XᵀX` seed it from their
+/// output.
+///
+/// With AVX-512 the same chain runs on 512-bit registers
+/// ([`tn_tile_zmm`]); the two paths round identically, so which one ran
+/// is not observable in the result.
+fn tn_tile(apanel: &[f64], bpanel: &[f64], acc: [[f64; TN_JR]; TN_IR]) -> [[f64; TN_JR]; TN_IR] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: avx512f presence was just checked.
+            return unsafe { tn_tile_zmm(apanel, bpanel, acc) };
+        }
+    }
+    tn_tile_portable(apanel, bpanel, acc)
+}
+
+/// [`tn_tile`] in plain Rust: rustc never contracts `a * b + c` into a
+/// fused multiply-add, which is what the bit-identity rests on.
 ///
 /// Kept `#[inline(never)]`: compiled in isolation the loop auto-vectorizes
-/// to a clean register tile, while inlined into the caller\'s loop nest the
+/// to a clean register tile, while inlined into the caller's loop nest the
 /// extra live state defeats the vectorizer and it scalarizes (measured
-/// ~4× slower). The call overhead is amortized over the chunk rows.
+/// ~4× slower). The call overhead is amortized over the panel rows.
 #[inline(never)]
-fn tn_tile_portable(apack: &[f64], bgrp: &[f64]) -> [[f64; TN_JR]; TN_IR] {
-    let mut acc = [[0.0f64; TN_JR]; TN_IR];
-    for (a_blk, b_blk) in apack.chunks_exact(TN_IR).zip(bgrp.chunks_exact(TN_JR)) {
+fn tn_tile_portable(
+    apanel: &[f64],
+    bpanel: &[f64],
+    mut acc: [[f64; TN_JR]; TN_IR],
+) -> [[f64; TN_JR]; TN_IR] {
+    for (a_blk, b_blk) in apanel.chunks_exact(TN_IR).zip(bpanel.chunks_exact(TN_JR)) {
         let a_blk: &[f64; TN_IR] = a_blk.try_into().expect("tile height");
         let b_blk: &[f64; TN_JR] = b_blk.try_into().expect("tile width");
         for u in 0..TN_JR {
@@ -495,6 +557,39 @@ fn tn_tile_portable(apack: &[f64], bgrp: &[f64]) -> [[f64; TN_JR]; TN_IR] {
                 acc[t][u] += a_blk[t] * bu;
             }
         }
+    }
+    acc
+}
+
+/// [`tn_tile`] with one zmm register per tile row: `_mm512_mul_pd` then
+/// `_mm512_add_pd`, never `_mm512_fmadd_pd` — two roundings per term, as
+/// in [`tn_tile_portable`] and unlike [`tn_tile_avx512`]. For the portable
+/// loop LLVM prefers 256-bit vectors on AVX-512 parts, which spreads a
+/// tile step over 32 FP µops; here it is 16, and the multiplies and adds
+/// issue on different ports (measured 1.2–1.3× on the reference host).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tn_tile_zmm(
+    apanel: &[f64],
+    bpanel: &[f64],
+    mut acc: [[f64; TN_JR]; TN_IR],
+) -> [[f64; TN_JR]; TN_IR] {
+    use std::arch::x86_64::{
+        _mm512_add_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_storeu_pd,
+    };
+    // SAFETY (every load and store below): each pointer comes from a
+    // reference to exactly eight f64s.
+    let mut rows = acc.map(|row| _mm512_loadu_pd(row.as_ptr()));
+    for (a_blk, b_blk) in apanel.chunks_exact(TN_IR).zip(bpanel.chunks_exact(TN_JR)) {
+        let a_blk: &[f64; TN_IR] = a_blk.try_into().expect("tile height");
+        let b_blk: &[f64; TN_JR] = b_blk.try_into().expect("tile width");
+        let b = _mm512_loadu_pd(b_blk.as_ptr());
+        for (row, &a) in rows.iter_mut().zip(a_blk) {
+            *row = _mm512_add_pd(*row, _mm512_mul_pd(_mm512_set1_pd(a), b));
+        }
+    }
+    for (out, row) in acc.iter_mut().zip(rows) {
+        _mm512_storeu_pd(out.as_mut_ptr(), row);
     }
     acc
 }
@@ -567,16 +662,8 @@ pub fn matmul_nt_with_pool(pool: &WorkerPool, a: &Mat, b: &Mat) -> Mat {
         matmul_nt_rows(a, b, 0, m, out.data_mut());
         return out;
     }
-    let ranges = row_ranges(m, chunks);
-    let mut slices: Vec<(usize, usize, &mut [f64])> = Vec::with_capacity(chunks);
-    let mut rest = out.data_mut();
-    for &(start, end) in &ranges {
-        let (head, tail) = rest.split_at_mut((end - start) * n);
-        slices.push((start, end, head));
-        rest = tail;
-    }
     pool.run(
-        slices
+        split_rows_mut(out.data_mut(), &row_ranges(m, chunks), n)
             .into_iter()
             .map(|(start, end, slice)| move || matmul_nt_rows(a, b, start, end, slice))
             .collect(),
@@ -706,8 +793,10 @@ pub fn sparse_mul_dense_into_with_pool(pool: &WorkerPool, y: &SparseMat, b: &Mat
     let n = b.cols();
     assert_eq!(y.cols(), b.rows(), "mul_dense: inner dimensions differ");
     assert_eq!(out.len(), m * n, "mul_dense: output buffer is {} not {}", out.len(), m * n);
-    let _span = obs::span_lazy("kernel", || format!("sparse_mul_dense {m}x{n} nnz={}", y.nnz()))
+    let mut span = obs::span_lazy("kernel", || format!("sparse_mul_dense {m}x{n} nnz={}", y.nnz()))
         .with_flops(2 * y.nnz() as u64 * n as u64);
+    let full = full_block(y);
+    span.arg("route", route_name(full.is_some()));
     if m == 0 || n == 0 {
         return;
     }
@@ -718,20 +807,15 @@ pub fn sparse_mul_dense_into_with_pool(pool: &WorkerPool, y: &SparseMat, b: &Mat
     // the matrix only, so any pool produces identical bits.
     let mean_nnz = y.nnz() / m.max(1);
     let chunks = chunk_count(m, 2 * n * mean_nnz.max(1));
+    if let Some(rows) = full {
+        return full_mul_dense(pool, rows, b, chunks, out);
+    }
     if chunks == 1 {
         sparse_rows_mul(y, b, 0, m, out);
         return;
     }
-    let ranges = nnz_ranges(y, chunks);
-    let mut slices: Vec<(usize, usize, &mut [f64])> = Vec::with_capacity(chunks);
-    let mut rest = out;
-    for &(start, end) in &ranges {
-        let (head, tail) = rest.split_at_mut((end - start) * n);
-        slices.push((start, end, head));
-        rest = tail;
-    }
     pool.run(
-        slices
+        split_rows_mut(out, &nnz_ranges(y, chunks), n)
             .into_iter()
             .map(|(start, end, slice)| move || sparse_rows_mul(y, b, start, end, slice))
             .collect(),
@@ -803,6 +887,13 @@ pub fn syrk_tn(x: &Mat) -> Mat {
 /// at +0.0 can never become -0.0, so the reference's zero-skip asymmetry
 /// cannot change bits either). Results are therefore bit-identical to the
 /// reference on any pool size.
+///
+/// From [`TILE_MIN_ROWS`] rows up the bands are rows of 8×8 register
+/// tiles over `X` packed once into panels ([`syrk_tn_tiles`]); below it
+/// they are row axpys into memory ([`syrk_tn_band`]), which need no pack.
+/// The tiles do not skip zeros, which for finite `X` adds `±0.0` to an
+/// accumulator that is never `-0.0` — the same bits on both sides of the
+/// cut-over.
 pub fn syrk_tn_with_pool(pool: &WorkerPool, x: &Mat) -> Mat {
     let (n, d) = (x.rows(), x.cols());
     let _span = obs::span_lazy("kernel", || format!("syrk_tn {n}x{d}"))
@@ -813,19 +904,13 @@ pub fn syrk_tn_with_pool(pool: &WorkerPool, x: &Mat) -> Mat {
     }
     // Mean flops per output row of the triangle: n·(d+1).
     let chunks = chunk_count(d, n * (d + 1));
-    if chunks == 1 {
+    if n >= TILE_MIN_ROWS {
+        syrk_tn_tiled(pool, x, chunks, out.data_mut());
+    } else if chunks == 1 {
         syrk_tn_band(x, 0, d, out.data_mut());
     } else {
-        let ranges = row_ranges(d, chunks);
-        let mut slices: Vec<(usize, usize, &mut [f64])> = Vec::with_capacity(chunks);
-        let mut rest = out.data_mut();
-        for &(start, end) in &ranges {
-            let (head, tail) = rest.split_at_mut((end - start) * d);
-            slices.push((start, end, head));
-            rest = tail;
-        }
         pool.run(
-            slices
+            split_rows_mut(out.data_mut(), &row_ranges(d, chunks), d)
                 .into_iter()
                 .map(|(start, end, slice)| move || syrk_tn_band(x, start, end, slice))
                 .collect(),
@@ -910,12 +995,25 @@ fn spmm_scatter(pool: &WorkerPool, y: &SparseMat, x: &Mat, map: Option<&[u32]>, 
     }
     assert_eq!(out.len() % d, 0, "spmm_tn: output is a whole number of rows");
     let out_rows = out.len() / d;
-    let _span = obs::span_lazy("kernel", || {
+    let mut span = obs::span_lazy("kernel", || {
         format!("spmm_tn {}x{out_rows}x{d} nnz={}", y.rows(), y.nnz())
     })
     .with_flops(2 * y.nnz() as u64 * d as u64);
+    // A full block under the identity map (which is what a full block's
+    // column-support table is) is the dense `YᵀX`: output row `c` sums
+    // `y[r][c]·x_r` over ascending `r`, which the register tile does
+    // without a bucket table. Any other map may fold two columns into one
+    // output row, whose sum interleaves them — the scatter's order.
+    let identity = |m: &[u32]| m.iter().enumerate().all(|(c, &t)| t as usize == c);
+    let dense = full_block(y).filter(|_| map.is_none_or(identity));
+    span.arg("route", route_name(dense.is_some()));
     if out_rows == 0 || y.nnz() == 0 {
         return;
+    }
+    if let Some(rows) = dense {
+        let cols = y.cols();
+        assert!(out_rows >= cols, "spmm_tn: output has {out_rows} rows for {cols} columns");
+        return full_tn(pool, rows, cols, x, &mut out[..cols * d]);
     }
     // The per-nnz axpys land on effectively random output rows, so a wide
     // output turns the scatter memory-bound. Band the output small enough
@@ -1007,6 +1105,241 @@ fn spmm_scatter_band(
             if t >= lo && t < hi {
                 vector::axpy(v, xr, &mut out[(t - lo) * d..(t - lo + 1) * d]);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Full-row blocks and the Gram: the register-tile routes
+// ---------------------------------------------------------------------------
+
+/// Rows of the reduction dimension a tile accumulates before it is stored
+/// and re-seeded from the output: two 8-wide panels of this depth are
+/// 32 KiB, so they stay in L1 while the tile runs. Re-seeding continues
+/// each element's sum where it stopped, so the depth never affects bits.
+const TILE_DEPTH: usize = 256;
+
+/// The values of `y` as a row-major dense matrix when the full-block
+/// routes apply: every row stores every column
+/// ([`SparseMat::full_rows`]) and there are rows enough to pay for a pack.
+fn full_block(y: &SparseMat) -> Option<&[f64]> {
+    if y.rows() < TILE_MIN_ROWS {
+        return None;
+    }
+    y.full_rows()
+}
+
+/// The `route` span argument of the kernels that choose one.
+fn route_name(dense: bool) -> &'static str {
+    if dense {
+        "dense"
+    } else {
+        "sparse"
+    }
+}
+
+/// [`row_ranges`] over 8-row output panels: every range starts on a panel
+/// boundary and the last one ends at `rows`.
+fn panel_ranges(rows: usize, chunks: usize) -> Vec<(usize, usize)> {
+    let panels = rows.div_ceil(TN_IR);
+    row_ranges(panels, chunks.clamp(1, panels))
+        .into_iter()
+        .map(|(lo, hi)| (lo * TN_IR, (hi * TN_IR).min(rows)))
+        .collect()
+}
+
+/// A row-major matrix repacked into row-interleaved 8-column panels:
+/// panel `p` holds each row's `[8p, 8p+8)` slice back to back, the last
+/// panel zero-padded to width, so the micro-kernel reads it as one
+/// sequential stream. The buffer comes from [`crate::scratch`].
+struct Panels {
+    buf: Vec<f64>,
+    rows: usize,
+}
+
+impl Panels {
+    fn pack(data: &[f64], cols: usize) -> Panels {
+        let rows = data.len() / cols;
+        let mut buf = crate::scratch::take_zeroed(cols.div_ceil(TN_JR) * rows * TN_JR);
+        for (r, row) in data.chunks_exact(cols).enumerate() {
+            for (p, blk) in row.chunks(TN_JR).enumerate() {
+                buf[(p * rows + r) * TN_JR..][..blk.len()].copy_from_slice(blk);
+            }
+        }
+        Panels { buf, rows }
+    }
+
+    /// Rows `[r0, r0 + depth)` of the panel that starts at column `j0`.
+    fn rows(&self, j0: usize, r0: usize, depth: usize) -> &[f64] {
+        &self.buf[(j0 / TN_JR * self.rows + r0) * TN_JR..][..depth * TN_JR]
+    }
+
+    fn recycle(self) {
+        crate::scratch::recycle(self.buf);
+    }
+}
+
+/// One row of tiles: `apanel` (interleaved, some rows deep) against the
+/// same rows — `r0` on — of every panel of `b` from column `j_from`, into
+/// output rows `[i0, i0 + h)` of the `width`-wide row-major `out`. Each
+/// tile is seeded from `out` and stored back, so `out` accumulates; a tile
+/// overhanging the last row or column computes its padding and stores only
+/// the `h × w` corner.
+fn tile_row(
+    apanel: &[f64],
+    b: &Panels,
+    r0: usize,
+    out: &mut [f64],
+    width: usize,
+    (i0, h): (usize, usize),
+    j_from: usize,
+) {
+    let depth = apanel.len() / TN_IR;
+    for j0 in (j_from..width).step_by(TN_JR) {
+        let w = (width - j0).min(TN_JR);
+        let mut acc = [[0.0f64; TN_JR]; TN_IR];
+        for (t, acc_row) in acc.iter_mut().enumerate().take(h) {
+            let src = &out[(i0 + t) * width + j0..][..w];
+            // A full-width row is one fixed-size copy; only the last
+            // column panel pays for a variable-length one.
+            match <&[f64; TN_JR]>::try_from(src) {
+                Ok(full) => *acc_row = *full,
+                Err(_) => acc_row[..w].copy_from_slice(src),
+            }
+        }
+        let acc = tn_tile(apanel, b.rows(j0, r0, depth), acc);
+        for (t, acc_row) in acc.iter().enumerate().take(h) {
+            let dst = &mut out[(i0 + t) * width + j0..][..w];
+            match <&mut [f64; TN_JR]>::try_from(&mut *dst) {
+                Ok(full) => *full = *acc_row,
+                Err(_) => dst.copy_from_slice(&acc_row[..w]),
+            }
+        }
+    }
+}
+
+// The three drivers below are kept out of line: their callers are also
+// the per-task path of fits over thousands of few-row partitions, which
+// never take them, and whose code should stay as compact as it was.
+
+/// `out += Y·B` for a full block: `y` is its row-major values. `B` is
+/// packed once; row chunks go on the pool.
+#[inline(never)]
+fn full_mul_dense(pool: &WorkerPool, y: &[f64], b: &Mat, chunks: usize, out: &mut [f64]) {
+    let (k, n) = (b.rows(), b.cols());
+    let bpack = Panels::pack(b.data(), n);
+    let bpack_ref = &bpack;
+    pool.run(
+        split_rows_mut(out, &row_ranges(y.len() / k, chunks), n)
+            .into_iter()
+            .map(|(lo, hi, slice)| move || full_rows_mul(&y[lo * k..hi * k], k, bpack_ref, n, slice))
+            .collect(),
+    );
+    bpack.recycle();
+}
+
+/// `out += YᵀX` for a full block: `y` is its `x.rows() × cols` row-major
+/// values and `out` the `cols × x.cols()` result. `X` is packed once;
+/// output-row panels go on the pool.
+#[inline(never)]
+fn full_tn(pool: &WorkerPool, y: &[f64], cols: usize, x: &Mat, out: &mut [f64]) {
+    let d = x.cols();
+    let xpack = Panels::pack(x.data(), d);
+    let xpack_ref = &xpack;
+    let chunks = chunk_count(cols, 2 * x.rows() * d);
+    pool.run(
+        split_rows_mut(out, &panel_ranges(cols, chunks), d)
+            .into_iter()
+            .map(|(lo, hi, slice)| move || full_tn_band(y, cols, xpack_ref, d, lo, hi, slice))
+            .collect(),
+    );
+    xpack.recycle();
+}
+
+/// The upper triangle of `XᵀX` into the zeroed `d × d` `out`, by tiles:
+/// `X` is packed once; output-row panels go on the pool.
+#[inline(never)]
+fn syrk_tn_tiled(pool: &WorkerPool, x: &Mat, chunks: usize, out: &mut [f64]) {
+    let d = x.cols();
+    let xpack = Panels::pack(x.data(), d);
+    let xpack_ref = &xpack;
+    pool.run(
+        split_rows_mut(out, &panel_ranges(d, chunks), d)
+            .into_iter()
+            .map(|(lo, hi, slice)| move || syrk_tn_tiles(xpack_ref, d, lo, hi, slice))
+            .collect(),
+    );
+    xpack.recycle();
+}
+
+/// `out += Y·B` for the row-major dense rows `y` (`k` wide) against packed
+/// `B` (`n` columns). Eight rows of `Y` at a time are transposed into an
+/// interleaved panel, [`TILE_DEPTH`] columns deep, and run against every
+/// panel of `B`: each output element adds its `y[i][kk]·b[kk][j]` terms in
+/// ascending `kk`, the sparse kernel's axpy order over a full row.
+fn full_rows_mul(y: &[f64], k: usize, b: &Panels, n: usize, out: &mut [f64]) {
+    let m = out.len() / n;
+    let mut ypanel = vec![0.0f64; k.min(TILE_DEPTH) * TN_IR];
+    for k0 in (0..k).step_by(TILE_DEPTH) {
+        let depth = (k - k0).min(TILE_DEPTH);
+        for i0 in (0..m).step_by(TN_IR) {
+            let h = (m - i0).min(TN_IR);
+            // Eight sequential row streams in, one contiguous panel row
+            // out. Past the last row the lanes repeat it: those tile rows
+            // are computed and never stored.
+            let rows: [&[f64]; TN_IR] =
+                std::array::from_fn(|t| &y[(i0 + t.min(h - 1)) * k + k0..][..depth]);
+            for (kk, slot) in ypanel.chunks_exact_mut(TN_IR).take(depth).enumerate() {
+                for (lane, row) in slot.iter_mut().zip(&rows) {
+                    *lane = row[kk];
+                }
+            }
+            tile_row(&ypanel[..depth * TN_IR], b, k0, out, n, (i0, h), 0);
+        }
+    }
+}
+
+/// Output rows `[lo, hi)` (`lo` on a panel boundary) of the full-block
+/// `YᵀX`, `y` being the block's row-major values (`cols` wide) and `x`
+/// the packed `X` (`d` columns): each 8-column panel of `Y` is copied
+/// into a small interleaved buffer, [`TILE_DEPTH`] rows at a time, and
+/// run against every panel of `X`, so output row `c` adds its
+/// `y[r][c]·x_r` terms in ascending `r` — the scatter's order.
+fn full_tn_band(
+    y: &[f64],
+    cols: usize,
+    x: &Panels,
+    d: usize,
+    lo: usize,
+    hi: usize,
+    out: &mut [f64],
+) {
+    let n = x.rows;
+    let mut ypanel = vec![0.0f64; n.min(TILE_DEPTH) * TN_IR];
+    for r0 in (0..n).step_by(TILE_DEPTH) {
+        let depth = (n - r0).min(TILE_DEPTH);
+        for c0 in (lo..hi).step_by(TN_IR) {
+            let h = (hi - c0).min(TN_IR);
+            for (rr, slot) in ypanel.chunks_exact_mut(TN_IR).take(depth).enumerate() {
+                slot[..h].copy_from_slice(&y[(r0 + rr) * cols + c0..][..h]);
+                slot[h..].fill(0.0);
+            }
+            tile_row(&ypanel[..depth * TN_IR], x, r0, out, d, (c0 - lo, h), 0);
+        }
+    }
+}
+
+/// Upper-triangle output rows `[lo, hi)` (`lo` on a panel boundary) of
+/// `XᵀX` from packed `X` (`d` columns): the tiles on and right of the
+/// diagonal, [`TILE_DEPTH`] rows at a time. A diagonal tile also fills its
+/// own lower corner — with the bits the mirror step then writes there
+/// again.
+fn syrk_tn_tiles(x: &Panels, d: usize, lo: usize, hi: usize, out: &mut [f64]) {
+    for r0 in (0..x.rows).step_by(TILE_DEPTH) {
+        let depth = (x.rows - r0).min(TILE_DEPTH);
+        for i0 in (lo..hi).step_by(TN_IR) {
+            let rows = (i0 - lo, (hi - i0).min(TN_IR));
+            tile_row(x.rows(i0, r0, depth), x, r0, out, d, rows, i0);
         }
     }
 }
@@ -1124,6 +1457,31 @@ mod tests {
         assert!(big > 1 && big <= MAX_CHUNKS);
         let ranges = row_ranges(10, 3);
         assert_eq!(ranges, vec![(0, 4), (4, 7), (7, 10)]);
+    }
+
+    #[test]
+    fn register_tile_paths_are_bitwise_the_scalar_chain() {
+        // Both compiled forms of the micro-kernel against the sum written
+        // out term by term, from a non-zero seed: on an AVX-512 host the
+        // dispatcher never reaches the portable one.
+        let mut rng = Prng::seed_from_u64(16);
+        for depth in [0usize, 1, 5, 300] {
+            let apanel = rng.normal_vec(depth * TN_IR);
+            let bpanel = rng.normal_vec(depth * TN_JR);
+            let mut seed = [[0.0f64; TN_JR]; TN_IR];
+            seed.iter_mut().flatten().for_each(|v| *v = rng.normal());
+            let mut want = seed;
+            for rr in 0..depth {
+                for t in 0..TN_IR {
+                    for u in 0..TN_JR {
+                        want[t][u] += apanel[rr * TN_IR + t] * bpanel[rr * TN_JR + u];
+                    }
+                }
+            }
+            let bits = |tile: [[f64; TN_JR]; TN_IR]| tile.map(|row| row.map(f64::to_bits));
+            assert_eq!(bits(tn_tile_portable(&apanel, &bpanel, seed)), bits(want), "depth {depth}");
+            assert_eq!(bits(tn_tile(&apanel, &bpanel, seed)), bits(want), "dispatched, depth {depth}");
+        }
     }
 
     #[test]

@@ -271,6 +271,13 @@ fn worker_loop(shared: &Shared) {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        // A worker checks `shutdown` and then waits without releasing the
+        // queue lock in between, so passing through the lock here means
+        // every worker either has yet to check (and sees the store) or is
+        // already waiting (and gets the notification). Without it the
+        // notification can fall between a worker's check and its wait,
+        // and the join below never returns.
+        drop(lock_unpoisoned(&self.shared.queue));
         self.shared.available.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -287,6 +294,16 @@ impl std::fmt::Debug for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dropping_a_pool_never_strands_a_worker() {
+        // A shutdown notification sent without passing through the queue
+        // lock can land between a worker's check and its wait; the join in
+        // `drop` then hangs. Fresh pools dropped at once are the window.
+        for _ in 0..500 {
+            drop(WorkerPool::new(2));
+        }
+    }
 
     #[test]
     fn results_come_back_in_submission_order() {

@@ -216,3 +216,226 @@ fn kernels_are_bitwise_deterministic_across_pool_sizes() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Full-row blocks and the Gram: the register-tile routes against the
+// row-at-a-time folds, bit for bit. Inputs are random normals throughout —
+// integer inputs sum exactly in any order and under a fused multiply-add,
+// so they cannot see either mistake.
+// ---------------------------------------------------------------------------
+
+/// A CSR block storing every column of every row, values standard normal.
+fn full_block(rng: &mut Prng, rows: usize, cols: usize) -> SparseMat {
+    let y = SparseMat::from_dense(&rng.normal_mat(rows, cols));
+    assert_eq!(y.nnz(), rows * cols, "a normal deviate was exactly zero");
+    y
+}
+
+/// `full` with the entry at `(r, c)` left out: one stored value short of
+/// full, so it must take the sparse route.
+fn with_hole(full: &SparseMat, r: usize, c: usize) -> SparseMat {
+    let entries = (0..full.rows())
+        .map(|i| full.row(i).iter().filter(|&(j, _)| (i, j) != (r, c)).map(|(j, v)| (j as u32, v)).collect())
+        .collect();
+    SparseMat::from_rows(full.rows(), full.cols(), entries)
+}
+
+/// `out += Y·B` one stored entry at a time, no skips: the sparse kernel's
+/// per-element operation sequence as scalar code.
+fn mul_reference(y: &SparseMat, b: &Mat, out: &mut [f64]) {
+    let n = b.cols();
+    for r in 0..y.rows() {
+        for (c, v) in y.row(r).iter() {
+            for j in 0..n {
+                out[r * n + j] += v * b[(c, j)];
+            }
+        }
+    }
+}
+
+/// `out[map[c]] += y[r][c]·x_r` in ascending `(r, c)`, no skips: the
+/// scatter's per-element operation sequence as scalar code.
+fn scatter_reference(y: &SparseMat, x: &Mat, map: &[u32], out: &mut [f64]) {
+    let d = x.cols();
+    for r in 0..y.rows() {
+        for (c, v) in y.row(r).iter() {
+            let t = map[c] as usize;
+            for j in 0..d {
+                out[t * d + j] += v * x[(r, j)];
+            }
+        }
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Pools of 1, 2 and 8 workers, built once per test.
+struct Pools([WorkerPool; 3]);
+
+impl Pools {
+    fn new() -> Pools {
+        Pools([WorkerPool::new(1), WorkerPool::new(2), WorkerPool::new(8)])
+    }
+
+    /// Runs `f` on every pool, and from inside a task of a two-task batch
+    /// (where kernels run inline), handing each result to `check`.
+    fn each<T: Send>(&self, f: impl Fn(&WorkerPool) -> T + Sync, check: impl Fn(T, &str)) {
+        for pool in &self.0 {
+            check(f(pool), &format!("{} workers", pool.workers()));
+        }
+        let f = &f;
+        let inner = &self.0[1];
+        for got in inner.run((0..2).map(|_| move || f(inner)).collect()) {
+            check(got, "inside a pool task");
+        }
+    }
+}
+
+#[test]
+fn full_blocks_are_bitwise_the_row_at_a_time_folds() {
+    let pools = Pools::new();
+    let mut rng = Prng::seed_from_u64(2101);
+    // Rows on both sides of the kernels' cut-over (one tile's height) and
+    // of a tile boundary.
+    for &rows in &[1usize, 3, 4, 5, 7, 8, 9, 13, 187] {
+        for &cols in &[1usize, 7, 8, 9, 1000] {
+            for &d in &[1usize, 8, 50, 56] {
+                let what = format!("{rows}x{cols}x{d}");
+                let y = full_block(&mut rng, rows, cols);
+                let b = rng.normal_mat(cols, d);
+                let x = rng.normal_mat(rows, d);
+                let identity: Vec<u32> = (0..cols as u32).collect();
+
+                let mul = naive::sparse_mul_dense(&y, &b);
+                pools.each(
+                    |pool| kernels::sparse_mul_dense_with_pool(pool, &y, &b),
+                    |got, on| assert_eq!(bits(got.data()), bits(mul.data()), "Y*B {what} on {on}"),
+                );
+                let tn = naive::matmul_tn(&y.to_dense(), &x);
+                pools.each(
+                    |pool| kernels::spmm_tn_with_pool(pool, &y, &x),
+                    |got, on| assert_eq!(bits(got.data()), bits(tn.data()), "YtX {what} on {on}"),
+                );
+
+                // The `_into` contract is accumulate: a tile seeded with
+                // zeros and added at the end rounds differently from one
+                // that continues the output's own sum.
+                let init = rng.normal_vec(rows.max(cols) * d);
+                let mut mul_into = init[..rows * d].to_vec();
+                mul_reference(&y, &b, &mut mul_into);
+                let mut tn_into = init[..cols * d].to_vec();
+                scatter_reference(&y, &x, &identity, &mut tn_into);
+                pools.each(
+                    |pool| {
+                        let mut out = init[..rows * d].to_vec();
+                        kernels::sparse_mul_dense_into_with_pool(pool, &y, &b, &mut out);
+                        out
+                    },
+                    |got, on| assert_eq!(bits(&got), bits(&mul_into), "out += Y*B {what} on {on}"),
+                );
+                pools.each(
+                    |pool| {
+                        let mut out = init[..cols * d].to_vec();
+                        kernels::spmm_tn_packed_with_pool(pool, &y, &x, &identity, &mut out);
+                        out
+                    },
+                    |got, on| assert_eq!(bits(&got), bits(&tn_into), "out += YtX {what} on {on}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn stored_zeros_keep_a_block_full_and_a_hole_does_not() {
+    let pools = Pools::new();
+    let mut rng = Prng::seed_from_u64(2102);
+    let (rows, cols, d) = (37, 19, 5);
+    let full = full_block(&mut rng, rows, cols);
+    // `map_values` keeps the structure: the block stays full, now holding
+    // explicit `0.0` and `-0.0` entries the kernels must not skip.
+    let zeros = full.map_values(|v| if v > 0.8 { 0.0 } else if v < -0.8 { -0.0 } else { v });
+    assert_eq!(zeros.nnz(), rows * cols);
+    assert!(zeros.row(0).values.iter().chain(zeros.row(1).values).any(|v| *v == 0.0));
+    let hole = with_hole(&full, 20, 7);
+    assert_eq!(hole.nnz(), rows * cols - 1);
+
+    let b = rng.normal_mat(cols, d);
+    let x = rng.normal_mat(rows, d);
+    let identity: Vec<u32> = (0..cols as u32).collect();
+    // A `-0.0` in the initial output tells a skipped `+= 0.0·x` (stays
+    // `-0.0`) from an executed one (becomes `+0.0`).
+    let mut init = rng.normal_vec(rows.max(cols) * d);
+    init[3] = -0.0;
+    for y in [&zeros, &hole] {
+        let mut mul = init[..rows * d].to_vec();
+        mul_reference(y, &b, &mut mul);
+        let mut tn = init[..cols * d].to_vec();
+        scatter_reference(y, &x, &identity, &mut tn);
+        pools.each(
+            |pool| {
+                let mut out = init[..rows * d].to_vec();
+                kernels::sparse_mul_dense_into_with_pool(pool, y, &b, &mut out);
+                out
+            },
+            |got, on| assert_eq!(bits(&got), bits(&mul), "out += Y*B on {on}"),
+        );
+        pools.each(
+            |pool| {
+                let mut out = init[..cols * d].to_vec();
+                kernels::spmm_tn_packed_with_pool(pool, y, &x, &identity, &mut out);
+                out
+            },
+            |got, on| assert_eq!(bits(&got), bits(&tn), "out += YtX on {on}"),
+        );
+    }
+}
+
+#[test]
+fn packed_scatter_of_a_full_block_honours_any_map() {
+    let pools = Pools::new();
+    // A map that is not the identity — here one that folds columns onto
+    // shared output rows — interleaves two columns' terms in one sum,
+    // which only the scatter's (row, column) order reproduces.
+    let mut rng = Prng::seed_from_u64(2103);
+    let (rows, cols, d) = (187, 24, 9);
+    let y = full_block(&mut rng, rows, cols);
+    let x = rng.normal_mat(rows, d);
+    let reversed: Vec<u32> = (0..cols as u32).rev().collect();
+    let folded: Vec<u32> = (0..cols as u32).map(|c| c / 2).collect();
+    let by_column = kernels::spmm_tn(&y, &x);
+    let mut out = vec![0.0; cols * d];
+    kernels::spmm_tn_packed(&y, &x, &reversed, &mut out);
+    for (c, &t) in reversed.iter().enumerate() {
+        let t = t as usize;
+        assert_eq!(bits(&out[t * d..(t + 1) * d]), bits(by_column.row(c)), "column {c}");
+    }
+    let mut want = vec![0.0; cols * d];
+    scatter_reference(&y, &x, &folded, &mut want);
+    pools.each(
+        |pool| {
+            let mut out = vec![0.0; cols * d];
+            kernels::spmm_tn_packed_with_pool(pool, &y, &x, &folded, &mut out);
+            out
+        },
+        |got, on| assert_eq!(bits(&got), bits(&want), "folded map on {on}"),
+    );
+}
+
+#[test]
+fn syrk_tn_is_bitwise_the_naive_gram_on_both_sides_of_its_cut_over() {
+    let pools = Pools::new();
+    let mut rng = Prng::seed_from_u64(2104);
+    for &rows in &[0usize, 1, 7, 8, 9, 63, 64, 65, 3125] {
+        for &d in &[1usize, 7, 8, 9, 50] {
+            let x = rng.normal_mat(rows, d);
+            let want = naive::matmul_tn(&x, &x);
+            pools.each(
+                |pool| kernels::syrk_tn_with_pool(pool, &x),
+                |got, on| assert_eq!(bits(got.data()), bits(want.data()), "syrk {rows}x{d} on {on}"),
+            );
+        }
+    }
+}
