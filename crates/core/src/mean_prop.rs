@@ -131,6 +131,13 @@ impl YtxPartial {
         }
     }
 
+    /// Moves the packed `Σ y'⊗x` term out — touched columns ascending, and
+    /// their d-rows back to back — leaving it empty. The `YtXJob` mapper
+    /// shuffles views into the slab instead of one copy per row.
+    pub(crate) fn take_packed_ytx(&mut self) -> (Vec<u32>, Vec<f64>) {
+        (std::mem::take(&mut self.cols), std::mem::take(&mut self.slab))
+    }
+
     /// Folds one sparse row into the accumulator, recomputing its latent
     /// vector on demand (the "redundant computation" of Section 3.2).
     pub fn add_row(&mut self, row: SparseRow<'_>, cm: &Mat, xm: &[f64]) {

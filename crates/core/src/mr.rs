@@ -20,9 +20,11 @@
 //! [`crate::rpca`] — and runs them under the shared pass loop
 //! ([`crate::driver`]).
 
+use std::sync::Arc;
+
 use dcluster::SimCluster;
 use linalg::bytes::ByteSized;
-use linalg::wire::{self, Wire, WireError, WireReader};
+use linalg::wire::{self, Sizing, Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 
@@ -102,80 +104,141 @@ impl MapReduceJob for MeanJob {
     }
 
     fn reduce(&self, _key: (), values: Vec<Vec<f64>>) -> Vec<f64> {
-        sum_vectors(values)
+        sum_vectors(&values)
     }
 }
 
 /// `FnormJob`: Algorithm 3 partial per block.
-struct FnormJob {
-    mean: Vec<f64>,
+struct FnormJob<'a> {
+    mean: &'a [f64],
     mean_norm_sq: f64,
 }
 
-impl MapReduceJob for FnormJob {
+impl MapReduceJob for FnormJob<'_> {
     type Input = SparseMat;
     type Key = ();
     type Value = f64;
     type Output = f64;
 
     fn map(&self, block: &SparseMat, emitter: &mut Emitter<(), f64>) {
-        emitter.emit((), frobenius::centered_sq_block(block, &self.mean, self.mean_norm_sq));
+        emitter.emit((), frobenius::centered_sq_block(block, self.mean, self.mean_norm_sq));
     }
 
     fn reduce(&self, _key: (), values: Vec<f64>) -> f64 {
         values.iter().sum()
+    }
+}
+
+/// One shuffle value of the `YtXJob`: a window into a buffer its mapper
+/// filled. The touched rows of a partition's `Σ y'⊗x` leave the mapper as
+/// one packed slab; every `Row(c)` value is that slab (shared, never
+/// copied) plus the row's offset, so emitting a row allocates nothing and
+/// the slab is freed once, by whoever drops its last row. On the wire and
+/// to the byte meters a view is exactly the `Vec<f64>` it shows.
+#[derive(Debug, Clone)]
+struct RowView {
+    slab: Arc<Vec<f64>>,
+    start: usize,
+    len: usize,
+}
+
+impl RowView {
+    /// A view of all of `values`.
+    fn whole(values: Vec<f64>) -> Self {
+        RowView { len: values.len(), slab: Arc::new(values), start: 0 }
+    }
+}
+
+impl AsRef<[f64]> for RowView {
+    fn as_ref(&self) -> &[f64] {
+        &self.slab[self.start..self.start + self.len]
+    }
+}
+
+impl ByteSized for RowView {
+    fn size_bytes(&self) -> u64 {
+        Sizing::Estimated.f64_payload(self.len)
+    }
+}
+
+/// Byte for byte the `Vec<f64>` layouts (v2, and v3 exact / quantized).
+impl Wire for RowView {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        wire::write_uvarint(out, self.len as u64);
+        for v in self.as_ref() {
+            v.encode_into(out);
+        }
+    }
+    fn encoded_size(&self) -> u64 {
+        Sizing::Encoded.f64_payload(self.len)
+    }
+    fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
+        Vec::<f64>::decode_from(r).map(RowView::whole)
+    }
+    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
+        wire::write_uvarint(out, self.len as u64);
+        wire::write_f64_slice_v3(out, self.as_ref(), quantize);
+    }
+    fn encoded_size_v3(&self, quantize: bool) -> u64 {
+        wire::uvarint_len(self.len as u64) + wire::f64_slice_v3_len(self.as_ref(), quantize)
+    }
+    fn decode_v3_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
+        Vec::<f64>::decode_v3_from(r).map(RowView::whole)
     }
 }
 
 /// The consolidated `YtXJob` with a stateful-combiner mapper.
-struct YtXJob {
-    cm: Mat,
-    xm: Vec<f64>,
+struct YtXJob<'a> {
+    cm: &'a Mat,
+    xm: &'a [f64],
     d: usize,
     precision: linalg::Precision,
 }
 
-impl MapReduceJob for YtXJob {
+impl MapReduceJob for YtXJob<'_> {
     type Input = SparseMat;
     type Key = MrKey;
-    type Value = Vec<f64>;
+    type Value = RowView;
     type Output = Vec<f64>;
 
-    fn map(&self, block: &SparseMat, emitter: &mut Emitter<MrKey, Vec<f64>>) {
+    fn map(&self, block: &SparseMat, emitter: &mut Emitter<MrKey, RowView>) {
         // Stateful combiner: fold the whole partition into in-memory
         // partials through the batched kernels (the block is already a
         // CSR matrix — no reassembly needed), emit once at "cleanup".
         let mut partial = YtxPartial::new(self.d);
-        partial.add_block_prec(block, &self.cm, &self.xm, self.precision);
-        emitter.emit(MrKey::XtX, partial.xtx.data().to_vec());
-        emitter.emit(MrKey::SumX, partial.sum_x.clone());
-        emitter.emit(MrKey::Count, vec![partial.rows_seen as f64]);
-        for (c, row) in partial.ytx_iter() {
-            emitter.emit(MrKey::Row(c), row.to_vec());
+        partial.add_block_prec(block, self.cm, self.xm, self.precision);
+        let (cols, slab) = partial.take_packed_ytx();
+        emitter.emit(MrKey::XtX, RowView::whole(partial.xtx.into_vec()));
+        emitter.emit(MrKey::SumX, RowView::whole(partial.sum_x));
+        emitter.emit(MrKey::Count, RowView::whole(vec![partial.rows_seen as f64]));
+        let slab = Arc::new(slab);
+        for (i, c) in cols.into_iter().enumerate() {
+            let row = RowView { slab: Arc::clone(&slab), start: i * self.d, len: self.d };
+            emitter.emit(MrKey::Row(c), row);
         }
     }
 
-    fn reduce(&self, _key: MrKey, values: Vec<Vec<f64>>) -> Vec<f64> {
-        sum_vectors(values)
+    fn reduce(&self, _key: MrKey, values: Vec<RowView>) -> Vec<f64> {
+        sum_vectors(&values)
     }
 }
 
 /// `ss3Job`: scalar mapper output.
-struct Ss3Job {
-    cm: Mat,
-    xm: Vec<f64>,
-    c_new: Mat,
+struct Ss3Job<'a> {
+    cm: &'a Mat,
+    xm: &'a [f64],
+    c_new: &'a Mat,
     precision: linalg::Precision,
 }
 
-impl MapReduceJob for Ss3Job {
+impl MapReduceJob for Ss3Job<'_> {
     type Input = SparseMat;
     type Key = ();
     type Value = f64;
     type Output = f64;
 
     fn map(&self, block: &SparseMat, emitter: &mut Emitter<(), f64>) {
-        emitter.emit((), ss3_block_prec(block, &self.cm, &self.xm, &self.c_new, self.precision));
+        emitter.emit((), ss3_block_prec(block, self.cm, self.xm, self.c_new, self.precision));
     }
 
     fn reduce(&self, _key: (), values: Vec<f64>) -> f64 {
@@ -183,10 +246,14 @@ impl MapReduceJob for Ss3Job {
     }
 }
 
-fn sum_vectors(mut values: Vec<Vec<f64>>) -> Vec<f64> {
-    let mut acc = values.pop().expect("reducer gets at least one value");
-    for v in values {
-        linalg::vector::axpy(1.0, &v, &mut acc);
+/// Sums a reducer's vectors in the association every EM-on-MapReduce model
+/// hash rests on: the *last* value is the accumulator, the others are added
+/// onto it in the order they arrived (mapper order).
+fn sum_vectors<R: AsRef<[f64]>>(values: &[R]) -> Vec<f64> {
+    let (last, rest) = values.split_last().expect("reducer gets at least one value");
+    let mut acc = last.as_ref().to_vec();
+    for v in rest {
+        linalg::vector::axpy(1.0, v.as_ref(), &mut acc);
     }
     acc
 }
@@ -209,8 +276,7 @@ impl EmJobs for MrJobs<'_> {
     }
 
     fn fnorm_job(&mut self, mean: &[f64]) -> f64 {
-        let job =
-            FnormJob { mean: mean.to_vec(), mean_norm_sq: linalg::vector::norm2_sq(mean) };
+        let job = FnormJob { mean, mean_norm_sq: linalg::vector::norm2_sq(mean) };
         let (out, _) = self.engine.run_job("FnormJob", &job, &self.blocks, 1);
         out.into_iter().next().expect("FnormJob output").1
     }
@@ -220,8 +286,7 @@ impl EmJobs for MrJobs<'_> {
         // priced under the cluster's sizing policy.
         let cluster = self.engine.cluster();
         cluster.charge_broadcast(cluster.wire_size(cm) + cluster.sizing().f64_payload(xm.len()));
-        let job =
-            YtXJob { cm: cm.clone(), xm: xm.to_vec(), d: self.d, precision: self.precision };
+        let job = YtXJob { cm, xm, d: self.d, precision: self.precision };
         let before = ytx_counter_snapshot();
         let (out, _) = self.engine.run_job("YtXJob", &job, &self.blocks, self.reducers);
         if obs::enabled() {
@@ -253,12 +318,7 @@ impl EmJobs for MrJobs<'_> {
                 + cluster.sizing().f64_payload(xm.len())
                 + cluster.wire_size(c_new),
         );
-        let job = Ss3Job {
-            cm: cm.clone(),
-            xm: xm.to_vec(),
-            c_new: c_new.clone(),
-            precision: self.precision,
-        };
+        let job = Ss3Job { cm, xm, c_new, precision: self.precision };
         let (out, _) = self.engine.run_job("ss3Job", &job, &self.blocks, 1);
         out.into_iter().next().expect("ss3Job output").1
     }
@@ -344,6 +404,54 @@ mod tests {
             keys,
             vec![MrKey::XtX, MrKey::SumX, MrKey::Count, MrKey::Row(0), MrKey::Row(7)]
         );
+    }
+
+    #[test]
+    fn row_view_is_its_vec_on_the_wire() {
+        let rows: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![-0.0],
+            vec![1.5, -0.0, f64::from_bits(0x7ff8_0000_dead_beef), f64::NEG_INFINITY, 1e-300],
+            vec![0.0, 1.0, -17.0, 1e6, 42.0], // all-integer: bit-packs under v3
+            vec![0.1, std::f64::consts::PI, -2.0 / 3.0],
+        ];
+        // Every row both as a view of its own buffer and at an offset
+        // inside a slab of all of them.
+        let slab = Arc::new(rows.concat());
+        let mut start = 0;
+        for row in &rows {
+            let inside = RowView { slab: Arc::clone(&slab), start, len: row.len() };
+            start += row.len();
+            for view in [RowView::whole(row.clone()), inside] {
+                assert_eq!(view.encode(), row.encode());
+                assert_eq!(view.encoded_size(), row.encoded_size());
+                assert_eq!(view.size_bytes(), row.size_bytes());
+                for quantize in [false, true] {
+                    assert_eq!(view.encode_v3(quantize), row.encode_v3(quantize));
+                    assert_eq!(view.encoded_size_v3(quantize), row.encoded_size_v3(quantize));
+                }
+
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(RowView::decode(&row.encode()).unwrap().as_ref()), bits(row));
+                for quantize in [false, true] {
+                    // Quantized bytes decode to whatever the `Vec` decodes to.
+                    let bytes = row.encode_v3(quantize);
+                    let want = Vec::<f64>::decode_v3_from(&mut WireReader::new(&bytes)).unwrap();
+                    let mut r = WireReader::new(&bytes);
+                    let got = RowView::decode_v3_from(&mut r).unwrap();
+                    r.finish().unwrap();
+                    assert_eq!(bits(got.as_ref()), bits(&want));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reducer_sums_last_value_first() {
+        // (a + b) + c ≠ (c + a) + b in floating point: pin the latter.
+        let (a, b, c) = (1e16, 1.0, -1e16);
+        assert_eq!(sum_vectors(&[vec![a], vec![b], vec![c]]), vec![(c + a) + b]);
+        assert_ne!((a + b) + c, (c + a) + b);
     }
 
     #[test]

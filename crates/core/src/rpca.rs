@@ -326,19 +326,19 @@ impl MapReduceJob for ColsumJob {
 }
 
 /// `FnormJob`: per-partition Algorithm-3 partial, keyed by partition.
-struct RpcaFnormJob {
-    mean: Vec<f64>,
+struct RpcaFnormJob<'a> {
+    mean: &'a [f64],
     mean_norm_sq: f64,
 }
 
-impl MapReduceJob for RpcaFnormJob {
+impl MapReduceJob for RpcaFnormJob<'_> {
     type Input = (u32, SparseMat);
     type Key = u32;
     type Value = f64;
     type Output = f64;
 
     fn map(&self, block: &(u32, SparseMat), emitter: &mut Emitter<u32, f64>) {
-        emitter.emit(block.0, frobenius::centered_sq_block(&block.1, &self.mean, self.mean_norm_sq));
+        emitter.emit(block.0, frobenius::centered_sq_block(&block.1, self.mean, self.mean_norm_sq));
     }
 
     fn reduce(&self, _key: u32, mut values: Vec<f64>) -> f64 {
@@ -348,19 +348,19 @@ impl MapReduceJob for RpcaFnormJob {
 
 /// The fat pass: stateful mapper runs the shared kernel once per block and
 /// emits its D×K partial under its partition key.
-struct PassJob {
-    w: Mat,
-    shift: Vec<f64>,
+struct PassJob<'a> {
+    w: &'a Mat,
+    shift: &'a [f64],
 }
 
-impl MapReduceJob for PassJob {
+impl MapReduceJob for PassJob<'_> {
     type Input = (u32, SparseMat);
     type Key = u32;
     type Value = PassPartial;
     type Output = PassPartial;
 
     fn map(&self, block: &(u32, SparseMat), emitter: &mut Emitter<u32, PassPartial>) {
-        emitter.emit(block.0, pass_partial(&block.1, &self.w, &self.shift));
+        emitter.emit(block.0, pass_partial(&block.1, self.w, self.shift));
     }
 
     fn reduce(&self, _key: u32, mut values: Vec<PassPartial>) -> PassPartial {
@@ -394,7 +394,7 @@ impl RpcaJobs for MrRpcaJobs<'_> {
     }
 
     fn fnorm_job(&mut self, mean: &[f64], mean_norm_sq: f64) -> Vec<f64> {
-        let job = RpcaFnormJob { mean: mean.to_vec(), mean_norm_sq };
+        let job = RpcaFnormJob { mean, mean_norm_sq };
         let (out, _) = self.engine.run_job("rpca/FnormJob", &job, &self.blocks, 1);
         out.into_iter().map(|(_, v)| v).collect()
     }
@@ -404,7 +404,7 @@ impl RpcaJobs for MrRpcaJobs<'_> {
         // job re-reads its cache; nothing persists across jobs).
         let cluster = self.engine.cluster();
         cluster.charge_broadcast(cluster.wire_size(w) + cluster.sizing().f64_payload(shift.len()));
-        let job = PassJob { w: w.clone(), shift: shift.to_vec() };
+        let job = PassJob { w, shift };
         let (out, _) =
             self.engine.run_job(&format!("rpca/pass{pass}"), &job, &self.blocks, self.reducers);
         out.into_iter().map(|(_, v)| v).collect()

@@ -148,16 +148,23 @@ fn batched_matches_rowwise_bitwise_across_workers_and_partitions() {
     }
 }
 
+/// The two whole-fit inputs: a sparse low-rank matrix, and diabetes-shaped
+/// spectra whose partitions are full-row blocks.
+fn fit_fixtures() -> (SparseMat, SparseMat) {
+    let mut rng = Prng::seed_from_u64(21);
+    let sparse = datasets::sparse_lowrank(&datasets::LowRankSpec::small_test(), &mut rng);
+    let spectra = datasets::diabetes::generate_sparse(600, 120, &mut rng);
+    assert_eq!(spectra.nnz(), 600 * 120, "every spectrum stores every frequency");
+    (sparse, spectra)
+}
+
 /// `fit` must be a pure function of (data, config): the host pool driving
 /// the simulated cluster must not leak into any result — on a sparse
 /// low-rank matrix, and on diabetes-shaped spectra whose partitions are
 /// full-row blocks (the kernels' register-tile routes).
 #[test]
 fn fit_is_identical_across_worker_counts_on_both_engines() {
-    let mut rng = Prng::seed_from_u64(21);
-    let sparse = datasets::sparse_lowrank(&datasets::LowRankSpec::small_test(), &mut rng);
-    let spectra = datasets::diabetes::generate_sparse(600, 120, &mut rng);
-    assert_eq!(spectra.nnz(), 600 * 120, "every spectrum stores every frequency");
+    let (sparse, spectra) = fit_fixtures();
     for (y, d, input) in [(&sparse, 3, "sparse low-rank"), (&spectra, 6, "dense spectra")] {
         let config =
             SpcaConfig::new(d).with_max_iters(3).with_rel_tolerance(None).with_partitions(6);
@@ -208,3 +215,32 @@ fn fit_is_identical_across_worker_counts_on_both_engines() {
         }
     }
 }
+
+/// The MapReduce fit of both fixtures is pinned to its model hash on any
+/// pool: the reducers' association (last mapper's value first, then the
+/// others in mapper order) is part of every one, and nothing about how the
+/// engine holds the shuffle on the host may show in it.
+#[test]
+fn mapreduce_fit_keeps_its_model_hashes_on_every_pool() {
+    let (sparse, spectra) = fit_fixtures();
+    for (y, d, want) in [(&sparse, 3, SPARSE_HASH), (&spectra, 6, SPECTRA_HASH)] {
+        let config =
+            SpcaConfig::new(d).with_max_iters(3).with_rel_tolerance(None).with_partitions(6);
+        for workers in [1usize, 2, 8] {
+            let cluster = SimCluster::new_with_pool(
+                ClusterConfig::paper_cluster().with_nodes(2).with_cores_per_node(2),
+                Arc::new(WorkerPool::new(workers)),
+            );
+            let run = Spca::new(config.clone()).fit_mapreduce(&cluster, y).unwrap();
+            assert_eq!(
+                run.model.content_hash(),
+                want,
+                "d={d} workers={workers}: got {:#018x}",
+                run.model.content_hash()
+            );
+        }
+    }
+}
+
+const SPARSE_HASH: u64 = 0xd70b_d1b9_45d2_ad35;
+const SPECTRA_HASH: u64 = 0xa8ca_760d_4ada_ec36;

@@ -208,7 +208,8 @@ fn host_span_context(events: &[obs::Event]) -> Vec<(String, Option<String>, Opti
 /// The driver-side work between the distributed stages has spans of its
 /// own, so the host tree accounts for a whole pass: the sampled error under
 /// every pass of both arms on both engines, the accumulator merge right
-/// after every Spark `YtXJob` stage, and the two big pieces of the EM
+/// after every Spark `YtXJob` stage, the shuffle sort between the map and
+/// reduce stages of every MapReduce job, and the two big pieces of the EM
 /// assemble step inside it.
 #[test]
 fn driver_side_work_of_every_pass_is_spanned() {
@@ -238,13 +239,29 @@ fn driver_side_work_of_every_pass_is_spanned() {
     }
     assert_eq!(spans.iter().filter(|(n, _, _)| n == "sampled error").count(), 2 * passes.len());
 
+    // The spans whose previous sibling is `sibling`, in begin order.
+    let after = |sibling: &str| -> Vec<&str> {
+        spans
+            .iter()
+            .filter(|(_, _, s)| s.as_deref() == Some(sibling))
+            .map(|(name, _, _)| name.as_str())
+            .collect()
+    };
     // Spark only: the MapReduce YtXJob runs as `stage:YtXJob/map` + `/reduce`.
-    let after_ytx: Vec<&str> = spans
-        .iter()
-        .filter(|(_, _, sibling)| sibling.as_deref() == Some("stage:YtXJob"))
-        .map(|(name, _, _)| name.as_str())
-        .collect();
-    assert_eq!(after_ytx, vec!["accumulator merge"; 3], "merge follows every YtXJob stage");
+    assert_eq!(after("stage:YtXJob"), vec!["accumulator merge"; 3], "merge follows every YtXJob");
+
+    // MapReduce: the driver's merge of the mappers' sorted runs is the next
+    // sibling of every map stage and hands over to the reduce stage, under
+    // the pass that ran the job — no pass hides a sort in its self time.
+    assert_eq!(after("stage:YtXJob/map"), vec!["shuffle sort"; 3], "sort follows every map");
+    let sorts = spans.iter().filter(|(n, _, _)| n == "shuffle sort").count();
+    let reduces = after("shuffle sort");
+    assert_eq!(reduces.len(), sorts, "a reduce stage follows every sort");
+    assert!(reduces.iter().all(|n| n.starts_with("stage:") && n.ends_with("/reduce")));
+    for i in 1..=3 {
+        // YtXJob and ss3Job of the MapReduce fit.
+        assert_eq!(children(&format!("em iteration {i}"), "shuffle sort"), 2, "iteration {i}");
+    }
 
     assert_eq!(children("em driver assemble", "finalize_ytx"), 6);
     assert_eq!(children("em driver assemble", "solve_spd_right"), 6);

@@ -1,7 +1,5 @@
 //! Job definition: the user-facing mapper/combiner/reducer traits.
 
-use std::collections::BTreeMap;
-
 use linalg::wire::{Sizing, WireCodec};
 use linalg::Wire;
 
@@ -11,9 +9,27 @@ use linalg::Wire;
 /// output buffer is combined and spilled when it fills. The emitted byte
 /// and record counters are unaffected — they meter what the mapper
 /// *produced*, which is what the paper's intermediate-data numbers count.
-const SPILL_THRESHOLD: usize = 65_536;
+pub(crate) const SPILL_THRESHOLD: usize = 65_536;
 
 type CombineFn<'a, K, V> = &'a dyn Fn(&K, Vec<V>) -> Vec<V>;
+
+/// The engine's one grouping step: calls `f(key, values)` once per distinct
+/// key of `pairs`, keys ascending, each key's values in the order they were
+/// pushed — what collecting into a `BTreeMap<K, Vec<V>>` yields. A stable
+/// sort and a walk over the runs of equal keys: no node per key, and an
+/// input that is already sorted (a stateful-combiner mapper's output, a
+/// reducer's slice of the merged shuffle) costs one pass of comparisons.
+pub(crate) fn for_each_group<K: Ord, V>(mut pairs: Vec<(K, V)>, mut f: impl FnMut(K, Vec<V>)) {
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut pairs = pairs.into_iter().peekable();
+    while let Some((key, first)) = pairs.next() {
+        let mut values = vec![first];
+        while let Some((_, v)) = pairs.next_if(|(k, _)| *k == key) {
+            values.push(v);
+        }
+        f(key, values);
+    }
+}
 
 /// Collects the `(key, value)` pairs a mapper emits and meters their wire
 /// size at emission time — the "map output bytes" Hadoop counter. Sizes
@@ -96,15 +112,12 @@ impl<K: Wire + Ord + Clone, V: Wire> Emitter<'_, K, V> {
     /// Spill-combine the buffered pairs in place.
     fn compact(&mut self) {
         let Some(combiner) = self.combiner else { return };
-        let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
-        for (k, v) in self.pairs.drain(..) {
-            grouped.entry(k).or_default().push(v);
-        }
-        for (k, vs) in grouped {
+        let spilled = std::mem::take(&mut self.pairs);
+        for_each_group(spilled, |k, vs| {
             for v in combiner(&k, vs) {
                 self.pairs.push((k.clone(), v));
             }
-        }
+        });
     }
 
     /// Consumes the emitter, returning (possibly spill-combined) pairs and
@@ -131,8 +144,13 @@ pub trait MapReduceJob: Sync {
     /// must re-read (MapReduce's recovery path: inputs are materialized,
     /// failed tasks restart against their split).
     type Input: Sync + Wire;
-    /// Shuffle key. `Ord + Clone` because Hadoop sorts keys between map
-    /// and reduce (and spills re-insert combined pairs).
+    /// Shuffle key. `Ord` because the engine does what Hadoop does between
+    /// map and reduce: every mapper's combined output is a run sorted by
+    /// key, the runs are merged by one stable sort, and each reducer walks
+    /// a contiguous key range of the result — so a key's values reach
+    /// `reduce` in mapper order, and outputs come back in key order.
+    /// `Clone` because a combiner may return several values for one key
+    /// (and spills re-insert combined pairs).
     type Key: Ord + Clone + Send + Wire;
     /// Shuffle value.
     type Value: Send + Wire;

@@ -15,8 +15,10 @@
 //!   the shuffle. Mapper output is charged to the simulated local disk
 //!   (the spill) at its *pre-combine* size; the shuffle is charged to the
 //!   network at its *post-combine* size, matching Hadoop's counters.
-//! * **Reducers** — pairs are grouped by key (sorted, as Hadoop sorts) and
-//!   reduced in parallel reduce tasks.
+//! * **Reducers** — every mapper's combined output is a run sorted by key;
+//!   the driver merges the runs with one stable sort (Hadoop's merge sort,
+//!   so a key's values stay in mapper order) and parallel reduce tasks each
+//!   walk a contiguous key range of the result.
 //! * **Job overhead** — each job pays a flat virtual startup cost, the
 //!   Hadoop job-initialization overhead the paper calls out when comparing
 //!   small datasets on MapReduce vs Spark.

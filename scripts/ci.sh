@@ -26,6 +26,26 @@ for ref in $(grep -ohE 'BENCH_[A-Za-z0-9_]+\.json' README.md DESIGN.md | sort -u
         missing=1
     fi
 done
+# Same for DESIGN.md §4's crate layout: every `*.rs` it names (plain, or
+# `dir/{a,b}.rs`) must exist under the `src/` of the crate whose row it is
+# on, or under `examples/` (this is how `emitter.rs` and `accumulator.rs`
+# stayed listed for ten PRs without ever existing).
+dir=""
+while IFS= read -r line; do
+    if [[ "$line" =~ ^\ \ ([a-z]+)/\  ]]; then
+        dir="crates/${BASH_REMATCH[1]}/src"
+    elif [[ "$line" =~ ^([a-z]+)/\  ]]; then
+        dir="${BASH_REMATCH[1]}"
+    fi
+    for token in $(grep -oE '[A-Za-z0-9_/{},]+\.rs' <<<"$line" || true); do
+        for file in $(eval echo "$token"); do
+            if [[ ! -f "$dir/$file" ]]; then
+                echo "ci: DESIGN.md §4 lists $file but $dir/$file does not exist" >&2
+                missing=1
+            fi
+        done
+    done
+done < <(sed -n '/^## 4\. Crate layout/,/^## 5\./p' DESIGN.md | sed -n '/^```/,/^```/p')
 [[ "$missing" -eq 0 ]] || exit 1
 
 cargo build --release --offline --workspace
