@@ -174,7 +174,8 @@ impl SpcaConfig {
     /// both engines' `fit` call it first. `n_cols` is the input width `D`
     /// (the sketch `d + p` must fit in it). A smart-guess sample fraction
     /// outside `(0, 1]` is rejected on either arm; the randomized arm has
-    /// three more rejectable combinations, each pinned by a test in
+    /// four more rejectable combinations (a reduced-precision arm among
+    /// them — it has none), each pinned by a test in
     /// `crates/core/tests/rpca.rs`, and its knobs are inert on the EM arm.
     pub fn validate(&self, n_cols: usize) -> Result<(), SpcaError> {
         if let Some(fraction) = self.smart_guess.as_ref().map(|sg| sg.sample_fraction) {
@@ -187,6 +188,15 @@ impl SpcaConfig {
         }
         if self.algorithm != Algorithm::Randomized {
             return Ok(());
+        }
+        if self.precision != Precision::F64 {
+            return Err(SpcaError::InvalidConfig {
+                what: format!(
+                    "algorithm = randomized has no reduced-precision arm: precision = {} \
+                     would run f64 arithmetic under an f32/bf16 fingerprint",
+                    self.precision
+                ),
+            });
         }
         if self.rpca_oversample == 0 {
             return Err(SpcaError::InvalidConfig {

@@ -38,7 +38,8 @@
 use linalg::bytes::ByteSized;
 use linalg::sparse::SparseRow;
 use linalg::wire::{self, Wire, WireError, WireReader};
-use linalg::{bf16_round, Mat, MatF32, Precision, SparseMat, WorkerPool};
+use linalg::kernels::{self, Elem};
+use linalg::{bf16_round, Mat, Precision, SparseMat, WorkerPool};
 
 /// Latent row `x = y·CM − Xm` for one sparse row (O(z·d)).
 pub fn latent_row(row: SparseRow<'_>, cm: &Mat, xm: &[f64]) -> Vec<f64> {
@@ -202,63 +203,7 @@ impl YtxPartial {
         cm: &Mat,
         xm: &[f64],
     ) {
-        let d = self.d();
-        assert_eq!(cm.cols(), d, "add_block: CM has {} columns, expected {d}", cm.cols());
-        assert_eq!(block.cols(), cm.rows(), "add_block: block/CM inner dimensions differ");
-        let n = block.rows();
-        if n == 0 {
-            return;
-        }
-        let z = block.nnz();
-        // 2·z·d (Y·CM) + n·d (−Xm) + n·d·(d+1) (Gram) + 2·z·d (scatter) + n·d (Σx).
-        let flops = (4 * z * d + n * d * (d + 3)) as u64;
-        let _span = obs::span_lazy("em", || format!("ytx add_block {n}x{}x{d}", block.cols()))
-            .with_flops(flops);
-
-        // Column support + slab-offset table, one O(z) + O(D) pass.
-        let mut map = vec![u32::MAX; block.cols()];
-        for &c in block.col_indices() {
-            map[c as usize] = 0;
-        }
-        let mut cols: Vec<u32> = Vec::new();
-        for (c, slot) in map.iter_mut().enumerate() {
-            if *slot == 0 {
-                *slot = cols.len() as u32;
-                cols.push(c as u32);
-            }
-        }
-
-        // X_blk = Y·CM − 1⊗Xm: multiply first, then subtract — the exact
-        // operation order of `latent_row`.
-        let mut buf = linalg::scratch::take_zeroed(n * d);
-        linalg::kernels::sparse_mul_dense_into_with_pool(pool, block, cm, &mut buf);
-        let mut x_blk = Mat::from_vec(n, d, buf);
-        for r in 0..n {
-            linalg::vector::axpy(-1.0, xm, x_blk.row_mut(r));
-        }
-
-        // XtX += X'X (upper-triangle kernel, mirrored once).
-        let xtx_blk = linalg::kernels::syrk_tn_with_pool(pool, &x_blk);
-        self.xtx.add_assign(&xtx_blk);
-
-        // YtX: scatter Y'X straight into a fresh packed slab, then merge.
-        let mut slab = linalg::scratch::take_zeroed(cols.len() * d);
-        linalg::kernels::spmm_tn_packed_with_pool(pool, block, &x_blk, &map, &mut slab);
-        self.merge_packed(cols, slab);
-
-        // Σx: per-row adds in ascending order, straight into the
-        // accumulator (the same association as the row-at-a-time fold).
-        for r in 0..n {
-            linalg::vector::axpy(1.0, x_blk.row(r), &mut self.sum_x);
-        }
-        self.rows_seen += n as u64;
-        linalg::scratch::recycle(x_blk.into_vec());
-
-        if let Some(c) = obs::collector() {
-            let reg = c.registry();
-            reg.counter("em.ytx.batch_rows").add(n as u64);
-            reg.counter("em.ytx.flops").add(flops);
-        }
+        self.add_block_in::<f64>(pool, block, cm, xm)
     }
 
     /// [`Self::add_block_prec_with_pool`] on the process-global pool.
@@ -274,16 +219,15 @@ impl YtxPartial {
 
     /// [`Self::add_block_with_pool`] with a selectable arithmetic arm.
     ///
-    /// * [`Precision::F64`] dispatches to the unchanged double-precision
-    ///   path — byte-for-byte the reference result.
-    /// * [`Precision::F32`] narrows `CM` and `Xm` once per call, runs the
-    ///   whole block pipeline (`Y·CM`, Gram, packed scatter, `Σx`) through
-    ///   the `f32` kernels, and widens the per-block results into the
-    ///   `f64` accumulator fields. Cross-block and cross-partition merges
-    ///   stay in `f64`, so error does not compound across the reduction
-    ///   tree.
+    /// * [`Precision::F64`] is [`Self::add_block_with_pool`] — byte-for-byte
+    ///   the reference result.
+    /// * [`Precision::F32`] runs the same block pipeline (`Y·CM`, Gram,
+    ///   packed scatter, `Σx`) over `f32`: `CM` and `Xm` are narrowed once
+    ///   per call and the per-block results widened into the `f64`
+    ///   accumulator fields. Cross-block and cross-partition merges stay in
+    ///   `f64`, so error does not compound across the reduction tree.
     /// * [`Precision::Bf16AccF64`] rounds the block's values, `CM` and
-    ///   `Xm` to bfloat16 and then runs the unchanged `f64` kernels —
+    ///   `Xm` to bfloat16 and then runs the `f64` pipeline —
     ///   representation error only, full-width accumulation.
     ///
     /// Every arm inherits the kernels' determinism contract, so each is
@@ -298,19 +242,20 @@ impl YtxPartial {
         precision: Precision,
     ) {
         match precision {
-            Precision::F64 => self.add_block_with_pool(pool, block, cm, xm),
-            Precision::F32 => self.add_block_f32(pool, block, cm, xm),
+            Precision::F64 => self.add_block_in::<f64>(pool, block, cm, xm),
+            Precision::F32 => self.add_block_in::<f32>(pool, block, cm, xm),
             Precision::Bf16AccF64 => {
                 let (block, cm, xm) = bf16_inputs(block, cm, xm);
-                self.add_block_with_pool(pool, &block, &cm, &xm);
+                self.add_block_in::<f64>(pool, &block, &cm, &xm);
             }
         }
     }
 
-    /// The `f32` arm of [`Self::add_block_prec_with_pool`]: same block
-    /// pipeline and same ascending-row accumulation order as the `f64`
-    /// path, in single precision end to end, widened once per block.
-    fn add_block_f32(&mut self, pool: &WorkerPool, block: &SparseMat, cm: &Mat, xm: &[f64]) {
+    /// The block pipeline over element type `E`: `CM` and `Xm` as `E`
+    /// (borrowed for `f64`, narrowed once for `f32`), every kernel and the
+    /// row sums in `E`, and the per-block results widened into the `f64`
+    /// fields.
+    fn add_block_in<E: Elem>(&mut self, pool: &WorkerPool, block: &SparseMat, cm: &Mat, xm: &[f64]) {
         let d = self.d();
         assert_eq!(cm.cols(), d, "add_block: CM has {} columns, expected {d}", cm.cols());
         assert_eq!(block.cols(), cm.rows(), "add_block: block/CM inner dimensions differ");
@@ -319,16 +264,15 @@ impl YtxPartial {
             return;
         }
         let z = block.nnz();
+        // 2·z·d (Y·CM) + n·d (−Xm) + n·d·(d+1) (Gram) + 2·z·d (scatter) + n·d (Σx).
         let flops = (4 * z * d + n * d * (d + 3)) as u64;
         let _span = obs::span_lazy("em", || {
-            format!("ytx add_block f32 {n}x{}x{d}", block.cols())
+            format!("ytx add_block{} {n}x{}x{d}", E::SUFFIX.replace('_', " "), block.cols())
         })
         .with_flops(flops);
+        let (cm, xm) = (E::narrowed(cm.data()), E::narrowed(xm));
 
-        let cm32 = MatF32::from_f64(cm);
-        let xm32: Vec<f32> = xm.iter().map(|&v| v as f32).collect();
-
-        // Column support + slab-offset table, identical to the f64 path.
+        // Column support + slab-offset table, one O(z) + O(D) pass.
         let mut map = vec![u32::MAX; block.cols()];
         for &c in block.col_indices() {
             map[c as usize] = 0;
@@ -341,43 +285,32 @@ impl YtxPartial {
             }
         }
 
-        // X_blk = Y·CM − 1⊗Xm in f32.
-        let mut x32 = MatF32::zeros(n, d);
-        linalg::kernels_f32::sparse_mul_dense_f32_into_with_pool(
-            pool,
-            block,
-            &cm32,
-            x32.data_mut(),
-        );
-        for row in x32.data_mut().chunks_exact_mut(d) {
-            for (o, &m) in row.iter_mut().zip(&xm32) {
-                *o -= m;
-            }
+        let mut x_blk = E::take_zeroed(n * d);
+        latent_block(pool, block, &cm, &xm, &mut x_blk);
+
+        // XtX += X'X (upper-triangle kernel, mirrored once).
+        let mut xtx_blk = vec![E::ZERO; d * d];
+        kernels::syrk_tn_slices(pool, &x_blk, d, &mut xtx_blk);
+        for (dst, src) in self.xtx.data_mut().iter_mut().zip(xtx_blk) {
+            *dst += src.widen();
         }
 
-        // XtX += X'X, widened element-wise after the f32 Gram.
-        let xtx32 = linalg::kernels_f32::syrk_tn_f32_with_pool(pool, &x32);
-        for (dst, &src) in self.xtx.data_mut().iter_mut().zip(xtx32.data()) {
-            *dst += f64::from(src);
-        }
+        // YtX: scatter Y'X straight into a fresh packed slab, then merge.
+        let mut slab = E::take_zeroed(cols.len() * d);
+        kernels::spmm_scatter(pool, block, &x_blk, d, Some(&map), &mut slab);
+        self.merge_packed(cols, E::widened(slab));
 
-        // YtX: f32 packed scatter, widened into a fresh f64 slab.
-        let mut slab32 = vec![0.0f32; cols.len() * d];
-        linalg::kernels_f32::spmm_tn_packed_f32_with_pool(pool, block, &x32, &map, &mut slab32);
-        let slab: Vec<f64> = slab32.iter().map(|&v| f64::from(v)).collect();
-        self.merge_packed(cols, slab);
-
-        // Σx: f32 row sums in ascending order, widened once.
-        let mut sum32 = vec![0.0f32; d];
-        for row in x32.data().chunks_exact(d) {
-            for (s, &v) in sum32.iter_mut().zip(row) {
-                *s += v;
-            }
+        // Σx: per-row adds in ascending order (the association of the
+        // row-at-a-time fold), summed in `E` and added once per block.
+        let mut sum_blk = vec![E::ZERO; d];
+        for r in 0..n {
+            linalg::vector::axpy(E::narrow(1.0), &x_blk[r * d..(r + 1) * d], &mut sum_blk);
         }
-        for (dst, &src) in self.sum_x.iter_mut().zip(&sum32) {
-            *dst += f64::from(src);
+        for (dst, src) in self.sum_x.iter_mut().zip(sum_blk) {
+            *dst += src.widen();
         }
         self.rows_seen += n as u64;
+        E::recycle(x_blk);
 
         if let Some(c) = obs::collector() {
             let reg = c.registry();
@@ -596,20 +529,7 @@ pub fn ss3_block_with_pool(
     xm: &[f64],
     c_new: &Mat,
 ) -> f64 {
-    let n = block.rows();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut x = linalg::kernels::sparse_mul_dense_with_pool(pool, block, cm);
-    for r in 0..n {
-        linalg::vector::axpy(-1.0, xm, x.row_mut(r));
-    }
-    let cy = linalg::kernels::sparse_mul_dense_with_pool(pool, block, c_new);
-    let mut part = 0.0;
-    for r in 0..n {
-        part += linalg::vector::dot(x.row(r), cy.row(r));
-    }
-    part
+    ss3_block_in::<f64>(pool, block, cm, xm, c_new)
 }
 
 /// [`ss3_block_prec_with_pool`] on the process-global pool.
@@ -634,52 +554,47 @@ pub fn ss3_block_prec_with_pool(
     precision: Precision,
 ) -> f64 {
     match precision {
-        Precision::F64 => ss3_block_with_pool(pool, block, cm, xm, c_new),
-        Precision::F32 => {
-            let n = block.rows();
-            if n == 0 {
-                return 0.0;
-            }
-            let d = cm.cols();
-            let cm32 = MatF32::from_f64(cm);
-            let xm32: Vec<f32> = xm.iter().map(|&v| v as f32).collect();
-            let c32 = MatF32::from_f64(c_new);
-            let mut x32 = MatF32::zeros(n, d);
-            linalg::kernels_f32::sparse_mul_dense_f32_into_with_pool(
-                pool,
-                block,
-                &cm32,
-                x32.data_mut(),
-            );
-            for row in x32.data_mut().chunks_exact_mut(d) {
-                for (o, &m) in row.iter_mut().zip(&xm32) {
-                    *o -= m;
-                }
-            }
-            let mut cy32 = MatF32::zeros(n, d);
-            linalg::kernels_f32::sparse_mul_dense_f32_into_with_pool(
-                pool,
-                block,
-                &c32,
-                cy32.data_mut(),
-            );
-            // Per-row f32 dot products, summed in ascending row order in
-            // f32, widened once per block.
-            let mut part = 0.0f32;
-            for (xr, cr) in x32.data().chunks_exact(d).zip(cy32.data().chunks_exact(d)) {
-                let mut dot = 0.0f32;
-                for (a, b) in xr.iter().zip(cr) {
-                    dot += a * b;
-                }
-                part += dot;
-            }
-            f64::from(part)
-        }
+        Precision::F64 => ss3_block_in::<f64>(pool, block, cm, xm, c_new),
+        Precision::F32 => ss3_block_in::<f32>(pool, block, cm, xm, c_new),
         Precision::Bf16AccF64 => {
             let (block, cm, xm) = bf16_inputs(block, cm, xm);
-            let c_new = bf16_mat(c_new);
-            ss3_block_with_pool(pool, &block, &cm, &xm, &c_new)
+            ss3_block_in::<f64>(pool, &block, &cm, &xm, &bf16_mat(c_new))
         }
+    }
+}
+
+/// The ss3 pipeline over element type `E`; the per-row dot products are
+/// summed in `E` and widened once per block.
+fn ss3_block_in<E: Elem>(
+    pool: &WorkerPool,
+    block: &SparseMat,
+    cm: &Mat,
+    xm: &[f64],
+    c_new: &Mat,
+) -> f64 {
+    let (n, d) = (block.rows(), cm.cols());
+    if n == 0 {
+        return 0.0;
+    }
+    let mut x = vec![E::ZERO; n * d];
+    latent_block(pool, block, &E::narrowed(cm.data()), &E::narrowed(xm), &mut x);
+    let mut cy = vec![E::ZERO; n * d];
+    kernels::sparse_mul_dense_slices(pool, block, &E::narrowed(c_new.data()), d, &mut cy);
+    let mut part = E::ZERO;
+    for r in 0..n {
+        part += E::dot(&x[r * d..(r + 1) * d], &cy[r * d..(r + 1) * d]);
+    }
+    part.widen()
+}
+
+/// `X_blk = Y·CM − 1⊗Xm` into the zeroed `block.rows() × xm.len()`
+/// `x_blk`: multiply first, then subtract — the exact operation order of
+/// [`latent_row`].
+fn latent_block<E: Elem>(pool: &WorkerPool, block: &SparseMat, cm: &[E], xm: &[E], x_blk: &mut [E]) {
+    let d = xm.len();
+    kernels::sparse_mul_dense_slices(pool, block, cm, d, x_blk);
+    for r in 0..block.rows() {
+        linalg::vector::axpy(E::narrow(-1.0), xm, &mut x_blk[r * d..(r + 1) * d]);
     }
 }
 

@@ -277,8 +277,9 @@ impl PassArm for RpcaArm<'_> {
 
         // Convergence telemetry: fraction of centered energy the top-d
         // sketch captures — the randomized analogue of EM's objective.
-        // No reduced-precision arms on the randomized path (yet): the
-        // precision knob is inert here, as for f64 EM.
+        // No reduced-precision arms on the randomized path, so no
+        // divergence to report: `SpcaConfig::validate` rejects the
+        // combination.
         Ok(PassStats { objective: captured / fnorm_c.max(f64::MIN_POSITIVE), divergence: None })
     }
 

@@ -25,6 +25,12 @@
 //! * **Threading** — large products fan row chunks out on the shared
 //!   [`WorkerPool`]; small ones never touch the pool.
 //!
+//! The three per-partition products of the EM pass — `Y·B`, `XᵀX`,
+//! `YᵀX` — are written once over an element type ([`Elem`]: `f64`, and
+//! `f32` for the reduced-precision arm); the `Mat` / `MatF32` entry points
+//! are thin calls into those cores. The driver-side `matmul*` / `matvec`
+//! are `f64` only.
+//!
 //! # Determinism contract
 //!
 //! Split points depend on the *problem shape only*, never on the worker
@@ -43,7 +49,9 @@
 //! differ between the two kinds of host. Every other kernel here rounds
 //! each multiply and each add on its own everywhere.
 
-use crate::dense::Mat;
+use std::borrow::Cow;
+
+use crate::dense::{Mat, MatF32};
 use crate::pool::WorkerPool;
 use crate::sparse::SparseMat;
 use crate::vector;
@@ -110,11 +118,11 @@ pub(crate) fn row_ranges(rows: usize, chunks: usize) -> Vec<(usize, usize)> {
 /// Cuts a row-major buffer of `width`-wide rows into the disjoint
 /// row-chunks of `ranges` (which tile its rows in order), so each pool task
 /// owns its slice: no copies and no reduction.
-fn split_rows_mut<'a>(
-    mut rest: &'a mut [f64],
+fn split_rows_mut<'a, E>(
+    mut rest: &'a mut [E],
     ranges: &[(usize, usize)],
     width: usize,
-) -> Vec<(usize, usize, &'a mut [f64])> {
+) -> Vec<(usize, usize, &'a mut [E])> {
     let mut slices = Vec::with_capacity(ranges.len());
     for &(start, end) in ranges {
         let (head, tail) = rest.split_at_mut((end - start) * width);
@@ -151,20 +159,145 @@ pub(crate) fn nnz_ranges(y: &SparseMat, chunks: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Best-effort prefetch of dense row `c` of `b` into L1 — the sparse
-/// product's B-row reads are data-dependent gathers, so the hardware
-/// prefetcher cannot see them coming.
+/// Row `r` of a row-major buffer of `cols`-wide rows.
 #[inline(always)]
-fn prefetch_row(b: &Mat, c: usize) {
+fn row_of<E>(data: &[E], cols: usize, r: usize) -> &[E] {
+    &data[r * cols..(r + 1) * cols]
+}
+
+/// Best-effort prefetch of a dense row into L1 — the sparse product's
+/// B-row reads are data-dependent gathers, so the hardware prefetcher
+/// cannot see them coming.
+#[inline(always)]
+fn prefetch_row<E>(row: &[E]) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch has no architectural effect beyond the cache, and
     // the pointer is a live in-bounds row.
     unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(b.row(c).as_ptr() as *const i8);
+        _mm_prefetch::<_MM_HINT_T0>(row.as_ptr() as *const i8);
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (b, c);
+    let _ = row;
+}
+
+// ---------------------------------------------------------------------------
+// The element type of the batched EM kernels
+// ---------------------------------------------------------------------------
+
+/// One register tile of accumulators.
+type Tile<E> = [[E; TN_JR]; TN_IR];
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f64 {}
+    impl Sealed for f32 {}
+}
+
+/// The element type the batched EM kernels — `Y·B`, `XᵀX`, `YᵀX` — and
+/// the block pipeline `core::mean_prop` builds from them are written over,
+/// once. Implemented for `f64` (the reference arithmetic) and `f32`
+/// ([`Precision::F32`](crate::Precision)) and sealed. Shared code never
+/// asks which of the two it runs on: both take the same route for the same
+/// shape, and what differs — below, plus the fused updates of
+/// [`vector::Scalar`] — is data, not control flow.
+pub trait Elem: sealed::Sealed + vector::Scalar + Send + Sync + PartialEq + 'static {
+    /// `+0.0`, where every accumulator starts.
+    const ZERO: Self;
+    /// Appended to kernel names in trace spans.
+    const SUFFIX: &'static str;
+    /// From a CSR value (always stored as `f64`): the identity, or the
+    /// hardware round-to-nearest-even conversion.
+    fn narrow(v: f64) -> Self;
+    /// Back to `f64`; exact.
+    fn widen(self) -> f64;
+    /// A dense `f64` operand as this type: borrowed as it is, or a
+    /// narrowed copy.
+    fn narrowed(src: &[f64]) -> Cow<'_, [Self]>;
+    /// A result buffer as `f64`: itself, or a widened copy.
+    fn widened(buf: Vec<Self>) -> Vec<f64>;
+    /// A zeroed work buffer. The `f64` ones are multi-megabyte per task at
+    /// the paper's shapes and go through [`crate::scratch`]; the freelist
+    /// holds `f64` buffers only, so `f32` ones come from the allocator.
+    fn take_zeroed(len: usize) -> Vec<Self>;
+    /// Retires a buffer [`Elem::take_zeroed`] handed out.
+    fn recycle(buf: Vec<Self>);
+    /// [`vector::dot`] for `f64` — four interleaved partial sums. The
+    /// `f32` arm has always summed left to right, and its pinned model
+    /// hash depends on that order.
+    fn dot(a: &[Self], b: &[Self]) -> Self;
+    /// The register-tile micro-kernel ([`tn_tile`]): both types run the
+    /// same separately rounded chain; `f64` has a hand-written AVX-512
+    /// form of it behind a runtime check.
+    fn tile(apanel: &[Self], bpanel: &[Self], acc: Tile<Self>) -> Tile<Self>;
+}
+
+impl Elem for f64 {
+    const ZERO: f64 = 0.0;
+    const SUFFIX: &'static str = "";
+    #[inline(always)]
+    fn narrow(v: f64) -> f64 {
+        v
+    }
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self
+    }
+    fn narrowed(src: &[f64]) -> Cow<'_, [f64]> {
+        Cow::Borrowed(src)
+    }
+    fn widened(buf: Vec<f64>) -> Vec<f64> {
+        buf
+    }
+    fn take_zeroed(len: usize) -> Vec<f64> {
+        crate::scratch::take_zeroed(len)
+    }
+    fn recycle(buf: Vec<f64>) {
+        crate::scratch::recycle(buf)
+    }
+    #[inline(always)]
+    fn dot(a: &[f64], b: &[f64]) -> f64 {
+        vector::dot(a, b)
+    }
+    #[inline(always)]
+    fn tile(apanel: &[f64], bpanel: &[f64], acc: Tile<f64>) -> Tile<f64> {
+        tn_tile(apanel, bpanel, acc)
+    }
+}
+
+impl Elem for f32 {
+    const ZERO: f32 = 0.0;
+    const SUFFIX: &'static str = "_f32";
+    #[inline(always)]
+    fn narrow(v: f64) -> f32 {
+        v as f32
+    }
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        f64::from(self)
+    }
+    fn narrowed(src: &[f64]) -> Cow<'_, [f32]> {
+        Cow::Owned(src.iter().map(|&v| v as f32).collect())
+    }
+    fn widened(buf: Vec<f32>) -> Vec<f64> {
+        buf.into_iter().map(f64::from).collect()
+    }
+    fn take_zeroed(len: usize) -> Vec<f32> {
+        vec![0.0; len]
+    }
+    fn recycle(_buf: Vec<f32>) {}
+    #[inline]
+    fn dot(a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len(), "dot: length mismatch {} vs {}", a.len(), b.len());
+        let mut sum = 0.0f32;
+        for (x, y) in a.iter().zip(b) {
+            sum += x * y;
+        }
+        sum
+    }
+    fn tile(apanel: &[f32], bpanel: &[f32], acc: Tile<f32>) -> Tile<f32> {
+        tn_tile_portable(apanel, bpanel, acc)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -524,7 +657,7 @@ fn matmul_tn_rows_portable(a: &Mat, b: &Mat, start: usize, end: usize, out: &mut
 /// With AVX-512 the same chain runs on 512-bit registers
 /// ([`tn_tile_zmm`]); the two paths round identically, so which one ran
 /// is not observable in the result.
-fn tn_tile(apanel: &[f64], bpanel: &[f64], acc: [[f64; TN_JR]; TN_IR]) -> [[f64; TN_JR]; TN_IR] {
+fn tn_tile(apanel: &[f64], bpanel: &[f64], acc: Tile<f64>) -> Tile<f64> {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
@@ -543,14 +676,10 @@ fn tn_tile(apanel: &[f64], bpanel: &[f64], acc: [[f64; TN_JR]; TN_IR]) -> [[f64;
 /// extra live state defeats the vectorizer and it scalarizes (measured
 /// ~4× slower). The call overhead is amortized over the panel rows.
 #[inline(never)]
-fn tn_tile_portable(
-    apanel: &[f64],
-    bpanel: &[f64],
-    mut acc: [[f64; TN_JR]; TN_IR],
-) -> [[f64; TN_JR]; TN_IR] {
+fn tn_tile_portable<E: Elem>(apanel: &[E], bpanel: &[E], mut acc: Tile<E>) -> Tile<E> {
     for (a_blk, b_blk) in apanel.chunks_exact(TN_IR).zip(bpanel.chunks_exact(TN_JR)) {
-        let a_blk: &[f64; TN_IR] = a_blk.try_into().expect("tile height");
-        let b_blk: &[f64; TN_JR] = b_blk.try_into().expect("tile width");
+        let a_blk: &[E; TN_IR] = a_blk.try_into().expect("tile height");
+        let b_blk: &[E; TN_JR] = b_blk.try_into().expect("tile width");
         for u in 0..TN_JR {
             let bu = b_blk[u];
             for t in 0..TN_IR {
@@ -569,11 +698,7 @@ fn tn_tile_portable(
 /// issue on different ports (measured 1.2–1.3× on the reference host).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn tn_tile_zmm(
-    apanel: &[f64],
-    bpanel: &[f64],
-    mut acc: [[f64; TN_JR]; TN_IR],
-) -> [[f64; TN_JR]; TN_IR] {
+unsafe fn tn_tile_zmm(apanel: &[f64], bpanel: &[f64], mut acc: Tile<f64>) -> Tile<f64> {
     use std::arch::x86_64::{
         _mm512_add_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_storeu_pd,
     };
@@ -789,12 +914,36 @@ pub fn sparse_mul_dense_into(y: &SparseMat, b: &Mat, out: &mut [f64]) {
 
 /// [`sparse_mul_dense_into`] on an explicit pool.
 pub fn sparse_mul_dense_into_with_pool(pool: &WorkerPool, y: &SparseMat, b: &Mat, out: &mut [f64]) {
+    sparse_mul_dense_slices(pool, y, b.data(), b.cols(), out)
+}
+
+/// [`sparse_mul_dense_into_with_pool`] in `f32`: `Y`'s values are
+/// narrowed as they are read.
+pub fn sparse_mul_dense_f32_into_with_pool(
+    pool: &WorkerPool,
+    y: &SparseMat,
+    b: &MatF32,
+    out: &mut [f32],
+) {
+    sparse_mul_dense_slices(pool, y, b.data(), b.cols(), out)
+}
+
+/// `out += Y·B` over either element type: `b` is the `y.cols() × n`
+/// row-major operand and `out` the caller-zeroed `y.rows() × n` result.
+pub fn sparse_mul_dense_slices<E: Elem>(
+    pool: &WorkerPool,
+    y: &SparseMat,
+    b: &[E],
+    n: usize,
+    out: &mut [E],
+) {
     let m = y.rows();
-    let n = b.cols();
-    assert_eq!(y.cols(), b.rows(), "mul_dense: inner dimensions differ");
+    assert_eq!(b.len(), y.cols() * n, "mul_dense: inner dimensions differ");
     assert_eq!(out.len(), m * n, "mul_dense: output buffer is {} not {}", out.len(), m * n);
-    let mut span = obs::span_lazy("kernel", || format!("sparse_mul_dense {m}x{n} nnz={}", y.nnz()))
-        .with_flops(2 * y.nnz() as u64 * n as u64);
+    let mut span = obs::span_lazy("kernel", || {
+        format!("sparse_mul_dense{} {m}x{n} nnz={}", E::SUFFIX, y.nnz())
+    })
+    .with_flops(2 * y.nnz() as u64 * n as u64);
     let full = full_block(y);
     span.arg("route", route_name(full.is_some()));
     if m == 0 || n == 0 {
@@ -808,16 +957,16 @@ pub fn sparse_mul_dense_into_with_pool(pool: &WorkerPool, y: &SparseMat, b: &Mat
     let mean_nnz = y.nnz() / m.max(1);
     let chunks = chunk_count(m, 2 * n * mean_nnz.max(1));
     if let Some(rows) = full {
-        return full_mul_dense(pool, rows, b, chunks, out);
+        return full_mul_dense(pool, rows, b, n, chunks, out);
     }
     if chunks == 1 {
-        sparse_rows_mul(y, b, 0, m, out);
+        sparse_rows_mul(y, b, n, 0, m, out);
         return;
     }
     pool.run(
         split_rows_mut(out, &nnz_ranges(y, chunks), n)
             .into_iter()
-            .map(|(start, end, slice)| move || sparse_rows_mul(y, b, start, end, slice))
+            .map(|(start, end, slice)| move || sparse_rows_mul(y, b, n, start, end, slice))
             .collect(),
     );
 }
@@ -829,37 +978,30 @@ pub fn sparse_mul_dense_into_with_pool(pool: &WorkerPool, y: &SparseMat, b: &Mat
 /// `B` rows are prefetched while the current one computes: the row
 /// gathers are data-dependent, so without the hint every quad starts on
 /// a cold DRAM access.
-fn sparse_rows_mul(y: &SparseMat, b: &Mat, start: usize, end: usize, out: &mut [f64]) {
-    let n = b.cols();
+fn sparse_rows_mul<E: Elem>(y: &SparseMat, b: &[E], n: usize, start: usize, end: usize, out: &mut [E]) {
     for r in start..end {
         let row = y.row(r);
         let o = &mut out[(r - start) * n..(r - start + 1) * n];
         let nnz = row.indices.len();
+        // Term `t` of the row: the narrowed value and the `B` row it scales.
+        let term = |t: usize| (E::narrow(row.values[t]), row_of(b, n, row.indices[t] as usize));
         let mut t = 0;
         while t + 4 <= nnz {
             for &c in row.indices[t + 4..nnz.min(t + 8)].iter() {
-                prefetch_row(b, c as usize);
+                prefetch_row(row_of(b, n, c as usize));
             }
-            vector::axpy4(
-                row.values[t],
-                b.row(row.indices[t] as usize),
-                row.values[t + 1],
-                b.row(row.indices[t + 1] as usize),
-                row.values[t + 2],
-                b.row(row.indices[t + 2] as usize),
-                row.values[t + 3],
-                b.row(row.indices[t + 3] as usize),
-                o,
-            );
+            let ((v0, b0), (v1, b1), (v2, b2), (v3, b3)) = (term(t), term(t + 1), term(t + 2), term(t + 3));
+            vector::axpy4(v0, b0, v1, b1, v2, b2, v3, b3, o);
             t += 4;
         }
         if t + 2 <= nnz {
-            let (c0, c1) = (row.indices[t] as usize, row.indices[t + 1] as usize);
-            vector::axpy2(row.values[t], b.row(c0), row.values[t + 1], b.row(c1), o);
+            let ((v0, b0), (v1, b1)) = (term(t), term(t + 1));
+            vector::axpy2(v0, b0, v1, b1, o);
             t += 2;
         }
         if t < nnz {
-            vector::axpy(row.values[t], b.row(row.indices[t] as usize), o);
+            let (v, b_row) = term(t);
+            vector::axpy(v, b_row, o);
         }
     }
 }
@@ -874,19 +1016,34 @@ pub fn syrk_tn(x: &Mat) -> Mat {
     syrk_tn_with_pool(WorkerPool::global(), x)
 }
 
-/// `XᵀX` on an explicit pool.
+/// `XᵀX` on an explicit pool ([`syrk_tn_slices`] has the contract).
+pub fn syrk_tn_with_pool(pool: &WorkerPool, x: &Mat) -> Mat {
+    let mut out = Mat::zeros(x.cols(), x.cols());
+    syrk_tn_slices(pool, x.data(), x.cols(), out.data_mut());
+    out
+}
+
+/// [`syrk_tn_with_pool`] in `f32`.
+pub fn syrk_tn_f32_with_pool(pool: &WorkerPool, x: &MatF32) -> MatF32 {
+    let mut out = MatF32::zeros(x.cols(), x.cols());
+    syrk_tn_slices(pool, x.data(), x.cols(), out.data_mut());
+    out
+}
+
+/// `XᵀX` over either element type, for the row-major `d`-wide rows `x`,
+/// into the caller-zeroed `d × d` `out`.
 ///
 /// Parallelism is over *output* rows: each task scans every row of `X` but
 /// writes only its own disjoint band of the upper triangle, so there is no
 /// partial-buffer reduction and every output element accumulates its
 /// `x_r[i]·x_r[j]` terms in ascending-`r` order — the exact operation
 /// sequence of the row-at-a-time EM reference (which axpys row `i` of the
-/// Gram whenever `x_r[i] != 0`). The mirror step is exact too: f64
-/// multiplication commutes bit-for-bit, so `C[j][i] = C[i][j]` reproduces
-/// the lower-triangle accumulation of the reference (accumulators starting
-/// at +0.0 can never become -0.0, so the reference's zero-skip asymmetry
-/// cannot change bits either). Results are therefore bit-identical to the
-/// reference on any pool size.
+/// Gram whenever `x_r[i] != 0`). The mirror step is exact too:
+/// floating-point multiplication commutes bit-for-bit, so
+/// `C[j][i] = C[i][j]` reproduces the lower-triangle accumulation of the
+/// reference (accumulators starting at +0.0 can never become -0.0, so the
+/// reference's zero-skip asymmetry cannot change bits either). Results are
+/// therefore bit-identical to the reference on any pool size.
 ///
 /// From [`TILE_MIN_ROWS`] rows up the bands are rows of 8×8 register
 /// tiles over `X` packed once into panels ([`syrk_tn_tiles`]); below it
@@ -894,45 +1051,43 @@ pub fn syrk_tn(x: &Mat) -> Mat {
 /// The tiles do not skip zeros, which for finite `X` adds `±0.0` to an
 /// accumulator that is never `-0.0` — the same bits on both sides of the
 /// cut-over.
-pub fn syrk_tn_with_pool(pool: &WorkerPool, x: &Mat) -> Mat {
-    let (n, d) = (x.rows(), x.cols());
-    let _span = obs::span_lazy("kernel", || format!("syrk_tn {n}x{d}"))
+pub fn syrk_tn_slices<E: Elem>(pool: &WorkerPool, x: &[E], d: usize, out: &mut [E]) {
+    let n = if d == 0 { 0 } else { x.len() / d };
+    assert_eq!(x.len(), n * d, "syrk_tn: input is a whole number of rows");
+    assert_eq!(out.len(), d * d, "syrk_tn: output buffer is {} not {d}x{d}", out.len());
+    let _span = obs::span_lazy("kernel", || format!("syrk_tn{} {n}x{d}", E::SUFFIX))
         .with_flops(n as u64 * d as u64 * (d as u64 + 1));
-    let mut out = Mat::zeros(d, d);
-    if n == 0 || d == 0 {
-        return out;
+    if n == 0 {
+        return;
     }
     // Mean flops per output row of the triangle: n·(d+1).
     let chunks = chunk_count(d, n * (d + 1));
     if n >= TILE_MIN_ROWS {
-        syrk_tn_tiled(pool, x, chunks, out.data_mut());
+        syrk_tn_tiled(pool, x, d, chunks, out);
     } else if chunks == 1 {
-        syrk_tn_band(x, 0, d, out.data_mut());
+        syrk_tn_band(x, d, 0, d, out);
     } else {
         pool.run(
-            split_rows_mut(out.data_mut(), &row_ranges(d, chunks), d)
+            split_rows_mut(out, &row_ranges(d, chunks), d)
                 .into_iter()
-                .map(|(start, end, slice)| move || syrk_tn_band(x, start, end, slice))
+                .map(|(start, end, slice)| move || syrk_tn_band(x, d, start, end, slice))
                 .collect(),
         );
     }
     for i in 0..d {
         for j in 0..i {
-            out[(i, j)] = out[(j, i)];
+            out[i * d + j] = out[j * d + i];
         }
     }
-    out
 }
 
 /// Accumulates upper-triangle output rows `[lo, hi)` of `XᵀX` into `out`
 /// (`(hi-lo)×d` row-major; entries left of the diagonal stay zero).
-fn syrk_tn_band(x: &Mat, lo: usize, hi: usize, out: &mut [f64]) {
-    let d = x.cols();
-    for r in 0..x.rows() {
-        let row = x.row(r);
+fn syrk_tn_band<E: Elem>(x: &[E], d: usize, lo: usize, hi: usize, out: &mut [E]) {
+    for row in x.chunks_exact(d) {
         for i in lo..hi {
             let xi = row[i];
-            if xi != 0.0 {
+            if xi != E::ZERO {
                 let base = (i - lo) * d;
                 vector::axpy(xi, &row[i..], &mut out[base + i..base + d]);
             }
@@ -957,9 +1112,15 @@ pub fn spmm_tn(y: &SparseMat, x: &Mat) -> Mat {
 /// non-zero in ascending input-row order — bit-identical to the
 /// row-at-a-time reference on any pool size.
 pub fn spmm_tn_with_pool(pool: &WorkerPool, y: &SparseMat, x: &Mat) -> Mat {
-    assert_eq!(y.rows(), x.rows(), "spmm_tn: row counts differ ({} vs {})", y.rows(), x.rows());
     let mut out = Mat::zeros(y.cols(), x.cols());
-    spmm_scatter(pool, y, x, None, out.data_mut());
+    spmm_scatter(pool, y, x.data(), x.cols(), None, out.data_mut());
+    out
+}
+
+/// [`spmm_tn_with_pool`] in `f32`.
+pub fn spmm_tn_f32_with_pool(pool: &WorkerPool, y: &SparseMat, x: &MatF32) -> MatF32 {
+    let mut out = MatF32::zeros(y.cols(), x.cols());
+    spmm_scatter(pool, y, x.data(), x.cols(), None, out.data_mut());
     out
 }
 
@@ -981,22 +1142,41 @@ pub fn spmm_tn_packed_with_pool(
     map: &[u32],
     out: &mut [f64],
 ) {
-    assert_eq!(y.rows(), x.rows(), "spmm_tn: row counts differ ({} vs {})", y.rows(), x.rows());
-    assert_eq!(map.len(), y.cols(), "spmm_tn: column map covers every Y column");
-    spmm_scatter(pool, y, x, Some(map), out)
+    spmm_scatter(pool, y, x.data(), x.cols(), Some(map), out)
 }
 
-/// Shared scatter driver: `out` has `out.len()/x.cols()` rows; column `c`
-/// of `Y` lands in row `map[c]` (or `c` when no map is given).
-fn spmm_scatter(pool: &WorkerPool, y: &SparseMat, x: &Mat, map: Option<&[u32]>, out: &mut [f64]) {
-    let d = x.cols();
+/// [`spmm_tn_packed_with_pool`] in `f32`.
+pub fn spmm_tn_packed_f32_with_pool(
+    pool: &WorkerPool,
+    y: &SparseMat,
+    x: &MatF32,
+    map: &[u32],
+    out: &mut [f32],
+) {
+    spmm_scatter(pool, y, x.data(), x.cols(), Some(map), out)
+}
+
+/// The scatter driver behind every `spmm_tn*` entry point, over either
+/// element type: `x` is `y.rows() × d` row-major, `out` has
+/// `out.len() / d` rows, and column `c` of `Y` lands in row `map[c]` (or
+/// `c` when no map is given).
+pub fn spmm_scatter<E: Elem>(
+    pool: &WorkerPool,
+    y: &SparseMat,
+    x: &[E],
+    d: usize,
+    map: Option<&[u32]>,
+    out: &mut [E],
+) {
+    assert_eq!(x.len(), y.rows() * d, "spmm_tn: X is {} elements, not {}x{d}", x.len(), y.rows());
+    assert!(map.is_none_or(|m| m.len() == y.cols()), "spmm_tn: column map covers every Y column");
     if d == 0 {
         return;
     }
     assert_eq!(out.len() % d, 0, "spmm_tn: output is a whole number of rows");
     let out_rows = out.len() / d;
     let mut span = obs::span_lazy("kernel", || {
-        format!("spmm_tn {}x{out_rows}x{d} nnz={}", y.rows(), y.nnz())
+        format!("spmm_tn{} {}x{out_rows}x{d} nnz={}", E::SUFFIX, y.rows(), y.nnz())
     })
     .with_flops(2 * y.nnz() as u64 * d as u64);
     // A full block under the identity map (which is what a full block's
@@ -1013,7 +1193,7 @@ fn spmm_scatter(pool: &WorkerPool, y: &SparseMat, x: &Mat, map: Option<&[u32]>, 
     if let Some(rows) = dense {
         let cols = y.cols();
         assert!(out_rows >= cols, "spmm_tn: output has {out_rows} rows for {cols} columns");
-        return full_tn(pool, rows, cols, x, &mut out[..cols * d]);
+        return full_tn(pool, rows, cols, x, d, &mut out[..cols * d]);
     }
     // The per-nnz axpys land on effectively random output rows, so a wide
     // output turns the scatter memory-bound. Band the output small enough
@@ -1021,7 +1201,7 @@ fn spmm_scatter(pool: &WorkerPool, y: &SparseMat, x: &Mat, map: Option<&[u32]>, 
     // (like `chunk_count`) banding never affects results.
     let bands = out.len().div_ceil(SCATTER_BAND_ELEMS).clamp(1, MAX_SCATTER_BANDS.min(out_rows));
     if bands == 1 {
-        spmm_scatter_band(y, x, map, 0, out_rows, out);
+        spmm_scatter_band(y, x, d, map, 0, out_rows, out);
         return;
     }
     let band_rows = out_rows.div_ceil(bands);
@@ -1043,20 +1223,20 @@ fn spmm_scatter(pool: &WorkerPool, y: &SparseMat, x: &Mat, map: Option<&[u32]>, 
     for b in 0..bands {
         starts[b + 1] += starts[b];
     }
-    // (output row, input row, value) per non-zero, 16 bytes.
-    let mut entries: Vec<(u32, u32, f64)> = vec![(0, 0, 0.0); y.nnz()];
+    // (output row, input row, value) per non-zero: 16 bytes, 12 in `f32`.
+    let mut entries: Vec<(u32, u32, E)> = vec![(0, 0, E::ZERO); y.nnz()];
     let mut next = starts.clone();
     for r in 0..y.rows() {
         let row = y.row(r);
         for (&c, &v) in row.indices.iter().zip(row.values) {
             let t = target(c);
             let slot = &mut next[t / band_rows];
-            entries[*slot] = (t as u32, r as u32, v);
+            entries[*slot] = (t as u32, r as u32, E::narrow(v));
             *slot += 1;
         }
     }
 
-    let mut tasks: Vec<(usize, &[(u32, u32, f64)], &mut [f64])> = Vec::with_capacity(bands);
+    let mut tasks: Vec<(usize, &[(u32, u32, E)], &mut [E])> = Vec::with_capacity(bands);
     let mut rest = out;
     for b in 0..bands {
         let lo = b * band_rows;
@@ -1072,7 +1252,7 @@ fn spmm_scatter(pool: &WorkerPool, y: &SparseMat, x: &Mat, map: Option<&[u32]>, 
                 move || {
                     for &(t, r, v) in band_entries {
                         let base = (t as usize - lo) * d;
-                        vector::axpy(v, x.row(r as usize), &mut slice[base..base + d]);
+                        vector::axpy(v, row_of(x, d, r as usize), &mut slice[base..base + d]);
                     }
                 }
             })
@@ -1082,28 +1262,28 @@ fn spmm_scatter(pool: &WorkerPool, y: &SparseMat, x: &Mat, map: Option<&[u32]>, 
 
 /// Scatters non-zeros whose (mapped) output row falls in `[lo, hi)` into
 /// `out` (`(hi-lo)×d`), in ascending input-row order.
-fn spmm_scatter_band(
+fn spmm_scatter_band<E: Elem>(
     y: &SparseMat,
-    x: &Mat,
+    x: &[E],
+    d: usize,
     map: Option<&[u32]>,
     lo: usize,
     hi: usize,
-    out: &mut [f64],
+    out: &mut [E],
 ) {
-    let d = x.cols();
     for r in 0..y.rows() {
         let row = y.row(r);
         if row.indices.is_empty() {
             continue;
         }
-        let xr = x.row(r);
+        let xr = row_of(x, d, r);
         for (&c, &v) in row.indices.iter().zip(row.values) {
             let t = match map {
                 Some(m) => m[c as usize] as usize,
                 None => c as usize,
             };
             if t >= lo && t < hi {
-                vector::axpy(v, xr, &mut out[(t - lo) * d..(t - lo + 1) * d]);
+                vector::axpy(E::narrow(v), xr, &mut out[(t - lo) * d..(t - lo + 1) * d]);
             }
         }
     }
@@ -1151,16 +1331,16 @@ fn panel_ranges(rows: usize, chunks: usize) -> Vec<(usize, usize)> {
 /// A row-major matrix repacked into row-interleaved 8-column panels:
 /// panel `p` holds each row's `[8p, 8p+8)` slice back to back, the last
 /// panel zero-padded to width, so the micro-kernel reads it as one
-/// sequential stream. The buffer comes from [`crate::scratch`].
-struct Panels {
-    buf: Vec<f64>,
+/// sequential stream. The buffer comes from [`Elem::take_zeroed`].
+struct Panels<E> {
+    buf: Vec<E>,
     rows: usize,
 }
 
-impl Panels {
-    fn pack(data: &[f64], cols: usize) -> Panels {
+impl<E: Elem> Panels<E> {
+    fn pack(data: &[E], cols: usize) -> Panels<E> {
         let rows = data.len() / cols;
-        let mut buf = crate::scratch::take_zeroed(cols.div_ceil(TN_JR) * rows * TN_JR);
+        let mut buf = E::take_zeroed(cols.div_ceil(TN_JR) * rows * TN_JR);
         for (r, row) in data.chunks_exact(cols).enumerate() {
             for (p, blk) in row.chunks(TN_JR).enumerate() {
                 buf[(p * rows + r) * TN_JR..][..blk.len()].copy_from_slice(blk);
@@ -1170,12 +1350,12 @@ impl Panels {
     }
 
     /// Rows `[r0, r0 + depth)` of the panel that starts at column `j0`.
-    fn rows(&self, j0: usize, r0: usize, depth: usize) -> &[f64] {
+    fn rows(&self, j0: usize, r0: usize, depth: usize) -> &[E] {
         &self.buf[(j0 / TN_JR * self.rows + r0) * TN_JR..][..depth * TN_JR]
     }
 
     fn recycle(self) {
-        crate::scratch::recycle(self.buf);
+        E::recycle(self.buf);
     }
 }
 
@@ -1185,11 +1365,11 @@ impl Panels {
 /// tile is seeded from `out` and stored back, so `out` accumulates; a tile
 /// overhanging the last row or column computes its padding and stores only
 /// the `h × w` corner.
-fn tile_row(
-    apanel: &[f64],
-    b: &Panels,
+fn tile_row<E: Elem>(
+    apanel: &[E],
+    b: &Panels<E>,
     r0: usize,
-    out: &mut [f64],
+    out: &mut [E],
     width: usize,
     (i0, h): (usize, usize),
     j_from: usize,
@@ -1197,20 +1377,20 @@ fn tile_row(
     let depth = apanel.len() / TN_IR;
     for j0 in (j_from..width).step_by(TN_JR) {
         let w = (width - j0).min(TN_JR);
-        let mut acc = [[0.0f64; TN_JR]; TN_IR];
+        let mut acc = [[E::ZERO; TN_JR]; TN_IR];
         for (t, acc_row) in acc.iter_mut().enumerate().take(h) {
             let src = &out[(i0 + t) * width + j0..][..w];
             // A full-width row is one fixed-size copy; only the last
             // column panel pays for a variable-length one.
-            match <&[f64; TN_JR]>::try_from(src) {
+            match <&[E; TN_JR]>::try_from(src) {
                 Ok(full) => *acc_row = *full,
                 Err(_) => acc_row[..w].copy_from_slice(src),
             }
         }
-        let acc = tn_tile(apanel, b.rows(j0, r0, depth), acc);
+        let acc = E::tile(apanel, b.rows(j0, r0, depth), acc);
         for (t, acc_row) in acc.iter().enumerate().take(h) {
             let dst = &mut out[(i0 + t) * width + j0..][..w];
-            match <&mut [f64; TN_JR]>::try_from(&mut *dst) {
+            match <&mut [E; TN_JR]>::try_from(&mut *dst) {
                 Ok(full) => *full = *acc_row,
                 Err(_) => dst.copy_from_slice(&acc_row[..w]),
             }
@@ -1222,12 +1402,19 @@ fn tile_row(
 // the per-task path of fits over thousands of few-row partitions, which
 // never take them, and whose code should stay as compact as it was.
 
-/// `out += Y·B` for a full block: `y` is its row-major values. `B` is
-/// packed once; row chunks go on the pool.
+/// `out += Y·B` for a full block: `y` is its row-major values and `b` the
+/// `n`-wide operand. `B` is packed once; row chunks go on the pool.
 #[inline(never)]
-fn full_mul_dense(pool: &WorkerPool, y: &[f64], b: &Mat, chunks: usize, out: &mut [f64]) {
-    let (k, n) = (b.rows(), b.cols());
-    let bpack = Panels::pack(b.data(), n);
+fn full_mul_dense<E: Elem>(
+    pool: &WorkerPool,
+    y: &[f64],
+    b: &[E],
+    n: usize,
+    chunks: usize,
+    out: &mut [E],
+) {
+    let k = b.len() / n;
+    let bpack = Panels::pack(b, n);
     let bpack_ref = &bpack;
     pool.run(
         split_rows_mut(out, &row_ranges(y.len() / k, chunks), n)
@@ -1238,15 +1425,14 @@ fn full_mul_dense(pool: &WorkerPool, y: &[f64], b: &Mat, chunks: usize, out: &mu
     bpack.recycle();
 }
 
-/// `out += YᵀX` for a full block: `y` is its `x.rows() × cols` row-major
-/// values and `out` the `cols × x.cols()` result. `X` is packed once;
-/// output-row panels go on the pool.
+/// `out += YᵀX` for a full block: `y` is its row-major values (`cols`
+/// wide), `x` the `d`-wide rows of `X` and `out` the `cols × d` result.
+/// `X` is packed once; output-row panels go on the pool.
 #[inline(never)]
-fn full_tn(pool: &WorkerPool, y: &[f64], cols: usize, x: &Mat, out: &mut [f64]) {
-    let d = x.cols();
-    let xpack = Panels::pack(x.data(), d);
+fn full_tn<E: Elem>(pool: &WorkerPool, y: &[f64], cols: usize, x: &[E], d: usize, out: &mut [E]) {
+    let xpack = Panels::pack(x, d);
     let xpack_ref = &xpack;
-    let chunks = chunk_count(cols, 2 * x.rows() * d);
+    let chunks = chunk_count(cols, 2 * x.len());
     pool.run(
         split_rows_mut(out, &panel_ranges(cols, chunks), d)
             .into_iter()
@@ -1259,9 +1445,8 @@ fn full_tn(pool: &WorkerPool, y: &[f64], cols: usize, x: &Mat, out: &mut [f64]) 
 /// The upper triangle of `XᵀX` into the zeroed `d × d` `out`, by tiles:
 /// `X` is packed once; output-row panels go on the pool.
 #[inline(never)]
-fn syrk_tn_tiled(pool: &WorkerPool, x: &Mat, chunks: usize, out: &mut [f64]) {
-    let d = x.cols();
-    let xpack = Panels::pack(x.data(), d);
+fn syrk_tn_tiled<E: Elem>(pool: &WorkerPool, x: &[E], d: usize, chunks: usize, out: &mut [E]) {
+    let xpack = Panels::pack(x, d);
     let xpack_ref = &xpack;
     pool.run(
         split_rows_mut(out, &panel_ranges(d, chunks), d)
@@ -1277,9 +1462,9 @@ fn syrk_tn_tiled(pool: &WorkerPool, x: &Mat, chunks: usize, out: &mut [f64]) {
 /// interleaved panel, [`TILE_DEPTH`] columns deep, and run against every
 /// panel of `B`: each output element adds its `y[i][kk]·b[kk][j]` terms in
 /// ascending `kk`, the sparse kernel's axpy order over a full row.
-fn full_rows_mul(y: &[f64], k: usize, b: &Panels, n: usize, out: &mut [f64]) {
+fn full_rows_mul<E: Elem>(y: &[f64], k: usize, b: &Panels<E>, n: usize, out: &mut [E]) {
     let m = out.len() / n;
-    let mut ypanel = vec![0.0f64; k.min(TILE_DEPTH) * TN_IR];
+    let mut ypanel = vec![E::ZERO; k.min(TILE_DEPTH) * TN_IR];
     for k0 in (0..k).step_by(TILE_DEPTH) {
         let depth = (k - k0).min(TILE_DEPTH);
         for i0 in (0..m).step_by(TN_IR) {
@@ -1291,7 +1476,7 @@ fn full_rows_mul(y: &[f64], k: usize, b: &Panels, n: usize, out: &mut [f64]) {
                 std::array::from_fn(|t| &y[(i0 + t.min(h - 1)) * k + k0..][..depth]);
             for (kk, slot) in ypanel.chunks_exact_mut(TN_IR).take(depth).enumerate() {
                 for (lane, row) in slot.iter_mut().zip(&rows) {
-                    *lane = row[kk];
+                    *lane = E::narrow(row[kk]);
                 }
             }
             tile_row(&ypanel[..depth * TN_IR], b, k0, out, n, (i0, h), 0);
@@ -1305,24 +1490,26 @@ fn full_rows_mul(y: &[f64], k: usize, b: &Panels, n: usize, out: &mut [f64]) {
 /// into a small interleaved buffer, [`TILE_DEPTH`] rows at a time, and
 /// run against every panel of `X`, so output row `c` adds its
 /// `y[r][c]·x_r` terms in ascending `r` — the scatter's order.
-fn full_tn_band(
+fn full_tn_band<E: Elem>(
     y: &[f64],
     cols: usize,
-    x: &Panels,
+    x: &Panels<E>,
     d: usize,
     lo: usize,
     hi: usize,
-    out: &mut [f64],
+    out: &mut [E],
 ) {
     let n = x.rows;
-    let mut ypanel = vec![0.0f64; n.min(TILE_DEPTH) * TN_IR];
+    let mut ypanel = vec![E::ZERO; n.min(TILE_DEPTH) * TN_IR];
     for r0 in (0..n).step_by(TILE_DEPTH) {
         let depth = (n - r0).min(TILE_DEPTH);
         for c0 in (lo..hi).step_by(TN_IR) {
             let h = (hi - c0).min(TN_IR);
             for (rr, slot) in ypanel.chunks_exact_mut(TN_IR).take(depth).enumerate() {
-                slot[..h].copy_from_slice(&y[(r0 + rr) * cols + c0..][..h]);
-                slot[h..].fill(0.0);
+                for (lane, &v) in slot[..h].iter_mut().zip(&y[(r0 + rr) * cols + c0..][..h]) {
+                    *lane = E::narrow(v);
+                }
+                slot[h..].fill(E::ZERO);
             }
             tile_row(&ypanel[..depth * TN_IR], x, r0, out, d, (c0 - lo, h), 0);
         }
@@ -1334,7 +1521,7 @@ fn full_tn_band(
 /// diagonal, [`TILE_DEPTH`] rows at a time. A diagonal tile also fills its
 /// own lower corner — with the bits the mirror step then writes there
 /// again.
-fn syrk_tn_tiles(x: &Panels, d: usize, lo: usize, hi: usize, out: &mut [f64]) {
+fn syrk_tn_tiles<E: Elem>(x: &Panels<E>, d: usize, lo: usize, hi: usize, out: &mut [E]) {
     for r0 in (0..x.rows).step_by(TILE_DEPTH) {
         let depth = (x.rows - r0).min(TILE_DEPTH);
         for i0 in (lo..hi).step_by(TN_IR) {

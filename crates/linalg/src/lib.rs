@@ -22,8 +22,9 @@
 //!   [`pool::WorkerPool`] shared with the simulated cluster's stages.
 //!
 //! The default numeric scalar is `f64` throughout. The [`precision`]
-//! ladder adds opt-in reduced-precision arms for the hot EM kernels
-//! ([`kernels_f32`]), each bitwise-reproducible across worker counts;
+//! ladder adds opt-in reduced-precision arms for the hot EM kernels —
+//! the same kernels, written once over [`kernels::Elem`] and instantiated
+//! for `f32` as well — each bitwise-reproducible across worker counts;
 //! `f64` remains the reference every arm is measured against.
 
 pub mod bytes;
@@ -31,7 +32,6 @@ pub mod dense;
 pub mod error;
 pub mod io;
 pub mod kernels;
-pub mod kernels_f32;
 pub mod norms;
 pub mod ops;
 pub mod pool;
@@ -45,10 +45,9 @@ pub mod wire;
 pub mod decomp;
 
 pub use bytes::ByteSized;
-pub use kernels_f32::MatF32;
 pub use precision::{bf16_round, Precision};
 pub use wire::{Sizing, Wire, WireCodec, WireError, WireReader};
-pub use dense::Mat;
+pub use dense::{Mat, MatF32};
 pub use error::LinalgError;
 pub use pool::WorkerPool;
 pub use rng::Prng;

@@ -11,10 +11,11 @@
 //!
 //! * [`Precision::F64`] — the default; bit-identical to every previous
 //!   release, and the reference the divergence meter compares against.
-//! * [`Precision::F32`] — inputs are narrowed once per block, the kernel
-//!   multiplies *and accumulates* in `f32` (the fast arm: half the
-//!   memory traffic, twice the SIMD lanes), and per-block results widen
-//!   back into the `f64` cross-partition accumulators.
+//! * [`Precision::F32`] — inputs are narrowed once per block, the
+//!   kernels (the one family of [`crate::kernels`], instantiated over
+//!   `f32`) multiply *and accumulate* in `f32` — half the memory traffic,
+//!   twice the SIMD lanes — and per-block results widen back into the
+//!   `f64` cross-partition accumulators.
 //! * [`Precision::Bf16AccF64`] — inputs are rounded to bfloat16 (8-bit
 //!   exponent, 7-bit mantissa, round-to-nearest-even) but the existing
 //!   `f64` kernels do the arithmetic. This isolates the *representation*

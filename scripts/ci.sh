@@ -129,6 +129,7 @@ cargo run --release --offline -p spca-bench --bin trace_check -- \
 # fixtures use 0.05, see crates/bench/src/gate.rs); host noise ignored.
 cargo run --release --offline -p spca-bench --bin perf_gate -- \
     --baselines results/baselines --fresh "$TRACE_DIR" --time-band 0.75
-# The line-count rule of ROADMAP item 6, printed for the record — not a gate.
-scripts/loc.sh
+# The line-count rule of ROADMAP item 6: the total may not exceed
+# scripts/loc.ceiling.
+scripts/loc.sh --check
 echo "ci: all gates passed (traces in $TRACE_DIR)"
