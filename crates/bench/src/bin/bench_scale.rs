@@ -2,7 +2,7 @@
 //! flow-storm throughput, and end-to-end fit arms at 8 / 100 / 1000
 //! virtual nodes under both timing models.
 //!
-//! Three sections, all seeded and deterministic in everything but the
+//! Four sections, all seeded and deterministic in everything but the
 //! host wall-clock:
 //!
 //! * `queue_storm` — a push/pop/cancel storm through the raw
@@ -17,6 +17,12 @@
 //!   its event count falls as it gets better and events/sec — still
 //!   reported — says little. Plus the contention invariant: peak
 //!   utilization ≤ 100 % on every one of the 3001 links.
+//! * `stage_storm` — no-op 4 096-task stages through
+//!   [`SimCluster::run_stage`] on 64 and on 4 096 virtual cores. A stage's
+//!   bookkeeping (three LPT list schedules) must cost per *task*, not per
+//!   task × core: the per-task time on the large cluster over that on
+//!   the small one is at most 4 (asserted in release builds; a
+//!   scan-every-core scheduler reads ~14).
 //! * `fit_arms`   — sPCA-on-Spark fits at 8 / 100 / 1000 virtual nodes
 //!   (partitions = 2·nodes + 1, so partition-to-node skew is
 //!   systematic) under `Uncontended` and `Contended` timing. The model
@@ -32,7 +38,9 @@
 use std::time::Instant;
 
 use dcluster::netsim::{simulate, FlowSpec};
-use dcluster::{CancelSpec, ClusterConfig, EventQueue, SimCluster, TimingModel, Topology};
+use dcluster::{
+    CancelSpec, ClusterConfig, EventQueue, SimCluster, StageOptions, TimingModel, Topology,
+};
 use linalg::{Prng, SparseMat};
 use spca_core::{Spca, SpcaConfig, SpcaRun};
 
@@ -43,6 +51,13 @@ const FLOOR_EVENTS_PER_SEC: f64 = 1_000_000.0;
 /// The asserted `sim_storm` floor, in flows simulated per host second
 /// (release builds only).
 const FLOOR_FLOWS_PER_SEC: f64 = 100_000.0;
+
+/// The asserted `stage_storm` ceiling on per-task stage cost at 4 096
+/// virtual cores over that at 64 (release builds only).
+const CEILING_CORE_SCALING: f64 = 4.0;
+
+/// Tasks per `stage_storm` stage.
+const STORM_TASKS: usize = 4_096;
 
 fn random_sparse(rng: &mut Prng, rows: usize, cols: usize, density: f64) -> SparseMat {
     let target = ((rows * cols) as f64 * density) as usize;
@@ -158,6 +173,22 @@ fn sim_storm(waves: usize) -> SimStormResult {
         makespan_secs: out.makespan_secs,
         host_secs,
     }
+}
+
+/// Host nanoseconds per task of `stages` no-op stages of [`STORM_TASKS`]
+/// tasks on an uncontended 64-node × `cores_per_node` cluster — what
+/// `run_stage` costs besides the tasks themselves.
+fn stage_storm(cores_per_node: usize, stages: usize) -> f64 {
+    let cluster = SimCluster::new(
+        ClusterConfig::scaled_cluster().with_nodes(64).with_cores_per_node(cores_per_node),
+    );
+    let start = Instant::now();
+    for _ in 0..stages {
+        let tasks: Vec<_> = (0..STORM_TASKS).map(|i| move || i).collect();
+        let out = cluster.run_stage(StageOptions::new("storm").with_task_overhead(0.005), tasks);
+        assert_eq!(out.len(), STORM_TASKS);
+    }
+    start.elapsed().as_secs_f64() * 1e9 / (stages * STORM_TASKS) as f64
 }
 
 struct FitArm {
@@ -276,6 +307,27 @@ fn main() {
         "flow storm sustained only {ss_flow_rate:.0} flows/sec (floor {FLOOR_FLOWS_PER_SEC})"
     );
 
+    // -- stage storm -----------------------------------------------------
+    // Alternating rounds, best of each side: a slow spell of the host
+    // lands on both cluster sizes or is dropped, never on one.
+    let storm_stages = if smoke { 4 } else { 16 };
+    let (mut small_ns, mut large_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        small_ns = small_ns.min(stage_storm(1, storm_stages));
+        large_ns = large_ns.min(stage_storm(64, storm_stages));
+    }
+    let core_scaling = large_ns / small_ns;
+    println!(
+        "stage_storm: {STORM_TASKS}-task no-op stages cost {small_ns:.0} ns/task on 64 cores, \
+         {large_ns:.0} ns/task on 4096 = {core_scaling:.2}x"
+    );
+    #[cfg(not(debug_assertions))]
+    assert!(
+        core_scaling <= CEILING_CORE_SCALING,
+        "a stage's per-task cost grew {core_scaling:.1}x from 64 to 4096 virtual cores \
+         (ceiling {CEILING_CORE_SCALING}): the list scheduler is scanning cores again"
+    );
+
     // -- fit arms ---------------------------------------------------------
     let (rows, cols, density, d, iters) =
         if smoke { (3_000, 200, 1e-2, 4, 2) } else { (8_000, 1_000, 2e-3, 8, 3) };
@@ -320,7 +372,7 @@ fn main() {
         .map(|(n, s)| format!("    \"nodes_{n}\": {s:.4}"))
         .collect();
     let json = format!(
-        "{{\n  \"mode\": \"{}\",\n  \"queue_storm\": {{\n    \"events\": {},\n    \"cancelled\": {},\n    \"host\": {{\"secs\": {:.4}}},\n    \"events_per_sec\": {:.0},\n    \"floor_events_per_sec\": {:.0}\n  }},\n  \"sim_storm\": {{\n    \"virtual_nodes\": {},\n    \"flows\": {},\n    \"events\": {},\n    \"resolves\": {},\n    \"peak_flows\": {},\n    \"makespan_virtual_secs\": {:.4},\n    \"host\": {{\"secs\": {:.4}}},\n    \"events_per_sec\": {:.0},\n    \"flows_per_sec\": {:.0},\n    \"floor_flows_per_sec\": {:.0}\n  }},\n  \"shape\": {{\"rows\": {rows}, \"cols\": {cols}, \"density\": {density}, \"nnz\": {}, \"d\": {d}, \"iters\": {iters}}},\n  \"fit_arms\": [\n{}\n  ],\n  \"virtual_shuffle_stretch\": {{\n{}\n  }},\n  \"model_bitwise_equal_across_timing\": true\n}}\n",
+        "{{\n  \"mode\": \"{}\",\n  \"queue_storm\": {{\n    \"events\": {},\n    \"cancelled\": {},\n    \"host\": {{\"secs\": {:.4}}},\n    \"events_per_sec\": {:.0},\n    \"floor_events_per_sec\": {:.0}\n  }},\n  \"sim_storm\": {{\n    \"virtual_nodes\": {},\n    \"flows\": {},\n    \"events\": {},\n    \"resolves\": {},\n    \"peak_flows\": {},\n    \"makespan_virtual_secs\": {:.4},\n    \"host\": {{\"secs\": {:.4}}},\n    \"events_per_sec\": {:.0},\n    \"flows_per_sec\": {:.0},\n    \"floor_flows_per_sec\": {:.0}\n  }},\n  \"stage_storm\": {{\n    \"tasks_per_stage\": {STORM_TASKS},\n    \"stages\": {storm_stages},\n    \"per_task_ns_small\": {small_ns:.0},\n    \"per_task_ns_large\": {large_ns:.0},\n    \"core_scaling_ratio\": {core_scaling:.3},\n    \"ceiling_core_scaling_ratio\": {CEILING_CORE_SCALING:.0}\n  }},\n  \"shape\": {{\"rows\": {rows}, \"cols\": {cols}, \"density\": {density}, \"nnz\": {}, \"d\": {d}, \"iters\": {iters}}},\n  \"fit_arms\": [\n{}\n  ],\n  \"virtual_shuffle_stretch\": {{\n{}\n  }},\n  \"model_bitwise_equal_across_timing\": true\n}}\n",
         if smoke { "smoke" } else { "full" },
         qs.events,
         qs.cancelled,

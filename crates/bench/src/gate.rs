@@ -71,9 +71,11 @@ pub fn classify(path: &str) -> Rule {
     // makes even the number of rate samples host-dependent).
     if path.contains("per_sec")
         || path.contains("speedup")
+        || path.contains("per_task_ns")
         || last == "secs"
         || last == "rowwise_secs"
         || last == "batched_secs"
+        || last == "core_scaling_ratio"
     {
         return Rule::Ignore;
     }
@@ -390,6 +392,9 @@ mod tests {
         assert_eq!(classify("runs.0.attribution_us.0"), Rule::Ignore);
         assert_eq!(classify("runs.0.iterations.2.cat_us.0"), Rule::Ignore);
         assert_eq!(classify("runs.0.registry.counters.time.cpu_us"), Rule::Ignore);
+        assert_eq!(classify("stage_storm.per_task_ns_large"), Rule::Ignore);
+        assert_eq!(classify("stage_storm.core_scaling_ratio"), Rule::Ignore);
+        assert_eq!(classify("stage_storm.ceiling_core_scaling_ratio"), Rule::Exact);
         assert_eq!(classify("runs.0.bytes.network_bytes"), Rule::Exact);
         assert_eq!(classify("runs.0.model_hash"), Rule::Exact);
         assert_eq!(classify("integrity.dropped_events"), Rule::Exact);

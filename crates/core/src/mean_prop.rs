@@ -598,6 +598,17 @@ fn latent_block<E: Elem>(pool: &WorkerPool, block: &SparseMat, cm: &[E], xm: &[E
     }
 }
 
+/// [`latent_block`] for a block that is itself one small task of many —
+/// a serve batch: the same kernel body and the same bits, run serially
+/// with no `kernel` span, so `kernel.flops` stays the EM kernels' count.
+pub(crate) fn latent_block_serial(block: &SparseMat, cm: &[f64], xm: &[f64], x_blk: &mut [f64]) {
+    let d = xm.len();
+    kernels::sparse_rows_mul(block, cm, d, 0, block.rows(), x_blk);
+    for r in 0..block.rows() {
+        linalg::vector::axpy(-1.0, xm, &mut x_blk[r * d..(r + 1) * d]);
+    }
+}
+
 /// The bf16 arm's input rounding: block values, `CM` and `Xm` all rounded
 /// to bfloat16, everything downstream unchanged `f64`.
 fn bf16_inputs(block: &SparseMat, cm: &Mat, xm: &[f64]) -> (SparseMat, Mat, Vec<f64>) {

@@ -13,9 +13,10 @@
 //! * **Serve batches** are modeled requests: each batch of rows drawn
 //!   from the tenant's request pool is routed to a virtual node, really
 //!   transformed through the fitted model's `CM` projection
-//!   ([`crate::mean_prop::latent_row`] — the same O(z·d) kernel the EM
-//!   jobs use), priced on the wire codec for request/response bytes, and
-//!   completed on the discrete-event queue.
+//!   ([`crate::mean_prop::latent_row`] in its block form — the same
+//!   O(z·d) kernel the EM jobs use, a batch at a time, chunks of batches
+//!   in parallel on the cluster's pool), priced on the wire codec for
+//!   request/response bytes, and completed on the discrete-event queue.
 //! * **Model caching** is per node: a model is pushed to a node on first
 //!   use (a metered broadcast) and held in an LRU-by-bytes cache bounded
 //!   by `ClusterConfig::model_cache_bytes`.
@@ -41,11 +42,11 @@ use std::sync::Arc;
 use dcluster::events::{ns_to_secs, secs_to_ns, EventQueue, SimNanos};
 use dcluster::jobs::{percentile, schedule_jobs, JobSpec, ScheduleOutcome};
 use dcluster::SimCluster;
-use linalg::SparseMat;
+use linalg::{Mat, SparseMat};
 
 use crate::config::SpcaConfig;
 use crate::error::SpcaError;
-use crate::mean_prop::latent_row;
+use crate::mean_prop::latent_block_serial;
 use crate::model::PcaModel;
 use crate::Result;
 
@@ -309,6 +310,73 @@ struct Batch {
     checksum: u64,
 }
 
+/// Batches per pool task of the precompute. A constant, because chunk
+/// boundaries must not depend on the host (the pool's determinism
+/// contract); at ~10 µs a batch a chunk is ~1 ms, long enough to
+/// amortise its queue round-trip and short enough to balance.
+const PRECOMPUTE_CHUNK: usize = 128;
+
+/// One tenant's serve stream with the projection its model answers with
+/// (`cm` is `None` for a tenant that never got a model).
+struct Stream<'a> {
+    tenant: usize,
+    serve: &'a ServeLoad,
+    cm: Option<Mat>,
+    xm: Vec<f64>,
+    /// Arrivals clamp to the instant the tenant's model is ready.
+    ready_ns: SimNanos,
+}
+
+impl Stream<'_> {
+    /// Precomputes batch `k` of the stream. `x_blk` is scratch the caller
+    /// keeps across batches.
+    fn batch(
+        &self,
+        k: usize,
+        cluster: &SimCluster,
+        spec: &ServeSpec,
+        x_blk: &mut Vec<f64>,
+    ) -> Batch {
+        let (t, serve) = (self.tenant, self.serve);
+        // Arrival: open time + k/rate + sub-millisecond seeded jitter,
+        // clamped to the tenant's model-ready instant.
+        let jitter = (mix(spec.seed ^ ((t as u64) << 32) ^ k as u64) % 1_000) as f64 * 1e-6;
+        let raw = serve.start_secs + k as f64 / serve.rate_per_sec + jitter;
+        let arrival_ns = secs_to_ns(raw).max(self.ready_ns);
+        // The batch's rows: a rotating window over the pool, gathered
+        // into the request block that is priced on the wire and projected.
+        let pool_rows = serve.pool.rows();
+        let start = (k * serve.batch_rows) % pool_rows;
+        let views: Vec<_> =
+            (0..serve.batch_rows).map(|i| serve.pool.row((start + i) % pool_rows)).collect();
+        let req = SparseMat::from_row_views(serve.pool.cols(), &views);
+        // Real transforms: the block form of the latent-row kernel the EM
+        // jobs broadcast CM for (same operation order, same bits), folded
+        // row by row into a checksum that pins the response bits (and
+        // thus the model bits) into the trace.
+        let d = self.xm.len();
+        let mut checksum = FNV_OFFSET;
+        if let Some(cm) = &self.cm {
+            x_blk.clear();
+            x_blk.resize(serve.batch_rows * d, 0.0);
+            latent_block_serial(&req, cm.data(), &self.xm, x_blk);
+            for v in x_blk.iter() {
+                checksum = fnv(checksum, v.to_bits());
+            }
+        }
+        // 2·z·d for `y·CM` and 2·d for `− Xm` per row; a sum of integers,
+        // so one product is the row-at-a-time total exactly.
+        let flops = (2 * req.nnz() * d + 2 * d * serve.batch_rows) as f64;
+        // Wire pricing: the request is the encoded sparse batch, the
+        // response a dense rows×d payload.
+        let req_bytes = cluster.wire_size(&req);
+        let resp_bytes = cluster.sizing().f64_payload(serve.batch_rows * d);
+        let wire_secs = (req_bytes + resp_bytes) as f64 / cluster.config().network_bytes_per_sec;
+        let service_ns = secs_to_ns(flops / spec.flops_per_sec_per_core + wire_secs);
+        Batch { tenant: t, index: k as u64, arrival_ns, service_ns, req_bytes, resp_bytes, checksum }
+    }
+}
+
 /// Per-node serving state.
 struct Node {
     alive: bool,
@@ -398,11 +466,10 @@ pub fn run_serving(cluster: &SimCluster, spec: &ServeSpec) -> Result<ServingOutc
         .iter()
         .map(|m| m.as_ref().map_or(0, |m| model_wire_bytes(cluster, m)))
         .collect();
-    let mut batches: Vec<Batch> = Vec::new();
-    let mut per_tenant_rows: Vec<u64> = vec![0; spec.tenants.len()];
+    let mut streams: Vec<Stream<'_>> = Vec::new();
     for (t, tenant) in spec.tenants.iter().enumerate() {
         let Some(serve) = &tenant.serve else { continue };
-        let projection = match &models[t] {
+        let (cm, xm) = match &models[t] {
             Some(model) => {
                 if serve.pool.cols() != model.input_dim() {
                     return Err(SpcaError::InvalidServing {
@@ -415,61 +482,40 @@ pub fn run_serving(cluster: &SimCluster, spec: &ServeSpec) -> Result<ServingOutc
                 }
                 let cm = model.latent_projection()?;
                 let xm = cm.vecmat(model.mean());
-                Some((cm, xm))
+                (Some(cm), xm)
             }
-            None => None, // every batch will be rejected below
+            None => (None, Vec::new()), // every batch will be rejected below
         };
-        let d = models[t].as_ref().map_or(0, |m| m.output_dim());
-        let pool_rows = serve.pool.rows();
-        for k in 0..serve.batches {
-            // Arrival: open time + k/rate + sub-millisecond seeded jitter,
-            // clamped to the tenant's model-ready instant.
-            let jitter =
-                (mix(spec.seed ^ ((t as u64) << 32) ^ k as u64) % 1_000) as f64 * 1e-6;
-            let raw = serve.start_secs + k as f64 / serve.rate_per_sec + jitter;
-            let arrival_ns = secs_to_ns(raw).max(if model_ready_ns[t] == SimNanos::MAX {
-                0
-            } else {
-                model_ready_ns[t]
-            });
-            // The batch's rows: a rotating window over the pool.
-            let start = (k * serve.batch_rows) % pool_rows;
-            let rows: Vec<usize> =
-                (0..serve.batch_rows).map(|i| (start + i) % pool_rows).collect();
-            // Real transforms: the same latent-row kernel the EM jobs
-            // broadcast CM for, folded into a checksum that pins the
-            // response bits (and thus the model bits) into the trace.
-            let mut checksum = FNV_OFFSET;
-            let mut flops = 0.0_f64;
-            if let Some((cm, xm)) = &projection {
-                for &r in &rows {
-                    let row = serve.pool.row(r);
-                    flops += (2 * row.nnz() * d + 2 * d) as f64;
-                    for v in latent_row(row, cm, xm) {
-                        checksum = fnv(checksum, v.to_bits());
-                    }
-                }
-            }
-            // Wire pricing: the request is the encoded sparse batch, the
-            // response a dense rows×d payload.
-            let views: Vec<_> = rows.iter().map(|&r| serve.pool.row(r)).collect();
-            let req = SparseMat::from_row_views(serve.pool.cols(), &views);
-            let req_bytes = cluster.wire_size(&req);
-            let resp_bytes = cluster.sizing().f64_payload(serve.batch_rows * d);
-            let wire_secs = (req_bytes + resp_bytes) as f64 / cfg.network_bytes_per_sec;
-            let service_ns = secs_to_ns(flops / spec.flops_per_sec_per_core + wire_secs);
-            batches.push(Batch {
-                tenant: t,
-                index: k as u64,
-                arrival_ns,
-                service_ns,
-                req_bytes,
-                resp_bytes,
-                checksum,
-            });
-            per_tenant_rows[t] += serve.batch_rows as u64;
-        }
+        let ready_ns = if model_ready_ns[t] == SimNanos::MAX { 0 } else { model_ready_ns[t] };
+        streams.push(Stream { tenant: t, serve, cm, xm, ready_ns });
     }
+    // Batches are independent, so contiguous chunks of the (tenant, k)
+    // sequence go to the pool; results come back in submission order and
+    // `batches` is the sequence a serial loop would build.
+    let work: Vec<(usize, usize)> = streams
+        .iter()
+        .enumerate()
+        .flat_map(|(s, stream)| (0..stream.serve.batches).map(move |k| (s, k)))
+        .collect();
+    let batches: Vec<Batch> = cluster
+        .pool()
+        .run(
+            work.chunks(PRECOMPUTE_CHUNK)
+                .map(|chunk| {
+                    let streams = &streams;
+                    move || -> Vec<Batch> {
+                        let mut x_blk = Vec::new();
+                        let batch = |&(s, k): &(usize, usize)| {
+                            streams[s].batch(k, cluster, spec, &mut x_blk)
+                        };
+                        chunk.iter().map(batch).collect()
+                    }
+                })
+                .collect(),
+        )
+        .into_iter()
+        .flatten()
+        .collect();
 
     // ---- Phase 4: the serving event loop. -------------------------------
     let nodes_n = cfg.nodes;
@@ -773,6 +819,7 @@ pub fn run_serving(cluster: &SimCluster, spec: &ServeSpec) -> Result<ServingOutc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mean_prop::latent_row;
     use dcluster::ClusterConfig;
     use linalg::Prng;
 
@@ -799,6 +846,59 @@ mod tests {
             batch_rows: 5,
             rate_per_sec: 50.0,
             start_secs: 0.0,
+        }
+    }
+
+    #[test]
+    fn blocked_batch_equals_the_row_at_a_time_precompute() {
+        // 7 rows × 12 columns, row 3 empty, row 6 full; a 5-row window
+        // wraps the pool's end from batch 1 on, and a 9-row one laps it.
+        let mut rng = Prng::seed_from_u64(0xb10c);
+        let rows: Vec<Vec<(u32, f64)>> = (0..7)
+            .map(|r| {
+                let keep = |c: u32| r == 6 || (r != 3 && c % 3 == r % 3);
+                (0..12).filter(|&c| keep(c)).map(|c| (c, rng.normal())).collect()
+            })
+            .collect();
+        let pool = Arc::new(SparseMat::from_rows(7, 12, rows));
+        let cluster = SimCluster::new(ClusterConfig::scaled_cluster());
+        let spec = ServeSpec::new(0x5eed);
+        for d in [1, 8, 50] {
+            let cm = rng.normal_mat(12, d);
+            let xm = rng.normal_vec(d);
+            for batch_rows in [5, 9] {
+                let serve = ServeLoad { batch_rows, ..serve_load(&pool) };
+                let (cm_, xm_) = (Some(cm.clone()), xm.clone());
+                let stream = Stream { tenant: 2, serve: &serve, cm: cm_, xm: xm_, ready_ns: 0 };
+                let mut x_blk = Vec::new();
+                for k in 0..serve.batches {
+                    let got = stream.batch(k, &cluster, &spec, &mut x_blk);
+                    // What `run_serving` computed before the block kernel.
+                    let start = (k * batch_rows) % pool.rows();
+                    let window: Vec<usize> =
+                        (0..batch_rows).map(|i| (start + i) % pool.rows()).collect();
+                    let mut checksum = FNV_OFFSET;
+                    let mut flops = 0.0_f64;
+                    for &r in &window {
+                        let row = pool.row(r);
+                        flops += (2 * row.nnz() * d + 2 * d) as f64;
+                        for v in latent_row(row, &cm, &xm) {
+                            checksum = fnv(checksum, v.to_bits());
+                        }
+                    }
+                    let views: Vec<_> = window.iter().map(|&r| pool.row(r)).collect();
+                    let req_bytes = cluster.wire_size(&SparseMat::from_row_views(12, &views));
+                    let resp_bytes = cluster.sizing().f64_payload(batch_rows * d);
+                    let wire_secs = (req_bytes + resp_bytes) as f64
+                        / cluster.config().network_bytes_per_sec;
+                    let service_ns = secs_to_ns(flops / spec.flops_per_sec_per_core + wire_secs);
+                    assert_eq!(
+                        (got.checksum, got.req_bytes, got.resp_bytes, got.service_ns),
+                        (checksum, req_bytes, resp_bytes, service_ns),
+                        "d = {d}, batch_rows = {batch_rows}, k = {k}"
+                    );
+                }
+            }
         }
     }
 

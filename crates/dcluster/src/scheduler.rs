@@ -17,38 +17,77 @@ pub fn makespan(durations: &[f64], cores: usize) -> f64 {
 /// whose completion releases the stage barrier. The critical-path profiler
 /// attaches it to stage segments so "which task dominated this barrier" is
 /// answerable from the trace.
+///
+/// **Cost:** O(n log n) for the sort plus O(n log c) for the placements —
+/// each task goes to the top of a binary min-heap of core loads: ~0.1 ms
+/// for 1 024 tasks on 1 024 cores. `run_stage` calls this three times a
+/// stage, so it must never cost O(n·c) (`bench_scale`'s `stage_storm`
+/// fails if it does).
+///
+/// **Tie-breaks**, which every virtual number downstream depends on:
+/// tasks are placed longest first, equal durations in index order; a task
+/// goes to the least-loaded core, equal loads to the lowest core index
+/// (the heap key is `(load, core index)`); of several cores that end at
+/// the makespan the highest-indexed one names the critical task, and only
+/// a core that ran a task can — so the critical task is always a real
+/// index, also when every duration is 0.0.
 pub fn makespan_with_critical(durations: &[f64], cores: usize) -> (f64, Option<usize>) {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
     assert!(cores > 0, "makespan: need at least one core");
     if durations.is_empty() {
         return (0.0, None);
     }
+    let order = lpt_order(durations);
+    let cores = cores.min(durations.len());
+    let mut heap: BinaryHeap<Reverse<CoreLoad>> =
+        (0..cores).map(|core| Reverse(CoreLoad { load: 0.0, core })).collect();
+    // Last task assigned to each core: on a single core tasks run back to
+    // back, so the last-assigned one is the one that finishes at the
+    // core's final load. `usize::MAX` marks a core that never ran a task.
+    let mut last_task = vec![usize::MAX; cores];
+    for t in order {
+        let mut top = heap.peek_mut().expect("at least one core");
+        top.0.load += durations[t];
+        last_task[top.0.core] = t;
+    }
+    let busiest = heap
+        .into_iter()
+        .map(|Reverse(c)| c)
+        .filter(|c| last_task[c.core] != usize::MAX)
+        .max()
+        .expect("a non-empty task set puts a task on some core");
+    (busiest.load, Some(last_task[busiest.core]))
+}
+
+/// Task indices longest first, equal durations in index order.
+fn lpt_order(durations: &[f64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..durations.len()).collect();
-    // Descending by duration, original index as the deterministic tiebreak.
     order.sort_by(|&a, &b| {
         durations[b].partial_cmp(&durations[a]).expect("finite durations").then(a.cmp(&b))
     });
-    // Binary-heap of core finish times would be O(n log c); with the task
-    // counts this simulator sees (≤ thousands), a linear min-scan is fine.
-    let mut loads = vec![0.0_f64; cores.min(durations.len())];
-    // Last task assigned to each core: on a single core tasks run back to
-    // back, so the last-assigned one is the one that finishes at the
-    // core's final load.
-    let mut last_task = vec![usize::MAX; loads.len()];
-    for t in order {
-        let (idx, _) = loads
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
-            .expect("non-empty loads");
-        loads[idx] += durations[t];
-        last_task[idx] = t;
+    order
+}
+
+/// A core's accumulated load, ordered by `(load, core index)`.
+#[derive(PartialEq)]
+struct CoreLoad {
+    load: f64,
+    core: usize,
+}
+
+impl Eq for CoreLoad {}
+
+impl PartialOrd for CoreLoad {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
-    let (max_core, span) = loads
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
-        .expect("non-empty loads");
-    (*span, Some(last_task[max_core]))
+}
+
+impl Ord for CoreLoad {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.load.partial_cmp(&other.load).expect("finite loads").then(self.core.cmp(&other.core))
+    }
 }
 
 /// Number of scheduling waves `ceil(tasks / cores)` — used to charge
@@ -184,6 +223,84 @@ mod tests {
         assert!((span1 - 6.0).abs() < 1e-12);
         assert_eq!(crit1, Some(2));
         assert_eq!(makespan_with_critical(&[], 4), (0.0, None));
+    }
+
+    /// The placement loop `makespan_with_critical` had before the heap:
+    /// every task scans every core for the first least-loaded one. Kept as
+    /// the differential oracle; it differs from the heap only where every
+    /// load ends 0.0, where it names `usize::MAX` critical.
+    fn makespan_scan(durations: &[f64], cores: usize) -> (f64, Option<usize>) {
+        let mut loads = vec![0.0_f64; cores.min(durations.len())];
+        let mut last_task = vec![usize::MAX; loads.len()];
+        for t in lpt_order(durations) {
+            let (idx, _) = loads
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
+                .expect("non-empty loads");
+            loads[idx] += durations[t];
+            last_task[idx] = t;
+        }
+        let (max_core, span) = loads
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
+            .expect("non-empty loads");
+        (*span, Some(last_task[max_core]))
+    }
+
+    #[test]
+    fn heap_matches_the_linear_scan_bit_for_bit() {
+        let mut rng = linalg::Prng::seed_from_u64(0x5c4ed);
+        let mut cases = 0;
+        for case in 0..60 {
+            // Small n often (ties and n ≈ cores matter most there), the
+            // full range to 3 000 sometimes.
+            let n = 1 + if case % 4 == 0 { rng.index(3_000) } else { rng.index(200) };
+            let palette = [rng.uniform(), rng.uniform() * 10.0, 0.25];
+            let durations: Vec<f64> = match case % 5 {
+                // Heavy ties: three distinct values.
+                0 => (0..n).map(|_| palette[rng.index(3)]).collect(),
+                // Zeros mixed in.
+                1 => (0..n).map(|_| if rng.index(3) == 0 { 0.0 } else { rng.uniform() }).collect(),
+                // Twelve orders of magnitude between tasks.
+                2 => (0..n).map(|_| if rng.index(2) == 0 { 1e-9 } else { 1e3 }).collect(),
+                // Measured-looking: microseconds with noise.
+                3 => (0..n).map(|_| 1.5e-6 + rng.uniform() * 1e-6).collect(),
+                _ => (0..n).map(|_| rng.uniform() * rng.uniform() * 100.0).collect(),
+            };
+            if durations.iter().all(|&d| d == 0.0) {
+                continue; // the one case the heap changes on purpose
+            }
+            for cores in [1, 2, 7, 64, n.saturating_sub(1).max(1), n, n + 1, 4_096] {
+                let (span, critical) = makespan_with_critical(&durations, cores);
+                let (want_span, want_critical) = makespan_scan(&durations, cores);
+                assert_eq!(
+                    (span.to_bits(), critical),
+                    (want_span.to_bits(), want_critical),
+                    "case {case}: n = {n}, cores = {cores}"
+                );
+                cases += 1;
+            }
+        }
+        assert!(cases >= 400, "only {cases} vectors compared");
+    }
+
+    #[test]
+    fn all_zero_durations_name_a_real_critical_task() {
+        // Every task lands on core 0 (load 0.0 stays the first minimum),
+        // so the last one placed — the highest index — is critical; the
+        // idle cores tie at 0.0 and must not be picked.
+        for n in [1, 3, 17] {
+            let d = vec![0.0; n];
+            for cores in [1, n.saturating_sub(1).max(1), n, n + 1, 64] {
+                assert_eq!(
+                    makespan_with_critical(&d, cores),
+                    (0.0, Some(n - 1)),
+                    "n = {n}, cores = {cores}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -978,7 +978,11 @@ pub fn sparse_mul_dense_slices<E: Elem>(
 /// `B` rows are prefetched while the current one computes: the row
 /// gathers are data-dependent, so without the hint every quad starts on
 /// a cold DRAM access.
-fn sparse_rows_mul<E: Elem>(y: &SparseMat, b: &[E], n: usize, start: usize, end: usize, out: &mut [E]) {
+///
+/// Public as the serial form of [`sparse_mul_dense_slices`] — no pool, no
+/// `kernel` span, no `kernel.flops` — for a caller whose block is one small
+/// task of many already on a pool (a serve batch of a hundred rows).
+pub fn sparse_rows_mul<E: Elem>(y: &SparseMat, b: &[E], n: usize, start: usize, end: usize, out: &mut [E]) {
     for r in start..end {
         let row = y.row(r);
         let o = &mut out[(r - start) * n..(r - start + 1) * n];

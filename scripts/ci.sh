@@ -81,8 +81,9 @@ cargo run --release --offline -p spca-bench --bin bench_rpca -- \
     --smoke --out "$TRACE_DIR/BENCH_rpca.json"
 # bench_scale asserts the event-queue throughput floor (1M events/sec),
 # the flow-simulator floor (100k sim_storm flows/sec), the ≤100% per-link
-# utilization invariant at 1000 virtual nodes, and timing-model
-# bit-identity of the fitted models.
+# utilization invariant at 1000 virtual nodes, that a stage's per-task
+# cost grows at most 4x from 64 to 4096 virtual cores (stage_storm), and
+# timing-model bit-identity of the fitted models.
 cargo run --release --offline -p spca-bench --bin bench_scale -- \
     --smoke --out "$TRACE_DIR/BENCH_scale.json"
 # bench_serving replays the skewed multi-tenant fit+serve mix under all
