@@ -5,9 +5,12 @@
 //! row-at-a-time ablation arm (`RowwisePartial::add_row` per sparse row,
 //! HashMap accumulator) against the batched kernels
 //! (`YtxPartial::add_block`: blocked sparse GEMM + SYRK + packed-slab
-//! scatter). Both arms fan partitions out on the same worker pool and
-//! reduce with the same deterministic tree merge, so the measured delta is
-//! the per-partition kernel work only.
+//! scatter). Both arms fan partitions out on the same worker pool; the
+//! batched arm then reduces as `fit_spark` does, with the fused column
+//! merge (`YtxPartial::tree_merged`), and the row-at-a-time arm with its
+//! HashMap merge under `tree_merge`. A `merge` section times the fused
+//! merge against the pairwise `tree_merge(.., YtxPartial::merge)` rounds it
+//! replaced, on the same partials, and asserts the two agree bit for bit.
 //!
 //! No external harness — each arm is timed with `Instant`, best of several
 //! repetitions, results written as hand-rolled JSON (validated with the
@@ -25,8 +28,17 @@ use linalg::{Mat, Prng, SparseMat, WorkerPool};
 use sparkle::tree_merge;
 use spca_core::mean_prop::{rowwise::RowwisePartial, YtxPartial};
 
+/// Timed repetitions of each side of the `merge` section.
+const MERGE_REPS: usize = 10;
+
+/// Floors on `merge.speedup` in release builds: (smoke, full). A 2-core
+/// x86-64 host reads 0.8–1.1x at the smoke shape, where eight partials
+/// leave three pairwise rounds that write about as many rows as the fused
+/// pass adds, and 2.1–3.0x at the full shape (2.9x on one worker).
+const MERGE_FLOORS: (f64, f64) = (0.5, 1.5);
+
 /// Times one call of `f`.
-fn timed<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let start = Instant::now();
     let v = f();
     (start.elapsed().as_secs_f64(), v)
@@ -68,38 +80,18 @@ fn run_rowwise(
     tree_merge(partials, || RowwisePartial::new(d), |a, b| a.merge(b))
 }
 
-/// Batched arm: every partition goes through the blocked kernels in one
-/// `add_block` call (sparse GEMM into reused scratch, SYRK, packed-slab
-/// SpMM scatter). Nested kernel batches ride the same pool.
-fn run_batched(pool: &WorkerPool, blocks: &[SparseMat], cm: &Mat, xm: &[f64]) -> YtxPartial {
-    let d = cm.cols();
-    let partials = pool.run(
-        blocks
-            .iter()
-            .map(|b| {
-                move || {
-                    let mut p = YtxPartial::new(d);
-                    p.add_block_with_pool(pool, b, cm, xm);
-                    p
-                }
-            })
-            .collect(),
-    );
-    tree_merge(partials, || YtxPartial::new(d), |a, b| a.merge(b))
-}
-
-/// Mixed-precision arm: the batched fold through a reduced-precision
-/// kernel arm (`--precision f32|bf16`), merged in full `f64` like the EM
-/// engines do.
-fn run_precision(
+/// Every partition through the blocked kernels in one `add_block` call
+/// (sparse GEMM into reused scratch, SYRK, packed-slab SpMM scatter) on
+/// the given arithmetic arm; nested kernel batches ride the same pool.
+fn batched_partials(
     pool: &WorkerPool,
     blocks: &[SparseMat],
     cm: &Mat,
     xm: &[f64],
     precision: linalg::Precision,
-) -> YtxPartial {
+) -> Vec<YtxPartial> {
     let d = cm.cols();
-    let partials = pool.run(
+    pool.run(
         blocks
             .iter()
             .map(|b| {
@@ -110,8 +102,29 @@ fn run_precision(
                 }
             })
             .collect(),
-    );
-    tree_merge(partials, || YtxPartial::new(d), |a, b| a.merge(b))
+    )
+}
+
+/// Batched arm (`f64`), or the mixed-precision arm (`--precision
+/// f32|bf16`): the batched fold, merged in full `f64` with the fused merge,
+/// as the Spark engine does.
+fn run_batched(
+    pool: &WorkerPool,
+    blocks: &[SparseMat],
+    cm: &Mat,
+    xm: &[f64],
+    precision: linalg::Precision,
+) -> YtxPartial {
+    let partials = batched_partials(pool, blocks, cm, xm, precision);
+    YtxPartial::tree_merged(pool, cm.cols(), partials)
+}
+
+/// Every bit of a merged partial (`PartialEq` on `f64` equates `-0.0` and
+/// `0.0`).
+fn merged_bits(p: &YtxPartial) -> Vec<u64> {
+    let rows = p.ytx_iter().flat_map(|(c, row)| std::iter::once(c as f64).chain(row.to_vec()));
+    let values = p.xtx.data().iter().copied().chain(rows).chain(p.sum_x.iter().copied());
+    values.map(f64::to_bits).collect()
 }
 
 fn main() {
@@ -177,7 +190,7 @@ fn main() {
             rowwise_secs = t;
         }
         rowwise = Some(r);
-        let (t, b) = timed(|| run_batched(pool, &blocks, &cm, &xm));
+        let (t, b) = timed(|| run_batched(pool, &blocks, &cm, &xm, linalg::Precision::F64));
         if t < batched_secs {
             batched_secs = t;
         }
@@ -206,7 +219,7 @@ fn main() {
     // pool size (chunking is a function of the problem shape only).
     let bitwise_deterministic = [1usize, 2].iter().all(|&w| {
         let small = WorkerPool::new(w);
-        let p = run_batched(&small, &blocks, &cm, &xm);
+        let p = run_batched(&small, &blocks, &cm, &xm, linalg::Precision::F64);
         p.finalize_ytx(&mean).max_abs_diff(&bt_ytx) == 0.0
             && p.xtx.max_abs_diff(&batched.xtx) == 0.0
     });
@@ -217,6 +230,30 @@ fn main() {
          maxreldiff {max_rel_diff:.2e}  deterministic {bitwise_deterministic}"
     );
 
+    // merge: the driver's reduction of the batched partials, pairwise
+    // `tree_merge` rounds against the fused column pass, alternated rep by
+    // rep on copies of the same partials (the copies are not timed).
+    let partials = batched_partials(pool, &blocks, &cm, &xm, linalg::Precision::F64);
+    let (mut pairwise_secs, mut fused_secs) = (f64::INFINITY, f64::INFINITY);
+    let mut merge_bitwise_equal = true;
+    for _ in 0..MERGE_REPS {
+        let (a, b) = (partials.clone(), partials.clone());
+        let (t, pairwise) = timed(|| tree_merge(a, || YtxPartial::new(d), YtxPartial::merge));
+        pairwise_secs = pairwise_secs.min(t);
+        let (t, fused) = timed(|| YtxPartial::tree_merged(pool, d, b));
+        fused_secs = fused_secs.min(t);
+        merge_bitwise_equal &= merged_bits(&pairwise) == merged_bits(&fused);
+    }
+    assert!(merge_bitwise_equal, "fused merge diverged from the pairwise rounds");
+    let merge_speedup = pairwise_secs / fused_secs.max(1e-12);
+    println!(
+        "merge: pairwise {pairwise_secs:>9.5}s  fused {fused_secs:>9.5}s  \
+         speedup {merge_speedup:.2}x"
+    );
+    let merge_json = format!(
+        ",\n  \"merge\": {{\"pairwise\": {{\"secs\": {pairwise_secs:.6e}}}, \"fused\": {{\"secs\": {fused_secs:.6e}}}, \"speedup\": {merge_speedup:.3}, \"bitwise_equal\": {merge_bitwise_equal}}}"
+    );
+
     // Optional reduced-precision arm: same fold, narrower kernels. Its
     // speedup is measured against the batched f64 arm and its divergence
     // against the f64 result (relative to the result's own scale).
@@ -225,7 +262,7 @@ fn main() {
         let mut arm_secs = f64::INFINITY;
         let mut arm_result = None;
         for _ in 0..reps {
-            let (t, p) = timed(|| run_precision(pool, &blocks, &cm, &xm, arm));
+            let (t, p) = timed(|| run_batched(pool, &blocks, &cm, &xm, arm));
             if t < arm_secs {
                 arm_secs = t;
             }
@@ -238,7 +275,7 @@ fn main() {
             arm_ytx.max_abs_diff(&bt_ytx).max(arm_result.xtx.max_abs_diff(&batched.xtx)) / scale;
         let arm_deterministic = {
             let small = WorkerPool::new(2);
-            let p = run_precision(&small, &blocks, &cm, &xm, arm);
+            let p = run_batched(&small, &blocks, &cm, &xm, arm);
             p.finalize_ytx(&mean).max_abs_diff(&arm_ytx) == 0.0
                 && p.xtx.max_abs_diff(&arm_result.xtx) == 0.0
         };
@@ -254,7 +291,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"mode\": \"{}\",\n  \"pool_workers\": {},\n  \"shape\": {{\"rows\": {n}, \"cols\": {d_in}, \"density\": {density}, \"nnz\": {}, \"d\": {d}, \"partitions\": {partitions}}},\n  \"reps\": {reps},\n  \"rowwise_secs\": {rowwise_secs:.6e},\n  \"batched_secs\": {batched_secs:.6e},\n  \"speedup\": {speedup:.3},\n  \"max_rel_diff\": {max_rel_diff:.3e},\n  \"bitwise_deterministic\": {bitwise_deterministic}{precision_json}\n}}\n",
+        "{{\n  \"mode\": \"{}\",\n  \"pool_workers\": {},\n  \"shape\": {{\"rows\": {n}, \"cols\": {d_in}, \"density\": {density}, \"nnz\": {}, \"d\": {d}, \"partitions\": {partitions}}},\n  \"reps\": {reps},\n  \"rowwise_secs\": {rowwise_secs:.6e},\n  \"batched_secs\": {batched_secs:.6e},\n  \"speedup\": {speedup:.3},\n  \"max_rel_diff\": {max_rel_diff:.3e},\n  \"bitwise_deterministic\": {bitwise_deterministic}{merge_json}{precision_json}\n}}\n",
         if smoke { "smoke" } else { "full" },
         pool.workers(),
         y.nnz(),
@@ -266,5 +303,12 @@ fn main() {
     if !smoke {
         // The acceptance bar for the batched path at the paper's shape.
         assert!(speedup >= 2.0, "batched path below the 2x bar ({speedup:.2}x)");
+    }
+    let merge_floor = if smoke { MERGE_FLOORS.0 } else { MERGE_FLOORS.1 };
+    if !cfg!(debug_assertions) {
+        assert!(
+            merge_speedup >= merge_floor,
+            "fused merge below its {merge_floor}x floor over pairwise rounds ({merge_speedup:.2}x)"
+        );
     }
 }

@@ -5,6 +5,15 @@
 //! each sampled row through the model (`x = (y−μ)·CM`, `ŷ = x·C' + μ`).
 //! Progress is reported as a percentage of the *ideal* accuracy — the
 //! error a long reference run converges to.
+//!
+//! The EM driver scores this after every pass, so its cost is the cost of
+//! `ŷ`: D·d multiply-adds per sampled row, none of them stored.
+//! [`reconstruction_error`] forms `ŷ` four rows × four columns at a time
+//! from `C` transposed into four-column panels. Every element keeps
+//! `vector::dot`'s association, so the result is the row-at-a-time loop's
+//! bit for bit. Transposing is what makes the tile pay: each `dot` is a
+//! chain of dependent adds, and with `C` transposed the sixteen elements'
+//! chains run side by side as vector lanes.
 
 use linalg::{Mat, Prng, SparseMat, WorkerPool};
 
@@ -19,6 +28,10 @@ const BAND_ROWS: usize = 16;
 /// the tile.
 const TILE_ELEMS: usize = 3_072;
 
+/// Rows and columns of `ŷ` per register tile, and the lanes of
+/// `vector::dot`.
+const QUAD: usize = 4;
+
 /// Relative 1-norm reconstruction error over the given (sampled) rows.
 ///
 /// Rows are scored in fixed bands of [`BAND_ROWS`] on the shared pool and
@@ -31,58 +44,94 @@ pub fn reconstruction_error(sample: &SparseMat, model: &PcaModel) -> Result<f64>
         return Ok(0.0);
     }
     let x = model.transform_sparse(sample)?;
-    let x = &x;
+    Ok(score(WorkerPool::global(), sample, &x, model.components(), model.mean()))
+}
+
+/// `‖Y − (X·Cᵀ + 1⊗μ)‖₁ / ‖Y‖₁` for the sample `Y` and its latent rows `X`.
+fn score(pool: &WorkerPool, sample: &SparseMat, x: &Mat, c: &Mat, mean: &[f64]) -> f64 {
+    let mut c_panels = linalg::scratch::take_zeroed(c.rows().div_ceil(QUAD) * QUAD * c.cols());
+    pack_quads(c, 0..c.rows(), &mut c_panels);
     let bands: Vec<_> = (0..sample.rows())
         .step_by(BAND_ROWS)
-        .map(|start| move || band_errors(sample, model, x, start))
+        .map(|start| {
+            let c_panels = &c_panels;
+            move || band_errors(sample, x, c_panels, mean, start)
+        })
         .collect();
 
     let mut err_sum = 0.0;
     let mut norm_sum = 0.0;
-    for (row_err, row_norm) in WorkerPool::global().run(bands).into_iter().flatten() {
+    for (row_err, row_norm) in pool.run(bands).into_iter().flatten() {
         err_sum += row_err;
         norm_sum += row_norm;
     }
+    linalg::scratch::recycle(c_panels);
     if norm_sum == 0.0 {
-        return Ok(if err_sum == 0.0 { 0.0 } else { f64::INFINITY });
+        return if err_sum == 0.0 { 0.0 } else { f64::INFINITY };
     }
-    Ok(err_sum / norm_sum)
+    err_sum / norm_sum
+}
+
+/// Rows `rows` of `m` (× d) transposed into d × 4 panels, one per four
+/// rows: the `i`-th row's column `k` lands at `panels[⌊i/4⌋·4d + 4k + i mod 4]`.
+/// Slots of a last, partial quad keep what `panels` holds (zeros).
+fn pack_quads(m: &Mat, rows: std::ops::Range<usize>, panels: &mut [f64]) {
+    let d = m.cols();
+    for (i, r) in rows.enumerate() {
+        let panel = &mut panels[i / QUAD * QUAD * d..][..QUAD * d];
+        for (k, &v) in m.row(r).iter().enumerate() {
+            panel[k * QUAD + i % QUAD] = v;
+        }
+    }
 }
 
 /// `(‖y − ŷ‖₁, ‖y‖₁)` for each of the [`BAND_ROWS`] sample rows from
-/// `start`, where `ŷ = x·C' + μ` is never stored: `C` is walked once per
-/// band in column tiles, each tile scored against every row of the band
-/// while it is cache-resident (row at a time, all of `C` — 4 MB at
-/// D = 10 000, d = 50 — streams through the cache once per row). Per row
-/// the arithmetic is the row-at-a-time loop's: `ŷⱼ = dot(x, Cⱼ) + μⱼ`, `Σ|ŷⱼ|` in ascending `j`, then the
-/// correction at the row's non-zeros in their stored order.
-fn band_errors(sample: &SparseMat, model: &PcaModel, x: &Mat, start: usize) -> Vec<(f64, f64)> {
-    let c = model.components();
-    let mean = model.mean();
-    let d_in = model.input_dim();
+/// `start`, where `ŷ = x·Cᵀ + μ` is never stored. The band walks `C`'s
+/// panels once, in column tiles, and scores each quad of its rows against
+/// a tile while the tile is in L1, four columns at a time
+/// ([`quad_dots`]). Per row the arithmetic is the row-at-a-time loop's:
+/// `ŷⱼ = dot(x, Cⱼ) + μⱼ`, `Σ|ŷⱼ|` in ascending `j`, then the correction at
+/// the row's non-zeros in their stored order, with `ŷ` caught there as the
+/// tiles pass them.
+fn band_errors(
+    sample: &SparseMat,
+    x: &Mat,
+    c_panels: &[f64],
+    mean: &[f64],
+    start: usize,
+) -> Vec<(f64, f64)> {
+    let (d_in, d) = (mean.len(), x.cols());
     let rows = start..(start + BAND_ROWS).min(sample.rows());
-    let tile = (TILE_ELEMS / c.cols().max(1)).max(1);
+    let n = rows.len();
+    let mut x_panels = vec![0.0; n.div_ceil(QUAD) * QUAD * d];
+    pack_quads(x, rows.clone(), &mut x_panels);
+    let indices: Vec<&[u32]> = rows.clone().map(|r| sample.row(r).indices).collect();
+    let tile = tile_cols(d);
 
-    let mut abs_sum = vec![0.0f64; rows.len()];
+    let mut abs_sum = vec![0.0f64; n];
     // ŷ at each row's non-zero columns, caught as the tiles pass them.
-    let mut at_nz: Vec<Vec<f64>> =
-        rows.clone().map(|r| Vec::with_capacity(sample.row(r).indices.len())).collect();
-    let mut recon = vec![0.0f64; tile];
+    let mut at_nz: Vec<Vec<f64>> = indices.iter().map(|i| Vec::with_capacity(i.len())).collect();
     for j0 in (0..d_in).step_by(tile) {
-        let j1 = (j0 + tile).min(d_in);
-        let recon = &mut recon[..j1 - j0];
-        for (k, r) in rows.clone().enumerate() {
-            let xr = x.row(r);
-            for (slot, j) in recon.iter_mut().zip(j0..j1) {
-                *slot = linalg::vector::dot(xr, c.row(j)) + mean[j];
+        for q in 0..n.div_ceil(QUAD) {
+            let xq = &x_panels[q * QUAD * d..(q + 1) * QUAD * d];
+            for j in (j0..(j0 + tile).min(d_in)).step_by(QUAD) {
+                let dots = quad_dots(xq, &c_panels[j * d..(j + QUAD) * d]);
+                let width = QUAD.min(d_in - j);
+                for (k, dots) in (q * QUAD..n).zip(dots) {
+                    let mut yhat = [0.0; QUAD];
+                    for u in 0..width {
+                        yhat[u] = dots[u] + mean[j + u];
+                        abs_sum[k] += yhat[u].abs();
+                    }
+                    let nz = &mut at_nz[k];
+                    while let Some(&cidx) = indices[k].get(nz.len()) {
+                        if cidx as usize >= j + width {
+                            break;
+                        }
+                        nz.push(yhat[cidx as usize - j]);
+                    }
+                }
             }
-            for v in recon.iter() {
-                abs_sum[k] += v.abs();
-            }
-            let indices = sample.row(r).indices;
-            let seen = at_nz[k].len();
-            let upto = seen + indices[seen..].partition_point(|&cidx| (cidx as usize) < j1);
-            at_nz[k].extend(indices[seen..upto].iter().map(|&cidx| recon[cidx as usize - j0]));
         }
     }
 
@@ -96,6 +145,51 @@ fn band_errors(sample: &SparseMat, model: &PcaModel, x: &Mat, start: usize) -> V
             (row_err, linalg::vector::norm1(sample.row(r).values))
         })
         .collect()
+}
+
+/// Columns of `C` per tile: [`TILE_ELEMS`] worth, in whole quads.
+fn tile_cols(d: usize) -> usize {
+    (TILE_ELEMS / d.max(1) / QUAD * QUAD).max(QUAD)
+}
+
+/// `dot(x_r, C_{j+u})` for the four latent rows `r` of one panel of
+/// [`pack_quads`]'s `x` and the four columns `u` of one panel of its `C`,
+/// each with `vector::dot`'s association: lane `k mod 4` sums in ascending
+/// `k` from `0.0`, the lanes pair as `(l₀ + l₁) + (l₂ + l₃)`, then the
+/// `d mod 4` tail adds in order.
+///
+/// Kept `#[inline(never)]`, like `linalg::kernels`' register tile: alone,
+/// the sixteen lane sums vectorize into registers with no bounds checks.
+#[inline(never)]
+fn quad_dots(x_panel: &[f64], c_panel: &[f64]) -> [[f64; QUAD]; QUAD] {
+    const STEP: usize = QUAD * QUAD;
+    let body = x_panel.len() / STEP * STEP;
+    let (x_body, x_tail) = x_panel.split_at(body);
+    let (c_body, c_tail) = c_panel.split_at(body);
+    let mut lanes = [[[0.0f64; QUAD]; QUAD]; QUAD]; // [lane][row][column]
+    for (xs, cs) in x_body.chunks_exact(STEP).zip(c_body.chunks_exact(STEP)) {
+        let xs: &[f64; STEP] = xs.try_into().expect("panel step");
+        let cs: &[f64; STEP] = cs.try_into().expect("panel step");
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            for (r, acc) in lane.iter_mut().enumerate() {
+                for (u, a) in acc.iter_mut().enumerate() {
+                    *a += xs[l * QUAD + r] * cs[l * QUAD + u];
+                }
+            }
+        }
+    }
+    let mut dots = [[0.0; QUAD]; QUAD];
+    for (r, row) in dots.iter_mut().enumerate() {
+        for (u, s) in row.iter_mut().enumerate() {
+            *s = (lanes[0][r][u] + lanes[1][r][u]) + (lanes[2][r][u] + lanes[3][r][u]);
+        }
+        for (xs, cs) in x_tail.chunks_exact(QUAD).zip(c_tail.chunks_exact(QUAD)) {
+            for (s, &c) in row.iter_mut().zip(cs) {
+                *s += xs[r] * c;
+            }
+        }
+    }
+    dots
 }
 
 /// Draws the row sample used for error estimation throughout a run.
@@ -137,12 +231,11 @@ mod tests {
     use super::*;
 
     /// The row-at-a-time loop [`reconstruction_error`] replaced, kept as
-    /// the bitwise reference.
-    fn reference_error(sample: &SparseMat, model: &PcaModel) -> f64 {
-        let x = model.transform_sparse(sample).unwrap();
-        let (c, mean) = (model.components(), model.mean());
+    /// the bitwise reference: `ŷ` one full row at a time through
+    /// `vector::dot`.
+    fn reference_score(sample: &SparseMat, x: &Mat, c: &Mat, mean: &[f64]) -> f64 {
         let (mut err_sum, mut norm_sum) = (0.0, 0.0);
-        let mut recon = vec![0.0; model.input_dim()];
+        let mut recon = vec![0.0; c.rows()];
         for r in 0..sample.rows() {
             for (j, slot) in recon.iter_mut().enumerate() {
                 *slot = linalg::vector::dot(x.row(r), c.row(j)) + mean[j];
@@ -154,40 +247,108 @@ mod tests {
             err_sum += row_err;
             norm_sum += sample.row(r).values.iter().map(|v| v.abs()).sum::<f64>();
         }
+        if norm_sum == 0.0 {
+            return if err_sum == 0.0 { 0.0 } else { f64::INFINITY };
+        }
         err_sum / norm_sum
     }
 
-    #[test]
-    fn tiled_error_is_bitwise_the_row_at_a_time_loop() {
-        // D is not a multiple of the column tile, rows not of the band.
-        let (rows, d_in, d) = (2 * BAND_ROWS + 5, 1_500, 5);
-        assert!(d_in % (TILE_ELEMS / d) != 0 && d_in > TILE_ELEMS / d);
-        let mut rng = Prng::seed_from_u64(77);
-        let model = PcaModel::new(rng.normal_mat(d_in, d), rng.normal_vec(d_in), 0.3);
-        // Hyper-sparse: 0–3 non-zeros per row (row 0 empty), some on tile
-        // edges. Dense: every column of every row set.
-        let edge = (TILE_ELEMS / d) as u32;
-        let sparse: Vec<Vec<(u32, f64)>> = (0..rows)
-            .map(|r| match r % 4 {
+    /// A `rows × d_in` sample whose row 0 is empty and row 1 stores every
+    /// column, the rest holding a few non-zeros on and around the column
+    /// tile's edges; latent rows, components whose row 0 is zero, and a
+    /// mean with `-0.0` at column 0.
+    fn fixture(
+        rng: &mut Prng,
+        rows: usize,
+        d_in: usize,
+        d: usize,
+    ) -> (SparseMat, Mat, Mat, Vec<f64>) {
+        let t = tile_cols(d);
+        let edges = [0, t - 1, t, t + 1, 2 * t, d_in - 1];
+        let entries: Vec<Vec<(u32, f64)>> = (0..rows)
+            .map(|r| match r {
                 0 => vec![],
-                1 => vec![(0, 1.0), (edge - 1, -2.0), (edge, 0.5)],
-                2 => vec![(d_in as u32 - 1, 1.0)],
-                _ => vec![((7 * r) as u32, rng.normal()), (2 * edge, 1.0)],
+                1 => (0..d_in as u32).map(|c| (c, rng.normal() + 1.0)).collect(),
+                _ => {
+                    let mut row: Vec<u32> = edges
+                        .iter()
+                        .chain(&[rng.index(d_in), rng.index(d_in)])
+                        .filter(|&&c| c < d_in && rng.uniform() < 0.5)
+                        .map(|&c| c as u32)
+                        .collect();
+                    row.sort_unstable();
+                    row.dedup();
+                    row.into_iter().map(|c| (c, rng.normal())).collect()
+                }
             })
             .collect();
-        let dense: Vec<Vec<(u32, f64)>> = (0..rows)
-            .map(|_| (0..d_in as u32).map(|c| (c, rng.normal() + 3.0)).collect())
-            .collect();
-        for entries in [sparse, dense] {
-            let sample = SparseMat::from_rows(rows, d_in, entries);
-            let expected = reference_error(&sample, &model).to_bits();
-            let from_driver = reconstruction_error(&sample, &model).unwrap();
-            assert_eq!(from_driver.to_bits(), expected, "driver call diverged");
-            // Two tasks, so the batch is queued and the calls are nested.
-            let in_task = WorkerPool::global()
-                .run((0..2).map(|_| || reconstruction_error(&sample, &model).unwrap()).collect());
-            assert!(in_task.iter().all(|e| e.to_bits() == expected), "pool-task call diverged");
+        let mut c = rng.normal_mat(d_in, d);
+        c.row_mut(0).fill(0.0);
+        let mut mean = rng.normal_vec(d_in);
+        mean[0] = -0.0;
+        (SparseMat::from_rows(rows, d_in, entries), rng.normal_mat(rows, d), c, mean)
+    }
+
+    #[test]
+    fn register_tile_is_bitwise_the_row_at_a_time_loop() {
+        let pools = [1, 2, 8].map(WorkerPool::new);
+        let mut rng = Prng::seed_from_u64(77);
+        for d in (1..=9).chain([63, 64, 65, 130]) {
+            let t = tile_cols(d);
+            // The benchmark's width, for the d that a tile's 4-wide lanes
+            // split differently (63 and 64 share 65's tile count there).
+            let wide: &[usize] = if d == 63 || d == 64 || d == 130 { &[] } else { &[10_000] };
+            for &d_in in [t - 1, t, t + 1].iter().chain(wide) {
+                let sample_rows: &[usize] =
+                    if d_in == 10_000 { &[1, 17] } else { &[1, 15, 16, 17, 256] };
+                for &rows in sample_rows {
+                    let (sample, x, c, mean) = fixture(&mut rng, rows, d_in, d);
+                    let want = reference_score(&sample, &x, &c, &mean).to_bits();
+                    for pool in &pools {
+                        let got = score(pool, &sample, &x, &c, &mean).to_bits();
+                        assert_eq!(got, want, "d={d} D={d_in} rows={rows} on {}", pool.workers());
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    fn non_finite_components_score_like_the_oracle() {
+        let pools = [1, 2, 8].map(WorkerPool::new);
+        let mut rng = Prng::seed_from_u64(78);
+        for d in [1, 5, 65] {
+            let d_in = tile_cols(d) + 1;
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let (sample, x, mut c, mean) = fixture(&mut rng, 17, d_in, d);
+                c[(d_in - 1, d - 1)] = bad;
+                let want = reference_score(&sample, &x, &c, &mean);
+                for pool in &pools {
+                    let got = score(pool, &sample, &x, &c, &mean);
+                    assert!(
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                        "d={d} C∋{bad}: {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn driver_and_pool_task_calls_agree_bitwise() {
+        let mut rng = Prng::seed_from_u64(79);
+        let (d_in, d) = (1_500, 5);
+        let model = PcaModel::new(rng.normal_mat(d_in, d), rng.normal_vec(d_in), 0.3);
+        let (sample, ..) = fixture(&mut rng, 2 * BAND_ROWS + 5, d_in, d);
+        let x = model.transform_sparse(&sample).unwrap();
+        let expected =
+            reference_score(&sample, &x, model.components(), model.mean()).to_bits();
+        let from_driver = reconstruction_error(&sample, &model).unwrap();
+        assert_eq!(from_driver.to_bits(), expected, "driver call diverged");
+        // Two tasks, so the batch is queued and the calls are nested.
+        let in_task = WorkerPool::global()
+            .run((0..2).map(|_| || reconstruction_error(&sample, &model).unwrap()).collect());
+        assert!(in_task.iter().all(|e| e.to_bits() == expected), "pool-task call diverged");
     }
 
     fn tiny_model() -> PcaModel {

@@ -31,7 +31,8 @@
 //! kernels accumulate every output element in ascending input-row order
 //! (see the determinism notes in `linalg::kernels`), and the only
 //! reassociation points are partition boundaries — which the engines align
-//! with merge boundaries. The seed's HashMap-based row-at-a-time
+//! with merge boundaries ([`YtxPartial::tree_merged`] is the Spark driver's
+//! merge). The seed's HashMap-based row-at-a-time
 //! accumulator is preserved verbatim in [`rowwise`] as the ablation arm
 //! `bench_em` measures against.
 
@@ -325,6 +326,32 @@ impl YtxPartial {
         self.merge_packed(other.cols, other.slab);
         linalg::vector::axpy(1.0, &other.sum_x, &mut self.sum_x);
         self.rows_seen += other.rows_seen;
+    }
+
+    /// `sparkle::tree_merge(parts, || YtxPartial::new(d), YtxPartial::merge)`
+    /// bit for bit, at about the cost of reading the partials once: the
+    /// packed rows go through [`sparkle::tree_merge_rows`] on `pool`, which
+    /// writes each merged row once (its `left + right` is [`Self::merge`]'s
+    /// `axpy(1.0, right, left)`: `1.0 · r` is `r` exactly), and `xtx`,
+    /// `sum_x` and `rows_seen` keep [`sparkle::tree_merge`]. The partials'
+    /// slabs are retired to `linalg::scratch`.
+    pub fn tree_merged(pool: &WorkerPool, d: usize, mut parts: Vec<YtxPartial>) -> YtxPartial {
+        if parts.len() <= 1 {
+            return parts.pop().unwrap_or_else(|| YtxPartial::new(d));
+        }
+        assert!(parts.iter().all(|p| p.d() == d), "tree_merged: partials of mixed d");
+        let views: Vec<(&[u32], &[f64])> =
+            parts.iter().map(|p| (&p.cols[..], &p.slab[..])).collect();
+        let (cols, slab) = sparkle::tree_merge_rows(pool, &views, d);
+        let heads: Vec<YtxPartial> = parts
+            .into_iter()
+            .map(|p| {
+                linalg::scratch::recycle(p.slab);
+                YtxPartial { cols: Vec::new(), slab: Vec::new(), ..p }
+            })
+            .collect();
+        let merged = sparkle::tree_merge(heads, || YtxPartial::new(d), YtxPartial::merge);
+        YtxPartial { cols, slab, ..merged }
     }
 
     /// Linear sorted merge of a packed (cols, slab) pair into this

@@ -4,14 +4,15 @@
 //! cluster's aggregate memory, and each EM iteration runs exactly two
 //! accumulator stages against it:
 //!
-//! * `YtXSparkJob` — one `aggregate_partitions` whose per-task accumulator
-//!   is a [`YtxPartial`]: each task hands its whole partition slice to the
-//!   batched `add_block` kernels (latent block recomputed on the fly from
-//!   the broadcast `CM`/`Xm`, blocked `XtX`/`YtX` folds), and only the
-//!   partials cross the network (the paper's `XtXSum`/`YtXSum`
+//! * `YtXSparkJob` — one `aggregate_partitions_with` whose per-task
+//!   accumulator is a [`YtxPartial`]: each task hands its whole partition
+//!   slice to the batched `add_block` kernels (latent block recomputed on
+//!   the fly from the broadcast `CM`/`Xm`, blocked `XtX`/`YtX` folds), and
+//!   only the partials cross the network (the paper's `XtXSum`/`YtXSum`
 //!   accumulators, "eliminating the need for reduce operations"). The
 //!   `YtX` partial stores touched rows only — the O(z·d) sparsity trick of
-//!   Section 4.2.
+//!   Section 4.2 — and the driver merges the partials in one column pass
+//!   ([`YtxPartial::tree_merged`]) with `tree_merge`'s bits.
 //! * `ss3SparkJob` — one `aggregate_partitions` folding the scalar
 //!   `Σ xᵢ·(C'yᵢ')` via the blocked `ss3_block`.
 //!
@@ -229,8 +230,10 @@ impl EmJobs for SparkJobs<'_> {
         // Batched path: each task reassembles its partition slice into a
         // CSR block (O(z) copy, no sorting) and runs the blocked kernels
         // over it — one add_block per partition, so reassociation happens
-        // only at partition boundaries, same as the merge tree.
-        let (partial, _bytes) = self.rdd.aggregate_partitions(
+        // only at partition boundaries, same as the merge tree. The driver
+        // merges the partials in one fused, column-banded pass.
+        let pool = cluster.pool();
+        let (partial, _bytes) = self.rdd.aggregate_partitions_with(
             "YtXJob",
             || YtxPartial::new(d),
             |acc, part| {
@@ -238,7 +241,7 @@ impl EmJobs for SparkJobs<'_> {
                 let block = SparseMat::from_row_views(d_in, &views);
                 acc.add_block_prec(&block, cm, xm, precision);
             },
-            |acc, other| acc.merge(other),
+            |parts| YtxPartial::tree_merged(pool, d, parts),
         );
         if obs::enabled() {
             let after = ytx_counter_snapshot();

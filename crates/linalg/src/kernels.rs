@@ -91,8 +91,9 @@ pub(crate) const SCATTER_BAND_ELEMS: usize = 4_096;
 pub(crate) const MAX_SCATTER_BANDS: usize = 64;
 
 /// Deterministic chunk count for a loop of `rows` iterations costing
-/// `flops_per_row` each: a function of the problem shape only.
-pub(crate) fn chunk_count(rows: usize, flops_per_row: usize) -> usize {
+/// `flops_per_row` each: a function of the problem shape only, and 1
+/// below the parallel threshold the kernels use.
+pub fn chunk_count(rows: usize, flops_per_row: usize) -> usize {
     let total = rows.saturating_mul(flops_per_row);
     if total < PAR_MIN_FLOPS || rows <= 1 {
         return 1;

@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dcluster::{SimCluster, StageOptions};
-use linalg::Wire;
+use linalg::{Wire, WorkerPool};
 
 /// Deterministic pairwise tree reduction: adjacent values merge in rounds
 /// until one remains. The merge structure is a function of the input count
@@ -41,6 +41,160 @@ where
         parts = next;
     }
     parts.into_iter().next().expect("non-empty after rounds")
+}
+
+/// [`tree_merge`]'s association for partials of packed rows keyed by
+/// column, where a merge adds the rows two partials share (`left + right`
+/// per element) and keeps the others. `parts[i]` is partial `i`'s strictly
+/// ascending columns and its `d`-wide rows back to back; the result is the
+/// union of the columns and their merged rows, each written once.
+///
+/// In [`tree_merge`], round `r`'s position `t` holds the merge of exactly
+/// the partials whose index `i` has `i >> r == t`. A merge that finds a
+/// column on both sides adds the right row onto the left; a side that
+/// lacks it passes the other's row through untouched. So a column's merged
+/// row is a binary trie over the indices of the partials that hold it:
+/// split them at the highest bit in which they differ, merge each side the
+/// same way, and add the right onto the left. Evaluated per column in L1
+/// (`merge_row`), that is `tree_merge`'s result bit for bit, with no
+/// intermediate slabs.
+///
+/// The holders of every column are bucketed once, in partition order, and
+/// the output rows run in bands on `pool`. The band count is a function of
+/// the shape only (one band below the kernels' parallel threshold), and a
+/// row's bits do not depend on its band.
+pub fn tree_merge_rows(
+    pool: &WorkerPool,
+    parts: &[(&[u32], &[f64])],
+    d: usize,
+) -> (Vec<u32>, Vec<f64>) {
+    // Counting sort of (partial, position) by column, stable in partial
+    // order. `end[c]` counts column c's holders, then is its fill cursor,
+    // and once filled is the end of its holders (which start at `end[c−1]`).
+    let width = parts.iter().filter_map(|(cols, _)| cols.last()).max();
+    let mut end = vec![0usize; width.map_or(0, |&c| c as usize + 1)];
+    for (cols, _) in parts {
+        for &c in *cols {
+            end[c as usize] += 1;
+        }
+    }
+    let mut cols = Vec::new();
+    let mut total = 0;
+    for (c, slot) in end.iter_mut().enumerate() {
+        if *slot > 0 {
+            cols.push(c as u32);
+        }
+        (*slot, total) = (total, total + *slot);
+    }
+    let mut holders = vec![(0u32, 0u32); total];
+    for (i, (pcols, _)) in parts.iter().enumerate() {
+        for (k, &c) in pcols.iter().enumerate() {
+            holders[end[c as usize]] = (i as u32, k as u32);
+            end[c as usize] += 1;
+        }
+    }
+    let row_start: Vec<usize> =
+        std::iter::once(0).chain(cols.iter().map(|&c| end[c as usize])).collect();
+
+    let m = cols.len();
+    let mut slab = linalg::scratch::take_zeroed(m * d);
+    if d == 0 {
+        return (cols, slab);
+    }
+    // Bands of near-equal holder counts; `levels` bounds the trie's depth.
+    let bands = linalg::kernels::chunk_count(m, (total * d).div_ceil(m.max(1)));
+    let levels = (usize::BITS - parts.len().saturating_sub(1).leading_zeros()) as usize;
+    let mut bounds = vec![0];
+    for b in 1..bands {
+        let at = row_start.partition_point(|&s| s < total * b / bands).min(m);
+        bounds.push(at.max(bounds[b - 1]));
+    }
+    bounds.push(m);
+    let (holders, row_start) = (&holders, &row_start);
+    let mut rest = &mut slab[..];
+    let mut tasks = Vec::with_capacity(bands);
+    for w in bounds.windows(2) {
+        let (band, tail) = std::mem::take(&mut rest).split_at_mut((w[1] - w[0]) * d);
+        rest = tail;
+        let rows = w[0]..w[1];
+        tasks.push(move || {
+            let mut stack = Stack { slots: vec![0.0; levels * d], leaf: [None; 33], bit: [0; 33] };
+            for (r, out) in rows.zip(band.chunks_exact_mut(d)) {
+                merge_row(&holders[row_start[r]..row_start[r + 1]], parts, out, &mut stack);
+            }
+        });
+    }
+    pool.run(tasks);
+    (cols, slab)
+}
+
+/// [`merge_row`]'s stack of merged subtries, bottom first: position 0 is
+/// the output row, position `p > 0` lives in `slots[(p − 1)·d..p·d]` —
+/// unless `leaf[p]` holds a subtrie that is still one partial's row, which
+/// is read in place. `bit[p]` is the bit that separates position `p` from
+/// position `p − 1`; those fall strictly up the stack, so a `u32` partial
+/// index bounds it at 33 positions.
+struct Stack<'p> {
+    slots: Vec<f64>,
+    leaf: [Option<&'p [f64]>; 33],
+    bit: [u32; 33],
+}
+
+/// One output row of [`tree_merge_rows`] from its holders, (partial,
+/// position) pairs in ascending partial order: the trie evaluated left to
+/// right. Before a holder is pushed, every stacked subtrie separated from
+/// its left neighbour by a lower bit than the holder's own is complete and
+/// folds into that neighbour; at the end the stack folds right to left.
+fn merge_row<'p>(
+    holders: &[(u32, u32)],
+    parts: &[(&[u32], &'p [f64])],
+    out: &mut [f64],
+    stack: &mut Stack<'p>,
+) {
+    let d = out.len();
+    let row = |(i, k): (u32, u32)| &parts[i as usize].1[k as usize * d..(k as usize + 1) * d];
+    let (&first, rest) = holders.split_first().expect("a merged row has a holder");
+    stack.leaf[0] = Some(row(first));
+    let mut top = 1;
+    let mut prev = first.0;
+    for &h in rest {
+        let bit = 31 - (prev ^ h.0).leading_zeros();
+        while top >= 2 && stack.bit[top - 1] < bit {
+            fold(top - 2, out, stack);
+            top -= 1;
+        }
+        stack.bit[top] = bit;
+        stack.leaf[top] = Some(row(h));
+        top += 1;
+        prev = h.0;
+    }
+    while top >= 2 {
+        fold(top - 2, out, stack);
+        top -= 1;
+    }
+    if let Some(row) = stack.leaf[0].take() {
+        out.copy_from_slice(row);
+    }
+}
+
+/// Adds stack position `j + 1` onto position `j`.
+fn fold(j: usize, out: &mut [f64], stack: &mut Stack<'_>) {
+    let d = out.len();
+    let (below, above) = stack.slots.split_at_mut(j * d);
+    let dst = if j == 0 { out } else { &mut below[(j - 1) * d..] };
+    let right = stack.leaf[j + 1].take().unwrap_or(&above[..d]);
+    match stack.leaf[j].take() {
+        Some(left) => {
+            for ((o, &l), &r) in dst.iter_mut().zip(left).zip(right) {
+                *o = l + r;
+            }
+        }
+        None => {
+            for (o, &r) in dst.iter_mut().zip(right) {
+                *o += r;
+            }
+        }
+    }
 }
 
 /// How a lost cached partition is rebuilt: a human-readable chain of
@@ -346,7 +500,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
             })
             .collect();
         let partials = self.cluster.run_stage(self.stage_options(label), tasks);
-        self.reduce_partials(partials, init, merge)
+        self.reduce_partials(partials, |parts| tree_merge(parts, init, merge))
     }
 
     /// Partition-at-a-time aggregation: like [`Self::aggregate`], but each
@@ -367,6 +521,30 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         FF: Fn(&mut A, &[T]) + Sync,
         FM: Fn(&mut A, A),
     {
+        let init = &init;
+        self.aggregate_partitions_with(label, init, fold_part, |parts| {
+            tree_merge(parts, init, merge)
+        })
+    }
+
+    /// [`Self::aggregate_partitions`] with the driver's reduction supplied
+    /// whole: `reduce` receives every partial in partition order (an empty
+    /// vector for an RDD without partitions) and must return what
+    /// [`tree_merge`] would — the `YtXJob` hands its partials to a fused
+    /// column pass ([`tree_merge_rows`]) this way.
+    pub fn aggregate_partitions_with<A, FI, FF, R>(
+        &self,
+        label: &str,
+        init: FI,
+        fold_part: FF,
+        reduce: R,
+    ) -> (A, u64)
+    where
+        A: Send + Wire,
+        FI: Fn() -> A + Sync,
+        FF: Fn(&mut A, &[T]) + Sync,
+        R: FnOnce(Vec<A>) -> A,
+    {
         self.charge_spill();
         let init = &init;
         let fold_part = &fold_part;
@@ -382,24 +560,24 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
             })
             .collect();
         let partials = self.cluster.run_stage(self.stage_options(label), tasks);
-        self.reduce_partials(partials, init, merge)
+        self.reduce_partials(partials, reduce)
     }
 
-    /// Driver-side reduction shared by the two aggregates: charge the
-    /// accumulator bytes, then [`tree_merge`] the partials (pairwise rounds
-    /// — a function of the partition count only, so any worker count
-    /// produces the same result).
+    /// Driver-side reduction shared by every aggregate: charge the
+    /// accumulator bytes, then `reduce` the whole vector of partials —
+    /// [`tree_merge`]'s pairwise rounds, or a pass with the same
+    /// association (a function of the partition count only, so any worker
+    /// count produces the same result).
     ///
     /// Partial accumulators are shuffle-family records, so they are priced
     /// under the cluster's negotiated wire codec — the one charge site in
     /// sparkle where the v3 fast path applies. Collects, broadcasts and
     /// persisted partitions stay on exact v2 pricing.
-    fn reduce_partials<A, FI, FM>(&self, partials: Vec<A>, init: FI, merge: FM) -> (A, u64)
-    where
-        A: Wire,
-        FI: Fn() -> A,
-        FM: Fn(&mut A, A),
-    {
+    fn reduce_partials<A: Wire>(
+        &self,
+        partials: Vec<A>,
+        reduce: impl FnOnce(Vec<A>) -> A,
+    ) -> (A, u64) {
         // Per-partition sizes feed the contended timing model as one flow
         // per partition endpoint (partition p lives on node p % nodes);
         // the byte meter still charges their sum.
@@ -410,7 +588,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
             self.cluster.registry().counter("sparkle.accumulator_bytes").add(bytes);
         }
         let _merge_span = obs::span("driver", "accumulator merge");
-        (tree_merge(partials, init, merge), bytes)
+        (reduce(partials), bytes)
     }
 
     /// Brings every element to the driver, charging the transfer. Consumes
@@ -827,6 +1005,60 @@ mod tests {
             vec!["a+b", "c+d", "ab+cd", "abcd+e"],
             "fixed pairwise rounds"
         );
+    }
+
+    /// `tree_merge_rows` against `tree_merge` of the same packed partials,
+    /// on values from ±2^±40 plus exact and negative zeros: any other
+    /// association, or a pass-through turned into an add, changes a bit.
+    #[test]
+    fn tree_merge_rows_is_tree_merge_per_column() {
+        type Packed = (Vec<u32>, Vec<f64>);
+        let merge = |a: &mut Packed, b: Packed| {
+            let mut out: Packed = (Vec::new(), Vec::new());
+            let (mut i, mut j) = (0, 0);
+            while i < a.0.len() || j < b.0.len() {
+                let (ca, cb) = (a.0.get(i).copied(), b.0.get(j).copied());
+                if ca.is_some() && (cb.is_none() || ca < cb) {
+                    out.0.push(a.0[i]);
+                    out.1.push(a.1[i]);
+                    i += 1;
+                } else if ca == cb {
+                    out.0.push(a.0[i]);
+                    out.1.push(a.1[i] + b.1[j]);
+                    (i, j) = (i + 1, j + 1);
+                } else {
+                    out.0.push(b.0[j]);
+                    out.1.push(b.1[j]);
+                    j += 1;
+                }
+            }
+            *a = out;
+        };
+        let bits = |p: &Packed| (p.0.clone(), p.1.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        let pools = [WorkerPool::new(1), WorkerPool::new(3)];
+        let mut rng = linalg::Prng::seed_from_u64(22);
+        for n in 0..=70usize {
+            let parts: Vec<Packed> = (0..n)
+                .map(|_| {
+                    let cols: Vec<u32> = (0..12).filter(|_| rng.uniform() < 0.4).collect();
+                    let vals = cols
+                        .iter()
+                        .map(|_| match rng.index(8) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            k => (k as f64 - 4.5) * 2f64.powi(rng.index(81) as i32 - 40),
+                        })
+                        .collect();
+                    (cols, vals)
+                })
+                .collect();
+            let want = bits(&tree_merge(parts.clone(), Packed::default, merge));
+            let views: Vec<(&[u32], &[f64])> =
+                parts.iter().map(|(c, v)| (&c[..], &v[..])).collect();
+            for pool in &pools {
+                assert_eq!(bits(&tree_merge_rows(pool, &views, 1)), want, "n = {n}");
+            }
+        }
     }
 
     #[test]
