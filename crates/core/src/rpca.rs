@@ -17,14 +17,16 @@
 //! t_p    = 1ᵀP_p                     (column sums of the slab)
 //! ```
 //!
-//! and the driver folds the partials **sequentially in partition order**:
+//! and the driver folds the partials **sequentially in partition order**,
+//! each as soon as it and every earlier partial have arrived:
 //!
 //! ```text
 //! Z = Σ_p Zraw_p − μ⊗(Σ_p t_p)  =  YcᵀYc·W        (Yc = Y − 1⊗μ)
 //! ```
 //!
 //! so the N×K sketch `Q` is never materialized or shuffled — the paper's
-//! minimized-intermediate-data discipline carried over to the challenger.
+//! minimized-intermediate-data discipline carried over to the challenger —
+//! and the host holds a few D×K partials at a time, not one per partition.
 //! The driver then factors the small D×K `Z` **once** per pass
 //! (`linalg::decomp::singular_basis`: `Z = U·diag(s)·Vᵀ` through the K×K
 //! Gram matrix, two rounds). Halko et al. only ask for *an* orthonormal
@@ -51,9 +53,11 @@
 //! models and fault plans. Three design rules buy that: both engines split
 //! rows with the same `split_rows` layout, both run the identical
 //! `pass_partial` kernel per partition, and every cross-partition fold
-//! happens on the driver in partition index order (the MapReduce path keys
-//! partials by partition index, so its sorted job output *is* partition
-//! order; the Spark path `collect`s, which preserves partition order).
+//! happens in one driver closure, in partition index order. The Spark path
+//! streams partials into it with `Rdd::collect_each`, which delivers in
+//! partition order while the stage runs. The MapReduce path keys partials
+//! by partition index, so its sorted job output *is* partition order, and
+//! feeds that output through the same closure.
 //! The engines still differ in what they charge — Spark persists the RDD
 //! and pays per-partition collect flows, MapReduce pays job init, spills
 //! and shuffle — which is exactly the comparison the three-way bench
@@ -87,16 +91,22 @@ use crate::Result;
 pub type PassPartial = (Mat, Vec<f64>);
 
 /// The distributed surface of the randomized driver, one impl per engine.
-/// Every method returns *per-partition* partials in partition index order;
+/// Every method yields *per-partition* partials in partition index order;
 /// all folding happens in `RpcaArm::pass` so both engines reduce identically.
 pub trait RpcaJobs {
     /// Per-partition column sums of `Y` (one vector per partition).
     fn colsum_job(&mut self) -> Vec<Vec<f64>>;
     /// Per-partition centered squared-Frobenius partials (Algorithm 3).
     fn fnorm_job(&mut self, mean: &[f64], mean_norm_sq: f64) -> Vec<f64>;
-    /// One fat pass: broadcast `w` (D×K) and `shift = Wᵀμ`, return each
-    /// partition's [`PassPartial`].
-    fn pass_job(&mut self, w: &Mat, shift: &[f64], pass: usize) -> Vec<PassPartial>;
+    /// One fat pass: broadcast `w` (D×K) and `shift = Wᵀμ`, and hand each
+    /// partition's [`PassPartial`] to `fold`, in partition order.
+    fn pass_job(
+        &mut self,
+        w: &Mat,
+        shift: &[f64],
+        pass: usize,
+        fold: &mut (dyn FnMut(PassPartial) + Send),
+    );
 }
 
 /// The per-partition pass kernel, shared verbatim by both engines so their
@@ -243,18 +253,18 @@ impl PassArm for RpcaArm<'_> {
         let shift = self.w.vecmat(mean);
 
         // The fat pass (distributed): per-partition covariance-sketch
-        // partials, folded sequentially in partition order.
-        let partials = self.jobs.pass_job(&self.w, &shift, pass);
+        // partials, folded sequentially in partition order as the engine
+        // delivers them. Each D×K partial is retired as soon as it is
+        // folded, for the pass's later tasks to take (see `pass_partial`).
         let (mut z, mut tsum) = (Mat::zeros(d_in, k), vec![0.0; k]);
+        self.jobs.pass_job(&self.w, &shift, pass, &mut |(zraw, t)| {
+            let _s = obs::span("driver", "rpca fold partial");
+            z.add_assign(&zraw);
+            linalg::scratch::recycle(zraw.into_vec());
+            linalg::vector::axpy(1.0, &t, &mut tsum);
+        });
         {
             let _s = obs::span("driver", "rpca driver fold");
-            // By value: each D×K partial is retired as soon as it is folded,
-            // for the next pass's tasks to take (see `pass_partial`).
-            for (zraw, t) in partials {
-                z.add_assign(&zraw);
-                linalg::scratch::recycle(zraw.into_vec());
-                linalg::vector::axpy(1.0, &t, &mut tsum);
-            }
             // Mean correction: Z = YᵀP − μ⊗(1ᵀP) = YcᵀP.
             for j in 0..d_in {
                 linalg::vector::axpy(-mean[j], &tsum, z.row_mut(j));
@@ -400,7 +410,13 @@ impl RpcaJobs for MrRpcaJobs<'_> {
         out.into_iter().map(|(_, v)| v).collect()
     }
 
-    fn pass_job(&mut self, w: &Mat, shift: &[f64], pass: usize) -> Vec<PassPartial> {
+    fn pass_job(
+        &mut self,
+        w: &Mat,
+        shift: &[f64],
+        pass: usize,
+        fold: &mut (dyn FnMut(PassPartial) + Send),
+    ) {
         // Distributed-cache shipment of W and the shift vector (each MR
         // job re-reads its cache; nothing persists across jobs).
         let cluster = self.engine.cluster();
@@ -408,7 +424,7 @@ impl RpcaJobs for MrRpcaJobs<'_> {
         let job = PassJob { w, shift };
         let (out, _) =
             self.engine.run_job(&format!("rpca/pass{pass}"), &job, &self.blocks, self.reducers);
-        out.into_iter().map(|(_, v)| v).collect()
+        out.into_iter().for_each(|(_, v)| fold(v));
     }
 }
 

@@ -296,22 +296,31 @@ impl RpcaJobs for SparkJobs<'_> {
             .collect()
     }
 
-    fn pass_job(&mut self, w: &Mat, shift: &[f64], pass: usize) -> Vec<PassPartial> {
+    fn pass_job(
+        &mut self,
+        w: &Mat,
+        shift: &[f64],
+        pass: usize,
+        fold: &mut (dyn FnMut(PassPartial) + Send),
+    ) {
         // Broadcast the pass's basis W (D×K) and shift vector to every
         // node — the fat part of the fat pass, priced like every other
         // broadcast.
         let cluster = self.rdd.cluster();
         cluster.charge_broadcast(cluster.wire_size(w) + cluster.sizing().f64_payload(shift.len()));
         let d_in = self.d_in;
-        self.rdd
-            .map_partitions(&format!("rpca/pass{pass}"), |part| {
+        // A streaming collect: partials reach the fold in partition order
+        // while the stage runs, charged one flow per partition — the D×K
+        // partial each executor ships home.
+        self.rdd.collect_each(
+            &format!("rpca/pass{pass}"),
+            |part| {
                 let views: Vec<SparseRow> = part.iter().map(SpRow::view).collect();
                 let block = SparseMat::from_row_views(d_in, &views);
                 vec![pass_partial(&block, w, shift)]
-            })
-            // collect() preserves partition order and charges one flow
-            // per partition — the D×K partial each executor ships home.
-            .collect()
+            },
+            fold,
+        );
     }
 }
 

@@ -23,6 +23,7 @@ use std::time::Instant;
 use linalg::WorkerPool;
 
 use crate::config::ClusterConfig;
+use crate::delivery::Delivery;
 use crate::faults::{quantile, ActivePlan, CacheEntry, FaultDomain, FaultPlan, FaultSpec, RecoveryEvent};
 use crate::hdfs::Dfs;
 use crate::metrics::{Metrics, MetricsSnapshot, StageRecord, TimeCategory};
@@ -776,11 +777,30 @@ impl SimCluster {
     /// virtual clock by the makespan of those durations scheduled onto
     /// the cluster's virtual cores (LPT by default, the event-driven
     /// per-host slot schedule under contended timing). Results come back
-    /// in task order.
+    /// in task order: this is [`Self::run_stage_with`] with a sink that
+    /// collects them.
     pub fn run_stage<T, F>(&self, opts: StageOptions, tasks: Vec<F>) -> Vec<T>
     where
         T: Send,
         F: FnOnce() -> T + Send,
+    {
+        let mut results = Vec::with_capacity(tasks.len());
+        self.run_stage_with(opts, tasks, |_, out| results.push(out));
+        results
+    }
+
+    /// [`Self::run_stage`] with each result handed to `sink` as the stage
+    /// runs, instead of all of them after it. `sink(i, result)` is called
+    /// once per task, in ascending task index, after task `i` and every
+    /// earlier task have finished, on whichever thread finished the task
+    /// that made it due. The sink runs outside the task's measured
+    /// interval, so its time is in no task duration, no `cpu_secs` and no
+    /// virtual time.
+    pub fn run_stage_with<T, F, S>(&self, opts: StageOptions, tasks: Vec<F>, sink: S)
+    where
+        T: Send,
+        F: FnOnce() -> T + Send,
+        S: FnMut(usize, T) + Send,
     {
         let n = tasks.len();
         let stage_idx = self.stage_seq.fetch_add(1, Ordering::Relaxed);
@@ -791,28 +811,28 @@ impl SimCluster {
                 compute_secs: 0.0,
                 cpu_secs: 0.0,
             });
-            return Vec::new();
+            return;
         }
 
         let _host_span = obs::span_lazy("stage", || format!("stage:{}", opts.label));
-        let timed: Vec<(f64, T)> = self.pool.run(
+        let delivery = Delivery::new(n, sink);
+        let durations: Vec<f64> = self.pool.run(
             tasks
                 .into_iter()
-                .map(|task| {
+                .enumerate()
+                .map(|(i, task)| {
+                    let delivery = &delivery;
                     move || {
                         let start = Instant::now();
                         let out = task();
-                        (start.elapsed().as_secs_f64(), out)
+                        let secs = start.elapsed().as_secs_f64();
+                        delivery.deposit(i, out);
+                        secs
                     }
                 })
                 .collect(),
         );
-        let mut durations = Vec::with_capacity(n);
-        let mut results = Vec::with_capacity(n);
-        for (secs, out) in timed {
-            durations.push(secs);
-            results.push(out);
-        }
+        let pending_peak = delivery.finish();
 
         let cpu_secs: f64 = durations.iter().sum();
         // Failure injection: a failed first attempt is re-executed — same
@@ -900,6 +920,7 @@ impl SimCluster {
             begin_us = cpu_win.0;
             end_us = rec_win.1;
             m.registry().histogram("stage.utilization").record(utilization);
+            m.registry().histogram("stage.pending_peak").record(pending_peak as f64);
             m.stages.push(record.clone());
         }
         if obs::enabled() {
@@ -912,6 +933,7 @@ impl SimCluster {
                     vec![
                         ("tasks", (n as u64).into()),
                         ("cpu_secs", record.cpu_secs.into()),
+                        ("pending_peak", (pending_peak as u64).into()),
                     ],
                 );
             });
@@ -960,7 +982,6 @@ impl SimCluster {
                 );
             });
         }
-        results
     }
 
     /// Runs a driver-local computation, measuring it and charging the

@@ -27,6 +27,7 @@
 
 pub mod cluster;
 pub mod config;
+mod delivery;
 pub mod events;
 pub mod faults;
 pub mod hdfs;

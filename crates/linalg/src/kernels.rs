@@ -412,22 +412,8 @@ pub fn matmul_tn_with_pool(pool: &WorkerPool, a: &Mat, b: &Mat) -> Mat {
         matmul_tn_rows(a, b, 0, rows, out.data_mut());
         return out;
     }
-    let ranges = row_ranges(rows, chunks);
-    if pool.workers() == 1 {
-        // Single worker: run the same chunks in the same order, but
-        // accumulate straight into the output. The partial-buffer path
-        // below adds each chunk's tile sums into a zeroed partial and then
-        // axpy-adds the partials in chunk order — the identical additions
-        // in the identical left-associated order — so this fast path is
-        // bit-for-bit the same result without the zero-fill and reduce
-        // traffic (which at wide shapes is several output-sized sweeps).
-        for (start, end) in ranges {
-            matmul_tn_rows(a, b, start, end, out.data_mut());
-        }
-        return out;
-    }
     let partials: Vec<Vec<f64>> = pool.run(
-        ranges
+        row_ranges(rows, chunks)
             .into_iter()
             .map(|(start, end)| {
                 move || {

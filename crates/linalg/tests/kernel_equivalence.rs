@@ -207,8 +207,22 @@ fn kernels_are_bitwise_deterministic_across_pool_sizes() {
     let sd: Vec<Mat> =
         pools.iter().map(|p| kernels::sparse_mul_dense_with_pool(p, &y, &c)).collect();
 
+    // Widths off the 8-wide register tile: the remainder columns accumulate
+    // into the output, so a pool that folded chunks straight into it gave
+    // other bits than one that reduces per-chunk partials.
+    let tn_off_tile: Vec<Vec<Mat>> = [(1_000, 50), (10_000, 50), (10_000, 60)]
+        .iter()
+        .map(|&(rows, cols)| {
+            let m = rng.normal_mat(rows, cols);
+            pools.iter().map(|p| kernels::matmul_tn_with_pool(p, &m, &m)).collect()
+        })
+        .collect();
+
     for i in 1..pools.len() {
         assert_bits_eq(&tn[0], &tn[i], "matmul_tn across pools");
+        for tn in &tn_off_tile {
+            assert_bits_eq(&tn[0], &tn[i], "off-tile matmul_tn across pools");
+        }
         assert_bits_eq(&mm[0], &mm[i], "matmul across pools");
         assert_bits_eq(&nt[0], &nt[i], "matmul_nt across pools");
         assert_bits_eq(&sd[0], &sd[i], "sparse_mul_dense across pools");

@@ -616,6 +616,32 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         out
     }
 
+    /// The streaming form of `map_partitions(label, f).collect()`: the same
+    /// stage under the same label, but the elements reach `sink` while the
+    /// stage runs, in partition order, each partition's as soon as it and
+    /// every earlier partition have finished
+    /// ([`SimCluster::run_stage_with`]). A driver that folds what it
+    /// collects holds only the outputs that finished ahead of an earlier,
+    /// still running partition, not all of them. Charged as the collect
+    /// is: one `"collect"` flow per partition, at the `wire_size` of its
+    /// output before the sink consumed it, after the stage.
+    pub fn collect_each<U, F>(&self, label: &str, f: F, mut sink: impl FnMut(U) + Send)
+    where
+        U: Send + Wire,
+        F: Fn(&[T]) -> Vec<U> + Sync,
+    {
+        self.charge_spill();
+        let f = &f;
+        let tasks: Vec<_> = self.snapshot().into_iter().map(|p| move || f(&p)).collect();
+        let cluster = self.cluster;
+        let mut sizes = Vec::with_capacity(tasks.len());
+        cluster.run_stage_with(self.stage_options(label), tasks, |_, part: Vec<U>| {
+            sizes.push(part.iter().map(|u| cluster.wire_size(u)).sum());
+            part.into_iter().for_each(&mut sink);
+        });
+        cluster.charge_network_flows(&sizes, "collect");
+    }
+
     /// Marks the RDD as cached and accounts for the fraction that does not
     /// fit in the cluster's aggregate memory: that spill is re-read from
     /// disk by every subsequent stage over this RDD. Returns the dataset's
