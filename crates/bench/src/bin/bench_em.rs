@@ -11,6 +11,11 @@
 //! HashMap merge under `tree_merge`. A `merge` section times the fused
 //! merge against the pairwise `tree_merge(.., YtxPartial::merge)` rounds it
 //! replaced, on the same partials, and asserts the two agree bit for bit.
+//! A `gather` section times `add_block` over cached partition blocks
+//! (`PartitionBlock`: CSR plus column-major copy, built before the timed
+//! region) against the per-task path they replaced — the CSR block rebuilt
+//! from per-row records, a D-wide column table, the latent block and the
+//! bucketed `spmm_tn_packed` scatter — and asserts the two bit-equal.
 //!
 //! No external harness — each arm is timed with `Instant`, best of several
 //! repetitions, results written as hand-rolled JSON (validated with the
@@ -24,9 +29,12 @@
 
 use std::time::Instant;
 
+use linalg::kernels;
+use linalg::sparse::{PartitionBlock, SparseRow};
 use linalg::{Mat, Prng, SparseMat, WorkerPool};
 use sparkle::tree_merge;
 use spca_core::mean_prop::{rowwise::RowwisePartial, YtxPartial};
+use spca_core::spark::{to_rows, SpRow};
 
 /// Timed repetitions of each side of the `merge` section.
 const MERGE_REPS: usize = 10;
@@ -36,6 +44,16 @@ const MERGE_REPS: usize = 10;
 /// leave three pairwise rounds that write about as many rows as the fused
 /// pass adds, and 2.1–3.0x at the full shape (2.9x on one worker).
 const MERGE_FLOORS: (f64, f64) = (0.5, 1.5);
+
+/// Timed repetitions of each side of the `gather` section.
+const GATHER_REPS: usize = 10;
+
+/// Floors on `gather.speedup` in release builds: (smoke, full). A 2-core
+/// x86-64 host reads 0.84–1.0x at the smoke shape, where a support column
+/// holds under two entries of eight values and the gather's per-column
+/// step costs what the scatter's bucket pass saved, and 1.04–1.19x at the
+/// full shape (d = 32; ~1.2x at the benchmark's d = 50).
+const GATHER_FLOORS: (f64, f64) = (0.6, 0.95);
 
 /// Times one call of `f`.
 fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
@@ -124,6 +142,51 @@ fn run_batched(
 fn merged_bits(p: &YtxPartial) -> Vec<u64> {
     let rows = p.ytx_iter().flat_map(|(c, row)| std::iter::once(c as f64).chain(row.to_vec()));
     let values = p.xtx.data().iter().copied().chain(rows).chain(p.sum_x.iter().copied());
+    values.map(f64::to_bits).collect()
+}
+
+/// Runs `f` as a stage task runs: on a pool thread, where the kernels'
+/// nested batches run inline.
+fn as_task<T: Send>(pool: &WorkerPool, f: impl FnOnce() -> T + Send) -> T {
+    let tasks = [Some(f), None].into_iter().map(|f| move || f.map(|f| f())).collect();
+    pool.run(tasks).into_iter().flatten().next().expect("the task ran")
+}
+
+/// One partition's `YtXJob` task as the Spark engine ran it before blocks
+/// were cached, in [`merged_bits`] layout: the CSR block rebuilt from the
+/// partition's row records, the column-support table built over all `D`
+/// columns, `X = Y·CM − 1⊗Xm`, the Gram, the bucketed scatter into the
+/// packed slab, and `Σx`.
+fn per_task_bits(pool: &WorkerPool, rows: &[SpRow], d_in: usize, cm: &Mat, xm: &[f64]) -> Vec<u64> {
+    let views: Vec<SparseRow> = rows.iter().map(SpRow::view).collect();
+    let block = SparseMat::from_row_views(d_in, &views);
+    let mut map = vec![u32::MAX; d_in];
+    for &c in block.col_indices() {
+        map[c as usize] = 0;
+    }
+    let mut cols: Vec<u32> = Vec::new();
+    for (c, slot) in map.iter_mut().enumerate() {
+        if *slot == 0 {
+            *slot = cols.len() as u32;
+            cols.push(c as u32);
+        }
+    }
+    let d = cm.cols();
+    let mut x = Mat::zeros(block.rows(), d);
+    kernels::sparse_mul_dense_into_with_pool(pool, &block, cm, x.data_mut());
+    for r in 0..x.rows() {
+        linalg::vector::axpy(-1.0, xm, x.row_mut(r));
+    }
+    let xtx = kernels::syrk_tn_with_pool(pool, &x);
+    let mut slab = vec![0.0; cols.len() * d];
+    kernels::spmm_tn_packed_with_pool(pool, &block, &x, &map, &mut slab);
+    let mut sum_x = vec![0.0; d];
+    for r in 0..x.rows() {
+        linalg::vector::axpy(1.0, x.row(r), &mut sum_x);
+    }
+    let packed = cols.iter().zip(slab.chunks_exact(d.max(1)));
+    let rows = packed.flat_map(|(&c, row)| std::iter::once(c as f64).chain(row.to_vec()));
+    let values = xtx.data().iter().copied().chain(rows).chain(sum_x);
     values.map(f64::to_bits).collect()
 }
 
@@ -254,6 +317,42 @@ fn main() {
         ",\n  \"merge\": {{\"pairwise\": {{\"secs\": {pairwise_secs:.6e}}}, \"fused\": {{\"secs\": {fused_secs:.6e}}}, \"speedup\": {merge_speedup:.3}, \"bitwise_equal\": {merge_bitwise_equal}}}"
     );
 
+    // gather: every partition's `YtXJob` task over its cached block
+    // against the per-task path it replaced, alternated rep by rep, both
+    // sides over the same partitions one after another on one pool thread,
+    // as stage tasks run (the cached blocks and per-row records are built
+    // outside the timed region).
+    let cached: Vec<PartitionBlock> = blocks.iter().cloned().map(PartitionBlock::new).collect();
+    let records: Vec<Vec<SpRow>> = blocks.iter().map(to_rows).collect();
+    let (mut per_task_secs, mut cached_secs) = (f64::INFINITY, f64::INFINITY);
+    let mut gather_bitwise_equal = true;
+    for _ in 0..GATHER_REPS {
+        let (t, old) = as_task(pool, || {
+            let fold = |rows: &Vec<SpRow>| per_task_bits(pool, rows, d_in, &cm, &xm);
+            timed(|| records.iter().map(fold).collect::<Vec<_>>())
+        });
+        per_task_secs = per_task_secs.min(t);
+        let (t, new) = as_task(pool, || {
+            let fold = |b| {
+                let mut p = YtxPartial::new(d);
+                p.add_block_with_pool(pool, b, &cm, &xm);
+                merged_bits(&p)
+            };
+            timed(|| cached.iter().map(fold).collect::<Vec<_>>())
+        });
+        cached_secs = cached_secs.min(t);
+        gather_bitwise_equal &= old == new;
+    }
+    assert!(gather_bitwise_equal, "cached-block add_block diverged from the per-task path");
+    let gather_speedup = per_task_secs / cached_secs.max(1e-12);
+    println!(
+        "gather: per-task {per_task_secs:>9.5}s  cached {cached_secs:>9.5}s  \
+         speedup {gather_speedup:.2}x"
+    );
+    let gather_json = format!(
+        ",\n  \"gather\": {{\"per_task\": {{\"secs\": {per_task_secs:.6e}}}, \"cached\": {{\"secs\": {cached_secs:.6e}}}, \"speedup\": {gather_speedup:.3}, \"bitwise_equal\": {gather_bitwise_equal}}}"
+    );
+
     // Optional reduced-precision arm: same fold, narrower kernels. Its
     // speedup is measured against the batched f64 arm and its divergence
     // against the f64 result (relative to the result's own scale).
@@ -291,7 +390,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"mode\": \"{}\",\n  \"pool_workers\": {},\n  \"shape\": {{\"rows\": {n}, \"cols\": {d_in}, \"density\": {density}, \"nnz\": {}, \"d\": {d}, \"partitions\": {partitions}}},\n  \"reps\": {reps},\n  \"rowwise_secs\": {rowwise_secs:.6e},\n  \"batched_secs\": {batched_secs:.6e},\n  \"speedup\": {speedup:.3},\n  \"max_rel_diff\": {max_rel_diff:.3e},\n  \"bitwise_deterministic\": {bitwise_deterministic}{merge_json}{precision_json}\n}}\n",
+        "{{\n  \"mode\": \"{}\",\n  \"pool_workers\": {},\n  \"shape\": {{\"rows\": {n}, \"cols\": {d_in}, \"density\": {density}, \"nnz\": {}, \"d\": {d}, \"partitions\": {partitions}}},\n  \"reps\": {reps},\n  \"rowwise_secs\": {rowwise_secs:.6e},\n  \"batched_secs\": {batched_secs:.6e},\n  \"speedup\": {speedup:.3},\n  \"max_rel_diff\": {max_rel_diff:.3e},\n  \"bitwise_deterministic\": {bitwise_deterministic}{merge_json}{gather_json}{precision_json}\n}}\n",
         if smoke { "smoke" } else { "full" },
         pool.workers(),
         y.nnz(),
@@ -305,10 +404,16 @@ fn main() {
         assert!(speedup >= 2.0, "batched path below the 2x bar ({speedup:.2}x)");
     }
     let merge_floor = if smoke { MERGE_FLOORS.0 } else { MERGE_FLOORS.1 };
+    let gather_floor = if smoke { GATHER_FLOORS.0 } else { GATHER_FLOORS.1 };
     if !cfg!(debug_assertions) {
         assert!(
             merge_speedup >= merge_floor,
             "fused merge below its {merge_floor}x floor over pairwise rounds ({merge_speedup:.2}x)"
+        );
+        assert!(
+            gather_speedup >= gather_floor,
+            "cached-block add_block below its {gather_floor}x floor over the per-task path \
+             ({gather_speedup:.2}x)"
         );
     }
 }

@@ -49,6 +49,25 @@ pub enum SpcaError {
         /// Human-readable description of the offending knob combination.
         what: String,
     },
+    /// An input's width is not the model's: rows from another dataset
+    /// handed to a transform.
+    DimensionMismatch {
+        /// Columns the model was fitted on.
+        expected: usize,
+        /// Columns the input has.
+        found: usize,
+    },
+}
+
+impl SpcaError {
+    /// `Ok` when an input of `found` columns fits a model of `expected`.
+    pub(crate) fn check_dims(found: usize, expected: usize) -> Result<(), SpcaError> {
+        if found == expected {
+            Ok(())
+        } else {
+            Err(SpcaError::DimensionMismatch { expected, found })
+        }
+    }
 }
 
 impl fmt::Display for SpcaError {
@@ -72,6 +91,9 @@ impl fmt::Display for SpcaError {
             }
             SpcaError::InvalidConfig { what } => {
                 write!(f, "invalid fit config: {what}")
+            }
+            SpcaError::DimensionMismatch { expected, found } => {
+                write!(f, "input has {found} columns but the model was fitted on {expected}")
             }
         }
     }
@@ -121,5 +143,10 @@ mod tests {
         let e = SpcaError::InvalidConfig { what: "rpca_oversample = 0".into() };
         assert!(e.to_string().contains("invalid fit config"));
         assert!(e.to_string().contains("rpca_oversample"));
+
+        let e = SpcaError::check_dims(12, 10).unwrap_err();
+        assert_eq!(e, SpcaError::DimensionMismatch { expected: 10, found: 12 });
+        assert!(e.to_string().contains("12 columns"));
+        assert_eq!(SpcaError::check_dims(10, 10), Ok(()));
     }
 }

@@ -19,15 +19,21 @@
 //! the hoisted sums. Two entry points fold data in:
 //!
 //! * [`YtxPartial::add_block`] — the batched path. A whole partition goes
-//!   through the blocked kernels: `X_blk = Y_blk·CM − 1⊗Xm` via the
-//!   threaded `sparse_mul_dense` into a `linalg::scratch` buffer,
-//!   `XtX += syrk_tn(X_blk)`, `YtX += spmm_tn(Y_blk, X_blk)` scattered
-//!   straight into a packed slab (sorted column table, hash-free inner
-//!   loop), `Σx` via per-row column sums.
+//!   through the blocked kernels: the latent rows `x = y·CM − Xm` one at a
+//!   time in L1 (each zeroed, multiplied, shifted and summed into `Σx`
+//!   where it is formed), `XtX += syrk_tn(X_blk)`, and `YtX` gathered per
+//!   touched column through the block's column-major copy into a packed
+//!   slab. The block is a [`PartitionBlock`](linalg::sparse::PartitionBlock)
+//!   whose structure the engines analysed once per fit; a bare
+//!   `SparseMat` is analysed on the call. Full blocks take the
+//!   register-tile routes instead.
 //! * [`YtxPartial::add_row`] — one sparse row at a time, recomputing its
 //!   latent vector on demand (the "redundant computation" of Section 3.2).
 //!
-//! Both produce bit-identical accumulators on any worker count: the
+//! The `ss3` pass runs one width-`2d` product per row against the job's
+//! interleaved `[CM | C_new]` ([`Ss3Operand`]), then a dot product.
+//!
+//! All of them produce bit-identical results on any worker count: the
 //! kernels accumulate every output element in ascending input-row order
 //! (see the determinism notes in `linalg::kernels`), and the only
 //! reassociation points are partition boundaries — which the engines align
@@ -37,9 +43,9 @@
 //! `bench_em` measures against.
 
 use linalg::bytes::ByteSized;
-use linalg::sparse::SparseRow;
-use linalg::wire::{self, Wire, WireError, WireReader};
 use linalg::kernels::{self, Elem};
+use linalg::sparse::{Block, Csc, SparseRow};
+use linalg::wire::{self, Wire, WireError, WireReader};
 use linalg::{bf16_round, Mat, Precision, SparseMat, WorkerPool};
 
 /// Latent row `x = y·CM − Xm` for one sparse row (O(z·d)).
@@ -177,18 +183,23 @@ impl YtxPartial {
 
     /// Folds a whole partition block through the batched kernels on the
     /// process-global pool. See [`Self::add_block_with_pool`].
-    pub fn add_block(&mut self, block: &SparseMat, cm: &Mat, xm: &[f64]) {
+    pub fn add_block<B: Block + ?Sized>(&mut self, block: &B, cm: &Mat, xm: &[f64]) {
         self.add_block_with_pool(WorkerPool::global(), block, cm, xm)
     }
 
     /// Folds a whole partition block through the batched kernels:
-    /// `X_blk = Y_blk·CM − 1⊗Xm` (sparse GEMM into a buffer taken from
-    /// `linalg::scratch` and recycled before this returns — zero per-row
-    /// allocation, and no partial carries its `X_blk` to the driver),
-    /// `XtX += syrk_tn(X_blk)`,
-    /// `YtX += spmm_tn(Y_blk, X_blk)` scattered into a packed slab keyed by
-    /// a column-offset table built once per block, and `Σx` via per-row
-    /// column sums.
+    /// `X_blk = Y_blk·CM − 1⊗Xm` into a buffer taken from
+    /// `linalg::scratch` and recycled before this returns (no partial
+    /// carries its `X_blk` to the driver), `XtX += syrk_tn(X_blk)`,
+    /// `YtX += Y_blkᵀX_blk` into a packed slab over the block's touched
+    /// columns, and `Σx` via per-row adds.
+    ///
+    /// A full block (every row stores every column, eight rows or more)
+    /// takes the register-tile routes. Any other forms its latent rows one
+    /// at a time in L1 — `y·CM`, `−Xm`, `Σx` — and gathers `YᵀX` through
+    /// the block's column-major copy ([`kernels::spmm_gather`]), cached by
+    /// a [`PartitionBlock`](linalg::sparse::PartitionBlock) and built on
+    /// the call for a bare `SparseMat`.
     ///
     /// Starting from an empty accumulator this is bit-for-bit equal to
     /// folding the block's rows through [`Self::add_row`]: every kernel
@@ -197,20 +208,20 @@ impl YtxPartial {
     /// accumulator reassociates at block boundaries — exactly like
     /// [`Self::merge`] at partition boundaries, which is where the engines
     /// put them.
-    pub fn add_block_with_pool(
+    pub fn add_block_with_pool<B: Block + ?Sized>(
         &mut self,
         pool: &WorkerPool,
-        block: &SparseMat,
+        block: &B,
         cm: &Mat,
         xm: &[f64],
     ) {
-        self.add_block_in::<f64>(pool, block, cm, xm)
+        self.add_block_prec_with_pool(pool, block, cm, xm, Precision::F64)
     }
 
     /// [`Self::add_block_prec_with_pool`] on the process-global pool.
-    pub fn add_block_prec(
+    pub fn add_block_prec<B: Block + ?Sized>(
         &mut self,
-        block: &SparseMat,
+        block: &B,
         cm: &Mat,
         xm: &[f64],
         precision: Precision,
@@ -223,7 +234,7 @@ impl YtxPartial {
     /// * [`Precision::F64`] is [`Self::add_block_with_pool`] — byte-for-byte
     ///   the reference result.
     /// * [`Precision::F32`] runs the same block pipeline (`Y·CM`, Gram,
-    ///   packed scatter, `Σx`) over `f32`: `CM` and `Xm` are narrowed once
+    ///   `YᵀX`, `Σx`) over `f32`: `CM` and `Xm` are narrowed once
     ///   per call and the per-block results widened into the `f64`
     ///   accumulator fields. Cross-block and cross-partition merges stay in
     ///   `f64`, so error does not compound across the reduction tree.
@@ -234,20 +245,24 @@ impl YtxPartial {
     /// Every arm inherits the kernels' determinism contract, so each is
     /// bitwise reproducible across worker counts; only the *arms* differ
     /// from one another.
-    pub fn add_block_prec_with_pool(
+    pub fn add_block_prec_with_pool<B: Block + ?Sized>(
         &mut self,
         pool: &WorkerPool,
-        block: &SparseMat,
+        block: &B,
         cm: &Mat,
         xm: &[f64],
         precision: Precision,
     ) {
+        let csc = block.csc();
+        let (y, csc) = (block.csr(), Option::as_ref(&*csc));
         match precision {
-            Precision::F64 => self.add_block_in::<f64>(pool, block, cm, xm),
-            Precision::F32 => self.add_block_in::<f32>(pool, block, cm, xm),
+            Precision::F64 => self.add_block_in::<f64>(pool, y, csc, cm, xm),
+            Precision::F32 => self.add_block_in::<f32>(pool, y, csc, cm, xm),
             Precision::Bf16AccF64 => {
-                let (block, cm, xm) = bf16_inputs(block, cm, xm);
-                self.add_block_in::<f64>(pool, &block, &cm, &xm);
+                let csc = csc.map(|c| c.map_values(bf16_round));
+                let xm: Vec<f64> = xm.iter().map(|&v| bf16_round(v)).collect();
+                let (y, cm) = (y.map_values(bf16_round), bf16_mat(cm));
+                self.add_block_in::<f64>(pool, &y, csc.as_ref(), &cm, &xm);
             }
         }
     }
@@ -255,8 +270,16 @@ impl YtxPartial {
     /// The block pipeline over element type `E`: `CM` and `Xm` as `E`
     /// (borrowed for `f64`, narrowed once for `f32`), every kernel and the
     /// row sums in `E`, and the per-block results widened into the `f64`
-    /// fields.
-    fn add_block_in<E: Elem>(&mut self, pool: &WorkerPool, block: &SparseMat, cm: &Mat, xm: &[f64]) {
+    /// fields. `csc` is the block's column-major copy, `None` exactly when
+    /// the full-block routes take it.
+    fn add_block_in<E: Elem>(
+        &mut self,
+        pool: &WorkerPool,
+        block: &SparseMat,
+        csc: Option<&Csc>,
+        cm: &Mat,
+        xm: &[f64],
+    ) {
         let d = self.d();
         assert_eq!(cm.cols(), d, "add_block: CM has {} columns, expected {d}", cm.cols());
         assert_eq!(block.cols(), cm.rows(), "add_block: block/CM inner dimensions differ");
@@ -265,7 +288,7 @@ impl YtxPartial {
             return;
         }
         let z = block.nnz();
-        // 2·z·d (Y·CM) + n·d (−Xm) + n·d·(d+1) (Gram) + 2·z·d (scatter) + n·d (Σx).
+        // 2·z·d (Y·CM) + n·d (−Xm) + n·d·(d+1) (Gram) + 2·z·d (YᵀX) + n·d (Σx).
         let flops = (4 * z * d + n * d * (d + 3)) as u64;
         let _span = obs::span_lazy("em", || {
             format!("ytx add_block{} {n}x{}x{d}", E::SUFFIX.replace('_', " "), block.cols())
@@ -273,21 +296,13 @@ impl YtxPartial {
         .with_flops(flops);
         let (cm, xm) = (E::narrowed(cm.data()), E::narrowed(xm));
 
-        // Column support + slab-offset table, one O(z) + O(D) pass.
-        let mut map = vec![u32::MAX; block.cols()];
-        for &c in block.col_indices() {
-            map[c as usize] = 0;
-        }
-        let mut cols: Vec<u32> = Vec::new();
-        for (c, slot) in map.iter_mut().enumerate() {
-            if *slot == 0 {
-                *slot = cols.len() as u32;
-                cols.push(c as u32);
-            }
-        }
-
-        let mut x_blk = E::take_zeroed(n * d);
-        latent_block(pool, block, &cm, &xm, &mut x_blk);
+        // Σx: per-row adds in ascending order (the association of the
+        // row-at-a-time fold), summed in `E` and added once per block.
+        let mut x_blk = E::take_cleared(n * d);
+        let mut sum_blk = vec![E::ZERO; d];
+        latent_rows(pool, block, (&cm, d), &xm, &mut x_blk, true, |x| {
+            linalg::vector::axpy(E::narrow(1.0), x, &mut sum_blk)
+        });
 
         // XtX += X'X (upper-triangle kernel, mirrored once).
         let mut xtx_blk = vec![E::ZERO; d * d];
@@ -296,17 +311,23 @@ impl YtxPartial {
             *dst += src.widen();
         }
 
-        // YtX: scatter Y'X straight into a fresh packed slab, then merge.
-        let mut slab = E::take_zeroed(cols.len() * d);
-        kernels::spmm_scatter(pool, block, &x_blk, d, Some(&map), &mut slab);
+        // YtX into a fresh packed slab over the touched columns, then
+        // merged: gathered through the cached copy a row at a time, or —
+        // every column of a full block being touched — the tile route.
+        let (cols, slab) = match csc {
+            Some(csc) => {
+                let mut slab = E::take_cleared(csc.support().len() * d);
+                kernels::spmm_gather(csc, &x_blk, d, (&mut slab, true), |_, _| ());
+                (csc.support().to_vec(), slab)
+            }
+            None => {
+                let mut slab = E::take_zeroed(block.cols() * d);
+                kernels::spmm_scatter(pool, block, &x_blk, d, None, &mut slab);
+                ((0..block.cols() as u32).collect(), slab)
+            }
+        };
         self.merge_packed(cols, E::widened(slab));
 
-        // Σx: per-row adds in ascending order (the association of the
-        // row-at-a-time fold), summed in `E` and added once per block.
-        let mut sum_blk = vec![E::ZERO; d];
-        for r in 0..n {
-            linalg::vector::axpy(E::narrow(1.0), &x_blk[r * d..(r + 1) * d], &mut sum_blk);
-        }
         for (dst, src) in self.sum_x.iter_mut().zip(sum_blk) {
             *dst += src.widen();
         }
@@ -540,92 +561,113 @@ pub fn ss3_row(row: SparseRow<'_>, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64 {
 }
 
 /// A whole partition's contribution to `Σᵢ xᵢ·(C'·yᵢ')` through the
-/// batched kernels, on the process-global pool.
-pub fn ss3_block(block: &SparseMat, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64 {
-    ss3_block_with_pool(WorkerPool::global(), block, cm, xm, c_new)
+/// batched kernels, on the process-global pool — bit-identical to summing
+/// [`ss3_row`] over the block's rows. A caller running one ss3 pass over
+/// many blocks builds its [`Ss3Operand`] once instead.
+pub fn ss3_block<B: Block + ?Sized>(block: &B, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64 {
+    Ss3Operand::new(cm, xm, c_new, Precision::F64).sum_block(WorkerPool::global(), block)
 }
 
-/// [`ss3_block`] on an explicit pool: two blocked sparse GEMMs
-/// (`X = Y·CM − 1⊗Xm` and `CY = Y·C_new`) and one dot product per row,
-/// summed in ascending row order — bit-identical to summing
-/// [`ss3_row`] over the block's rows on any pool size.
-pub fn ss3_block_with_pool(
-    pool: &WorkerPool,
-    block: &SparseMat,
-    cm: &Mat,
-    xm: &[f64],
-    c_new: &Mat,
-) -> f64 {
-    ss3_block_in::<f64>(pool, block, cm, xm, c_new)
+/// The dense operand of one ss3 pass, built once per ss3 job and shared by
+/// its tasks: `[CM | C_new]` interleaved row by row (`D × 2d`: row `c` is
+/// `CM[c]` then `C_new[c]`) and `Xm`, in the arithmetic arm's element type.
+/// One width-`2d` sparse product per row then yields the latent row and
+/// `C'y'` side by side. Its buffer is freed, not recycled: kept in
+/// `linalg::scratch`, its D×2d would sit under the next `YtXJob`'s peak.
+pub struct Ss3Operand(Wide);
+
+enum Wide {
+    F64((Vec<f64>, Vec<f64>)),
+    F32((Vec<f32>, Vec<f32>)),
+    /// Rounded to bfloat16, like each block's values.
+    Bf16((Vec<f64>, Vec<f64>)),
 }
 
-/// [`ss3_block_prec_with_pool`] on the process-global pool.
-pub fn ss3_block_prec(
-    block: &SparseMat,
-    cm: &Mat,
-    xm: &[f64],
-    c_new: &Mat,
-    precision: Precision,
-) -> f64 {
-    ss3_block_prec_with_pool(WorkerPool::global(), block, cm, xm, c_new, precision)
-}
+impl Ss3Operand {
+    /// Interleaves `CM` and `C_new` (both `D × d`) for the `precision` arm,
+    /// with the per-arm contract of [`YtxPartial::add_block_prec_with_pool`].
+    pub fn new(cm: &Mat, xm: &[f64], c_new: &Mat, precision: Precision) -> Self {
+        assert_eq!((cm.rows(), cm.cols()), (c_new.rows(), c_new.cols()), "ss3: CM and C differ");
+        fn wide<E>(cm: &Mat, c_new: &Mat, xm: &[f64], f: impl Fn(f64) -> E) -> (Vec<E>, Vec<E>) {
+            let mut out = Vec::with_capacity(2 * cm.rows() * cm.cols());
+            for c in 0..cm.rows() {
+                out.extend(cm.row(c).iter().chain(c_new.row(c)).map(|&v| f(v)));
+            }
+            (out, xm.iter().map(|&v| f(v)).collect())
+        }
+        Ss3Operand(match precision {
+            Precision::F64 => Wide::F64(wide(cm, c_new, xm, |v| v)),
+            Precision::F32 => Wide::F32(wide(cm, c_new, xm, f32::narrow)),
+            Precision::Bf16AccF64 => Wide::Bf16(wide(cm, c_new, xm, bf16_round)),
+        })
+    }
 
-/// [`ss3_block_with_pool`] with a selectable arithmetic arm — the same
-/// per-arm contract as [`YtxPartial::add_block_prec_with_pool`].
-pub fn ss3_block_prec_with_pool(
-    pool: &WorkerPool,
-    block: &SparseMat,
-    cm: &Mat,
-    xm: &[f64],
-    c_new: &Mat,
-    precision: Precision,
-) -> f64 {
-    match precision {
-        Precision::F64 => ss3_block_in::<f64>(pool, block, cm, xm, c_new),
-        Precision::F32 => ss3_block_in::<f32>(pool, block, cm, xm, c_new),
-        Precision::Bf16AccF64 => {
-            let (block, cm, xm) = bf16_inputs(block, cm, xm);
-            ss3_block_in::<f64>(pool, &block, &cm, &xm, &bf16_mat(c_new))
+    /// One block's `Σᵢ xᵢ·(C'·yᵢ')`: per row, `[x + Xm | C'y'] = y·[CM | C_new]`
+    /// in one width-`2d` product, `−Xm`, then the dot product, summed in
+    /// ascending row order in the arm's type and widened once — the bits
+    /// of two `d`-wide products and a dot per row on any pool.
+    pub fn sum_block<B: Block + ?Sized>(&self, pool: &WorkerPool, block: &B) -> f64 {
+        let y = block.csr();
+        match &self.0 {
+            Wide::F64((wide, xm)) => ss3_in(pool, y, wide, xm),
+            Wide::F32((wide, xm)) => ss3_in(pool, y, wide, xm),
+            Wide::Bf16((wide, xm)) => ss3_in(pool, &y.map_values(bf16_round), wide, xm),
         }
     }
 }
 
-/// The ss3 pipeline over element type `E`; the per-row dot products are
-/// summed in `E` and widened once per block.
-fn ss3_block_in<E: Elem>(
-    pool: &WorkerPool,
-    block: &SparseMat,
-    cm: &Mat,
-    xm: &[f64],
-    c_new: &Mat,
-) -> f64 {
-    let (n, d) = (block.rows(), cm.cols());
-    if n == 0 {
-        return 0.0;
-    }
-    let mut x = vec![E::ZERO; n * d];
-    latent_block(pool, block, &E::narrowed(cm.data()), &E::narrowed(xm), &mut x);
-    let mut cy = vec![E::ZERO; n * d];
-    kernels::sparse_mul_dense_slices(pool, block, &E::narrowed(c_new.data()), d, &mut cy);
+/// The ss3 pipeline over element type `E`, one `2d`-wide row at a time.
+fn ss3_in<E: Elem>(pool: &WorkerPool, y: &SparseMat, wide: &[E], xm: &[E]) -> f64 {
+    let d = xm.len();
     let mut part = E::ZERO;
-    for r in 0..n {
-        part += E::dot(&x[r * d..(r + 1) * d], &cy[r * d..(r + 1) * d]);
-    }
+    latent_rows(pool, y, (wide, 2 * d), xm, &mut Vec::new(), false, |row| {
+        let (x, cy) = row.split_at(d);
+        part += E::dot(x, cy);
+    });
     part.widen()
 }
 
-/// `X_blk = Y·CM − 1⊗Xm` into the zeroed `block.rows() × xm.len()`
-/// `x_blk`: multiply first, then subtract — the exact operation order of
-/// [`latent_row`].
-fn latent_block<E: Elem>(pool: &WorkerPool, block: &SparseMat, cm: &[E], xm: &[E], x_blk: &mut [E]) {
-    let d = xm.len();
-    kernels::sparse_mul_dense_slices(pool, block, cm, d, x_blk);
-    for r in 0..block.rows() {
-        linalg::vector::axpy(E::narrow(-1.0), xm, &mut x_blk[r * d..(r + 1) * d]);
+/// The rows of `Y·B` (`B` `w` wide) with `Xm` subtracted from their first
+/// `xm.len()` columns — the latent rows `x = y·CM − Xm` of an operand `B`
+/// that starts with `CM` — each finished row handed to `f`, in order:
+/// multiply first, then subtract, the exact operation order of
+/// [`latent_row`]. A full block's rows come from the tile route, into
+/// `rows` (cleared on entry) as the `y.rows() × w` matrix. Any other
+/// block's are formed one at a time in L1 at the end of `rows`
+/// ([`kernels::sparse_mul_dense_each`]: zero, `y·B`, `−Xm`, `f`), which
+/// keeps them only if `keep`.
+pub(crate) fn latent_rows<E: Elem>(
+    pool: &WorkerPool,
+    y: &SparseMat,
+    (b, w): (&[E], usize),
+    xm: &[E],
+    rows: &mut Vec<E>,
+    keep: bool,
+    mut f: impl FnMut(&mut [E]),
+) {
+    let finish = |row: &mut [E]| {
+        linalg::vector::axpy(E::narrow(-1.0), xm, &mut row[..xm.len()]);
+        f(row)
+    };
+    if kernels::takes_full_routes(y) {
+        rows.clear();
+        rows.resize(y.rows() * w, E::ZERO);
+        kernels::sparse_mul_dense_slices(pool, y, b, w, rows);
+        rows.chunks_exact_mut(w).for_each(finish);
+    } else {
+        kernels::sparse_mul_dense_each(y, b, w, (rows, keep), finish);
     }
 }
 
-/// [`latent_block`] for a block that is itself one small task of many —
+/// The latent matrix `X = Y·CM − 1⊗Xm` of a block, through the block
+/// latent pass — bit for bit the rows of [`latent_row`].
+pub(crate) fn latent_matrix(y: &SparseMat, cm: &Mat, xm: &[f64]) -> Mat {
+    let mut x = Vec::with_capacity(y.rows() * cm.cols());
+    latent_rows(WorkerPool::global(), y, (cm.data(), cm.cols()), xm, &mut x, true, |_| ());
+    Mat::from_vec(y.rows(), cm.cols(), x)
+}
+
+/// [`latent_rows`] for a block that is itself one small task of many —
 /// a serve batch: the same kernel body and the same bits, run serially
 /// with no `kernel` span, so `kernel.flops` stays the EM kernels' count.
 pub(crate) fn latent_block_serial(block: &SparseMat, cm: &[f64], xm: &[f64], x_blk: &mut [f64]) {
@@ -636,12 +678,7 @@ pub(crate) fn latent_block_serial(block: &SparseMat, cm: &[f64], xm: &[f64], x_b
     }
 }
 
-/// The bf16 arm's input rounding: block values, `CM` and `Xm` all rounded
-/// to bfloat16, everything downstream unchanged `f64`.
-fn bf16_inputs(block: &SparseMat, cm: &Mat, xm: &[f64]) -> (SparseMat, Mat, Vec<f64>) {
-    (block.map_values(bf16_round), bf16_mat(cm), xm.iter().map(|&v| bf16_round(v)).collect())
-}
-
+/// The bf16 arm's rounding of a dense operand.
 fn bf16_mat(m: &Mat) -> Mat {
     let mut out = m.clone();
     for v in out.data_mut() {
@@ -777,6 +814,7 @@ pub mod rowwise {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linalg::sparse::PartitionBlock;
     use linalg::Prng;
 
     fn fixture() -> (SparseMat, Vec<f64>, Mat, Vec<f64>) {
@@ -951,6 +989,138 @@ mod tests {
             let by_row: f64 = (0..y.rows()).map(|r| ss3_row(y.row(r), &cm, &xm, &c_new)).sum();
             let by_block = ss3_block(&y, &cm, &xm, &c_new);
             assert_eq!(by_row.to_bits(), by_block.to_bits());
+        }
+    }
+
+    /// The block pipeline `add_block` ran before blocks were cached, kept
+    /// as the oracle of the fused route: `X = Y·CM` as one blocked product,
+    /// then `−Xm` and `Σx` in passes of their own, the Gram, and the
+    /// scatter through a column table built for the call.
+    fn add_block_two_pass<E: Elem>(pool: &WorkerPool, block: &SparseMat, cm: &Mat, xm: &[f64]) -> YtxPartial {
+        let (n, d) = (block.rows(), cm.cols());
+        let mut p = YtxPartial::new(d);
+        if n == 0 {
+            return p;
+        }
+        let (cm, xm) = (E::narrowed(cm.data()), E::narrowed(xm));
+        let mut x = vec![E::ZERO; n * d];
+        kernels::sparse_mul_dense_slices(pool, block, &cm, d, &mut x);
+        for r in 0..n {
+            linalg::vector::axpy(E::narrow(-1.0), &xm, &mut x[r * d..(r + 1) * d]);
+        }
+        let mut xtx = vec![E::ZERO; d * d];
+        kernels::syrk_tn_slices(pool, &x, d, &mut xtx);
+        let mut map = vec![u32::MAX; block.cols()];
+        for &c in block.col_indices() {
+            map[c as usize] = 0;
+        }
+        let mut cols = Vec::new();
+        for (c, slot) in map.iter_mut().enumerate().filter(|(_, s)| **s == 0) {
+            *slot = cols.len() as u32;
+            cols.push(c as u32);
+        }
+        let mut slab = vec![E::ZERO; cols.len() * d];
+        kernels::spmm_scatter(pool, block, &x, d, Some(&map), &mut slab);
+        let mut sum = vec![E::ZERO; d];
+        for r in 0..n {
+            linalg::vector::axpy(E::narrow(1.0), &x[r * d..(r + 1) * d], &mut sum);
+        }
+        for (dst, src) in p.xtx.data_mut().iter_mut().zip(xtx) {
+            *dst += src.widen();
+        }
+        p.merge_packed(cols, E::widened(slab));
+        for (dst, src) in p.sum_x.iter_mut().zip(sum) {
+            *dst += src.widen();
+        }
+        p.rows_seen = n as u64;
+        p
+    }
+
+    /// The two-GEMM ss3 this module ran before the interleaved operand:
+    /// `X = Y·CM − 1⊗Xm` and `CY = Y·C_new` as two blocked products, then
+    /// one dot per row, summed in `E`.
+    fn ss3_two_gemm<E: Elem>(pool: &WorkerPool, block: &SparseMat, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64 {
+        let (n, d) = (block.rows(), cm.cols());
+        if n == 0 {
+            return 0.0;
+        }
+        let mut x = vec![E::ZERO; n * d];
+        kernels::sparse_mul_dense_slices(pool, block, &E::narrowed(cm.data()), d, &mut x);
+        let xm = E::narrowed(xm);
+        for r in 0..n {
+            linalg::vector::axpy(E::narrow(-1.0), &xm, &mut x[r * d..(r + 1) * d]);
+        }
+        let mut cy = vec![E::ZERO; n * d];
+        kernels::sparse_mul_dense_slices(pool, block, &E::narrowed(c_new.data()), d, &mut cy);
+        let mut part = E::ZERO;
+        for r in 0..n {
+            part += E::dot(&x[r * d..(r + 1) * d], &cy[r * d..(r + 1) * d]);
+        }
+        part.widen()
+    }
+
+    /// Every bit of a partial (`PartialEq` on `f64` equates `±0.0`).
+    fn partial_bits(p: &YtxPartial) -> Vec<u64> {
+        let rows = p.ytx_iter().flat_map(|(c, row)| std::iter::once(c as f64).chain(row.to_vec()));
+        let values = p.xtx.data().iter().copied().chain(rows).chain(p.sum_x.iter().copied());
+        values.map(f64::to_bits).chain([p.rows_seen]).collect()
+    }
+
+    /// Sparse blocks (one with empty rows), a full block under eight rows
+    /// (the sparse route takes it) and one over (the tile route), each
+    /// with a `CM`, `Xm` and `C_new` to match.
+    fn route_fixtures() -> Vec<(SparseMat, Mat, Vec<f64>, Mat)> {
+        let mut rng = Prng::seed_from_u64(10);
+        let mut out = Vec::new();
+        for y in [
+            fixture().0,
+            full_row_fixture().0,
+            SparseMat::from_dense(&rng.normal_mat(5, 11)),
+            SparseMat::from_triplets(7, 30, &[(1, 29, 2.0), (1, 3, -1.0), (4, 3, 0.5), (6, 0, -0.0)]),
+        ] {
+            let d = 6;
+            let (cm, c_new) = (rng.normal_mat(y.cols(), d), rng.normal_mat(y.cols(), d));
+            out.push((y, cm, rng.normal_vec(d), c_new));
+        }
+        out
+    }
+
+    #[test]
+    fn fused_routes_are_bitwise_the_two_pass_pipeline() {
+        let pools = [WorkerPool::new(1), WorkerPool::new(2), WorkerPool::new(8)];
+        for (y, cm, xm, c_new) in route_fixtures() {
+            let block = PartitionBlock::new(y.clone());
+            assert_eq!(block.csc().is_none(), kernels::takes_full_routes(&y));
+            let rounded = y.map_values(bf16_round);
+            for precision in [Precision::F64, Precision::F32, Precision::Bf16AccF64] {
+                let pool = &pools[0];
+                let (want, want_ss3) = match precision {
+                    Precision::F64 => (
+                        add_block_two_pass::<f64>(pool, &y, &cm, &xm),
+                        ss3_two_gemm::<f64>(pool, &y, &cm, &xm, &c_new),
+                    ),
+                    Precision::F32 => (
+                        add_block_two_pass::<f32>(pool, &y, &cm, &xm),
+                        ss3_two_gemm::<f32>(pool, &y, &cm, &xm, &c_new),
+                    ),
+                    Precision::Bf16AccF64 => {
+                        let (cm, c_new) = (bf16_mat(&cm), bf16_mat(&c_new));
+                        let xm: Vec<f64> = xm.iter().map(|&v| bf16_round(v)).collect();
+                        (
+                            add_block_two_pass::<f64>(pool, &rounded, &cm, &xm),
+                            ss3_two_gemm::<f64>(pool, &rounded, &cm, &xm, &c_new),
+                        )
+                    }
+                };
+                let operand = Ss3Operand::new(&cm, &xm, &c_new, precision);
+                for pool in &pools {
+                    let mut got = YtxPartial::new(cm.cols());
+                    got.add_block_prec_with_pool(pool, &block, &cm, &xm, precision);
+                    assert_eq!(partial_bits(&got), partial_bits(&want), "{precision:?} YtX");
+                    let ss3 = operand.sum_block(pool, &block);
+                    assert_eq!(ss3.to_bits(), want_ss3.to_bits(), "{precision:?} ss3");
+                }
+            }
         }
     }
 

@@ -66,7 +66,7 @@ impl PcaModel {
     /// Projects sparse rows into latent space: `X = (Y − 1⊗μ)·CM`,
     /// computed with mean propagation (never densifying `Y`).
     pub fn transform_sparse(&self, y: &SparseMat) -> Result<Mat> {
-        assert_eq!(y.cols(), self.input_dim(), "transform: dimension mismatch");
+        SpcaError::check_dims(y.cols(), self.input_dim())?;
         let cm = self.latent_projection()?;
         let xm = cm.vecmat(&self.mean);
         let mut x = y.mul_dense(&cm);
@@ -78,7 +78,7 @@ impl PcaModel {
 
     /// Projects dense rows into latent space.
     pub fn transform_dense(&self, y: &Mat) -> Result<Mat> {
-        assert_eq!(y.cols(), self.input_dim(), "transform: dimension mismatch");
+        SpcaError::check_dims(y.cols(), self.input_dim())?;
         let cm = self.latent_projection()?;
         let xm = cm.vecmat(&self.mean);
         let mut x = y.matmul(&cm);

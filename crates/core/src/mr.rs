@@ -15,8 +15,10 @@
 //!   intermediate data").
 //!
 //! `fit_with_input` is the engine's one scaffold for both algorithm
-//! families: it splits and seeds the input once, then builds the jobs of
-//! the arm `config.algorithm` names — these, or the partition-keyed ones in
+//! families: it splits and seeds the input once — each split a
+//! [`PartitionBlock`], its structure analysed once for the whole fit and
+//! priced as the `SparseMat` it holds — then builds the jobs of the arm
+//! `config.algorithm` names — these, or the partition-keyed ones in
 //! [`crate::rpca`] — and runs them under the shared pass loop
 //! ([`crate::driver`]).
 
@@ -24,6 +26,7 @@ use std::sync::Arc;
 
 use dcluster::SimCluster;
 use linalg::bytes::ByteSized;
+use linalg::sparse::{Block, PartitionBlock};
 use linalg::wire::{self, Sizing, Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
@@ -33,7 +36,7 @@ use crate::driver::run_passes;
 use crate::em::{EmArm, EmJobs};
 use crate::frobenius;
 use crate::init;
-use crate::mean_prop::{ss3_block_prec, ytx_counter_snapshot, YtxPartial};
+use crate::mean_prop::{ytx_counter_snapshot, Ss3Operand, YtxPartial};
 use crate::model::SpcaRun;
 use crate::rpca::{MrRpcaJobs, RpcaArm};
 use crate::Result;
@@ -94,13 +97,13 @@ impl Wire for MrKey {
 struct MeanJob;
 
 impl MapReduceJob for MeanJob {
-    type Input = SparseMat;
+    type Input = PartitionBlock;
     type Key = ();
     type Value = Vec<f64>;
     type Output = Vec<f64>;
 
-    fn map(&self, block: &SparseMat, emitter: &mut Emitter<(), Vec<f64>>) {
-        emitter.emit((), block.col_sums());
+    fn map(&self, block: &PartitionBlock, emitter: &mut Emitter<(), Vec<f64>>) {
+        emitter.emit((), block.csr().col_sums());
     }
 
     fn reduce(&self, _key: (), values: Vec<Vec<f64>>) -> Vec<f64> {
@@ -115,13 +118,13 @@ struct FnormJob<'a> {
 }
 
 impl MapReduceJob for FnormJob<'_> {
-    type Input = SparseMat;
+    type Input = PartitionBlock;
     type Key = ();
     type Value = f64;
     type Output = f64;
 
-    fn map(&self, block: &SparseMat, emitter: &mut Emitter<(), f64>) {
-        emitter.emit((), frobenius::centered_sq_block(block, self.mean, self.mean_norm_sq));
+    fn map(&self, block: &PartitionBlock, emitter: &mut Emitter<(), f64>) {
+        emitter.emit((), frobenius::centered_sq_block(block.csr(), self.mean, self.mean_norm_sq));
     }
 
     fn reduce(&self, _key: (), values: Vec<f64>) -> f64 {
@@ -196,15 +199,15 @@ struct YtXJob<'a> {
 }
 
 impl MapReduceJob for YtXJob<'_> {
-    type Input = SparseMat;
+    type Input = PartitionBlock;
     type Key = MrKey;
     type Value = RowView;
     type Output = Vec<f64>;
 
-    fn map(&self, block: &SparseMat, emitter: &mut Emitter<MrKey, RowView>) {
+    fn map(&self, block: &PartitionBlock, emitter: &mut Emitter<MrKey, RowView>) {
         // Stateful combiner: fold the whole partition into in-memory
-        // partials through the batched kernels (the block is already a
-        // CSR matrix — no reassembly needed), emit once at "cleanup".
+        // partials through the batched kernels (the split is the block,
+        // analysed once per fit), emit once at "cleanup".
         let mut partial = YtxPartial::new(self.d);
         partial.add_block_prec(block, self.cm, self.xm, self.precision);
         let (cols, slab) = partial.take_packed_ytx();
@@ -223,22 +226,21 @@ impl MapReduceJob for YtXJob<'_> {
     }
 }
 
-/// `ss3Job`: scalar mapper output.
+/// `ss3Job`: scalar mapper output, every mapper against the job's one
+/// interleaved `[CM | C_new]`.
 struct Ss3Job<'a> {
-    cm: &'a Mat,
-    xm: &'a [f64],
-    c_new: &'a Mat,
-    precision: linalg::Precision,
+    operand: Ss3Operand,
+    pool: &'a linalg::WorkerPool,
 }
 
 impl MapReduceJob for Ss3Job<'_> {
-    type Input = SparseMat;
+    type Input = PartitionBlock;
     type Key = ();
     type Value = f64;
     type Output = f64;
 
-    fn map(&self, block: &SparseMat, emitter: &mut Emitter<(), f64>) {
-        emitter.emit((), ss3_block_prec(block, self.cm, self.xm, self.c_new, self.precision));
+    fn map(&self, block: &PartitionBlock, emitter: &mut Emitter<(), f64>) {
+        emitter.emit((), self.operand.sum_block(self.pool, block));
     }
 
     fn reduce(&self, _key: (), values: Vec<f64>) -> f64 {
@@ -260,7 +262,7 @@ fn sum_vectors<R: AsRef<[f64]>>(values: &[R]) -> Vec<f64> {
 
 struct MrJobs<'a> {
     engine: MapReduceEngine<'a>,
-    blocks: Vec<SparseMat>,
+    blocks: Vec<PartitionBlock>,
     n: usize,
     d: usize,
     reducers: usize,
@@ -318,7 +320,8 @@ impl EmJobs for MrJobs<'_> {
                 + cluster.sizing().f64_payload(xm.len())
                 + cluster.wire_size(c_new),
         );
-        let job = Ss3Job { cm, xm, c_new, precision: self.precision };
+        let operand = Ss3Operand::new(cm, xm, c_new, self.precision);
+        let job = Ss3Job { operand, pool: cluster.pool() };
         let (out, _) = self.engine.run_job("ss3Job", &job, &self.blocks, 1);
         out.into_iter().next().expect("ss3Job output").1
     }
@@ -352,7 +355,9 @@ fn fit_with_input(
         .partitions
         .unwrap_or_else(|| cluster.config().total_cores())
         .min(y.rows().max(1));
-    let blocks = y.split_rows(partitions);
+    // The splits, each analysed once for the whole fit.
+    let blocks: Vec<PartitionBlock> =
+        y.split_rows(partitions).into_iter().map(PartitionBlock::new).collect();
 
     // HDFS-materialized input: MapReduce recovery re-reads failed tasks'
     // splits from here (sized per task by the engine), and node crashes

@@ -17,6 +17,11 @@
 //! t_p    = 1ᵀP_p                     (column sums of the slab)
 //! ```
 //!
+//! over the partition's cached block: `P_p` through the latent-row pass
+//! EM uses, `Zraw_p` gathered per touched column through the block's
+//! column-major copy (the scatter's bits, §8 of DESIGN.md), straight into
+//! the D×K partial.
+//!
 //! and the driver folds the partials **sequentially in partition order**,
 //! each as soon as it and every earlier partial have arrived:
 //!
@@ -74,7 +79,8 @@
 
 use dcluster::SimCluster;
 use linalg::decomp::singular_basis;
-use linalg::{Mat, SparseMat};
+use linalg::sparse::{Block, PartitionBlock};
+use linalg::{Mat, SparseMat, WorkerPool};
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 
 use crate::checkpoint;
@@ -82,6 +88,7 @@ use crate::config::SpcaConfig;
 use crate::driver::{ArmNames, Dims, PassArm, PassStats};
 use crate::error::SpcaError;
 use crate::frobenius;
+use crate::mean_prop::latent_rows;
 use crate::model::PcaModel;
 use crate::Result;
 
@@ -110,7 +117,9 @@ pub trait RpcaJobs {
 }
 
 /// The per-partition pass kernel, shared verbatim by both engines so their
-/// partials are bit-identical. `block` is the partition's CSR slab.
+/// partials are bit-identical. `block` is the partition's CSR slab; its
+/// `Yᵀ·P` is gathered through the block's column-major copy (the
+/// scatter's bits), or takes the tile route when the block is full.
 ///
 /// Both dense buffers come from `linalg::scratch` (the slab goes back before
 /// returning, `Zraw_p` when the driver has folded it): a pass retires one
@@ -118,26 +127,28 @@ pub trait RpcaJobs {
 /// mapped, faulted in page by page and unmapped again — or not, by where
 /// the allocator happens to put them. The faults cost more host time than
 /// the kernels, and whether a process pays them is not under its control.
-pub(crate) fn pass_partial(block: &SparseMat, w: &Mat, shift: &[f64]) -> PassPartial {
+pub(crate) fn pass_partial<B: Block + ?Sized>(block: &B, w: &Mat, shift: &[f64]) -> PassPartial {
+    let csc = block.csc();
+    let block = block.csr();
     let (rows, d_in, k) = (block.rows(), block.cols(), w.cols());
-    // P = Y_p·W − 1⊗shift: the centered range-sketch slab, via the batched
-    // sparse-dense kernel (row layout is deterministic on any pool size).
-    let mut slab = linalg::scratch::take_zeroed(rows * k);
-    linalg::kernels::sparse_mul_dense_into(block, w, &mut slab);
-    let mut p = Mat::from_vec(rows, k, slab);
-    for r in 0..p.rows() {
-        linalg::vector::axpy(-1.0, shift, p.row_mut(r));
-    }
-    let mut colsum = vec![0.0; k];
-    for r in 0..p.rows() {
-        linalg::vector::axpy(1.0, p.row(r), &mut colsum);
-    }
-    // `spmm_tn` into a recycled buffer: the packed kernel with every column
-    // mapped to itself is the same scatter in the same order.
-    let identity: Vec<u32> = (0..d_in as u32).collect();
+    // P = Y_p·W − 1⊗shift, the centered range-sketch slab, and its column
+    // sums, through the block latent pass (row layout is deterministic on
+    // any pool size).
+    let (pool, mut colsum) = (WorkerPool::global(), vec![0.0; k]);
+    let mut p = linalg::scratch::take_cleared(rows * k);
+    latent_rows(pool, block, (w.data(), k), shift, &mut p, true, |row| {
+        linalg::vector::axpy(1.0, row, &mut colsum)
+    });
+    // `Yᵀ·P` into a recycled buffer, each touched column's row gathered in
+    // place.
     let mut zraw = linalg::scratch::take_zeroed(d_in * k);
-    linalg::kernels::spmm_tn_packed(block, &p, &identity, &mut zraw);
-    linalg::scratch::recycle(p.into_vec());
+    match &*csc {
+        Some(csc) => linalg::kernels::spmm_gather(csc, &p, k, (&mut Vec::new(), false), |i, row| {
+            zraw[csc.support()[i] as usize * k..][..k].copy_from_slice(row)
+        }),
+        None => linalg::kernels::spmm_scatter(pool, block, &p, k, None, &mut zraw),
+    }
+    linalg::scratch::recycle(p);
     (Mat::from_vec(d_in, k, zraw), colsum)
 }
 
@@ -322,13 +333,13 @@ impl PassArm for RpcaArm<'_> {
 struct ColsumJob;
 
 impl MapReduceJob for ColsumJob {
-    type Input = (u32, SparseMat);
+    type Input = (u32, PartitionBlock);
     type Key = u32;
     type Value = Vec<f64>;
     type Output = Vec<f64>;
 
-    fn map(&self, block: &(u32, SparseMat), emitter: &mut Emitter<u32, Vec<f64>>) {
-        emitter.emit(block.0, block.1.col_sums());
+    fn map(&self, block: &(u32, PartitionBlock), emitter: &mut Emitter<u32, Vec<f64>>) {
+        emitter.emit(block.0, block.1.csr().col_sums());
     }
 
     fn reduce(&self, _key: u32, mut values: Vec<Vec<f64>>) -> Vec<f64> {
@@ -343,13 +354,14 @@ struct RpcaFnormJob<'a> {
 }
 
 impl MapReduceJob for RpcaFnormJob<'_> {
-    type Input = (u32, SparseMat);
+    type Input = (u32, PartitionBlock);
     type Key = u32;
     type Value = f64;
     type Output = f64;
 
-    fn map(&self, block: &(u32, SparseMat), emitter: &mut Emitter<u32, f64>) {
-        emitter.emit(block.0, frobenius::centered_sq_block(&block.1, self.mean, self.mean_norm_sq));
+    fn map(&self, block: &(u32, PartitionBlock), emitter: &mut Emitter<u32, f64>) {
+        let sq = frobenius::centered_sq_block(block.1.csr(), self.mean, self.mean_norm_sq);
+        emitter.emit(block.0, sq);
     }
 
     fn reduce(&self, _key: u32, mut values: Vec<f64>) -> f64 {
@@ -365,12 +377,12 @@ struct PassJob<'a> {
 }
 
 impl MapReduceJob for PassJob<'_> {
-    type Input = (u32, SparseMat);
+    type Input = (u32, PartitionBlock);
     type Key = u32;
     type Value = PassPartial;
     type Output = PassPartial;
 
-    fn map(&self, block: &(u32, SparseMat), emitter: &mut Emitter<u32, PassPartial>) {
+    fn map(&self, block: &(u32, PartitionBlock), emitter: &mut Emitter<u32, PassPartial>) {
         emitter.emit(block.0, pass_partial(&block.1, self.w, self.shift));
     }
 
@@ -381,7 +393,7 @@ impl MapReduceJob for PassJob<'_> {
 
 pub(crate) struct MrRpcaJobs<'a> {
     engine: MapReduceEngine<'a>,
-    blocks: Vec<(u32, SparseMat)>,
+    blocks: Vec<(u32, PartitionBlock)>,
     reducers: usize,
 }
 
@@ -390,7 +402,7 @@ impl<'a> MrRpcaJobs<'a> {
     /// each is keyed by its index here.
     pub(crate) fn new(
         engine: MapReduceEngine<'a>,
-        blocks: Vec<SparseMat>,
+        blocks: Vec<PartitionBlock>,
         reducers: usize,
     ) -> Self {
         let blocks = blocks.into_iter().enumerate().map(|(i, b)| (i as u32, b)).collect();

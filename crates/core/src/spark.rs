@@ -1,20 +1,26 @@
 //! sPCA on the Spark-like engine (Section 4.2, Algorithm 5).
 //!
-//! The input matrix is turned into an RDD of sparse rows, persisted in the
-//! cluster's aggregate memory, and each EM iteration runs exactly two
-//! accumulator stages against it:
+//! The input matrix is split once into one [`RowRecords`] element per
+//! partition — the partition's CSR block with its column-major copy,
+//! analysed when the RDD is built (and rebuilt by lineage after a crash),
+//! cached and priced as its rows' [`SpRow`] records — and
+//! persisted in the cluster's aggregate memory. Each EM iteration runs
+//! exactly two accumulator stages against it, paying for their sparse
+//! products and nothing else:
 //!
 //! * `YtXSparkJob` — one `aggregate_partitions_with` whose per-task
-//!   accumulator is a [`YtxPartial`]: each task hands its whole partition
-//!   slice to the batched `add_block` kernels (latent block recomputed on
-//!   the fly from the broadcast `CM`/`Xm`, blocked `XtX`/`YtX` folds), and
-//!   only the partials cross the network (the paper's `XtXSum`/`YtXSum`
-//!   accumulators, "eliminating the need for reduce operations"). The
-//!   `YtX` partial stores touched rows only — the O(z·d) sparsity trick of
-//!   Section 4.2 — and the driver merges the partials in one column pass
-//!   ([`YtxPartial::tree_merged`]) with `tree_merge`'s bits.
+//!   accumulator is a [`YtxPartial`]: each task hands its cached block to
+//!   the batched `add_block` kernels (latent rows recomputed on the fly
+//!   from the broadcast `CM`/`Xm`, blocked `XtX`, `YtX` gathered through
+//!   the column-major copy), and only the partials cross the network (the
+//!   paper's `XtXSum`/`YtXSum` accumulators, "eliminating the need for
+//!   reduce operations"). The `YtX` partial stores touched rows only — the
+//!   O(z·d) sparsity trick of Section 4.2 — and the driver merges the
+//!   partials in one column pass ([`YtxPartial::tree_merged`]) with
+//!   `tree_merge`'s bits.
 //! * `ss3SparkJob` — one `aggregate_partitions` folding the scalar
-//!   `Σ xᵢ·(C'yᵢ')` via the blocked `ss3_block`.
+//!   `Σ xᵢ·(C'yᵢ')`, each block in one product per row against the
+//!   job's interleaved `[CM | C_new]` ([`Ss3Operand`]).
 //!
 //! The randomized arm ([`crate::rpca`]) runs over the same persisted RDD:
 //! `SparkJobs` implements both arms' job traits, and `fit_with_input` is
@@ -24,7 +30,7 @@
 
 use dcluster::SimCluster;
 use linalg::bytes::ByteSized;
-use linalg::sparse::SparseRow;
+use linalg::sparse::{Block, PartitionBlock, RowRecords, SparseRow};
 use linalg::wire::{self, Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
 use sparkle::{Lineage, Rdd, SparkleContext};
@@ -34,7 +40,8 @@ use crate::driver::run_passes;
 use crate::em::{EmArm, EmJobs};
 use crate::frobenius;
 use crate::init;
-use crate::mean_prop::{ss3_block_prec, ytx_counter_snapshot, YtxPartial};
+use crate::error::SpcaError;
+use crate::mean_prop::{latent_matrix, ytx_counter_snapshot, Ss3Operand, YtxPartial};
 use crate::model::SpcaRun;
 use crate::rpca::{pass_partial, PassPartial, RpcaArm, RpcaJobs};
 use crate::Result;
@@ -61,29 +68,18 @@ impl ByteSized for SpRow {
     }
 }
 
-/// Wire layout: `varint nnz`, delta-encoded ascending indices, raw f64
-/// values — the per-row record a Spark shuffle file would hold.
+/// Wire layout: the per-row record a Spark shuffle file would hold
+/// ([`wire::write_row_record`]: `varint nnz`, delta-encoded ascending
+/// indices, raw f64 values).
 impl Wire for SpRow {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        wire::write_uvarint(out, self.indices.len() as u64);
-        wire::write_ascending_u32(out, &self.indices);
-        for &v in &self.values {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        wire::write_row_record(out, &self.indices, &self.values);
     }
     fn encoded_size(&self) -> u64 {
-        wire::uvarint_len(self.indices.len() as u64)
-            + wire::ascending_u32_len(&self.indices)
-            + 8 * self.values.len() as u64
+        wire::row_record_len(&self.indices)
     }
     fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        let n = r.ulen()?;
-        let indices = wire::read_ascending_u32(r, n, u64::from(u32::MAX) + 1)?;
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(r.f64_bits()?);
-        }
-        Ok(SpRow { indices, values })
+        wire::read_row_record(r).map(|(indices, values)| SpRow { indices, values })
     }
     // v3 fast path: bitpacked index deltas + mode-tagged value payload —
     // the sparse shuffle record the codec's ≥2x reduction target is about
@@ -116,7 +112,7 @@ pub(crate) fn partition_range(n: usize, parts: usize, p: usize) -> (usize, usize
     (start, base + usize::from(p < extra))
 }
 
-/// Converts a sparse matrix into row elements (helper for RDD creation).
+/// Converts a sparse matrix into row elements (for RDDs of rows).
 pub fn to_rows(y: &SparseMat) -> Vec<SpRow> {
     (0..y.rows())
         .map(|r| {
@@ -169,8 +165,14 @@ impl Wire for DenseAcc {
     }
 }
 
+/// The cached element of partition `p` of `y` split into `parts`.
+fn partition_block(y: &SparseMat, parts: usize, p: usize) -> RowRecords {
+    let (start, len) = partition_range(y.rows(), parts, p);
+    RowRecords(PartitionBlock::new(y.row_block(start, start + len)))
+}
+
 struct SparkJobs<'a> {
-    rdd: Rdd<'a, SpRow>,
+    rdd: Rdd<'a, RowRecords>,
     n: usize,
     d_in: usize,
     d: usize,
@@ -183,9 +185,12 @@ impl EmJobs for SparkJobs<'_> {
         let (sums, _) = self.rdd.aggregate(
             "meanJob",
             || DenseAcc(vec![0.0; d_in]),
-            |acc, row| {
-                for (c, v) in row.view().iter() {
-                    acc.0[c] += v;
+            |acc, block| {
+                let y = block.0.csr();
+                for r in 0..y.rows() {
+                    for (c, v) in y.row(r).iter() {
+                        acc.0[c] += v;
+                    }
                 }
             },
             |acc, other| linalg::vector::axpy(1.0, &other.0, &mut acc.0),
@@ -201,16 +206,11 @@ impl EmJobs for SparkJobs<'_> {
             "FnormJob",
             || Scalar(0.0),
             |acc, part| {
-                // Algorithm 3 over the whole partition slice — the same
-                // association as the MapReduce engine's per-block pass.
-                let mut s = part.len() as f64 * msum;
-                for row in part {
-                    for (c, v) in row.view().iter() {
-                        let m = mean[c];
-                        s += (v - m) * (v - m) - m * m;
-                    }
+                // Algorithm 3 over the partition's block — the MapReduce
+                // engine's per-block pass.
+                for block in part {
+                    acc.0 += frobenius::centered_sq_block(block.0.csr(), mean, msum);
                 }
-                acc.0 += s;
             },
             |acc, other| acc.0 += other.0,
         );
@@ -224,12 +224,10 @@ impl EmJobs for SparkJobs<'_> {
         let cluster = self.rdd.cluster();
         cluster.charge_broadcast(cluster.wire_size(cm) + cluster.sizing().f64_payload(xm.len()));
         let d = self.d;
-        let d_in = self.d_in;
         let precision = self.precision;
         let before = ytx_counter_snapshot();
-        // Batched path: each task reassembles its partition slice into a
-        // CSR block (O(z) copy, no sorting) and runs the blocked kernels
-        // over it — one add_block per partition, so reassociation happens
+        // Batched path: each task runs the blocked kernels over its cached
+        // block — one add_block per partition, so reassociation happens
         // only at partition boundaries, same as the merge tree. The driver
         // merges the partials in one fused, column-banded pass.
         let pool = cluster.pool();
@@ -237,9 +235,9 @@ impl EmJobs for SparkJobs<'_> {
             "YtXJob",
             || YtxPartial::new(d),
             |acc, part| {
-                let views: Vec<SparseRow> = part.iter().map(SpRow::view).collect();
-                let block = SparseMat::from_row_views(d_in, &views);
-                acc.add_block_prec(&block, cm, xm, precision);
+                for block in part {
+                    acc.add_block_prec(&block.0, cm, xm, precision);
+                }
             },
             |parts| YtxPartial::tree_merged(pool, d, parts),
         );
@@ -257,15 +255,14 @@ impl EmJobs for SparkJobs<'_> {
         // already resident from the YtX job's broadcast.
         let cluster = self.rdd.cluster();
         cluster.charge_broadcast(cluster.wire_size(c_new));
-        let d_in = self.d_in;
-        let precision = self.precision;
+        let (operand, pool) = (Ss3Operand::new(cm, xm, c_new, self.precision), cluster.pool());
         let (part, _) = self.rdd.aggregate_partitions(
             "ss3Job",
             || Scalar(0.0),
             |acc, part| {
-                let views: Vec<SparseRow> = part.iter().map(SpRow::view).collect();
-                let block = SparseMat::from_row_views(d_in, &views);
-                acc.0 += ss3_block_prec(&block, cm, xm, c_new, precision);
+                for block in part {
+                    acc.0 += operand.sum_block(pool, &block.0);
+                }
             },
             |acc, other| acc.0 += other.0,
         );
@@ -276,22 +273,19 @@ impl EmJobs for SparkJobs<'_> {
 /// The randomized arm's stages over the same persisted RDD.
 impl RpcaJobs for SparkJobs<'_> {
     fn colsum_job(&mut self) -> Vec<Vec<f64>> {
-        let d_in = self.d_in;
         self.rdd
             .map_partitions("rpca/colsumJob", |part| {
-                let views: Vec<SparseRow> = part.iter().map(SpRow::view).collect();
-                vec![SparseMat::from_row_views(d_in, &views).col_sums()]
+                part.iter().map(|block| block.0.csr().col_sums()).collect()
             })
             .collect()
     }
 
     fn fnorm_job(&mut self, mean: &[f64], mean_norm_sq: f64) -> Vec<f64> {
-        let d_in = self.d_in;
         self.rdd
             .map_partitions("rpca/FnormJob", |part| {
-                let views: Vec<SparseRow> = part.iter().map(SpRow::view).collect();
-                let block = SparseMat::from_row_views(d_in, &views);
-                vec![frobenius::centered_sq_block(&block, mean, mean_norm_sq)]
+                part.iter()
+                    .map(|block| frobenius::centered_sq_block(block.0.csr(), mean, mean_norm_sq))
+                    .collect()
             })
             .collect()
     }
@@ -308,17 +302,12 @@ impl RpcaJobs for SparkJobs<'_> {
         // broadcast.
         let cluster = self.rdd.cluster();
         cluster.charge_broadcast(cluster.wire_size(w) + cluster.sizing().f64_payload(shift.len()));
-        let d_in = self.d_in;
         // A streaming collect: partials reach the fold in partition order
         // while the stage runs, charged one flow per partition — the D×K
         // partial each executor ships home.
         self.rdd.collect_each(
             &format!("rpca/pass{pass}"),
-            |part| {
-                let views: Vec<SparseRow> = part.iter().map(SpRow::view).collect();
-                let block = SparseMat::from_row_views(d_in, &views);
-                vec![pass_partial(&block, w, shift)]
-            },
+            |part| part.iter().map(|block| pass_partial(&block.0, w, shift)).collect(),
             fold,
         );
     }
@@ -326,30 +315,30 @@ impl RpcaJobs for SparkJobs<'_> {
 
 /// Distributed projection: computes the reduced matrix `X = (Y − 1⊗μ)·CM`
 /// (the paper's §2.1 dimensionality-reduction output, `X = Y*C`) as one
-/// narrow stage over the cluster, returning the N×d latent matrix.
+/// narrow stage over the cluster, returning the N×d latent matrix — bit
+/// for bit [`PcaModel::transform_sparse`](crate::model::PcaModel::transform_sparse).
 ///
 /// This is what feeds "other machine learning algorithms such as k-means
-/// clustering" downstream; the N×d result is small enough to collect.
+/// clustering" downstream; the N×d result is small enough to collect, one
+/// row record per input row.
 pub fn transform(
     cluster: &SimCluster,
     y: &SparseMat,
     model: &crate::model::PcaModel,
     partitions: usize,
 ) -> Result<Mat> {
-    assert_eq!(y.cols(), model.input_dim(), "transform: dimension mismatch");
+    SpcaError::check_dims(y.cols(), model.input_dim())?;
     let ctx = SparkleContext::new(cluster);
     let parts = partitions.min(y.rows().max(1)).max(1);
-    let blocks: Vec<Vec<SpRow>> = y.split_rows(parts).iter().map(to_rows).collect();
-    let rdd = ctx.from_partitions(blocks);
+    let rdd = ctx.from_partitions((0..parts).map(|p| vec![partition_block(y, parts, p)]).collect());
 
     let cm = model.latent_projection()?;
     let xm = cm.vecmat(model.mean());
     cluster.charge_broadcast(cluster.wire_size(&cm) + cluster.sizing().f64_payload(xm.len()));
 
     let latent = rdd.map_partitions("transform", |part| {
-        part.iter()
-            .map(|row| crate::mean_prop::latent_row(row.view(), &cm, &xm))
-            .collect::<Vec<Vec<f64>>>()
+        let blocks = part.iter().map(|block| latent_matrix(block.0.csr(), &cm, &xm));
+        blocks.flat_map(|x| (0..x.rows()).map(move |r| x.row(r).to_vec())).collect::<Vec<_>>()
     });
     let rows = latent.collect();
     let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
@@ -395,19 +384,17 @@ fn fit_with_input(
     // re-reads and re-replication charge the same bytes a real file holds.
     cluster.dfs().seed(cluster, input_file, cluster.wire_size(y));
 
-    // Build and persist the input RDD (cached across all passes), with the
-    // lineage that rebuilds any partition a node crash evicts: re-read the
-    // partition's slice of the input file and re-parse it.
-    let blocks: Vec<Vec<SpRow>> = y.split_rows(partitions).iter().map(to_rows).collect();
+    // Build and persist the input RDD (cached across all passes), one
+    // analysed block per partition, with the lineage that rebuilds any
+    // partition a node crash evicts: re-read the partition's slice of the
+    // input file, re-parse and re-analyse it.
+    let blocks = (0..partitions).map(|p| vec![partition_block(y, partitions, p)]).collect();
     let mut rdd = ctx.from_partitions(blocks);
     let (n, d_in) = (y.rows(), y.cols());
     rdd.persist_with_lineage(
         Lineage::new(
             vec![format!("textFile({input_file})"), "parse".into()],
-            Box::new(move |p| {
-                let (start, len) = partition_range(n, partitions, p);
-                to_rows(&y.row_block(start, start + len))
-            }),
+            Box::new(move |p| vec![partition_block(y, partitions, p)]),
         )
         .with_source(input_file),
     );
@@ -475,8 +462,39 @@ mod tests {
         let run = fit(&cluster, &y, &SpcaConfig::new(3).with_max_iters(3)).unwrap();
         let distributed = transform(&cluster, &y, &run.model, 8).unwrap();
         let local = run.model.transform_sparse(&y).unwrap();
-        assert!(distributed.approx_eq(&local, 1e-12));
+        // Both sides are sequential axpys per row: bit for bit.
+        let bits = |m: &Mat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&distributed), bits(&local));
         assert_eq!(distributed.rows(), y.rows());
+
+        // Rows of another width are an error, not a panic.
+        let wide = SparseMat::from_triplets(2, y.cols() + 1, &[(0, 0, 1.0)]);
+        let want = SpcaError::DimensionMismatch { expected: y.cols(), found: y.cols() + 1 };
+        assert_eq!(transform(&cluster, &wide, &run.model, 2).unwrap_err(), want);
+        assert_eq!(run.model.transform_sparse(&wide).unwrap_err(), want);
+        assert_eq!(run.model.transform_dense(&wide.to_dense()).unwrap_err(), want);
+    }
+
+    #[test]
+    fn cached_blocks_are_priced_as_the_rows_they_replace() {
+        let mut rng = linalg::Prng::seed_from_u64(9);
+        let y = datasets::sparse_lowrank(&datasets::LowRankSpec::small_test(), &mut rng);
+        for sizing in [linalg::Sizing::Encoded, linalg::Sizing::Estimated] {
+            for (p, split) in y.split_rows(7).into_iter().enumerate() {
+                // Spark: one element per partition, sized as its rows.
+                let cached = partition_block(&y, 7, p);
+                let rows: u64 = to_rows(&split).iter().map(|r| sizing.size_of(r)).sum();
+                assert_eq!(sizing.size_of(&cached), rows, "{sizing:?} partition {p}");
+                let records: Vec<u8> = to_rows(&split).iter().flat_map(|r| r.encode()).collect();
+                assert_eq!(cached.encode(), records);
+                // The lineage rebuild is the element the split cached.
+                assert_eq!(cached, RowRecords(PartitionBlock::new(split.clone())));
+                assert_eq!(cached.0.csr().rows(), partition_range(y.rows(), 7, p).1);
+                // MapReduce: the split is sized as its CSR block.
+                let block = PartitionBlock::new(split.clone());
+                assert_eq!(sizing.size_of(&block), sizing.size_of(&split));
+            }
+        }
     }
 
     #[test]

@@ -85,6 +85,25 @@ fn spark_fit_under_chaos_is_bitwise_identical_to_fault_free() {
 }
 
 #[test]
+fn spark_randomized_fit_rebuilds_its_cached_blocks_bitwise() {
+    // The randomized passes gather `YᵀP` through each cached block's
+    // column-major copy: a partition rebuilt from lineage must bring back
+    // the same copy, or the model hash moves.
+    let y = test_matrix(12);
+    let config = SpcaConfig::new(3)
+        .with_algorithm(spca_core::Algorithm::Randomized)
+        .with_rpca_power_iters(3)
+        .with_rel_tolerance(None);
+    let clean = Spca::new(config.clone()).fit_spark(&cluster(), &y).unwrap();
+    let faulty_cluster = cluster();
+    let plan = FaultPlan::new().with_crash(2, 2).with_crash(6, 3);
+    faulty_cluster.install_fault_plan(FaultSpec::new(0xb10c), plan).unwrap();
+    let faulty = Spca::new(config).fit_spark(&faulty_cluster, &y).unwrap();
+    assert_eq!(clean.model.content_hash(), faulty.model.content_hash());
+    assert!(count_kind(&faulty_cluster.recovery_log(), "partition_recomputed") > 0);
+}
+
+#[test]
 fn mapreduce_fit_under_chaos_is_bitwise_identical_to_fault_free() {
     let y = test_matrix(12);
     let config = SpcaConfig::new(3).with_max_iters(4).with_rel_tolerance(None);

@@ -53,7 +53,7 @@ use std::borrow::Cow;
 
 use crate::dense::{Mat, MatF32};
 use crate::pool::WorkerPool;
-use crate::sparse::SparseMat;
+use crate::sparse::{Csc, SparseMat};
 use crate::vector;
 
 /// Products below this many flops (2·m·k·n) run single-threaded: pool
@@ -69,6 +69,10 @@ const PAR_MIN_FLOPS: usize = 2_000_000;
 /// d = 50). Both sides of the cut-over produce the same bits, so no
 /// result depends on it.
 const TILE_MIN_ROWS: usize = 8;
+
+/// How many stored entries ahead of its use a sparse product prefetches
+/// the dense row an entry reads ([`row_mul`]).
+const PREFETCH_AHEAD: usize = 8;
 
 /// Target flops per parallel chunk — big enough to amortize dispatch,
 /// small enough to load-balance.
@@ -166,17 +170,20 @@ fn row_of<E>(data: &[E], cols: usize, r: usize) -> &[E] {
     &data[r * cols..(r + 1) * cols]
 }
 
-/// Best-effort prefetch of a dense row into L1 — the sparse product's
-/// B-row reads are data-dependent gathers, so the hardware prefetcher
-/// cannot see them coming.
+/// Best-effort prefetch of a dense row into L1, every cache line of it —
+/// the sparse product's B-row reads are data-dependent gathers, so the
+/// hardware prefetcher cannot see them coming.
 #[inline(always)]
 fn prefetch_row<E>(row: &[E]) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch has no architectural effect beyond the cache, and
-    // the pointer is a live in-bounds row.
+    // every address is inside the live row.
     unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(row.as_ptr() as *const i8);
+        let base = row.as_ptr() as *const i8;
+        for line in (0..std::mem::size_of_val(row)).step_by(64) {
+            _mm_prefetch::<_MM_HINT_T0>(base.add(line));
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = row;
@@ -217,10 +224,17 @@ pub trait Elem: sealed::Sealed + vector::Scalar + Send + Sync + PartialEq + 'sta
     fn narrowed(src: &[f64]) -> Cow<'_, [Self]>;
     /// A result buffer as `f64`: itself, or a widened copy.
     fn widened(buf: Vec<Self>) -> Vec<f64>;
-    /// A zeroed work buffer. The `f64` ones are multi-megabyte per task at
-    /// the paper's shapes and go through [`crate::scratch`]; the freelist
-    /// holds `f64` buffers only, so `f32` ones come from the allocator.
-    fn take_zeroed(len: usize) -> Vec<Self>;
+    /// An empty work buffer of at least `capacity`. The `f64` ones are
+    /// multi-megabyte per task at the paper's shapes and go through
+    /// [`crate::scratch`]; the freelist holds `f64` buffers only, so `f32`
+    /// ones come from the allocator.
+    fn take_cleared(capacity: usize) -> Vec<Self>;
+    /// A zeroed work buffer ([`Elem::take_cleared`], filled).
+    fn take_zeroed(len: usize) -> Vec<Self> {
+        let mut v = Self::take_cleared(len);
+        v.resize(len, Self::ZERO);
+        v
+    }
     /// Retires a buffer [`Elem::take_zeroed`] handed out.
     fn recycle(buf: Vec<Self>);
     /// [`vector::dot`] for `f64` — four interleaved partial sums. The
@@ -250,8 +264,8 @@ impl Elem for f64 {
     fn widened(buf: Vec<f64>) -> Vec<f64> {
         buf
     }
-    fn take_zeroed(len: usize) -> Vec<f64> {
-        crate::scratch::take_zeroed(len)
+    fn take_cleared(capacity: usize) -> Vec<f64> {
+        crate::scratch::take_cleared(capacity)
     }
     fn recycle(buf: Vec<f64>) {
         crate::scratch::recycle(buf)
@@ -283,8 +297,8 @@ impl Elem for f32 {
     fn widened(buf: Vec<f32>) -> Vec<f64> {
         buf.into_iter().map(f64::from).collect()
     }
-    fn take_zeroed(len: usize) -> Vec<f32> {
-        vec![0.0; len]
+    fn take_cleared(capacity: usize) -> Vec<f32> {
+        Vec::with_capacity(capacity)
     }
     fn recycle(_buf: Vec<f32>) {}
     #[inline]
@@ -958,42 +972,98 @@ pub fn sparse_mul_dense_slices<E: Elem>(
     );
 }
 
+/// [`sparse_mul_dense_slices`] one output row at a time, for a block the
+/// sparse route takes: row `r` of `Y·B` is zeroed and computed at the end
+/// of `rows` — in L1 — and handed to `f` there, in ascending `r`. With
+/// `keep` the rows stay, `rows` ending as the `y.rows() × n` product after
+/// whatever it held; without, `rows` holds one row at a time. Nothing is
+/// zeroed or written but the rows themselves. Same `kernel` span, flops
+/// and bits as [`sparse_mul_dense_slices`]; serial, the caller being a
+/// pool task.
+pub fn sparse_mul_dense_each<E: Elem>(
+    y: &SparseMat,
+    b: &[E],
+    n: usize,
+    (rows, keep): (&mut Vec<E>, bool),
+    mut f: impl FnMut(&mut [E]),
+) {
+    assert_eq!(b.len(), y.cols() * n, "mul_dense: inner dimensions differ");
+    debug_assert!(full_block(y).is_none(), "mul_dense: a full block takes the tile route");
+    let mut span = obs::span_lazy("kernel", || {
+        format!("sparse_mul_dense{} {}x{n} nnz={}", E::SUFFIX, y.rows(), y.nnz())
+    })
+    .with_flops(2 * y.nnz() as u64 * n as u64);
+    span.arg("route", route_name(false));
+    rows_each(y, b, n, (rows, keep), |_, row| f(row));
+}
+
+/// Row `r` of `Y·B` for `r` in ascending order, each zeroed and computed
+/// at the end of `rows` and handed to `f(r, row)` there; `rows` keeps them
+/// only with `keep`.
+fn rows_each<E: Elem>(
+    y: &SparseMat,
+    b: &[E],
+    n: usize,
+    (rows, keep): (&mut Vec<E>, bool),
+    mut f: impl FnMut(usize, &mut [E]),
+) {
+    for r in 0..y.rows() {
+        if !keep {
+            rows.clear();
+        }
+        let at = rows.len();
+        rows.resize(at + n, E::ZERO);
+        row_mul(y, b, n, r, y.rows(), &mut rows[at..]);
+        f(r, &mut rows[at..]);
+    }
+}
+
 /// Computes output rows `[start, end)` of `Y·B` into `out`. Non-zeros are
 /// consumed in quads, then a pair, then a single, with fused updates
 /// ([`vector::axpy4`]/[`vector::axpy2`]) — bit-identical to sequential
-/// axpys, a quarter of the passes over the output row. The next quad's
-/// `B` rows are prefetched while the current one computes: the row
-/// gathers are data-dependent, so without the hint every quad starts on
-/// a cold DRAM access.
+/// axpys, a quarter of the passes over the output row. The `B` rows of
+/// entries a few places on are prefetched while the current row computes
+/// ([`row_mul`]): the row gathers are data-dependent, so without the hint
+/// every one starts on a cold access.
 ///
 /// Public as the serial form of [`sparse_mul_dense_slices`] — no pool, no
 /// `kernel` span, no `kernel.flops` — for a caller whose block is one small
 /// task of many already on a pool (a serve batch of a hundred rows).
 pub fn sparse_rows_mul<E: Elem>(y: &SparseMat, b: &[E], n: usize, start: usize, end: usize, out: &mut [E]) {
     for r in start..end {
-        let row = y.row(r);
-        let o = &mut out[(r - start) * n..(r - start + 1) * n];
-        let nnz = row.indices.len();
-        // Term `t` of the row: the narrowed value and the `B` row it scales.
-        let term = |t: usize| (E::narrow(row.values[t]), row_of(b, n, row.indices[t] as usize));
-        let mut t = 0;
-        while t + 4 <= nnz {
-            for &c in row.indices[t + 4..nnz.min(t + 8)].iter() {
-                prefetch_row(row_of(b, n, c as usize));
-            }
-            let ((v0, b0), (v1, b1), (v2, b2), (v3, b3)) = (term(t), term(t + 1), term(t + 2), term(t + 3));
-            vector::axpy4(v0, b0, v1, b1, v2, b2, v3, b3, o);
-            t += 4;
-        }
-        if t + 2 <= nnz {
-            let ((v0, b0), (v1, b1)) = (term(t), term(t + 1));
-            vector::axpy2(v0, b0, v1, b1, o);
-            t += 2;
-        }
-        if t < nnz {
-            let (v, b_row) = term(t);
-            vector::axpy(v, b_row, o);
-        }
+        row_mul(y, b, n, r, end, &mut out[(r - start) * n..(r - start + 1) * n]);
+    }
+}
+
+/// `o += y_r·B` ([`sparse_rows_mul`]'s body). First it prefetches the `B`
+/// rows the entries [`PREFETCH_AHEAD`] places on in storage order will
+/// read, up to row `end`: one prefetch per entry, well before its use even
+/// when rows hold a handful of entries each.
+#[inline(always)]
+fn row_mul<E: Elem>(y: &SparseMat, b: &[E], n: usize, r: usize, end: usize, o: &mut [E]) {
+    let (indptr, stop) = (y.indptr(), y.indptr()[end]);
+    let ahead = (indptr[r] + PREFETCH_AHEAD).min(stop)..(indptr[r + 1] + PREFETCH_AHEAD).min(stop);
+    for &c in &y.col_indices()[ahead] {
+        prefetch_row(row_of(b, n, c as usize));
+    }
+    let row = y.row(r);
+    let nnz = row.indices.len();
+    // Term `t` of the row: the narrowed value and the `B` row it scales.
+    let term = |t: usize| (E::narrow(row.values[t]), row_of(b, n, row.indices[t] as usize));
+    let mut t = 0;
+    while t + 4 <= nnz {
+        let ((v0, b0), (v1, b1), (v2, b2), (v3, b3)) = (term(t), term(t + 1), term(t + 2), term(t + 3));
+        vector::axpy4(v0, b0, v1, b1, v2, b2, v3, b3, o);
+        t += 4;
+    }
+    if t + 2 <= nnz {
+        let ((v0, b0), (v1, b1)) = (term(t), term(t + 1));
+        vector::axpy2(v0, b0, v1, b1, o);
+        t += 2;
+    }
+    if t < nnz {
+        let (v, b_row) = term(t);
+        vector::axpy(v, b_row, o);
     }
 }
 
@@ -1147,6 +1217,34 @@ pub fn spmm_tn_packed_f32_with_pool(
     spmm_scatter(pool, y, x.data(), x.cols(), Some(map), out)
 }
 
+/// `YᵀX` as a gather over a block's cached column-major copy: support
+/// column `i`'s output row adds `y[r][c]·x_r` over its entries in
+/// ascending `r` — [`sparse_mul_dense_each`]'s row loop over row `i` of
+/// [`Csc::transposed`], whose fused axpys are sequential axpys bit for bit
+/// — zeroed and gathered at the end of `out` and handed to `put(i, row)`
+/// there, in ascending `i`; `keep` as [`sparse_mul_dense_each`]'s. Every
+/// output row thus gets the scatter's operations in the scatter's order:
+/// the bits of [`spmm_tn`] / [`spmm_tn_packed`] under the block's column
+/// table, with no per-call bucket pass, table or zeroed slab. The `kernel`
+/// span is [`spmm_tn`]'s, route `sparse`; serial, the caller being a pool
+/// task.
+pub fn spmm_gather<E: Elem>(
+    csc: &Csc,
+    x: &[E],
+    d: usize,
+    out: (&mut Vec<E>, bool),
+    put: impl FnMut(usize, &mut [E]),
+) {
+    let t = csc.transposed();
+    assert_eq!(x.len(), t.cols() * d, "spmm_tn: X is {} elements, not {}x{d}", x.len(), t.cols());
+    let mut span = obs::span_lazy("kernel", || {
+        format!("spmm_tn{} {}x{}x{d} nnz={}", E::SUFFIX, t.cols(), t.rows(), t.nnz())
+    })
+    .with_flops(2 * t.nnz() as u64 * d as u64);
+    span.arg("route", route_name(false));
+    rows_each(t, x, d, out, put);
+}
+
 /// The scatter driver behind every `spmm_tn*` entry point, over either
 /// element type: `x` is `y.rows() × d` row-major, `out` has
 /// `out.len() / d` rows, and column `c` of `Y` lands in row `map[c]` (or
@@ -1298,6 +1396,13 @@ fn full_block(y: &SparseMat) -> Option<&[f64]> {
         return None;
     }
     y.full_rows()
+}
+
+/// Whether `y` takes the full-block register-tile routes of `Y·B` and
+/// `YᵀX` — the test [`PartitionBlock`](crate::sparse::PartitionBlock)
+/// decides by whether to keep a column-major copy.
+pub fn takes_full_routes(y: &SparseMat) -> bool {
+    full_block(y).is_some()
 }
 
 /// The `route` span argument of the kernels that choose one.

@@ -7,8 +7,12 @@
 //! mean-subtraction at all — centering is always expressed algebraically by
 //! the callers (see `spca-core::mean_prop`).
 
+use std::borrow::Cow;
+
+use crate::bytes::ByteSized;
 use crate::dense::Mat;
 use crate::vector;
+use crate::wire::{self, Wire, WireError, WireReader};
 
 /// Compressed-sparse-row matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,6 +104,9 @@ impl SparseMat {
     /// matrix *bitwise* — routing through [`SparseMat::from_rows`] would
     /// drop `-0.0` values and re-sort, breaking round-trip fidelity.
     ///
+    /// The count is compared without overflow: a decoded width is anything
+    /// the wire says.
+    ///
     /// `nnz == rows·cols` alone does not make a matrix full: the rows
     /// [`SparseMat::from_row_views`] copies come from its caller, and only
     /// a debug build asserts they are strictly ascending and in bounds. So
@@ -120,7 +127,7 @@ impl SparseMat {
         debug_assert_eq!(indices.len(), values.len());
         debug_assert_eq!(*indptr.last().unwrap_or(&0), indices.len());
         let full = cols > 0
-            && values.len() == rows * cols
+            && rows.checked_mul(cols) == Some(values.len())
             && indices.len() == values.len()
             && indptr.iter().enumerate().all(|(r, &p)| p == r * cols)
             // Branch-free within a row so the comparison vectorizes.
@@ -299,9 +306,9 @@ impl SparseMat {
 
     /// Assembles a fresh CSR matrix from borrowed row views (each already
     /// sorted and deduped, e.g. [`SparseRow`]s handed out by another
-    /// `SparseMat` or stored per-row by an engine partition). A straight
-    /// O(nnz) copy — this is how the engines turn a partition slice into a
-    /// block for the batched EM kernels without re-sorting anything.
+    /// `SparseMat` or stored per-row by a caller). A straight O(nnz) copy
+    /// — this is how the serving path turns a batch of request rows into a
+    /// block for the batched kernels without re-sorting anything.
     pub fn from_row_views(cols: usize, rows: &[SparseRow<'_>]) -> SparseMat {
         let nnz: usize = rows.iter().map(|r| r.indices.len()).sum();
         let mut indptr = Vec::with_capacity(rows.len() + 1);
@@ -319,9 +326,7 @@ impl SparseMat {
         SparseMat::from_raw_parts(rows.len(), cols, indptr, indices, values)
     }
 
-    /// Flat column-index array of every stored non-zero (CSR order). The
-    /// batched EM accumulator uses this to build its column-support table
-    /// in one pass.
+    /// Flat column-index array of every stored non-zero (CSR order).
     #[inline]
     pub fn col_indices(&self) -> &[u32] {
         &self.indices
@@ -380,6 +385,219 @@ impl SparseRow<'_> {
     /// Squared Euclidean norm of the row.
     pub fn norm2_sq(&self) -> f64 {
         vector::norm2_sq(self.values)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Partition blocks: a block's structure, analysed once
+// ---------------------------------------------------------------------------
+
+/// The column-major copy of a CSR block, restricted to the columns some
+/// row touches: support column `i` is `support()[i]`, and its entries, in
+/// ascending row order, are row `i` of [`Csc::transposed`] — a
+/// `support × rows` CSR matrix holding `Yᵀ`. The `YᵀX` gather
+/// ([`crate::kernels::spmm_gather`]) walks it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Csc {
+    /// Touched columns, strictly ascending.
+    support: Vec<u32>,
+    /// Row `i` holds support column `i`'s entries: (block row, value).
+    t: SparseMat,
+}
+
+impl Csc {
+    /// The copy of `csr`, in O(nnz) with no table as wide as the block — a
+    /// decoded block with a hostile width costs what its entries cost: the
+    /// CSR offsets, in CSR order, go through a stable LSD radix sort on
+    /// their column — one pass for up to 2¹⁶ columns, passes of at most
+    /// 11 bits beyond — so each column's entries keep ascending rows.
+    /// Offsets and rows are `u32`: a block holds fewer than 2³² of each
+    /// (it is a partition; the assert makes the limit loud).
+    pub fn of(csr: &SparseMat) -> Csc {
+        let nnz = csr.nnz();
+        assert!(
+            nnz <= u32::MAX as usize && csr.rows <= u32::MAX as usize,
+            "Csc::of: {nnz} entries in {} rows overflow 32-bit offsets",
+            csr.rows
+        );
+        let bits = u32::BITS - csr.indices.iter().max().map_or(0, |c| c.leading_zeros()).min(31);
+        let width = if bits <= 16 { bits } else { bits.div_ceil(bits.div_ceil(11)) };
+        let mut order: Vec<u32> = (0..nnz as u32).collect();
+        let mut next = vec![0u32; nnz];
+        for shift in (0..bits).step_by(width as usize) {
+            let digit = |p: u32| (csr.indices[p as usize] >> shift) as usize & ((1 << width) - 1);
+            let mut starts = vec![0u32; (1 << width) + 1];
+            for &p in &order {
+                starts[digit(p) + 1] += 1;
+            }
+            for b in 0..1 << width {
+                starts[b + 1] += starts[b];
+            }
+            for &p in &order {
+                let slot = &mut starts[digit(p)];
+                next[*slot as usize] = p;
+                *slot += 1;
+            }
+            std::mem::swap(&mut order, &mut next);
+        }
+        // `next` becomes the row of each CSR offset.
+        for (r, w) in csr.indptr.windows(2).enumerate() {
+            next[w[0]..w[1]].fill(r as u32);
+        }
+        let (mut support, mut colptr) = (Vec::new(), Vec::new());
+        let (mut rows, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        for (i, &p) in order.iter().enumerate() {
+            let c = csr.indices[p as usize];
+            if support.last() != Some(&c) {
+                support.push(c);
+                colptr.push(i);
+            }
+            rows.push(next[p as usize]);
+            values.push(csr.values[p as usize]);
+        }
+        colptr.push(nnz);
+        Csc { t: SparseMat::from_raw_parts(support.len(), csr.rows, colptr, rows, values), support }
+    }
+
+    /// [`Csc::of`] a block the full-block routes do not take.
+    fn unless_full(csr: &SparseMat) -> Option<Csc> {
+        (!crate::kernels::takes_full_routes(csr)).then(|| Csc::of(csr))
+    }
+
+    /// The touched columns, strictly ascending.
+    pub fn support(&self) -> &[u32] {
+        &self.support
+    }
+
+    /// `Yᵀ` over the support: row `i` is column `support()[i]` of the
+    /// block, its indices the block rows holding it, ascending.
+    pub fn transposed(&self) -> &SparseMat {
+        &self.t
+    }
+
+    /// A copy with `f` applied to every stored value
+    /// ([`SparseMat::map_values`]): the copy of the mapped block.
+    pub fn map_values(&self, f: impl Fn(f64) -> f64) -> Csc {
+        Csc { support: self.support.clone(), t: self.t.map_values(f) }
+    }
+}
+
+/// A partition of `Y` as the EM passes read it, its structure analysed
+/// once, when the input is split: the CSR block and — unless the kernels'
+/// full-block routes take it ([`crate::kernels::takes_full_routes`]) — its
+/// [`Csc`] copy, 12 more bytes per entry. Cached for the whole fit, so no
+/// pass rebuilds a block, a column table or a bucket sort.
+///
+/// On the wire and to the byte meters it is its CSR block, byte for byte;
+/// decoding rebuilds the copy.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartitionBlock {
+    csr: SparseMat,
+    csc: Option<Csc>,
+}
+
+impl PartitionBlock {
+    /// Analyses `csr` once.
+    pub fn new(csr: SparseMat) -> Self {
+        PartitionBlock { csc: Csc::unless_full(&csr), csr }
+    }
+}
+
+/// A CSR block for the EM block kernels, with the column-major copy their
+/// sparse routes gather through: cached by a [`PartitionBlock`], built on
+/// each call for a bare [`SparseMat`].
+pub trait Block {
+    /// The CSR block.
+    fn csr(&self) -> &SparseMat;
+    /// Its [`Csc`] copy, `None` when the full-block routes take it.
+    fn csc(&self) -> Cow<'_, Option<Csc>>;
+}
+
+impl Block for SparseMat {
+    fn csr(&self) -> &SparseMat {
+        self
+    }
+    fn csc(&self) -> Cow<'_, Option<Csc>> {
+        Cow::Owned(Csc::unless_full(self))
+    }
+}
+
+impl Block for PartitionBlock {
+    fn csr(&self) -> &SparseMat {
+        &self.csr
+    }
+    fn csc(&self) -> Cow<'_, Option<Csc>> {
+        Cow::Borrowed(&self.csc)
+    }
+}
+
+impl ByteSized for PartitionBlock {
+    fn size_bytes(&self) -> u64 {
+        ByteSized::size_bytes(&self.csr)
+    }
+}
+
+impl Wire for PartitionBlock {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.csr.encode_into(out);
+    }
+    fn encoded_size(&self) -> u64 {
+        self.csr.encoded_size()
+    }
+    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        SparseMat::decode_from(r).map(PartitionBlock::new)
+    }
+    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
+        self.csr.encode_v3_into(out, quantize);
+    }
+    fn encoded_size_v3(&self, quantize: bool) -> u64 {
+        self.csr.encoded_size_v3(quantize)
+    }
+    fn decode_v3_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        SparseMat::decode_v3_from(r).map(PartitionBlock::new)
+    }
+}
+
+/// A [`PartitionBlock`] that is cached, sized and shipped as its rows'
+/// records ([`wire::write_row_record`]), one after another: byte for byte
+/// the elements of a `Vec` of per-row records, so an RDD caching one block
+/// per partition is priced as one that cached its rows, under either
+/// [`Sizing`](crate::Sizing).
+///
+/// There is no header. [`Wire::decode_from`] reads the rest of its buffer
+/// as records, and — the width not being on the wire — the decoded block
+/// is one column wider than its largest index.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowRecords(pub PartitionBlock);
+
+impl ByteSized for RowRecords {
+    /// Per row: 8 bytes, plus a 4-byte index and an 8-byte value per entry.
+    fn size_bytes(&self) -> u64 {
+        (12 * self.0.csr.nnz() + 8 * self.0.csr.rows) as u64
+    }
+}
+
+impl Wire for RowRecords {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        for r in 0..self.0.csr.rows {
+            let row = self.0.csr.row(r);
+            wire::write_row_record(out, row.indices, row.values);
+        }
+    }
+    fn encoded_size(&self) -> u64 {
+        (0..self.0.csr.rows).map(|r| wire::row_record_len(self.0.csr.row(r).indices)).sum()
+    }
+    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+        while r.remaining() > 0 {
+            let (idx, vals) = wire::read_row_record(r)?;
+            indices.extend(idx);
+            values.extend(vals);
+            indptr.push(indices.len());
+        }
+        let cols = indices.iter().max().map_or(0, |&c| c as usize + 1);
+        let csr = SparseMat::from_raw_parts(indptr.len() - 1, cols, indptr, indices, values);
+        Ok(RowRecords(PartitionBlock::new(csr)))
     }
 }
 
@@ -508,6 +726,105 @@ mod tests {
         assert_eq!(m.full_rows(), None);
         assert!(m.row_block(0, 1).full_rows().is_some(), "the sound row alone is full");
         assert_eq!(m.row_block(1, 2).full_rows(), None);
+    }
+
+    /// Checks a block's copy against its CSR: the support is the union of
+    /// the rows' columns, each column's entries are its CSR entries in
+    /// ascending row order, and the offsets account for every entry.
+    fn assert_copy_of(block: &PartitionBlock) {
+        let (csr, csc) = (block.csr(), block.csc().into_owned().expect("a sparse-route block"));
+        let mut union: Vec<u32> = csr.col_indices().to_vec();
+        union.sort_unstable();
+        union.dedup();
+        assert_eq!(csc.support(), &union[..]);
+        let t = csc.transposed();
+        assert_eq!((t.rows(), t.cols(), t.nnz()), (union.len(), csr.rows(), csr.nnz()));
+        assert_eq!(t.indptr().last(), Some(&csr.nnz()));
+        for (i, &c) in csc.support().iter().enumerate() {
+            let col = t.row(i);
+            assert!(!col.indices.is_empty() && col.indices.windows(2).all(|w| w[0] < w[1]));
+            for (&r, &v) in col.indices.iter().zip(col.values) {
+                let row = csr.row(r as usize);
+                let at = row.indices.binary_search(&c).expect("entry in its row");
+                assert_eq!(row.values[at].to_bits(), v.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn partition_block_copies_exactly_the_sparse_route() {
+        let mut rng = crate::Prng::seed_from_u64(12);
+        let random = SparseMat::from_dense(&Mat::from_fn(40, 30, |_, _| {
+            if rng.uniform() < 0.1 { rng.normal() } else { 0.0 }
+        }));
+        for y in [sample(), random, SparseMat::from_rows(0, 4, vec![]), sample().row_block(1, 2)] {
+            assert_copy_of(&PartitionBlock::new(y));
+        }
+        // A full block takes the tile routes from eight rows up; below, it
+        // keeps a copy like any other.
+        let dense = Mat::from_fn(8, 3, |r, c| (r * 3 + c) as f64 + 1.0);
+        assert!(PartitionBlock::new(SparseMat::from_dense(&dense)).csc().is_none());
+        assert_copy_of(&PartitionBlock::new(SparseMat::from_dense(&dense).row_block(0, 7)));
+    }
+
+    #[test]
+    fn partition_block_offsets_do_not_overflow_at_the_widest_columns() {
+        // Columns at both ends of `u32`: the sort key and the radix passes
+        // hold them, and no table as wide as the block is built.
+        let top = u32::MAX;
+        let y = SparseMat::from_triplets(3, top as usize + 1, &[(0, top, 1.0), (1, 0, 2.0), (2, top, 3.0), (2, 7, -1.0)]);
+        let block = PartitionBlock::new(y);
+        assert_copy_of(&block);
+        let csc = block.csc().into_owned().unwrap();
+        assert_eq!(csc.support(), &[0, 7, top]);
+        assert_eq!(csc.transposed().row(2).indices, &[0, 2]);
+    }
+
+    #[test]
+    fn partition_block_is_its_csr_on_the_wire() {
+        let block = PartitionBlock::new(sample());
+        assert_eq!(block.encode(), sample().encode());
+        assert_eq!(block.encoded_size(), sample().encoded_size());
+        assert_eq!(ByteSized::size_bytes(&block), ByteSized::size_bytes(&sample()));
+        for quantize in [false, true] {
+            assert_eq!(block.encode_v3(quantize), sample().encode_v3(quantize));
+            assert_eq!(block.encoded_size_v3(quantize), sample().encoded_size_v3(quantize));
+            assert_eq!(PartitionBlock::decode_v3(&block.encode_v3(false)).unwrap(), block);
+        }
+        // Decoding rebuilds the copy.
+        assert_eq!(PartitionBlock::decode(&block.encode()).unwrap(), block);
+    }
+
+    #[test]
+    fn a_hostile_width_decodes_without_overflow() {
+        // Three empty rows declared 2⁶³ columns wide: `rows · cols` does not
+        // fit a `usize`, and neither decoder may overflow on it.
+        let mut bytes = Vec::new();
+        for v in [3, 1 << 63, 0, 0, 0, 0] {
+            wire::write_uvarint(&mut bytes, v);
+        }
+        let m = SparseMat::decode(&bytes).unwrap();
+        assert_eq!((m.rows(), m.cols(), m.full_rows()), (3, 1 << 63, None));
+        assert_copy_of(&PartitionBlock::decode(&bytes).unwrap());
+    }
+
+    #[test]
+    fn row_records_are_the_rows_on_the_wire() {
+        let block = RowRecords(PartitionBlock::new(sample()));
+        let (y, mut rows) = (sample(), Vec::new());
+        for r in 0..3 {
+            wire::write_row_record(&mut rows, y.row(r).indices, y.row(r).values);
+        }
+        assert_eq!(block.encode(), rows);
+        assert_eq!(block.encoded_size(), rows.len() as u64);
+        // Per row: 8 bytes, plus 12 per entry.
+        assert_eq!(block.size_bytes(), 3 * 8 + 4 * 12);
+        // No header: the width is one past the largest column decoded.
+        assert_eq!(RowRecords::decode(&rows).unwrap(), block);
+        let narrow = RowRecords(PartitionBlock::new(sample().row_block(0, 1)));
+        let back = RowRecords::decode(&narrow.encode()).unwrap();
+        assert_eq!((back.0.csr().rows(), back.0.csr().cols()), (1, 3));
+        assert_eq!(RowRecords::decode(&[]).unwrap().0.csr().rows(), 0);
     }
 
     #[test]

@@ -241,6 +241,34 @@ pub fn read_ascending_u32(
     Ok(out)
 }
 
+/// Appends one sparse row record — `varint nnz`, the ascending indices
+/// delta-encoded, the raw `f64` values: the per-row record a Spark cache
+/// or shuffle file holds.
+pub fn write_row_record(out: &mut Vec<u8>, indices: &[u32], values: &[f64]) {
+    write_uvarint(out, indices.len() as u64);
+    write_ascending_u32(out, indices);
+    for &v in values {
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// Encoded length of [`write_row_record`]'s output.
+pub fn row_record_len(indices: &[u32]) -> u64 {
+    uvarint_len(indices.len() as u64) + ascending_u32_len(indices) + 8 * indices.len() as u64
+}
+
+/// Reads one [`write_row_record`] record.
+pub fn read_row_record(r: &mut WireReader<'_>) -> Result<(Vec<u32>, Vec<f64>), WireError> {
+    let n = r.ulen()?;
+    let indices = read_ascending_u32(r, n, u64::from(u32::MAX) + 1)?;
+    let raw = r.take(n.checked_mul(8).ok_or(WireError::Truncated)?)?;
+    let values = raw
+        .chunks_exact(8)
+        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunks_exact(8)"))))
+        .collect();
+    Ok((indices, values))
+}
+
 // ---------------------------------------------------------------------------
 // v3 primitives: fixed-width bitpacked deltas + mode-tagged f64 payloads
 // ---------------------------------------------------------------------------

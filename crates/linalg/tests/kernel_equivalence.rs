@@ -17,6 +17,7 @@ use linalg::kernels::{
     self, naive, sparse_mul_dense_f32_into_with_pool, spmm_tn_f32_with_pool,
     spmm_tn_packed_f32_with_pool, syrk_tn_f32_with_pool,
 };
+use linalg::sparse::{Block, PartitionBlock};
 use linalg::{Mat, MatF32, Prng, SparseMat, WorkerPool};
 
 /// Shapes that exercise every path: empty, zero-dim, 1×1, remainder rows
@@ -439,6 +440,113 @@ fn packed_scatter_of_a_full_block_honours_any_map() {
         },
         |got, on| assert_eq!(bits(&got), bits(&want), "folded map on {on}"),
     );
+}
+
+/// The blocks the `YᵀX` gather must reproduce the scatter on: an empty
+/// block, empty rows, columns held by one row, a full block under eight
+/// rows (the sparse route takes it), stored `±0.0`, `1e±300` and NaN.
+fn gather_cases(rng: &mut Prng) -> Vec<(&'static str, SparseMat)> {
+    let edge = [0.0, -0.0, 1e300, -1e300, 1e-300, f64::NAN, 2.5, -1.0];
+    let edges = random_sparse(rng, 23, 17, 0.3, false).map_values(|v| edge[(v.to_bits() % 8) as usize]);
+    vec![
+        ("empty block", SparseMat::from_rows(0, 6, vec![])),
+        ("empty rows", SparseMat::from_rows(4, 5, vec![vec![], vec![(3, 1.5)], vec![], vec![(0, -2.0), (3, 0.25)]])),
+        ("one-row columns", SparseMat::from_triplets(6, 9, &[(0, 8, 1.0), (2, 1, -3.0), (5, 4, 0.5), (5, 8, 2.0)])),
+        ("full under 8 rows", full_block(rng, 5, 7)),
+        ("edge values", edges),
+        ("random", random_sparse(rng, 61, 40, 0.12, false)),
+    ]
+}
+
+/// [`bits`] with every NaN as one: which operand's NaN an add passes on
+/// (`inf·0` makes a negative one on x86, a stored NaN is positive) follows
+/// the operand order the compiler picks for each loop, which Rust does not
+/// pin; every other bit must match.
+fn nan_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() }).collect()
+}
+
+fn nan_bits32(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+}
+
+/// The column-support table `add_block` built per call before blocks
+/// were cached: touched columns ascending, each mapped to its slab row.
+fn support_table(y: &SparseMat) -> (Vec<u32>, usize) {
+    let mut map = vec![u32::MAX; y.cols()];
+    for &c in y.col_indices() {
+        map[c as usize] = 0;
+    }
+    let mut touched = 0;
+    for slot in map.iter_mut().filter(|s| **s == 0) {
+        *slot = touched;
+        touched += 1;
+    }
+    (map, touched as usize)
+}
+
+#[test]
+fn gather_is_bitwise_the_packed_scatter() {
+    let pools = Pools::new();
+    let mut rng = Prng::seed_from_u64(2104);
+    for (what, y) in gather_cases(&mut rng) {
+        let block = PartitionBlock::new(y.clone());
+        let csc = block.csc().into_owned().expect("the sparse route keeps a copy");
+        let (map, touched) = support_table(&y);
+        assert_eq!(csc.support().len(), touched, "{what}: support");
+        for d in [1, 7, 8, 9, 50] {
+            let mut x = rng.normal_mat(y.rows(), d);
+            if let Some(v) = x.data_mut().first_mut() {
+                *v = -0.0;
+            }
+            let mut gathered = Vec::new();
+            kernels::spmm_gather(&csc, x.data(), d, (&mut gathered, true), |_, _| ());
+            pools.each(
+                |pool| {
+                    let mut out = vec![0.0; touched * d];
+                    kernels::spmm_tn_packed_with_pool(pool, &y, &x, &map, &mut out);
+                    out
+                },
+                |got, on| assert_eq!(nan_bits(&got), nan_bits(&gathered), "{what} d={d} on {on}"),
+            );
+            // By column, as the randomized pass writes it: `spmm_tn`.
+            let mut by_column = vec![0.0; y.cols() * d];
+            kernels::spmm_gather(&csc, x.data(), d, (&mut Vec::new(), false), |i, row| {
+                let c = csc.support()[i] as usize;
+                by_column[c * d..(c + 1) * d].copy_from_slice(row);
+            });
+            assert_eq!(nan_bits(&by_column), nan_bits(kernels::spmm_tn(&y, &x).data()), "{what} d={d}");
+
+            let x32 = MatF32::from_f64(&x);
+            let mut gathered = Vec::new();
+            kernels::spmm_gather(&csc, x32.data(), d, (&mut gathered, true), |_, _| ());
+            pools.each(
+                |pool| {
+                    let mut out = vec![0.0f32; touched * d];
+                    spmm_tn_packed_f32_with_pool(pool, &y, &x32, &map, &mut out);
+                    out
+                },
+                |got, on| assert_eq!(nan_bits32(&got), nan_bits32(&gathered), "{what} d={d} f32 on {on}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn mul_dense_each_is_bitwise_the_blocked_product() {
+    let pools = Pools::new();
+    let mut rng = Prng::seed_from_u64(2105);
+    for (what, y) in gather_cases(&mut rng) {
+        for n in [1, 8, 50] {
+            let b = rng.normal_mat(y.cols(), n);
+            let mut rows = Vec::new();
+            kernels::sparse_mul_dense_each(&y, b.data(), n, (&mut rows, true), |_| ());
+            pools.each(
+                |pool| kernels::sparse_mul_dense_with_pool(pool, &y, &b),
+                |got, on| assert_eq!(bits(got.data()), bits(&rows), "{what} n={n} on {on}"),
+            );
+        }
+    }
 }
 
 #[test]

@@ -14,6 +14,7 @@
 //! reproduce deterministically.
 
 use linalg::bytes::SparseUpdate;
+use linalg::sparse::{Block, PartitionBlock, RowRecords};
 use linalg::wire::{
     decode_framed, decode_framed_v3, encode_framed, encode_framed_v3, framed_size, framed_size_v3,
     Wire,
@@ -182,6 +183,45 @@ fn sparse_mat_roundtrip_including_degenerate_shapes() {
             .collect();
         let m = SparseMat::from_rows(rows, cols, entries);
         assert_sparse_bits_eq(&roundtrip(&m), &m);
+    }
+}
+
+/// A decoded block's cached copy is, bit for bit, the one its CSR block
+/// analyses to.
+fn assert_copy_rebuilt(block: &PartitionBlock) {
+    let fresh = PartitionBlock::new(block.csr().clone());
+    match (&*block.csc(), &*fresh.csc()) {
+        (Some(a), Some(b)) => {
+            assert_eq!(a.support(), b.support());
+            assert_sparse_bits_eq(a.transposed(), b.transposed());
+        }
+        (a, b) => assert_eq!(a.is_none(), b.is_none()),
+    }
+}
+
+#[test]
+fn partition_blocks_roundtrip_and_rebuild_their_copy() {
+    let mut rng = Prng::seed_from_u64(0x51ca_0010);
+    for _ in 0..iters() {
+        let (rows, cols) = (rng.index(10), 1 + rng.index(30));
+        let entries: Vec<Vec<(u32, f64)>> = (0..rows)
+            .map(|_| {
+                let k = rng.index(cols + 1);
+                rng.sample_indices(cols, k).into_iter().map(|c| (c as u32, 1.0 + rng.uniform())).collect()
+            })
+            .collect();
+        let block = PartitionBlock::new(SparseMat::from_rows(rows, cols, entries));
+        let back = roundtrip(&block);
+        assert_sparse_bits_eq(back.csr(), block.csr());
+        assert_copy_rebuilt(&back);
+        let records = RowRecords(block);
+        let back = roundtrip(&records);
+        assert_eq!(back.0.csr().rows(), records.0.csr().rows());
+        for r in 0..rows {
+            assert_eq!(back.0.csr().row(r).indices, records.0.csr().row(r).indices);
+            assert_bits_eq(back.0.csr().row(r).values, records.0.csr().row(r).values, "row record");
+        }
+        assert_copy_rebuilt(&back.0);
     }
 }
 
@@ -359,5 +399,38 @@ fn decoder_survives_truncation_and_corruption() {
         let _ = Mat::decode(&bytes);
         let _ = Vec::<f64>::decode(&bytes);
         let _ = SparseUpdate::decode(&bytes);
+    }
+}
+
+/// The same bound for the two partition-block elements: a damaged buffer
+/// decodes to an `Err` or to a block whose cached copy is rebuilt from
+/// what was decoded — never a panic, and never a table as wide as a
+/// corrupted column count.
+#[test]
+fn partition_block_decoders_survive_truncation_and_corruption() {
+    let mut rng = Prng::seed_from_u64(0x51ca_0011);
+    let block = PartitionBlock::new(SparseMat::from_triplets(
+        5,
+        300,
+        &[(0, 2, 1.5), (1, 0, -2.5), (1, 299, f64::NAN), (3, 7, 1e300), (4, 7, -0.5)],
+    ));
+    let records = RowRecords(block.clone());
+    for _ in 0..iters() {
+        for mut bytes in [block.encode(), records.encode()] {
+            match rng.index(3) {
+                0 => bytes.truncate(rng.index(bytes.len())),
+                1 => {
+                    let i = rng.index(bytes.len());
+                    bytes[i] ^= 1 << rng.index(8);
+                }
+                _ => bytes.push(rng.next_u64() as u8),
+            }
+            if let Ok(b) = PartitionBlock::decode(&bytes) {
+                assert_copy_rebuilt(&b);
+            }
+            if let Ok(b) = RowRecords::decode(&bytes) {
+                assert_copy_rebuilt(&b.0);
+            }
+        }
     }
 }
