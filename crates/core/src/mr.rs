@@ -136,25 +136,38 @@ impl MapReduceJob for FnormJob<'_> {
 /// filled. The touched rows of a partition's `Σ y'⊗x` leave the mapper as
 /// one packed slab; every `Row(c)` value is that slab (shared, never
 /// copied) plus the row's offset, so emitting a row allocates nothing and
-/// the slab is freed once, by whoever drops its last row. On the wire and
+/// the slab is retired once, by whoever drops its last row. On the wire and
 /// to the byte meters a view is exactly the `Vec<f64>` it shows.
 #[derive(Debug, Clone)]
 struct RowView {
-    slab: Arc<Vec<f64>>,
+    slab: Arc<Slab>,
     start: usize,
     len: usize,
+}
+
+/// A mapper's packed rows, retired to `linalg::scratch` when the last
+/// view drops, for the next pass's mappers to take: freed instead, the
+/// slabs of a reduce wave went back to the system and were faulted in
+/// again by the next map wave.
+#[derive(Debug)]
+struct Slab(Vec<f64>);
+
+impl Drop for Slab {
+    fn drop(&mut self) {
+        linalg::scratch::recycle(std::mem::take(&mut self.0));
+    }
 }
 
 impl RowView {
     /// A view of all of `values`.
     fn whole(values: Vec<f64>) -> Self {
-        RowView { len: values.len(), slab: Arc::new(values), start: 0 }
+        RowView { len: values.len(), slab: Arc::new(Slab(values)), start: 0 }
     }
 }
 
 impl AsRef<[f64]> for RowView {
     fn as_ref(&self) -> &[f64] {
-        &self.slab[self.start..self.start + self.len]
+        &self.slab.0[self.start..self.start + self.len]
     }
 }
 
@@ -214,7 +227,7 @@ impl MapReduceJob for YtXJob<'_> {
         emitter.emit(MrKey::XtX, RowView::whole(partial.xtx.into_vec()));
         emitter.emit(MrKey::SumX, RowView::whole(partial.sum_x));
         emitter.emit(MrKey::Count, RowView::whole(vec![partial.rows_seen as f64]));
-        let slab = Arc::new(slab);
+        let slab = Arc::new(Slab(slab));
         for (i, c) in cols.into_iter().enumerate() {
             let row = RowView { slab: Arc::clone(&slab), start: i * self.d, len: self.d };
             emitter.emit(MrKey::Row(c), row);
@@ -422,7 +435,7 @@ mod tests {
         ];
         // Every row both as a view of its own buffer and at an offset
         // inside a slab of all of them.
-        let slab = Arc::new(rows.concat());
+        let slab = Arc::new(Slab(rows.concat()));
         let mut start = 0;
         for row in &rows {
             let inside = RowView { slab: Arc::clone(&slab), start, len: row.len() };

@@ -8,16 +8,18 @@
 //! exactly two accumulator stages against it, paying for their sparse
 //! products and nothing else:
 //!
-//! * `YtXSparkJob` — one `aggregate_partitions_with` whose per-task
+//! * `YtXSparkJob` — one streaming `aggregate_each` whose per-task
 //!   accumulator is a [`YtxPartial`]: each task hands its cached block to
 //!   the batched `add_block` kernels (latent rows recomputed on the fly
 //!   from the broadcast `CM`/`Xm`, blocked `XtX`, `YtX` gathered through
 //!   the column-major copy), and only the partials cross the network (the
 //!   paper's `XtXSum`/`YtXSum` accumulators, "eliminating the need for
 //!   reduce operations"). The `YtX` partial stores touched rows only — the
-//!   O(z·d) sparsity trick of Section 4.2 — and the driver merges the
-//!   partials in one column pass ([`YtxPartial::tree_merged`]) with
-//!   `tree_merge`'s bits.
+//!   O(z·d) sparsity trick of Section 4.2. The driver folds the partials
+//!   as they arrive, in partition order: a [`TreeFold`] merges each
+//!   complete aligned block of them in one column pass
+//!   ([`YtxPartial::tree_merged`]), with `tree_merge`'s bits, so a pass
+//!   holds a few partials instead of all of them.
 //! * `ss3SparkJob` — one `aggregate_partitions` folding the scalar
 //!   `Σ xᵢ·(C'yᵢ')`, each block in one product per row against the
 //!   job's interleaved `[CM | C_new]` ([`Ss3Operand`]).
@@ -33,7 +35,7 @@ use linalg::bytes::ByteSized;
 use linalg::sparse::{Block, PartitionBlock, RowRecords, SparseRow};
 use linalg::wire::{self, Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
-use sparkle::{Lineage, Rdd, SparkleContext};
+use sparkle::{Lineage, Rdd, SparkleContext, TreeFold};
 
 use crate::config::{Algorithm, SpcaConfig};
 use crate::driver::run_passes;
@@ -177,6 +179,22 @@ struct SparkJobs<'a> {
     d_in: usize,
     d: usize,
     precision: linalg::Precision,
+    /// Most packed rows a `YtXJob` partial can hold: one per column its
+    /// partition touches, so at most `min(D, nnz)` of the widest partition.
+    partial_rows: usize,
+}
+
+/// The driver's budget for one block of `YtXJob` partials merged at once
+/// (DESIGN.md §16): a handful on the paper's wide shapes, the whole stage
+/// when partitions touch few columns.
+const FOLD_BLOCK_BYTES: usize = 16 << 20;
+
+/// Block size of the `YtXJob` fold, from the input's shape only: the
+/// largest power of two `g ≥ 2` whose `g` partials of `rows × d` `f64`s
+/// fit in [`FOLD_BLOCK_BYTES`], where `rows` bounds a partial's packed rows.
+fn fold_block(rows: usize, d: usize) -> usize {
+    let fit = FOLD_BLOCK_BYTES / (rows * d * 8).max(1);
+    1 << fit.max(2).ilog2()
 }
 
 impl EmJobs for SparkJobs<'_> {
@@ -229,9 +247,12 @@ impl EmJobs for SparkJobs<'_> {
         // Batched path: each task runs the blocked kernels over its cached
         // block — one add_block per partition, so reassociation happens
         // only at partition boundaries, same as the merge tree. The driver
-        // merges the partials in one fused, column-banded pass.
+        // folds the partials in aligned blocks as they arrive and collapses
+        // what is left in one fused, column-banded pass at the end.
         let pool = cluster.pool();
-        let (partial, _bytes) = self.rdd.aggregate_partitions_with(
+        let merge = |block| YtxPartial::tree_merged(pool, d, block);
+        let mut fold = TreeFold::new(fold_block(self.partial_rows, d));
+        self.rdd.aggregate_each(
             "YtXJob",
             || YtxPartial::new(d),
             |acc, part| {
@@ -239,8 +260,17 @@ impl EmJobs for SparkJobs<'_> {
                     acc.add_block_prec(&block.0, cm, xm, precision);
                 }
             },
-            |parts| YtxPartial::tree_merged(pool, d, parts),
+            |partial| {
+                fold.push(partial, |block| {
+                    let _s = obs::span("driver", "ytx fold block");
+                    merge(block)
+                })
+            },
         );
+        let partial = {
+            let _s = obs::span("driver", "accumulator merge");
+            fold.finish(merge).unwrap_or_else(|| YtxPartial::new(d))
+        };
         if obs::enabled() {
             let after = ytx_counter_snapshot();
             let cluster = self.rdd.cluster();
@@ -388,9 +418,11 @@ fn fit_with_input(
     // analysed block per partition, with the lineage that rebuilds any
     // partition a node crash evicts: re-read the partition's slice of the
     // input file, re-parse and re-analyse it.
-    let blocks = (0..partitions).map(|p| vec![partition_block(y, partitions, p)]).collect();
-    let mut rdd = ctx.from_partitions(blocks);
+    let blocks: Vec<Vec<RowRecords>> =
+        (0..partitions).map(|p| vec![partition_block(y, partitions, p)]).collect();
     let (n, d_in) = (y.rows(), y.cols());
+    let partial_rows = blocks.iter().map(|b| b[0].0.csr().nnz()).max().unwrap_or(0).min(d_in);
+    let mut rdd = ctx.from_partitions(blocks);
     rdd.persist_with_lineage(
         Lineage::new(
             vec![format!("textFile({input_file})"), "parse".into()],
@@ -400,7 +432,8 @@ fn fit_with_input(
     );
 
     let error_sample = crate::accuracy::sample_rows(y, config.error_sample_rows, config.seed);
-    let mut jobs = SparkJobs { rdd, n, d_in, d: config.components, precision: config.precision };
+    let mut jobs =
+        SparkJobs { rdd, n, d_in, d: config.components, precision: config.precision, partial_rows };
     // The engine's one algorithm dispatch: which arm runs over the jobs.
     match config.algorithm {
         Algorithm::PpcaEm => {

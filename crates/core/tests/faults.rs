@@ -104,6 +104,25 @@ fn spark_randomized_fit_rebuilds_its_cached_blocks_bitwise() {
 }
 
 #[test]
+fn spark_fit_folding_partials_in_blocks_survives_crashes_bitwise() {
+    // Partitions of 100 rows × ~400 entries can touch all D = 20 000
+    // columns, which at d = 16 sizes the driver's `YtXJob` fold at blocks of
+    // four partials: 13 partitions fold in three blocks while the stage
+    // runs and collapse at the end. Crashed partitions are rebuilt from
+    // lineage and re-run inside the stage the fold is consuming.
+    let spec = datasets::LowRankSpec { words_per_row: 400.0, ..datasets::tweets::spec(1_300, 20_000) };
+    let y = datasets::sparse_lowrank(&spec, &mut Prng::seed_from_u64(30));
+    let config = SpcaConfig::new(16).with_max_iters(3).with_rel_tolerance(None).with_partitions(13);
+    let clean = Spca::new(config.clone()).fit_spark(&cluster(), &y).unwrap();
+    let faulty_cluster = cluster();
+    let (spec, plan) = chaos_spec_and_plan();
+    faulty_cluster.install_fault_plan(spec, plan).unwrap();
+    let faulty = Spca::new(config).fit_spark(&faulty_cluster, &y).unwrap();
+    assert_eq!(model_bits(&clean), model_bits(&faulty), "crashes changed the Spark model");
+    assert!(count_kind(&faulty_cluster.recovery_log(), "partition_recomputed") > 0);
+}
+
+#[test]
 fn mapreduce_fit_under_chaos_is_bitwise_identical_to_fault_free() {
     let y = test_matrix(12);
     let config = SpcaConfig::new(3).with_max_iters(4).with_rel_tolerance(None);

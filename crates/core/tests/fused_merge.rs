@@ -1,7 +1,9 @@
 //! The driver's fused `YtXJob` merge against the pairwise rounds it
 //! replaces: `YtxPartial::tree_merged` must return exactly the bits of
 //! `sparkle::tree_merge(.., YtxPartial::merge)` for every partial count,
-//! every support pattern and every pool size.
+//! every support pattern and every pool size — and so must the streamed
+//! fold the Spark driver runs, partials pushed one at a time through a
+//! `sparkle::TreeFold` whose blocks `tree_merged` merges.
 //!
 //! Values span 10^±16 with both signs (plus exact and negative zeros), so
 //! any change in the order rows are added in, or an added zero where a
@@ -123,6 +125,36 @@ fn fused_merge_is_bitwise_the_pairwise_rounds() {
         }
     }
     assert_eq!(cases, 130 * 4 * supports.len() + 7 * 4);
+}
+
+#[test]
+fn streamed_blocks_are_bitwise_the_pairwise_rounds() {
+    let pool = WorkerPool::new(2);
+    let counts = (1..=130).chain([255, 256, 257, 1_023, 1_024, 1_025, 2_001]);
+    for n in counts {
+        for d in [1, 3, 8, 50] {
+            for support in [Support::Random, Support::Disjoint, Support::Identical, Support::Empty] {
+                if n > 130 && !matches!(support, Support::Random) {
+                    continue;
+                }
+                let parts = partials(n, d, support, (n * 257 + d) as u64);
+                let want = bits(&sparkle::tree_merge(
+                    parts.clone(),
+                    || YtxPartial::new(d),
+                    YtxPartial::merge,
+                ));
+                for g in [2, 4, 16] {
+                    let merge = |block| YtxPartial::tree_merged(&pool, d, block);
+                    let mut fold = sparkle::TreeFold::new(g);
+                    for p in parts.clone() {
+                        fold.push(p, merge);
+                    }
+                    let got = bits(&fold.finish(merge).expect("n ≥ 1"));
+                    assert!(got == want, "n={n} d={d} {support:?} g={g}: streamed fold diverged");
+                }
+            }
+        }
+    }
 }
 
 #[test]

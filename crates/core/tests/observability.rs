@@ -386,6 +386,65 @@ fn byte_invariant_holds_under_both_sizing_policies_and_faults() {
     );
 }
 
+/// `[begin, end]` host-µs windows of every span named `name`.
+fn windows(events: &[obs::Event], name: &str) -> Vec<(u64, u64)> {
+    let mut open: HashMap<u64, u64> = HashMap::new();
+    let mut out = Vec::new();
+    for ev in events.iter().filter(|ev| ev.pid == obs::HOST_PID && ev.name == name) {
+        match ev.phase {
+            obs::Phase::Begin => {
+                open.insert(ev.tid, ev.ts_us);
+            }
+            obs::Phase::End => out.push((open.remove(&ev.tid).expect("begun"), ev.ts_us)),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// A stage runs one thread per core: the pool's workers and the driver
+/// thread that helps drain them, never more (a task time-sliced against a
+/// sibling also stalls the in-order delivery behind it). And the Spark
+/// `YtXJob`'s partials are folded while the stage runs: one `ytx fold
+/// block` span per block carried, each inside a `stage:YtXJob` window
+/// (`accumulator merge` after the stage is left the final collapse).
+#[test]
+fn stages_run_one_thread_per_core_and_fold_ytx_partials_inside_the_stage() {
+    let _guard = collector_guard();
+    let collector = obs::install_new();
+    // Partitions of 100 rows × ~400 entries can touch all D = 20 000
+    // columns, which at d = 16 sizes the fold at blocks of four partials:
+    // with 13 partitions, three carries per pass and one partial left over.
+    let spec = datasets::LowRankSpec { words_per_row: 400.0, ..datasets::tweets::spec(1_300, 20_000) };
+    let y = datasets::sparse_lowrank(&spec, &mut Prng::seed_from_u64(31));
+    let em = SpcaConfig::new(16).with_max_iters(2).with_rel_tolerance(None).with_partitions(13);
+    let rpca = em.clone().with_algorithm(Algorithm::Randomized).with_rpca_power_iters(1);
+    Spca::new(em).fit_spark(&small_cluster(), &y).expect("spark EM");
+    Spca::new(rpca).fit_spark(&small_cluster(), &y).expect("spark randomized");
+    let collector = obs::uninstall().unwrap_or(collector);
+    let events = collector.events();
+
+    let threads: std::collections::HashSet<u64> =
+        events.iter().filter(|ev| ev.pid == obs::HOST_PID).map(|ev| ev.tid).collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert!(
+        threads.len() <= cores.max(2),
+        "{} threads ran stage work on {cores} cores",
+        threads.len()
+    );
+
+    let stages = windows(&events, "stage:YtXJob");
+    let folds = windows(&events, "ytx fold block");
+    assert_eq!(stages.len(), 2);
+    assert_eq!(folds.len(), 2 * 3, "three blocks of four carried per pass");
+    for (b, e) in &folds {
+        assert!(
+            stages.iter().any(|(sb, se)| sb <= b && e <= se),
+            "a fold block ran outside every YtXJob window"
+        );
+    }
+}
+
 #[test]
 fn backwards_clock_is_dropped_and_counted() {
     let _guard = collector_guard();

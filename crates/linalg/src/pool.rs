@@ -37,6 +37,17 @@
 //! task — the driver — which is a property of the call site, not an
 //! option. A one-task batch never enters the queue, so it is not a pool
 //! task and a lone task's kernels still fan out.
+//!
+//! # One thread per core
+//!
+//! The submitting thread drains the queue beside the workers, so a pool of
+//! `w` workers runs a batch on `w + 1` threads. [`WorkerPool::global`]
+//! therefore spawns one worker fewer than the host has cores. With one
+//! worker per core, a stage ran `n + 1` threads on `n` cores: the kernel
+//! time-sliced them, every measured task interval (a simulated task's
+//! virtual duration) included a sibling's slices, and a preempted task
+//! held up the in-order delivery of every result behind it, so a driver
+//! folding a stage's partials as they arrived still held most of them.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -113,15 +124,17 @@ impl WorkerPool {
         WorkerPool { shared, workers, handles }
     }
 
-    /// The process-wide pool, spawned on first use and sized to the host's
-    /// available parallelism. Kernels and simulated clusters default to
-    /// this pool, so driver-side products and distributed stages share one
-    /// set of threads.
+    /// The process-wide pool, spawned on first use with one worker fewer
+    /// than the host's available parallelism (at least one): the thread
+    /// that submits a batch helps drain it, so a batch runs one thread per
+    /// core (module docs, *One thread per core*). Kernels and simulated
+    /// clusters default to this pool, so driver-side products and
+    /// distributed stages share one set of threads.
     pub fn global() -> &'static Arc<WorkerPool> {
         static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            Arc::new(WorkerPool::new(n))
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            Arc::new(WorkerPool::new(cores - 1))
         })
     }
 

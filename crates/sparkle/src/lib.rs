@@ -28,4 +28,4 @@ pub mod rdd;
 
 pub use broadcast::Broadcast;
 pub use context::SparkleContext;
-pub use rdd::{tree_merge, tree_merge_rows, Lineage, Rdd};
+pub use rdd::{tree_merge, tree_merge_rows, Lineage, Rdd, TreeFold};

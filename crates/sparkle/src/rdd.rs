@@ -43,6 +43,75 @@ where
     parts.into_iter().next().expect("non-empty after rounds")
 }
 
+/// [`tree_merge`]'s association, streamed: values are pushed one at a time
+/// in input order, and each complete aligned block of `g` inputs, or of `g`
+/// level-`j` block results, is replaced at once by `merge_block` of that
+/// block. Between pushes a level holds fewer than `g` values, so with `L`
+/// levels (`⌈log_g n⌉` for `n` inputs) the fold never holds more than
+/// `(g − 1)·L + 1`. [`Self::finish`] collapses the levels bottom-up: each
+/// level's pending values, then the carry from below, are one last
+/// (short) block.
+///
+/// *Aligned-block lemma.* For `g = 2^k`, round `r` of [`tree_merge`]
+/// holds at position `t` the merge of exactly the inputs with `i >> r ==
+/// t`. Rounds below `k` therefore never merge across an aligned block of
+/// `g` inputs, and after round `k` position `b` is `tree_merge` of block
+/// `b` alone (a short last block included: its pairs start at an even
+/// position). Rounds from `k` on are `tree_merge` of those block results
+/// as leaves. So when `merge_block` has [`tree_merge`]'s association,
+/// applied level by level it gives `tree_merge`'s result bit for bit. Any
+/// `g` qualifies when at most `g` values are pushed (one block).
+pub struct TreeFold<A> {
+    g: usize,
+    /// `levels[j]`: merges of consecutive aligned blocks of `g^j` inputs
+    /// not yet merged further, in input order.
+    levels: Vec<Vec<A>>,
+    held: usize,
+    peak: usize,
+}
+
+impl<A> TreeFold<A> {
+    /// An empty fold over blocks of `g ≥ 2`.
+    pub fn new(g: usize) -> Self {
+        assert!(g >= 2, "TreeFold: a block of {g} never completes a level");
+        TreeFold { g, levels: Vec::new(), held: 0, peak: 0 }
+    }
+
+    /// Pushes the next value; every level it completes is merged and
+    /// carried up at once.
+    pub fn push(&mut self, value: A, mut merge_block: impl FnMut(Vec<A>) -> A) {
+        let mut carry = value;
+        for j in 0.. {
+            if j == self.levels.len() {
+                self.levels.push(Vec::new());
+            }
+            self.levels[j].push(carry);
+            self.held += 1;
+            self.peak = self.peak.max(self.held);
+            if self.levels[j].len() < self.g {
+                return;
+            }
+            self.held -= self.g;
+            carry = merge_block(std::mem::take(&mut self.levels[j]));
+        }
+    }
+
+    /// The most values ever held at once.
+    pub fn peak(&self) -> usize {
+        self.peak
+    }
+
+    /// The fold of everything pushed, `None` if nothing was.
+    pub fn finish(self, mut merge_block: impl FnMut(Vec<A>) -> A) -> Option<A> {
+        let mut carry = None;
+        for mut level in self.levels {
+            level.extend(carry);
+            carry = if level.len() > 1 { Some(merge_block(level)) } else { level.pop() };
+        }
+        carry
+    }
+}
+
 /// [`tree_merge`]'s association for partials of packed rows keyed by
 /// column, where a merge adds the rows two partials share (`left + right`
 /// per element) and keeps the others. `parts[i]` is partial `i`'s strictly
@@ -483,24 +552,8 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         FF: Fn(&mut A, &T) + Sync,
         FM: Fn(&mut A, A),
     {
-        self.charge_spill();
-        let init = &init;
-        let fold = &fold;
-        let tasks: Vec<_> = self
-            .snapshot()
-            .into_iter()
-            .map(|p| {
-                move || {
-                    let mut acc = init();
-                    for t in p.iter() {
-                        fold(&mut acc, t);
-                    }
-                    acc
-                }
-            })
-            .collect();
-        let partials = self.cluster.run_stage(self.stage_options(label), tasks);
-        self.reduce_partials(partials, |parts| tree_merge(parts, init, merge))
+        let fold_part = |acc: &mut A, part: &[T]| part.iter().for_each(|t| fold(acc, t));
+        self.aggregate_partitions(label, init, fold_part, merge)
     }
 
     /// Partition-at-a-time aggregation: like [`Self::aggregate`], but each
@@ -508,6 +561,10 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
     /// folding element by element. This is the entry point of the batched
     /// EM path — the fold can assemble the slice into a block and run the
     /// blocked kernels over it, instead of paying per-row dispatch.
+    ///
+    /// The partials are collected from [`Self::aggregate_each`] and merged
+    /// by [`tree_merge`], whose association is a function of the partition
+    /// count only, so any worker count produces the same result.
     pub fn aggregate_partitions<A, FI, FF, FM>(
         &self,
         label: &str,
@@ -521,29 +578,39 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         FF: Fn(&mut A, &[T]) + Sync,
         FM: Fn(&mut A, A),
     {
-        let init = &init;
-        self.aggregate_partitions_with(label, init, fold_part, |parts| {
-            tree_merge(parts, init, merge)
-        })
+        let mut partials = Vec::with_capacity(self.num_partitions());
+        let bytes = self.aggregate_each(label, &init, fold_part, |p| partials.push(p));
+        let _merge_span = obs::span("driver", "accumulator merge");
+        (tree_merge(partials, init, merge), bytes)
     }
 
-    /// [`Self::aggregate_partitions`] with the driver's reduction supplied
-    /// whole: `reduce` receives every partial in partition order (an empty
-    /// vector for an RDD without partitions) and must return what
-    /// [`tree_merge`] would — the `YtXJob` hands its partials to a fused
-    /// column pass ([`tree_merge_rows`]) this way.
-    pub fn aggregate_partitions_with<A, FI, FF, R>(
+    /// The one aggregate stage: each task folds its partition into a fresh
+    /// `init()` with `fold_part`, and the partials reach `sink` while the
+    /// stage runs, in partition order, each as soon as it and every earlier
+    /// partition have finished ([`SimCluster::run_stage_with`]). A driver
+    /// that folds them as they come holds only the few that finished ahead
+    /// of an earlier, still running partition. Returns the accumulator
+    /// bytes.
+    ///
+    /// Partial accumulators are shuffle-family records, so they are priced
+    /// under the cluster's negotiated wire codec — the one charge site in
+    /// sparkle where the v3 fast path applies. Collects, broadcasts and
+    /// persisted partitions stay on exact v2 pricing. Each partial is sized
+    /// before the sink takes it, and the sizes are charged after the stage
+    /// as one `"accumulator-merge"` flow per partition endpoint (partition
+    /// `p` lives on node `p % nodes`, for the contended timing model); the
+    /// byte meter charges their sum.
+    pub fn aggregate_each<A, FI, FF>(
         &self,
         label: &str,
         init: FI,
         fold_part: FF,
-        reduce: R,
-    ) -> (A, u64)
+        mut sink: impl FnMut(A) + Send,
+    ) -> u64
     where
         A: Send + Wire,
         FI: Fn() -> A + Sync,
         FF: Fn(&mut A, &[T]) + Sync,
-        R: FnOnce(Vec<A>) -> A,
     {
         self.charge_spill();
         let init = &init;
@@ -559,36 +626,18 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
                 }
             })
             .collect();
-        let partials = self.cluster.run_stage(self.stage_options(label), tasks);
-        self.reduce_partials(partials, reduce)
-    }
-
-    /// Driver-side reduction shared by every aggregate: charge the
-    /// accumulator bytes, then `reduce` the whole vector of partials —
-    /// [`tree_merge`]'s pairwise rounds, or a pass with the same
-    /// association (a function of the partition count only, so any worker
-    /// count produces the same result).
-    ///
-    /// Partial accumulators are shuffle-family records, so they are priced
-    /// under the cluster's negotiated wire codec — the one charge site in
-    /// sparkle where the v3 fast path applies. Collects, broadcasts and
-    /// persisted partitions stay on exact v2 pricing.
-    fn reduce_partials<A: Wire>(
-        &self,
-        partials: Vec<A>,
-        reduce: impl FnOnce(Vec<A>) -> A,
-    ) -> (A, u64) {
-        // Per-partition sizes feed the contended timing model as one flow
-        // per partition endpoint (partition p lives on node p % nodes);
-        // the byte meter still charges their sum.
-        let sizes: Vec<u64> = partials.iter().map(|p| self.cluster.shuffle_size(p)).collect();
+        let cluster = self.cluster;
+        let mut sizes = Vec::with_capacity(tasks.len());
+        cluster.run_stage_with(self.stage_options(label), tasks, |_, partial: A| {
+            sizes.push(cluster.shuffle_size(&partial));
+            sink(partial);
+        });
         let bytes: u64 = sizes.iter().sum();
-        self.cluster.charge_network_flows(&sizes, "accumulator-merge");
+        cluster.charge_network_flows(&sizes, "accumulator-merge");
         if obs::enabled() {
-            self.cluster.registry().counter("sparkle.accumulator_bytes").add(bytes);
+            cluster.registry().counter("sparkle.accumulator_bytes").add(bytes);
         }
-        let _merge_span = obs::span("driver", "accumulator merge");
-        (reduce(partials), bytes)
+        bytes
     }
 
     /// Brings every element to the driver, charging the transfer. Consumes
@@ -1033,6 +1082,39 @@ mod tests {
         );
     }
 
+    /// The streamed fold against `tree_merge` with a merge that records its
+    /// association, `(a b)`: any other pairing, order or block boundary
+    /// changes the string. Every block merge is `tree_merge` itself.
+    #[test]
+    fn tree_fold_is_tree_merge_for_every_count_and_block() {
+        let merge = |a: &mut String, b: String| *a = format!("({a} {b})");
+        let block = |vals: Vec<String>| tree_merge(vals, String::new, merge);
+        let counts = (1..=130).chain([255, 256, 257, 1_023, 1_024, 1_025, 2_001, 4_096]);
+        for n in counts {
+            let leaves: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+            let want = tree_merge(leaves.clone(), String::new, merge);
+            for g in [2, 4, 8, 16, n.max(2)] {
+                let mut fold = TreeFold::new(g);
+                for leaf in leaves.iter().cloned() {
+                    fold.push(leaf, block);
+                }
+                // The memory bound: below the top level, never more than
+                // g − 1 values wait at a level, plus the one that
+                // completes a block.
+                let levels = std::iter::successors(Some(1usize), |w| w.checked_mul(g))
+                    .take_while(|&w| w < n)
+                    .count();
+                assert!(
+                    fold.peak() <= (g - 1) * levels + 1,
+                    "n = {n}, g = {g}: held {} values over {levels} levels",
+                    fold.peak()
+                );
+                assert_eq!(fold.finish(block).as_ref(), Some(&want), "n = {n}, g = {g}");
+            }
+        }
+        assert_eq!(TreeFold::<String>::new(4).finish(block), None);
+    }
+
     /// `tree_merge_rows` against `tree_merge` of the same packed partials,
     /// on values from ±2^±40 plus exact and negative zeros: any other
     /// association, or a pass-through turned into an add, changes a bit.
@@ -1131,6 +1213,85 @@ mod tests {
         );
         assert_eq!(by_elem, by_part);
         assert_eq!(bytes_elem, bytes_part, "same partial count, same accumulator bytes");
+    }
+
+    /// The streaming aggregate charges exactly what the collecting stage
+    /// it replaced did — that stage's partials, sized one by one, then one
+    /// `"accumulator-merge"` flow per partition after the stage — under
+    /// both sizings, the v3 codec and both timing models: same bytes, same
+    /// flows (contended network time depends on them), same result.
+    #[test]
+    fn streaming_aggregate_charges_what_the_collecting_stage_did() {
+        use dcluster::TimingModel;
+        use linalg::{Sizing, WireCodec};
+        type Partial = Vec<f64>;
+        let init = Partial::new;
+        // ~5–10 KB partials: their flows take whole virtual microseconds.
+        let fold = |acc: &mut Partial, part: &[u64]| {
+            acc.extend(part.iter().flat_map(|&x| (0..8).map(move |k| (x * k) as f64 / 7.0)));
+        };
+        let merge = |a: &mut Partial, b: Partial| a.extend(b);
+        let data: Vec<u64> = (0..1_000).map(|i| i * i % 977).collect();
+        let base = ClusterConfig::paper_cluster().with_nodes(3);
+        let configs = [
+            base.clone(),
+            base.clone().with_byte_sizing(Sizing::Estimated),
+            base.clone().with_wire_codec(WireCodec::V3),
+            base.clone().with_wire_codec(WireCodec::V3Quantized),
+        ];
+        for timing in [TimingModel::Uncontended, TimingModel::Contended] {
+            for cfg in &configs {
+                let cfg = cfg.clone().with_timing(timing);
+                let run = |path: u8| {
+                    let c = SimCluster::new(cfg.clone());
+                    let rdd = SparkleContext::new(&c).parallelize(data.clone(), 11);
+                    let (value, bytes) = match path {
+                        // The collecting stage and driver reduction the
+                        // aggregates ran before the streaming one.
+                        0 => {
+                            let tasks: Vec<_> = rdd
+                                .snapshot()
+                                .into_iter()
+                                .map(|p| {
+                                    move || {
+                                        let mut acc = init();
+                                        fold(&mut acc, &p);
+                                        acc
+                                    }
+                                })
+                                .collect();
+                            let partials = c.run_stage(StageOptions::new("agg"), tasks);
+                            let sizes: Vec<u64> =
+                                partials.iter().map(|p| c.shuffle_size(p)).collect();
+                            c.charge_network_flows(&sizes, "accumulator-merge");
+                            (tree_merge(partials, init, merge), sizes.iter().sum())
+                        }
+                        1 => rdd.aggregate_partitions("agg", init, fold, merge),
+                        _ => {
+                            let mut tf = TreeFold::new(2);
+                            let block = |vals| tree_merge(vals, init, merge);
+                            let bytes = rdd.aggregate_each("agg", init, fold, |p| {
+                                tf.push(p, block)
+                            });
+                            (tf.finish(block).unwrap(), bytes)
+                        }
+                    };
+                    let m = c.metrics();
+                    let bits: Vec<u64> = value.iter().map(|v| v.to_bits()).collect();
+                    // The clock's network share, to the µs its rounding
+                    // against a measured (CPU) start allows.
+                    let net_us = m.time_us[dcluster::metrics::TimeCategory::Network.index()];
+                    ((bits, bytes, m.network_bytes, m.intermediate_bytes, m.stages.len()), net_us)
+                };
+                let (want, want_us) = run(0);
+                assert!(want.1 > 0 && want_us > 10, "{cfg:?}: nothing was charged");
+                for (path, name) in [(1, "aggregate_partitions"), (2, "aggregate_each")] {
+                    let (got, got_us) = run(path);
+                    assert_eq!(got, want, "{name} under {cfg:?}");
+                    assert!(got_us.abs_diff(want_us) <= 1, "{name} under {cfg:?}: network time");
+                }
+            }
+        }
     }
 
     #[test]
