@@ -138,18 +138,12 @@ impl MllibPca {
         // Gram matrix: per-task dense D×D partials, aggregated to the
         // driver. Sparse rows only touch O(z²) entries per row, but the
         // *partial* that ships is dense D×D — the communication pathology.
+        // Each row updates only the upper triangle (indices ascend), as
+        // MLlib's `computeGramianMatrix` does with BLAS `spr`.
         let (gram, _bytes) = rdd.aggregate(
             "MLlib/gram",
             || GramAcc(Mat::zeros(d_in, d_in)),
-            |acc, row| {
-                let v = row.view();
-                for (ci, vi) in v.iter() {
-                    let target = acc.0.row_mut(ci);
-                    for (cj, vj) in v.iter() {
-                        target[cj] += vi * vj;
-                    }
-                }
-            },
+            |acc, row| add_upper_outer(&mut acc.0, row),
             |acc, other| acc.0.add_assign(&other.0),
         );
 
@@ -157,6 +151,7 @@ impl MllibPca {
         // on the driver, charged as driver compute.
         let c = cluster.run_driver("MLlib/eigendecomposition", || {
             let mut cov = gram.0;
+            mirror_upper(&mut cov);
             cov.add_outer(-(n as f64), &mean, &mean);
             let denom = (n.max(2) - 1) as f64;
             cov.scale(1.0 / denom);
@@ -187,6 +182,29 @@ impl MllibPca {
             virtual_time_secs: elapsed,
             intermediate_bytes: end.intermediate_bytes - start_bytes,
         })
+    }
+}
+
+/// `acc += rowᵀ·row` on the upper triangle only (MLlib's `spr`); the
+/// row's indices ascend, so pairs (a, b ≥ a) are entries (i, j ≥ i).
+fn add_upper_outer(acc: &mut Mat, row: &spca_core::spark::SpRow) {
+    let (idx, val) = (&row.indices[..], &row.values[..]);
+    for (a, (&ci, &vi)) in idx.iter().zip(val).enumerate() {
+        let target = acc.row_mut(ci as usize);
+        for (&cj, &vj) in idx[a..].iter().zip(&val[a..]) {
+            target[cj as usize] += vi * vj;
+        }
+    }
+}
+
+/// Copies the upper triangle onto the lower (MLlib's `triuToFull`). Entry
+/// (j, i) of a both-triangle fold sums the same products in the same
+/// order, so the result is that fold's matrix bit for bit.
+fn mirror_upper(m: &mut Mat) {
+    for r in 1..m.rows() {
+        for c in 0..r {
+            m[(r, c)] = m[(c, r)];
+        }
     }
 }
 
@@ -222,6 +240,25 @@ mod tests {
             let cos = linalg::vector::dot(&got, &want).abs();
             assert!(cos > 0.999, "eigenvector {j} cosine {cos}");
         }
+    }
+
+    #[test]
+    fn upper_fold_mirrored_is_bitwise_the_full_fold() {
+        let y = tiny_data();
+        let d = y.cols();
+        let (mut upper, mut full) = (Mat::zeros(d, d), Mat::zeros(d, d));
+        for row in spca_core::spark::to_rows(&y) {
+            add_upper_outer(&mut upper, &row);
+            for (ci, vi) in row.view().iter() {
+                for (cj, vj) in row.view().iter() {
+                    full[(ci, cj)] += vi * vj;
+                }
+            }
+        }
+        mirror_upper(&mut upper);
+        let bits = |m: &Mat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(full.data().iter().any(|&v| v != 0.0));
+        assert_eq!(bits(&upper), bits(&full));
     }
 
     #[test]

@@ -51,11 +51,12 @@ fn fit(engine: &str, cluster: &SimCluster, y: &SparseMat, config: &SpcaConfig) -
 }
 
 /// The chaos applied to the faulted arms: a quarter of the nodes crash
-/// inside the first EM iterations, a fifth of all tasks straggle at 6x.
-fn fault_spec(speculation: bool) -> FaultSpec {
+/// at seeded stages among the fit's `stages`, a fifth of all tasks
+/// straggle at 6x.
+fn fault_spec(stages: u64, speculation: bool) -> FaultSpec {
     FaultSpec::new(0xbe7c)
         .with_node_crash_rate(0.25)
-        .with_crash_horizon_stages(8)
+        .with_crash_horizon_stages(stages)
         .with_straggler_rate(0.2)
         .with_straggler_slowdown(6.0)
         .with_speculation(speculation)
@@ -100,20 +101,28 @@ fn run_engine(engine: &str, y: &SparseMat, config: &SpcaConfig) -> EngineResult 
     let base = fit(engine, &c, y, config);
     let bits = model_bits(&base);
 
-    // Arm 2: crashes + stragglers, no speculation.
+    // Arm 2: crashes + stragglers, no speculation. Every planned crash
+    // must land inside the fit: one stage per job on Spark (meanJob,
+    // FnormJob, a YtXJob per iteration), a map and a reduce on MapReduce.
+    let stages = c.metrics().stages.len() as u64;
     let c_nospec = SimCluster::new(ClusterConfig::paper_cluster());
-    let spec = fault_spec(false);
+    let spec = fault_spec(stages, false);
     let plan = FaultPlan::generate(&spec, nodes);
     assert!(!plan.events().is_empty(), "the generated plan must crash something");
+    let planned = plan.events().len() as u64;
     c_nospec.install_fault_plan(spec, plan.clone()).unwrap();
     let nospec = fit(engine, &c_nospec, y, config);
     assert_eq!(bits, model_bits(&nospec), "{engine}: faulted model diverged from baseline");
 
     // Arm 3: identical chaos with speculative backups.
     let c_spec = SimCluster::new(ClusterConfig::paper_cluster());
-    c_spec.install_fault_plan(fault_spec(true), plan).unwrap();
+    c_spec.install_fault_plan(fault_spec(stages, true), plan).unwrap();
     let spec_run = fit(engine, &c_spec, y, config);
     assert_eq!(bits, model_bits(&spec_run), "{engine}: speculation changed the model");
+    for cluster in [&c_nospec, &c_spec] {
+        let fired = cluster.registry().counter("faults.node_crashes").get();
+        assert_eq!(fired, planned, "{engine}: {fired} of {planned} planned crashes fired");
+    }
     assert!(
         spec_run.virtual_time_secs < nospec.virtual_time_secs,
         "{engine}: speculation must cut simulated wall-clock ({:.1}s vs {:.1}s)",

@@ -218,15 +218,16 @@ fn main() {
 
     // A third run under chaos — two node crashes, stragglers, speculation,
     // a checkpointed driver crash with resume — to exercise the recovery
-    // event log end to end. The resumed model must equal the clean Spark
-    // run bit for bit.
+    // event log end to end. The node crashes land in the `YtXJob`s of EM
+    // iterations 1 and 2 (stages 2 and 3), before the driver crash. The
+    // resumed model must equal the clean Spark run bit for bit.
     let faulty_cluster = timed_cluster();
     let spec = FaultSpec::new(7)
         .with_straggler_rate(0.2)
         .with_straggler_slowdown(5.0)
         .with_speculation(true);
     faulty_cluster
-        .install_fault_plan(spec, FaultPlan::new().with_crash(1, 2).with_crash(4, 4))
+        .install_fault_plan(spec, FaultPlan::new().with_crash(1, 2).with_crash(4, 3))
         .expect("valid fault plan");
     let faulty_config = config.clone().with_checkpoint_every(1);
     match Spca::new(faulty_config.clone().with_crash_at_iteration(2))

@@ -1,15 +1,16 @@
 //! The engine-agnostic EM arm (Algorithm 4, lines 3–14).
 //!
-//! The paper stresses that only three computations are distributed — the
-//! consolidated `YtX`/`XtX` job, the `ss3` job, and the one-time
-//! mean/Frobenius jobs — while "all other operations can easily run on a
-//! single machine" in the driver. That split is made literal here: the
-//! [`EmJobs`] trait is the distributed surface (implemented once per
-//! engine in [`crate::spark`] and [`crate::mr`]) and `EmArm` is one EM
-//! iteration's driver algebra around it, shared verbatim by both
-//! platforms. Everything around the iteration — resume, sampled error,
-//! telemetry, checkpoint, stop — is [`crate::driver::run_passes`], which
-//! the randomized arm runs on too.
+//! The paper distributes three computations — the consolidated
+//! `YtX`/`XtX` job, the `ss3` job, and the one-time mean/Frobenius jobs —
+//! while "all other operations can easily run on a single machine" in the
+//! driver. Here `ss3` joins the driver side too: it is `tr(C_newᵀ·YtX)`
+//! over the `YtX` the driver already holds, so an iteration makes one
+//! distributed pass, not two. The [`EmJobs`] trait is the distributed
+//! surface (implemented once per engine in [`crate::spark`] and
+//! [`crate::mr`]) and `EmArm` is one EM iteration's driver algebra around
+//! it, shared verbatim by both platforms. Everything around the iteration
+//! — resume, sampled error, telemetry, checkpoint, stop — is
+//! [`crate::driver::run_passes`], which the randomized arm runs on too.
 
 use linalg::decomp::cholesky::solve_spd_right;
 use linalg::decomp::lu::Lu;
@@ -18,7 +19,7 @@ use linalg::{Mat, SparseMat};
 use crate::checkpoint;
 use crate::config::SpcaConfig;
 use crate::driver::{ArmNames, Dims, PassArm, PassStats};
-use crate::mean_prop::{ss3_finalize, YtxPartial};
+use crate::mean_prop::YtxPartial;
 use crate::model::PcaModel;
 use crate::Result;
 
@@ -32,8 +33,6 @@ pub trait EmJobs {
     /// `XtX` and `YtX` contributions and the hoisted `Σx`, recomputing `X`
     /// on demand from the broadcast `CM` and `Xm`.
     fn ytx_job(&mut self, cm: &Mat, xm: &[f64]) -> YtxPartial;
-    /// `ss3Job` (line 13): distributed part of ss3 (`Σ xᵢ·(C'yᵢ')`).
-    fn ss3_job(&mut self, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64;
 }
 
 /// Relative max-abs divergence between the reduced-precision arm's
@@ -145,9 +144,10 @@ impl PassArm for EmArm<'_> {
         let partial = self.jobs.ytx_job(&cm, &xm);
         debug_assert_eq!(partial.rows_seen as usize, n, "YtXJob must see every row");
 
-        // Line 10 (driver): XtX += N·ss·M⁻¹.
-        let (c_new, ss2) = {
+        // Lines 10–13 (driver).
+        let (c_new, ss2, ss3) = {
             let _s = obs::span("driver", "em driver assemble");
+            // Line 10: XtX += N·ss·M⁻¹.
             let mut xtx = partial.xtx.clone();
             xtx.add_scaled(n as f64 * ss, &m_inv);
             // Driver-side assembly of the dense YtX.
@@ -165,12 +165,15 @@ impl PassArm for EmArm<'_> {
             // Line 12: ss2 = tr(XtX·C'C).
             let ctc = c_new.matmul_tn(&c_new);
             let ss2 = xtx.matmul(&ctc).trace();
-            (c_new, ss2)
-        };
 
-        // Line 13 (distributed): ss3.
-        let part = self.jobs.ss3_job(&cm, &xm, &c_new);
-        let ss3 = ss3_finalize(part, &partial.sum_x, &c_new, mean);
+            // Line 13, without a pass over Y: with xᵢ = ycᵢ·CM, the
+            // finalized YtX is Σᵢ ycᵢ'⊗xᵢ (the hoisted mean term already
+            // applied), so ss3 = Σᵢ xᵢ·(C'ycᵢ') = tr(C'·YtX): the sum of
+            // C ∘ YtX, one `dot` over the two row-major D×d buffers (four
+            // strided lanes, then the tail), the same order on any pool.
+            let ss3 = linalg::vector::dot(c_new.data(), ytx.data());
+            (c_new, ss2, ss3)
+        };
 
         // Line 14: variance update.
         self.c = c_new;

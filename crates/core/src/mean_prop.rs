@@ -10,9 +10,12 @@
 //! * `YtX` update: `Σᵢ(yᵢ − Ym)' ⊗ xᵢ = Σᵢ yᵢ' ⊗ xᵢ − Ym' ⊗ Σᵢxᵢ` — the
 //!   `Ym' ⊗ Σxᵢ` term is **hoisted**: workers accumulate only the d-vector
 //!   `Σxᵢ`, and the driver applies the rank-1 correction once;
-//! * `ss3` update: `xᵢ·(C'·yᵢ')` uses the associativity trick of
+//! * `ss3` row term: `xᵢ·(C'·yᵢ')` uses the associativity trick of
 //!   Section 4.1's Equation (3) — multiply `C'` by the *sparse* `yᵢ'`
-//!   first (O(z·d)), never forming the dense `xᵢ·C'` (O(D·d)).
+//!   first (O(z·d)), never forming the dense `xᵢ·C'` (O(D·d)). The fits
+//!   do not sum it over Y: ss3 is `tr(C'·YtX)` on the driver
+//!   ([`crate::em`]), and [`ss3_row`] / [`ss3_block`] are the pass form
+//!   the tests hold that algebra to.
 //!
 //! [`YtxPartial`] is the consolidated accumulator of the paper's `YtXJob`
 //! (Figure 3): one pass computes the `XtX` and `YtX` contributions *and*
@@ -29,9 +32,6 @@
 //!   register-tile routes instead.
 //! * [`YtxPartial::add_row`] — one sparse row at a time, recomputing its
 //!   latent vector on demand (the "redundant computation" of Section 3.2).
-//!
-//! The `ss3` pass runs one width-`2d` product per row against the job's
-//! interleaved `[CM | C_new]` ([`Ss3Operand`]), then a dot product.
 //!
 //! All of them produce bit-identical results on any worker count: the
 //! kernels accumulate every output element in ascending input-row order
@@ -300,7 +300,7 @@ impl YtxPartial {
         // row-at-a-time fold), summed in `E` and added once per block.
         let mut x_blk = E::take_cleared(n * d);
         let mut sum_blk = vec![E::ZERO; d];
-        latent_rows(pool, block, (&cm, d), &xm, &mut x_blk, true, |x| {
+        latent_rows(pool, block, (&cm, d), &xm, &mut x_blk, |x| {
             linalg::vector::axpy(E::narrow(1.0), x, &mut sum_blk)
         });
 
@@ -562,69 +562,23 @@ pub fn ss3_row(row: SparseRow<'_>, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64 {
 
 /// A whole partition's contribution to `Σᵢ xᵢ·(C'·yᵢ')` through the
 /// batched kernels, on the process-global pool — bit-identical to summing
-/// [`ss3_row`] over the block's rows. A caller running one ss3 pass over
-/// many blocks builds its [`Ss3Operand`] once instead.
+/// [`ss3_row`] over the block's rows. Per row, `[x + Xm | C'y'] =
+/// y·[CM | C_new]` in one width-`2d` product against the two interleaved
+/// row by row, `−Xm`, then the dot product, summed in ascending row order.
 pub fn ss3_block<B: Block + ?Sized>(block: &B, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64 {
-    Ss3Operand::new(cm, xm, c_new, Precision::F64).sum_block(WorkerPool::global(), block)
-}
-
-/// The dense operand of one ss3 pass, built once per ss3 job and shared by
-/// its tasks: `[CM | C_new]` interleaved row by row (`D × 2d`: row `c` is
-/// `CM[c]` then `C_new[c]`) and `Xm`, in the arithmetic arm's element type.
-/// One width-`2d` sparse product per row then yields the latent row and
-/// `C'y'` side by side. Its buffer is freed, not recycled: kept in
-/// `linalg::scratch`, its D×2d would sit under the next `YtXJob`'s peak.
-pub struct Ss3Operand(Wide);
-
-enum Wide {
-    F64((Vec<f64>, Vec<f64>)),
-    F32((Vec<f32>, Vec<f32>)),
-    /// Rounded to bfloat16, like each block's values.
-    Bf16((Vec<f64>, Vec<f64>)),
-}
-
-impl Ss3Operand {
-    /// Interleaves `CM` and `C_new` (both `D × d`) for the `precision` arm,
-    /// with the per-arm contract of [`YtxPartial::add_block_prec_with_pool`].
-    pub fn new(cm: &Mat, xm: &[f64], c_new: &Mat, precision: Precision) -> Self {
-        assert_eq!((cm.rows(), cm.cols()), (c_new.rows(), c_new.cols()), "ss3: CM and C differ");
-        fn wide<E>(cm: &Mat, c_new: &Mat, xm: &[f64], f: impl Fn(f64) -> E) -> (Vec<E>, Vec<E>) {
-            let mut out = Vec::with_capacity(2 * cm.rows() * cm.cols());
-            for c in 0..cm.rows() {
-                out.extend(cm.row(c).iter().chain(c_new.row(c)).map(|&v| f(v)));
-            }
-            (out, xm.iter().map(|&v| f(v)).collect())
-        }
-        Ss3Operand(match precision {
-            Precision::F64 => Wide::F64(wide(cm, c_new, xm, |v| v)),
-            Precision::F32 => Wide::F32(wide(cm, c_new, xm, f32::narrow)),
-            Precision::Bf16AccF64 => Wide::Bf16(wide(cm, c_new, xm, bf16_round)),
-        })
+    assert_eq!((cm.rows(), cm.cols()), (c_new.rows(), c_new.cols()), "ss3: CM and C differ");
+    let d = cm.cols();
+    let mut wide = Vec::with_capacity(2 * cm.rows() * d);
+    for c in 0..cm.rows() {
+        wide.extend_from_slice(cm.row(c));
+        wide.extend_from_slice(c_new.row(c));
     }
-
-    /// One block's `Σᵢ xᵢ·(C'·yᵢ')`: per row, `[x + Xm | C'y'] = y·[CM | C_new]`
-    /// in one width-`2d` product, `−Xm`, then the dot product, summed in
-    /// ascending row order in the arm's type and widened once — the bits
-    /// of two `d`-wide products and a dot per row on any pool.
-    pub fn sum_block<B: Block + ?Sized>(&self, pool: &WorkerPool, block: &B) -> f64 {
-        let y = block.csr();
-        match &self.0 {
-            Wide::F64((wide, xm)) => ss3_in(pool, y, wide, xm),
-            Wide::F32((wide, xm)) => ss3_in(pool, y, wide, xm),
-            Wide::Bf16((wide, xm)) => ss3_in(pool, &y.map_values(bf16_round), wide, xm),
-        }
-    }
-}
-
-/// The ss3 pipeline over element type `E`, one `2d`-wide row at a time.
-fn ss3_in<E: Elem>(pool: &WorkerPool, y: &SparseMat, wide: &[E], xm: &[E]) -> f64 {
-    let d = xm.len();
-    let mut part = E::ZERO;
-    latent_rows(pool, y, (wide, 2 * d), xm, &mut Vec::new(), false, |row| {
+    let (y, mut part) = (block.csr(), 0.0);
+    latent_rows(WorkerPool::global(), y, (&wide, 2 * d), xm, &mut Vec::new(), |row| {
         let (x, cy) = row.split_at(d);
-        part += E::dot(x, cy);
+        part += linalg::vector::dot(x, cy);
     });
-    part.widen()
+    part
 }
 
 /// The rows of `Y·B` (`B` `w` wide) with `Xm` subtracted from their first
@@ -634,15 +588,14 @@ fn ss3_in<E: Elem>(pool: &WorkerPool, y: &SparseMat, wide: &[E], xm: &[E]) -> f6
 /// [`latent_row`]. A full block's rows come from the tile route, into
 /// `rows` (cleared on entry) as the `y.rows() × w` matrix. Any other
 /// block's are formed one at a time in L1 at the end of `rows`
-/// ([`kernels::sparse_mul_dense_each`]: zero, `y·B`, `−Xm`, `f`), which
-/// keeps them only if `keep`.
+/// ([`kernels::sparse_mul_dense_each`]: zero, `y·B`, `−Xm`, `f`), where
+/// they stay.
 pub(crate) fn latent_rows<E: Elem>(
     pool: &WorkerPool,
     y: &SparseMat,
     (b, w): (&[E], usize),
     xm: &[E],
     rows: &mut Vec<E>,
-    keep: bool,
     mut f: impl FnMut(&mut [E]),
 ) {
     let finish = |row: &mut [E]| {
@@ -655,7 +608,7 @@ pub(crate) fn latent_rows<E: Elem>(
         kernels::sparse_mul_dense_slices(pool, y, b, w, rows);
         rows.chunks_exact_mut(w).for_each(finish);
     } else {
-        kernels::sparse_mul_dense_each(y, b, w, (rows, keep), finish);
+        kernels::sparse_mul_dense_each(y, b, w, (rows, true), finish);
     }
 }
 
@@ -663,7 +616,7 @@ pub(crate) fn latent_rows<E: Elem>(
 /// latent pass — bit for bit the rows of [`latent_row`].
 pub(crate) fn latent_matrix(y: &SparseMat, cm: &Mat, xm: &[f64]) -> Mat {
     let mut x = Vec::with_capacity(y.rows() * cm.cols());
-    latent_rows(WorkerPool::global(), y, (cm.data(), cm.cols()), xm, &mut x, true, |_| ());
+    latent_rows(WorkerPool::global(), y, (cm.data(), cm.cols()), xm, &mut x, |_| ());
     Mat::from_vec(y.rows(), cm.cols(), x)
 }
 
@@ -685,13 +638,6 @@ fn bf16_mat(m: &Mat) -> Mat {
         *v = bf16_round(*v);
     }
     out
-}
-
-/// Driver-side completion of ss3:
-/// `ss3 = Σᵢ xᵢ·(C'yᵢ') − (Σᵢxᵢ)·(C'·Ym')`.
-pub fn ss3_finalize(part: f64, sum_x: &[f64], c_new: &Mat, mean: &[f64]) -> f64 {
-    let cy_mean = c_new.vecmat(mean);
-    part - linalg::vector::dot(sum_x, &cy_mean)
 }
 
 /// Dense-oracle computation of `XtX`, `YtX` and `Σx` for tests: centers
@@ -958,6 +904,13 @@ mod tests {
         ]);
     }
 
+    /// Driver-side completion of the pass form of ss3:
+    /// `ss3 = Σᵢ xᵢ·(C'yᵢ') − (Σᵢxᵢ)·(C'·Ym')`.
+    fn ss3_finalize(part: f64, sum_x: &[f64], c_new: &Mat, mean: &[f64]) -> f64 {
+        let cy_mean = c_new.vecmat(mean);
+        part - linalg::vector::dot(sum_x, &cy_mean)
+    }
+
     #[test]
     fn ss3_matches_dense_oracle() {
         let (y, mean, cm, xm) = fixture();
@@ -989,6 +942,51 @@ mod tests {
             let by_row: f64 = (0..y.rows()).map(|r| ss3_row(y.row(r), &cm, &xm, &c_new)).sum();
             let by_block = ss3_block(&y, &cm, &xm, &c_new);
             assert_eq!(by_row.to_bits(), by_block.to_bits());
+        }
+    }
+
+    /// The fits' ss3, `tr(C'·YtX)` over the merged and finalized `YtX`,
+    /// against the pass it replaced — `Σ ss3_block` over the partitions,
+    /// completed by `ss3_finalize` — on a non-zero mean, sparse and full
+    /// blocks, partials with untouched columns, and 1, 2 and 8 partitions
+    /// merged the way the Spark driver merges them.
+    #[test]
+    fn ss3_trace_of_finalized_ytx_is_the_pass_form() {
+        let mut rng = Prng::seed_from_u64(11);
+        let wide_sparse = SparseMat::from_triplets(
+            9,
+            30,
+            &[(0, 29, 2.0), (1, 3, -1.0), (2, 7, 1.5), (4, 3, 0.5), (5, 11, 1.0), (8, 0, -2.0)],
+        );
+        let pool = WorkerPool::new(2);
+        for y in [fixture().0, full_row_fixture().0, wide_sparse] {
+            let mean = y.col_means();
+            assert!(mean.iter().any(|&m| m != 0.0));
+            let d = 4;
+            let (cm, c_new) = (rng.normal_mat(y.cols(), d), rng.normal_mat(y.cols(), d));
+            let xm = cm.vecmat(&mean);
+            for parts in [1, 2, 8] {
+                let blocks: Vec<PartitionBlock> =
+                    y.split_rows(parts).into_iter().map(PartitionBlock::new).collect();
+                let partials: Vec<YtxPartial> = blocks
+                    .iter()
+                    .map(|block| {
+                        let mut p = YtxPartial::new(d);
+                        p.add_block(block, &cm, &xm);
+                        p
+                    })
+                    .collect();
+                let untouched = partials.iter().any(|p| p.touched_cols() < y.cols());
+                assert!(untouched || y.nnz() == y.rows() * y.cols());
+                let merged = YtxPartial::tree_merged(&pool, d, partials);
+                let ytx = merged.finalize_ytx(&mean);
+                let trace = linalg::vector::dot(c_new.data(), ytx.data());
+                let part: f64 = blocks.iter().map(|b| ss3_block(b, &cm, &xm, &c_new)).sum();
+                let pass = ss3_finalize(part, &merged.sum_x, &c_new, &mean);
+                let rel = (trace - pass).abs() / pass.abs();
+                let shape = (y.rows(), y.cols(), parts);
+                assert!(rel <= 1e-12, "{shape:?}: {trace} vs {pass}");
+            }
         }
     }
 
@@ -1036,29 +1034,6 @@ mod tests {
         p
     }
 
-    /// The two-GEMM ss3 this module ran before the interleaved operand:
-    /// `X = Y·CM − 1⊗Xm` and `CY = Y·C_new` as two blocked products, then
-    /// one dot per row, summed in `E`.
-    fn ss3_two_gemm<E: Elem>(pool: &WorkerPool, block: &SparseMat, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64 {
-        let (n, d) = (block.rows(), cm.cols());
-        if n == 0 {
-            return 0.0;
-        }
-        let mut x = vec![E::ZERO; n * d];
-        kernels::sparse_mul_dense_slices(pool, block, &E::narrowed(cm.data()), d, &mut x);
-        let xm = E::narrowed(xm);
-        for r in 0..n {
-            linalg::vector::axpy(E::narrow(-1.0), &xm, &mut x[r * d..(r + 1) * d]);
-        }
-        let mut cy = vec![E::ZERO; n * d];
-        kernels::sparse_mul_dense_slices(pool, block, &E::narrowed(c_new.data()), d, &mut cy);
-        let mut part = E::ZERO;
-        for r in 0..n {
-            part += E::dot(&x[r * d..(r + 1) * d], &cy[r * d..(r + 1) * d]);
-        }
-        part.widen()
-    }
-
     /// Every bit of a partial (`PartialEq` on `f64` equates `±0.0`).
     fn partial_bits(p: &YtxPartial) -> Vec<u64> {
         let rows = p.ytx_iter().flat_map(|(c, row)| std::iter::once(c as f64).chain(row.to_vec()));
@@ -1068,8 +1043,8 @@ mod tests {
 
     /// Sparse blocks (one with empty rows), a full block under eight rows
     /// (the sparse route takes it) and one over (the tile route), each
-    /// with a `CM`, `Xm` and `C_new` to match.
-    fn route_fixtures() -> Vec<(SparseMat, Mat, Vec<f64>, Mat)> {
+    /// with a `CM` and `Xm` to match.
+    fn route_fixtures() -> Vec<(SparseMat, Mat, Vec<f64>)> {
         let mut rng = Prng::seed_from_u64(10);
         let mut out = Vec::new();
         for y in [
@@ -1079,8 +1054,8 @@ mod tests {
             SparseMat::from_triplets(7, 30, &[(1, 29, 2.0), (1, 3, -1.0), (4, 3, 0.5), (6, 0, -0.0)]),
         ] {
             let d = 6;
-            let (cm, c_new) = (rng.normal_mat(y.cols(), d), rng.normal_mat(y.cols(), d));
-            out.push((y, cm, rng.normal_vec(d), c_new));
+            let cm = rng.normal_mat(y.cols(), d);
+            out.push((y, cm, rng.normal_vec(d)));
         }
         out
     }
@@ -1088,37 +1063,24 @@ mod tests {
     #[test]
     fn fused_routes_are_bitwise_the_two_pass_pipeline() {
         let pools = [WorkerPool::new(1), WorkerPool::new(2), WorkerPool::new(8)];
-        for (y, cm, xm, c_new) in route_fixtures() {
+        for (y, cm, xm) in route_fixtures() {
             let block = PartitionBlock::new(y.clone());
             assert_eq!(block.csc().is_none(), kernels::takes_full_routes(&y));
             let rounded = y.map_values(bf16_round);
             for precision in [Precision::F64, Precision::F32, Precision::Bf16AccF64] {
                 let pool = &pools[0];
-                let (want, want_ss3) = match precision {
-                    Precision::F64 => (
-                        add_block_two_pass::<f64>(pool, &y, &cm, &xm),
-                        ss3_two_gemm::<f64>(pool, &y, &cm, &xm, &c_new),
-                    ),
-                    Precision::F32 => (
-                        add_block_two_pass::<f32>(pool, &y, &cm, &xm),
-                        ss3_two_gemm::<f32>(pool, &y, &cm, &xm, &c_new),
-                    ),
+                let want = match precision {
+                    Precision::F64 => add_block_two_pass::<f64>(pool, &y, &cm, &xm),
+                    Precision::F32 => add_block_two_pass::<f32>(pool, &y, &cm, &xm),
                     Precision::Bf16AccF64 => {
-                        let (cm, c_new) = (bf16_mat(&cm), bf16_mat(&c_new));
                         let xm: Vec<f64> = xm.iter().map(|&v| bf16_round(v)).collect();
-                        (
-                            add_block_two_pass::<f64>(pool, &rounded, &cm, &xm),
-                            ss3_two_gemm::<f64>(pool, &rounded, &cm, &xm, &c_new),
-                        )
+                        add_block_two_pass::<f64>(pool, &rounded, &bf16_mat(&cm), &xm)
                     }
                 };
-                let operand = Ss3Operand::new(&cm, &xm, &c_new, precision);
                 for pool in &pools {
                     let mut got = YtxPartial::new(cm.cols());
                     got.add_block_prec_with_pool(pool, &block, &cm, &xm, precision);
                     assert_eq!(partial_bits(&got), partial_bits(&want), "{precision:?} YtX");
-                    let ss3 = operand.sum_block(pool, &block);
-                    assert_eq!(ss3.to_bits(), want_ss3.to_bits(), "{precision:?} ss3");
                 }
             }
         }

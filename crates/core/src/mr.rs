@@ -1,6 +1,6 @@
 //! sPCA on the MapReduce engine (Section 4.1).
 //!
-//! Four job types, mirroring the paper's implementation:
+//! Three job types, mirroring the paper's implementation:
 //!
 //! * `meanJob`, `FnormJob` — one-time lightweight jobs before the loop.
 //! * `YtXJob` — the consolidated pass. Its mapper is a *stateful
@@ -10,9 +10,10 @@
 //!   A *composite key* routes all `XtX-p` partials to one reducer (they
 //!   are d×d and tiny) while `YtX` rows spread across reducers by row
 //!   index — exactly the paper's key design.
-//! * `ss3Job` — emits a single scalar per mapper (the paper: "the mapper
-//!   output of this job is a scalar, which reduces the amount of
-//!   intermediate data").
+//!
+//! The paper's fourth job, `ss3Job` (one scalar per mapper, §4.1), is
+//! driver algebra over the reduced `YtX` here (see [`crate::em`]): an EM
+//! iteration runs one job, and nothing re-ships `CM`/`Xm` or the new `C`.
 //!
 //! `fit_with_input` is the engine's one scaffold for both algorithm
 //! families: it splits and seeds the input once — each split a
@@ -36,7 +37,7 @@ use crate::driver::run_passes;
 use crate::em::{EmArm, EmJobs};
 use crate::frobenius;
 use crate::init;
-use crate::mean_prop::{ytx_counter_snapshot, Ss3Operand, YtxPartial};
+use crate::mean_prop::{ytx_counter_snapshot, YtxPartial};
 use crate::model::SpcaRun;
 use crate::rpca::{MrRpcaJobs, RpcaArm};
 use crate::Result;
@@ -239,28 +240,6 @@ impl MapReduceJob for YtXJob<'_> {
     }
 }
 
-/// `ss3Job`: scalar mapper output, every mapper against the job's one
-/// interleaved `[CM | C_new]`.
-struct Ss3Job<'a> {
-    operand: Ss3Operand,
-    pool: &'a linalg::WorkerPool,
-}
-
-impl MapReduceJob for Ss3Job<'_> {
-    type Input = PartitionBlock;
-    type Key = ();
-    type Value = f64;
-    type Output = f64;
-
-    fn map(&self, block: &PartitionBlock, emitter: &mut Emitter<(), f64>) {
-        emitter.emit((), self.operand.sum_block(self.pool, block));
-    }
-
-    fn reduce(&self, _key: (), values: Vec<f64>) -> f64 {
-        values.iter().sum()
-    }
-}
-
 /// Sums a reducer's vectors in the association every EM-on-MapReduce model
 /// hash rests on: the *last* value is the accumulator, the others are added
 /// onto it in the order they arrived (mapper order).
@@ -322,21 +301,6 @@ impl EmJobs for MrJobs<'_> {
             }
         }
         partial
-    }
-
-    fn ss3_job(&mut self, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64 {
-        // ss3Job re-ships CM/Xm plus the updated C (each MR job re-reads
-        // its distributed cache; nothing persists across jobs).
-        let cluster = self.engine.cluster();
-        cluster.charge_broadcast(
-            cluster.wire_size(cm)
-                + cluster.sizing().f64_payload(xm.len())
-                + cluster.wire_size(c_new),
-        );
-        let operand = Ss3Operand::new(cm, xm, c_new, self.precision);
-        let job = Ss3Job { operand, pool: cluster.pool() };
-        let (out, _) = self.engine.run_job("ss3Job", &job, &self.blocks, 1);
-        out.into_iter().next().expect("ss3Job output").1
     }
 }
 

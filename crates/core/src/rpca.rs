@@ -136,7 +136,7 @@ pub(crate) fn pass_partial<B: Block + ?Sized>(block: &B, w: &Mat, shift: &[f64])
     // any pool size).
     let (pool, mut colsum) = (WorkerPool::global(), vec![0.0; k]);
     let mut p = linalg::scratch::take_cleared(rows * k);
-    latent_rows(pool, block, (w.data(), k), shift, &mut p, true, |row| {
+    latent_rows(pool, block, (w.data(), k), shift, &mut p, |row| {
         linalg::vector::axpy(1.0, row, &mut colsum)
     });
     // `Yᵀ·P` into a recycled buffer, each touched column's row gathered in

@@ -3,26 +3,23 @@
 //! The input matrix is split once into one [`RowRecords`] element per
 //! partition — the partition's CSR block with its column-major copy,
 //! analysed when the RDD is built (and rebuilt by lineage after a crash),
-//! cached and priced as its rows' [`SpRow`] records — and
-//! persisted in the cluster's aggregate memory. Each EM iteration runs
-//! exactly two accumulator stages against it, paying for their sparse
-//! products and nothing else:
-//!
-//! * `YtXSparkJob` — one streaming `aggregate_each` whose per-task
-//!   accumulator is a [`YtxPartial`]: each task hands its cached block to
-//!   the batched `add_block` kernels (latent rows recomputed on the fly
-//!   from the broadcast `CM`/`Xm`, blocked `XtX`, `YtX` gathered through
-//!   the column-major copy), and only the partials cross the network (the
-//!   paper's `XtXSum`/`YtXSum` accumulators, "eliminating the need for
-//!   reduce operations"). The `YtX` partial stores touched rows only — the
-//!   O(z·d) sparsity trick of Section 4.2. The driver folds the partials
-//!   as they arrive, in partition order: a [`TreeFold`] merges each
-//!   complete aligned block of them in one column pass
-//!   ([`YtxPartial::tree_merged`]), with `tree_merge`'s bits, so a pass
-//!   holds a few partials instead of all of them.
-//! * `ss3SparkJob` — one `aggregate_partitions` folding the scalar
-//!   `Σ xᵢ·(C'yᵢ')`, each block in one product per row against the
-//!   job's interleaved `[CM | C_new]` ([`Ss3Operand`]).
+//! cached and priced as its rows' [`SpRow`] records — and persisted in the
+//! cluster's aggregate memory. Each EM iteration runs exactly one
+//! accumulator stage against it, paying for its sparse products and nothing
+//! else: `YtXSparkJob`, one streaming `aggregate_each` whose per-task
+//! accumulator is a [`YtxPartial`]. Each task hands its cached block to the
+//! batched `add_block` kernels (latent rows recomputed on the fly from the
+//! broadcast `CM`/`Xm`, blocked `XtX`, `YtX` gathered through the
+//! column-major copy), and only the partials cross the network (the paper's
+//! `XtXSum`/`YtXSum` accumulators, "eliminating the need for reduce
+//! operations"). The `YtX` partial stores touched rows only — the O(z·d)
+//! sparsity trick of Section 4.2. The driver folds the partials as they
+//! arrive, in partition order: a [`TreeFold`] merges each complete aligned
+//! block of them in one column pass ([`YtxPartial::tree_merged`]), with
+//! `tree_merge`'s bits, so a pass holds a few partials instead of all of
+//! them. The paper's second stage, `ss3SparkJob`, is driver algebra over
+//! the merged `YtX` here (see [`crate::em`]), so `C_new` is never
+//! broadcast.
 //!
 //! The randomized arm ([`crate::rpca`]) runs over the same persisted RDD:
 //! `SparkJobs` implements both arms' job traits, and `fit_with_input` is
@@ -43,7 +40,7 @@ use crate::em::{EmArm, EmJobs};
 use crate::frobenius;
 use crate::init;
 use crate::error::SpcaError;
-use crate::mean_prop::{latent_matrix, ytx_counter_snapshot, Ss3Operand, YtxPartial};
+use crate::mean_prop::{latent_matrix, ytx_counter_snapshot, YtxPartial};
 use crate::model::SpcaRun;
 use crate::rpca::{pass_partial, PassPartial, RpcaArm, RpcaJobs};
 use crate::Result;
@@ -278,25 +275,6 @@ impl EmJobs for SparkJobs<'_> {
             cluster.trace_counter("em.ytx.batch_rows", (after.1 - before.1) as f64);
         }
         partial
-    }
-
-    fn ss3_job(&mut self, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64 {
-        // The updated C must reach every node for the ss3 pass; CM/Xm are
-        // already resident from the YtX job's broadcast.
-        let cluster = self.rdd.cluster();
-        cluster.charge_broadcast(cluster.wire_size(c_new));
-        let (operand, pool) = (Ss3Operand::new(cm, xm, c_new, self.precision), cluster.pool());
-        let (part, _) = self.rdd.aggregate_partitions(
-            "ss3Job",
-            || Scalar(0.0),
-            |acc, part| {
-                for block in part {
-                    acc.0 += operand.sum_block(pool, &block.0);
-                }
-            },
-            |acc, other| acc.0 += other.0,
-        );
-        part.0
     }
 }
 

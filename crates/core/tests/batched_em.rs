@@ -243,4 +243,4 @@ fn mapreduce_fit_keeps_its_model_hashes_on_every_pool() {
 }
 
 const SPARSE_HASH: u64 = 0xd70b_d1b9_45d2_ad35;
-const SPECTRA_HASH: u64 = 0xa8ca_760d_4ada_ec36;
+const SPECTRA_HASH: u64 = 0xc61c_9ae2_8134_b0fc;

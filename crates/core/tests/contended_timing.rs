@@ -121,9 +121,14 @@ fn chaos_on_the_contended_engine_is_bitwise_fault_free_identical() {
         .with_straggler_rate(0.2)
         .with_straggler_slowdown(5.0)
         .with_speculation(true);
-    let plan = FaultPlan::new().with_crash(1, 2).with_crash(5, 3).with_crash(3, 5);
-
     for &spark in &[true, false] {
+        // Spark: EM iteration 1's `YtXJob` (stage 2) twice, then iteration
+        // 2's. MapReduce: FnormJob's map and reduce, iteration 1's reduce.
+        let crashes = if spark { [2, 2, 3] } else { [2, 3, 5] };
+        let plan = FaultPlan::new()
+            .with_crash(1, crashes[0])
+            .with_crash(5, crashes[1])
+            .with_crash(3, crashes[2]);
         let fit = |timing, faulty: bool| {
             let cl = cluster(timing);
             if faulty {

@@ -43,17 +43,28 @@ fn model_bits(run: &SpcaRun) -> (Vec<u64>, Vec<u64>, u64) {
     )
 }
 
-/// A plan that kills ≥ 2 of the 8 paper-cluster nodes mid-iteration (the
-/// first EM iteration's YtX/ss3 stages are stage indices 2 and 3, after
-/// meanJob and FnormJob) plus stragglers on every stage.
-fn chaos_spec_and_plan() -> (FaultSpec, FaultPlan) {
+/// Stragglers and speculation on every stage, plus a plan that kills 3 of
+/// the 8 paper-cluster nodes (1, 5 and 3) at the given global stage indices.
+fn chaos_spec_and_plan(crashes: [u64; 3]) -> (FaultSpec, FaultPlan) {
     let spec = FaultSpec::new(0xfau64)
         .with_straggler_rate(0.2)
         .with_straggler_slowdown(5.0)
         .with_speculation(true);
-    let plan = FaultPlan::new().with_crash(1, 2).with_crash(5, 3).with_crash(3, 5);
+    let plan = FaultPlan::new()
+        .with_crash(1, crashes[0])
+        .with_crash(5, crashes[1])
+        .with_crash(3, crashes[2]);
     (spec, plan)
 }
+
+/// The crashes on Spark, which runs meanJob and FnormJob as stages 0 and 1,
+/// then one `YtXJob` per EM iteration: nodes 1 and 5 die in iteration 1's,
+/// node 3 in iteration 2's.
+const SPARK_CRASHES: [u64; 3] = [2, 2, 3];
+/// The crashes on MapReduce, where every job is a map and a reduce stage:
+/// nodes 1 and 5 die in FnormJob's map and reduce, node 3 in iteration 1's
+/// `YtXJob` reduce.
+const MR_CRASHES: [u64; 3] = [2, 3, 5];
 
 fn count_kind(log: &[RecoveryEvent], kind: &str) -> usize {
     log.iter().filter(|e| e.kind() == kind).count()
@@ -67,7 +78,7 @@ fn spark_fit_under_chaos_is_bitwise_identical_to_fault_free() {
     let clean = Spca::new(config.clone()).fit_spark(&cluster(), &y).unwrap();
 
     let faulty_cluster = cluster();
-    let (spec, plan) = chaos_spec_and_plan();
+    let (spec, plan) = chaos_spec_and_plan(SPARK_CRASHES);
     faulty_cluster.install_fault_plan(spec, plan).unwrap();
     let faulty = Spca::new(config).fit_spark(&faulty_cluster, &y).unwrap();
 
@@ -115,7 +126,7 @@ fn spark_fit_folding_partials_in_blocks_survives_crashes_bitwise() {
     let config = SpcaConfig::new(16).with_max_iters(3).with_rel_tolerance(None).with_partitions(13);
     let clean = Spca::new(config.clone()).fit_spark(&cluster(), &y).unwrap();
     let faulty_cluster = cluster();
-    let (spec, plan) = chaos_spec_and_plan();
+    let (spec, plan) = chaos_spec_and_plan(SPARK_CRASHES);
     faulty_cluster.install_fault_plan(spec, plan).unwrap();
     let faulty = Spca::new(config).fit_spark(&faulty_cluster, &y).unwrap();
     assert_eq!(model_bits(&clean), model_bits(&faulty), "crashes changed the Spark model");
@@ -130,7 +141,7 @@ fn mapreduce_fit_under_chaos_is_bitwise_identical_to_fault_free() {
     let clean = Spca::new(config.clone()).fit_mapreduce(&cluster(), &y).unwrap();
 
     let faulty_cluster = cluster();
-    let (spec, plan) = chaos_spec_and_plan();
+    let (spec, plan) = chaos_spec_and_plan(MR_CRASHES);
     faulty_cluster.install_fault_plan(spec, plan).unwrap();
     let faulty = Spca::new(config).fit_mapreduce(&faulty_cluster, &y).unwrap();
 
@@ -163,7 +174,7 @@ fn recovery_log_and_model_identical_across_host_pools() {
             ClusterConfig::paper_cluster(),
             Arc::new(WorkerPool::new(workers)),
         );
-        let (spec, plan) = chaos_spec_and_plan();
+        let (spec, plan) = chaos_spec_and_plan(SPARK_CRASHES);
         c.install_fault_plan(spec, plan).unwrap();
         let run = Spca::new(config.clone()).fit_spark(&c, &y).unwrap();
         // Virtual time is derived from *measured* task durations, so it is
@@ -237,7 +248,7 @@ fn checkpoint_resume_survives_node_crashes_too() {
     let clean = Spca::new(config.clone()).fit_spark(&cluster(), &y).unwrap();
 
     let c = cluster();
-    let (spec, plan) = chaos_spec_and_plan();
+    let (spec, plan) = chaos_spec_and_plan(SPARK_CRASHES);
     c.install_fault_plan(spec, plan).unwrap();
     let ckpt = config.clone().with_checkpoint_every(1);
     assert!(matches!(
@@ -261,7 +272,7 @@ fn smart_guess_under_chaos_stays_bitwise_deterministic() {
     let clean = Spca::new(config.clone()).fit_spark(&cluster(), &y).unwrap();
 
     let c = cluster();
-    let (spec, plan) = chaos_spec_and_plan();
+    let (spec, plan) = chaos_spec_and_plan(SPARK_CRASHES);
     c.install_fault_plan(spec, plan).unwrap();
     let faulty = Spca::new(config).fit_spark(&c, &y).unwrap();
     assert_eq!(model_bits(&clean), model_bits(&faulty));

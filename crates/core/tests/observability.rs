@@ -258,10 +258,20 @@ fn driver_side_work_of_every_pass_is_spanned() {
     let reduces = after("shuffle sort");
     assert_eq!(reduces.len(), sorts, "a reduce stage follows every sort");
     assert!(reduces.iter().all(|n| n.starts_with("stage:") && n.ends_with("/reduce")));
+    // One distributed job per EM iteration: `YtXJob` on Spark, its map and
+    // reduce on MapReduce. ss3 is driver algebra, never a stage.
     for i in 1..=3 {
-        // YtXJob and ss3Job of the MapReduce fit.
-        assert_eq!(children(&format!("em iteration {i}"), "shuffle sort"), 2, "iteration {i}");
+        let pass = format!("em iteration {i}");
+        assert_eq!(children(&pass, "shuffle sort"), 1, "iteration {i}");
+        let mut stages: Vec<&str> = spans
+            .iter()
+            .filter(|(n, p, _)| n.starts_with("stage:") && p.as_deref() == Some(pass.as_str()))
+            .map(|(name, _, _)| name.as_str())
+            .collect();
+        stages.sort_unstable();
+        assert_eq!(stages, ["stage:YtXJob", "stage:YtXJob/map", "stage:YtXJob/reduce"], "{pass}");
     }
+    assert!(!spans.iter().any(|(n, _, _)| n.starts_with("stage:ss3Job")), "an ss3Job stage ran");
 
     assert_eq!(children("em driver assemble", "finalize_ytx"), 6);
     assert_eq!(children("em driver assemble", "solve_spd_right"), 6);
@@ -362,7 +372,8 @@ fn byte_invariant_holds_under_both_sizing_policies_and_faults() {
         // lockstep, so the ledger must still balance.
         let faulty = cluster_with(estimated);
         let spec = dcluster::FaultSpec::new(0xb0u64).with_speculation(true);
-        let plan = dcluster::FaultPlan::new().with_crash(1, 2).with_crash(3, 4);
+        // One crash in each EM iteration's `YtXJob`.
+        let plan = dcluster::FaultPlan::new().with_crash(1, 2).with_crash(3, 3);
         faulty.install_fault_plan(spec, plan).unwrap();
         Spca::new(config.clone()).fit_spark(&faulty, &y).expect("faulty fit");
         assert_byte_invariant(&faulty, &format!("spark fit under faults ({label})"));

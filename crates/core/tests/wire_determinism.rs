@@ -46,16 +46,25 @@ fn model_bits(run: &SpcaRun) -> (Vec<u64>, Vec<u64>, u64) {
     )
 }
 
-/// The chaos plan from `faults.rs`: two mid-iteration node crashes plus
+/// The chaos plan from `faults.rs`: three node crashes at `crashes` plus
 /// stragglers and speculation on every stage.
-fn chaos_spec_and_plan() -> (FaultSpec, FaultPlan) {
+fn chaos_spec_and_plan(crashes: [u64; 3]) -> (FaultSpec, FaultPlan) {
     let spec = FaultSpec::new(0xfau64)
         .with_straggler_rate(0.2)
         .with_straggler_slowdown(5.0)
         .with_speculation(true);
-    let plan = FaultPlan::new().with_crash(1, 2).with_crash(5, 3).with_crash(3, 5);
+    let plan = FaultPlan::new()
+        .with_crash(1, crashes[0])
+        .with_crash(5, crashes[1])
+        .with_crash(3, crashes[2]);
     (spec, plan)
 }
+
+/// Spark: nodes 1 and 5 die in EM iteration 1's `YtXJob` (stage 2), node 3
+/// in iteration 2's. MapReduce: in FnormJob's map and reduce, and in
+/// iteration 1's `YtXJob` reduce.
+const SPARK_CRASHES: [u64; 3] = [2, 2, 3];
+const MR_CRASHES: [u64; 3] = [2, 3, 5];
 
 #[test]
 fn spark_fit_is_bitwise_identical_across_sizing_policies() {
@@ -108,7 +117,7 @@ fn mapreduce_sizing_equivalence_survives_chaos() {
 
     let run_with = |cfg: ClusterConfig| {
         let c = SimCluster::new(cfg);
-        let (spec, plan) = chaos_spec_and_plan();
+        let (spec, plan) = chaos_spec_and_plan(MR_CRASHES);
         c.install_fault_plan(spec, plan).unwrap();
         let run = Spca::new(config.clone()).fit_mapreduce(&c, &y).unwrap();
         (c.recovery_log(), model_bits(&run))
@@ -127,7 +136,7 @@ fn sizing_equivalence_survives_worker_pools_and_chaos() {
 
     let run_with = |workers: usize, cfg: ClusterConfig| {
         let c = SimCluster::new_with_pool(cfg, Arc::new(WorkerPool::new(workers)));
-        let (spec, plan) = chaos_spec_and_plan();
+        let (spec, plan) = chaos_spec_and_plan(SPARK_CRASHES);
         c.install_fault_plan(spec, plan).unwrap();
         let run = Spca::new(config.clone()).fit_spark(&c, &y).unwrap();
         (c.recovery_log(), model_bits(&run))

@@ -237,10 +237,6 @@ pub trait Elem: sealed::Sealed + vector::Scalar + Send + Sync + PartialEq + 'sta
     }
     /// Retires a buffer [`Elem::take_zeroed`] handed out.
     fn recycle(buf: Vec<Self>);
-    /// [`vector::dot`] for `f64` — four interleaved partial sums. The
-    /// `f32` arm has always summed left to right, and its pinned model
-    /// hash depends on that order.
-    fn dot(a: &[Self], b: &[Self]) -> Self;
     /// The register-tile micro-kernel ([`tn_tile`]): both types run the
     /// same separately rounded chain; `f64` has a hand-written AVX-512
     /// form of it behind a runtime check.
@@ -271,10 +267,6 @@ impl Elem for f64 {
         crate::scratch::recycle(buf)
     }
     #[inline(always)]
-    fn dot(a: &[f64], b: &[f64]) -> f64 {
-        vector::dot(a, b)
-    }
-    #[inline(always)]
     fn tile(apanel: &[f64], bpanel: &[f64], acc: Tile<f64>) -> Tile<f64> {
         tn_tile(apanel, bpanel, acc)
     }
@@ -301,15 +293,6 @@ impl Elem for f32 {
         Vec::with_capacity(capacity)
     }
     fn recycle(_buf: Vec<f32>) {}
-    #[inline]
-    fn dot(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "dot: length mismatch {} vs {}", a.len(), b.len());
-        let mut sum = 0.0f32;
-        for (x, y) in a.iter().zip(b) {
-            sum += x * y;
-        }
-        sum
-    }
     fn tile(apanel: &[f32], bpanel: &[f32], acc: Tile<f32>) -> Tile<f32> {
         tn_tile_portable(apanel, bpanel, acc)
     }
