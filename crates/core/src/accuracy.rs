@@ -43,8 +43,15 @@ pub fn reconstruction_error(sample: &SparseMat, model: &PcaModel) -> Result<f64>
     if sample.rows() == 0 {
         return Ok(0.0);
     }
-    let x = model.transform_sparse(sample)?;
-    Ok(score(WorkerPool::global(), sample, &x, model.components(), model.mean()))
+    Ok(projected_error(sample, model, &model.latent_projection()?))
+}
+
+/// [`reconstruction_error`] through the model's `CM` held by the caller:
+/// the same bits, without forming `CM` again.
+pub(crate) fn projected_error(sample: &SparseMat, model: &PcaModel, cm: &Mat) -> f64 {
+    assert_eq!(sample.cols(), model.input_dim(), "sample dimensionality mismatch");
+    let x = model.project_sparse(sample, cm);
+    score(WorkerPool::global(), sample, &x, model.components(), model.mean())
 }
 
 /// `‖Y − (X·Cᵀ + 1⊗μ)‖₁ / ‖Y‖₁` for the sample `Y` and its latent rows `X`.

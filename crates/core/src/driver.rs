@@ -96,6 +96,12 @@ pub(crate) trait PassArm {
     fn pass(&mut self, pass: usize, error_sample: &SparseMat) -> Result<PassStats>;
     /// The model the current state stands for.
     fn model(&self) -> PcaModel;
+    /// The sampled reconstruction error of `model`, this pass's
+    /// [`Self::model`]. An arm that already holds the model's `CM` lends it
+    /// here; the result must be [`accuracy::reconstruction_error`]'s bits.
+    fn sampled_error(&self, sample: &SparseMat, model: &PcaModel) -> Result<f64> {
+        accuracy::reconstruction_error(sample, model)
+    }
     /// The state to checkpoint after the pass just run, or `None` when
     /// `run_over` and that state does not carry the finished model: the
     /// previous checkpoint then stays, and a resume re-runs the pass.
@@ -196,7 +202,7 @@ pub(crate) fn run_passes(
         // Instrumentation: sampled reconstruction error (not charged).
         let error_span = obs::span("driver", "sampled error");
         let model = arm.model();
-        let error = accuracy::reconstruction_error(error_sample, &model)?;
+        let error = arm.sampled_error(error_sample, &model)?;
         drop(error_span);
         let ss = model.noise_variance();
         let virtual_time_secs = cluster.metrics().virtual_time_secs - start.virtual_time_secs;

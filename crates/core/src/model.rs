@@ -67,13 +67,18 @@ impl PcaModel {
     /// computed with mean propagation (never densifying `Y`).
     pub fn transform_sparse(&self, y: &SparseMat) -> Result<Mat> {
         SpcaError::check_dims(y.cols(), self.input_dim())?;
-        let cm = self.latent_projection()?;
+        Ok(self.project_sparse(y, &self.latent_projection()?))
+    }
+
+    /// [`Self::transform_sparse`] through a `CM` the caller already holds
+    /// (the EM driver's, which is [`Self::latent_projection`] bit for bit).
+    pub(crate) fn project_sparse(&self, y: &SparseMat, cm: &Mat) -> Mat {
         let xm = cm.vecmat(&self.mean);
-        let mut x = y.mul_dense(&cm);
+        let mut x = y.mul_dense(cm);
         for r in 0..x.rows() {
             linalg::vector::axpy(-1.0, &xm, x.row_mut(r));
         }
-        Ok(x)
+        x
     }
 
     /// Projects dense rows into latent space.

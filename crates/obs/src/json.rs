@@ -134,6 +134,54 @@ fn build(b: &[u8], pos: &mut usize) -> Json {
     }
 }
 
+/// Every leaf of `input` with the byte range of its text, in document
+/// order, under the dotted path `perf_gate` flattens it to (`a.b.0.c`), so
+/// a tool can rewrite single leaves and keep the rest of the document byte
+/// for byte.
+pub fn leaf_spans(input: &str) -> Result<Vec<(String, std::ops::Range<usize>)>, String> {
+    validate(input)?;
+    let (b, mut pos, mut out) = (input.as_bytes(), 0, Vec::new());
+    skip_ws(b, &mut pos);
+    walk(b, &mut pos, "", &mut out);
+    Ok(out)
+}
+
+/// [`leaf_spans`] over the value at `pos` (already validated).
+fn walk(b: &[u8], pos: &mut usize, path: &str, out: &mut Vec<(String, std::ops::Range<usize>)>) {
+    let (open, close) = match b[*pos] {
+        b'{' => (b'{', b'}'),
+        b'[' => (b'[', b']'),
+        _ => {
+            let start = *pos;
+            build(b, pos);
+            out.push((path.to_string(), start..*pos));
+            return;
+        }
+    };
+    *pos += 1;
+    skip_ws(b, pos);
+    let mut index = 0;
+    while b[*pos] != close {
+        let child = if open == b'{' {
+            let key = build_string(b, pos);
+            skip_ws(b, pos);
+            *pos += 1; // ':'
+            skip_ws(b, pos);
+            if path.is_empty() { key } else { format!("{path}.{key}") }
+        } else {
+            format!("{path}.{index}")
+        };
+        walk(b, pos, &child, out);
+        index += 1;
+        skip_ws(b, pos);
+        if b[*pos] == b',' {
+            *pos += 1;
+            skip_ws(b, pos);
+        }
+    }
+    *pos += 1;
+}
+
 fn build_string(b: &[u8], pos: &mut usize) -> String {
     *pos += 1; // opening quote
     let mut out = String::new();
@@ -351,6 +399,17 @@ fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn leaf_spans_name_and_locate_every_leaf() {
+        let doc = r#"{"a": {"b": [1, "x\"y"]}, "c": -2.5e3, "d": {}, "e": null}"#;
+        let spans = leaf_spans(doc).unwrap();
+        let got: Vec<(&str, &str)> = spans.iter().map(|(p, r)| (p.as_str(), &doc[r.clone()])).collect();
+        assert_eq!(
+            got,
+            [("a.b.0", "1"), ("a.b.1", r#""x\"y""#), ("c", "-2.5e3"), ("e", "null")]
+        );
+    }
 
     #[test]
     fn accepts_valid_documents() {
