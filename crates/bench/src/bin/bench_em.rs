@@ -1,11 +1,11 @@
 //! EM hot-path benchmark: row-at-a-time vs batched per-partition YtX fold.
 //!
 //! Times one sPCA EM iteration's dominant job (the consolidated
-//! `YtX`/`XtX`/`Σx` pass) at the paper's sparse shapes, comparing the
-//! row-at-a-time ablation arm (`RowwisePartial::add_row` per sparse row,
-//! HashMap accumulator) against the batched kernels
-//! (`YtxPartial::add_block`: blocked sparse GEMM + SYRK + packed-slab
-//! scatter). Both arms fan partitions out on the same worker pool; the
+//! `YtX`/`Σx` pass; `XtX` is driver algebra over its result) at the
+//! paper's sparse shapes, comparing the row-at-a-time ablation arm
+//! (`RowwisePartial::add_row` per sparse row, HashMap accumulator) against
+//! the batched kernels (`YtxPartial::add_block`: blocked sparse GEMM +
+//! packed-slab gather). Both arms fan partitions out on the same worker pool; the
 //! batched arm then reduces as `fit_spark` does, with the fused column
 //! merge (`YtxPartial::tree_merged`), and the row-at-a-time arm with its
 //! HashMap merge under `tree_merge`. A `merge` section times the fused
@@ -99,7 +99,7 @@ fn run_rowwise(
 }
 
 /// Every partition through the blocked kernels in one `add_block` call
-/// (sparse GEMM into reused scratch, SYRK, packed-slab SpMM scatter) on
+/// (sparse GEMM into reused scratch, packed-slab `YᵀX`) on
 /// the given arithmetic arm; nested kernel batches ride the same pool.
 fn batched_partials(
     pool: &WorkerPool,
@@ -137,12 +137,11 @@ fn run_batched(
     YtxPartial::tree_merged(pool, cm.cols(), partials)
 }
 
-/// Every bit of a merged partial (`PartialEq` on `f64` equates `-0.0` and
-/// `0.0`).
+/// Every bit of a merged partial's slab and `Σx` (`PartialEq` on `f64`
+/// equates `-0.0` and `0.0`).
 fn merged_bits(p: &YtxPartial) -> Vec<u64> {
     let rows = p.ytx_iter().flat_map(|(c, row)| std::iter::once(c as f64).chain(row.to_vec()));
-    let values = p.xtx.data().iter().copied().chain(rows).chain(p.sum_x.iter().copied());
-    values.map(f64::to_bits).collect()
+    rows.chain(p.sum_x.iter().copied()).map(f64::to_bits).collect()
 }
 
 /// Runs `f` as a stage task runs: on a pool thread, where the kernels'
@@ -155,8 +154,8 @@ fn as_task<T: Send>(pool: &WorkerPool, f: impl FnOnce() -> T + Send) -> T {
 /// One partition's `YtXJob` task as the Spark engine ran it before blocks
 /// were cached, in [`merged_bits`] layout: the CSR block rebuilt from the
 /// partition's row records, the column-support table built over all `D`
-/// columns, `X = Y·CM − 1⊗Xm`, the Gram, the bucketed scatter into the
-/// packed slab, and `Σx`.
+/// columns, `X = Y·CM − 1⊗Xm`, the bucketed scatter into the packed slab,
+/// and `Σx`.
 fn per_task_bits(pool: &WorkerPool, rows: &[SpRow], d_in: usize, cm: &Mat, xm: &[f64]) -> Vec<u64> {
     let views: Vec<SparseRow> = rows.iter().map(SpRow::view).collect();
     let block = SparseMat::from_row_views(d_in, &views);
@@ -177,7 +176,6 @@ fn per_task_bits(pool: &WorkerPool, rows: &[SpRow], d_in: usize, cm: &Mat, xm: &
     for r in 0..x.rows() {
         linalg::vector::axpy(-1.0, xm, x.row_mut(r));
     }
-    let xtx = kernels::syrk_tn_with_pool(pool, &x);
     let mut slab = vec![0.0; cols.len() * d];
     kernels::spmm_tn_packed_with_pool(pool, &block, &x, &map, &mut slab);
     let mut sum_x = vec![0.0; d];
@@ -186,8 +184,7 @@ fn per_task_bits(pool: &WorkerPool, rows: &[SpRow], d_in: usize, cm: &Mat, xm: &
     }
     let packed = cols.iter().zip(slab.chunks_exact(d.max(1)));
     let rows = packed.flat_map(|(&c, row)| std::iter::once(c as f64).chain(row.to_vec()));
-    let values = xtx.data().iter().copied().chain(rows).chain(sum_x);
-    values.map(f64::to_bits).collect()
+    rows.chain(sum_x).map(f64::to_bits).collect()
 }
 
 fn main() {
@@ -262,17 +259,16 @@ fn main() {
     let (rowwise, batched) = (rowwise.expect("reps >= 1"), batched.expect("reps >= 1"));
     let speedup = rowwise_secs / batched_secs.max(1e-12);
 
-    // Correctness: the batched fold must match the row-at-a-time reference.
+    // Correctness: the batched fold must match the row-at-a-time reference
+    // on the finalized YtX (slab and Σx) and on Σx alone.
     let rw_ytx = rowwise.finalize_ytx(&mean);
     let bt_ytx = batched.finalize_ytx(&mean);
-    let scale = rw_ytx
-        .data()
-        .iter()
-        .chain(rowwise.xtx.data())
-        .fold(0.0f64, |m, v| m.max(v.abs()))
-        .max(1.0);
+    let sum_x_diff =
+        |a: &[f64], b: &[f64]| a.iter().zip(b).fold(0.0f64, |m, (x, y)| m.max((x - y).abs()));
+    let scale =
+        rw_ytx.data().iter().chain(&rowwise.sum_x).fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
     let max_rel_diff =
-        bt_ytx.max_abs_diff(&rw_ytx).max(batched.xtx.max_abs_diff(&rowwise.xtx)) / scale;
+        bt_ytx.max_abs_diff(&rw_ytx).max(sum_x_diff(&batched.sum_x, &rowwise.sum_x)) / scale;
     assert!(
         max_rel_diff <= 1e-10,
         "batched fold diverged from the row-at-a-time reference ({max_rel_diff:.3e})"
@@ -282,9 +278,8 @@ fn main() {
     // pool size (chunking is a function of the problem shape only).
     let bitwise_deterministic = [1usize, 2].iter().all(|&w| {
         let small = WorkerPool::new(w);
-        let p = run_batched(&small, &blocks, &cm, &xm, linalg::Precision::F64);
-        p.finalize_ytx(&mean).max_abs_diff(&bt_ytx) == 0.0
-            && p.xtx.max_abs_diff(&batched.xtx) == 0.0
+        merged_bits(&run_batched(&small, &blocks, &cm, &xm, linalg::Precision::F64))
+            == merged_bits(&batched)
     });
     assert!(bitwise_deterministic, "batched fold is not worker-count deterministic");
 
@@ -371,12 +366,11 @@ fn main() {
         let arm_speedup = batched_secs / arm_secs.max(1e-12);
         let arm_ytx = arm_result.finalize_ytx(&mean);
         let arm_rel_diff =
-            arm_ytx.max_abs_diff(&bt_ytx).max(arm_result.xtx.max_abs_diff(&batched.xtx)) / scale;
+            arm_ytx.max_abs_diff(&bt_ytx).max(sum_x_diff(&arm_result.sum_x, &batched.sum_x));
+        let arm_rel_diff = arm_rel_diff / scale;
         let arm_deterministic = {
             let small = WorkerPool::new(2);
-            let p = run_batched(&small, &blocks, &cm, &xm, arm);
-            p.finalize_ytx(&mean).max_abs_diff(&arm_ytx) == 0.0
-                && p.xtx.max_abs_diff(&arm_result.xtx) == 0.0
+            merged_bits(&run_batched(&small, &blocks, &cm, &xm, arm)) == merged_bits(&arm_result)
         };
         assert!(arm_deterministic, "{arm} arm is not worker-count deterministic");
         println!(

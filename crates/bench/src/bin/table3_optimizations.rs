@@ -8,7 +8,9 @@
 //!    materializing each dense centered row.
 //! 2. **Minimizing intermediate data** (line 8: XtX/YtX) — recompute X on
 //!    demand inside one consolidated job vs materialize X, ship it
-//!    through the DFS, and read it back in each consuming job.
+//!    through the DFS, and read it back in each consuming job. Its
+//!    "XtX/on-demand" arm models the paper's pipeline, whose tasks fold
+//!    `XtX`, not the fit's, which derives `XtX` from `YtX` on the driver.
 //! 3. **Frobenius norm** (line 13's ss1) — Algorithm 3 vs Algorithm 2.
 //!
 //! Expect order-of-magnitude gaps whose absolute size grows with scale

@@ -143,7 +143,9 @@ pub fn mean_propagation(
 /// Ablation 2 — **intermediate-data minimization** (Section 3.2): compute
 /// `XtX` by recomputing `X` on demand in one consolidated pass vs
 /// materializing `X`, shipping it through the DFS, and reading it back in
-/// each of its three consumer jobs.
+/// each of its three consumer jobs. Both arms model the paper's pipeline,
+/// whose tasks fold `XtX`; the fit's tasks do not (it is `CMᵀ·YtX` on the
+/// driver, [`crate::em`]).
 pub fn intermediate_data(
     make_cluster: impl Fn() -> SimCluster,
     y: &SparseMat,

@@ -9,8 +9,8 @@
 //!    every product so all distributed work stays O(nnz).
 //! 2. **Minimized intermediate data** ([`em`]) — the large latent matrix
 //!    `X` is never stored or shuffled; each job recomputes its rows
-//!    on demand from the broadcast `CM` matrix, and the `XtX`/`YtX` jobs
-//!    are consolidated into one pass.
+//!    on demand from the broadcast `CM` matrix, one `YtX` pass per
+//!    iteration; `XtX` and `ss3` are driver algebra over its result.
 //! 3. **In-memory matrix multiplication** — the small matrices (`C`, `M⁻¹`,
 //!    `CM`) are broadcast to every task; each sparse row is multiplied
 //!    against them locally (Section 3.3's Equation (2) pattern is used for
@@ -116,8 +116,8 @@ impl Spca {
     }
 
     /// Fits on the Spark-like engine. For the default [`Algorithm::PpcaEm`]
-    /// this is Algorithm 4 + Algorithm 5 (accumulator-based `YtX`/`XtX`
-    /// job, cached input RDD, millisecond task overheads); with
+    /// this is Algorithm 4 + Algorithm 5 (accumulator-based `YtX` job,
+    /// cached input RDD, millisecond task overheads); with
     /// [`Algorithm::Randomized`] it runs the fat-pass subspace iteration
     /// of [`rpca`] over the same persisted RDD.
     pub fn fit_spark(&self, cluster: &SimCluster, y: &SparseMat) -> Result<SpcaRun> {

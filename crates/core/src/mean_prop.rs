@@ -14,20 +14,23 @@
 //!   Section 4.1's Equation (3) — multiply `C'` by the *sparse* `yᵢ'`
 //!   first (O(z·d)), never forming the dense `xᵢ·C'` (O(D·d)). The fits
 //!   do not sum it over Y: ss3 is `tr(C'·YtX)` on the driver
-//!   ([`crate::em`]), and [`ss3_row`] / [`ss3_block`] are the pass form
-//!   the tests hold that algebra to.
+//!   ([`crate::em`]), and [`ss3_block`] is the pass form the tests hold
+//!   that algebra to;
+//! * `XtX`: with `xᵢ = ycᵢ·CM`, `Σᵢ xᵢ'xᵢ = CM'·Σᵢ ycᵢ'xᵢ = CM'·YtX`, a
+//!   d×D by D×d product of two matrices the driver already holds
+//!   ([`xtx_from_ytx`]), so no pass folds the Θ(N·d²) Gram over the rows.
 //!
-//! [`YtxPartial`] is the consolidated accumulator of the paper's `YtXJob`
-//! (Figure 3): one pass computes the `XtX` and `YtX` contributions *and*
-//! the hoisted sums. Two entry points fold data in:
+//! [`YtxPartial`] is the accumulator of the paper's consolidated `YtXJob`
+//! (Figure 3): one pass computes the `YtX` contributions *and* the
+//! hoisted sums. Two entry points fold data in:
 //!
 //! * [`YtxPartial::add_block`] — the batched path. A whole partition goes
 //!   through the blocked kernels: the latent rows `x = y·CM − Xm` one at a
 //!   time in L1 (each zeroed, multiplied, shifted and summed into `Σx`
-//!   where it is formed), `XtX += syrk_tn(X_blk)`, and `YtX` gathered per
-//!   touched column through the block's column-major copy into a packed
-//!   slab. The block is a [`PartitionBlock`](linalg::sparse::PartitionBlock)
-//!   whose structure the engines analysed once per fit; a bare
+//!   where it is formed), and `YtX` gathered per touched column through
+//!   the block's column-major copy into a packed slab. The block is a
+//!   [`PartitionBlock`](linalg::sparse::PartitionBlock) whose structure
+//!   the engines analysed once per fit; a bare
 //!   `SparseMat` is analysed on the call. Full blocks take the
 //!   register-tile routes instead.
 //! * [`YtxPartial::add_row`] — one sparse row at a time, recomputing its
@@ -69,7 +72,7 @@ pub fn latent_row_dense(row: SparseRow<'_>, mean: &[f64], cm: &Mat) -> Vec<f64> 
     cm.vecmat(&dense)
 }
 
-/// Per-task accumulator of the consolidated `YtX`/`XtX` job.
+/// Per-task accumulator of the consolidated `YtXJob`.
 ///
 /// The `Σ y'⊗x` term is stored packed: `cols` holds the touched column
 /// indices in ascending order and `slab` one d-vector per touched column,
@@ -77,7 +80,10 @@ pub fn latent_row_dense(row: SparseRow<'_>, mean: &[f64], cm: &Mat) -> Vec<f64> 
 /// merging two partials is a linear sorted merge.
 #[derive(Debug, Clone, PartialEq)]
 pub struct YtxPartial {
-    /// `Σᵢ xᵢ ⊗ xᵢ` (d × d).
+    /// Always the d × d zero matrix: `XtX` is [`xtx_from_ytx`] on the
+    /// driver, so no fold, merge or codec touches it. The field is held
+    /// for the frozen benchmark harness's replay until ROADMAP item 6(c)
+    /// deletes that replay.
     pub xtx: Mat,
     /// Touched columns of `Σ y'⊗x`, strictly ascending.
     cols: Vec<u32>,
@@ -105,17 +111,6 @@ impl YtxPartial {
     #[inline]
     pub fn d(&self) -> usize {
         self.sum_x.len()
-    }
-
-    /// Number of input columns some folded row touched.
-    pub fn touched_cols(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// The packed `Σ y'⊗x` row for column `c`, if any row touched it.
-    pub fn ytx_row(&self, c: u32) -> Option<&[f64]> {
-        let d = self.d();
-        self.cols.binary_search(&c).ok().map(|i| &self.slab[i * d..(i + 1) * d])
     }
 
     /// Iterates `(column, packed row)` pairs in ascending column order.
@@ -150,14 +145,6 @@ impl YtxPartial {
     /// vector on demand (the "redundant computation" of Section 3.2).
     pub fn add_row(&mut self, row: SparseRow<'_>, cm: &Mat, xm: &[f64]) {
         let x = latent_row(row, cm, xm);
-        // XtX += x ⊗ x.
-        let d = x.len();
-        for i in 0..d {
-            let xi = x[i];
-            if xi != 0.0 {
-                linalg::vector::axpy(xi, &x, &mut self.xtx.row_mut(i)[..]);
-            }
-        }
         // YtX: only the non-zero columns of y contribute to Σ y' ⊗ x.
         for (c, v) in row.iter() {
             let slot = self.slot_mut(c as u32);
@@ -190,9 +177,9 @@ impl YtxPartial {
     /// Folds a whole partition block through the batched kernels:
     /// `X_blk = Y_blk·CM − 1⊗Xm` into a buffer taken from
     /// `linalg::scratch` and recycled before this returns (no partial
-    /// carries its `X_blk` to the driver), `XtX += syrk_tn(X_blk)`,
-    /// `YtX += Y_blkᵀX_blk` into a packed slab over the block's touched
-    /// columns, and `Σx` via per-row adds.
+    /// carries its `X_blk` to the driver), `YtX += Y_blkᵀX_blk` into a
+    /// packed slab over the block's touched columns, and `Σx` via per-row
+    /// adds.
     ///
     /// A full block (every row stores every column, eight rows or more)
     /// takes the register-tile routes. Any other forms its latent rows one
@@ -233,11 +220,11 @@ impl YtxPartial {
     ///
     /// * [`Precision::F64`] is [`Self::add_block_with_pool`] — byte-for-byte
     ///   the reference result.
-    /// * [`Precision::F32`] runs the same block pipeline (`Y·CM`, Gram,
-    ///   `YᵀX`, `Σx`) over `f32`: `CM` and `Xm` are narrowed once
-    ///   per call and the per-block results widened into the `f64`
-    ///   accumulator fields. Cross-block and cross-partition merges stay in
-    ///   `f64`, so error does not compound across the reduction tree.
+    /// * [`Precision::F32`] runs the same block pipeline (`Y·CM`, `YᵀX`,
+    ///   `Σx`) over `f32`: `CM` and `Xm` are narrowed once per call and
+    ///   the per-block results widened into the `f64` accumulator fields.
+    ///   Cross-block and cross-partition merges stay in `f64`, so error
+    ///   does not compound across the reduction tree.
     /// * [`Precision::Bf16AccF64`] rounds the block's values, `CM` and
     ///   `Xm` to bfloat16 and then runs the `f64` pipeline —
     ///   representation error only, full-width accumulation.
@@ -288,8 +275,8 @@ impl YtxPartial {
             return;
         }
         let z = block.nnz();
-        // 2·z·d (Y·CM) + n·d (−Xm) + n·d·(d+1) (Gram) + 2·z·d (YᵀX) + n·d (Σx).
-        let flops = (4 * z * d + n * d * (d + 3)) as u64;
+        // 2·z·d (Y·CM) + n·d (−Xm) + 2·z·d (YᵀX) + n·d (Σx).
+        let flops = (4 * z * d + 2 * n * d) as u64;
         let _span = obs::span_lazy("em", || {
             format!("ytx add_block{} {n}x{}x{d}", E::SUFFIX.replace('_', " "), block.cols())
         })
@@ -303,13 +290,6 @@ impl YtxPartial {
         latent_rows(pool, block, (&cm, d), &xm, &mut x_blk, |x| {
             linalg::vector::axpy(E::narrow(1.0), x, &mut sum_blk)
         });
-
-        // XtX += X'X (upper-triangle kernel, mirrored once).
-        let mut xtx_blk = vec![E::ZERO; d * d];
-        kernels::syrk_tn_slices(pool, &x_blk, d, &mut xtx_blk);
-        for (dst, src) in self.xtx.data_mut().iter_mut().zip(xtx_blk) {
-            *dst += src.widen();
-        }
 
         // YtX into a fresh packed slab over the touched columns, then
         // merged: gathered through the cached copy a row at a time, or —
@@ -343,7 +323,6 @@ impl YtxPartial {
 
     /// Merges another partial (accumulator semantics: associative add).
     pub fn merge(&mut self, other: YtxPartial) {
-        self.xtx.add_assign(&other.xtx);
         self.merge_packed(other.cols, other.slab);
         linalg::vector::axpy(1.0, &other.sum_x, &mut self.sum_x);
         self.rows_seen += other.rows_seen;
@@ -353,8 +332,8 @@ impl YtxPartial {
     /// bit for bit, at about the cost of reading the partials once: the
     /// packed rows go through [`sparkle::tree_merge_rows`] on `pool`, which
     /// writes each merged row once (its `left + right` is [`Self::merge`]'s
-    /// `axpy(1.0, right, left)`: `1.0 · r` is `r` exactly), and `xtx`,
-    /// `sum_x` and `rows_seen` keep [`sparkle::tree_merge`]. The partials'
+    /// `axpy(1.0, right, left)`: `1.0 · r` is `r` exactly), and `sum_x`
+    /// and `rows_seen` keep [`sparkle::tree_merge`]. The partials'
     /// slabs are retired to `linalg::scratch`.
     pub fn tree_merged(pool: &WorkerPool, d: usize, mut parts: Vec<YtxPartial>) -> YtxPartial {
         if parts.len() <= 1 {
@@ -438,42 +417,50 @@ impl YtxPartial {
     }
 }
 
+/// The driver's `XtX = Σᵢ xᵢ'xᵢ` from the finalized `YtX`: `CM'·YtX`
+/// (`xᵢ = ycᵢ·CM`, so `CM'·Σᵢ ycᵢ'xᵢ` is the Gram), one d×D by D×d
+/// product, symmetrised as `(A + A')/2` so the right-division sees an
+/// exactly symmetric matrix.
+pub fn xtx_from_ytx(cm: &Mat, ytx: &Mat) -> Mat {
+    let a = cm.matmul_tn(ytx);
+    let mut xtx = a.transpose();
+    xtx.add_assign(&a);
+    xtx.scale(0.5);
+    xtx
+}
+
 impl ByteSized for YtxPartial {
     fn size_bytes(&self) -> u64 {
         let d = self.d() as u64;
-        let xtx = 8 * d * d;
         let rows: u64 = self.cols.len() as u64 * (4 + 8 * d);
-        xtx + rows + 8 * d + 8
+        rows + 8 * d + 8
     }
 }
 
+/// Wire layout: `Σx` first (its length prefix is `d`), the touched
+/// columns, the packed rows, the row count. `xtx` is not carried.
 impl Wire for YtxPartial {
     fn encode_into(&self, out: &mut Vec<u8>) {
-        self.xtx.encode_into(out);
+        self.sum_x.encode_into(out);
         wire::write_uvarint(out, self.cols.len() as u64);
         wire::write_ascending_u32(out, &self.cols);
         for v in &self.slab {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        self.sum_x.encode_into(out);
         wire::write_uvarint(out, self.rows_seen);
     }
 
     fn encoded_size(&self) -> u64 {
-        self.xtx.encoded_size()
+        self.sum_x.encoded_size()
             + wire::uvarint_len(self.cols.len() as u64)
             + wire::ascending_u32_len(&self.cols)
             + 8 * self.slab.len() as u64
-            + self.sum_x.encoded_size()
             + wire::uvarint_len(self.rows_seen)
     }
 
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let xtx = Mat::decode_from(r)?;
-        let d = xtx.rows();
-        if xtx.cols() != d {
-            return Err(WireError::Malformed("YtxPartial xtx is not square"));
-        }
+        let sum_x = Vec::<f64>::decode_from(r)?;
+        let d = sum_x.len();
         let n = r.ulen()?;
         let cols = wire::read_ascending_u32(r, n, u64::from(u32::MAX) + 1)?;
         let slab_len = n
@@ -483,52 +470,39 @@ impl Wire for YtxPartial {
         for _ in 0..slab_len {
             slab.push(r.f64_bits()?);
         }
-        let sum_x = Vec::<f64>::decode_from(r)?;
-        if sum_x.len() != d {
-            return Err(WireError::Malformed("YtxPartial sum_x length mismatch"));
-        }
         let rows_seen = r.uvarint()?;
-        Ok(YtxPartial { xtx, cols, slab, sum_x, rows_seen })
+        Ok(YtxPartial { xtx: Mat::zeros(d, d), cols, slab, sum_x, rows_seen })
     }
 
     // v3 fast path: the touched-column set is strictly ascending, so it
     // bitpacks; the slab and sum_x ride the mode-tagged f64 payloads.
     fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
-        self.xtx.encode_v3_into(out, quantize);
+        self.sum_x.encode_v3_into(out, quantize);
         wire::write_uvarint(out, self.cols.len() as u64);
         wire::write_bitpacked_u32(out, &self.cols);
         wire::write_f64_slice_v3(out, &self.slab, quantize);
-        self.sum_x.encode_v3_into(out, quantize);
         wire::write_uvarint(out, self.rows_seen);
     }
 
     fn encoded_size_v3(&self, quantize: bool) -> u64 {
-        self.xtx.encoded_size_v3(quantize)
+        self.sum_x.encoded_size_v3(quantize)
             + wire::uvarint_len(self.cols.len() as u64)
             + wire::bitpacked_u32_len(&self.cols)
             + wire::f64_slice_v3_len(&self.slab, quantize)
-            + self.sum_x.encoded_size_v3(quantize)
             + wire::uvarint_len(self.rows_seen)
     }
 
     fn decode_v3_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let xtx = Mat::decode_v3_from(r)?;
-        let d = xtx.rows();
-        if xtx.cols() != d {
-            return Err(WireError::Malformed("YtxPartial xtx is not square"));
-        }
+        let sum_x = Vec::<f64>::decode_v3_from(r)?;
+        let d = sum_x.len();
         let n = r.ulen()?;
         let cols = wire::read_bitpacked_u32(r, n, u64::from(u32::MAX) + 1)?;
         let slab_len = n
             .checked_mul(d)
             .ok_or(WireError::Malformed("YtxPartial slab overflows"))?;
         let slab = wire::read_f64_slice_v3(r, slab_len)?;
-        let sum_x = Vec::<f64>::decode_v3_from(r)?;
-        if sum_x.len() != d {
-            return Err(WireError::Malformed("YtxPartial sum_x length mismatch"));
-        }
         let rows_seen = r.uvarint()?;
-        Ok(YtxPartial { xtx, cols, slab, sum_x, rows_seen })
+        Ok(YtxPartial { xtx: Mat::zeros(d, d), cols, slab, sum_x, rows_seen })
     }
 }
 
@@ -546,23 +520,9 @@ pub fn ytx_counter_snapshot() -> (u64, u64) {
     }
 }
 
-/// One row's contribution to `Σᵢ xᵢ·(C'·yᵢ')`, the distributed part of
-/// `ss3` (Algorithm 4, line 13), using the sparse-first associativity
-/// order.
-pub fn ss3_row(row: SparseRow<'_>, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64 {
-    let x = latent_row(row, cm, xm);
-    // C'·y' over non-zeros of y: a d-vector in O(z·d).
-    let d = x.len();
-    let mut cy = vec![0.0; d];
-    for (c, v) in row.iter() {
-        linalg::vector::axpy(v, c_new.row(c), &mut cy);
-    }
-    linalg::vector::dot(&x, &cy)
-}
-
 /// A whole partition's contribution to `Σᵢ xᵢ·(C'·yᵢ')` through the
 /// batched kernels, on the process-global pool — bit-identical to summing
-/// [`ss3_row`] over the block's rows. Per row, `[x + Xm | C'y'] =
+/// `ss3_row` (the tests' row-at-a-time form) over the block's rows. Per row, `[x + Xm | C'y'] =
 /// y·[CM | C_new]` in one width-`2d` product against the two interleaved
 /// row by row, `−Xm`, then the dot product, summed in ascending row order.
 pub fn ss3_block<B: Block + ?Sized>(block: &B, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64 {
@@ -664,18 +624,15 @@ pub fn dense_oracle(y: &SparseMat, mean: &[f64], cm: &Mat) -> (Mat, Mat, Vec<f64
 pub mod rowwise {
     use std::collections::HashMap;
 
-    use linalg::bytes::ByteSized;
     use linalg::sparse::SparseRow;
     use linalg::Mat;
 
     use super::latent_row;
 
     /// Row-at-a-time accumulator: fresh latent vector per row, HashMap
-    /// probe per non-zero, unfused scalar axpys into `XtX`.
+    /// probe per non-zero. Like [`super::YtxPartial`], it folds no `XtX`.
     #[derive(Debug, Clone, PartialEq)]
     pub struct RowwisePartial {
-        /// `Σᵢ xᵢ ⊗ xᵢ` (d × d).
-        pub xtx: Mat,
         /// `Σᵢ yᵢ' ⊗ xᵢ`, stored sparsely: only columns some row touched.
         pub ytx_rows: HashMap<u32, Vec<f64>>,
         /// `Σᵢ xᵢ` — the hoisted mean-correction vector.
@@ -688,7 +645,6 @@ pub mod rowwise {
         /// Empty accumulator for `d` components.
         pub fn new(d: usize) -> Self {
             RowwisePartial {
-                xtx: Mat::zeros(d, d),
                 ytx_rows: HashMap::new(),
                 sum_x: vec![0.0; d],
                 rows_seen: 0,
@@ -699,12 +655,6 @@ pub mod rowwise {
         pub fn add_row(&mut self, row: SparseRow<'_>, cm: &Mat, xm: &[f64]) {
             let x = latent_row(row, cm, xm);
             let d = x.len();
-            for i in 0..d {
-                let xi = x[i];
-                if xi != 0.0 {
-                    linalg::vector::axpy(xi, &x, &mut self.xtx.row_mut(i)[..]);
-                }
-            }
             for (c, v) in row.iter() {
                 let slot = self.ytx_rows.entry(c as u32).or_insert_with(|| vec![0.0; d]);
                 linalg::vector::axpy(v, &x, slot);
@@ -715,7 +665,6 @@ pub mod rowwise {
 
         /// Merges another partial (accumulator semantics: associative add).
         pub fn merge(&mut self, other: RowwisePartial) {
-            self.xtx.add_assign(&other.xtx);
             for (c, row) in other.ytx_rows {
                 match self.ytx_rows.entry(c) {
                     std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -744,15 +693,6 @@ pub mod rowwise {
                 }
             }
             ytx
-        }
-    }
-
-    impl ByteSized for RowwisePartial {
-        fn size_bytes(&self) -> u64 {
-            let d = self.sum_x.len() as u64;
-            let xtx = 8 * d * d;
-            let rows: u64 = self.ytx_rows.len() as u64 * (4 + 8 * d);
-            xtx + rows + 8 * d + 8
         }
     }
 }
@@ -818,9 +758,9 @@ mod tests {
             p.add_row(y.row(r), &cm, &xm);
         }
         let (xtx_o, ytx_o, sum_o) = dense_oracle(&y, &mean, &cm);
-        assert!(p.xtx.approx_eq(&xtx_o, 1e-10), "XtX mismatch");
         let ytx = p.finalize_ytx(&mean);
         assert!(ytx.approx_eq(&ytx_o, 1e-10), "YtX mismatch");
+        assert!(xtx_from_ytx(&cm, &ytx).approx_eq(&xtx_o, 1e-10), "XtX mismatch");
         for (a, b) in p.sum_x.iter().zip(&sum_o) {
             assert!((a - b).abs() < 1e-10);
         }
@@ -849,7 +789,6 @@ mod tests {
             packed.add_row(y.row(r), &cm, &xm);
             hash.add_row(y.row(r), &cm, &xm);
         }
-        assert_eq!(packed.xtx.max_abs_diff(&hash.xtx), 0.0);
         assert_eq!(packed.sum_x, hash.sum_x);
         assert_eq!(
             packed.finalize_ytx(&mean).max_abs_diff(&hash.finalize_ytx(&mean)),
@@ -873,7 +812,6 @@ mod tests {
             b.add_row(y.row(r), &cm, &xm);
         }
         a.merge(b);
-        assert!(a.xtx.approx_eq(&whole.xtx, 1e-12));
         assert!(a.finalize_ytx(&mean).approx_eq(&whole.finalize_ytx(&mean), 1e-12));
         assert_eq!(a.rows_seen, whole.rows_seen);
     }
@@ -885,10 +823,6 @@ mod tests {
         let (y, _, cm, xm) = fixture();
         let mut p = YtxPartial::new(3);
         p.add_row(y.row(0), &cm, &xm); // touches columns 0 and 3
-        assert_eq!(p.touched_cols(), 2);
-        assert!(p.ytx_row(0).is_some());
-        assert!(p.ytx_row(3).is_some());
-        assert!(p.ytx_row(1).is_none());
         assert_eq!(p.ytx_iter().map(|(c, _)| c).collect::<Vec<_>>(), vec![0, 3]);
     }
 
@@ -902,6 +836,20 @@ mod tests {
             (1, &[3.0, 4.0][..]),
             (5, &[9.0, 9.0][..]),
         ]);
+    }
+
+    /// One row's contribution to `Σᵢ xᵢ·(C'·yᵢ')`, the distributed part of
+    /// `ss3` (Algorithm 4, line 13), using the sparse-first associativity
+    /// order.
+    fn ss3_row(row: SparseRow<'_>, cm: &Mat, xm: &[f64], c_new: &Mat) -> f64 {
+        let x = latent_row(row, cm, xm);
+        // C'·y' over non-zeros of y: a d-vector in O(z·d).
+        let d = x.len();
+        let mut cy = vec![0.0; d];
+        for (c, v) in row.iter() {
+            linalg::vector::axpy(v, c_new.row(c), &mut cy);
+        }
+        linalg::vector::dot(&x, &cy)
     }
 
     /// Driver-side completion of the pass form of ss3:
@@ -976,7 +924,7 @@ mod tests {
                         p
                     })
                     .collect();
-                let untouched = partials.iter().any(|p| p.touched_cols() < y.cols());
+                let untouched = partials.iter().any(|p| p.ytx_iter().count() < y.cols());
                 assert!(untouched || y.nnz() == y.rows() * y.cols());
                 let merged = YtxPartial::tree_merged(&pool, d, partials);
                 let ytx = merged.finalize_ytx(&mean);
@@ -990,10 +938,63 @@ mod tests {
         }
     }
 
+    /// The driver's `XtX`, `CM'·finalize_ytx` symmetrised, against the
+    /// Gram of the explicitly centred latent rows, on sparse and full
+    /// blocks, with 1, 2 and 8 partitions merged the way the Spark driver
+    /// merges them.
+    #[test]
+    fn xtx_from_ytx_is_the_pass_form() {
+        let mut rng = Prng::seed_from_u64(12);
+        let pool = WorkerPool::new(2);
+        for y in [fixture().0, full_row_fixture().0] {
+            let (mean, d) = (y.col_means(), 4);
+            let cm = rng.normal_mat(y.cols(), d);
+            let xm = cm.vecmat(&mean);
+            let (want, ..) = dense_oracle(&y, &mean, &cm);
+            let scale = want.data().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for parts in [1, 2, 8] {
+                let partials: Vec<YtxPartial> = y
+                    .split_rows(parts)
+                    .into_iter()
+                    .map(|block| {
+                        let mut p = YtxPartial::new(d);
+                        p.add_block(&PartitionBlock::new(block), &cm, &xm);
+                        p
+                    })
+                    .collect();
+                let merged = YtxPartial::tree_merged(&pool, d, partials);
+                let xtx = xtx_from_ytx(&cm, &merged.finalize_ytx(&mean));
+                assert_eq!(xtx.max_abs_diff(&xtx.transpose()), 0.0, "not symmetric");
+                let rel = xtx.max_abs_diff(&want) / scale;
+                assert!(rel <= 1e-12, "{:?}: {rel:e}", (y.rows(), y.cols(), parts));
+            }
+        }
+    }
+
+    /// A partial crosses the wire as `Σx`, the packed rows and the row
+    /// count under every codec, and decodes with a d × d zero `xtx`.
+    #[test]
+    fn partial_round_trips_without_xtx() {
+        let (y, _, _, _) = fixture();
+        let d = 50;
+        let mut rng = Prng::seed_from_u64(13);
+        let (cm, xm) = (rng.normal_mat(y.cols(), d), rng.normal_vec(d));
+        let mut p = YtxPartial::new(d);
+        p.add_block(&y, &cm, &xm);
+        assert_eq!(p.xtx, Mat::zeros(d, d), "tasks leave xtx zero");
+        let bytes = p.encode();
+        assert_eq!(bytes.len() as u64, p.encoded_size());
+        assert_eq!(&bytes[..p.sum_x.encoded_size() as usize], &p.sum_x.encode()[..]);
+        assert_eq!(YtxPartial::decode(&bytes).unwrap(), p);
+        assert_eq!(YtxPartial::decode_v3(&p.encode_v3(false)).unwrap(), p);
+        // The d × d Gram this layout no longer ships: 20 002 bytes at d = 50.
+        assert_eq!(Mat::zeros(d, d).encoded_size(), 20_002);
+    }
+
     /// The block pipeline `add_block` ran before blocks were cached, kept
     /// as the oracle of the fused route: `X = Y·CM` as one blocked product,
-    /// then `−Xm` and `Σx` in passes of their own, the Gram, and the
-    /// scatter through a column table built for the call.
+    /// then `−Xm` and `Σx` in passes of their own, and the scatter through
+    /// a column table built for the call.
     fn add_block_two_pass<E: Elem>(pool: &WorkerPool, block: &SparseMat, cm: &Mat, xm: &[f64]) -> YtxPartial {
         let (n, d) = (block.rows(), cm.cols());
         let mut p = YtxPartial::new(d);
@@ -1006,8 +1007,6 @@ mod tests {
         for r in 0..n {
             linalg::vector::axpy(E::narrow(-1.0), &xm, &mut x[r * d..(r + 1) * d]);
         }
-        let mut xtx = vec![E::ZERO; d * d];
-        kernels::syrk_tn_slices(pool, &x, d, &mut xtx);
         let mut map = vec![u32::MAX; block.cols()];
         for &c in block.col_indices() {
             map[c as usize] = 0;
@@ -1023,9 +1022,6 @@ mod tests {
         for r in 0..n {
             linalg::vector::axpy(E::narrow(1.0), &x[r * d..(r + 1) * d], &mut sum);
         }
-        for (dst, src) in p.xtx.data_mut().iter_mut().zip(xtx) {
-            *dst += src.widen();
-        }
         p.merge_packed(cols, E::widened(slab));
         for (dst, src) in p.sum_x.iter_mut().zip(sum) {
             *dst += src.widen();
@@ -1037,7 +1033,7 @@ mod tests {
     /// Every bit of a partial (`PartialEq` on `f64` equates `±0.0`).
     fn partial_bits(p: &YtxPartial) -> Vec<u64> {
         let rows = p.ytx_iter().flat_map(|(c, row)| std::iter::once(c as f64).chain(row.to_vec()));
-        let values = p.xtx.data().iter().copied().chain(rows).chain(p.sum_x.iter().copied());
+        let values = rows.chain(p.sum_x.iter().copied());
         values.map(f64::to_bits).chain([p.rows_seen]).collect()
     }
 

@@ -4,16 +4,17 @@
 //!
 //! * `meanJob`, `FnormJob` — one-time lightweight jobs before the loop.
 //! * `YtXJob` — the consolidated pass. Its mapper is a *stateful
-//!   combiner*: per-partition `XtX-p`/`YtX-p` partials and the hoisted
-//!   `Σx` are accumulated in mapper memory and emitted once at cleanup,
-//!   so mapper output stays O(d² + z·d) per mapper instead of O(rows·d).
-//!   A *composite key* routes all `XtX-p` partials to one reducer (they
-//!   are d×d and tiny) while `YtX` rows spread across reducers by row
-//!   index — exactly the paper's key design.
+//!   combiner*: per-partition `YtX-p` partials and the hoisted `Σx` are
+//!   accumulated in mapper memory and emitted once at cleanup, so mapper
+//!   output stays O(z·d) per mapper instead of O(rows·d). A *composite
+//!   key* routes the small `Σx` and count partials to one reducer each
+//!   while `YtX` rows spread across reducers by row index — the paper's
+//!   key design, less its `XtX-p` key.
 //!
-//! The paper's fourth job, `ss3Job` (one scalar per mapper, §4.1), is
-//! driver algebra over the reduced `YtX` here (see [`crate::em`]): an EM
-//! iteration runs one job, and nothing re-ships `CM`/`Xm` or the new `C`.
+//! The paper's `XtX-p` partials and its fourth job, `ss3Job` (one scalar
+//! per mapper, §4.1), are driver algebra over the reduced `YtX` here (see
+//! [`crate::em`]): an EM iteration runs one job, its mappers emit no d×d
+//! Gram, and nothing re-ships `CM`/`Xm` or the new `C`.
 //!
 //! `fit_with_input` is the engine's one scaffold for both algorithm
 //! families: it splits and seeds the input once — each split a
@@ -45,8 +46,6 @@ use crate::Result;
 /// Composite shuffle key of the `YtXJob`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MrKey {
-    /// All `XtX-p` partials — routed to a single reducer.
-    XtX,
     /// All hoisted `Σx` partials — single reducer.
     SumX,
     /// Row-count partials (sanity bookkeeping).
@@ -65,10 +64,11 @@ impl ByteSized for MrKey {
 }
 
 /// Wire layout: one tag byte, plus a varint row index for [`MrKey::Row`].
+/// Tag 0 was the paper's `XtX-p` key; it is retired, and decodes as
+/// malformed.
 impl Wire for MrKey {
     fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            MrKey::XtX => out.push(0),
             MrKey::SumX => out.push(1),
             MrKey::Count => out.push(2),
             MrKey::Row(c) => {
@@ -85,7 +85,6 @@ impl Wire for MrKey {
     }
     fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
         match r.u8()? {
-            0 => Ok(MrKey::XtX),
             1 => Ok(MrKey::SumX),
             2 => Ok(MrKey::Count),
             3 => Ok(MrKey::Row(u32::decode_from(r)?)),
@@ -225,7 +224,6 @@ impl MapReduceJob for YtXJob<'_> {
         let mut partial = YtxPartial::new(self.d);
         partial.add_block_prec(block, self.cm, self.xm, self.precision);
         let (cols, slab) = partial.take_packed_ytx();
-        emitter.emit(MrKey::XtX, RowView::whole(partial.xtx.into_vec()));
         emitter.emit(MrKey::SumX, RowView::whole(partial.sum_x));
         emitter.emit(MrKey::Count, RowView::whole(vec![partial.rows_seen as f64]));
         let slab = Arc::new(Slab(slab));
@@ -292,7 +290,6 @@ impl EmJobs for MrJobs<'_> {
         let mut partial = YtxPartial::new(self.d);
         for (key, value) in out {
             match key {
-                MrKey::XtX => partial.xtx = Mat::from_vec(self.d, self.d, value),
                 MrKey::SumX => partial.sum_x = value,
                 MrKey::Count => partial.rows_seen = value[0] as u64,
                 // Reduced keys arrive in ascending MrKey order, so the
@@ -380,12 +377,24 @@ mod tests {
 
     #[test]
     fn mr_key_ordering_groups_small_keys_first() {
-        let mut keys = vec![MrKey::Row(7), MrKey::SumX, MrKey::Row(0), MrKey::XtX, MrKey::Count];
+        let mut keys = vec![MrKey::Row(7), MrKey::SumX, MrKey::Row(0), MrKey::Count];
         keys.sort();
-        assert_eq!(
-            keys,
-            vec![MrKey::XtX, MrKey::SumX, MrKey::Count, MrKey::Row(0), MrKey::Row(7)]
-        );
+        assert_eq!(keys, vec![MrKey::SumX, MrKey::Count, MrKey::Row(0), MrKey::Row(7)]);
+        // The surviving tags keep their bytes; the retired `XtX` tag 0 and
+        // unknown tags are malformed.
+        for (key, bytes) in [
+            (MrKey::SumX, vec![1]),
+            (MrKey::Count, vec![2]),
+            (MrKey::Row(0), vec![3, 0]),
+            (MrKey::Row(300), vec![3, 0xac, 0x02]),
+        ] {
+            assert_eq!(key.encode(), bytes, "{key:?}");
+            assert_eq!(key.encoded_size(), bytes.len() as u64);
+            assert_eq!(MrKey::decode(&bytes).unwrap(), key);
+        }
+        for tag in [0u8, 4] {
+            assert!(matches!(MrKey::decode(&[tag]), Err(WireError::Malformed(_))), "tag {tag}");
+        }
     }
 
     #[test]

@@ -9,17 +9,17 @@
 //! else: `YtXSparkJob`, one streaming `aggregate_each` whose per-task
 //! accumulator is a [`YtxPartial`]. Each task hands its cached block to the
 //! batched `add_block` kernels (latent rows recomputed on the fly from the
-//! broadcast `CM`/`Xm`, blocked `XtX`, `YtX` gathered through the
-//! column-major copy), and only the partials cross the network (the paper's
-//! `XtXSum`/`YtXSum` accumulators, "eliminating the need for reduce
-//! operations"). The `YtX` partial stores touched rows only — the O(z·d)
-//! sparsity trick of Section 4.2. The driver folds the partials as they
-//! arrive, in partition order: a [`TreeFold`] merges each complete aligned
-//! block of them in one column pass ([`YtxPartial::tree_merged`]), with
-//! `tree_merge`'s bits, so a pass holds a few partials instead of all of
-//! them. The paper's second stage, `ss3SparkJob`, is driver algebra over
-//! the merged `YtX` here (see [`crate::em`]), so `C_new` is never
-//! broadcast.
+//! broadcast `CM`/`Xm`, `YtX` gathered through the column-major copy), and
+//! only the partials cross the network (the paper's `YtXSum` accumulator,
+//! "eliminating the need for reduce operations"; its `XtXSum` is driver
+//! algebra over the merged `YtX`, see [`crate::em`]). The `YtX` partial
+//! stores touched rows only — the O(z·d) sparsity trick of Section 4.2.
+//! The driver folds the partials as they arrive, in partition order: a
+//! [`TreeFold`] merges each complete aligned block of them in one column
+//! pass ([`YtxPartial::tree_merged`]), with `tree_merge`'s bits, so a pass
+//! holds a few partials instead of all of them. The paper's second stage,
+//! `ss3SparkJob`, is driver algebra over the merged `YtX` here (see
+//! [`crate::em`]), so `C_new` is never broadcast.
 //!
 //! The randomized arm ([`crate::rpca`]) runs over the same persisted RDD:
 //! `SparkJobs` implements both arms' job traits, and `fit_with_input` is

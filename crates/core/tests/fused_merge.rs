@@ -48,9 +48,6 @@ fn partials(n: usize, d: usize, support: Support, seed: u64) -> Vec<YtxPartial> 
     (0..n)
         .map(|i| {
             let mut p = YtxPartial::new(d);
-            // `xtx` rides `tree_merge` on both sides; one row of it shows
-            // that it still does.
-            p.xtx.row_mut(0).copy_from_slice(&row(&mut rng, d));
             p.sum_x = row(&mut rng, d);
             p.rows_seen = rng.index(1_000) as u64;
             let cols: Vec<u32> = match support {
@@ -72,14 +69,13 @@ fn partials(n: usize, d: usize, support: Support, seed: u64) -> Vec<YtxPartial> 
         .collect()
 }
 
-/// `xtx`, the packed rows, `sum_x` and `rows_seen` as bits.
-type Bits = (Vec<u64>, Vec<(u32, Vec<u64>)>, Vec<u64>, u64);
+/// The packed rows, `sum_x` and `rows_seen` as bits.
+type Bits = (Vec<(u32, Vec<u64>)>, Vec<u64>, u64);
 
 /// Every bit of a partial: `PartialEq` on `f64` would let `-0.0 == 0.0`.
 fn bits(p: &YtxPartial) -> Bits {
     let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     (
-        to_bits(p.xtx.data()),
         p.ytx_iter().map(|(c, r)| (c, to_bits(r))).collect(),
         to_bits(&p.sum_x),
         p.rows_seen,

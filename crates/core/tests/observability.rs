@@ -209,8 +209,8 @@ fn host_span_context(events: &[obs::Event]) -> Vec<(String, Option<String>, Opti
 /// own, so the host tree accounts for a whole pass: the sampled error under
 /// every pass of both arms on both engines, the accumulator merge right
 /// after every Spark `YtXJob` stage, the shuffle sort between the map and
-/// reduce stages of every MapReduce job, and the two big pieces of the EM
-/// assemble step inside it.
+/// reduce stages of every MapReduce job, and the three big pieces of the
+/// EM assemble step inside it.
 #[test]
 fn driver_side_work_of_every_pass_is_spanned() {
     let _guard = collector_guard();
@@ -275,6 +275,16 @@ fn driver_side_work_of_every_pass_is_spanned() {
 
     assert_eq!(children("em driver assemble", "finalize_ytx"), 6);
     assert_eq!(children("em driver assemble", "solve_spd_right"), 6);
+    // XtX is CM'·YtX on the driver: no task folds a Gram.
+    assert_eq!(children("em driver assemble", "xtx from ytx"), 6);
+    let grams_in_tasks = spans.iter().filter(|(n, p, _)| {
+        n.starts_with("syrk_tn") && p.as_deref().is_some_and(|p| p.starts_with("ytx add_block"))
+    });
+    assert_eq!(grams_in_tasks.count(), 0, "a YtXJob task folded XtX");
+    // M⁻¹ and CM are formed once per iteration, at its end, for the
+    // sampled error and the next iteration.
+    let projections = spans.iter().filter(|(n, _, _)| n == "em driver projection").count();
+    assert_eq!(projections, 6);
 }
 
 /// The `route` argument of every `sparse_mul_dense` and `spmm_tn` kernel

@@ -1,7 +1,7 @@
 //! Cache-blocked, multi-threaded matrix kernels.
 //!
 //! sPCA's runtime is dominated by a handful of products — the distributed
-//! `YtX`/`XtX` pass (`matmul_tn`), the sparse `Y·CM` recompute
+//! `YtX` pass (`matmul_tn`), the sparse `Y·CM` recompute
 //! (`SparseMat::mul_dense`), and the small driver-side GEMMs — so this
 //! module gives them proper kernels instead of the seed's row-axpy triple
 //! loops. [`Mat`](crate::Mat) and [`SparseMat`](crate::SparseMat) route
@@ -1051,7 +1051,7 @@ fn row_mul<E: Elem>(y: &SparseMat, b: &[E], n: usize, r: usize, end: usize, o: &
 }
 
 // ---------------------------------------------------------------------------
-// syrk_tn: C = Xᵀ·X — the XtX Gram accumulation of the batched EM path
+// syrk_tn: C = Xᵀ·X — a Gram kernel (EM derives its XtX from YtX instead)
 // ---------------------------------------------------------------------------
 
 /// `XᵀX` on the process-global pool. Only the upper triangle is

@@ -64,11 +64,11 @@ fn mean_propagation_equals_explicit_centering() {
             partial.add_row(y.row(r), &cm, &xm);
         }
         let (xtx_oracle, ytx_oracle, sum_oracle) = mean_prop::dense_oracle(&y, &mean, &cm);
-        assert!(partial.xtx.max_abs_diff(&xtx_oracle) < 1e-8, "case {case}");
-        assert!(
-            partial.finalize_ytx(&mean).max_abs_diff(&ytx_oracle) < 1e-8,
-            "case {case}"
-        );
+        let ytx = partial.finalize_ytx(&mean);
+        assert!(ytx.max_abs_diff(&ytx_oracle) < 1e-8, "case {case}");
+        // The driver's XtX, CM'·YtX, against the centred Gram.
+        let xtx = mean_prop::xtx_from_ytx(&cm, &ytx);
+        assert!(xtx.max_abs_diff(&xtx_oracle) < 1e-8, "case {case}");
         for (a, b) in partial.sum_x.iter().zip(&sum_oracle) {
             assert!((a - b).abs() < 1e-8, "case {case}");
         }
@@ -99,7 +99,11 @@ fn ytx_partial_merge_is_associative_enough() {
             right.add_row(y.row(r), &cm, &xm);
         }
         left.merge(right);
-        assert!(left.xtx.max_abs_diff(&whole.xtx) < 1e-9, "case {case}");
+        let ytx = left.finalize_ytx(&mean);
+        assert!(ytx.max_abs_diff(&whole.finalize_ytx(&mean)) < 1e-9, "case {case}");
+        for (a, b) in left.sum_x.iter().zip(&whole.sum_x) {
+            assert!((a - b).abs() < 1e-9, "case {case}");
+        }
         assert_eq!(left.rows_seen, whole.rows_seen, "case {case}");
     }
 }
