@@ -14,8 +14,10 @@ const FACTORS: usize = 6;
 /// Peaks per 1,000 frequencies.
 const PEAK_DENSITY: f64 = 8.0;
 
-/// Generates an `n_patients × n_freqs` spectra matrix (dense values).
-pub fn generate(n_patients: usize, n_freqs: usize, rng: &mut Prng) -> Mat {
+/// Draws the spectra's shared shape, then returns the row generator: it
+/// adds one patient's spectrum to a zeroed row, drawing the patient's
+/// factors and then the measurement noise.
+fn spectra(n_freqs: usize, rng: &mut Prng) -> impl Fn(&mut Prng, &mut [f64]) {
     assert!(n_freqs >= 16, "need a plausible frequency axis");
     let n_peaks = ((n_freqs as f64 / 1000.0) * PEAK_DENSITY).ceil().max(4.0) as usize;
 
@@ -28,10 +30,8 @@ pub fn generate(n_patients: usize, n_freqs: usize, rng: &mut Prng) -> Mat {
     let loadings: Vec<Vec<f64>> =
         (0..n_peaks).map(|_| (0..FACTORS).map(|_| rng.normal() * 0.6).collect()).collect();
 
-    let mut m = Mat::zeros(n_patients, n_freqs);
-    for p in 0..n_patients {
+    move |rng, row| {
         let factors: Vec<f64> = (0..FACTORS).map(|_| rng.normal()).collect();
-        let row = m.row_mut(p);
         for (k, &c) in centers.iter().enumerate() {
             let mut height = base_heights[k];
             for (f, &load) in factors.iter().zip(&loadings[k]) {
@@ -51,6 +51,15 @@ pub fn generate(n_patients: usize, n_freqs: usize, rng: &mut Prng) -> Mat {
             *slot += 0.02 * rng.normal().abs();
         }
     }
+}
+
+/// Generates an `n_patients × n_freqs` spectra matrix (dense values).
+pub fn generate(n_patients: usize, n_freqs: usize, rng: &mut Prng) -> Mat {
+    let fill = spectra(n_freqs, rng);
+    let mut m = Mat::zeros(n_patients, n_freqs);
+    for p in 0..n_patients {
+        fill(rng, m.row_mut(p));
+    }
     m
 }
 
@@ -58,8 +67,13 @@ pub fn generate(n_patients: usize, n_freqs: usize, rng: &mut Prng) -> Mat {
 /// that take sparse input. The paper's algorithms all accept this; the
 /// density simply means the sparse optimizations buy nothing — as the
 /// paper notes for its dense Images dataset.
+///
+/// Each row is written straight into the CSR arrays as it is generated,
+/// so the dense matrix never exists; the draws are [`generate`]'s, in its
+/// order, and the result is bit for bit `SparseMat::from_dense(&generate(..))`.
 pub fn generate_sparse(n_patients: usize, n_freqs: usize, rng: &mut Prng) -> SparseMat {
-    SparseMat::from_dense(&generate(n_patients, n_freqs, rng))
+    let fill = spectra(n_freqs, rng);
+    SparseMat::from_dense_rows(n_patients, n_freqs, |_, row| fill(rng, row))
 }
 
 #[cfg(test)]
@@ -106,5 +120,21 @@ mod tests {
         let a = generate(5, 100, &mut Prng::seed_from_u64(33));
         let b = generate(5, 100, &mut Prng::seed_from_u64(33));
         assert!(a.approx_eq(&b, 0.0));
+    }
+
+    #[test]
+    fn streamed_sparse_is_from_dense_of_generate() {
+        use linalg::Wire;
+        let shapes = [(0, 16, 1), (1, 16, 2), (7, 16, 3), (40, 250, 4), (300, 1_000, 5)];
+        for (rows, cols, seed) in shapes {
+            let (mut a, mut b) = (Prng::seed_from_u64(seed), Prng::seed_from_u64(seed));
+            let streamed = generate_sparse(rows, cols, &mut a);
+            let dense = SparseMat::from_dense(&generate(rows, cols, &mut b));
+            assert_eq!(streamed, dense, "{rows} × {cols}, seed {seed}");
+            assert_eq!(streamed.encode(), dense.encode(), "bit for bit");
+            // Both leave the generator in the same state.
+            assert_eq!(a.normal().to_bits(), b.normal().to_bits());
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
     }
 }

@@ -16,9 +16,11 @@ const CLUSTERS: usize = 12;
 /// Dominant within-cluster variance directions.
 const CLUSTER_RANK: usize = 4;
 
-/// Generates `n` SIFT-like descriptors of dimensionality `dim`
-/// (use [`SIFT_DIM`] for the paper's shape).
-pub fn generate(n: usize, dim: usize, rng: &mut Prng) -> Mat {
+/// Draws the cluster centers and their dominant variance directions, then
+/// returns the row generator: it writes one descriptor into a row,
+/// drawing its cluster, its offsets along the cluster's directions and
+/// then its noise.
+fn descriptors(dim: usize, rng: &mut Prng) -> impl Fn(&mut Prng, &mut [f64]) {
     assert!(dim >= CLUSTER_RANK, "dimensionality too small");
     // Cluster centers and their dominant variance directions.
     let centers: Vec<Vec<f64>> =
@@ -35,10 +37,8 @@ pub fn generate(n: usize, dim: usize, rng: &mut Prng) -> Mat {
         })
         .collect();
 
-    let mut m = Mat::zeros(n, dim);
-    for i in 0..n {
+    move |rng, row| {
         let c = rng.index(CLUSTERS);
-        let row = m.row_mut(i);
         row.copy_from_slice(&centers[c]);
         for dir in &directions[c] {
             let scale = 12.0 * rng.normal();
@@ -48,12 +48,25 @@ pub fn generate(n: usize, dim: usize, rng: &mut Prng) -> Mat {
             *v = (*v + 2.0 * rng.normal()).clamp(0.0, 255.0);
         }
     }
+}
+
+/// Generates `n` SIFT-like descriptors of dimensionality `dim`
+/// (use [`SIFT_DIM`] for the paper's shape).
+pub fn generate(n: usize, dim: usize, rng: &mut Prng) -> Mat {
+    let fill = descriptors(dim, rng);
+    let mut m = Mat::zeros(n, dim);
+    for i in 0..n {
+        fill(rng, m.row_mut(i));
+    }
     m
 }
 
-/// Dense descriptors stored as a [`SparseMat`] for sparse-input APIs.
+/// Dense descriptors stored as a [`SparseMat`] for sparse-input APIs,
+/// streamed row by row into CSR: bit for bit
+/// `SparseMat::from_dense(&generate(..))`, with the same draws.
 pub fn generate_sparse(n: usize, dim: usize, rng: &mut Prng) -> SparseMat {
-    SparseMat::from_dense(&generate(n, dim, rng))
+    let fill = descriptors(dim, rng);
+    SparseMat::from_dense_rows(n, dim, |_, row| fill(rng, row))
 }
 
 #[cfg(test)]
@@ -90,5 +103,21 @@ mod tests {
         let a = generate(10, 32, &mut Prng::seed_from_u64(42));
         let b = generate(10, 32, &mut Prng::seed_from_u64(42));
         assert!(a.approx_eq(&b, 0.0));
+    }
+
+    #[test]
+    fn streamed_sparse_is_from_dense_of_generate() {
+        use linalg::Wire;
+        let shapes = [(0, 4, 1), (1, 4, 2), (50, 16, 3), (300, SIFT_DIM, 4), (300, 1_000, 5)];
+        for (n, dim, seed) in shapes {
+            let (mut a, mut b) = (Prng::seed_from_u64(seed), Prng::seed_from_u64(seed));
+            let streamed = generate_sparse(n, dim, &mut a);
+            let dense = SparseMat::from_dense(&generate(n, dim, &mut b));
+            assert_eq!(streamed, dense, "{n} × {dim}, seed {seed}");
+            assert_eq!(streamed.encode(), dense.encode(), "bit for bit");
+            // Both leave the generator in the same state.
+            assert_eq!(a.normal().to_bits(), b.normal().to_bits());
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
     }
 }

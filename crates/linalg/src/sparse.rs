@@ -8,6 +8,9 @@
 //! the callers (see `spca-core::mean_prop`).
 
 use std::borrow::Cow;
+use std::fmt;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 use crate::bytes::ByteSized;
 use crate::dense::Mat;
@@ -15,6 +18,11 @@ use crate::vector;
 use crate::wire::{self, Wire, WireError, WireReader};
 
 /// Compressed-sparse-row matrix of `f64`.
+///
+/// The index and value arrays are immutable and shared: a row block
+/// ([`SparseMat::row_block`], [`SparseMat::split_rows`]) or a clone is a
+/// window of its parent's arrays with its own row pointers, so cutting
+/// the input into partitions costs O(rows), not a second copy of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseMat {
     rows: usize,
@@ -22,13 +30,69 @@ pub struct SparseMat {
     /// Row pointers: row `r` occupies `indptr[r]..indptr[r+1]` of the arrays.
     indptr: Vec<usize>,
     /// Column indices, strictly increasing within a row.
-    indices: Vec<u32>,
+    indices: Shared<u32>,
     /// Non-zero values, parallel to `indices`.
-    values: Vec<f64>,
+    values: Shared<f64>,
     /// Every row stores every column, `0..cols` in order: the arrays are a
     /// row-major dense matrix. A function of the structure alone, verified
-    /// once when the arrays are assembled ([`SparseMat::from_raw_parts`]).
+    /// once when the arrays are assembled ([`SparseMat::from_raw_parts`])
+    /// and inherited by every row window of a full matrix.
     full: bool,
+}
+
+/// An immutable window of a buffer shared by every matrix cut from the one
+/// that built it. The `Arc` keeps the buffer alive; the window's pointer
+/// is cached, so reading a row is one load away from the data, as it is
+/// for a `Vec` (re-slicing the `Arc`'d `Vec` by a range on every access
+/// adds a second).
+#[derive(Clone)]
+struct Shared<T> {
+    buf: Arc<Vec<T>>,
+    ptr: *const T,
+    len: usize,
+}
+
+// SAFETY: a `Shared` only reads through `ptr`, which points into the heap
+// buffer of a `Vec` that the `Arc` keeps alive and nothing mutates, moves
+// or frees while any window of it exists: sharing it is sharing `&[T]`.
+unsafe impl<T: Send + Sync> Send for Shared<T> {}
+unsafe impl<T: Send + Sync> Sync for Shared<T> {}
+
+impl<T> Shared<T> {
+    /// Takes `v` over without copying it: moving a `Vec` into an `Arc`
+    /// moves its header, not its buffer (`Arc<[T]>::from` would copy).
+    fn new(v: Vec<T>) -> Self {
+        let (ptr, len) = (v.as_ptr(), v.len());
+        Shared { buf: Arc::new(v), ptr, len }
+    }
+
+    /// The sub-window `range` of this one, sharing its buffer.
+    fn window(&self, range: Range<usize>) -> Self {
+        let s = &self[range];
+        Shared { buf: Arc::clone(&self.buf), ptr: s.as_ptr(), len: s.len() }
+    }
+}
+
+impl<T> Deref for Shared<T> {
+    type Target = [T];
+    #[inline]
+    fn deref(&self) -> &[T] {
+        // SAFETY: `ptr..ptr + len` was cut from `buf`'s live, immutable
+        // buffer (`new`, `window`), which `buf` keeps allocated.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+}
+
+impl<T: PartialEq> PartialEq for Shared<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Shared<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 /// Borrowed view of one sparse row.
@@ -81,41 +145,63 @@ impl SparseMat {
         SparseMat::from_rows(rows, cols, per_row)
     }
 
-    /// Converts a dense matrix, keeping entries with `|v| > 0`.
+    /// Converts a dense matrix, keeping entries with `v != 0.0` (so `-0.0`
+    /// is dropped and NaN kept), written straight into the CSR arrays.
     pub fn from_dense(m: &Mat) -> Self {
-        let per_row = (0..m.rows())
-            .map(|r| {
-                m.row(r)
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v != 0.0)
-                    .map(|(c, &v)| (c as u32, v))
-                    .collect()
-            })
-            .collect();
-        SparseMat::from_rows(m.rows(), m.cols(), per_row)
+        let nnz = m.data().iter().filter(|&&v| v != 0.0).count();
+        Self::stream_rows(m.rows(), m.cols(), nnz, |r, row| row.copy_from_slice(m.row(r)))
     }
 
-    /// Crate-internal: assembles from CSR parts — the one place a
-    /// `SparseMat` is put together, and so the one place its fullness is
-    /// decided.
+    /// Streams `rows` dense rows into CSR: `fill(r, row)` writes row `r`
+    /// into a zeroed `cols`-wide buffer, and its entries are kept as
+    /// [`Self::from_dense`] keeps them — bit for bit `from_dense` of the
+    /// matrix the rows make, without that matrix. The arrays are reserved
+    /// at `rows × cols` entries: for the dense generators this is built
+    /// for, the one buffer they fill.
+    pub fn from_dense_rows(
+        rows: usize,
+        cols: usize,
+        fill: impl FnMut(usize, &mut [f64]),
+    ) -> Self {
+        let nnz = rows.checked_mul(cols).expect("from_dense_rows: rows × cols overflows");
+        Self::stream_rows(rows, cols, nnz, fill)
+    }
+
+    /// [`Self::from_dense_rows`] into arrays reserved at `nnz` entries.
+    fn stream_rows(
+        rows: usize,
+        cols: usize,
+        nnz: usize,
+        mut fill: impl FnMut(usize, &mut [f64]),
+    ) -> Self {
+        let (mut indptr, mut indices, mut values) =
+            (Vec::with_capacity(rows + 1), Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        indptr.push(0);
+        let mut row = vec![0.0; cols];
+        for r in 0..rows {
+            row.fill(0.0);
+            fill(r, &mut row);
+            for (c, &v) in row.iter().enumerate().filter(|(_, &v)| v != 0.0) {
+                indices.push(c as u32);
+                values.push(v);
+            }
+            indptr.push(indices.len());
+        }
+        SparseMat::from_raw_parts(rows, cols, indptr, indices, values)
+    }
+
+    /// Crate-internal: assembles from CSR parts — the one place arrays
+    /// become a `SparseMat` ([`Self::row_block`] only windows them), and
+    /// so the one place fullness is decided from scratch.
     ///
     /// Also what `wire` decode calls, which must reproduce the encoded
     /// matrix *bitwise* — routing through [`SparseMat::from_rows`] would
     /// drop `-0.0` values and re-sort, breaking round-trip fidelity.
     ///
-    /// The count is compared without overflow: a decoded width is anything
-    /// the wire says.
-    ///
     /// `nnz == rows·cols` alone does not make a matrix full: the rows
     /// [`SparseMat::from_row_views`] copies come from its caller, and only
-    /// a debug build asserts they are strictly ascending and in bounds. So
-    /// when the count matches, the structure is verified outright — row
-    /// `r` spans `[r·cols, (r+1)·cols)` and holds columns `0..cols` in
-    /// order — one pass over the `u32` indices just written (on a
-    /// 188 000-entry block `from_row_views` takes 184–199 µs with it and
-    /// 191 µs without: inside the copy's own noise), and nothing at all
-    /// for a matrix whose count already says it is not full.
+    /// a debug build asserts they are strictly ascending and in bounds, so
+    /// [`is_full`] verifies the structure when the count matches.
     pub(crate) fn from_raw_parts(
         rows: usize,
         cols: usize,
@@ -126,14 +212,8 @@ impl SparseMat {
         debug_assert_eq!(indptr.len(), rows + 1);
         debug_assert_eq!(indices.len(), values.len());
         debug_assert_eq!(*indptr.last().unwrap_or(&0), indices.len());
-        let full = cols > 0
-            && rows.checked_mul(cols) == Some(values.len())
-            && indices.len() == values.len()
-            && indptr.iter().enumerate().all(|(r, &p)| p == r * cols)
-            // Branch-free within a row so the comparison vectorizes.
-            && indices
-                .chunks_exact(cols)
-                .all(|row| row.iter().zip(0u32..).fold(true, |ok, (&i, c)| ok & (i == c)));
+        let full = is_full(rows, cols, &indptr, &indices, values.len());
+        let (indices, values) = (Shared::new(indices), Shared::new(values));
         SparseMat { rows, cols, indptr, indices, values, full }
     }
 
@@ -162,17 +242,17 @@ impl SparseMat {
     }
 
     /// A copy with `f` applied to every stored value — the precision
-    /// ladder's input-rounding hook. The structure (`indptr`/`indices`)
-    /// is cloned unchanged: values that map to `0.0` stay as explicit
-    /// entries, so row shapes and the kernels' nnz-balanced splits are
-    /// identical to the source matrix.
+    /// ladder's input-rounding hook. The structure is unchanged (the
+    /// column indices are shared, not copied): values that map to `0.0`
+    /// stay as explicit entries, so row shapes and the kernels'
+    /// nnz-balanced splits are identical to the source matrix.
     pub fn map_values(&self, f: impl Fn(f64) -> f64) -> SparseMat {
         SparseMat {
             rows: self.rows,
             cols: self.cols,
             indptr: self.indptr.clone(),
             indices: self.indices.clone(),
-            values: self.values.iter().map(|&v| f(v)).collect(),
+            values: Shared::new(self.values.iter().map(|&v| f(v)).collect()),
             full: self.full,
         }
     }
@@ -228,7 +308,7 @@ impl SparseMat {
     /// Column sums (Σ over rows of each column), touching non-zeros only.
     pub fn col_sums(&self) -> Vec<f64> {
         let mut s = vec![0.0; self.cols];
-        for (&c, &v) in self.indices.iter().zip(&self.values) {
+        for (&c, &v) in self.indices.iter().zip(self.values.iter()) {
             s[c as usize] += v;
         }
         s
@@ -265,43 +345,34 @@ impl SparseMat {
         m
     }
 
-    /// Copies rows `[start, end)` into a fresh sparse matrix. Used by the
-    /// engines to partition the input across virtual nodes.
+    /// Rows `[start, end)` as a matrix that shares this one's index and
+    /// value arrays: O(rows) for its own row pointers, no entry copied.
+    /// Used by the engines to partition the input across virtual nodes.
+    /// The block keeps the whole of its parent's arrays alive for as long
+    /// as it lives. A window of a full matrix is full without a rescan;
+    /// any other is checked as a fresh matrix is ([`is_full`]).
     pub fn row_block(&self, start: usize, end: usize) -> SparseMat {
         assert!(start <= end && end <= self.rows, "row_block: bad range {start}..{end}");
         let (s, e) = (self.indptr[start], self.indptr[end]);
-        let mut indptr = Vec::with_capacity(end - start + 1);
-        for r in start..=end {
-            indptr.push(self.indptr[r] - s);
-        }
-        SparseMat::from_raw_parts(
-            end - start,
-            self.cols,
-            indptr,
-            self.indices[s..e].to_vec(),
-            self.values[s..e].to_vec(),
-        )
+        let indptr: Vec<usize> = self.indptr[start..=end].iter().map(|&p| p - s).collect();
+        let indices = self.indices.window(s..e);
+        let full = self.full || is_full(end - start, self.cols, &indptr, &indices, e - s);
+        let values = self.values.window(s..e);
+        SparseMat { rows: end - start, cols: self.cols, indptr, indices, values, full }
     }
 
-    /// Copies the selected rows into a fresh sparse matrix (sampling).
-    ///
-    /// Source rows are already sorted, deduped CSR, so the arrays are built
-    /// directly (as [`Self::row_block`] does) instead of round-tripping
-    /// through the sorting/deduping [`Self::from_rows`] path.
+    /// Copies the selected rows into a fresh sparse matrix (sampling):
+    /// source rows are already sorted, deduped CSR, so they are copied as
+    /// they are ([`Self::from_row_views`]), never re-sorted.
     pub fn select_rows(&self, idx: &[usize]) -> SparseMat {
-        let nnz: usize = idx.iter().map(|&r| self.indptr[r + 1] - self.indptr[r]).sum();
-        let mut indptr = Vec::with_capacity(idx.len() + 1);
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        indptr.push(0);
-        for &r in idx {
-            assert!(r < self.rows, "select_rows: row {r} out of bounds {}", self.rows);
-            let (s, e) = (self.indptr[r], self.indptr[r + 1]);
-            indices.extend_from_slice(&self.indices[s..e]);
-            values.extend_from_slice(&self.values[s..e]);
-            indptr.push(indices.len());
-        }
-        SparseMat::from_raw_parts(idx.len(), self.cols, indptr, indices, values)
+        let rows: Vec<SparseRow<'_>> = idx
+            .iter()
+            .map(|&r| {
+                assert!(r < self.rows, "select_rows: row {r} out of bounds {}", self.rows);
+                self.row(r)
+            })
+            .collect();
+        SparseMat::from_row_views(self.cols, &rows)
     }
 
     /// Assembles a fresh CSR matrix from borrowed row views (each already
@@ -332,7 +403,8 @@ impl SparseMat {
         &self.indices
     }
 
-    /// Splits into `parts` contiguous row blocks of near-equal size.
+    /// Splits into `parts` contiguous row blocks of near-equal size, each a
+    /// [`Self::row_block`] sharing this matrix's arrays.
     pub fn split_rows(&self, parts: usize) -> Vec<SparseMat> {
         assert!(parts > 0, "split_rows: need at least one part");
         let mut out = Vec::with_capacity(parts);
@@ -346,6 +418,24 @@ impl SparseMat {
         }
         out
     }
+}
+
+/// Whether CSR arrays of `nnz` entries are a row-major dense `rows × cols`
+/// matrix. The count is compared first, without overflow (a decoded width
+/// is anything the wire says), and nothing is scanned when it differs;
+/// when it matches, the structure is verified outright — row `r` spans
+/// `[r·cols, (r+1)·cols)` and holds columns `0..cols` in order — in one
+/// pass over the `u32` indices (on a 188 000-entry block `from_row_views`
+/// took 184–199 µs with it and 191 µs without).
+fn is_full(rows: usize, cols: usize, indptr: &[usize], indices: &[u32], nnz: usize) -> bool {
+    cols > 0
+        && rows.checked_mul(cols) == Some(nnz)
+        && indices.len() == nnz
+        && indptr.iter().enumerate().all(|(r, &p)| p == r * cols)
+        // Branch-free within a row so the comparison vectorizes.
+        && indices
+            .chunks_exact(cols)
+            .all(|row| row.iter().zip(0u32..).fold(true, |ok, (&i, c)| ok & (i == c)))
 }
 
 impl SparseRow<'_> {
@@ -825,6 +915,160 @@ mod tests {
         let back = RowRecords::decode(&narrow.encode()).unwrap();
         assert_eq!((back.0.csr().rows(), back.0.csr().cols()), (1, 3));
         assert_eq!(RowRecords::decode(&[]).unwrap().0.csr().rows(), 0);
+    }
+
+    /// An owned copy of rows `[start, end)`: fresh arrays, not a view.
+    fn copied(m: &SparseMat, start: usize, end: usize) -> SparseMat {
+        m.select_rows(&(start..end).collect::<Vec<_>>())
+    }
+
+    /// `view` is `copy` to every reader: equality, wire bytes, sizes,
+    /// fullness and the column-major copy.
+    fn assert_view_is_copy(view: &SparseMat, copy: &SparseMat) {
+        assert_eq!(view, copy);
+        assert_eq!(view.encode(), copy.encode());
+        assert_eq!(view.encoded_size(), copy.encoded_size());
+        for quantize in [false, true] {
+            assert_eq!(view.encode_v3(quantize), copy.encode_v3(quantize));
+        }
+        assert_eq!(view.size_bytes(), copy.size_bytes());
+        assert_eq!(ByteSized::size_bytes(view), ByteSized::size_bytes(copy));
+        assert_eq!(view.full_rows(), copy.full_rows());
+        assert_eq!(Csc::of(view), Csc::of(copy));
+    }
+
+    #[test]
+    fn views_share_the_arrays_and_read_as_copies() {
+        let mut rng = crate::Prng::seed_from_u64(7);
+        let random = SparseMat::from_dense(&Mat::from_fn(9, 6, |_, _| {
+            if rng.uniform() < 0.3 { rng.normal() } else { 0.0 }
+        }));
+        let full = SparseMat::from_dense(&Mat::from_fn(6, 4, |r, c| (r * 4 + c) as f64 + 0.5));
+        let empty =
+            [SparseMat::from_rows(0, 4, vec![]), SparseMat::from_rows(3, 0, vec![vec![]; 3])];
+        for m in [sample(), random, full].iter().chain(&empty) {
+            let n = m.rows();
+            for start in 0..=n {
+                for end in start..=n {
+                    let view = m.row_block(start, end);
+                    assert!(Arc::ptr_eq(&view.values.buf, &m.values.buf), "a view, not a copy");
+                    assert!(Arc::ptr_eq(&view.indices.buf, &m.indices.buf));
+                    assert_view_is_copy(&view, &copied(m, start, end));
+                    // Views of views.
+                    for a in 0..=end - start {
+                        for b in a..=end - start {
+                            let inner = view.row_block(a, b);
+                            assert!(Arc::ptr_eq(&inner.values.buf, &m.values.buf));
+                            assert_view_is_copy(&inner, &copied(m, start + a, start + b));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_view_of_a_full_matrix_inherits_full() {
+        let full = SparseMat::from_dense(&Mat::from_fn(12, 3, |r, c| (r + c) as f64 + 1.0));
+        assert!(full.full);
+        for (start, end) in [(0, 12), (2, 11), (5, 5), (11, 12)] {
+            let view = full.row_block(start, end);
+            assert!(view.full && view.row_block(0, end - start).full);
+            assert_eq!(view.full_rows(), Some(&full.full_rows().unwrap()[start * 3..end * 3]));
+        }
+    }
+
+    #[test]
+    fn views_and_copies_give_the_kernels_the_same_bits() {
+        use crate::kernels;
+        let mut rng = crate::Prng::seed_from_u64(19);
+        // Shapes past the kernels' parallel threshold at `d` = 32, so the
+        // pools split them.
+        let sparse = SparseMat::from_dense(&Mat::from_fn(2_000, 200, |_, _| {
+            if rng.uniform() < 0.25 { rng.normal() } else { 0.0 }
+        }));
+        let full = SparseMat::from_dense(&rng.normal_mat(1_200, 64));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (m, start, end) in [(&sparse, 13, 1_991), (&full, 5, 1_183)] {
+            let (view, copy) = (m.row_block(start, end), copied(m, start, end));
+            assert_eq!(kernels::takes_full_routes(&view), m.full, "a full block takes its routes");
+            let (rows, cols, d) = (view.rows(), view.cols(), 32);
+            assert!(kernels::chunk_count(rows, 2 * d * (view.nnz() / rows)) > 1, "split on a pool");
+            let b = rng.normal_mat(cols, d);
+            let x = rng.normal_mat(rows, d);
+            let map: Vec<u32> = (0..cols as u32).map(|c| c / 2).collect();
+            for workers in [1, 2, 8] {
+                let pool = crate::WorkerPool::new(workers);
+                let yb = |y: &SparseMat| kernels::sparse_mul_dense_with_pool(&pool, y, &b);
+                assert_eq!(bits(yb(&view).data()), bits(yb(&copy).data()), "{workers} workers");
+                let yb32 = |y: &SparseMat| {
+                    let mut out = vec![0.0f32; rows * d];
+                    let b32 = crate::MatF32::from_f64(&b);
+                    kernels::sparse_mul_dense_f32_into_with_pool(&pool, y, &b32, &mut out);
+                    out
+                };
+                assert_eq!(bits32(&yb32(&view)), bits32(&yb32(&copy)));
+                let ytx = |y: &SparseMat, map: Option<&[u32]>| {
+                    let mut out = vec![0.0; map.map_or(cols, |_| cols / 2) * d];
+                    kernels::spmm_scatter(&pool, y, x.data(), d, map, &mut out);
+                    out
+                };
+                assert_eq!(bits(&ytx(&view, None)), bits(&ytx(&copy, None)));
+                assert_eq!(bits(&ytx(&view, Some(&map))), bits(&ytx(&copy, Some(&map))));
+            }
+            if m.full {
+                continue;
+            }
+            let each = |y: &SparseMat| {
+                let mut out = Vec::new();
+                kernels::sparse_mul_dense_each(y, b.data(), d, (&mut out, true), |_| {});
+                out
+            };
+            assert_eq!(bits(&each(&view)), bits(&each(&copy)));
+            let gather = |y: &SparseMat| {
+                let mut out = Vec::new();
+                kernels::spmm_gather(&Csc::of(y), x.data(), d, (&mut out, true), |_, _| {});
+                out
+            };
+            assert_eq!(bits(&gather(&view)), bits(&gather(&copy)));
+        }
+    }
+
+    #[test]
+    fn from_dense_keeps_what_the_row_lists_kept() {
+        // The path `from_dense` replaced: per-row `(column, value)` lists
+        // of the entries with `v != 0.0`, sorted through `from_rows`.
+        let by_row_lists = |m: &Mat| {
+            let per_row = (0..m.rows())
+                .map(|r| {
+                    let kept = m.row(r).iter().enumerate().filter(|(_, &v)| v != 0.0);
+                    kept.map(|(c, &v)| (c as u32, v)).collect()
+                })
+                .collect();
+            SparseMat::from_rows(m.rows(), m.cols(), per_row)
+        };
+        let odd = Mat::from_rows(&[
+            &[0.0, -0.0, 1.5, f64::NAN],
+            &[0.0, 0.0, 0.0, 0.0],
+            &[-0.0, f64::NAN, 0.0, -2.0],
+            &[3.0, 4.0, 5.0, 6.0],
+            &[-0.0, -0.0, -0.0, -0.0],
+        ]);
+        let mut rng = crate::Prng::seed_from_u64(3);
+        let random =
+            Mat::from_fn(30, 17, |_, _| if rng.uniform() < 0.4 { rng.normal() } else { 0.0 });
+        for m in [odd, random, Mat::zeros(0, 3), Mat::zeros(4, 0), Mat::zeros(3, 3)] {
+            let (new, old) = (SparseMat::from_dense(&m), by_row_lists(&m));
+            assert_eq!(new.encode(), old.encode(), "bit for bit, NaN included");
+            assert_eq!((new.rows(), new.cols()), (old.rows(), old.cols()));
+            assert_eq!(new.indptr(), old.indptr());
+            assert_eq!(new.full, old.full);
+            let streamed = SparseMat::from_dense_rows(m.rows(), m.cols(), |r, row| {
+                row.copy_from_slice(m.row(r));
+            });
+            assert_eq!(streamed.encode(), old.encode());
+        }
     }
 
     #[test]
