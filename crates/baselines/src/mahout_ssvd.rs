@@ -21,7 +21,7 @@
 //! The PCA option keeps `Y` sparse and propagates the mean:
 //! `Yc·Ω = Y·Ω − 1⊗(Ym·Ω)` and `Q'·Yc = Q'·Y − (Q'·1)⊗Ym`.
 
-use dcluster::{SimCluster, StageOptions};
+use dcluster::{Load, Meter, SimCluster, StageOptions};
 use linalg::bytes::ByteSized;
 use linalg::decomp::eig::sym_eigen;
 use linalg::decomp::tsqr::tsqr;
@@ -240,7 +240,8 @@ impl MahoutPca {
             // ---- Q job: proj = Yc·projector = Y·projector − 1⊗(Ym·projector).
             cluster.advance_time(6.0); // Hadoop job init for the Q job
             // The D×K projector ships to every node via distributed cache.
-            cluster.charge_broadcast(cluster.wire_size(&projector));
+            let bytes = cluster.wire_size(&projector);
+            cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
             let shift = projector.vecmat(&mean); // K
             let proj_blocks: Vec<Mat> = {
                 let projector = &projector;
@@ -265,10 +266,10 @@ impl MahoutPca {
             // Mahout writes the projection, then Q, to HDFS; Bt re-reads Q.
             let proj_bytes: u64 =
                 proj_blocks.iter().map(|b| cluster.wire_size(b)).sum();
-            cluster.charge_dfs_write(proj_bytes);
+            cluster.charge(Meter::DfsWrite, Load::Even(proj_bytes), "dfs-write");
             let tsqr_out = cluster.run_driver("Mahout/TSQR-final", || tsqr(&proj_blocks));
-            cluster.charge_dfs_write(proj_bytes); // Q matrix
-            cluster.charge_dfs_read(proj_bytes); // Bt mappers read Q
+            cluster.charge(Meter::DfsWrite, Load::Even(proj_bytes), "dfs-write"); // Q matrix
+            cluster.charge(Meter::DfsRead, Load::Even(proj_bytes), "dfs-read"); // Bt mappers read Q
 
             // ---- Bt job: B = Q'·Yc.
             let bt_inputs: Vec<(SparseMat, Mat)> = blocks
@@ -328,8 +329,10 @@ impl MahoutPca {
             // Mahout finishes each SSVD pass with separate U-job and V-job
             // MR passes that materialize the factors in HDFS.
             cluster.advance_time(2.0 * 6.0);
-            cluster.charge_dfs_write(cluster.sizing().f64_payload(n * cfg.components)); // U
-            cluster.charge_dfs_write(cluster.sizing().f64_payload(d_in * cfg.components)); // V
+            for rows in [n, d_in] {
+                let bytes = cluster.sizing().f64_payload(rows * cfg.components);
+                cluster.charge(Meter::DfsWrite, Load::Even(bytes), "dfs-write");
+            }
             model = PcaModel::new(c, mean.clone(), 1e-9);
             let error = accuracy::reconstruction_error(&error_sample, &model)?;
             iterations.push(IterationStat {

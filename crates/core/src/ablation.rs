@@ -6,7 +6,7 @@
 //! experiment binary prints these; having them as API makes the ablation
 //! reusable (and testable) outside the bench harness.
 
-use dcluster::{SimCluster, StageOptions};
+use dcluster::{Load, Meter, SimCluster, StageOptions};
 use linalg::bytes::ByteSized;
 use linalg::wire::{Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
@@ -181,9 +181,9 @@ pub fn intermediate_data(
         // The unconsolidated pipeline writes X once and re-reads it in the
         // XtX, YtX and ss3 jobs.
         let x_bytes = (y.rows() * d * 8) as u64;
-        cluster.charge_dfs_write(x_bytes);
+        cluster.charge(Meter::DfsWrite, Load::Even(x_bytes), "dfs-write");
         for _ in 0..3 {
-            cluster.charge_dfs_read(x_bytes);
+            cluster.charge(Meter::DfsRead, Load::Even(x_bytes), "dfs-read");
         }
         x_rdd.aggregate(
             "XtX/from-stored-X",

@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use dcluster::SimCluster;
+use dcluster::{Load, Meter, SimCluster};
 use linalg::bytes::ByteSized;
 use linalg::sparse::{Block, PartitionBlock};
 use linalg::wire::{self, Sizing, Wire, WireError, WireReader};
@@ -277,7 +277,8 @@ impl EmJobs for MrJobs<'_> {
         // Distributed-cache shipment of the broadcast matrices (CM, Xm),
         // priced under the cluster's sizing policy.
         let cluster = self.engine.cluster();
-        cluster.charge_broadcast(cluster.wire_size(cm) + cluster.sizing().f64_payload(xm.len()));
+        let bytes = cluster.wire_size(cm) + cluster.sizing().f64_payload(xm.len());
+        cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
         let job = YtXJob { cm, xm, d: self.d, precision: self.precision };
         let before = ytx_counter_snapshot();
         let (out, _) = self.engine.run_job("YtXJob", &job, &self.blocks, self.reducers);

@@ -77,7 +77,7 @@
 //! `fit_with_input`, and the Spark [`RpcaJobs`] are three more stages on
 //! the RDD `spark::SparkJobs` already persists for EM.
 
-use dcluster::SimCluster;
+use dcluster::{Load, Meter, SimCluster};
 use linalg::decomp::singular_basis;
 use linalg::sparse::{Block, PartitionBlock};
 use linalg::{Mat, SparseMat, WorkerPool};
@@ -432,7 +432,8 @@ impl RpcaJobs for MrRpcaJobs<'_> {
         // Distributed-cache shipment of W and the shift vector (each MR
         // job re-reads its cache; nothing persists across jobs).
         let cluster = self.engine.cluster();
-        cluster.charge_broadcast(cluster.wire_size(w) + cluster.sizing().f64_payload(shift.len()));
+        let bytes = cluster.wire_size(w) + cluster.sizing().f64_payload(shift.len());
+        cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
         let job = PassJob { w, shift };
         let (out, _) =
             self.engine.run_job(&format!("rpca/pass{pass}"), &job, &self.blocks, self.reducers);

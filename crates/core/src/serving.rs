@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use dcluster::events::{ns_to_secs, secs_to_ns, EventQueue, SimNanos};
 use dcluster::jobs::{percentile, schedule_jobs, JobSpec, ScheduleOutcome};
-use dcluster::SimCluster;
+use dcluster::{Load, Meter, SimCluster};
 use linalg::{Mat, SparseMat};
 
 use crate::config::SpcaConfig;
@@ -371,7 +371,7 @@ impl Stream<'_> {
         // response a dense rows×d payload.
         let req_bytes = cluster.wire_size(&req);
         let resp_bytes = cluster.sizing().f64_payload(serve.batch_rows * d);
-        let wire_secs = (req_bytes + resp_bytes) as f64 / cluster.config().network_bytes_per_sec;
+        let wire_secs = cluster.link_secs(req_bytes + resp_bytes);
         let service_ns = secs_to_ns(flops / spec.flops_per_sec_per_core + wire_secs);
         Batch { tenant: t, index: k as u64, arrival_ns, service_ns, req_bytes, resp_bytes, checksum }
     }
@@ -610,10 +610,10 @@ pub fn run_serving(cluster: &SimCluster, spec: &ServeSpec) -> Result<ServingOutc
                     last_use: ($now, use_seq),
                 });
                 nodes[node].cache_bytes += bytes;
-                cluster.charge_network_labeled(bytes, "serve.model");
-                extra_ns = secs_to_ns(bytes as f64 / cfg.network_bytes_per_sec);
+                cluster.charge(Meter::Network, Load::Even(bytes), "serve.model");
+                extra_ns = secs_to_ns(cluster.link_secs(bytes));
             }
-            cluster.charge_network_labeled(batch.req_bytes + batch.resp_bytes, "serve");
+            cluster.charge(Meter::Network, Load::Even(batch.req_bytes + batch.resp_bytes), "serve");
             let finish = $now.saturating_add(batch.service_ns).saturating_add(extra_ns);
             let seq = queue.push(finish, SEv::Complete { node, batch: b });
             nodes[node].active.push((b, seq));

@@ -27,7 +27,7 @@
 //! hands them to the arm `config.algorithm` names and to the shared pass
 //! loop ([`crate::driver`]).
 
-use dcluster::SimCluster;
+use dcluster::{Load, Meter, SimCluster};
 use linalg::bytes::ByteSized;
 use linalg::sparse::{Block, PartitionBlock, RowRecords, SparseRow};
 use linalg::wire::{self, Wire, WireError, WireReader};
@@ -237,7 +237,8 @@ impl EmJobs for SparkJobs<'_> {
         // every node: CM (D×d) and Xm (d), priced under the cluster's
         // sizing policy like every other metered value.
         let cluster = self.rdd.cluster();
-        cluster.charge_broadcast(cluster.wire_size(cm) + cluster.sizing().f64_payload(xm.len()));
+        let bytes = cluster.wire_size(cm) + cluster.sizing().f64_payload(xm.len());
+        cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
         let d = self.d;
         let precision = self.precision;
         let before = ytx_counter_snapshot();
@@ -309,7 +310,8 @@ impl RpcaJobs for SparkJobs<'_> {
         // node — the fat part of the fat pass, priced like every other
         // broadcast.
         let cluster = self.rdd.cluster();
-        cluster.charge_broadcast(cluster.wire_size(w) + cluster.sizing().f64_payload(shift.len()));
+        let bytes = cluster.wire_size(w) + cluster.sizing().f64_payload(shift.len());
+        cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
         // A streaming collect: partials reach the fold in partition order
         // while the stage runs, charged one flow per partition — the D×K
         // partial each executor ships home.
@@ -342,7 +344,8 @@ pub fn transform(
 
     let cm = model.latent_projection()?;
     let xm = cm.vecmat(model.mean());
-    cluster.charge_broadcast(cluster.wire_size(&cm) + cluster.sizing().f64_payload(xm.len()));
+    let bytes = cluster.wire_size(&cm) + cluster.sizing().f64_payload(xm.len());
+    cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
 
     let latent = rdd.map_partitions("transform", |part| {
         let blocks = part.iter().map(|block| latent_matrix(block.0.csr(), &cm, &xm));

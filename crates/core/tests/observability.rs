@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
-use dcluster::{ClusterConfig, Dfs, SimCluster};
+use dcluster::{ClusterConfig, Dfs, Load, Meter, SimCluster};
 use linalg::Prng;
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 use sparkle::SparkleContext;
@@ -117,7 +117,8 @@ fn intermediate_bytes_equals_network_plus_dfs_under_interleaving() {
             }
             // Broadcast: driver value fanned out to every node.
             3 => {
-                cluster.charge_broadcast(64 + rng.index(4096) as u64);
+                let bytes = 64 + rng.index(4096) as u64;
+                cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
             }
             // DFS round trip.
             _ => {
@@ -139,13 +140,13 @@ fn intermediate_bytes_equals_network_plus_dfs_under_interleaving() {
 fn byte_invariant_survives_reset() {
     let _guard = collector_guard();
     let cluster = small_cluster();
-    cluster.charge_network(1000);
-    cluster.charge_dfs_write(500);
+    cluster.charge(Meter::Network, Load::Even(1000), "network");
+    cluster.charge(Meter::DfsWrite, Load::Even(500), "dfs-write");
     assert_byte_invariant(&cluster, "before reset");
     cluster.reset_metrics();
     let m = cluster.metrics();
     assert_eq!((m.intermediate_bytes, m.network_bytes, m.dfs_bytes_written), (0, 0, 0));
-    cluster.charge_dfs_write(77);
+    cluster.charge(Meter::DfsWrite, Load::Even(77), "dfs-write");
     assert_byte_invariant(&cluster, "after reset");
 }
 

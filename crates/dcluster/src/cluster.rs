@@ -1,10 +1,20 @@
 //! The simulated cluster: real task execution, virtual accounting.
 //!
 //! Task execution runs on the persistent [`linalg::WorkerPool`] — the same
-//! pool the blocked kernels use — instead of spawning a thread scope per
-//! stage. The pool returns results in submission order and the virtual
-//! clock is advanced from per-task wall durations exactly as before, so
-//! the accounting model is unchanged by the substrate swap.
+//! pool the blocked kernels use. The virtual clock advances by the
+//! schedule of the measured per-task durations.
+//!
+//! # Pricing
+//!
+//! The timing model is chosen once, when the cluster is built: a private
+//! `Pricing` is either the aggregate-bandwidth arithmetic with global LPT
+//! stages ([`TimingModel::Uncontended`]) or the shared-bandwidth flow
+//! simulator with per-host stage schedules ([`TimingModel::Contended`]).
+//! Every byte that crosses the network or touches the DFS is charged
+//! through [`SimCluster::charge`], which takes the [`Meter`], how the
+//! bytes fall on the nodes ([`Load`]) and the critical-path label; only
+//! that path, the stage makespan and a crashed task's re-read look at the
+//! model.
 //!
 //! # Tracing
 //!
@@ -166,12 +176,22 @@ pub struct SimCluster {
     /// labels are prefixed `<job>/` so per-job work stays attributable
     /// in the stage metrics. `None` (the default) leaves labels as-is.
     job_scope: Mutex<Option<String>>,
-    /// Discrete-event engine state: the (immutable) link topology plus
-    /// lock-guarded accumulated per-link contention statistics. `None`
-    /// under the default [`TimingModel::Uncontended`], so the legacy
-    /// model pays nothing. The stats lock is never held across the
-    /// metrics, trace, or fault locks.
-    contention: Option<Contention>,
+    /// The timing model, chosen once from `cfg.timing`: every charge and
+    /// stage makespan is priced through it.
+    pricing: Pricing,
+}
+
+/// How the cluster turns bytes and task durations into virtual time —
+/// dslab's split between a constant- and a shared-bandwidth network model.
+enum Pricing {
+    /// [`TimingModel::Uncontended`]: a transfer runs at the cluster's
+    /// aggregate bandwidth (`bytes / (node rate × nodes)`) and a stage is
+    /// list-scheduled over every core (global LPT). Holds no state.
+    Aggregate,
+    /// [`TimingModel::Contended`]: a transfer is a set of per-node flows
+    /// through the max-min fair simulator, and a stage runs on the
+    /// per-host slot schedule.
+    Shared(Contention),
 }
 
 /// Per-link contention statistics accumulated across every contended
@@ -207,7 +227,8 @@ pub struct EngineStats {
 
 /// Interior state of the contended engine: the topology is fixed at
 /// construction (pure function of the config), only the accumulated
-/// statistics need the lock.
+/// statistics need the lock, which is never held across the metrics,
+/// trace, or fault locks.
 struct Contention {
     topo: Topology,
     state: Mutex<LinkTotals>,
@@ -260,13 +281,34 @@ struct StageFaultEffects {
     backup_cpu_secs: f64,
 }
 
-/// Which byte meter a transfer charges. The meter fixes the time category
-/// (network, or disk for both DFS directions) and the trace counter too.
-#[derive(Clone, Copy)]
-enum Meter {
+/// Which byte meter a transfer charges. The meter fixes the link it
+/// crosses (a node's downlink and the fabric, or a node's disk), the time
+/// category (network, or disk for both DFS directions) and the trace
+/// counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Meter {
+    /// Bytes over the network (shuffles, broadcasts, collects).
     Network,
+    /// Bytes written to the DFS; counts as intermediate data.
     DfsWrite,
+    /// Bytes read back from the DFS.
     DfsRead,
+}
+
+/// How a charge's bytes fall on the cluster's nodes.
+#[derive(Debug, Clone, Copy)]
+pub enum Load<'a> {
+    /// `bytes` split evenly over every node.
+    Even(u64),
+    /// Entry `p` lands on node `p % nodes`. Skew costs time only under
+    /// contended timing, where the loaded links saturate while others
+    /// idle.
+    PerEndpoint(&'a [u64]),
+    /// `bytes` to every node: a broadcast (Spark's torrent broadcast,
+    /// Hadoop's distributed cache). The payload crosses the network once
+    /// per node, so `bytes × nodes` are metered and count as intermediate
+    /// data — this is how sPCA's per-iteration `CM` matrix is charged.
+    EachNode(u64),
 }
 
 /// Lazily-established link between a cluster and the installed collector:
@@ -296,7 +338,10 @@ impl SimCluster {
         if let Err(e) = cfg.validate() {
             panic!("SimCluster: {e}");
         }
-        let contention = (cfg.timing == TimingModel::Contended).then(|| Contention::new(&cfg));
+        let pricing = match cfg.timing {
+            TimingModel::Uncontended => Pricing::Aggregate,
+            TimingModel::Contended => Pricing::Shared(Contention::new(&cfg)),
+        };
         SimCluster {
             cfg,
             metrics: Mutex::new(Metrics::default()),
@@ -309,7 +354,7 @@ impl SimCluster {
             last_segment: AtomicU64::new(0),
             faults: Mutex::new(FaultDomain::default()),
             job_scope: Mutex::new(None),
-            contention,
+            pricing,
         }
     }
 
@@ -715,22 +760,20 @@ impl SimCluster {
         fx
     }
 
-    /// Stage makespan under the configured timing model: global LPT for
-    /// the arithmetic model, the event-driven per-host slot schedule for
-    /// the contended one (task `i` pinned to node `i % nodes`).
+    /// Stage makespan under the timing model: global LPT for the
+    /// aggregate model, the event-driven per-host slot schedule for the
+    /// shared one (task `i` pinned to node `i % nodes`).
     fn stage_span(&self, durations: &[f64]) -> (f64, Option<usize>) {
-        match self.cfg.timing {
-            TimingModel::Uncontended => makespan_with_critical(durations, self.cfg.total_cores()),
-            TimingModel::Contended => {
+        match &self.pricing {
+            Pricing::Aggregate => makespan_with_critical(durations, self.cfg.total_cores()),
+            Pricing::Shared(c) => {
                 let (span, critical, events) = host_schedule(
                     durations,
                     self.cfg.nodes,
                     self.cfg.cores_per_node,
                     self.cfg.event_queue_capacity,
                 );
-                if let Some(c) = &self.contention {
-                    lock_plain(&c.state).stats.events += events;
-                }
+                lock_plain(&c.state).stats.events += events;
                 self.registry().counter("engine.events").add(events);
                 (span, critical)
             }
@@ -746,30 +789,24 @@ impl SimCluster {
     /// The byte *meter* charges the re-read once, same as the arithmetic
     /// model — meters stay identical across timing models.
     fn charge_reexec_read(&self, bytes: u64, crashed_nodes: &[usize]) {
-        match self.cfg.timing {
-            TimingModel::Uncontended => self.charge_dfs_read_labeled(bytes, "reexec-read"),
-            TimingModel::Contended => {
-                let topo = &self.contention.as_ref().expect("contended state").topo;
-                let shares = Self::uniform_shares(bytes, crashed_nodes.len().max(1));
-                let mut flows = Vec::new();
-                let mut cancels = Vec::new();
-                for (k, &node) in crashed_nodes.iter().enumerate() {
-                    let share = shares.get(k).copied().unwrap_or(0);
-                    if share == 0 {
-                        continue;
-                    }
-                    let solo_secs = share as f64 / self.cfg.disk_bytes_per_sec;
-                    cancels.push(CancelSpec {
-                        flow: flows.len(),
-                        at_secs: solo_secs * 0.5,
-                        requeue_delay_secs: 0.0,
-                    });
-                    flows.push(FlowSpec::new(share, [topo.disk(node), netsim::NO_LINK]));
+        self.charge_priced(Meter::DfsRead, bytes, "reexec-read", |c| {
+            let shares = Self::uniform_shares(bytes, crashed_nodes.len().max(1));
+            let mut flows = Vec::new();
+            let mut cancels = Vec::new();
+            for (&node, &share) in crashed_nodes.iter().zip(&shares) {
+                if share == 0 {
+                    continue;
                 }
-                let secs = self.contended_io_secs(&flows, &cancels);
-                self.charge_core(Meter::DfsRead, bytes, secs, "reexec-read");
+                let solo_secs = share as f64 / self.cfg.disk_bytes_per_sec;
+                cancels.push(CancelSpec {
+                    flow: flows.len(),
+                    at_secs: solo_secs * 0.5,
+                    requeue_delay_secs: 0.0,
+                });
+                flows.push(FlowSpec::new(share, [c.topo.disk(node), netsim::NO_LINK]));
             }
-        }
+            self.simulate(c, &flows, &cancels)
+        });
     }
 
     /// Runs a distributed stage: executes every task (really, on the
@@ -1024,20 +1061,6 @@ impl SimCluster {
         out
     }
 
-    /// Aggregate network bandwidth: transfers fan out across node links
-    /// (shuffles and accumulator pushes are all-to-all / tree-shaped, not a
-    /// single pipe), so adding nodes adds bandwidth. This is also what
-    /// makes speedup experiments behave like the paper's Table 4: both
-    /// compute *and* communication scale with the cluster.
-    fn network_bw(&self) -> f64 {
-        self.cfg.network_bytes_per_sec * self.cfg.nodes as f64
-    }
-
-    /// Aggregate disk bandwidth: the DFS stripes across every node's disks.
-    fn disk_bw(&self) -> f64 {
-        self.cfg.disk_bytes_per_sec * self.cfg.nodes as f64
-    }
-
     /// Splits `bytes` into one share per entry (the remainder spread over
     /// the first entries) — the uniform per-node decomposition that makes
     /// the event-driven model reproduce the arithmetic charges: `n` equal
@@ -1053,9 +1076,8 @@ impl SimCluster {
     /// Runs `flows` (+ optional `cancels`) through the shared-bandwidth
     /// simulator, folds the outcome into the per-link statistics and
     /// engine counters, and returns the virtual seconds the transfer
-    /// group took. Contended timing only.
-    fn contended_io_secs(&self, flows: &[FlowSpec], cancels: &[CancelSpec]) -> f64 {
-        let c = self.contention.as_ref().expect("contended_io_secs needs Contended timing");
+    /// group took.
+    fn simulate(&self, c: &Contention, flows: &[FlowSpec], cancels: &[CancelSpec]) -> f64 {
         let out = netsim::simulate(&c.topo, flows, cancels, self.cfg.event_queue_capacity);
         c.absorb(&out);
         let registry = self.registry();
@@ -1064,63 +1086,74 @@ impl SimCluster {
         out.makespan_secs
     }
 
-    /// Virtual seconds for network traffic given per-endpoint byte counts
-    /// (endpoint `p` maps to node `p % nodes`' downlink).
-    fn network_secs(&self, total: u64, per_endpoint: Option<&[u64]>) -> f64 {
-        match self.cfg.timing {
-            TimingModel::Uncontended => total as f64 / self.network_bw(),
-            TimingModel::Contended => {
-                let topo = &self.contention.as_ref().expect("contended state").topo;
-                let (fabric, n) = (topo.fabric(), topo.nodes());
-                let uniform;
-                let shares = match per_endpoint {
-                    Some(s) => s,
-                    None => {
-                        uniform = Self::uniform_shares(total, n);
-                        &uniform
-                    }
-                };
-                let flows: Vec<FlowSpec> = shares
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &b)| b > 0)
-                    .map(|(p, &b)| FlowSpec::new(b, [topo.downlink(p), fabric]))
-                    .collect();
-                self.contended_io_secs(&flows, &[])
-            }
-        }
+    /// Meters a transfer and advances the virtual clock by its time, with
+    /// a segment named `label` on the critical path.
+    ///
+    /// Under the default timing model the transfer runs at the cluster's
+    /// aggregate bandwidth: shuffles and accumulator pushes are
+    /// all-to-all or tree-shaped, not a single pipe, so adding nodes adds
+    /// bandwidth — which is what makes the speedup experiments scale
+    /// communication like the paper's Table 4. Under contended timing the
+    /// load becomes one flow per loaded node (over its downlink and the
+    /// fabric, or its disk); an even load reproduces the aggregate time
+    /// to within a byte's transfer, and a skewed one takes the slowest
+    /// link's time instead.
+    pub fn charge(&self, meter: Meter, load: Load<'_>, label: &str) {
+        let nodes = self.cfg.nodes;
+        let bytes = match load {
+            Load::Even(bytes) => bytes,
+            Load::PerEndpoint(shares) => shares.iter().sum(),
+            Load::EachNode(bytes) => bytes.saturating_mul(nodes as u64),
+        };
+        self.charge_priced(meter, bytes, label, |c| {
+            let spread = match load {
+                Load::Even(bytes) => Self::uniform_shares(bytes, nodes),
+                Load::EachNode(bytes) => vec![bytes; nodes],
+                Load::PerEndpoint(_) => Vec::new(),
+            };
+            let shares = if let Load::PerEndpoint(shares) = load { shares } else { &spread };
+            let flows: Vec<FlowSpec> = shares
+                .iter()
+                .enumerate()
+                .filter(|(_, &b)| b > 0)
+                .map(|(p, &b)| {
+                    let links = match meter {
+                        Meter::Network => [c.topo.downlink(p), c.topo.fabric()],
+                        Meter::DfsWrite | Meter::DfsRead => [c.topo.disk(p), netsim::NO_LINK],
+                    };
+                    FlowSpec::new(b, links)
+                })
+                .collect();
+            self.simulate(c, &flows, &[])
+        });
     }
 
-    /// Virtual seconds for DFS traffic given per-endpoint byte counts
-    /// (endpoint `p` maps to node `p % nodes`' disk).
-    fn disk_secs(&self, total: u64, per_endpoint: Option<&[u64]>) -> f64 {
-        match self.cfg.timing {
-            TimingModel::Uncontended => total as f64 / self.disk_bw(),
-            TimingModel::Contended => {
-                let topo = &self.contention.as_ref().expect("contended state").topo;
-                let n = topo.nodes();
-                let uniform;
-                let shares = match per_endpoint {
-                    Some(s) => s,
-                    None => {
-                        uniform = Self::uniform_shares(total, n);
-                        &uniform
-                    }
-                };
-                let flows: Vec<FlowSpec> = shares
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &b)| b > 0)
-                    .map(|(p, &b)| FlowSpec::new(b, [topo.disk(p), netsim::NO_LINK]))
-                    .collect();
-                self.contended_io_secs(&flows, &[])
-            }
-        }
+    /// `charge(Meter::Network, Load::EachNode(bytes), "broadcast")`, kept
+    /// for the benchmark harness's replay, which calls it by this name.
+    pub fn charge_broadcast(&self, bytes: u64) {
+        self.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
     }
 
-    /// Meters `bytes` on `meter` and advances the clock by a pre-computed
-    /// transfer time — the shared tail of every byte-charge site.
-    fn charge_core(&self, meter: Meter, bytes: u64, secs: f64, label: &str) {
+    /// The one pricing branch of a transfer: `bytes` at the aggregate
+    /// rate, or `shared`'s simulated time under contended timing. Then
+    /// meters the bytes, advances the clock and emits the segment.
+    fn charge_priced(
+        &self,
+        meter: Meter,
+        bytes: u64,
+        label: &str,
+        shared: impl FnOnce(&Contention) -> f64,
+    ) {
+        let secs = match &self.pricing {
+            Pricing::Aggregate => {
+                let rate = match meter {
+                    Meter::Network => self.cfg.network_bytes_per_sec,
+                    Meter::DfsWrite | Meter::DfsRead => self.cfg.disk_bytes_per_sec,
+                };
+                bytes as f64 / (rate * self.cfg.nodes as f64)
+            }
+            Pricing::Shared(c) => shared(c),
+        };
         let (total, category, counter, win);
         {
             let mut m = self.metrics_lock();
@@ -1146,90 +1179,18 @@ impl SimCluster {
         }
     }
 
-    /// Meters `bytes` crossing the network (shuffle traffic) and advances
-    /// the clock by the transfer time: aggregate-bandwidth arithmetic
-    /// under the default timing model, a balanced per-node flow set under
-    /// the contended one (same time to within a byte's transfer).
-    pub fn charge_network(&self, bytes: u64) {
-        self.charge_network_labeled(bytes, "network");
-    }
-
-    /// [`charge_network`](Self::charge_network) with a caller-supplied
-    /// segment label so the critical-path table names the transfer
-    /// ("shuffle", "re-replicate", ...), not just its category.
-    pub fn charge_network_labeled(&self, bytes: u64, label: &str) {
-        let secs = self.network_secs(bytes, None);
-        self.charge_core(Meter::Network, bytes, secs, label);
-    }
-
-    /// Network charge with an explicit per-endpoint byte distribution:
-    /// entry `p` lands on node `p % nodes`' downlink. Under the default
-    /// timing model this is exactly `charge_network_labeled` of the sum;
-    /// under contended timing a skewed distribution saturates the loaded
-    /// links while others idle, so the transfer takes the *slowest
-    /// link's* time instead of the aggregate average — the contention the
-    /// arithmetic model cannot express.
-    pub fn charge_network_flows(&self, per_endpoint: &[u64], label: &str) {
-        let bytes: u64 = per_endpoint.iter().sum();
-        let secs = self.network_secs(bytes, Some(per_endpoint));
-        self.charge_core(Meter::Network, bytes, secs, label);
-    }
-
-    /// Meters `bytes` written to the distributed filesystem.
-    pub fn charge_dfs_write(&self, bytes: u64) {
-        self.charge_dfs_write_labeled(bytes, "dfs-write");
-    }
-
-    /// [`charge_dfs_write`](Self::charge_dfs_write) with a segment label.
-    pub fn charge_dfs_write_labeled(&self, bytes: u64, label: &str) {
-        let secs = self.disk_secs(bytes, None);
-        self.charge_core(Meter::DfsWrite, bytes, secs, label);
-    }
-
-    /// DFS write with an explicit per-endpoint distribution (entry `p` →
-    /// node `p % nodes`' disk); see [`Self::charge_network_flows`].
-    pub fn charge_dfs_write_flows(&self, per_endpoint: &[u64], label: &str) {
-        let bytes: u64 = per_endpoint.iter().sum();
-        let secs = self.disk_secs(bytes, Some(per_endpoint));
-        self.charge_core(Meter::DfsWrite, bytes, secs, label);
-    }
-
-    /// Meters a broadcast of `bytes` to every worker node (Spark torrent
-    /// broadcast / Hadoop distributed cache). The payload crosses the
-    /// network once per node and counts as intermediate data — this is
-    /// how sPCA's per-iteration `CM` matrix is charged. Under contended
-    /// timing the fanout is one full-size flow per downlink; all `n` run
-    /// at link rate concurrently, reproducing the arithmetic charge
-    /// exactly.
-    pub fn charge_broadcast(&self, bytes: u64) {
-        let fanout = bytes.saturating_mul(self.cfg.nodes as u64);
-        let secs = match self.cfg.timing {
-            TimingModel::Uncontended => fanout as f64 / self.network_bw(),
-            TimingModel::Contended => {
-                let per_node = vec![bytes; self.cfg.nodes];
-                self.network_secs(fanout, Some(&per_node))
-            }
-        };
-        self.charge_core(Meter::Network, fanout, secs, "broadcast");
-    }
-
-    /// Meters `bytes` read back from the distributed filesystem.
-    pub fn charge_dfs_read(&self, bytes: u64) {
-        self.charge_dfs_read_labeled(bytes, "dfs-read");
-    }
-
-    /// [`charge_dfs_read`](Self::charge_dfs_read) with a segment label.
-    pub fn charge_dfs_read_labeled(&self, bytes: u64, label: &str) {
-        let secs = self.disk_secs(bytes, None);
-        self.charge_core(Meter::DfsRead, bytes, secs, label);
+    /// Seconds `bytes` take over one node's network link — the serving
+    /// path's per-request wire time.
+    pub fn link_secs(&self, bytes: u64) -> f64 {
+        bytes as f64 / self.cfg.network_bytes_per_sec
     }
 
     /// Per-link contention statistics. Empty under the default timing
     /// model (the arithmetic charges never touch individual links).
     pub fn link_stats(&self) -> Vec<LinkStat> {
-        match &self.contention {
-            None => Vec::new(),
-            Some(c) => {
+        match &self.pricing {
+            Pricing::Aggregate => Vec::new(),
+            Pricing::Shared(c) => {
                 let st = lock_plain(&c.state);
                 (0..c.topo.len() as u32)
                     .map(|l| LinkStat {
@@ -1247,7 +1208,10 @@ impl SimCluster {
     /// Whole-run event-engine totals, or `None` under the default timing
     /// model.
     pub fn engine_stats(&self) -> Option<EngineStats> {
-        self.contention.as_ref().map(|c| lock_plain(&c.state).stats)
+        match &self.pricing {
+            Pricing::Aggregate => None,
+            Pricing::Shared(c) => Some(lock_plain(&c.state).stats),
+        }
     }
 
     /// Advances the virtual clock by a flat amount (job-initialization
@@ -1414,9 +1378,10 @@ mod tests {
     fn network_and_dfs_charges_accumulate() {
         // small_cluster has 2 nodes: aggregate bandwidth is 2x the link.
         let c = small_cluster();
-        c.charge_network(240_000_000); // 1 virtual second at 2 x 120 MB/s
-        c.charge_dfs_write(200_000_000); // 1 virtual second at 2 x 100 MB/s
-        c.charge_dfs_read(100_000_000); // 0.5 virtual seconds
+        // 1 virtual second at 2 x 120 MB/s, 1 at 2 x 100 MB/s, then 0.5.
+        c.charge(Meter::Network, Load::Even(240_000_000), "network");
+        c.charge(Meter::DfsWrite, Load::Even(200_000_000), "dfs-write");
+        c.charge(Meter::DfsRead, Load::Even(100_000_000), "dfs-read");
         let m = c.metrics();
         assert_eq!(m.network_bytes, 240_000_000);
         assert_eq!(m.dfs_bytes_written, 200_000_000);
@@ -1428,7 +1393,7 @@ mod tests {
     #[test]
     fn broadcast_charges_once_per_node() {
         let c = small_cluster(); // 2 nodes
-        c.charge_broadcast(1_000);
+        c.charge(Meter::Network, Load::EachNode(1_000), "broadcast");
         let m = c.metrics();
         assert_eq!(m.network_bytes, 2_000);
         assert_eq!(m.intermediate_bytes, 2_000);
@@ -1439,7 +1404,7 @@ mod tests {
     fn bandwidth_scales_with_node_count() {
         let time_for = |nodes: usize| {
             let c = SimCluster::new(ClusterConfig::paper_cluster().with_nodes(nodes));
-            c.charge_network(960_000_000);
+            c.charge(Meter::Network, Load::Even(960_000_000), "network");
             c.metrics().virtual_time_secs
         };
         let t2 = time_for(2);
@@ -1480,7 +1445,7 @@ mod tests {
     fn reset_clears_meters_but_keeps_live_driver_bytes() {
         let c = SimCluster::new(ClusterConfig::paper_cluster().with_driver_memory(1000));
         let guard = c.alloc_driver(500).unwrap();
-        c.charge_network(1_000_000);
+        c.charge(Meter::Network, Load::Even(1_000_000), "network");
         c.reset_metrics();
         let m = c.metrics();
         assert_eq!(m.network_bytes, 0);
@@ -1636,10 +1601,10 @@ mod tests {
         let a = mk(TimingModel::Uncontended);
         let b = mk(TimingModel::Contended);
         for c in [&a, &b] {
-            c.charge_network(3_000_001);
-            c.charge_dfs_write(1_200_007);
-            c.charge_dfs_read(600_013);
-            c.charge_broadcast(10_000);
+            c.charge(Meter::Network, Load::Even(3_000_001), "network");
+            c.charge(Meter::DfsWrite, Load::Even(1_200_007), "dfs-write");
+            c.charge(Meter::DfsRead, Load::Even(600_013), "dfs-read");
+            c.charge(Meter::Network, Load::EachNode(10_000), "broadcast");
         }
         let (ma, mb) = (a.metrics(), b.metrics());
         assert_eq!(ma.network_bytes, mb.network_bytes, "meters are timing-invariant");
@@ -1661,11 +1626,11 @@ mod tests {
         // node's downlink — 8x slower on an 8-node cluster.
         let skew = [8_000_000u64, 0, 0, 0, 0, 0, 0, 0];
         let a = SimCluster::new(ClusterConfig::scaled_cluster());
-        a.charge_network_flows(&skew, "skew");
+        a.charge(Meter::Network, Load::PerEndpoint(&skew), "skew");
         let b = SimCluster::new(
             ClusterConfig::scaled_cluster().with_timing(TimingModel::Contended),
         );
-        b.charge_network_flows(&skew, "skew");
+        b.charge(Meter::Network, Load::PerEndpoint(&skew), "skew");
         let (ta, tb) = (a.metrics().virtual_time_secs, b.metrics().virtual_time_secs);
         assert!((tb / ta - 8.0).abs() < 1e-3, "skew must cost 8x: {ta} vs {tb}");
         assert_eq!(a.metrics().network_bytes, b.metrics().network_bytes);
@@ -1676,8 +1641,9 @@ mod tests {
         let c = SimCluster::new(
             ClusterConfig::scaled_cluster().with_timing(TimingModel::Contended),
         );
-        c.charge_network_flows(&[5_000_000, 1_000_000, 0, 0, 250_000, 0, 0, 0], "shuffle");
-        c.charge_dfs_write(2_400_000);
+        let shuffle = [5_000_000, 1_000_000, 0, 0, 250_000, 0, 0, 0];
+        c.charge(Meter::Network, Load::PerEndpoint(&shuffle), "shuffle");
+        c.charge(Meter::DfsWrite, Load::Even(2_400_000), "dfs-write");
         let stats = c.link_stats();
         assert_eq!(stats.len(), 25, "fabric + 8 up + 8 down + 8 disks");
         assert!(stats.iter().all(|l| l.peak_util <= 1.0 + 1e-9), "never over capacity");
@@ -1686,7 +1652,7 @@ mod tests {
         assert!(engine.events > 0 && engine.resolves > 0);
         // Uncontended clusters report no link activity at all.
         let u = SimCluster::new(ClusterConfig::scaled_cluster());
-        u.charge_network(1_000_000);
+        u.charge(Meter::Network, Load::Even(1_000_000), "network");
         assert!(u.link_stats().is_empty());
         assert!(u.engine_stats().is_none());
     }

@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::cluster::{ClusterError, SimCluster};
+use crate::cluster::{ClusterError, Load, Meter, SimCluster};
 use crate::faults::{mix, RecoveryEvent};
 
 /// One named file: its size, an optional verbatim payload, and the nodes
@@ -85,7 +85,7 @@ impl Dfs {
     /// [`Dfs::on_node_crash`].
     pub fn put(&self, cluster: &SimCluster, name: impl Into<String>, bytes: u64) {
         let name = name.into();
-        cluster.charge_dfs_write(bytes);
+        cluster.charge(Meter::DfsWrite, Load::Even(bytes), "dfs-write");
         if obs::enabled() {
             cluster.trace_instant("dfs", &format!("dfs.put {name} [{bytes} B]"));
         }
@@ -97,7 +97,7 @@ impl Dfs {
     pub fn put_blob(&self, cluster: &SimCluster, name: impl Into<String>, payload: Vec<u8>) {
         let name = name.into();
         let bytes = payload.len() as u64;
-        cluster.charge_dfs_write(bytes);
+        cluster.charge(Meter::DfsWrite, Load::Even(bytes), "dfs-write");
         if obs::enabled() {
             cluster.trace_instant("dfs", &format!("dfs.put {name} [{bytes} B]"));
         }
@@ -122,7 +122,7 @@ impl Dfs {
             Some(f) => f.bytes,
             None => return Err(ClusterError::NoSuchFile { name: name.to_string() }),
         };
-        cluster.charge_dfs_read(bytes);
+        cluster.charge(Meter::DfsRead, Load::Even(bytes), "dfs-read");
         if obs::enabled() {
             cluster.trace_instant("dfs", &format!("dfs.get {name} [{bytes} B]"));
         }
@@ -142,7 +142,7 @@ impl Dfs {
             },
             None => return Err(ClusterError::NoSuchFile { name: name.to_string() }),
         };
-        cluster.charge_dfs_read(bytes);
+        cluster.charge(Meter::DfsRead, Load::Even(bytes), "dfs-read");
         if obs::enabled() {
             cluster.trace_instant("dfs", &format!("dfs.get {name} [{bytes} B]"));
         }
@@ -258,8 +258,8 @@ impl Dfs {
         let mut events = Vec::new();
         let mut replication_bytes = 0u64;
         for (name, bytes) in re_replicated {
-            cluster.charge_network_labeled(bytes, "re-replicate");
-            cluster.charge_dfs_write_labeled(bytes, "re-replicate");
+            cluster.charge(Meter::Network, Load::Even(bytes), "re-replicate");
+            cluster.charge(Meter::DfsWrite, Load::Even(bytes), "re-replicate");
             replication_bytes += bytes;
             events.push(RecoveryEvent::BlockReReplicated { file: name });
         }

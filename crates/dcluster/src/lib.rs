@@ -37,7 +37,7 @@ pub mod netsim;
 pub mod scheduler;
 pub mod timing;
 
-pub use cluster::{ClusterError, DriverAlloc, LinkStat, SimCluster, StageOptions};
+pub use cluster::{ClusterError, DriverAlloc, LinkStat, Load, Meter, SimCluster, StageOptions};
 pub use config::ClusterConfig;
 pub use events::EventQueue;
 pub use faults::{FaultEvent, FaultPlan, FaultSpec, RecoveryEvent};

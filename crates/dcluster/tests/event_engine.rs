@@ -24,7 +24,8 @@ use std::sync::Arc;
 
 use dcluster::netsim::{simulate, solve_rates, FlowSpec, NO_LINK};
 use dcluster::{
-    CancelSpec, ClusterConfig, EventQueue, FaultPlan, FaultSpec, SimCluster, TimingModel, Topology,
+    CancelSpec, ClusterConfig, EventQueue, FaultPlan, FaultSpec, Load, Meter, SimCluster,
+    TimingModel, Topology,
 };
 use linalg::WorkerPool;
 
@@ -56,13 +57,14 @@ fn timestamp_ties_pop_in_push_order_regardless_of_interleaving() {
 /// Returns everything virtual the run produced.
 fn contended_run(workers: usize) -> (u64, Vec<(u64, u64, u64)>, u64, u64) {
     let c = SimCluster::new_with_pool(contended_cfg(), Arc::new(WorkerPool::new(workers)));
-    c.charge_network_flows(&[700_001, 0, 13, 0, 250_000, 1, 0, 99_999], "skew-a");
-    c.charge_dfs_write_flows(&[0, 480_000, 0, 0, 0, 120_000, 0, 7], "skew-b");
-    c.charge_broadcast(33_333);
+    let skew_a = [700_001, 0, 13, 0, 250_000, 1, 0, 99_999];
+    c.charge(Meter::Network, Load::PerEndpoint(&skew_a), "skew-a");
+    c.charge(Meter::DfsWrite, Load::PerEndpoint(&[0, 480_000, 0, 0, 0, 120_000, 0, 7]), "skew-b");
+    c.charge(Meter::Network, Load::EachNode(33_333), "broadcast");
     let tasks: Vec<_> = (0..24u64).map(|i| move || i * 3).collect();
     let out = c.run_stage(dcluster::StageOptions::new("stage"), tasks);
     assert_eq!(out.len(), 24);
-    c.charge_dfs_read(614_400);
+    c.charge(Meter::DfsRead, Load::Even(614_400), "dfs-read");
     let links = c
         .link_stats()
         .into_iter()
@@ -136,9 +138,10 @@ fn saturating_fabric_carries_exactly_its_capacity() {
 fn concurrent_transfers_never_exceed_link_capacity_at_any_instant() {
     let c = SimCluster::new(contended_cfg());
     // Heavy mixed traffic with strong skew.
-    c.charge_network_flows(&[5_000_000, 3_000_000, 0, 0, 0, 0, 0, 1], "skew");
-    c.charge_dfs_write_flows(&[2_000_000, 0, 0, 2_000_000, 0, 0, 0, 0], "spill");
-    c.charge_broadcast(250_000);
+    c.charge(Meter::Network, Load::PerEndpoint(&[5_000_000, 3_000_000, 0, 0, 0, 0, 0, 1]), "skew");
+    let spill = [2_000_000, 0, 0, 2_000_000, 0, 0, 0, 0];
+    c.charge(Meter::DfsWrite, Load::PerEndpoint(&spill), "spill");
+    c.charge(Meter::Network, Load::EachNode(250_000), "broadcast");
     for l in c.link_stats() {
         assert!(
             l.peak_util <= 1.0 + 1e-9,
@@ -173,10 +176,10 @@ fn single_active_transfer_reproduces_arithmetic_charges_within_1us() {
             let e = SimCluster::new(contended_cfg());
             for c in [&u, &e] {
                 match kind {
-                    0 => c.charge_network(bytes),
-                    1 => c.charge_dfs_write(bytes),
-                    2 => c.charge_dfs_read(bytes),
-                    _ => c.charge_broadcast(bytes),
+                    0 => c.charge(Meter::Network, Load::Even(bytes), "network"),
+                    1 => c.charge(Meter::DfsWrite, Load::Even(bytes), "dfs-write"),
+                    2 => c.charge(Meter::DfsRead, Load::Even(bytes), "dfs-read"),
+                    _ => c.charge(Meter::Network, Load::EachNode(bytes), "broadcast"),
                 }
             }
             let tu = u.metrics().virtual_time_secs;
@@ -194,9 +197,9 @@ fn uniform_reproduction_holds_on_the_paper_cluster_too() {
     let u = SimCluster::new(ClusterConfig::paper_cluster());
     let e = SimCluster::new(ClusterConfig::paper_cluster().with_timing(TimingModel::Contended));
     for c in [&u, &e] {
-        c.charge_network(960_000_000);
-        c.charge_dfs_write(500_000_000);
-        c.charge_broadcast(12_345_678);
+        c.charge(Meter::Network, Load::Even(960_000_000), "network");
+        c.charge(Meter::DfsWrite, Load::Even(500_000_000), "dfs-write");
+        c.charge(Meter::Network, Load::EachNode(12_345_678), "broadcast");
     }
     let (tu, te) = (u.metrics().virtual_time_secs, e.metrics().virtual_time_secs);
     assert!((tu - te).abs() < 3e-6, "3 charges: {tu} vs {te}");
@@ -256,4 +259,202 @@ fn fault_plans_compose_identically_on_both_engines() {
     let (out_c, log_c) = run(TimingModel::Contended);
     assert_eq!(out_u, out_c);
     assert_eq!(log_u, log_c);
+}
+
+// ------------------------------------------------------- pinned pricing
+
+/// One transfer of the pinned pricing script.
+#[derive(Clone, Copy)]
+enum Transfer {
+    Network(u64, &'static str),
+    NetworkTo(&'static [u64], &'static str),
+    DfsWriteTo(&'static [u64], &'static str),
+    DfsRead(u64, &'static str),
+    Broadcast(u64),
+    Put(&'static str, u64),
+    Get(&'static str),
+}
+
+/// Prices one transfer through the cluster's public charge surface.
+fn price(c: &SimCluster, t: Transfer) {
+    match t {
+        Transfer::Network(bytes, label) => c.charge(Meter::Network, Load::Even(bytes), label),
+        Transfer::NetworkTo(shares, label) => c.charge(Meter::Network, Load::PerEndpoint(shares), label),
+        Transfer::DfsWriteTo(shares, label) => c.charge(Meter::DfsWrite, Load::PerEndpoint(shares), label),
+        Transfer::DfsRead(bytes, label) => c.charge(Meter::DfsRead, Load::Even(bytes), label),
+        Transfer::Broadcast(bytes) => c.charge_broadcast(bytes),
+        Transfer::Put(name, bytes) => c.dfs().put(c, name, bytes),
+        Transfer::Get(name) => {
+            c.dfs().get(c, name).unwrap();
+        }
+    }
+}
+
+/// Every charge kind: even, skewed (wider than 8 nodes, so endpoints
+/// wrap) and empty network charges, a broadcast, skewed and even DFS
+/// writes, and DFS reads.
+const SCRIPT: [Transfer; 9] = [
+    Transfer::Network(3_000_001, "shuffle"),
+    Transfer::NetworkTo(&[700_001, 0, 13, 0, 250_000, 1, 0, 99_999, 4_096, 0, 0, 65_537], "skew"),
+    Transfer::Network(0, "empty"),
+    Transfer::Broadcast(33_333),
+    Transfer::DfsWriteTo(&[0, 480_000, 0, 0, 0, 120_000, 0, 7], "spill"),
+    Transfer::Put("input", 5_000_007),
+    Transfer::Put("side", 1_200_007),
+    Transfer::Get("input"),
+    Transfer::DfsRead(600_013, "reread"),
+];
+
+/// What one cluster priced: everything here is a function of bytes and
+/// config alone, so it is pinned bit for bit.
+#[derive(Debug, PartialEq)]
+struct Priced {
+    /// `to_bits()` of each script step's virtual-clock delta.
+    deltas: Vec<u64>,
+    /// `category_time_us` after the script, before the crash stage.
+    categories: [u64; 5],
+    /// Network and disk µs after the crash stage (its CPU is measured).
+    io_us_after_crash: [u64; 2],
+    /// Network, DFS-written and DFS-read meters after the crash stage.
+    meters: [u64; 3],
+    /// FNV-1a over every link's `bytes`, `busy_secs` and `peak_util` bits.
+    links: (usize, u64),
+    /// `engine_stats()` as `(events, resolves, peak_flows)`.
+    engine: Option<(u64, u64, usize)>,
+    /// Critical-path segment labels, in emission order.
+    segments: Vec<String>,
+}
+
+fn fnv(h: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+fn priced(timing: TimingModel, nodes: usize) -> Priced {
+    let c = SimCluster::new(ClusterConfig::scaled_cluster().with_nodes(nodes).with_timing(timing));
+    let probe = format!("pricing probe {timing} {nodes}");
+    c.trace_instant("pin", &probe);
+    let mut deltas = Vec::new();
+    for t in SCRIPT {
+        let before = c.metrics().virtual_time_secs;
+        price(&c, t);
+        deltas.push((c.metrics().virtual_time_secs - before).to_bits());
+    }
+    let categories = c.category_time_us();
+    // Crash a node that holds a replica of `input`: its tasks re-read
+    // their split (cancelled mid-flight under contended timing) and the
+    // DFS re-replicates what it held.
+    let node = c.dfs().replicas("input").unwrap()[0];
+    c.install_fault_plan(FaultSpec::new(11), FaultPlan::new().with_crash(node, c.next_stage_index()))
+        .unwrap();
+    let tasks: Vec<_> = (0..2 * nodes).map(|i| move || i).collect();
+    c.run_stage(dcluster::StageOptions::new("crash").with_reexec_read_bytes(65_536), tasks);
+    let cats = c.category_time_us();
+    let m = c.metrics();
+    let stats = c.link_stats();
+    let links = stats.iter().fold(0xcbf2_9ce4_8422_2325, |h, l| {
+        [l.bytes, l.busy_secs, l.peak_util].iter().fold(h, |h, v| fnv(h, v.to_bits()))
+    });
+    let segments = obs::collector()
+        .map(|col| {
+            let events = col.events();
+            let pid = events.iter().find(|e| e.name == probe).map(|e| e.pid);
+            events
+                .into_iter()
+                .filter(|e| e.cat == "segment" && Some(e.pid) == pid)
+                .map(|e| e.name)
+                .collect()
+        })
+        .unwrap_or_default();
+    Priced {
+        deltas,
+        categories,
+        io_us_after_crash: [cats[2], cats[3]],
+        meters: [m.network_bytes, m.dfs_bytes_written, m.dfs_bytes_read],
+        links: (stats.len(), links),
+        engine: c.engine_stats().map(|e| (e.events, e.resolves, e.peak_flows)),
+        segments,
+    }
+}
+
+/// Segment labels of the script plus the crash stage. The 8-node crash
+/// re-replicates both files; on 1 000 nodes `side` has no replica on the
+/// crashed node.
+fn segments(re_replicated_files: usize) -> Vec<String> {
+    let mut s: Vec<&str> =
+        vec!["shuffle", "skew", "broadcast", "spill", "dfs-write", "dfs-write", "dfs-read", "reread"];
+    for _ in 0..re_replicated_files {
+        s.extend(["re-replicate", "re-replicate"]);
+    }
+    s.extend(["reexec-read", "stage:crash", "stage-recovery"]);
+    s.into_iter().map(String::from).collect()
+}
+
+#[test]
+fn every_charge_kind_prices_bit_for_bit_on_both_models() {
+    // Recorded before the timing models shared one charging path; any
+    // change here is a change to the pricing, not to its plumbing.
+    obs::install_new();
+    let got: Vec<Priced> = [
+        (TimingModel::Uncontended, 8),
+        (TimingModel::Contended, 8),
+        (TimingModel::Uncontended, 1_000),
+        (TimingModel::Contended, 1_000),
+    ]
+    .into_iter()
+    .map(|(timing, nodes)| priced(timing, nodes))
+    .collect();
+    obs::uninstall();
+    let want = [
+        Priced {
+            deltas: vec![
+                0x3fd00000597a7e04, 0x3fb7e2c3f6ac0afc, 0, 0x3f96c15d2d01c0d0, 0x3fb0000c3bbf3a84,
+                0x3fe0aaac322291fc, 0x3fc000061ddf9d40, 0x3fe0aaac322291fc, 0x3fb00016b819fef0,
+            ],
+            categories: [0, 0, 365_526, 1_291_670, 0],
+            io_us_after_crash: [882_194, 1_951_158],
+            meters: [10_586_326, 13_000_035, 5_731_092],
+            links: (0, 0xcbf29ce484222325),
+            engine: None,
+            segments: segments(2),
+        },
+        Priced {
+            deltas: vec![
+                0x3fd00002cc2f905e, 0x3fde0a9de8b3b322, 0, 0x3f96c15d2d01c0c0, 0x3fd999999999999c,
+                0x3fe0aaac6a3cf0de, 0x3fc00006fcda97d0, 0x3fe0aaac6a3cf0de, 0x3fb0001bf7b5e220,
+            ],
+            categories: [0, 0, 741_620, 1_629_171, 0],
+            io_us_after_crash: [1_258_287, 2_438_847],
+            meters: [10_586_326, 13_000_035, 5_731_092],
+            links: (25, 0x4cbfae95db09632c),
+            engine: Some((234, 44, 8)),
+            segments: segments(2),
+        },
+        Priced {
+            deltas: vec![
+                0x3f60624e2e91e97d, 0x3f487585152b0d4c, 0, 0x3f96c15d2d01c0ca, 0x3f40625a59da58a0,
+                0x3f711112a1ee26e4, 0x3f50625416660150, 0x3f711112a1ee26e4, 0x3f40626516a1c9c0,
+            ],
+            categories: [0, 0, 24_968, 10_333, 0],
+            io_us_after_crash: [28_302, 14_609],
+            meters: [42_452_655, 11_800_028, 5_731_092],
+            links: (0, 0xcbf29ce484222325),
+            engine: None,
+            segments: segments(1),
+        },
+        Priced {
+            deltas: vec![
+                0x3f6063b3eab9d8e6, 0x3fdddde0a9562dbd, 0, 0x3f96c15d2d01c0d0, 0x3fd999999999999a,
+                0x3f7111f0c34c1a80, 0x3f5065cc403d9000, 0x3f7111f0c34c1a80, 0x3f40694aad897800,
+            ],
+            categories: [0, 0, 490_890, 409_836, 0],
+            io_us_after_crash: [494_224, 577_844],
+            meters: [42_452_655, 11_800_028, 5_731_092],
+            links: (3_001, 0x410e5ff6c4fededd),
+            engine: Some((22_025, 38, 1_000)),
+            segments: segments(1),
+        },
+    ];
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g, w, "cluster {i} of (uncontended, contended) x (8, 1 000) nodes");
+    }
 }

@@ -215,26 +215,6 @@ pub fn sym_eigen(a: &Mat) -> Result<SymEigen> {
     Ok(sort_desc(d, z))
 }
 
-/// Eigendecomposition of a symmetric tridiagonal matrix given its diagonal
-/// `diag` and sub-diagonal `sub` (`sub.len() == diag.len() - 1`).
-///
-/// Used by the bidiagonal-SVD path: `BᵀB` of a bidiagonal `B` is
-/// tridiagonal.
-pub fn tridiag_eigen(diag: &[f64], sub: &[f64]) -> Result<SymEigen> {
-    let n = diag.len();
-    assert!(n == 0 && sub.is_empty() || sub.len() + 1 == n, "tridiag_eigen: sub-diagonal length must be n-1");
-    if n == 0 {
-        return Ok(SymEigen { values: vec![], vectors: Mat::zeros(0, 0) });
-    }
-    let mut d = diag.to_vec();
-    // tqli expects the sub-diagonal in e[1..].
-    let mut e = vec![0.0; n];
-    e[1..].copy_from_slice(sub);
-    let mut z = Mat::identity(n);
-    tqli(&mut d, &mut e, &mut z)?;
-    Ok(sort_desc(d, z))
-}
-
 /// Cyclic Jacobi eigendecomposition. Robust reference implementation for
 /// small symmetric matrices; O(n³) per sweep with larger constants than
 /// [`sym_eigen`].
@@ -370,26 +350,6 @@ mod tests {
             assert!((x - y).abs() < 1e-8, "{x} vs {y}");
         }
         check_decomposition(&a, &e2, 1e-8);
-    }
-
-    #[test]
-    fn tridiag_eigen_matches_dense_path() {
-        let diag = [2.0, 3.0, 1.0, 4.0];
-        let sub = [0.5, -1.0, 0.25];
-        let mut dense = Mat::zeros(4, 4);
-        for i in 0..4 {
-            dense[(i, i)] = diag[i];
-        }
-        for i in 0..3 {
-            dense[(i + 1, i)] = sub[i];
-            dense[(i, i + 1)] = sub[i];
-        }
-        let e1 = tridiag_eigen(&diag, &sub).unwrap();
-        let e2 = sym_eigen(&dense).unwrap();
-        for (x, y) in e1.values.iter().zip(&e2.values) {
-            assert!((x - y).abs() < 1e-10);
-        }
-        check_decomposition(&dense, &e1, 1e-9);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod tsqr;
 pub use bidiag::{bidiagonalize, svd_via_bidiag, Bidiagonal};
 pub use bidiag_svd::golub_reinsch_svd;
 pub use cholesky::Cholesky;
-pub use eig::{jacobi_eigen, sym_eigen, tridiag_eigen, SymEigen};
+pub use eig::{jacobi_eigen, sym_eigen, SymEigen};
 pub use helpers::{
     gram_svd, orthonormal_columns, singular_basis, subspace_overlap, top_singular_triplets,
     GRAM_MIN_EIGEN_RATIO,

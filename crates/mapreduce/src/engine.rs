@@ -1,6 +1,6 @@
 //! Job execution: map stage, combine, shuffle, reduce stage.
 
-use dcluster::{SimCluster, StageOptions};
+use dcluster::{Load, Meter, SimCluster, StageOptions};
 
 use crate::job::{for_each_group, Emitter, MapReduceJob};
 
@@ -154,8 +154,8 @@ impl<'a> MapReduceEngine<'a> {
         drop(sort_span);
         // Mapper spill to local disk at pre-combine size; shuffle over the
         // network at post-combine size.
-        self.cluster.charge_dfs_write_flows(&spill_sizes, "map-spill");
-        self.cluster.charge_network_flows(&shuffle_sizes, "shuffle");
+        self.cluster.charge(Meter::DfsWrite, Load::PerEndpoint(&spill_sizes), "map-spill");
+        self.cluster.charge(Meter::Network, Load::PerEndpoint(&shuffle_sizes), "shuffle");
 
         // ---- Reduce stage: each task walks the runs of its key range.
         let reduce_chunks = ranges.len();
@@ -405,8 +405,8 @@ mod tests {
                     grouped.entry(k).or_default().push(v);
                 }
             }
-            self.cluster.charge_dfs_write_flows(&spill_sizes, "map-spill");
-            self.cluster.charge_network_flows(&shuffle_sizes, "shuffle");
+            self.cluster.charge(Meter::DfsWrite, Load::PerEndpoint(&spill_sizes), "map-spill");
+            self.cluster.charge(Meter::Network, Load::PerEndpoint(&shuffle_sizes), "shuffle");
             stats.distinct_keys = grouped.len();
 
             let chunk = grouped.len().div_ceil(reducers).max(1);

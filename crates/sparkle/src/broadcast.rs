@@ -8,7 +8,7 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use dcluster::SimCluster;
+use dcluster::{Load, Meter, SimCluster};
 use linalg::Wire;
 
 /// A value broadcast to every node of the cluster.
@@ -24,7 +24,7 @@ impl<T: Wire> Broadcast<T> {
     /// estimate, per the cluster's sizing policy).
     pub fn new(cluster: &SimCluster, value: T) -> Self {
         let bytes = cluster.wire_size(&value);
-        cluster.charge_broadcast(bytes);
+        cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
         if obs::enabled() {
             cluster.registry().counter("sparkle.broadcast_bytes").add(bytes);
         }

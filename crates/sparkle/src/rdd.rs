@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use dcluster::{SimCluster, StageOptions};
+use dcluster::{Load, Meter, SimCluster, StageOptions};
 use linalg::{Wire, WorkerPool};
 
 /// Deterministic pairwise tree reduction: adjacent values merge in rounds
@@ -422,7 +422,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
                                 )
                             })
                             / slots.len().max(1) as u64;
-                        self.cluster.charge_dfs_read_labeled(share, "lineage-reread");
+                        self.cluster.charge(Meter::DfsRead, Load::Even(share), "lineage-reread");
                     }
                     let start = Instant::now();
                     let data = (c.lineage.recompute)(p);
@@ -456,7 +456,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
     /// fraction, if any.
     fn charge_spill(&self) {
         if self.spill_bytes > 0 {
-            self.cluster.charge_dfs_read_labeled(self.spill_bytes, "spill-reread");
+            self.cluster.charge(Meter::DfsRead, Load::Even(self.spill_bytes), "spill-reread");
             if obs::enabled() {
                 self.cluster.registry().counter("sparkle.spill_bytes").add(self.spill_bytes);
             }
@@ -633,7 +633,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
             sink(partial);
         });
         let bytes: u64 = sizes.iter().sum();
-        cluster.charge_network_flows(&sizes, "accumulator-merge");
+        cluster.charge(Meter::Network, Load::PerEndpoint(&sizes), "accumulator-merge");
         if obs::enabled() {
             cluster.registry().counter("sparkle.accumulator_bytes").add(bytes);
         }
@@ -657,7 +657,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         // the byte meter charges the per-partition sum as before.
         let sizes: Vec<u64> =
             parts.iter().map(|p| p.iter().map(|t| cluster.wire_size(t)).sum()).collect();
-        cluster.charge_network_flows(&sizes, "collect");
+        cluster.charge(Meter::Network, Load::PerEndpoint(&sizes), "collect");
         let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
         for p in parts {
             out.extend(Arc::try_unwrap(p).unwrap_or_else(|shared| shared.to_vec()));
@@ -688,7 +688,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
             sizes.push(part.iter().map(|u| cluster.wire_size(u)).sum());
             part.into_iter().for_each(&mut sink);
         });
-        cluster.charge_network_flows(&sizes, "collect");
+        cluster.charge(Meter::Network, Load::PerEndpoint(&sizes), "collect");
     }
 
     /// Marks the RDD as cached and accounts for the fraction that does not
@@ -1263,7 +1263,7 @@ mod tests {
                             let partials = c.run_stage(StageOptions::new("agg"), tasks);
                             let sizes: Vec<u64> =
                                 partials.iter().map(|p| c.shuffle_size(p)).collect();
-                            c.charge_network_flows(&sizes, "accumulator-merge");
+                            c.charge(Meter::Network, Load::PerEndpoint(&sizes), "accumulator-merge");
                             (tree_merge(partials, init, merge), sizes.iter().sum())
                         }
                         1 => rdd.aggregate_partitions("agg", init, fold, merge),
