@@ -99,15 +99,9 @@ fn run_rowwise(
 }
 
 /// Every partition through the blocked kernels in one `add_block` call
-/// (sparse GEMM into reused scratch, packed-slab `YᵀX`) on
-/// the given arithmetic arm; nested kernel batches ride the same pool.
-fn batched_partials(
-    pool: &WorkerPool,
-    blocks: &[SparseMat],
-    cm: &Mat,
-    xm: &[f64],
-    precision: linalg::Precision,
-) -> Vec<YtxPartial> {
+/// (sparse GEMM into reused scratch, packed-slab `YᵀX`); nested kernel
+/// batches ride the same pool.
+fn batched_partials(pool: &WorkerPool, blocks: &[SparseMat], cm: &Mat, xm: &[f64]) -> Vec<YtxPartial> {
     let d = cm.cols();
     pool.run(
         blocks
@@ -115,7 +109,7 @@ fn batched_partials(
             .map(|b| {
                 move || {
                     let mut p = YtxPartial::new(d);
-                    p.add_block_prec_with_pool(pool, b, cm, xm, precision);
+                    p.add_block_with_pool(pool, b, cm, xm);
                     p
                 }
             })
@@ -123,17 +117,10 @@ fn batched_partials(
     )
 }
 
-/// Batched arm (`f64`), or the mixed-precision arm (`--precision
-/// f32|bf16`): the batched fold, merged in full `f64` with the fused merge,
-/// as the Spark engine does.
-fn run_batched(
-    pool: &WorkerPool,
-    blocks: &[SparseMat],
-    cm: &Mat,
-    xm: &[f64],
-    precision: linalg::Precision,
-) -> YtxPartial {
-    let partials = batched_partials(pool, blocks, cm, xm, precision);
+/// Batched arm: the batched fold, merged with the fused merge, as the
+/// Spark engine does.
+fn run_batched(pool: &WorkerPool, blocks: &[SparseMat], cm: &Mat, xm: &[f64]) -> YtxPartial {
+    let partials = batched_partials(pool, blocks, cm, xm);
     YtxPartial::tree_merged(pool, cm.cols(), partials)
 }
 
@@ -195,7 +182,6 @@ fn main() {
             ("--smoke", "Small shape (quick CI sanity run)"),
             ("--out FILE", "Results JSON path (default BENCH_em.json)"),
             ("--partitions N", "Partition count override"),
-            ("--precision ARM", "Also time a reduced-precision arm (f32|bf16)"),
         ],
     );
     let args: Vec<String> = std::env::args().collect();
@@ -205,11 +191,6 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_em.json".to_string());
-    let precision = args
-        .iter()
-        .position(|a| a == "--precision")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| linalg::Precision::parse(v).expect("--precision takes f64|f32|bf16"));
 
     // The paper's regime: tall sparse Y (N ≫ D ≫ d), ~0.1% dense.
     let (n, d_in, density, d, default_parts, reps) = if smoke {
@@ -250,7 +231,7 @@ fn main() {
             rowwise_secs = t;
         }
         rowwise = Some(r);
-        let (t, b) = timed(|| run_batched(pool, &blocks, &cm, &xm, linalg::Precision::F64));
+        let (t, b) = timed(|| run_batched(pool, &blocks, &cm, &xm));
         if t < batched_secs {
             batched_secs = t;
         }
@@ -278,7 +259,7 @@ fn main() {
     // pool size (chunking is a function of the problem shape only).
     let bitwise_deterministic = [1usize, 2].iter().all(|&w| {
         let small = WorkerPool::new(w);
-        merged_bits(&run_batched(&small, &blocks, &cm, &xm, linalg::Precision::F64))
+        merged_bits(&run_batched(&small, &blocks, &cm, &xm))
             == merged_bits(&batched)
     });
     assert!(bitwise_deterministic, "batched fold is not worker-count deterministic");
@@ -291,7 +272,7 @@ fn main() {
     // merge: the driver's reduction of the batched partials, pairwise
     // `tree_merge` rounds against the fused column pass, alternated rep by
     // rep on copies of the same partials (the copies are not timed).
-    let partials = batched_partials(pool, &blocks, &cm, &xm, linalg::Precision::F64);
+    let partials = batched_partials(pool, &blocks, &cm, &xm);
     let (mut pairwise_secs, mut fused_secs) = (f64::INFINITY, f64::INFINITY);
     let mut merge_bitwise_equal = true;
     for _ in 0..MERGE_REPS {
@@ -348,43 +329,8 @@ fn main() {
         ",\n  \"gather\": {{\"per_task\": {{\"secs\": {per_task_secs:.6e}}}, \"cached\": {{\"secs\": {cached_secs:.6e}}}, \"speedup\": {gather_speedup:.3}, \"bitwise_equal\": {gather_bitwise_equal}}}"
     );
 
-    // Optional reduced-precision arm: same fold, narrower kernels. Its
-    // speedup is measured against the batched f64 arm and its divergence
-    // against the f64 result (relative to the result's own scale).
-    let mut precision_json = String::new();
-    if let Some(arm) = precision.filter(|&p| p != linalg::Precision::F64) {
-        let mut arm_secs = f64::INFINITY;
-        let mut arm_result = None;
-        for _ in 0..reps {
-            let (t, p) = timed(|| run_batched(pool, &blocks, &cm, &xm, arm));
-            if t < arm_secs {
-                arm_secs = t;
-            }
-            arm_result = Some(p);
-        }
-        let arm_result = arm_result.expect("reps >= 1");
-        let arm_speedup = batched_secs / arm_secs.max(1e-12);
-        let arm_ytx = arm_result.finalize_ytx(&mean);
-        let arm_rel_diff =
-            arm_ytx.max_abs_diff(&bt_ytx).max(sum_x_diff(&arm_result.sum_x, &batched.sum_x));
-        let arm_rel_diff = arm_rel_diff / scale;
-        let arm_deterministic = {
-            let small = WorkerPool::new(2);
-            merged_bits(&run_batched(&small, &blocks, &cm, &xm, arm)) == merged_bits(&arm_result)
-        };
-        assert!(arm_deterministic, "{arm} arm is not worker-count deterministic");
-        println!(
-            "{arm} arm {arm_secs:>9.4}s  speedup-vs-f64 {arm_speedup:.2}x  \
-             maxreldiff {arm_rel_diff:.2e}  deterministic {arm_deterministic}"
-        );
-        precision_json = format!(
-            ",\n  \"precision\": {{\"arm\": \"{}\", \"secs\": {arm_secs:.6e}, \"speedup_vs_f64\": {arm_speedup:.3}, \"max_rel_diff_vs_f64\": {arm_rel_diff:.3e}, \"bitwise_deterministic\": {arm_deterministic}}}",
-            arm.label(),
-        );
-    }
-
     let json = format!(
-        "{{\n  \"mode\": \"{}\",\n  \"pool_workers\": {},\n  \"shape\": {{\"rows\": {n}, \"cols\": {d_in}, \"density\": {density}, \"nnz\": {}, \"d\": {d}, \"partitions\": {partitions}}},\n  \"reps\": {reps},\n  \"rowwise_secs\": {rowwise_secs:.6e},\n  \"batched_secs\": {batched_secs:.6e},\n  \"speedup\": {speedup:.3},\n  \"max_rel_diff\": {max_rel_diff:.3e},\n  \"bitwise_deterministic\": {bitwise_deterministic}{merge_json}{gather_json}{precision_json}\n}}\n",
+        "{{\n  \"mode\": \"{}\",\n  \"pool_workers\": {},\n  \"shape\": {{\"rows\": {n}, \"cols\": {d_in}, \"density\": {density}, \"nnz\": {}, \"d\": {d}, \"partitions\": {partitions}}},\n  \"reps\": {reps},\n  \"rowwise_secs\": {rowwise_secs:.6e},\n  \"batched_secs\": {batched_secs:.6e},\n  \"speedup\": {speedup:.3},\n  \"max_rel_diff\": {max_rel_diff:.3e},\n  \"bitwise_deterministic\": {bitwise_deterministic}{merge_json}{gather_json}\n}}\n",
         if smoke { "smoke" } else { "full" },
         pool.workers(),
         y.nnz(),

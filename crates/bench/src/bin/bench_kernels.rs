@@ -18,7 +18,7 @@ use std::time::Instant;
 use linalg::decomp::cholesky::{solve_spd_right, Cholesky};
 use linalg::decomp::{qr_thin, singular_basis, svd_jacobi};
 use linalg::kernels::{self, naive};
-use linalg::{Mat, MatF32, Prng, SparseMat, WorkerPool};
+use linalg::{Mat, Prng, SparseMat, WorkerPool};
 use spca_core::accuracy::reconstruction_error;
 use spca_core::PcaModel;
 
@@ -53,32 +53,6 @@ fn best_of_pair<A, B>(
         best.1 = (best.1 .0.min(next_b.0), next_b.1);
     }
     best
-}
-
-/// One `mixed_precision` row: an `f32` kernel against its `f64`
-/// instantiation on the same inputs.
-struct F32Result {
-    kernel: &'static str,
-    shape: String,
-    f64_secs: f64,
-    f32_secs: f64,
-    max_rel_diff: f64,
-}
-
-/// Times the two instantiations in alternation and compares the `f32`
-/// result to the `f64` one after widening, relative to the largest
-/// reference magnitude.
-fn f32_vs_f64(
-    kernel: &'static str,
-    shape: String,
-    reps: usize,
-    run64: impl FnMut() -> Vec<f64>,
-    run32: impl FnMut() -> Vec<f32>,
-) -> F32Result {
-    let ((f64_secs, reference), (f32_secs, half)) = best_of_pair(reps, run64, run32);
-    let scale = reference.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
-    let diff = half.iter().zip(&reference).map(|(h, r)| (f64::from(*h) - r).abs()).fold(0.0, f64::max);
-    F32Result { kernel, shape, f64_secs, f32_secs, max_rel_diff: diff / scale }
 }
 
 struct KernelResult {
@@ -248,61 +222,6 @@ fn main() {
         });
     }
 
-    // mixed_precision: the three kernels `YtxPartial::add_block` calls
-    // under `Precision::F32`, each against its `f64` instantiation on the
-    // same block (one 1 %-dense partition, `X = Y·CM`, the block's own
-    // column-support table).
-    let mut f32_results: Vec<F32Result> = Vec::new();
-    {
-        let y = random_sparse(&mut rng, n_rows, d_cols, 0.01);
-        let cm = rng.normal_mat(d_cols, d_small);
-        let x = kernels::sparse_mul_dense_with_pool(global, &y, &cm);
-        let (cm32, x32) = (MatF32::from_f64(&cm), MatF32::from_f64(&x));
-        let mut map = vec![u32::MAX; d_cols];
-        for &c in y.col_indices() {
-            map[c as usize] = 0;
-        }
-        let mut support = 0;
-        for slot in map.iter_mut().filter(|slot| **slot == 0) {
-            *slot = support;
-            support += 1;
-        }
-        let slab_len = support as usize * d_small;
-        f32_results.push(f32_vs_f64(
-            "sparse_mul_dense_f32",
-            format!("sparse({n_rows}x{d_cols}, 1%) * ({d_cols}x{d_small})"),
-            reps,
-            || kernels::sparse_mul_dense_with_pool(global, &y, &cm).into_vec(),
-            || {
-                let mut out = vec![0.0f32; n_rows * d_small];
-                kernels::sparse_mul_dense_f32_into_with_pool(global, &y, &cm32, &mut out);
-                out
-            },
-        ));
-        f32_results.push(f32_vs_f64(
-            "syrk_tn_f32",
-            format!("({n_rows}x{d_small})^T * ({n_rows}x{d_small})"),
-            reps,
-            || kernels::syrk_tn_with_pool(global, &x).into_vec(),
-            || kernels::syrk_tn_f32_with_pool(global, &x32).data().to_vec(),
-        ));
-        f32_results.push(f32_vs_f64(
-            "spmm_tn_packed_f32",
-            format!("sparse({n_rows}x{d_cols}, 1%)^T * ({n_rows}x{d_small}), {support} touched columns"),
-            reps,
-            || {
-                let mut out = vec![0.0f64; slab_len];
-                kernels::spmm_tn_packed_with_pool(global, &y, &x, &map, &mut out);
-                out
-            },
-            || {
-                let mut out = vec![0.0f32; slab_len];
-                kernels::spmm_tn_packed_f32_with_pool(global, &y, &x32, &map, &mut out);
-                out
-            },
-        ));
-    }
-
     // driver_decomp: the randomized driver's per-pass work on its D×K sketch,
     // Jacobi SVD plus Householder QR (through PR 12) against the one Gram-based
     // factorisation, at `rpca_spark_sparse`'s sketch shape and cond(Z) ≈ 30.
@@ -447,24 +366,6 @@ fn main() {
             if i + 1 < results.len() { "," } else { "" },
         ));
     }
-    json.push_str("  ],\n  \"mixed_precision\": [\n");
-    for (i, r) in f32_results.iter().enumerate() {
-        let speedup = r.f64_secs / r.f32_secs.max(1e-12);
-        println!(
-            "{:>18} {:40} f64 {:>9.4}s  f32 {:>9.4}s ({:.2}x)  maxreldiff {:.2e}",
-            r.kernel, r.shape, r.f64_secs, r.f32_secs, speedup, r.max_rel_diff,
-        );
-        json.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"f64_secs\": {:.6e}, \"f32_secs\": {:.6e}, \"speedup_f32\": {:.3}, \"max_rel_diff\": {:.3e}}}{}\n",
-            r.kernel,
-            r.shape,
-            r.f64_secs,
-            r.f32_secs,
-            speedup,
-            r.max_rel_diff,
-            if i + 1 < f32_results.len() { "," } else { "" },
-        ));
-    }
     json.push_str(&format!(
         "  ],\n  \"driver_decomp\": {driver_decomp},\n  \"driver_em\": {driver_em},\n  \"dense_block\": {dense_block}\n}}\n"
     ));
@@ -477,16 +378,6 @@ fn main() {
             "{}: kernel disagrees with the naive reference ({:.3e})",
             r.kernel,
             r.max_abs_diff
-        );
-    }
-    for r in &f32_results {
-        // f32 accumulations over n_rows-length reductions: allow ~1e-7·√n
-        // of relative drift, which these shapes stay far under.
-        assert!(
-            r.max_rel_diff <= 1e-3,
-            "{}: f32 arm drifted too far from f64 ({:.3e})",
-            r.kernel,
-            r.max_rel_diff
         );
     }
     assert!(

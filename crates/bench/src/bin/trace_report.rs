@@ -17,7 +17,7 @@ use std::sync::Arc;
 use dcluster::{
     ClusterConfig, FaultPlan, FaultSpec, SchedulerPolicy, SimCluster, TimingModel,
 };
-use linalg::{Precision, WireCodec};
+use linalg::WireCodec;
 use spca_bench::{data, fmt_bytes, fmt_secs, fresh_cluster, Table};
 use spca_core::serving::{run_serving, FitJob, ServeLoad, ServeSpec, TenantWorkload};
 use spca_core::{Spca, SpcaConfig, SpcaError, SpcaRun};
@@ -176,43 +176,33 @@ fn main() {
         );
     }
 
-    // A cheap-arm run — f32 kernels plus the quantized v3 shuffle codec —
-    // traced alongside the reference arms and summarized per arm below.
-    let f32_cluster = SimCluster::new(
+    // A cheap-arm run — the quantized v3 shuffle codec — traced alongside
+    // the reference arms and summarized per arm below.
+    let v3q_cluster = SimCluster::new(
         ClusterConfig::scaled_cluster()
             .with_wire_codec(WireCodec::V3Quantized)
             .with_timing(timing),
     );
-    let f32_run = Spca::new(config.clone().with_precision(Precision::F32))
-        .fit_spark(&f32_cluster, &y)
-        .expect("sPCA-Spark f32 run");
-    stage_table("sPCA-Spark f32+v3q", &f32_cluster);
+    let v3q_run = Spca::new(config.clone()).fit_spark(&v3q_cluster, &y).expect("sPCA-Spark v3q run");
+    stage_table("sPCA-Spark v3q", &v3q_cluster);
 
-    println!("\n-- arms: precision x codec --");
-    let mut arms = Table::new(&[
-        "Run",
-        "Precision",
-        "Codec",
-        "Virtual (s)",
-        "Intermediate",
-        "Final error",
-    ]);
-    let mut arm_row = |label: &str, precision: Precision, cluster: &SimCluster, run: &SpcaRun| {
+    println!("\n-- arms: codec --");
+    let mut arms = Table::new(&["Run", "Codec", "Virtual (s)", "Intermediate", "Final error"]);
+    let mut arm_row = |label: &str, cluster: &SimCluster, run: &SpcaRun| {
         arms.row(&[
             label.to_string(),
-            precision.label().to_string(),
             cluster.wire_codec().label().to_string(),
             format!("{:.4}", run.virtual_time_secs),
             fmt_bytes(run.intermediate_bytes),
             format!("{:.4}", run.final_error()),
         ]);
     };
-    arm_row("sPCA-Spark", Precision::F64, &spark_cluster, &spark_run);
-    arm_row("sPCA-MapReduce", Precision::F64, &mr_cluster, &mr_run);
-    arm_row("sPCA-Spark f32+v3q", Precision::F32, &f32_cluster, &f32_run);
+    arm_row("sPCA-Spark", &spark_cluster, &spark_run);
+    arm_row("sPCA-MapReduce", &mr_cluster, &mr_run);
+    arm_row("sPCA-Spark v3q", &v3q_cluster, &v3q_run);
     arms.print();
     assert!(
-        f32_run.intermediate_bytes < spark_run.intermediate_bytes,
+        v3q_run.intermediate_bytes < spark_run.intermediate_bytes,
         "the v3q arm must shrink the shuffle byte meter"
     );
 
@@ -271,7 +261,7 @@ fn main() {
     // queue under the fair-share scheduler while two tenants serve
     // projection requests against their fitted models. Runs after the
     // resumed fit so the ledger's long-standing run indices (spark, mr,
-    // f32, resumed) stay put; the serving fits append behind them.
+    // v3q, resumed) stay put; the serving fits append behind them.
     println!("\n-- serving: fit queue + projection requests (fair-share) --");
     let serve_cluster = SimCluster::new(
         ClusterConfig::scaled_cluster()

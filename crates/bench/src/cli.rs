@@ -20,19 +20,9 @@ pub struct TraceGuard {
 }
 
 impl TraceGuard {
-    /// True when `--trace` was requested.
-    pub fn is_tracing(&self) -> bool {
-        self.collector.is_some()
-    }
-
     /// The installed collector, if tracing.
     pub fn collector(&self) -> Option<&Arc<obs::Collector>> {
         self.collector.as_ref()
-    }
-
-    /// True when `--ledger` was requested.
-    pub fn is_ledgering(&self) -> bool {
-        self.ledger_path.is_some()
     }
 }
 

@@ -1,7 +1,6 @@
 //! Configuration of a PCA fit.
 
 use crate::error::SpcaError;
-use linalg::Precision;
 
 /// Which algorithm family a fit runs. Both produce a [`crate::PcaModel`],
 /// share the input pipeline, byte meters, fault plans and checkpoint
@@ -91,12 +90,6 @@ pub struct SpcaConfig {
     /// the iteration ended the run, says so: the resume has nothing left
     /// to run). The fit returns `SpcaError::DriverCrashed`; `None` disables.
     pub crash_at_iteration: Option<usize>,
-    /// Which arithmetic the EM inner loop runs in. The default `F64` arm
-    /// is bit-identical to every previous release; the reduced-precision
-    /// arms trade accuracy (tracked by the `em.precision.divergence`
-    /// meter) for kernel speed, and each arm is itself bitwise
-    /// reproducible across worker counts and engines.
-    pub precision: Precision,
     /// Job id scoping this fit's DFS namespace (input files, checkpoint
     /// blobs). `None` keeps the legacy shared names; multi-tenant runs
     /// must set distinct ids so concurrent checkpoints never collide
@@ -136,7 +129,6 @@ impl SpcaConfig {
             smart_guess: None,
             checkpoint_every: None,
             crash_at_iteration: None,
-            precision: Precision::F64,
             job_id: None,
             algorithm: Algorithm::PpcaEm,
             rpca_oversample: 10,
@@ -174,8 +166,7 @@ impl SpcaConfig {
     /// both engines' `fit` call it first. `n_cols` is the input width `D`
     /// (the sketch `d + p` must fit in it). A smart-guess sample fraction
     /// outside `(0, 1]` is rejected on either arm; the randomized arm has
-    /// four more rejectable combinations (a reduced-precision arm among
-    /// them — it has none), each pinned by a test in
+    /// three more rejectable combinations, each pinned by a test in
     /// `crates/core/tests/rpca.rs`, and its knobs are inert on the EM arm.
     pub fn validate(&self, n_cols: usize) -> Result<(), SpcaError> {
         if let Some(fraction) = self.smart_guess.as_ref().map(|sg| sg.sample_fraction) {
@@ -188,15 +179,6 @@ impl SpcaConfig {
         }
         if self.algorithm != Algorithm::Randomized {
             return Ok(());
-        }
-        if self.precision != Precision::F64 {
-            return Err(SpcaError::InvalidConfig {
-                what: format!(
-                    "algorithm = randomized has no reduced-precision arm: precision = {} \
-                     would run f64 arithmetic under an f32/bf16 fingerprint",
-                    self.precision
-                ),
-            });
         }
         if self.rpca_oversample == 0 {
             return Err(SpcaError::InvalidConfig {
@@ -227,12 +209,6 @@ impl SpcaConfig {
     /// Scopes this fit's DFS namespace (checkpoints, inputs) to a job id.
     pub fn with_job_id(mut self, job: impl Into<String>) -> Self {
         self.job_id = Some(job.into());
-        self
-    }
-
-    /// Selects the EM arithmetic arm (`f64`, `f32`, or `bf16`).
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -311,7 +287,6 @@ impl SpcaConfig {
             ),
             ("spca.max_iters".into(), self.max_iters.to_string()),
             ("spca.partitions".into(), opt_usize(self.partitions)),
-            ("spca.precision".into(), self.precision.label().to_string()),
             ("spca.rel_tolerance".into(), opt_f64(self.rel_tolerance)),
             ("spca.rpca_noisy_spectrum".into(), self.rpca_noisy_spectrum.to_string()),
             ("spca.rpca_oversample".into(), self.rpca_oversample.to_string()),
@@ -360,9 +335,6 @@ mod tests {
         let c = c.with_checkpoint_every(2).with_crash_at_iteration(3);
         assert_eq!(c.checkpoint_every, Some(2));
         assert_eq!(c.crash_at_iteration, Some(3));
-        assert_eq!(c.precision, Precision::F64);
-        let c = c.with_precision(Precision::F32);
-        assert_eq!(c.precision, Precision::F32);
         assert_eq!(c.job_id, None);
         let c = c.with_job_id("tenantA-fit0");
         assert_eq!(c.job_id.as_deref(), Some("tenantA-fit0"));

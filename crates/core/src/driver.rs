@@ -63,16 +63,6 @@ pub(crate) struct Dims {
     pub width: usize,
 }
 
-/// What a pass reports beyond the state it updated.
-pub(crate) struct PassStats {
-    /// The arm's convergence objective (a ledger/trace series).
-    pub objective: f64,
-    /// Reduced-precision arms: this pass's drift from the `f64` reference
-    /// on the error sample; `None` when the arm has no such meter or
-    /// nothing is recording it.
-    pub divergence: Option<f64>,
-}
-
 /// The per-algorithm half of the driver program.
 pub(crate) trait PassArm {
     fn names(&self) -> &'static ArmNames;
@@ -84,16 +74,18 @@ pub(crate) trait PassArm {
     /// crash state is invisible to the other.
     fn checkpoint_file(&self) -> String;
     /// The arm's own arguments on the `run` trace window, after `N`/`D`/`d`.
-    fn run_args(&self) -> Vec<(&'static str, obs::ArgValue)>;
+    fn run_args(&self) -> Vec<(&'static str, obs::ArgValue)> {
+        Vec::new()
+    }
     /// One-time jobs and initial state. Also runs on a resume: the jobs
     /// are deterministic, so recomputing them reproduces the original
     /// values.
     fn prepare(&mut self);
     /// Replaces the pass state with a checkpoint's.
     fn restore(&mut self, state: Mat, ss: f64);
-    /// Runs pass number `pass`. `error_sample` is the loop's uncharged row
-    /// sample, lent for driver-local meters.
-    fn pass(&mut self, pass: usize, error_sample: &SparseMat) -> Result<PassStats>;
+    /// Runs pass number `pass` and returns the arm's convergence objective
+    /// (a ledger/trace series).
+    fn pass(&mut self, pass: usize) -> Result<f64>;
     /// The model the current state stands for.
     fn model(&self) -> PcaModel;
     /// The sampled reconstruction error of `model`, this pass's
@@ -197,7 +189,7 @@ pub(crate) fn run_passes(
         let _pass_host_span =
             obs::span_lazy("iteration", || format!("{} {window}", names.counters));
 
-        let PassStats { objective, divergence } = arm.pass(pass, error_sample)?;
+        let objective = arm.pass(pass)?;
 
         // Instrumentation: sampled reconstruction error (not charged).
         let error_span = obs::span("driver", "sampled error");
@@ -217,9 +209,6 @@ pub(crate) fn run_passes(
             cluster.trace_counter(&format!("{family}.error"), error);
             cluster.trace_counter(&format!("{family}.ss"), ss);
             cluster.trace_counter(&format!("{family}.objective"), objective);
-            if let Some(divergence) = divergence {
-                cluster.trace_counter(&format!("{family}.precision.divergence"), divergence);
-            }
             for (i, category) in obs::critpath::CATEGORIES.iter().enumerate() {
                 cluster.trace_counter(
                     &format!("{family}.{}.{category}_secs", names.category_infix),
@@ -237,7 +226,6 @@ pub(crate) fn run_passes(
                 iteration: pass as u64,
                 error,
                 objective,
-                divergence: divergence.unwrap_or(f64::NAN),
                 virtual_secs: virtual_time_secs,
                 cat_us,
             });

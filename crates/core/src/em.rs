@@ -22,7 +22,7 @@ use linalg::{Mat, SparseMat};
 use crate::accuracy;
 use crate::checkpoint;
 use crate::config::SpcaConfig;
-use crate::driver::{ArmNames, Dims, PassArm, PassStats};
+use crate::driver::{ArmNames, Dims, PassArm};
 use crate::mean_prop::{xtx_from_ytx, YtxPartial};
 use crate::model::PcaModel;
 use crate::Result;
@@ -37,26 +37,6 @@ pub trait EmJobs {
     /// `YtX` contributions and the hoisted `Σx`, recomputing `X` on demand
     /// from the broadcast `CM` and `Xm`. (`XtX` is derived on the driver.)
     fn ytx_job(&mut self, cm: &Mat, xm: &[f64]) -> YtxPartial;
-}
-
-/// Relative max-abs divergence between the finalized `YtX` of the
-/// reduced-precision arm's `YtXJob` partial and of the `f64` reference,
-/// both computed on the same small row sample. Driver-local
-/// instrumentation: never shipped, never charged.
-fn precision_divergence(
-    sample: &SparseMat,
-    (cm, xm): (&Mat, &[f64]),
-    mean: &[f64],
-    precision: linalg::Precision,
-) -> f64 {
-    let finalized = |precision| {
-        let mut partial = YtxPartial::new(cm.cols());
-        partial.add_block_prec(sample, cm, xm, precision);
-        partial.finalize_ytx(mean)
-    };
-    let (arm, reference) = (finalized(precision), finalized(linalg::Precision::F64));
-    let scale = reference.data().iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-300);
-    arm.max_abs_diff(&reference) / scale
 }
 
 static NAMES: ArmNames = ArmNames {
@@ -129,10 +109,6 @@ impl PassArm for EmArm<'_> {
         checkpoint::file_name(self.config.job_id.as_deref())
     }
 
-    fn run_args(&self) -> Vec<(&'static str, obs::ArgValue)> {
-        vec![("precision", self.config.precision.label().into())]
-    }
-
     fn prepare(&mut self) {
         // Lines 3–4: one-time jobs.
         self.mean = self.jobs.mean_job();
@@ -145,7 +121,7 @@ impl PassArm for EmArm<'_> {
         self.projection = None;
     }
 
-    fn pass(&mut self, _pass: usize, error_sample: &SparseMat) -> Result<PassStats> {
+    fn pass(&mut self, _pass: usize) -> Result<f64> {
         let (n, d_in) = (self.n, self.d_in);
         let (c, ss, mean) = (&self.c, self.ss, &self.mean);
 
@@ -212,16 +188,7 @@ impl PassArm for EmArm<'_> {
 
         // Convergence telemetry: the paper's 1 − ss·N·D/‖Y−mean‖²_F
         // objective, plotted with the sampled error against virtual time.
-        let objective = 1.0 - self.ss * (n as f64) * (d_in as f64) / self.ss1;
-        // Reduced-precision arms: track how far this iteration's arm
-        // drifts from the f64 reference on the (uncharged) error sample —
-        // the divergence meter the precision ladder is judged by. One
-        // small local block, never shipped.
-        let precision = self.config.precision;
-        let recording = obs::enabled() || obs::ledger::sink_enabled();
-        let divergence = (precision != linalg::Precision::F64 && recording)
-            .then(|| precision_divergence(error_sample, (&cm, &xm), &self.mean, precision));
-        Ok(PassStats { objective, divergence })
+        Ok(1.0 - self.ss * (n as f64) * (d_in as f64) / self.ss1)
     }
 
     fn model(&self) -> PcaModel {
@@ -263,22 +230,6 @@ mod tests {
         }
     }
 
-    /// The f32 arm's divergence meter sees the arm: above zero (it would
-    /// read 0 forever on a term no task folds) and small.
-    #[test]
-    fn f32_divergence_is_small_but_not_zero() {
-        let mut rng = Prng::seed_from_u64(32);
-        let triplets: Vec<_> =
-            (0..300).map(|_| (rng.index(60), rng.index(30) as u32, rng.normal())).collect();
-        let sample = SparseMat::from_triplets(60, 30, &triplets);
-        let mean = sample.col_means();
-        let cm = rng.normal_mat(30, 4);
-        let xm = cm.vecmat(&mean);
-        let divergence =
-            precision_divergence(&sample, (&cm, &xm), &mean, linalg::Precision::F32);
-        assert!(divergence > 0.0 && divergence < 1e-3, "{divergence:e}");
-    }
-
     /// The sampled error through the `CM` a pass leaves behind is the
     /// model's own error bit for bit, on every pass and on the pass right
     /// after a restore (which forms `M⁻¹` and `CM` afresh) — and that pass
@@ -297,7 +248,7 @@ mod tests {
         arm.prepare();
 
         let run = |arm: &mut EmArm, pass| {
-            arm.pass(pass, &sample).unwrap();
+            arm.pass(pass).unwrap();
             let model = arm.model();
             let shared = arm.sampled_error(&sample, &model).unwrap();
             let own = accuracy::reconstruction_error(&sample, &model).unwrap();

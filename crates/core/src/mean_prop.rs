@@ -46,10 +46,10 @@
 //! `bench_em` measures against.
 
 use linalg::bytes::ByteSized;
-use linalg::kernels::{self, Elem};
-use linalg::sparse::{Block, Csc, SparseRow};
+use linalg::kernels;
+use linalg::sparse::{Block, SparseRow};
 use linalg::wire::{self, Wire, WireError, WireReader};
-use linalg::{bf16_round, Mat, Precision, SparseMat, WorkerPool};
+use linalg::{Mat, SparseMat, WorkerPool};
 
 /// Latent row `x = y·CM − Xm` for one sparse row (O(z·d)).
 pub fn latent_row(row: SparseRow<'_>, cm: &Mat, xm: &[f64]) -> Vec<f64> {
@@ -202,71 +202,10 @@ impl YtxPartial {
         cm: &Mat,
         xm: &[f64],
     ) {
-        self.add_block_prec_with_pool(pool, block, cm, xm, Precision::F64)
-    }
-
-    /// [`Self::add_block_prec_with_pool`] on the process-global pool.
-    pub fn add_block_prec<B: Block + ?Sized>(
-        &mut self,
-        block: &B,
-        cm: &Mat,
-        xm: &[f64],
-        precision: Precision,
-    ) {
-        self.add_block_prec_with_pool(WorkerPool::global(), block, cm, xm, precision)
-    }
-
-    /// [`Self::add_block_with_pool`] with a selectable arithmetic arm.
-    ///
-    /// * [`Precision::F64`] is [`Self::add_block_with_pool`] — byte-for-byte
-    ///   the reference result.
-    /// * [`Precision::F32`] runs the same block pipeline (`Y·CM`, `YᵀX`,
-    ///   `Σx`) over `f32`: `CM` and `Xm` are narrowed once per call and
-    ///   the per-block results widened into the `f64` accumulator fields.
-    ///   Cross-block and cross-partition merges stay in `f64`, so error
-    ///   does not compound across the reduction tree.
-    /// * [`Precision::Bf16AccF64`] rounds the block's values, `CM` and
-    ///   `Xm` to bfloat16 and then runs the `f64` pipeline —
-    ///   representation error only, full-width accumulation.
-    ///
-    /// Every arm inherits the kernels' determinism contract, so each is
-    /// bitwise reproducible across worker counts; only the *arms* differ
-    /// from one another.
-    pub fn add_block_prec_with_pool<B: Block + ?Sized>(
-        &mut self,
-        pool: &WorkerPool,
-        block: &B,
-        cm: &Mat,
-        xm: &[f64],
-        precision: Precision,
-    ) {
+        // The block's column-major copy: `None` exactly when the
+        // full-block routes take it.
         let csc = block.csc();
-        let (y, csc) = (block.csr(), Option::as_ref(&*csc));
-        match precision {
-            Precision::F64 => self.add_block_in::<f64>(pool, y, csc, cm, xm),
-            Precision::F32 => self.add_block_in::<f32>(pool, y, csc, cm, xm),
-            Precision::Bf16AccF64 => {
-                let csc = csc.map(|c| c.map_values(bf16_round));
-                let xm: Vec<f64> = xm.iter().map(|&v| bf16_round(v)).collect();
-                let (y, cm) = (y.map_values(bf16_round), bf16_mat(cm));
-                self.add_block_in::<f64>(pool, &y, csc.as_ref(), &cm, &xm);
-            }
-        }
-    }
-
-    /// The block pipeline over element type `E`: `CM` and `Xm` as `E`
-    /// (borrowed for `f64`, narrowed once for `f32`), every kernel and the
-    /// row sums in `E`, and the per-block results widened into the `f64`
-    /// fields. `csc` is the block's column-major copy, `None` exactly when
-    /// the full-block routes take it.
-    fn add_block_in<E: Elem>(
-        &mut self,
-        pool: &WorkerPool,
-        block: &SparseMat,
-        csc: Option<&Csc>,
-        cm: &Mat,
-        xm: &[f64],
-    ) {
+        let (block, csc) = (block.csr(), Option::as_ref(&*csc));
         let d = self.d();
         assert_eq!(cm.cols(), d, "add_block: CM has {} columns, expected {d}", cm.cols());
         assert_eq!(block.cols(), cm.rows(), "add_block: block/CM inner dimensions differ");
@@ -277,18 +216,15 @@ impl YtxPartial {
         let z = block.nnz();
         // 2·z·d (Y·CM) + n·d (−Xm) + 2·z·d (YᵀX) + n·d (Σx).
         let flops = (4 * z * d + 2 * n * d) as u64;
-        let _span = obs::span_lazy("em", || {
-            format!("ytx add_block{} {n}x{}x{d}", E::SUFFIX.replace('_', " "), block.cols())
-        })
-        .with_flops(flops);
-        let (cm, xm) = (E::narrowed(cm.data()), E::narrowed(xm));
+        let _span = obs::span_lazy("em", || format!("ytx add_block {n}x{}x{d}", block.cols()))
+            .with_flops(flops);
 
         // Σx: per-row adds in ascending order (the association of the
-        // row-at-a-time fold), summed in `E` and added once per block.
-        let mut x_blk = E::take_cleared(n * d);
-        let mut sum_blk = vec![E::ZERO; d];
-        latent_rows(pool, block, (&cm, d), &xm, &mut x_blk, |x| {
-            linalg::vector::axpy(E::narrow(1.0), x, &mut sum_blk)
+        // row-at-a-time fold), summed per block and added once.
+        let mut x_blk = linalg::scratch::take_cleared(n * d);
+        let mut sum_blk = vec![0.0; d];
+        latent_rows(pool, block, (cm.data(), d), xm, &mut x_blk, |x| {
+            linalg::vector::axpy(1.0, x, &mut sum_blk)
         });
 
         // YtX into a fresh packed slab over the touched columns, then
@@ -296,23 +232,23 @@ impl YtxPartial {
         // every column of a full block being touched — the tile route.
         let (cols, slab) = match csc {
             Some(csc) => {
-                let mut slab = E::take_cleared(csc.support().len() * d);
+                let mut slab = linalg::scratch::take_cleared(csc.support().len() * d);
                 kernels::spmm_gather(csc, &x_blk, d, (&mut slab, true), |_, _| ());
                 (csc.support().to_vec(), slab)
             }
             None => {
-                let mut slab = E::take_zeroed(block.cols() * d);
+                let mut slab = linalg::scratch::take_zeroed(block.cols() * d);
                 kernels::spmm_scatter(pool, block, &x_blk, d, None, &mut slab);
                 ((0..block.cols() as u32).collect(), slab)
             }
         };
-        self.merge_packed(cols, E::widened(slab));
+        self.merge_packed(cols, slab);
 
         for (dst, src) in self.sum_x.iter_mut().zip(sum_blk) {
-            *dst += src.widen();
+            *dst += src;
         }
         self.rows_seen += n as u64;
-        E::recycle(x_blk);
+        linalg::scratch::recycle(x_blk);
 
         if let Some(c) = obs::collector() {
             let reg = c.registry();
@@ -550,21 +486,21 @@ pub fn ss3_block<B: Block + ?Sized>(block: &B, cm: &Mat, xm: &[f64], c_new: &Mat
 /// block's are formed one at a time in L1 at the end of `rows`
 /// ([`kernels::sparse_mul_dense_each`]: zero, `y·B`, `−Xm`, `f`), where
 /// they stay.
-pub(crate) fn latent_rows<E: Elem>(
+pub(crate) fn latent_rows(
     pool: &WorkerPool,
     y: &SparseMat,
-    (b, w): (&[E], usize),
-    xm: &[E],
-    rows: &mut Vec<E>,
-    mut f: impl FnMut(&mut [E]),
+    (b, w): (&[f64], usize),
+    xm: &[f64],
+    rows: &mut Vec<f64>,
+    mut f: impl FnMut(&mut [f64]),
 ) {
-    let finish = |row: &mut [E]| {
-        linalg::vector::axpy(E::narrow(-1.0), xm, &mut row[..xm.len()]);
+    let finish = |row: &mut [f64]| {
+        linalg::vector::axpy(-1.0, xm, &mut row[..xm.len()]);
         f(row)
     };
     if kernels::takes_full_routes(y) {
         rows.clear();
-        rows.resize(y.rows() * w, E::ZERO);
+        rows.resize(y.rows() * w, 0.0);
         kernels::sparse_mul_dense_slices(pool, y, b, w, rows);
         rows.chunks_exact_mut(w).for_each(finish);
     } else {
@@ -589,15 +525,6 @@ pub(crate) fn latent_block_serial(block: &SparseMat, cm: &[f64], xm: &[f64], x_b
     for r in 0..block.rows() {
         linalg::vector::axpy(-1.0, xm, &mut x_blk[r * d..(r + 1) * d]);
     }
-}
-
-/// The bf16 arm's rounding of a dense operand.
-fn bf16_mat(m: &Mat) -> Mat {
-    let mut out = m.clone();
-    for v in out.data_mut() {
-        *v = bf16_round(*v);
-    }
-    out
 }
 
 /// Dense-oracle computation of `XtX`, `YtX` and `Σx` for tests: centers
@@ -995,17 +922,16 @@ mod tests {
     /// as the oracle of the fused route: `X = Y·CM` as one blocked product,
     /// then `−Xm` and `Σx` in passes of their own, and the scatter through
     /// a column table built for the call.
-    fn add_block_two_pass<E: Elem>(pool: &WorkerPool, block: &SparseMat, cm: &Mat, xm: &[f64]) -> YtxPartial {
+    fn add_block_two_pass(pool: &WorkerPool, block: &SparseMat, cm: &Mat, xm: &[f64]) -> YtxPartial {
         let (n, d) = (block.rows(), cm.cols());
         let mut p = YtxPartial::new(d);
         if n == 0 {
             return p;
         }
-        let (cm, xm) = (E::narrowed(cm.data()), E::narrowed(xm));
-        let mut x = vec![E::ZERO; n * d];
-        kernels::sparse_mul_dense_slices(pool, block, &cm, d, &mut x);
+        let mut x = vec![0.0; n * d];
+        kernels::sparse_mul_dense_slices(pool, block, cm.data(), d, &mut x);
         for r in 0..n {
-            linalg::vector::axpy(E::narrow(-1.0), &xm, &mut x[r * d..(r + 1) * d]);
+            linalg::vector::axpy(-1.0, xm, &mut x[r * d..(r + 1) * d]);
         }
         let mut map = vec![u32::MAX; block.cols()];
         for &c in block.col_indices() {
@@ -1016,15 +942,15 @@ mod tests {
             *slot = cols.len() as u32;
             cols.push(c as u32);
         }
-        let mut slab = vec![E::ZERO; cols.len() * d];
+        let mut slab = vec![0.0; cols.len() * d];
         kernels::spmm_scatter(pool, block, &x, d, Some(&map), &mut slab);
-        let mut sum = vec![E::ZERO; d];
+        let mut sum = vec![0.0; d];
         for r in 0..n {
-            linalg::vector::axpy(E::narrow(1.0), &x[r * d..(r + 1) * d], &mut sum);
+            linalg::vector::axpy(1.0, &x[r * d..(r + 1) * d], &mut sum);
         }
-        p.merge_packed(cols, E::widened(slab));
+        p.merge_packed(cols, slab);
         for (dst, src) in p.sum_x.iter_mut().zip(sum) {
-            *dst += src.widen();
+            *dst += src;
         }
         p.rows_seen = n as u64;
         p
@@ -1062,22 +988,11 @@ mod tests {
         for (y, cm, xm) in route_fixtures() {
             let block = PartitionBlock::new(y.clone());
             assert_eq!(block.csc().is_none(), kernels::takes_full_routes(&y));
-            let rounded = y.map_values(bf16_round);
-            for precision in [Precision::F64, Precision::F32, Precision::Bf16AccF64] {
-                let pool = &pools[0];
-                let want = match precision {
-                    Precision::F64 => add_block_two_pass::<f64>(pool, &y, &cm, &xm),
-                    Precision::F32 => add_block_two_pass::<f32>(pool, &y, &cm, &xm),
-                    Precision::Bf16AccF64 => {
-                        let xm: Vec<f64> = xm.iter().map(|&v| bf16_round(v)).collect();
-                        add_block_two_pass::<f64>(pool, &rounded, &bf16_mat(&cm), &xm)
-                    }
-                };
-                for pool in &pools {
-                    let mut got = YtxPartial::new(cm.cols());
-                    got.add_block_prec_with_pool(pool, &block, &cm, &xm, precision);
-                    assert_eq!(partial_bits(&got), partial_bits(&want), "{precision:?} YtX");
-                }
+            let want = add_block_two_pass(&pools[0], &y, &cm, &xm);
+            for pool in &pools {
+                let mut got = YtxPartial::new(cm.cols());
+                got.add_block_with_pool(pool, &block, &cm, &xm);
+                assert_eq!(partial_bits(&got), partial_bits(&want), "YtX");
             }
         }
     }

@@ -208,7 +208,6 @@ struct YtXJob<'a> {
     cm: &'a Mat,
     xm: &'a [f64],
     d: usize,
-    precision: linalg::Precision,
 }
 
 impl MapReduceJob for YtXJob<'_> {
@@ -222,7 +221,7 @@ impl MapReduceJob for YtXJob<'_> {
         // partials through the batched kernels (the split is the block,
         // analysed once per fit), emit once at "cleanup".
         let mut partial = YtxPartial::new(self.d);
-        partial.add_block_prec(block, self.cm, self.xm, self.precision);
+        partial.add_block(block, self.cm, self.xm);
         let (cols, slab) = partial.take_packed_ytx();
         emitter.emit(MrKey::SumX, RowView::whole(partial.sum_x));
         emitter.emit(MrKey::Count, RowView::whole(vec![partial.rows_seen as f64]));
@@ -256,7 +255,6 @@ struct MrJobs<'a> {
     n: usize,
     d: usize,
     reducers: usize,
-    precision: linalg::Precision,
 }
 
 impl EmJobs for MrJobs<'_> {
@@ -279,7 +277,7 @@ impl EmJobs for MrJobs<'_> {
         let cluster = self.engine.cluster();
         let bytes = cluster.wire_size(cm) + cluster.sizing().f64_payload(xm.len());
         cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
-        let job = YtXJob { cm, xm, d: self.d, precision: self.precision };
+        let job = YtXJob { cm, xm, d: self.d };
         let before = ytx_counter_snapshot();
         let (out, _) = self.engine.run_job("YtXJob", &job, &self.blocks, self.reducers);
         if obs::enabled() {
@@ -350,14 +348,7 @@ fn fit_with_input(
     match config.algorithm {
         Algorithm::PpcaEm => {
             let (init, warm_up) = init::initial_state(cluster, y, config, fit_with_input)?;
-            let mut jobs = MrJobs {
-                engine,
-                blocks,
-                n,
-                d: config.components,
-                reducers,
-                precision: config.precision,
-            };
+            let mut jobs = MrJobs { engine, blocks, n, d: config.components, reducers };
             let mut arm = EmArm::new(&mut jobs, config, (n, d_in), init);
             let mut run = run_passes(cluster, &mut arm, &error_sample, config)?;
             warm_up.charge_to(&mut run);

@@ -80,12 +80,12 @@
 use dcluster::{Load, Meter, SimCluster};
 use linalg::decomp::singular_basis;
 use linalg::sparse::{Block, PartitionBlock};
-use linalg::{Mat, SparseMat, WorkerPool};
+use linalg::{Mat, WorkerPool};
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 
 use crate::checkpoint;
 use crate::config::SpcaConfig;
-use crate::driver::{ArmNames, Dims, PassArm, PassStats};
+use crate::driver::{ArmNames, Dims, PassArm};
 use crate::error::SpcaError;
 use crate::frobenius;
 use crate::mean_prop::latent_rows;
@@ -254,7 +254,7 @@ impl PassArm for RpcaArm<'_> {
         self.ss = ss;
     }
 
-    fn pass(&mut self, pass: usize, _error_sample: &SparseMat) -> Result<PassStats> {
+    fn pass(&mut self, pass: usize) -> Result<f64> {
         let (n, d_in) = (self.n, self.d_in);
         let (d, k, fnorm_c) = (self.config.components, self.k, self.fnorm_c);
         let mean = &self.mean;
@@ -298,10 +298,7 @@ impl PassArm for RpcaArm<'_> {
 
         // Convergence telemetry: fraction of centered energy the top-d
         // sketch captures — the randomized analogue of EM's objective.
-        // No reduced-precision arms on the randomized path, so no
-        // divergence to report: `SpcaConfig::validate` rejects the
-        // combination.
-        Ok(PassStats { objective: captured / fnorm_c.max(f64::MIN_POSITIVE), divergence: None })
+        Ok(captured / fnorm_c.max(f64::MIN_POSITIVE))
     }
 
     fn model(&self) -> PcaModel {
@@ -446,6 +443,7 @@ mod tests {
     use super::*;
     use crate::config::Algorithm;
     use dcluster::ClusterConfig;
+    use linalg::SparseMat;
 
     fn lowrank() -> SparseMat {
         let mut rng = linalg::Prng::seed_from_u64(7);

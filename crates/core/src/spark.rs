@@ -175,7 +175,6 @@ struct SparkJobs<'a> {
     n: usize,
     d_in: usize,
     d: usize,
-    precision: linalg::Precision,
     /// Most packed rows a `YtXJob` partial can hold: one per column its
     /// partition touches, so at most `min(D, nnz)` of the widest partition.
     partial_rows: usize,
@@ -240,7 +239,6 @@ impl EmJobs for SparkJobs<'_> {
         let bytes = cluster.wire_size(cm) + cluster.sizing().f64_payload(xm.len());
         cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
         let d = self.d;
-        let precision = self.precision;
         let before = ytx_counter_snapshot();
         // Batched path: each task runs the blocked kernels over its cached
         // block — one add_block per partition, so reassociation happens
@@ -255,7 +253,7 @@ impl EmJobs for SparkJobs<'_> {
             || YtxPartial::new(d),
             |acc, part| {
                 for block in part {
-                    acc.add_block_prec(&block.0, cm, xm, precision);
+                    acc.add_block(&block.0, cm, xm);
                 }
             },
             |partial| {
@@ -413,8 +411,7 @@ fn fit_with_input(
     );
 
     let error_sample = crate::accuracy::sample_rows(y, config.error_sample_rows, config.seed);
-    let mut jobs =
-        SparkJobs { rdd, n, d_in, d: config.components, precision: config.precision, partial_rows };
+    let mut jobs = SparkJobs { rdd, n, d_in, d: config.components, partial_rows };
     // The engine's one algorithm dispatch: which arm runs over the jobs.
     match config.algorithm {
         Algorithm::PpcaEm => {

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use dcluster::{ClusterConfig, FaultPlan, FaultSpec, SimCluster, TimingModel};
 use linalg::decomp::{subspace_overlap, svd_jacobi};
-use linalg::{Mat, Precision, Prng, SparseMat, WorkerPool};
+use linalg::{Mat, Prng, SparseMat, WorkerPool};
 use spca_core::checkpoint::{CHECKPOINT_FILE, RPCA_CHECKPOINT_FILE};
 use spca_core::{Algorithm, Spca, SpcaConfig, SpcaError, SpcaRun};
 
@@ -369,16 +369,4 @@ fn sketch_wider_than_input_is_rejected() {
     let config = rpca_config().with_rpca_oversample(98); // 3 + 98 > 100
     assert!(matches!(config.validate(y.cols()), Err(SpcaError::InvalidConfig { .. })));
     expect_invalid(Spca::new(config).fit_spark(&cluster, &y), "sketch width");
-}
-
-#[test]
-fn reduced_precision_on_the_randomized_arm_is_rejected() {
-    // The randomized passes are `f64` only; accepting the knob would put
-    // `spca.precision = f32` on a ledger whose arithmetic was `f64`.
-    let y = test_matrix(39);
-    let cluster = SimCluster::new(ClusterConfig::paper_cluster());
-    let config = rpca_config().with_precision(Precision::F32);
-    assert!(matches!(config.validate(y.cols()), Err(SpcaError::InvalidConfig { .. })));
-    expect_invalid(Spca::new(config.clone()).fit_spark(&cluster, &y), "algorithm = randomized");
-    expect_invalid(Spca::new(config).fit_mapreduce(&cluster, &y), "precision = f32");
 }

@@ -351,53 +351,6 @@ impl fmt::Debug for Mat {
     }
 }
 
-/// A row-major `f32` matrix: the narrowed operand the `f32` kernel entry
-/// points take. Deliberately minimal — it exists so a dense operand is
-/// narrowed once, not once per kernel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatF32 {
-    rows: usize,
-    cols: usize,
-    data: Vec<f32>,
-}
-
-impl MatF32 {
-    /// All-zeros matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        MatF32 { rows, cols, data: vec![0.0; rows * cols] }
-    }
-
-    /// Narrows an `f64` matrix element-wise (round-to-nearest-even, the
-    /// hardware `f64`→`f32` conversion).
-    pub fn from_f64(m: &Mat) -> Self {
-        MatF32 {
-            rows: m.rows(),
-            cols: m.cols(),
-            data: m.data().iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    pub fn row(&self, r: usize) -> &[f32] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    pub fn data(&self) -> &[f32] {
-        &self.data
-    }
-
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

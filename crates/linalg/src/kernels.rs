@@ -25,11 +25,9 @@
 //! * **Threading** — large products fan row chunks out on the shared
 //!   [`WorkerPool`]; small ones never touch the pool.
 //!
-//! The three per-partition products of the EM pass — `Y·B`, `XᵀX`,
-//! `YᵀX` — are written once over an element type ([`Elem`]: `f64`, and
-//! `f32` for the reduced-precision arm); the `Mat` / `MatF32` entry points
-//! are thin calls into those cores. The driver-side `matmul*` / `matvec`
-//! are `f64` only.
+//! The per-partition products of the EM pass — `Y·B`, `YᵀX`, and the
+//! Gram `XᵀX` — have slice cores that `core::mean_prop`'s block pipeline
+//! calls directly; the `Mat` entry points are thin calls into them.
 //!
 //! # Determinism contract
 //!
@@ -49,9 +47,7 @@
 //! differ between the two kinds of host. Every other kernel here rounds
 //! each multiply and each add on its own everywhere.
 
-use std::borrow::Cow;
-
-use crate::dense::{Mat, MatF32};
+use crate::dense::Mat;
 use crate::pool::WorkerPool;
 use crate::sparse::{Csc, SparseMat};
 use crate::vector;
@@ -123,11 +119,11 @@ pub(crate) fn row_ranges(rows: usize, chunks: usize) -> Vec<(usize, usize)> {
 /// Cuts a row-major buffer of `width`-wide rows into the disjoint
 /// row-chunks of `ranges` (which tile its rows in order), so each pool task
 /// owns its slice: no copies and no reduction.
-fn split_rows_mut<'a, E>(
-    mut rest: &'a mut [E],
+fn split_rows_mut<'a>(
+    mut rest: &'a mut [f64],
     ranges: &[(usize, usize)],
     width: usize,
-) -> Vec<(usize, usize, &'a mut [E])> {
+) -> Vec<(usize, usize, &'a mut [f64])> {
     let mut slices = Vec::with_capacity(ranges.len());
     for &(start, end) in ranges {
         let (head, tail) = rest.split_at_mut((end - start) * width);
@@ -166,7 +162,7 @@ pub(crate) fn nnz_ranges(y: &SparseMat, chunks: usize) -> Vec<(usize, usize)> {
 
 /// Row `r` of a row-major buffer of `cols`-wide rows.
 #[inline(always)]
-fn row_of<E>(data: &[E], cols: usize, r: usize) -> &[E] {
+fn row_of(data: &[f64], cols: usize, r: usize) -> &[f64] {
     &data[r * cols..(r + 1) * cols]
 }
 
@@ -174,7 +170,7 @@ fn row_of<E>(data: &[E], cols: usize, r: usize) -> &[E] {
 /// the sparse product's B-row reads are data-dependent gathers, so the
 /// hardware prefetcher cannot see them coming.
 #[inline(always)]
-fn prefetch_row<E>(row: &[E]) {
+fn prefetch_row(row: &[f64]) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch has no architectural effect beyond the cache, and
     // every address is inside the live row.
@@ -187,115 +183,6 @@ fn prefetch_row<E>(row: &[E]) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = row;
-}
-
-// ---------------------------------------------------------------------------
-// The element type of the batched EM kernels
-// ---------------------------------------------------------------------------
-
-/// One register tile of accumulators.
-type Tile<E> = [[E; TN_JR]; TN_IR];
-
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for f64 {}
-    impl Sealed for f32 {}
-}
-
-/// The element type the batched EM kernels — `Y·B`, `XᵀX`, `YᵀX` — and
-/// the block pipeline `core::mean_prop` builds from them are written over,
-/// once. Implemented for `f64` (the reference arithmetic) and `f32`
-/// ([`Precision::F32`](crate::Precision)) and sealed. Shared code never
-/// asks which of the two it runs on: both take the same route for the same
-/// shape, and what differs — below, plus the fused updates of
-/// [`vector::Scalar`] — is data, not control flow.
-pub trait Elem: sealed::Sealed + vector::Scalar + Send + Sync + PartialEq + 'static {
-    /// `+0.0`, where every accumulator starts.
-    const ZERO: Self;
-    /// Appended to kernel names in trace spans.
-    const SUFFIX: &'static str;
-    /// From a CSR value (always stored as `f64`): the identity, or the
-    /// hardware round-to-nearest-even conversion.
-    fn narrow(v: f64) -> Self;
-    /// Back to `f64`; exact.
-    fn widen(self) -> f64;
-    /// A dense `f64` operand as this type: borrowed as it is, or a
-    /// narrowed copy.
-    fn narrowed(src: &[f64]) -> Cow<'_, [Self]>;
-    /// A result buffer as `f64`: itself, or a widened copy.
-    fn widened(buf: Vec<Self>) -> Vec<f64>;
-    /// An empty work buffer of at least `capacity`. The `f64` ones are
-    /// multi-megabyte per task at the paper's shapes and go through
-    /// [`crate::scratch`]; the freelist holds `f64` buffers only, so `f32`
-    /// ones come from the allocator.
-    fn take_cleared(capacity: usize) -> Vec<Self>;
-    /// A zeroed work buffer ([`Elem::take_cleared`], filled).
-    fn take_zeroed(len: usize) -> Vec<Self> {
-        let mut v = Self::take_cleared(len);
-        v.resize(len, Self::ZERO);
-        v
-    }
-    /// Retires a buffer [`Elem::take_zeroed`] handed out.
-    fn recycle(buf: Vec<Self>);
-    /// The register-tile micro-kernel ([`tn_tile`]): both types run the
-    /// same separately rounded chain; `f64` has a hand-written AVX-512
-    /// form of it behind a runtime check.
-    fn tile(apanel: &[Self], bpanel: &[Self], acc: Tile<Self>) -> Tile<Self>;
-}
-
-impl Elem for f64 {
-    const ZERO: f64 = 0.0;
-    const SUFFIX: &'static str = "";
-    #[inline(always)]
-    fn narrow(v: f64) -> f64 {
-        v
-    }
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        self
-    }
-    fn narrowed(src: &[f64]) -> Cow<'_, [f64]> {
-        Cow::Borrowed(src)
-    }
-    fn widened(buf: Vec<f64>) -> Vec<f64> {
-        buf
-    }
-    fn take_cleared(capacity: usize) -> Vec<f64> {
-        crate::scratch::take_cleared(capacity)
-    }
-    fn recycle(buf: Vec<f64>) {
-        crate::scratch::recycle(buf)
-    }
-    #[inline(always)]
-    fn tile(apanel: &[f64], bpanel: &[f64], acc: Tile<f64>) -> Tile<f64> {
-        tn_tile(apanel, bpanel, acc)
-    }
-}
-
-impl Elem for f32 {
-    const ZERO: f32 = 0.0;
-    const SUFFIX: &'static str = "_f32";
-    #[inline(always)]
-    fn narrow(v: f64) -> f32 {
-        v as f32
-    }
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        f64::from(self)
-    }
-    fn narrowed(src: &[f64]) -> Cow<'_, [f32]> {
-        Cow::Owned(src.iter().map(|&v| v as f32).collect())
-    }
-    fn widened(buf: Vec<f32>) -> Vec<f64> {
-        buf.into_iter().map(f64::from).collect()
-    }
-    fn take_cleared(capacity: usize) -> Vec<f32> {
-        Vec::with_capacity(capacity)
-    }
-    fn recycle(_buf: Vec<f32>) {}
-    fn tile(apanel: &[f32], bpanel: &[f32], acc: Tile<f32>) -> Tile<f32> {
-        tn_tile_portable(apanel, bpanel, acc)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -629,6 +516,9 @@ fn matmul_tn_rows_portable(a: &Mat, b: &Mat, start: usize, end: usize, out: &mut
     tn_remainders(a, b, start, end, out, imain, jmain);
 }
 
+/// One register tile of accumulators.
+type Tile = [[f64; TN_JR]; TN_IR];
+
 /// The 8×8 register-tile micro-kernel: `acc[t][u] += Σ_rr apanel[rr][t] ·
 /// bpanel[rr][u]` over two row-interleaved sequential panels, starting
 /// from the `acc` it is handed. Each element is a chain of separately
@@ -641,7 +531,7 @@ fn matmul_tn_rows_portable(a: &Mat, b: &Mat, start: usize, end: usize, out: &mut
 /// With AVX-512 the same chain runs on 512-bit registers
 /// ([`tn_tile_zmm`]); the two paths round identically, so which one ran
 /// is not observable in the result.
-fn tn_tile(apanel: &[f64], bpanel: &[f64], acc: Tile<f64>) -> Tile<f64> {
+fn tn_tile(apanel: &[f64], bpanel: &[f64], acc: Tile) -> Tile {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx512f") {
@@ -660,10 +550,10 @@ fn tn_tile(apanel: &[f64], bpanel: &[f64], acc: Tile<f64>) -> Tile<f64> {
 /// extra live state defeats the vectorizer and it scalarizes (measured
 /// ~4× slower). The call overhead is amortized over the panel rows.
 #[inline(never)]
-fn tn_tile_portable<E: Elem>(apanel: &[E], bpanel: &[E], mut acc: Tile<E>) -> Tile<E> {
+fn tn_tile_portable(apanel: &[f64], bpanel: &[f64], mut acc: Tile) -> Tile {
     for (a_blk, b_blk) in apanel.chunks_exact(TN_IR).zip(bpanel.chunks_exact(TN_JR)) {
-        let a_blk: &[E; TN_IR] = a_blk.try_into().expect("tile height");
-        let b_blk: &[E; TN_JR] = b_blk.try_into().expect("tile width");
+        let a_blk: &[f64; TN_IR] = a_blk.try_into().expect("tile height");
+        let b_blk: &[f64; TN_JR] = b_blk.try_into().expect("tile width");
         for u in 0..TN_JR {
             let bu = b_blk[u];
             for t in 0..TN_IR {
@@ -682,7 +572,7 @@ fn tn_tile_portable<E: Elem>(apanel: &[E], bpanel: &[E], mut acc: Tile<E>) -> Ti
 /// issue on different ports (measured 1.2–1.3× on the reference host).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn tn_tile_zmm(apanel: &[f64], bpanel: &[f64], mut acc: Tile<f64>) -> Tile<f64> {
+unsafe fn tn_tile_zmm(apanel: &[f64], bpanel: &[f64], mut acc: Tile) -> Tile {
     use std::arch::x86_64::{
         _mm512_add_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_storeu_pd,
     };
@@ -901,31 +791,20 @@ pub fn sparse_mul_dense_into_with_pool(pool: &WorkerPool, y: &SparseMat, b: &Mat
     sparse_mul_dense_slices(pool, y, b.data(), b.cols(), out)
 }
 
-/// [`sparse_mul_dense_into_with_pool`] in `f32`: `Y`'s values are
-/// narrowed as they are read.
-pub fn sparse_mul_dense_f32_into_with_pool(
-    pool: &WorkerPool,
-    y: &SparseMat,
-    b: &MatF32,
-    out: &mut [f32],
-) {
-    sparse_mul_dense_slices(pool, y, b.data(), b.cols(), out)
-}
-
-/// `out += Y·B` over either element type: `b` is the `y.cols() × n`
+/// `out += Y·B` over slices: `b` is the `y.cols() × n`
 /// row-major operand and `out` the caller-zeroed `y.rows() × n` result.
-pub fn sparse_mul_dense_slices<E: Elem>(
+pub fn sparse_mul_dense_slices(
     pool: &WorkerPool,
     y: &SparseMat,
-    b: &[E],
+    b: &[f64],
     n: usize,
-    out: &mut [E],
+    out: &mut [f64],
 ) {
     let m = y.rows();
     assert_eq!(b.len(), y.cols() * n, "mul_dense: inner dimensions differ");
     assert_eq!(out.len(), m * n, "mul_dense: output buffer is {} not {}", out.len(), m * n);
     let mut span = obs::span_lazy("kernel", || {
-        format!("sparse_mul_dense{} {m}x{n} nnz={}", E::SUFFIX, y.nnz())
+        format!("sparse_mul_dense {m}x{n} nnz={}", y.nnz())
     })
     .with_flops(2 * y.nnz() as u64 * n as u64);
     let full = full_block(y);
@@ -963,17 +842,17 @@ pub fn sparse_mul_dense_slices<E: Elem>(
 /// zeroed or written but the rows themselves. Same `kernel` span, flops
 /// and bits as [`sparse_mul_dense_slices`]; serial, the caller being a
 /// pool task.
-pub fn sparse_mul_dense_each<E: Elem>(
+pub fn sparse_mul_dense_each(
     y: &SparseMat,
-    b: &[E],
+    b: &[f64],
     n: usize,
-    (rows, keep): (&mut Vec<E>, bool),
-    mut f: impl FnMut(&mut [E]),
+    (rows, keep): (&mut Vec<f64>, bool),
+    mut f: impl FnMut(&mut [f64]),
 ) {
     assert_eq!(b.len(), y.cols() * n, "mul_dense: inner dimensions differ");
     debug_assert!(full_block(y).is_none(), "mul_dense: a full block takes the tile route");
     let mut span = obs::span_lazy("kernel", || {
-        format!("sparse_mul_dense{} {}x{n} nnz={}", E::SUFFIX, y.rows(), y.nnz())
+        format!("sparse_mul_dense {}x{n} nnz={}", y.rows(), y.nnz())
     })
     .with_flops(2 * y.nnz() as u64 * n as u64);
     span.arg("route", route_name(false));
@@ -983,19 +862,19 @@ pub fn sparse_mul_dense_each<E: Elem>(
 /// Row `r` of `Y·B` for `r` in ascending order, each zeroed and computed
 /// at the end of `rows` and handed to `f(r, row)` there; `rows` keeps them
 /// only with `keep`.
-fn rows_each<E: Elem>(
+fn rows_each(
     y: &SparseMat,
-    b: &[E],
+    b: &[f64],
     n: usize,
-    (rows, keep): (&mut Vec<E>, bool),
-    mut f: impl FnMut(usize, &mut [E]),
+    (rows, keep): (&mut Vec<f64>, bool),
+    mut f: impl FnMut(usize, &mut [f64]),
 ) {
     for r in 0..y.rows() {
         if !keep {
             rows.clear();
         }
         let at = rows.len();
-        rows.resize(at + n, E::ZERO);
+        rows.resize(at + n, 0.0);
         row_mul(y, b, n, r, y.rows(), &mut rows[at..]);
         f(r, &mut rows[at..]);
     }
@@ -1012,7 +891,10 @@ fn rows_each<E: Elem>(
 /// Public as the serial form of [`sparse_mul_dense_slices`] — no pool, no
 /// `kernel` span, no `kernel.flops` — for a caller whose block is one small
 /// task of many already on a pool (a serve batch of a hundred rows).
-pub fn sparse_rows_mul<E: Elem>(y: &SparseMat, b: &[E], n: usize, start: usize, end: usize, out: &mut [E]) {
+/// `#[inline]` lets such a caller compile it into its own per-batch loop:
+/// the serving path calls it once per request of a few rows.
+#[inline]
+pub fn sparse_rows_mul(y: &SparseMat, b: &[f64], n: usize, start: usize, end: usize, out: &mut [f64]) {
     for r in start..end {
         row_mul(y, b, n, r, end, &mut out[(r - start) * n..(r - start + 1) * n]);
     }
@@ -1023,7 +905,7 @@ pub fn sparse_rows_mul<E: Elem>(y: &SparseMat, b: &[E], n: usize, start: usize, 
 /// read, up to row `end`: one prefetch per entry, well before its use even
 /// when rows hold a handful of entries each.
 #[inline(always)]
-fn row_mul<E: Elem>(y: &SparseMat, b: &[E], n: usize, r: usize, end: usize, o: &mut [E]) {
+fn row_mul(y: &SparseMat, b: &[f64], n: usize, r: usize, end: usize, o: &mut [f64]) {
     let (indptr, stop) = (y.indptr(), y.indptr()[end]);
     let ahead = (indptr[r] + PREFETCH_AHEAD).min(stop)..(indptr[r + 1] + PREFETCH_AHEAD).min(stop);
     for &c in &y.col_indices()[ahead] {
@@ -1031,8 +913,8 @@ fn row_mul<E: Elem>(y: &SparseMat, b: &[E], n: usize, r: usize, end: usize, o: &
     }
     let row = y.row(r);
     let nnz = row.indices.len();
-    // Term `t` of the row: the narrowed value and the `B` row it scales.
-    let term = |t: usize| (E::narrow(row.values[t]), row_of(b, n, row.indices[t] as usize));
+    // Term `t` of the row: the value and the `B` row it scales.
+    let term = |t: usize| (row.values[t], row_of(b, n, row.indices[t] as usize));
     let mut t = 0;
     while t + 4 <= nnz {
         let ((v0, b0), (v1, b1), (v2, b2), (v3, b3)) = (term(t), term(t + 1), term(t + 2), term(t + 3));
@@ -1067,14 +949,7 @@ pub fn syrk_tn_with_pool(pool: &WorkerPool, x: &Mat) -> Mat {
     out
 }
 
-/// [`syrk_tn_with_pool`] in `f32`.
-pub fn syrk_tn_f32_with_pool(pool: &WorkerPool, x: &MatF32) -> MatF32 {
-    let mut out = MatF32::zeros(x.cols(), x.cols());
-    syrk_tn_slices(pool, x.data(), x.cols(), out.data_mut());
-    out
-}
-
-/// `XᵀX` over either element type, for the row-major `d`-wide rows `x`,
+/// `XᵀX` for the row-major `d`-wide rows `x`,
 /// into the caller-zeroed `d × d` `out`.
 ///
 /// Parallelism is over *output* rows: each task scans every row of `X` but
@@ -1095,11 +970,11 @@ pub fn syrk_tn_f32_with_pool(pool: &WorkerPool, x: &MatF32) -> MatF32 {
 /// The tiles do not skip zeros, which for finite `X` adds `±0.0` to an
 /// accumulator that is never `-0.0` — the same bits on both sides of the
 /// cut-over.
-pub fn syrk_tn_slices<E: Elem>(pool: &WorkerPool, x: &[E], d: usize, out: &mut [E]) {
+pub fn syrk_tn_slices(pool: &WorkerPool, x: &[f64], d: usize, out: &mut [f64]) {
     let n = if d == 0 { 0 } else { x.len() / d };
     assert_eq!(x.len(), n * d, "syrk_tn: input is a whole number of rows");
     assert_eq!(out.len(), d * d, "syrk_tn: output buffer is {} not {d}x{d}", out.len());
-    let _span = obs::span_lazy("kernel", || format!("syrk_tn{} {n}x{d}", E::SUFFIX))
+    let _span = obs::span_lazy("kernel", || format!("syrk_tn {n}x{d}"))
         .with_flops(n as u64 * d as u64 * (d as u64 + 1));
     if n == 0 {
         return;
@@ -1127,11 +1002,11 @@ pub fn syrk_tn_slices<E: Elem>(pool: &WorkerPool, x: &[E], d: usize, out: &mut [
 
 /// Accumulates upper-triangle output rows `[lo, hi)` of `XᵀX` into `out`
 /// (`(hi-lo)×d` row-major; entries left of the diagonal stay zero).
-fn syrk_tn_band<E: Elem>(x: &[E], d: usize, lo: usize, hi: usize, out: &mut [E]) {
+fn syrk_tn_band(x: &[f64], d: usize, lo: usize, hi: usize, out: &mut [f64]) {
     for row in x.chunks_exact(d) {
         for i in lo..hi {
             let xi = row[i];
-            if xi != E::ZERO {
+            if xi != 0.0 {
                 let base = (i - lo) * d;
                 vector::axpy(xi, &row[i..], &mut out[base + i..base + d]);
             }
@@ -1161,13 +1036,6 @@ pub fn spmm_tn_with_pool(pool: &WorkerPool, y: &SparseMat, x: &Mat) -> Mat {
     out
 }
 
-/// [`spmm_tn_with_pool`] in `f32`.
-pub fn spmm_tn_f32_with_pool(pool: &WorkerPool, y: &SparseMat, x: &MatF32) -> MatF32 {
-    let mut out = MatF32::zeros(y.cols(), x.cols());
-    spmm_scatter(pool, y, x.data(), x.cols(), None, out.data_mut());
-    out
-}
-
 /// Packed `YᵀX`: like [`spmm_tn`], but output row `map[c]` accumulates
 /// column `c` of `Y`, into a caller-provided `out_rows × x.cols()` slab
 /// (zeroed by the caller). `map` must cover every column with a non-zero;
@@ -1189,17 +1057,6 @@ pub fn spmm_tn_packed_with_pool(
     spmm_scatter(pool, y, x.data(), x.cols(), Some(map), out)
 }
 
-/// [`spmm_tn_packed_with_pool`] in `f32`.
-pub fn spmm_tn_packed_f32_with_pool(
-    pool: &WorkerPool,
-    y: &SparseMat,
-    x: &MatF32,
-    map: &[u32],
-    out: &mut [f32],
-) {
-    spmm_scatter(pool, y, x.data(), x.cols(), Some(map), out)
-}
-
 /// `YᵀX` as a gather over a block's cached column-major copy: support
 /// column `i`'s output row adds `y[r][c]·x_r` over its entries in
 /// ascending `r` — [`sparse_mul_dense_each`]'s row loop over row `i` of
@@ -1211,34 +1068,34 @@ pub fn spmm_tn_packed_f32_with_pool(
 /// table, with no per-call bucket pass, table or zeroed slab. The `kernel`
 /// span is [`spmm_tn`]'s, route `sparse`; serial, the caller being a pool
 /// task.
-pub fn spmm_gather<E: Elem>(
+pub fn spmm_gather(
     csc: &Csc,
-    x: &[E],
+    x: &[f64],
     d: usize,
-    out: (&mut Vec<E>, bool),
-    put: impl FnMut(usize, &mut [E]),
+    out: (&mut Vec<f64>, bool),
+    put: impl FnMut(usize, &mut [f64]),
 ) {
     let t = csc.transposed();
     assert_eq!(x.len(), t.cols() * d, "spmm_tn: X is {} elements, not {}x{d}", x.len(), t.cols());
     let mut span = obs::span_lazy("kernel", || {
-        format!("spmm_tn{} {}x{}x{d} nnz={}", E::SUFFIX, t.cols(), t.rows(), t.nnz())
+        format!("spmm_tn {}x{}x{d} nnz={}", t.cols(), t.rows(), t.nnz())
     })
     .with_flops(2 * t.nnz() as u64 * d as u64);
     span.arg("route", route_name(false));
     rows_each(t, x, d, out, put);
 }
 
-/// The scatter driver behind every `spmm_tn*` entry point, over either
-/// element type: `x` is `y.rows() × d` row-major, `out` has
+/// The scatter driver behind every `spmm_tn*` entry point: `x` is
+/// `y.rows() × d` row-major, `out` has
 /// `out.len() / d` rows, and column `c` of `Y` lands in row `map[c]` (or
 /// `c` when no map is given).
-pub fn spmm_scatter<E: Elem>(
+pub fn spmm_scatter(
     pool: &WorkerPool,
     y: &SparseMat,
-    x: &[E],
+    x: &[f64],
     d: usize,
     map: Option<&[u32]>,
-    out: &mut [E],
+    out: &mut [f64],
 ) {
     assert_eq!(x.len(), y.rows() * d, "spmm_tn: X is {} elements, not {}x{d}", x.len(), y.rows());
     assert!(map.is_none_or(|m| m.len() == y.cols()), "spmm_tn: column map covers every Y column");
@@ -1248,7 +1105,7 @@ pub fn spmm_scatter<E: Elem>(
     assert_eq!(out.len() % d, 0, "spmm_tn: output is a whole number of rows");
     let out_rows = out.len() / d;
     let mut span = obs::span_lazy("kernel", || {
-        format!("spmm_tn{} {}x{out_rows}x{d} nnz={}", E::SUFFIX, y.rows(), y.nnz())
+        format!("spmm_tn {}x{out_rows}x{d} nnz={}", y.rows(), y.nnz())
     })
     .with_flops(2 * y.nnz() as u64 * d as u64);
     // A full block under the identity map (which is what a full block's
@@ -1295,20 +1152,20 @@ pub fn spmm_scatter<E: Elem>(
     for b in 0..bands {
         starts[b + 1] += starts[b];
     }
-    // (output row, input row, value) per non-zero: 16 bytes, 12 in `f32`.
-    let mut entries: Vec<(u32, u32, E)> = vec![(0, 0, E::ZERO); y.nnz()];
+    // (output row, input row, value) per non-zero: 16 bytes.
+    let mut entries: Vec<(u32, u32, f64)> = vec![(0, 0, 0.0); y.nnz()];
     let mut next = starts.clone();
     for r in 0..y.rows() {
         let row = y.row(r);
         for (&c, &v) in row.indices.iter().zip(row.values) {
             let t = target(c);
             let slot = &mut next[t / band_rows];
-            entries[*slot] = (t as u32, r as u32, E::narrow(v));
+            entries[*slot] = (t as u32, r as u32, v);
             *slot += 1;
         }
     }
 
-    let mut tasks: Vec<(usize, &[(u32, u32, E)], &mut [E])> = Vec::with_capacity(bands);
+    let mut tasks: Vec<(usize, &[(u32, u32, f64)], &mut [f64])> = Vec::with_capacity(bands);
     let mut rest = out;
     for b in 0..bands {
         let lo = b * band_rows;
@@ -1334,14 +1191,14 @@ pub fn spmm_scatter<E: Elem>(
 
 /// Scatters non-zeros whose (mapped) output row falls in `[lo, hi)` into
 /// `out` (`(hi-lo)×d`), in ascending input-row order.
-fn spmm_scatter_band<E: Elem>(
+fn spmm_scatter_band(
     y: &SparseMat,
-    x: &[E],
+    x: &[f64],
     d: usize,
     map: Option<&[u32]>,
     lo: usize,
     hi: usize,
-    out: &mut [E],
+    out: &mut [f64],
 ) {
     for r in 0..y.rows() {
         let row = y.row(r);
@@ -1355,7 +1212,7 @@ fn spmm_scatter_band<E: Elem>(
                 None => c as usize,
             };
             if t >= lo && t < hi {
-                vector::axpy(E::narrow(v), xr, &mut out[(t - lo) * d..(t - lo + 1) * d]);
+                vector::axpy(v, xr, &mut out[(t - lo) * d..(t - lo + 1) * d]);
             }
         }
     }
@@ -1410,16 +1267,16 @@ fn panel_ranges(rows: usize, chunks: usize) -> Vec<(usize, usize)> {
 /// A row-major matrix repacked into row-interleaved 8-column panels:
 /// panel `p` holds each row's `[8p, 8p+8)` slice back to back, the last
 /// panel zero-padded to width, so the micro-kernel reads it as one
-/// sequential stream. The buffer comes from [`Elem::take_zeroed`].
-struct Panels<E> {
-    buf: Vec<E>,
+/// sequential stream. The buffer comes from [`crate::scratch`].
+struct Panels {
+    buf: Vec<f64>,
     rows: usize,
 }
 
-impl<E: Elem> Panels<E> {
-    fn pack(data: &[E], cols: usize) -> Panels<E> {
+impl Panels {
+    fn pack(data: &[f64], cols: usize) -> Panels {
         let rows = data.len() / cols;
-        let mut buf = E::take_zeroed(cols.div_ceil(TN_JR) * rows * TN_JR);
+        let mut buf = crate::scratch::take_zeroed(cols.div_ceil(TN_JR) * rows * TN_JR);
         for (r, row) in data.chunks_exact(cols).enumerate() {
             for (p, blk) in row.chunks(TN_JR).enumerate() {
                 buf[(p * rows + r) * TN_JR..][..blk.len()].copy_from_slice(blk);
@@ -1429,12 +1286,12 @@ impl<E: Elem> Panels<E> {
     }
 
     /// Rows `[r0, r0 + depth)` of the panel that starts at column `j0`.
-    fn rows(&self, j0: usize, r0: usize, depth: usize) -> &[E] {
+    fn rows(&self, j0: usize, r0: usize, depth: usize) -> &[f64] {
         &self.buf[(j0 / TN_JR * self.rows + r0) * TN_JR..][..depth * TN_JR]
     }
 
     fn recycle(self) {
-        E::recycle(self.buf);
+        crate::scratch::recycle(self.buf);
     }
 }
 
@@ -1444,11 +1301,11 @@ impl<E: Elem> Panels<E> {
 /// tile is seeded from `out` and stored back, so `out` accumulates; a tile
 /// overhanging the last row or column computes its padding and stores only
 /// the `h × w` corner.
-fn tile_row<E: Elem>(
-    apanel: &[E],
-    b: &Panels<E>,
+fn tile_row(
+    apanel: &[f64],
+    b: &Panels,
     r0: usize,
-    out: &mut [E],
+    out: &mut [f64],
     width: usize,
     (i0, h): (usize, usize),
     j_from: usize,
@@ -1456,20 +1313,20 @@ fn tile_row<E: Elem>(
     let depth = apanel.len() / TN_IR;
     for j0 in (j_from..width).step_by(TN_JR) {
         let w = (width - j0).min(TN_JR);
-        let mut acc = [[E::ZERO; TN_JR]; TN_IR];
+        let mut acc = [[0.0; TN_JR]; TN_IR];
         for (t, acc_row) in acc.iter_mut().enumerate().take(h) {
             let src = &out[(i0 + t) * width + j0..][..w];
             // A full-width row is one fixed-size copy; only the last
             // column panel pays for a variable-length one.
-            match <&[E; TN_JR]>::try_from(src) {
+            match <&[f64; TN_JR]>::try_from(src) {
                 Ok(full) => *acc_row = *full,
                 Err(_) => acc_row[..w].copy_from_slice(src),
             }
         }
-        let acc = E::tile(apanel, b.rows(j0, r0, depth), acc);
+        let acc = tn_tile(apanel, b.rows(j0, r0, depth), acc);
         for (t, acc_row) in acc.iter().enumerate().take(h) {
             let dst = &mut out[(i0 + t) * width + j0..][..w];
-            match <&mut [E; TN_JR]>::try_from(&mut *dst) {
+            match <&mut [f64; TN_JR]>::try_from(&mut *dst) {
                 Ok(full) => *full = *acc_row,
                 Err(_) => dst.copy_from_slice(&acc_row[..w]),
             }
@@ -1484,13 +1341,13 @@ fn tile_row<E: Elem>(
 /// `out += Y·B` for a full block: `y` is its row-major values and `b` the
 /// `n`-wide operand. `B` is packed once; row chunks go on the pool.
 #[inline(never)]
-fn full_mul_dense<E: Elem>(
+fn full_mul_dense(
     pool: &WorkerPool,
     y: &[f64],
-    b: &[E],
+    b: &[f64],
     n: usize,
     chunks: usize,
-    out: &mut [E],
+    out: &mut [f64],
 ) {
     let k = b.len() / n;
     let bpack = Panels::pack(b, n);
@@ -1508,7 +1365,7 @@ fn full_mul_dense<E: Elem>(
 /// wide), `x` the `d`-wide rows of `X` and `out` the `cols × d` result.
 /// `X` is packed once; output-row panels go on the pool.
 #[inline(never)]
-fn full_tn<E: Elem>(pool: &WorkerPool, y: &[f64], cols: usize, x: &[E], d: usize, out: &mut [E]) {
+fn full_tn(pool: &WorkerPool, y: &[f64], cols: usize, x: &[f64], d: usize, out: &mut [f64]) {
     let xpack = Panels::pack(x, d);
     let xpack_ref = &xpack;
     let chunks = chunk_count(cols, 2 * x.len());
@@ -1524,7 +1381,7 @@ fn full_tn<E: Elem>(pool: &WorkerPool, y: &[f64], cols: usize, x: &[E], d: usize
 /// The upper triangle of `XᵀX` into the zeroed `d × d` `out`, by tiles:
 /// `X` is packed once; output-row panels go on the pool.
 #[inline(never)]
-fn syrk_tn_tiled<E: Elem>(pool: &WorkerPool, x: &[E], d: usize, chunks: usize, out: &mut [E]) {
+fn syrk_tn_tiled(pool: &WorkerPool, x: &[f64], d: usize, chunks: usize, out: &mut [f64]) {
     let xpack = Panels::pack(x, d);
     let xpack_ref = &xpack;
     pool.run(
@@ -1541,9 +1398,9 @@ fn syrk_tn_tiled<E: Elem>(pool: &WorkerPool, x: &[E], d: usize, chunks: usize, o
 /// interleaved panel, [`TILE_DEPTH`] columns deep, and run against every
 /// panel of `B`: each output element adds its `y[i][kk]·b[kk][j]` terms in
 /// ascending `kk`, the sparse kernel's axpy order over a full row.
-fn full_rows_mul<E: Elem>(y: &[f64], k: usize, b: &Panels<E>, n: usize, out: &mut [E]) {
+fn full_rows_mul(y: &[f64], k: usize, b: &Panels, n: usize, out: &mut [f64]) {
     let m = out.len() / n;
-    let mut ypanel = vec![E::ZERO; k.min(TILE_DEPTH) * TN_IR];
+    let mut ypanel = vec![0.0; k.min(TILE_DEPTH) * TN_IR];
     for k0 in (0..k).step_by(TILE_DEPTH) {
         let depth = (k - k0).min(TILE_DEPTH);
         for i0 in (0..m).step_by(TN_IR) {
@@ -1555,7 +1412,7 @@ fn full_rows_mul<E: Elem>(y: &[f64], k: usize, b: &Panels<E>, n: usize, out: &mu
                 std::array::from_fn(|t| &y[(i0 + t.min(h - 1)) * k + k0..][..depth]);
             for (kk, slot) in ypanel.chunks_exact_mut(TN_IR).take(depth).enumerate() {
                 for (lane, row) in slot.iter_mut().zip(&rows) {
-                    *lane = E::narrow(row[kk]);
+                    *lane = row[kk];
                 }
             }
             tile_row(&ypanel[..depth * TN_IR], b, k0, out, n, (i0, h), 0);
@@ -1569,26 +1426,26 @@ fn full_rows_mul<E: Elem>(y: &[f64], k: usize, b: &Panels<E>, n: usize, out: &mu
 /// into a small interleaved buffer, [`TILE_DEPTH`] rows at a time, and
 /// run against every panel of `X`, so output row `c` adds its
 /// `y[r][c]·x_r` terms in ascending `r` — the scatter's order.
-fn full_tn_band<E: Elem>(
+fn full_tn_band(
     y: &[f64],
     cols: usize,
-    x: &Panels<E>,
+    x: &Panels,
     d: usize,
     lo: usize,
     hi: usize,
-    out: &mut [E],
+    out: &mut [f64],
 ) {
     let n = x.rows;
-    let mut ypanel = vec![E::ZERO; n.min(TILE_DEPTH) * TN_IR];
+    let mut ypanel = vec![0.0; n.min(TILE_DEPTH) * TN_IR];
     for r0 in (0..n).step_by(TILE_DEPTH) {
         let depth = (n - r0).min(TILE_DEPTH);
         for c0 in (lo..hi).step_by(TN_IR) {
             let h = (hi - c0).min(TN_IR);
             for (rr, slot) in ypanel.chunks_exact_mut(TN_IR).take(depth).enumerate() {
                 for (lane, &v) in slot[..h].iter_mut().zip(&y[(r0 + rr) * cols + c0..][..h]) {
-                    *lane = E::narrow(v);
+                    *lane = v;
                 }
-                slot[h..].fill(E::ZERO);
+                slot[h..].fill(0.0);
             }
             tile_row(&ypanel[..depth * TN_IR], x, r0, out, d, (c0 - lo, h), 0);
         }
@@ -1600,7 +1457,7 @@ fn full_tn_band<E: Elem>(
 /// diagonal, [`TILE_DEPTH`] rows at a time. A diagonal tile also fills its
 /// own lower corner — with the bits the mirror step then writes there
 /// again.
-fn syrk_tn_tiles<E: Elem>(x: &Panels<E>, d: usize, lo: usize, hi: usize, out: &mut [E]) {
+fn syrk_tn_tiles(x: &Panels, d: usize, lo: usize, hi: usize, out: &mut [f64]) {
     for r0 in (0..x.rows).step_by(TILE_DEPTH) {
         let depth = (x.rows - r0).min(TILE_DEPTH);
         for i0 in (lo..hi).step_by(TN_IR) {

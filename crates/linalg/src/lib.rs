@@ -21,11 +21,7 @@
 //!   bit-for-bit determinism contract, running on the persistent
 //!   [`pool::WorkerPool`] shared with the simulated cluster's stages.
 //!
-//! The default numeric scalar is `f64` throughout. The [`precision`]
-//! ladder adds opt-in reduced-precision arms for the hot EM kernels —
-//! the same kernels, written once over [`kernels::Elem`] and instantiated
-//! for `f32` as well — each bitwise-reproducible across worker counts;
-//! `f64` remains the reference every arm is measured against.
+//! The numeric scalar is `f64` throughout.
 
 pub mod bytes;
 pub mod dense;
@@ -35,7 +31,6 @@ pub mod kernels;
 pub mod norms;
 pub mod ops;
 pub mod pool;
-pub mod precision;
 pub mod rng;
 pub mod scratch;
 pub mod sparse;
@@ -45,9 +40,8 @@ pub mod wire;
 pub mod decomp;
 
 pub use bytes::ByteSized;
-pub use precision::{bf16_round, Precision};
 pub use wire::{Sizing, Wire, WireCodec, WireError, WireReader};
-pub use dense::{Mat, MatF32};
+pub use dense::Mat;
 pub use error::LinalgError;
 pub use pool::WorkerPool;
 pub use rng::Prng;

@@ -241,11 +241,10 @@ impl SparseMat {
         self.full.then_some(&self.values[..])
     }
 
-    /// A copy with `f` applied to every stored value — the precision
-    /// ladder's input-rounding hook. The structure is unchanged (the
-    /// column indices are shared, not copied): values that map to `0.0`
-    /// stay as explicit entries, so row shapes and the kernels'
-    /// nnz-balanced splits are identical to the source matrix.
+    /// A copy with `f` applied to every stored value. The structure is
+    /// unchanged (the column indices are shared, not copied): values that
+    /// map to `0.0` stay as explicit entries, so row shapes and the
+    /// kernels' nnz-balanced splits are identical to the source matrix.
     pub fn map_values(&self, f: impl Fn(f64) -> f64) -> SparseMat {
         SparseMat {
             rows: self.rows,
@@ -563,12 +562,6 @@ impl Csc {
     /// block, its indices the block rows holding it, ascending.
     pub fn transposed(&self) -> &SparseMat {
         &self.t
-    }
-
-    /// A copy with `f` applied to every stored value
-    /// ([`SparseMat::map_values`]): the copy of the mapped block.
-    pub fn map_values(&self, f: impl Fn(f64) -> f64) -> Csc {
-        Csc { support: self.support.clone(), t: self.t.map_values(f) }
     }
 }
 
@@ -989,7 +982,6 @@ mod tests {
         }));
         let full = SparseMat::from_dense(&rng.normal_mat(1_200, 64));
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (m, start, end) in [(&sparse, 13, 1_991), (&full, 5, 1_183)] {
             let (view, copy) = (m.row_block(start, end), copied(m, start, end));
             assert_eq!(kernels::takes_full_routes(&view), m.full, "a full block takes its routes");
@@ -1002,13 +994,6 @@ mod tests {
                 let pool = crate::WorkerPool::new(workers);
                 let yb = |y: &SparseMat| kernels::sparse_mul_dense_with_pool(&pool, y, &b);
                 assert_eq!(bits(yb(&view).data()), bits(yb(&copy).data()), "{workers} workers");
-                let yb32 = |y: &SparseMat| {
-                    let mut out = vec![0.0f32; rows * d];
-                    let b32 = crate::MatF32::from_f64(&b);
-                    kernels::sparse_mul_dense_f32_into_with_pool(&pool, y, &b32, &mut out);
-                    out
-                };
-                assert_eq!(bits32(&yb32(&view)), bits32(&yb32(&copy)));
                 let ytx = |y: &SparseMat, map: Option<&[u32]>| {
                     let mut out = vec![0.0; map.map_or(cols, |_| cols / 2) * d];
                     kernels::spmm_scatter(&pool, y, x.data(), d, map, &mut out);

@@ -10,16 +10,8 @@
 //! `axpy` updates four lanes per iteration, and the `axpy2`/`axpy4` fused
 //! variants apply several rank-1 updates in a single pass over `y` — the
 //! primitive the blocked kernels in [`crate::kernels`] are built from.
-//! Those three are written over [`Scalar`], because the batched EM kernels
-//! run them in `f32` as well; every update rounds its multiply and its add
-//! separately, element by element, in either type.
-
-use std::ops::{Add, AddAssign, Mul};
-
-/// The element types [`axpy`], [`axpy2`] and [`axpy4`] are written over.
-pub trait Scalar: Copy + Add<Output = Self> + Mul<Output = Self> + AddAssign {}
-impl Scalar for f64 {}
-impl Scalar for f32 {}
+//! Every update rounds its multiply and its add separately, element by
+//! element.
 
 /// Dot product `a · b`. Panics if the lengths differ.
 #[inline]
@@ -43,7 +35,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// `y += alpha * x` (BLAS axpy). Panics if the lengths differ.
 #[inline]
-pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
+pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch {} vs {}", x.len(), y.len());
     let split = x.len() & !3;
     let (x4, x_tail) = x.split_at(split);
@@ -65,7 +57,7 @@ pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
 /// bit-identical to two sequential [`axpy`] calls while halving the
 /// read-modify-write traffic on `y`.
 #[inline]
-pub fn axpy2<T: Scalar>(a0: T, x0: &[T], a1: T, x1: &[T], y: &mut [T]) {
+pub fn axpy2(a0: f64, x0: &[f64], a1: f64, x1: &[f64], y: &mut [f64]) {
     let n = y.len();
     assert!(x0.len() == n && x1.len() == n, "axpy2: length mismatch");
     for j in 0..n {
@@ -77,16 +69,16 @@ pub fn axpy2<T: Scalar>(a0: T, x0: &[T], a1: T, x1: &[T], y: &mut [T]) {
 /// over `y`, adds associated left-to-right (bit-identical to four
 /// sequential [`axpy`] calls).
 #[inline]
-pub fn axpy4<T: Scalar>(
-    a0: T,
-    x0: &[T],
-    a1: T,
-    x1: &[T],
-    a2: T,
-    x2: &[T],
-    a3: T,
-    x3: &[T],
-    y: &mut [T],
+pub fn axpy4(
+    a0: f64,
+    x0: &[f64],
+    a1: f64,
+    x1: &[f64],
+    a2: f64,
+    x2: &[f64],
+    a3: f64,
+    x3: &[f64],
+    y: &mut [f64],
 ) {
     let n = y.len();
     assert!(

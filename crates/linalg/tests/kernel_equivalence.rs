@@ -13,12 +13,9 @@
 //! * **Bitwise deterministic across pool sizes** — the `_with_pool`
 //!   variants must return identical bytes on 1, 2, and 8 workers.
 
-use linalg::kernels::{
-    self, naive, sparse_mul_dense_f32_into_with_pool, spmm_tn_f32_with_pool,
-    spmm_tn_packed_f32_with_pool, syrk_tn_f32_with_pool,
-};
+use linalg::kernels::{self, naive};
 use linalg::sparse::{Block, PartitionBlock};
-use linalg::{Mat, MatF32, Prng, SparseMat, WorkerPool};
+use linalg::{Mat, Prng, SparseMat, WorkerPool};
 
 /// Shapes that exercise every path: empty, zero-dim, 1×1, remainder rows
 /// around the 4-row/2-row/4-col micro-kernel groups, and sizes large
@@ -466,10 +463,6 @@ fn nan_bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() }).collect()
 }
 
-fn nan_bits32(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
-}
-
 /// The column-support table `add_block` built per call before blocks
 /// were cached: touched columns ascending, each mapped to its slab row.
 fn support_table(y: &SparseMat) -> (Vec<u32>, usize) {
@@ -516,18 +509,6 @@ fn gather_is_bitwise_the_packed_scatter() {
                 by_column[c * d..(c + 1) * d].copy_from_slice(row);
             });
             assert_eq!(nan_bits(&by_column), nan_bits(kernels::spmm_tn(&y, &x).data()), "{what} d={d}");
-
-            let x32 = MatF32::from_f64(&x);
-            let mut gathered = Vec::new();
-            kernels::spmm_gather(&csc, x32.data(), d, (&mut gathered, true), |_, _| ());
-            pools.each(
-                |pool| {
-                    let mut out = vec![0.0f32; touched * d];
-                    spmm_tn_packed_f32_with_pool(pool, &y, &x32, &map, &mut out);
-                    out
-                },
-                |got, on| assert_eq!(nan_bits32(&got), nan_bits32(&gathered), "{what} d={d} f32 on {on}"),
-            );
         }
     }
 }
@@ -563,152 +544,4 @@ fn syrk_tn_is_bitwise_the_naive_gram_on_both_sides_of_its_cut_over() {
             );
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// The f32 instantiation (`Precision::F32`'s kernels): bit for bit the
-// row-at-a-time `f32` folds written out below, whatever route a shape takes.
-// Outputs start at zero, as the arm's always do.
-// ---------------------------------------------------------------------------
-
-fn bits32(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// `Y·B` one stored entry at a time, values narrowed as they are read.
-fn mul_reference_f32(y: &SparseMat, b: &MatF32) -> Vec<f32> {
-    let n = b.cols();
-    let mut out = vec![0.0f32; y.rows() * n];
-    for r in 0..y.rows() {
-        for (c, v) in y.row(r).iter() {
-            for j in 0..n {
-                out[r * n + j] += v as f32 * b.row(c)[j];
-            }
-        }
-    }
-    out
-}
-
-/// `out[map[c]] += y[r][c]·x_r` in ascending `(r, c)`, in `f32`.
-fn scatter_reference_f32(y: &SparseMat, x: &MatF32, map: &[u32], out_rows: usize) -> Vec<f32> {
-    let d = x.cols();
-    let mut out = vec![0.0f32; out_rows * d];
-    for r in 0..y.rows() {
-        for (c, v) in y.row(r).iter() {
-            let t = map[c] as usize;
-            for j in 0..d {
-                out[t * d + j] += v as f32 * x.row(r)[j];
-            }
-        }
-    }
-    out
-}
-
-/// `XᵀX` as a sum of row outer products in ascending row order.
-fn gram_reference_f32(x: &MatF32) -> Vec<f32> {
-    let d = x.cols();
-    let mut out = vec![0.0f32; d * d];
-    for r in 0..x.rows() {
-        let row = x.row(r);
-        for i in 0..d {
-            for j in 0..d {
-                out[i * d + j] += row[i] * row[j];
-            }
-        }
-    }
-    out
-}
-
-fn normal_f32(rng: &mut Prng, rows: usize, cols: usize) -> MatF32 {
-    MatF32::from_f64(&rng.normal_mat(rows, cols))
-}
-
-#[test]
-fn f32_kernels_are_bitwise_the_row_at_a_time_f32_folds() {
-    let pools = Pools::new();
-    let mut rng = Prng::seed_from_u64(2301);
-    // Hyper-sparse and wide enough for a banded scatter; rows 1 and 4 of
-    // the second block are empty; the third crosses the chunking
-    // threshold of `Y·B`; the last three are full-row blocks on both sides
-    // of a tile boundary, one of them deeper than `TILE_DEPTH`.
-    let mut blocks = vec![
-        (random_sparse(&mut rng, 600, 800, 0.01, false), 24),
-        (SparseMat::from_triplets(6, 9, &[(0, 2, 1.5), (2, 0, -0.3), (2, 8, 0.7), (3, 2, 2.1), (5, 5, -1.1)]), 3),
-        (random_sparse(&mut rng, 2000, 300, 0.2, false), 24),
-    ];
-    for (rows, cols, d) in [(8usize, 19usize, 5usize), (37, 8, 9), (300, 1000, 56)] {
-        blocks.push((full_block(&mut rng, rows, cols), d));
-    }
-    for (y, d) in &blocks {
-        let (rows, cols, d) = (y.rows(), y.cols(), *d);
-        let what = format!("{rows}x{cols}x{d} nnz={}", y.nnz());
-        let b = normal_f32(&mut rng, cols, d);
-        let x = normal_f32(&mut rng, rows, d);
-
-        let mul = mul_reference_f32(y, &b);
-        pools.each(
-            |pool| {
-                let mut out = vec![0.0f32; rows * d];
-                sparse_mul_dense_f32_into_with_pool(pool, y, &b, &mut out);
-                out
-            },
-            |got, on| assert_eq!(bits32(&got), bits32(&mul), "Y*B {what} on {on}"),
-        );
-
-        let identity: Vec<u32> = (0..cols as u32).collect();
-        let tn = scatter_reference_f32(y, &x, &identity, cols);
-        pools.each(
-            |pool| spmm_tn_f32_with_pool(pool, y, &x),
-            |got, on| assert_eq!(bits32(got.data()), bits32(&tn), "YtX {what} on {on}"),
-        );
-        // The packed scatter under the identity map (a full block's own
-        // support table) and under one that folds two columns into each
-        // output row.
-        let folded: Vec<u32> = (0..cols as u32).map(|c| c / 2).collect();
-        for (map, name) in [(&identity, "identity"), (&folded, "folded")] {
-            let want = scatter_reference_f32(y, &x, map, cols);
-            pools.each(
-                |pool| {
-                    let mut out = vec![0.0f32; cols * d];
-                    spmm_tn_packed_f32_with_pool(pool, y, &x, map, &mut out);
-                    out
-                },
-                |got, on| assert_eq!(bits32(&got), bits32(&want), "{name} map, {what} on {on}"),
-            );
-        }
-    }
-    // Grams on both sides of the tile cut-over (7 and 8 rows), across a
-    // `TILE_DEPTH` boundary, and big enough to split over output bands.
-    for (rows, d) in [(0usize, 4usize), (1, 1), (7, 9), (8, 9), (300, 24), (3125, 50)] {
-        let x = normal_f32(&mut rng, rows, d);
-        let want = gram_reference_f32(&x);
-        pools.each(
-            |pool| syrk_tn_f32_with_pool(pool, &x),
-            |got, on| assert_eq!(bits32(got.data()), bits32(&want), "syrk {rows}x{d} on {on}"),
-        );
-    }
-}
-
-#[test]
-fn f32_kernels_track_the_f64_results() {
-    // Not bitwise — the arm's whole point is different arithmetic — but
-    // the products must agree to f32 round-off at these shapes.
-    let mut rng = Prng::seed_from_u64(32);
-    let (n, dd, d) = (300usize, 200usize, 12usize);
-    let y = random_sparse(&mut rng, n, dd, 0.05, false);
-    let cm = rng.normal_mat(dd, d);
-    let x = rng.normal_mat(n, d);
-    let pool = WorkerPool::new(4);
-    let close = |narrow: &[f32], exact: &[f64], tol: f64, what: &str| {
-        let scale = exact.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        for (g, e) in narrow.iter().zip(exact) {
-            assert!((f64::from(*g) - e).abs() <= tol * scale, "f32 {what} drifted: {g} vs {e}");
-        }
-    };
-    let mut mul = vec![0.0f32; n * d];
-    sparse_mul_dense_f32_into_with_pool(&pool, &y, &MatF32::from_f64(&cm), &mut mul);
-    close(&mul, kernels::sparse_mul_dense_with_pool(&pool, &y, &cm).data(), 1e-4, "Y*B");
-    let x32 = MatF32::from_f64(&x);
-    close(syrk_tn_f32_with_pool(&pool, &x32).data(), kernels::syrk_tn_with_pool(&pool, &x).data(), 1e-3, "syrk");
-    close(spmm_tn_f32_with_pool(&pool, &y, &x32).data(), kernels::spmm_tn_with_pool(&pool, &y, &x).data(), 1e-3, "YtX");
 }

@@ -1,9 +1,9 @@
 //! Versioned machine-readable run ledger.
 //!
 //! A [`RunLedger`] is the durable record of one tool invocation: the
-//! config fingerprint of every fit it performed (engine, precision, codec,
-//! fault plan, cluster shape), per-pass convergence telemetry (the
-//! `em.*` / `rpca.*` `error` and `objective`, precision divergence), the
+//! config fingerprint of every fit it performed (engine, codec, fault
+//! plan, cluster shape), per-pass convergence telemetry (the `em.*` /
+//! `rpca.*` `error` and `objective`), the
 //! critical-path category attribution, the bytes-moved totals, and a full
 //! [`RegistrySnapshot`] — everything `perf_gate` needs to decide whether a
 //! commit regressed the system, in one JSON file (`RUN_*.json`).
@@ -35,8 +35,6 @@ pub struct IterationRow {
     pub error: f64,
     /// Objective proxy (`em.objective`).
     pub objective: f64,
-    /// Mixed-precision divergence vs f64 (`em.precision.divergence`).
-    pub divergence: f64,
     /// Cluster clock at the end of the iteration, seconds.
     pub virtual_secs: f64,
     /// Per-category virtual µs spent in this iteration, indexed like
@@ -49,8 +47,8 @@ pub struct IterationRow {
 pub struct RunRecord {
     /// Engine label, e.g. `"sPCA-Spark"`.
     pub label: String,
-    /// Config fingerprint as ordered key/value pairs (engine, precision,
-    /// codec, fault plan, cluster shape, seeds).
+    /// Config fingerprint as ordered key/value pairs (engine, codec, fault
+    /// plan, cluster shape, seeds).
     pub config: Vec<(String, String)>,
     /// Content hash of the fitted model (hex string — kept out of JSON
     /// number space so no f64 rounding can corrupt it).
@@ -249,8 +247,6 @@ fn push_run(out: &mut String, run: &RunRecord) {
         push_f64(out, row.error);
         out.push_str(",\"objective\":");
         push_f64(out, row.objective);
-        out.push_str(",\"divergence\":");
-        push_f64(out, row.divergence);
         out.push_str(",\"virtual_secs\":");
         push_f64(out, row.virtual_secs);
         out.push_str(",\"attribution\":");
@@ -326,8 +322,7 @@ mod tests {
                 iterations: vec![IterationRow {
                     iteration: 1,
                     error: 0.5,
-                    objective: 0.9,
-                    divergence: f64::NAN,
+                    objective: f64::NAN,
                     virtual_secs: 6.0,
                     cat_us: [4, 0, 1, 1, 0],
                 }],
@@ -351,8 +346,8 @@ mod tests {
         let run = &runs[0];
         assert_eq!(run.get("model_hash").and_then(json::Json::as_str), Some("0x1f2e3d4c5b6a7988"));
         assert_eq!(run.get("config").and_then(|c| c.get("engine")).and_then(json::Json::as_str), Some("spark"));
-        // NaN divergence serialized as a string, not a bare literal.
-        assert!(json_text.contains("\"divergence\":\"NaN\""), "{json_text}");
+        // A NaN objective serialized as a string, not a bare literal.
+        assert!(json_text.contains("\"objective\":\"NaN\""), "{json_text}");
         let attr = run.get("attribution").unwrap();
         assert_eq!(attr.get("cpu_us").and_then(json::Json::as_num), Some(7.0));
     }

@@ -62,12 +62,6 @@ cargo run --release --offline -p spca-bench --bin bench_kernels -- \
     --smoke --out /tmp/BENCH_kernels_smoke.json --trace "$TRACE_DIR/bench_kernels.json"
 cargo run --release --offline -p spca-bench --bin bench_em -- \
     --smoke --out "$TRACE_DIR/BENCH_em.json" --trace "$TRACE_DIR/bench_em.json"
-# Per-arm smoke runs of the precision ladder: each asserts worker-count
-# bit-determinism of its own arm and records speedup/divergence vs f64.
-cargo run --release --offline -p spca-bench --bin bench_em -- \
-    --smoke --precision f32 --out "$TRACE_DIR/BENCH_em_f32.json"
-cargo run --release --offline -p spca-bench --bin bench_em -- \
-    --smoke --precision bf16 --out "$TRACE_DIR/BENCH_em_bf16.json"
 cargo run --release --offline -p spca-bench --bin bench_faults -- \
     --smoke --out "$TRACE_DIR/BENCH_faults.json" --ledger "$TRACE_DIR/RUN_faults.json"
 # bench_wire covers the codec arms (v2/v3/v3q) per record family in one
@@ -118,8 +112,7 @@ done
 cargo run --release --offline -p spca-bench --bin trace_check -- \
     "$TRACE_DIR/bench_kernels.json" "$TRACE_DIR/bench_em.json" \
     "$TRACE_DIR/trace_report.json" \
-    --plain "$TRACE_DIR/BENCH_em.json" "$TRACE_DIR/BENCH_em_f32.json" \
-    "$TRACE_DIR/BENCH_em_bf16.json" "$TRACE_DIR/BENCH_faults.json" \
+    --plain "$TRACE_DIR/BENCH_em.json" "$TRACE_DIR/BENCH_faults.json" \
     "$TRACE_DIR/BENCH_wire.json" "$TRACE_DIR/BENCH_rpca.json" \
     "$TRACE_DIR/BENCH_scale.json" \
     "$TRACE_DIR/BENCH_serving.json" "$TRACE_DIR/RUN_faults.json" \

@@ -12,6 +12,7 @@
 //! Matrices use the `spca-sparse`/`spca-dense` text formats of
 //! [`linalg::io`]; models use [`spca_core::PcaModel`]'s text format.
 
+use std::cell::RefCell;
 use std::process::ExitCode;
 
 use dcluster::{ClusterConfig, SimCluster};
@@ -40,8 +41,8 @@ usage:
   spca-cli fit -i DATA -o MODEL [-d N] [--engine spark|mapreduce]
            [--algorithm em|randomized] [--iters N] [--seed N] [--nodes N]
            [--partitions N] [--oversample N] [--power-iters N]
-           [--precision f64|f32|bf16] [--codec v2|v3|v3q]
-           [--timing uncontended|contended] [--ledger FILE]
+           [--codec v2|v3|v3q] [--timing uncontended|contended]
+           [--ledger FILE]
   spca-cli transform -i DATA -m MODEL -o OUT
   spca-cli likelihood -i DATA -m MODEL
   spca-cli serve -i DATA -m MODEL [--tenants N] [--batches N]
@@ -53,6 +54,9 @@ usage:
 struct Args<'a> {
     positional: Vec<&'a str>,
     flags: Vec<(&'a str, &'a str)>,
+    /// Every flag name a command asked for, so [`Args::reject_unread`] can
+    /// name the ones it did not.
+    read: RefCell<Vec<String>>,
 }
 
 impl<'a> Args<'a> {
@@ -70,10 +74,11 @@ impl<'a> Args<'a> {
                 positional.push(a.as_str());
             }
         }
-        Ok(Args { positional, flags })
+        Ok(Args { positional, flags, read: RefCell::default() })
     }
 
     fn flag(&self, name: &str) -> Option<&str> {
+        self.read.borrow_mut().push(name.to_string());
         self.flags.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| *v)
     }
 
@@ -88,6 +93,16 @@ impl<'a> Args<'a> {
         match self.flag(name) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|e| format!("--{name}: {e}")),
+        }
+    }
+
+    /// Fails on the first flag `command` never read: a misspelt or
+    /// unsupported flag is an error, not a silent default.
+    fn reject_unread(&self, command: &str) -> Result<(), String> {
+        let read = self.read.borrow();
+        match self.flags.iter().find(|(name, _)| !read.iter().any(|r| r == name)) {
+            Some((name, _)) => Err(format!("unknown flag --{name} for `{command}`")),
+            None => Ok(()),
         }
     }
 }
@@ -125,6 +140,7 @@ fn generate(args: &Args<'_>) -> Result<(), String> {
     let cols: usize = cols.parse().map_err(|e| format!("cols: {e}"))?;
     let seed: u64 = args.numeric("seed", 42)?;
     let out = args.required("o")?;
+    args.reject_unread("generate")?;
 
     let mut rng = Prng::seed_from_u64(seed);
     let m = match kind {
@@ -149,6 +165,7 @@ fn generate(args: &Args<'_>) -> Result<(), String> {
 
 fn info(args: &Args<'_>) -> Result<(), String> {
     let m = load_data(args)?;
+    args.reject_unread("info")?;
     println!("rows     : {}", m.rows());
     println!("columns  : {}", m.cols());
     println!("non-zeros: {}", m.nnz());
@@ -185,11 +202,6 @@ fn fit(args: &Args<'_>) -> Result<(), String> {
     if let Some(parts) = args.flag("partitions") {
         config = config.with_partitions(parts.parse().map_err(|e| format!("--partitions: {e}"))?);
     }
-    if let Some(precision) = args.flag("precision") {
-        let precision = linalg::Precision::parse(precision)
-            .ok_or_else(|| format!("--precision: unknown arm {precision:?} (use f64|f32|bf16)"))?;
-        config = config.with_precision(precision);
-    }
     if let Some(alg) = args.flag("algorithm") {
         let alg = spca_core::Algorithm::parse(alg)
             .ok_or_else(|| format!("--algorithm: unknown algorithm {alg:?} (use em|randomized)"))?;
@@ -208,6 +220,7 @@ fn fit(args: &Args<'_>) -> Result<(), String> {
     // the fit (config fingerprint, per-iteration telemetry, category
     // attribution) — the artifact perf_gate diffs against baselines.
     let ledger_path = args.flag("ledger");
+    args.reject_unread("fit")?;
     let ledger_collector = ledger_path.map(|_| {
         obs::ledger::install_sink();
         obs::install_new()
@@ -260,6 +273,7 @@ fn transform(args: &Args<'_>) -> Result<(), String> {
     let y = load_data(args)?;
     let model = load_model(args)?;
     let out = args.required("o")?;
+    args.reject_unread("transform")?;
     let x = model.transform_sparse(&y).map_err(|e| e.to_string())?;
     mio::save_dense(out, &x).map_err(|e| format!("{out}: {e}"))?;
     println!("wrote {out}: {} x {} latent coordinates", x.rows(), x.cols());
@@ -306,6 +320,7 @@ fn serve(args: &Args<'_>) -> Result<(), String> {
         cluster_cfg = cluster_cfg
             .with_model_cache_bytes(bytes.parse().map_err(|e| format!("--cache-bytes: {e}"))?);
     }
+    args.reject_unread("serve")?;
     let cluster = SimCluster::new(cluster_cfg);
     let total_cores = cluster.config().total_cores();
 
@@ -370,6 +385,7 @@ fn serve(args: &Args<'_>) -> Result<(), String> {
 fn likelihood_cmd(args: &Args<'_>) -> Result<(), String> {
     let y = load_data(args)?;
     let model = load_model(args)?;
+    args.reject_unread("likelihood")?;
     let ll = likelihood::avg_log_likelihood(&y, &model).map_err(|e| e.to_string())?;
     println!("average log-likelihood per row: {ll:.6}");
     Ok(())

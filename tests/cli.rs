@@ -170,4 +170,27 @@ fn helpful_errors_on_bad_usage() {
 
     let out = cli().args(["fit", "-i", "/nonexistent/file.sm", "-o", "/tmp/x"]).output().unwrap();
     assert!(!out.status.success());
+
+    // A flag the command does not read fails instead of running on a
+    // default: a misspelt `--iters`, and the removed `--precision`.
+    let dir = workdir("bad-usage");
+    let (data, model) = (dir.join("data.sm"), dir.join("model.txt"));
+    let out = cli()
+        .args(["generate", "tweets", "200", "60", "--seed", "3", "-o"])
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "generate failed: {}", String::from_utf8_lossy(&out.stderr));
+    for (flag, value) in [("--iter", "3"), ("--precision", "f32")] {
+        let out = cli()
+            .args(["fit", "-d", "3", flag, value, "-i"])
+            .arg(&data)
+            .arg("-o")
+            .arg(&model)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "fit accepted {flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag} for `fit`")), "{err}");
+    }
 }
