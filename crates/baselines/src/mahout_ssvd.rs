@@ -29,8 +29,9 @@ use linalg::wire::{self, Wire, WireError, WireReader};
 use linalg::{Mat, Prng, SparseMat};
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 use spca_core::accuracy;
-use spca_core::model::{IterationStat, PcaModel, SpcaRun};
-use spca_core::SpcaError;
+use spca_core::driver::{run_passes, ArmNames, Dims, PassArm};
+use spca_core::model::{PcaModel, SpcaRun};
+use spca_core::{SpcaConfig, SpcaError};
 
 /// Configuration of the Mahout-PCA baseline.
 #[derive(Debug, Clone)]
@@ -186,6 +187,170 @@ fn sum_vectors(mut values: Vec<Vec<f64>>) -> Vec<f64> {
     acc
 }
 
+static NAMES: ArmNames = ArmNames {
+    run: "run_mahout",
+    count_key: "rounds",
+    pass: "round",
+    counters: "mahout",
+    category_infix: "round",
+};
+
+/// SSVD-PCA as a [`PassArm`]: one pass is one SSVD round — the Q job,
+/// TSQR, the Bt job and the driver's SVD finish — leaving `Bᵀ` as the next
+/// round's projector.
+struct MahoutArm<'a> {
+    cluster: &'a SimCluster,
+    config: &'a MahoutConfig,
+    y: &'a SparseMat,
+    blocks: Vec<SparseMat>,
+    /// Projection width `K = d + p`.
+    k: usize,
+    /// D×K: the next Q job computes `Yc·projector` — Ω, then `Bᵀ`.
+    projector: Mat,
+    mean: Vec<f64>,
+    c: Mat,
+}
+
+impl PassArm for MahoutArm<'_> {
+    fn names(&self) -> &'static ArmNames {
+        &NAMES
+    }
+
+    fn dims(&self) -> Dims {
+        Dims { n: self.y.rows(), d_in: self.y.cols(), width: self.k }
+    }
+
+    fn max_passes(&self) -> usize {
+        self.config.max_iters
+    }
+
+    /// Ω (D×K) and later B (K×D). Unlike sPCA this driver must also hold
+    /// K·D, but that is still O(D·d) — Mahout's problem is communication,
+    /// not driver memory.
+    fn driver_bytes(&self) -> u64 {
+        (2 * self.y.cols() * self.k * 8) as u64
+    }
+
+    fn fingerprint(&self, _: &SpcaConfig) -> Vec<(String, String)> {
+        vec![("mahout.config".into(), format!("{:?}", self.config))]
+    }
+
+    fn prepare(&mut self) {
+        let mut rng = Prng::seed_from_u64(self.config.seed);
+        self.projector = rng.normal_mat(self.y.cols(), self.k);
+        self.mean = self.cluster.run_driver("meanJob(driver)", || self.y.col_means());
+    }
+
+    fn pass(&mut self, round: usize) -> spca_core::Result<f64> {
+        let (cluster, k, d) = (self.cluster, self.k, self.config.components);
+        let (n, d_in) = (self.y.rows(), self.y.cols());
+        let (blocks, mean) = (&self.blocks, &self.mean);
+
+        // ---- Q job: proj = Yc·projector = Y·projector − 1⊗(Ym·projector).
+        cluster.advance_time(6.0); // Hadoop job init for the Q job
+        // The D×K projector ships to every node via distributed cache.
+        let bytes = cluster.wire_size(&self.projector);
+        cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
+        let shift = self.projector.vecmat(mean); // K
+        let (projector, shift) = (&self.projector, &shift);
+        let tasks: Vec<_> = blocks
+            .iter()
+            .map(|b| {
+                move || {
+                    let mut p = b.mul_dense(projector);
+                    for r in 0..p.rows() {
+                        linalg::vector::axpy(-1.0, shift, p.row_mut(r));
+                    }
+                    p
+                }
+            })
+            .collect();
+        let proj_blocks: Vec<Mat> = cluster.run_stage(
+            StageOptions::new(format!("Mahout/Qjob/{round}")).with_task_overhead(1.0),
+            tasks,
+        );
+        // Mahout writes the projection, then Q, to HDFS; Bt re-reads Q.
+        let proj_bytes: u64 = proj_blocks.iter().map(|b| cluster.wire_size(b)).sum();
+        cluster.charge(Meter::DfsWrite, Load::Even(proj_bytes), "dfs-write");
+        let tsqr_out = cluster.run_driver("Mahout/TSQR-final", || tsqr(&proj_blocks));
+        cluster.charge(Meter::DfsWrite, Load::Even(proj_bytes), "dfs-write"); // Q matrix
+        cluster.charge(Meter::DfsRead, Load::Even(proj_bytes), "dfs-read"); // Bt mappers read Q
+
+        // ---- Bt job: B = Q'·Yc.
+        let bt_inputs: Vec<(SparseMat, Mat)> =
+            blocks.iter().cloned().zip(tsqr_out.q_blocks).collect();
+        let (bt_out, _stats) = MapReduceEngine::new(cluster).run_job(
+            &format!("Mahout/Btjob/{round}"),
+            &BtJob { k },
+            &bt_inputs,
+            8,
+        );
+
+        // Assemble B (K×D) on the driver, applying the mean correction
+        // B = Q'Y − (Q'1)⊗Ym.
+        let mut b = Mat::zeros(k, d_in);
+        let mut sum_q = vec![0.0; k];
+        for (key, value) in bt_out {
+            match key {
+                BtKey::SumQ => sum_q = value,
+                BtKey::Col(j) => {
+                    for (row, &v) in value.iter().enumerate() {
+                        b[(row, j as usize)] = v;
+                    }
+                }
+            }
+        }
+        for (i, &sq) in sum_q.iter().enumerate() {
+            linalg::vector::axpy(-sq, mean, b.row_mut(i));
+        }
+
+        // ---- Small driver-side SVD finish: eig of B·B' (K×K).
+        let (c, values) = cluster.run_driver("Mahout/finishSVD", || {
+            let bbt = b.matmul_nt(&b);
+            let eig = sym_eigen(&bbt)?;
+            // Right singular vectors of Yc ≈ rows of B mapped through
+            // U_B: V = B'·U_B·Σ⁻¹; keep the top d columns.
+            let mut c = Mat::zeros(d_in, d);
+            for comp in 0..d {
+                let sigma = eig.values[comp].max(0.0).sqrt();
+                if sigma <= 1e-300 {
+                    continue;
+                }
+                let u_col = eig.vectors.col(comp);
+                // column = B'·u / σ.
+                for (ki, &u) in u_col.iter().enumerate() {
+                    if u != 0.0 {
+                        for j in 0..d_in {
+                            c[(j, comp)] += b[(ki, j)] * u;
+                        }
+                    }
+                }
+                for j in 0..d_in {
+                    c[(j, comp)] /= sigma;
+                }
+            }
+            Ok::<_, SpcaError>((c, eig.values))
+        })?;
+
+        // Mahout finishes each SSVD pass with separate U-job and V-job
+        // MR passes that materialize the factors in HDFS.
+        cluster.advance_time(2.0 * 6.0);
+        for rows in [n, d_in] {
+            let bytes = cluster.sizing().f64_payload(rows * d);
+            cluster.charge(Meter::DfsWrite, Load::Even(bytes), "dfs-write");
+        }
+        self.c = c;
+
+        // ---- Power iteration: the next projector is B' (D×K).
+        self.projector = b.transpose();
+        Ok(crate::top_share(&values, d))
+    }
+
+    fn model(&self) -> PcaModel {
+        PcaModel::new(self.c.clone(), self.mean.clone(), 1e-9)
+    }
+}
+
 /// The Mahout-PCA baseline algorithm.
 #[derive(Debug, Clone)]
 pub struct MahoutPca {
@@ -198,168 +363,29 @@ impl MahoutPca {
         MahoutPca { config }
     }
 
-    /// Runs SSVD-PCA on the MapReduce engine.
+    /// Runs SSVD-PCA on the MapReduce engine: [`MahoutArm`]'s rounds on
+    /// [`run_passes`], stopping at the round cap or the target error.
     pub fn fit(&self, cluster: &SimCluster, y: &SparseMat) -> spca_core::Result<SpcaRun> {
         let cfg = &self.config;
-        let n = y.rows();
-        let d_in = y.cols();
-        if n == 0 || d_in == 0 {
-            return Err(SpcaError::EmptyInput);
-        }
-        let k = (cfg.components + cfg.oversample).min(n.min(d_in));
-        if cfg.components > n.min(d_in) {
-            return Err(SpcaError::TooManyComponents {
-                requested: cfg.components,
-                available: n.min(d_in),
-            });
-        }
-
-        let start = cluster.metrics().virtual_time_secs;
-        let start_bytes = cluster.metrics().intermediate_bytes;
-        let engine = MapReduceEngine::new(cluster);
+        let (n, d_in) = (y.rows(), y.cols());
+        spca_core::label_trace(cluster, "Mahout", "MR");
         let partitions =
             cfg.partitions.unwrap_or_else(|| cluster.config().total_cores()).min(n.max(1));
-        let blocks = y.split_rows(partitions);
-
-        // Driver state: Ω (D×K) and later B (K×D). Unlike sPCA this driver
-        // must also hold K·D, but that is still O(D·d) — Mahout's problem
-        // is communication, not driver memory.
-        let _guard = cluster.alloc_driver((2 * d_in * k * 8) as u64)?;
-
-        let mut rng = Prng::seed_from_u64(cfg.seed);
-        let omega = rng.normal_mat(d_in, k);
-        let mean = cluster.run_driver("meanJob(driver)", || y.col_means());
+        let mut arm = MahoutArm {
+            cluster,
+            config: cfg,
+            y,
+            blocks: y.split_rows(partitions),
+            k: (cfg.components + cfg.oversample).min(n.min(d_in)),
+            projector: Mat::zeros(0, 0),
+            mean: Vec::new(),
+            c: Mat::zeros(d_in, cfg.components),
+        };
         let error_sample = accuracy::sample_rows(y, cfg.error_sample_rows, cfg.seed);
-
-        // Initial projection basis: Ω itself.
-        let mut projector = omega; // D×K: proj = Yc·projector
-        let mut iterations: Vec<IterationStat> = Vec::new();
-        let mut model = PcaModel::new(Mat::zeros(d_in, cfg.components), mean.clone(), 1e-9);
-
-        for round in 1..=cfg.max_iters {
-            // ---- Q job: proj = Yc·projector = Y·projector − 1⊗(Ym·projector).
-            cluster.advance_time(6.0); // Hadoop job init for the Q job
-            // The D×K projector ships to every node via distributed cache.
-            let bytes = cluster.wire_size(&projector);
-            cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
-            let shift = projector.vecmat(&mean); // K
-            let proj_blocks: Vec<Mat> = {
-                let projector = &projector;
-                let shift = &shift;
-                let tasks: Vec<_> = blocks
-                    .iter()
-                    .map(move |b| {
-                        move || {
-                            let mut p = b.mul_dense(projector);
-                            for r in 0..p.rows() {
-                                linalg::vector::axpy(-1.0, shift, p.row_mut(r));
-                            }
-                            p
-                        }
-                    })
-                    .collect();
-                cluster.run_stage(
-                    StageOptions::new(format!("Mahout/Qjob/{round}")).with_task_overhead(1.0),
-                    tasks,
-                )
-            };
-            // Mahout writes the projection, then Q, to HDFS; Bt re-reads Q.
-            let proj_bytes: u64 =
-                proj_blocks.iter().map(|b| cluster.wire_size(b)).sum();
-            cluster.charge(Meter::DfsWrite, Load::Even(proj_bytes), "dfs-write");
-            let tsqr_out = cluster.run_driver("Mahout/TSQR-final", || tsqr(&proj_blocks));
-            cluster.charge(Meter::DfsWrite, Load::Even(proj_bytes), "dfs-write"); // Q matrix
-            cluster.charge(Meter::DfsRead, Load::Even(proj_bytes), "dfs-read"); // Bt mappers read Q
-
-            // ---- Bt job: B = Q'·Yc.
-            let bt_inputs: Vec<(SparseMat, Mat)> = blocks
-                .iter()
-                .cloned()
-                .zip(tsqr_out.q_blocks.iter().cloned())
-                .collect();
-            let (bt_out, _stats) =
-                engine.run_job(&format!("Mahout/Btjob/{round}"), &BtJob { k }, &bt_inputs, 8);
-
-            // Assemble B (K×D) on the driver, applying the mean correction
-            // B = Q'Y − (Q'1)⊗Ym.
-            let mut b = Mat::zeros(k, d_in);
-            let mut sum_q = vec![0.0; k];
-            for (key, value) in bt_out {
-                match key {
-                    BtKey::SumQ => sum_q = value,
-                    BtKey::Col(j) => {
-                        for (row, &v) in value.iter().enumerate() {
-                            b[(row, j as usize)] = v;
-                        }
-                    }
-                }
-            }
-            for (i, &sq) in sum_q.iter().enumerate() {
-                linalg::vector::axpy(-sq, &mean, b.row_mut(i));
-            }
-
-            // ---- Small driver-side SVD finish: eig of B·B' (K×K).
-            let c = cluster.run_driver("Mahout/finishSVD", || {
-                let bbt = b.matmul_nt(&b);
-                let eig = sym_eigen(&bbt)?;
-                // Right singular vectors of Yc ≈ rows of B mapped through
-                // U_B: V = B'·U_B·Σ⁻¹; keep the top d columns.
-                let mut c = Mat::zeros(d_in, cfg.components);
-                for comp in 0..cfg.components {
-                    let sigma = eig.values[comp].max(0.0).sqrt();
-                    if sigma <= 1e-300 {
-                        continue;
-                    }
-                    let u_col = eig.vectors.col(comp);
-                    // column = B'·u / σ.
-                    for (ki, &u) in u_col.iter().enumerate() {
-                        if u != 0.0 {
-                            for j in 0..d_in {
-                                c[(j, comp)] += b[(ki, j)] * u;
-                            }
-                        }
-                    }
-                    for j in 0..d_in {
-                        c[(j, comp)] /= sigma;
-                    }
-                }
-                Ok::<Mat, SpcaError>(c)
-            })?;
-
-            // Mahout finishes each SSVD pass with separate U-job and V-job
-            // MR passes that materialize the factors in HDFS.
-            cluster.advance_time(2.0 * 6.0);
-            for rows in [n, d_in] {
-                let bytes = cluster.sizing().f64_payload(rows * cfg.components);
-                cluster.charge(Meter::DfsWrite, Load::Even(bytes), "dfs-write");
-            }
-            model = PcaModel::new(c, mean.clone(), 1e-9);
-            let error = accuracy::reconstruction_error(&error_sample, &model)?;
-            iterations.push(IterationStat {
-                iteration: round,
-                error,
-                ss: 0.0,
-                virtual_time_secs: cluster.metrics().virtual_time_secs - start,
-            });
-            if let Some(target) = cfg.target_error {
-                if error <= target {
-                    break;
-                }
-            }
-
-            // ---- Power iteration: next projector is B' (D×K).
-            if round < cfg.max_iters {
-                projector = b.transpose();
-            }
-        }
-
-        let end = cluster.metrics();
-        Ok(SpcaRun {
-            model,
-            iterations,
-            virtual_time_secs: end.virtual_time_secs - start,
-            intermediate_bytes: end.intermediate_bytes - start_bytes,
-        })
+        // The loop's stop policy; the round cap is the arm's `max_passes`.
+        let mut policy = SpcaConfig::new(cfg.components).with_rel_tolerance(None);
+        policy.target_error = cfg.target_error;
+        run_passes(cluster, &mut arm, &error_sample, &policy)
     }
 }
 

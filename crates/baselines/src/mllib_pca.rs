@@ -20,10 +20,12 @@ use linalg::bytes::ByteSized;
 use linalg::decomp::eig::sym_eigen;
 use linalg::wire::{Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
-use sparkle::SparkleContext;
+use sparkle::{Rdd, SparkleContext};
 use spca_core::accuracy;
-use spca_core::model::{IterationStat, PcaModel, SpcaRun};
-use spca_core::SpcaError;
+use spca_core::driver::{run_passes, ArmNames, Dims, PassArm};
+use spca_core::model::{PcaModel, SpcaRun};
+use spca_core::spark::SpRow;
+use spca_core::{SpcaConfig, SpcaError};
 
 /// Configuration of the MLlib-PCA baseline.
 #[derive(Debug, Clone)]
@@ -77,50 +79,64 @@ impl Wire for GramAcc {
     }
 }
 
-/// The MLlib-PCA baseline algorithm.
-#[derive(Debug, Clone)]
-pub struct MllibPca {
-    config: MllibConfig,
+static NAMES: ArmNames = ArmNames {
+    run: "run_mllib",
+    count_key: "passes",
+    pass: "pass",
+    counters: "mllib",
+    category_infix: "pass",
+};
+
+/// Covariance PCA as a [`PassArm`] of one pass: the column means, the
+/// Gram fold and the driver's eigendecomposition.
+struct MllibArm<'a> {
+    cluster: &'a SimCluster,
+    config: &'a MllibConfig,
+    y: &'a SparseMat,
+    /// The persisted input RDD, built by `prepare`.
+    rdd: Option<Rdd<'a, SpRow>>,
+    mean: Vec<f64>,
+    c: Mat,
 }
 
-impl MllibPca {
-    /// Creates the baseline with the given configuration.
-    pub fn new(config: MllibConfig) -> Self {
-        MllibPca { config }
+impl PassArm for MllibArm<'_> {
+    fn names(&self) -> &'static ArmNames {
+        &NAMES
     }
 
-    /// Runs covariance-PCA on the Spark-like engine. Fails with
-    /// `DriverOom` when the D×D covariance does not fit in driver memory.
-    pub fn fit(&self, cluster: &SimCluster, y: &SparseMat) -> spca_core::Result<SpcaRun> {
-        let cfg = &self.config;
-        let n = y.rows();
-        let d_in = y.cols();
-        if n == 0 || d_in == 0 {
-            return Err(SpcaError::EmptyInput);
-        }
-        if cfg.components > n.min(d_in) {
-            return Err(SpcaError::TooManyComponents {
-                requested: cfg.components,
-                available: n.min(d_in),
-            });
-        }
+    fn dims(&self) -> Dims {
+        Dims { n: self.y.rows(), d_in: self.y.cols(), width: self.y.cols() }
+    }
 
-        let start = cluster.metrics().virtual_time_secs;
-        let start_bytes = cluster.metrics().intermediate_bytes;
+    fn max_passes(&self) -> usize {
+        1
+    }
 
-        // The defining resource demand: the driver holds the dense D×D
-        // covariance (plus the eigenvector matrix of the same size). If
-        // this does not fit, MLlib dies before doing any distributed work
-        // worth charging — exactly the observed behaviour.
-        let cov_bytes = (d_in as u64) * (d_in as u64) * 8;
-        let _guard = cluster.alloc_driver(2 * cov_bytes)?;
+    /// The defining resource demand: the driver holds the dense D×D
+    /// covariance (plus the eigenvector matrix of the same size). If this
+    /// does not fit, MLlib dies before doing any distributed work worth
+    /// charging — exactly the observed behaviour.
+    fn driver_bytes(&self) -> u64 {
+        2 * (self.y.cols() as u64).pow(2) * 8
+    }
 
-        let ctx = SparkleContext::new(cluster);
-        let partitions = cfg.partitions.min(n.max(1));
-        let blocks: Vec<Vec<spca_core::spark::SpRow>> =
-            y.split_rows(partitions).iter().map(spca_core::spark::to_rows).collect();
+    fn fingerprint(&self, _: &SpcaConfig) -> Vec<(String, String)> {
+        vec![("mllib.config".into(), format!("{:?}", self.config))]
+    }
+
+    fn prepare(&mut self) {
+        let ctx = SparkleContext::new(self.cluster);
+        let partitions = self.config.partitions.min(self.y.rows().max(1));
+        let blocks: Vec<Vec<SpRow>> =
+            self.y.split_rows(partitions).iter().map(spca_core::spark::to_rows).collect();
         let mut rdd = ctx.from_partitions(blocks);
         rdd.persist();
+        self.rdd = Some(rdd);
+    }
+
+    fn pass(&mut self, _pass: usize) -> spca_core::Result<f64> {
+        let rdd = self.rdd.as_ref().expect("prepare builds the RDD");
+        let (n, d_in, d) = (self.y.rows(), self.y.cols(), self.config.components);
 
         // Column means (cheap aggregate).
         let (mean, _) = rdd.aggregate(
@@ -149,45 +165,66 @@ impl MllibPca {
 
         // Covariance = (Gram − N·μ⊗μ)/(N−1), then eigendecomposition — all
         // on the driver, charged as driver compute.
-        let c = cluster.run_driver("MLlib/eigendecomposition", || {
+        let (c, values) = self.cluster.run_driver("MLlib/eigendecomposition", || {
             let mut cov = gram.0;
             mirror_upper(&mut cov);
             cov.add_outer(-(n as f64), &mean, &mean);
             let denom = (n.max(2) - 1) as f64;
             cov.scale(1.0 / denom);
             let eig = sym_eigen(&cov)?;
-            let mut c = Mat::zeros(d_in, cfg.components);
-            for j in 0..cfg.components {
+            let mut c = Mat::zeros(d_in, d);
+            for j in 0..d {
                 for r in 0..d_in {
                     c[(r, j)] = eig.vectors[(r, j)];
                 }
             }
-            Ok::<Mat, SpcaError>(c)
+            Ok::<_, SpcaError>((c, eig.values))
         })?;
+        self.c = c;
+        self.mean = mean;
+        Ok(crate::top_share(&values, d))
+    }
 
-        let model = PcaModel::new(c, mean, 1e-9);
+    fn model(&self) -> PcaModel {
+        PcaModel::new(self.c.clone(), self.mean.clone(), 1e-9)
+    }
+}
+
+/// The MLlib-PCA baseline algorithm.
+#[derive(Debug, Clone)]
+pub struct MllibPca {
+    config: MllibConfig,
+}
+
+impl MllibPca {
+    /// Creates the baseline with the given configuration.
+    pub fn new(config: MllibConfig) -> Self {
+        MllibPca { config }
+    }
+
+    /// Runs covariance-PCA on the Spark-like engine: [`MllibArm`]'s one
+    /// pass on [`run_passes`]. Fails with `DriverOom` when the D×D
+    /// covariance does not fit in driver memory.
+    pub fn fit(&self, cluster: &SimCluster, y: &SparseMat) -> spca_core::Result<SpcaRun> {
+        let cfg = &self.config;
+        spca_core::label_trace(cluster, "MLlib", "Spark");
+        let mut arm = MllibArm {
+            cluster,
+            config: cfg,
+            y,
+            rdd: None,
+            mean: Vec::new(),
+            c: Mat::zeros(y.cols(), cfg.components),
+        };
         let error_sample = accuracy::sample_rows(y, cfg.error_sample_rows, cfg.seed);
-        let error = accuracy::reconstruction_error(&error_sample, &model)?;
-
-        let end = cluster.metrics();
-        let elapsed = end.virtual_time_secs - start;
-        Ok(SpcaRun {
-            model,
-            iterations: vec![IterationStat {
-                iteration: 1,
-                error,
-                ss: 0.0,
-                virtual_time_secs: elapsed,
-            }],
-            virtual_time_secs: elapsed,
-            intermediate_bytes: end.intermediate_bytes - start_bytes,
-        })
+        let policy = SpcaConfig::new(cfg.components).with_rel_tolerance(None);
+        run_passes(cluster, &mut arm, &error_sample, &policy)
     }
 }
 
 /// `acc += rowᵀ·row` on the upper triangle only (MLlib's `spr`); the
 /// row's indices ascend, so pairs (a, b ≥ a) are entries (i, j ≥ i).
-fn add_upper_outer(acc: &mut Mat, row: &spca_core::spark::SpRow) {
+fn add_upper_outer(acc: &mut Mat, row: &SpRow) {
     let (idx, val) = (&row.indices[..], &row.values[..]);
     for (a, (&ci, &vi)) in idx.iter().zip(val).enumerate() {
         let target = acc.row_mut(ci as usize);

@@ -175,22 +175,12 @@ fn per_task_bits(pool: &WorkerPool, rows: &[SpRow], d_in: usize, cm: &Mat, xm: &
 }
 
 fn main() {
-    let _trace = spca_bench::cli::trace_args(
+    let (trace, smoke, out_path) = spca_bench::cli::bench_args(
         "bench_em",
         "EM hot-path benchmark: row-at-a-time vs batched per-partition YtX fold",
-        &[
-            ("--smoke", "Small shape (quick CI sanity run)"),
-            ("--out FILE", "Results JSON path (default BENCH_em.json)"),
-            ("--partitions N", "Partition count override"),
-        ],
+        "Small shape (quick CI sanity run)",
+        &[("--partitions N", "Partition count override")],
     );
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_em.json".to_string());
 
     // The paper's regime: tall sparse Y (N ≫ D ≫ d), ~0.1% dense.
     let (n, d_in, density, d, default_parts, reps) = if smoke {
@@ -198,12 +188,9 @@ fn main() {
     } else {
         (100_000, 10_000, 1e-3, 32, 32, 5)
     };
-    let partitions: usize = args
-        .iter()
-        .position(|a| a == "--partitions")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--partitions takes a positive integer"))
-        .unwrap_or(default_parts);
+    let partitions: usize = trace.args.value("--partitions").map_or(default_parts, |v| {
+        v.parse().expect("--partitions takes a positive integer")
+    });
 
     let mut rng = Prng::seed_from_u64(2015);
     let y = random_sparse(&mut rng, n, d_in, density);

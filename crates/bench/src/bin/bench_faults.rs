@@ -187,21 +187,12 @@ fn engine_json(r: &EngineResult) -> String {
 }
 
 fn main() {
-    let _trace = spca_bench::cli::trace_args(
+    let (_trace, smoke, out_path) = spca_bench::cli::bench_args(
         "bench_faults",
         "Fault-domain benchmark: recovery overhead, speculation payoff, checkpoint/restart",
-        &[
-            ("--smoke", "Small shape (quick CI sanity run)"),
-            ("--out FILE", "Results JSON path (default BENCH_faults.json)"),
-        ],
+        "Small shape (quick CI sanity run)",
+        &[],
     );
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_faults.json".to_string());
 
     let (n, d_in, density, d, iters) =
         if smoke { (600, 150, 2e-2, 4, 4) } else { (20_000, 2_000, 2e-3, 16, 6) };

@@ -105,21 +105,12 @@ fn rowwise_error(sample: &SparseMat, model: &PcaModel) -> f64 {
 }
 
 fn main() {
-    let _trace = spca_bench::cli::trace_args(
+    let (_trace, smoke, out_path) = spca_bench::cli::bench_args(
         "bench_kernels",
         "Kernel microbenchmark: seed-naive vs blocked vs blocked+threaded",
-        &[
-            ("--smoke", "Small shapes (quick CI sanity run)"),
-            ("--out FILE", "Results JSON path (default BENCH_kernels.json)"),
-        ],
+        "Small shapes (quick CI sanity run)",
+        &[],
     );
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_kernels.json".to_string());
 
     // sPCA's dominant shapes (paper Section 5): the N×d latent pass feeding
     // the YtX/XtX reduction, and the sparse Y·CM recompute.

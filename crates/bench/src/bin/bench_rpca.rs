@@ -111,21 +111,12 @@ fn arm_json(a: &ArmResult) -> String {
 }
 
 fn main() {
-    let _trace = spca_bench::cli::trace_args(
+    let (_trace, smoke, out_path) = spca_bench::cli::bench_args(
         "bench_rpca",
         "Three-way time-to-accuracy: PPCA-EM vs Mahout-SSVD vs randomized subspace iteration",
-        &[
-            ("--smoke", "Small shapes (quick CI sanity run)"),
-            ("--out FILE", "Results JSON path (default BENCH_rpca.json)"),
-        ],
+        "Small shapes (quick CI sanity run)",
+        &[],
     );
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_rpca.json".to_string());
 
     // Shapes: a tweets-like tall sparse matrix and a diabetes-like dense
     // short one — the two communication regimes (D large vs D small).

@@ -250,21 +250,12 @@ fn arm_json(a: &FitArm) -> String {
 }
 
 fn main() {
-    let _trace = spca_bench::cli::trace_args(
+    let (_trace, smoke, out_path) = spca_bench::cli::bench_args(
         "bench_scale",
         "Event-engine scale benchmark: queue throughput, 1000-node flow storm, fit arms",
-        &[
-            ("--smoke", "Small shape (quick CI sanity run)"),
-            ("--out FILE", "Results JSON path (default BENCH_scale.json)"),
-        ],
+        "Small shape (quick CI sanity run)",
+        &[],
     );
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
 
     // -- queue storm ------------------------------------------------------
     let storm_events = if smoke { 1 << 20 } else { 1 << 22 };

@@ -183,21 +183,12 @@ fn policy_json(r: &PolicyResult) -> String {
 }
 
 fn main() {
-    let _trace = spca_bench::cli::trace_args(
+    let (_trace, smoke, out_path) = spca_bench::cli::bench_args(
         "bench_serving",
         "Multi-tenant serving benchmark: scheduler policies under mixed fit+serve load",
-        &[
-            ("--smoke", "Small mix on the paper cluster (quick CI sanity run)"),
-            ("--out FILE", "Results JSON path (default BENCH_serving.json)"),
-        ],
+        "Small mix on the paper cluster (quick CI sanity run)",
+        &[],
     );
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_serving.json".to_string());
 
     let shape = if smoke {
         Shape {

@@ -162,21 +162,12 @@ fn fit_intermediate(estimated: bool, y: &SparseMat, d: usize, iters: usize) -> u
 }
 
 fn main() {
-    let _trace = spca_bench::cli::trace_args(
+    let (_trace, smoke, out_path) = spca_bench::cli::bench_args(
         "bench_wire",
         "Wire-codec benchmark: encoded bytes-per-record vs the ByteSized estimate",
-        &[
-            ("--smoke", "Small shapes (quick CI sanity run)"),
-            ("--out FILE", "Results JSON path (default BENCH_wire.json)"),
-        ],
+        "Small shapes (quick CI sanity run)",
+        &[],
     );
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_wire.json".to_string());
 
     // The Section 5.2 shapes (intermediate_data uses the same), shrunk
     // proportionally for the smoke gate.

@@ -6,7 +6,7 @@
 //! times longer to approach the same accuracy.
 
 use baselines::{MahoutConfig, MahoutPca};
-use spca_bench::{data, fresh_cluster, ideal_error, Table, D_COMPONENTS};
+use spca_bench::{data, fresh_cluster, ideal_error, D_COMPONENTS};
 use spca_core::{accuracy, Spca, SpcaConfig};
 
 fn main() {
@@ -36,59 +36,17 @@ fn main() {
     .fit(&cluster, &y)
     .expect("Mahout-PCA run");
 
-    let mut table = Table::new(&["Series", "Iter", "Time (s)", "Accuracy (%)"]);
-    for it in &spca.iterations {
-        table.row(&[
-            "sPCA-MapReduce".into(),
-            it.iteration.to_string(),
-            spca_bench::fmt_secs(it.virtual_time_secs),
-            format!("{:.1}", accuracy::percent_of_ideal(it.error, ideal)),
-        ]);
-    }
-    for it in &mahout.iterations {
-        table.row(&[
-            "Mahout-PCA".into(),
-            it.iteration.to_string(),
-            spca_bench::fmt_secs(it.virtual_time_secs),
-            format!("{:.1}", accuracy::percent_of_ideal(it.error, ideal)),
-        ]);
-    }
-    table.print();
+    let runs = [("sPCA-MapReduce", &spca), ("Mahout-PCA", &mahout)];
+    spca_bench::print_accuracy_curves(&runs, ideal, false);
 
-    // ASCII rendering of the two curves.
-    let to_series = |name: &str, run: &spca_core::SpcaRun| {
-        spca_bench::plot::Series::new(
-            name,
-            run.iterations
-                .iter()
-                .map(|it| (it.virtual_time_secs, accuracy::percent_of_ideal(it.error, ideal)))
-                .collect(),
-        )
+    let to_90 = |run: &spca_core::SpcaRun| {
+        let mut passes = run.iterations.iter();
+        let hit = passes.find(|it| accuracy::percent_of_ideal(it.error, ideal) >= 90.0);
+        hit.map(|it| spca_bench::fmt_secs(it.virtual_time_secs))
     };
-    println!();
-    println!(
-        "{}",
-        spca_bench::plot::render_xy(
-            &[to_series("sPCA-MapReduce", &spca), to_series("Mahout-PCA", &mahout)],
-            64,
-            14,
-            false,
-        )
-    );
-
-    let spca_90 = spca
-        .iterations
-        .iter()
-        .find(|it| accuracy::percent_of_ideal(it.error, ideal) >= 90.0)
-        .map(|it| it.virtual_time_secs);
-    let mahout_90 = mahout
-        .iterations
-        .iter()
-        .find(|it| accuracy::percent_of_ideal(it.error, ideal) >= 90.0)
-        .map(|it| it.virtual_time_secs);
     println!(
         "\ntime to 90% of ideal: sPCA-MapReduce {}, Mahout-PCA {}",
-        spca_90.map_or("n/a".into(), spca_bench::fmt_secs),
-        mahout_90.map_or("not reached".into(), spca_bench::fmt_secs),
+        to_90(&spca).unwrap_or("n/a".into()),
+        to_90(&mahout).unwrap_or("not reached".into()),
     );
 }

@@ -7,7 +7,7 @@
 //! guesses at all — its random initialization is N×k.)
 
 use baselines::{MahoutConfig, MahoutPca};
-use spca_bench::{data, fresh_cluster, ideal_error, Table, D_COMPONENTS};
+use spca_bench::{data, fresh_cluster, ideal_error, D_COMPONENTS};
 use spca_core::config::SmartGuess;
 use spca_core::{accuracy, Spca, SpcaConfig};
 
@@ -44,45 +44,8 @@ fn main() {
     .fit(&cluster, &y)
     .expect("Mahout-PCA");
 
-    let mut table = Table::new(&["Series", "Iter", "Time (s)", "Accuracy (%)"]);
-    let mut emit = |name: &str, run: &spca_core::SpcaRun| {
-        for it in &run.iterations {
-            table.row(&[
-                name.into(),
-                it.iteration.to_string(),
-                spca_bench::fmt_secs(it.virtual_time_secs),
-                format!("{:.1}", accuracy::percent_of_ideal(it.error, ideal)),
-            ]);
-        }
-    };
-    emit("sPCA-SG", &spca_sg);
-    emit("sPCA-MapReduce", &spca);
-    emit("Mahout-PCA", &mahout);
-    table.print();
-
-    let to_series = |name: &str, run: &spca_core::SpcaRun| {
-        spca_bench::plot::Series::new(
-            name,
-            run.iterations
-                .iter()
-                .map(|it| (it.virtual_time_secs, accuracy::percent_of_ideal(it.error, ideal)))
-                .collect(),
-        )
-    };
-    println!();
-    println!(
-        "{}",
-        spca_bench::plot::render_xy(
-            &[
-                to_series("sPCA-SG", &spca_sg),
-                to_series("sPCA-MapReduce", &spca),
-                to_series("Mahout-PCA", &mahout),
-            ],
-            64,
-            14,
-            true,
-        )
-    );
+    let runs = [("sPCA-SG", &spca_sg), ("sPCA-MapReduce", &spca), ("Mahout-PCA", &mahout)];
+    spca_bench::print_accuracy_curves(&runs, ideal, true);
 
     println!(
         "\nfirst-iteration accuracy: sPCA-SG {:.1}% vs sPCA cold {:.1}% (warm-up cost {} s)",

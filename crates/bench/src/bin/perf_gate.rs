@@ -32,61 +32,31 @@ struct Args {
     rebaseline: Vec<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "Usage: perf_gate --baselines DIR --fresh DIR [--time-band FRACTION] [--rebaseline GLOB]..."
-    );
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("CI performance regression gate: diff fresh run ledgers / bench JSON");
-        println!("against committed baselines with per-metric tolerance rules.\n");
-        println!(
-            "Usage: perf_gate --baselines DIR --fresh DIR [--time-band FRACTION] \
-             [--rebaseline GLOB]...\n"
-        );
-        println!("Options:");
-        println!("  --baselines DIR    Directory of committed baseline *.json files");
-        println!("  --fresh DIR        Directory of freshly produced artifacts");
-        println!("  --time-band FRAC   Relative tolerance for virtual-time metrics");
-        println!("                     (default 0.25; CI uses a wide band, fixtures 0.05)");
-        println!("  --rebaseline GLOB  Rewrite the baseline leaves matching GLOB from the");
-        println!("                     fresh artifacts (repeatable); refuses, writing");
-        println!("                     nothing, if any other leaf fails its rule");
-        std::process::exit(0);
-    }
-    let mut baselines = None;
-    let mut fresh = None;
-    let mut time_band = 0.25_f64;
-    let mut rebaseline = Vec::new();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--baselines" => baselines = it.next().map(PathBuf::from),
-            "--fresh" => fresh = it.next().map(PathBuf::from),
-            "--rebaseline" => rebaseline.extend(it.next().cloned()),
-            "--time-band" => {
-                time_band = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(v) if v >= 0.0 => v,
-                    _ => {
-                        eprintln!("error: --time-band needs a non-negative number");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("error: unknown argument {other}");
-                usage();
-            }
+    let cli = spca_bench::cli::Args::parse(
+        "perf_gate",
+        "CI performance regression gate: diff fresh run ledgers / bench JSON\n\
+         against committed baselines with per-metric tolerance rules.",
+        &[
+            ("--baselines DIR", "Directory of committed baseline *.json files"),
+            ("--fresh DIR", "Directory of freshly produced artifacts"),
+            ("--time-band FRAC", "Virtual-time tolerance (default 0.25; CI: wide, fixtures: 0.05)"),
+            ("--rebaseline GLOB", "Splice matching leaves from fresh (repeatable; all or nothing)"),
+        ],
+    );
+    let time_band = match cli.value("--time-band").map_or(Ok(0.25), str::parse) {
+        Ok(v) if v >= 0.0 => v,
+        _ => {
+            eprintln!("error: --time-band needs a non-negative number");
+            std::process::exit(2);
         }
-    }
-    match (baselines, fresh) {
-        (Some(baselines), Some(fresh)) => Args { baselines, fresh, time_band, rebaseline },
-        _ => usage(),
-    }
+    };
+    let (Some(baselines), Some(fresh)) = (cli.value("--baselines"), cli.value("--fresh")) else {
+        eprintln!("error: perf_gate needs --baselines DIR and --fresh DIR (see --help)");
+        std::process::exit(2);
+    };
+    let rebaseline = cli.values("--rebaseline").map(String::from).collect();
+    Args { baselines: baselines.into(), fresh: fresh.into(), time_band, rebaseline }
 }
 
 fn load(path: &Path) -> Result<obs::json::Json, String> {

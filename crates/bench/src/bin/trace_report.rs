@@ -92,23 +92,13 @@ fn main() {
             ("--tenant NAME", "Only show NAME's row in the serving table"),
         ],
     );
-    let argv: Vec<String> = std::env::args().collect();
-    let tenant_filter = argv
-        .iter()
-        .position(|a| a == "--tenant")
-        .and_then(|i| argv.get(i + 1).cloned());
-    let timing = match argv.iter().position(|a| a == "--timing") {
-        Some(i) => {
-            let value = argv.get(i + 1).map(String::as_str).unwrap_or("");
-            match TimingModel::parse(value) {
-                Some(t) => t,
-                None => {
-                    eprintln!("error: --timing needs uncontended|contended, got {value:?}");
-                    std::process::exit(2);
-                }
-            }
-        }
+    let tenant_filter = trace.args.value("--tenant").map(String::from);
+    let timing = match trace.args.value("--timing") {
         None => TimingModel::default(),
+        Some(value) => TimingModel::parse(value).unwrap_or_else(|| {
+            eprintln!("error: --timing needs uncontended|contended, got {value:?}");
+            std::process::exit(2);
+        }),
     };
     // With no --trace flag, still collect (for the text report) — install
     // a collector ourselves.

@@ -17,7 +17,7 @@ pub mod plot;
 
 use dcluster::{ClusterConfig, SimCluster};
 use linalg::{Prng, SparseMat};
-use spca_core::{accuracy, Spca, SpcaConfig};
+use spca_core::{accuracy, Spca, SpcaConfig, SpcaRun};
 
 /// Default principal-component count (the paper uses 50 everywhere).
 pub const D_COMPONENTS: usize = 50;
@@ -67,6 +67,27 @@ pub fn ideal_error(y: &SparseMat, d: usize, seed: u64) -> f64 {
         .fit_spark(&cluster, y)
         .expect("reference run must succeed")
         .final_error()
+}
+
+/// Prints Figures 4–5's accuracy-vs-time curves: a table row per pass of
+/// each named run (virtual time, % of `ideal`), then the curves as an
+/// ASCII plot, its time axis log-scaled with `log_x`.
+pub fn print_accuracy_curves(runs: &[(&str, &SpcaRun)], ideal: f64, log_x: bool) {
+    let mut table = Table::new(&["Series", "Iter", "Time (s)", "Accuracy (%)"]);
+    let mut series = Vec::new();
+    for (name, run) in runs {
+        let mut points = Vec::new();
+        for it in &run.iterations {
+            let pct = accuracy::percent_of_ideal(it.error, ideal);
+            points.push((it.virtual_time_secs, pct));
+            let time = fmt_secs(it.virtual_time_secs);
+            table.row(&[name.to_string(), it.iteration.to_string(), time, format!("{pct:.1}")]);
+        }
+        series.push(plot::Series::new(*name, points));
+    }
+    table.print();
+    println!();
+    println!("{}", plot::render_xy(&series, 64, 14, log_x));
 }
 
 /// The error threshold for "reached `percent`% of the ideal accuracy".

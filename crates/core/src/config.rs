@@ -28,6 +28,14 @@ impl Algorithm {
         }
     }
 
+    /// The arm's family in trace labels: `sPCA` / `rPCA`.
+    pub fn family(&self) -> &'static str {
+        match self {
+            Algorithm::PpcaEm => "sPCA",
+            Algorithm::Randomized => "rPCA",
+        }
+    }
+
     /// Parses a CLI/user spelling. Accepts the fingerprint labels plus the
     /// common shorthands (`em`, `rpca`).
     pub fn parse(s: &str) -> Option<Algorithm> {

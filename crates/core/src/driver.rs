@@ -1,10 +1,11 @@
-//! The pass loop both algorithm families run on — Algorithm 4's driver
-//! program, written once.
+//! The pass loop all four arms run on — Algorithm 4's driver program,
+//! written once.
 //!
 //! The paper's driver is "distributed job, then small algebra on a single
 //! machine", repeated, wrapped in resume / score / checkpoint / stop. The
-//! randomized arm has exactly that shape with a different pass body, so
-//! the wrapping lives here and only the body is per-arm.
+//! randomized arm and both baselines (a Mahout-SSVD round, MLlib-PCA's one
+//! Gram pass) have that shape with other pass bodies, so the wrapping lives
+//! here and only the body is per-arm.
 //!
 //! **[`run_passes`] owns the pass policy:** the input checks, the driver
 //! memory reservation, the checkpoint restore, and per pass the trace
@@ -16,17 +17,25 @@
 //!
 //! **A [`PassArm`] owns the algorithm:** its engine jobs, the one-time
 //! jobs, the state the passes update (`C`/`ss` for EM, the basis `W` for
-//! randomized), the pass body, how that state becomes a [`PcaModel`], and
-//! whether it may be checkpointed as a run's last word. [`crate::em::EmArm`]
-//! and [`crate::rpca::RpcaArm`] are the two implementations; each engine's
-//! `fit_with_input` picks one.
+//! randomized), the pass body, how that state becomes a [`PcaModel`], what
+//! the driver reserves, the ledger's config fingerprint, and whether it may
+//! be checkpointed as a run's last word: [`crate::em::EmArm`] and
+//! [`crate::rpca::RpcaArm`] (each engine's `fit_with_input` picks one), and
+//! `baselines`' `MahoutArm` and `MllibArm`, which never checkpoint.
 //!
-//! **[`ArmNames`] exists because the two arms' output spellings are an
+//! **[`ArmNames`] exists because the arms' output spellings are an
 //! interface.** `run_em` / `run_rpca`, `iteration N` / `pass N` and the
 //! `em.*` / `rpca.*` counter families are read by `obs::critpath`,
 //! `trace_report`, the committed ledgers and the docs; they predate this
 //! module and do not follow one pattern (`em.iter.*` but `iteration N`), so
-//! each arm states them in a table instead of the loop deriving them.
+//! each arm states them in a table instead of the loop deriving them:
+//!
+//! | Arm | `run` | `count_key` | `pass` | `counters` | `category_infix` |
+//! |---|---|---|---|---|---|
+//! | PPCA-EM | `run_em` | `iterations` | `iteration` | `em` | `iter` |
+//! | randomized | `run_rpca` | `passes` | `pass` | `rpca` | `pass` |
+//! | Mahout-SSVD | `run_mahout` | `rounds` | `round` | `mahout` | `round` |
+//! | MLlib-PCA | `run_mllib` | `passes` | `pass` | `mllib` | `pass` |
 
 use dcluster::SimCluster;
 use linalg::{Mat, SparseMat};
@@ -39,7 +48,7 @@ use crate::model::{IterationStat, PcaModel, SpcaRun};
 use crate::Result;
 
 /// One arm's spellings in traces and ledgers (see the module docs).
-pub(crate) struct ArmNames {
+pub struct ArmNames {
     /// The virtual `run` window and host span: `run_em` / `run_rpca`.
     pub run: &'static str,
     /// Key of the pass count on the `run` window's end: `iterations` /
@@ -56,23 +65,37 @@ pub(crate) struct ArmNames {
 
 /// Input shape and the width of the arm's D×`width` driver state (`d` for
 /// EM's `C`, the sketch width `K` for the randomized `W`): what sizes the
-/// driver's memory and what a checkpoint must match to be restored.
-pub(crate) struct Dims {
+/// default driver reservation and what a checkpoint must match.
+pub struct Dims {
     pub n: usize,
     pub d_in: usize,
     pub width: usize,
 }
 
 /// The per-algorithm half of the driver program.
-pub(crate) trait PassArm {
+pub trait PassArm {
     fn names(&self) -> &'static ArmNames;
     fn dims(&self) -> Dims;
     /// Pass cap: the loop runs passes `1..=max_passes` unless a stop
     /// condition ends it earlier.
     fn max_passes(&self) -> usize;
+    /// Bytes the driver reserves for the run. By default the D×`width`
+    /// state, its broadcast form, the pass's result and scratch, plus the
+    /// mean: Figure 8's point is that sPCA's driver does not grow with D².
+    fn driver_bytes(&self) -> u64 {
+        let Dims { d_in, width, .. } = self.dims();
+        4 * (d_in * width * 8) as u64 + (d_in * 8) as u64
+    }
+    /// The ledger's config fingerprint, before the cluster's keys join it.
+    fn fingerprint(&self, config: &SpcaConfig) -> Vec<(String, String)> {
+        config.fingerprint()
+    }
     /// DFS name of this fit's checkpoint. Distinct per arm, so one arm's
-    /// crash state is invisible to the other.
-    fn checkpoint_file(&self) -> String;
+    /// crash state is invisible to the other. (The checkpoint defaults
+    /// suit an arm whose fits set no `checkpoint_every`.)
+    fn checkpoint_file(&self) -> String {
+        String::new()
+    }
     /// The arm's own arguments on the `run` trace window, after `N`/`D`/`d`.
     fn run_args(&self) -> Vec<(&'static str, obs::ArgValue)> {
         Vec::new()
@@ -82,7 +105,9 @@ pub(crate) trait PassArm {
     /// values.
     fn prepare(&mut self);
     /// Replaces the pass state with a checkpoint's.
-    fn restore(&mut self, state: Mat, ss: f64);
+    fn restore(&mut self, _state: Mat, _ss: f64) {
+        unreachable!("restore on an arm that never checkpoints")
+    }
     /// Runs pass number `pass` and returns the arm's convergence objective
     /// (a ledger/trace series).
     fn pass(&mut self, pass: usize) -> Result<f64>;
@@ -97,7 +122,9 @@ pub(crate) trait PassArm {
     /// The state to checkpoint after the pass just run, or `None` when
     /// `run_over` and that state does not carry the finished model: the
     /// previous checkpoint then stays, and a resume re-runs the pass.
-    fn checkpoint_state(&self, run_over: bool) -> Option<(Mat, f64)>;
+    fn checkpoint_state(&self, _run_over: bool) -> Option<(Mat, f64)> {
+        None
+    }
 }
 
 /// STOP_CONDITION: the target error is reached, or the sampled error moved
@@ -113,7 +140,7 @@ fn stop_fired(config: &SpcaConfig, error: f64, prev_error: f64) -> bool {
 ///
 /// `error_sample` is the pre-drawn row sample the per-pass accuracy
 /// estimate uses; it is instrumentation and charged to neither engine.
-pub(crate) fn run_passes(
+pub fn run_passes(
     cluster: &SimCluster,
     arm: &mut dyn PassArm,
     error_sample: &SparseMat,
@@ -136,6 +163,9 @@ pub(crate) fn run_passes(
     let ledger_on = obs::ledger::sink_enabled();
     let mut ledger_rows: Vec<obs::ledger::IterationRow> = Vec::new();
 
+    // Before the `run` window opens, so a driver OOM leaves none unclosed.
+    let _driver_guard = cluster.alloc_driver(arm.driver_bytes())?;
+
     let _run_host_span = obs::span_lazy("run", || format!("{} N={n} D={d_in} d={d}", names.run));
     if obs::enabled() {
         let mut args =
@@ -144,13 +174,6 @@ pub(crate) fn run_passes(
         args.push(("codec", cluster.wire_codec().label().into()));
         cluster.trace_begin("run", names.run, args);
     }
-
-    // The driver holds the D×width state, its broadcast form, the pass's
-    // D×width result and scratch, plus the mean — all O(D·width). This is
-    // the whole point of Figure 8: the driver's memory does not grow with
-    // D².
-    let driver_bytes = 4 * (d_in * width * 8) as u64 + (d_in * 8) as u64;
-    let _driver_guard = cluster.alloc_driver(driver_bytes)?;
 
     arm.prepare();
 
@@ -276,7 +299,7 @@ pub(crate) fn run_passes(
     let virtual_time_secs = end.virtual_time_secs - start.virtual_time_secs;
     let intermediate_bytes = end.intermediate_bytes - start.intermediate_bytes;
     if ledger_on {
-        let mut fingerprint = config.fingerprint();
+        let mut fingerprint = arm.fingerprint(config);
         fingerprint.extend(cluster.config().fingerprint());
         fingerprint.push(("engine".to_string(), cluster.trace_label()));
         fingerprint.sort();

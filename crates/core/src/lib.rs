@@ -30,7 +30,7 @@ pub mod ablation;
 pub mod accuracy;
 pub mod checkpoint;
 pub mod config;
-mod driver;
+pub mod driver;
 pub mod em;
 pub mod error;
 pub mod frobenius;
@@ -67,15 +67,11 @@ pub(crate) fn scoped_input(config: &SpcaConfig, name: &str) -> String {
 }
 
 /// Names `cluster`'s virtual process in traces and ledgers after the arm
-/// and engine about to fit on it: `sPCA-Spark`, `sPCA-MR`, `rPCA-Spark`,
-/// `rPCA-MR`. Set before the fit's first trace event, so the process is
-/// born with its name.
-pub(crate) fn label_trace(cluster: &SimCluster, config: &SpcaConfig, engine: &str) {
+/// family and engine about to fit on it: `sPCA-Spark`, `rPCA-MR`,
+/// `Mahout-MR`, `MLlib-Spark`. Set before the fit's first trace event, so
+/// the process is born with its name.
+pub fn label_trace(cluster: &SimCluster, family: &str, engine: &str) {
     if obs::enabled() {
-        let family = match config.algorithm {
-            Algorithm::PpcaEm => "sPCA",
-            Algorithm::Randomized => "rPCA",
-        };
         cluster.set_trace_label(format!("{family}-{engine}"));
     }
 }

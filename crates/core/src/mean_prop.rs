@@ -214,10 +214,10 @@ impl YtxPartial {
             return;
         }
         let z = block.nnz();
-        // 2·z·d (Y·CM) + n·d (−Xm) + 2·z·d (YᵀX) + n·d (Σx).
+        // 2·z·d (Y·CM) + n·d (−Xm) + 2·z·d (YᵀX) + n·d (Σx), counted as
+        // `em.ytx.flops`; the kernels count their own into `kernel.flops`.
         let flops = (4 * z * d + 2 * n * d) as u64;
-        let _span = obs::span_lazy("em", || format!("ytx add_block {n}x{}x{d}", block.cols()))
-            .with_flops(flops);
+        let _span = obs::span_lazy("em", || format!("ytx add_block {n}x{}x{d}", block.cols()));
 
         // Σx: per-row adds in ascending order (the association of the
         // row-at-a-time fold), summed per block and added once.

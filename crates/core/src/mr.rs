@@ -322,7 +322,7 @@ fn fit_with_input(
     config: &SpcaConfig,
     input_file: &str,
 ) -> Result<SpcaRun> {
-    crate::label_trace(cluster, config, "MR");
+    crate::label_trace(cluster, config.algorithm.family(), "MR");
     cluster.set_job_scope(config.job_id.as_deref());
     let partitions = config
         .partitions

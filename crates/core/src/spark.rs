@@ -379,7 +379,7 @@ fn fit_with_input(
     config: &SpcaConfig,
     input_file: &str,
 ) -> Result<SpcaRun> {
-    crate::label_trace(cluster, config, "Spark");
+    crate::label_trace(cluster, config.algorithm.family(), "Spark");
     cluster.set_job_scope(config.job_id.as_deref());
     let ctx = SparkleContext::new(cluster);
     let partitions = config

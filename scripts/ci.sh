@@ -62,6 +62,13 @@ cargo run --release --offline -p spca-bench --bin bench_kernels -- \
     --smoke --out /tmp/BENCH_kernels_smoke.json --trace "$TRACE_DIR/bench_kernels.json"
 cargo run --release --offline -p spca-bench --bin bench_em -- \
     --smoke --out "$TRACE_DIR/BENCH_em.json" --trace "$TRACE_DIR/bench_em.json"
+# A bench binary refuses any flag it does not declare: a removed flag
+# (bench_em's --precision) must fail the run, not fall back to the default.
+if cargo run -q --release --offline -p spca-bench --bin bench_em -- \
+    --smoke --precision f32 --out /tmp/x.json 2>/dev/null; then
+    echo "ci: bench_em accepted the undeclared flag --precision" >&2
+    exit 1
+fi
 cargo run --release --offline -p spca-bench --bin bench_faults -- \
     --smoke --out "$TRACE_DIR/BENCH_faults.json" --ledger "$TRACE_DIR/RUN_faults.json"
 # bench_wire covers the codec arms (v2/v3/v3q) per record family in one
