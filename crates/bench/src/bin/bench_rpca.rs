@@ -40,7 +40,7 @@ struct ArmResult {
 }
 
 fn measure(run: SpcaRun, cluster: &SimCluster, ideal: f64) -> ArmResult {
-    let target = spca_bench::target_error(ideal, 90.0);
+    let target = accuracy::target_error_for(ideal, 90.0);
     ArmResult {
         accuracy_pct: accuracy::percent_of_ideal(run.final_error(), ideal),
         to_90pct_secs: run.time_to_error(target),

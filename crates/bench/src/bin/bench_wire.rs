@@ -169,7 +169,7 @@ fn main() {
         &[],
     );
 
-    // The Section 5.2 shapes (intermediate_data uses the same), shrunk
+    // The Section 5.2 shapes (`paper`'s intermediate_data experiment uses the same), shrunk
     // proportionally for the smoke gate.
     let (cases, d, iters, partitions) = if smoke {
         (

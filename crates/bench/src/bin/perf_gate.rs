@@ -10,11 +10,12 @@
 //!   perf_gate --baselines DIR --fresh DIR [--time-band FRACTION]
 //!             [--rebaseline GLOB]...
 //!
-//! With `--rebaseline`, the baselines are rewritten instead: every leaf
-//! whose dotted path matches a GLOB (`*` any run, `?` one character) takes
-//! the fresh value, every other byte stays, and nothing is written if any
-//! file has a leaf outside the globs that fails its rule — a hash or byte
-//! move is spliced only where a PR names it.
+//! With `--rebaseline`, the baselines are rewritten instead: every gated
+//! leaf whose dotted path matches a GLOB (`*` any run, `?` one character)
+//! takes the fresh value, every other byte stays, and nothing is written if
+//! any file has a leaf outside the globs that fails its rule — a hash or
+//! byte move is spliced only where a PR names it — or if a GLOB matches no
+//! gated leaf (leaves the gate ignores are never spliced).
 //!
 //! Every `*.json` in the baselines directory must have a same-named
 //! counterpart in the fresh directory; a missing counterpart is itself a
@@ -146,12 +147,16 @@ fn splice(args: &Args, names: &[String]) {
     let globs: Vec<&str> = args.rebaseline.iter().map(String::as_str).collect();
     let mut rewritten = Vec::new();
     let mut failed = 0usize;
+    // Globs that match no leaf of any baseline so far.
+    let mut unmatched = globs.clone();
     for name in names {
         let (base_path, fresh_path) = (args.baselines.join(name), args.fresh.join(name));
         let texts = std::fs::read_to_string(&base_path)
             .and_then(|base| Ok((base, std::fs::read_to_string(&fresh_path)?)))
             .map_err(|e| format!("read {base_path:?} / {fresh_path:?}: {e}"));
         let spliced = texts.and_then(|(base, fresh)| {
+            let leaves = gate::flatten(&obs::json::parse(&base)?);
+            unmatched.retain(|g| !leaves.iter().any(|(path, _)| gate::glob_match(g, path)));
             gate::rebaseline(&base, &fresh, &globs, args.time_band)
         });
         match spliced {
@@ -172,8 +177,12 @@ fn splice(args: &Args, names: &[String]) {
             }
         }
     }
+    for glob in &unmatched {
+        println!("REFUSE {glob}: matches no leaf of any baseline");
+        failed += 1;
+    }
     if failed > 0 {
-        println!("perf_gate: {failed} of {} artifacts refused; nothing written", names.len());
+        println!("perf_gate: {failed} refusals; nothing written");
         std::process::exit(1);
     }
     for (path, text) in rewritten {

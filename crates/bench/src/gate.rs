@@ -314,18 +314,32 @@ pub fn glob_match(glob: &str, path: &str) -> bool {
     matches(glob.as_bytes(), path.as_bytes())
 }
 
-/// A baseline whose leaves matching one of `globs` carry the fresh
-/// document's text, every other byte kept; with the paths that changed.
+/// A baseline whose gated leaves matching one of `globs` carry the fresh
+/// document's text, every other byte kept (ignored leaves too); with the
+/// paths that changed.
 ///
 /// Refused, with the gate's delta table, when a leaf matching no glob fails
 /// its rule (as [`compare`] judges it under `band`) — a rebaseline moves
-/// only what it names — or when a matching leaf has no fresh counterpart.
+/// only what it names — or when a matching leaf has no fresh counterpart;
+/// and when a glob matches leaves of `base` but only ignored ones, whose
+/// splice would gate nothing.
 pub fn rebaseline(
     base: &str,
     fresh: &str,
     globs: &[&str],
     band: f64,
 ) -> Result<(String, Vec<String>), String> {
+    let base_spans = obs::json::leaf_spans(base)?;
+    for glob in globs {
+        let mut hits = base_spans.iter().map(|(p, _)| p).filter(|p| glob_match(glob, p));
+        if let Some(first) = hits.clone().next() {
+            if hits.all(|p| classify(p) == Rule::Ignore) {
+                return Err(format!(
+                    "{glob} matches no gated leaf, only ones the gate ignores ({first} ...)"
+                ));
+            }
+        }
+    }
     let named = |path: &str| globs.iter().any(|g| glob_match(g, path));
     let report = compare(&obs::json::parse(base)?, &obs::json::parse(fresh)?, band);
     let regressions: Vec<Regression> =
@@ -336,7 +350,8 @@ pub fn rebaseline(
     let fresh_spans: std::collections::BTreeMap<String, std::ops::Range<usize>> =
         obs::json::leaf_spans(fresh)?.into_iter().collect();
     let (mut out, mut kept_to, mut spliced) = (String::new(), 0, Vec::new());
-    for (path, span) in obs::json::leaf_spans(base)?.into_iter().filter(|(p, _)| named(p)) {
+    let gated = base_spans.into_iter().filter(|(p, _)| named(p) && classify(p) != Rule::Ignore);
+    for (path, span) in gated {
         let new = fresh_spans.get(&path).ok_or(format!("{path}: no fresh leaf to splice"))?;
         if base[span.clone()] != fresh[new.clone()] {
             out.push_str(&base[kept_to..span.start]);
@@ -492,5 +507,15 @@ mod tests {
         let refused = rebaseline(base, &moved, &["*hash"], 0.05).unwrap_err();
         assert!(refused.contains("bytes"), "{refused}");
         assert!(rebaseline(base, &moved, &["*hash", "bytes"], 0.05).is_ok());
+
+        // Leaves the gate ignores keep their baseline text, and a glob that
+        // matches only such leaves is refused: its splice would gate nothing.
+        let base = "{\"bytes\": 10, \"mb_per_sec\": {\"count\": 5}}";
+        let fresh = "{\"bytes\": 11, \"mb_per_sec\": {\"count\": 6}}";
+        let (text, spliced) = rebaseline(base, fresh, &["*"], 0.05).unwrap();
+        assert_eq!(text, fresh.replace("6", "5"), "the ignored count keeps its baseline text");
+        assert_eq!(spliced, ["bytes"]);
+        let refused = rebaseline(base, fresh, &["bytes", "*per_sec.count"], 0.05).unwrap_err();
+        assert!(refused.contains("*per_sec.count matches no gated leaf"), "{refused}");
     }
 }

@@ -1,10 +1,10 @@
 //! Shared plumbing for the experiment binaries.
 //!
-//! Every table and figure of the paper's evaluation has a binary under
-//! `src/bin/` that regenerates it (see DESIGN.md's per-experiment index).
-//! This library holds what they share: scaled dataset constructors, the
-//! "ideal error" reference runs, time/byte formatting, and a tiny
-//! fixed-width table printer.
+//! The paper's evaluation is one table of experiments in [`paper`], which
+//! the `paper` binary regenerates (see DESIGN.md's per-experiment index).
+//! This library also holds what the binaries share: scaled dataset
+//! constructors, the "ideal error" reference runs, time/byte formatting,
+//! and a tiny fixed-width table printer.
 //!
 //! Scale note: the paper's datasets are up to 1.26 B rows on a 64-core
 //! cluster; the reproduction runs laptop-scale replicas (documented in
@@ -13,11 +13,12 @@
 
 pub mod cli;
 pub mod gate;
+pub mod paper;
 pub mod plot;
 
 use dcluster::{ClusterConfig, SimCluster};
 use linalg::{Prng, SparseMat};
-use spca_core::{accuracy, Spca, SpcaConfig, SpcaRun};
+use spca_core::{Spca, SpcaConfig};
 
 /// Default principal-component count (the paper uses 50 everywhere).
 pub const D_COMPONENTS: usize = 50;
@@ -69,35 +70,12 @@ pub fn ideal_error(y: &SparseMat, d: usize, seed: u64) -> f64 {
         .final_error()
 }
 
-/// Prints Figures 4–5's accuracy-vs-time curves: a table row per pass of
-/// each named run (virtual time, % of `ideal`), then the curves as an
-/// ASCII plot, its time axis log-scaled with `log_x`.
-pub fn print_accuracy_curves(runs: &[(&str, &SpcaRun)], ideal: f64, log_x: bool) {
-    let mut table = Table::new(&["Series", "Iter", "Time (s)", "Accuracy (%)"]);
-    let mut series = Vec::new();
-    for (name, run) in runs {
-        let mut points = Vec::new();
-        for it in &run.iterations {
-            let pct = accuracy::percent_of_ideal(it.error, ideal);
-            points.push((it.virtual_time_secs, pct));
-            let time = fmt_secs(it.virtual_time_secs);
-            table.row(&[name.to_string(), it.iteration.to_string(), time, format!("{pct:.1}")]);
-        }
-        series.push(plot::Series::new(*name, points));
-    }
-    table.print();
-    println!();
-    println!("{}", plot::render_xy(&series, 64, 14, log_x));
-}
-
-/// The error threshold for "reached `percent`% of the ideal accuracy".
-pub fn target_error(ideal: f64, percent: f64) -> f64 {
-    accuracy::target_error_for(ideal, percent)
-}
-
-/// Formats seconds the way the paper's tables do (whole seconds).
+/// Formats seconds the way the paper's tables do (whole seconds), with
+/// millisecond precision below one second.
 pub fn fmt_secs(secs: f64) -> String {
-    if secs < 10.0 {
+    if secs < 1.0 {
+        format!("{secs:.3}")
+    } else if secs < 10.0 {
         format!("{secs:.1}")
     } else {
         format!("{:.0}", secs.round())
@@ -140,6 +118,11 @@ impl Table {
 
     /// Renders to stdout.
     pub fn print(&self) {
+        print!("{}", self.render());
+    }
+
+    /// Renders as text, one line per row.
+    pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -160,11 +143,12 @@ impl Table {
             }
             out
         };
-        println!("{}", line(&self.headers));
-        println!("{sep}");
+        let mut out = format!("{}\n{sep}\n", line(&self.headers));
         for row in &self.rows {
-            println!("{}", line(row));
+            out.push_str(&line(row));
+            out.push('\n');
         }
+        out
     }
 }
 
@@ -181,7 +165,8 @@ mod tests {
 
     #[test]
     fn seconds_formatting() {
-        assert_eq!(fmt_secs(3.14), "3.1");
+        assert_eq!(fmt_secs(0.0123), "0.012");
+        assert_eq!(fmt_secs(3.04), "3.0");
         assert_eq!(fmt_secs(123.7), "124");
     }
 
@@ -189,7 +174,7 @@ mod tests {
     fn table_renders_without_panic() {
         let mut t = Table::new(&["a", "bb"]);
         t.row(&["1".into(), "2".into()]);
-        t.print();
+        assert_eq!(t.render(), "| a | bb |\n|---|----|\n| 1 | 2  |\n");
     }
 
     #[test]
@@ -204,7 +189,7 @@ mod tests {
         let y = data::tweets(400, 200, 1);
         let ideal = ideal_error(&y, 5, 1);
         assert!(ideal.is_finite() && ideal > 0.0);
-        let target = target_error(ideal, 95.0);
+        let target = spca_core::accuracy::target_error_for(ideal, 95.0);
         assert!(target > ideal);
     }
 }

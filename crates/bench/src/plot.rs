@@ -1,8 +1,8 @@
 //! Terminal scatter plots for the accuracy-vs-time figures.
 //!
-//! The paper's Figures 4–6 are line charts; the experiment binaries print
-//! both the raw series (for regeneration elsewhere) and this quick ASCII
-//! rendering so the shape is visible straight from the terminal.
+//! The paper's Figures 4–5 are line charts; `paper` prints both the raw
+//! series (for regeneration elsewhere) and this quick ASCII rendering so the
+//! shape is visible straight from the terminal.
 
 /// One plotted series.
 #[derive(Debug, Clone)]

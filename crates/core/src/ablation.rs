@@ -2,9 +2,9 @@
 //!
 //! Each of sPCA's three distributed optimizations can be exercised *with*
 //! and *without*, on the operation it accelerates, returning the virtual
-//! seconds and intermediate bytes of each arm. The `table3_optimizations`
-//! experiment binary prints these; having them as API makes the ablation
-//! reusable (and testable) outside the bench harness.
+//! seconds and intermediate bytes of each arm. The `paper` binary's
+//! `table3_optimizations` experiment prints these; having them as API makes
+//! the ablation reusable (and testable) outside the bench harness.
 
 use dcluster::{Load, Meter, SimCluster, StageOptions};
 use linalg::bytes::ByteSized;

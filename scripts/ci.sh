@@ -46,6 +46,16 @@ while IFS= read -r line; do
         done
     done
 done < <(sed -n '/^## 4\. Crate layout/,/^## 5\./p' DESIGN.md | sed -n '/^```/,/^```/p')
+# And every `--bin X` the docs name must be a binary: crates/bench/src/bin/X.rs
+# or src/bin/X.rs (the ten paper binaries that `paper` replaced must not stay
+# documented).
+for bin in $(grep -ohE -- '--bin [A-Za-z0-9_-]+' README.md DESIGN.md EXPERIMENTS.md |
+    awk '{ print $2 }' | sort -u); do
+    if [[ ! -f "crates/bench/src/bin/$bin.rs" && ! -f "src/bin/$bin.rs" ]]; then
+        echo "ci: docs name --bin $bin but neither crates/bench/src/bin/$bin.rs nor src/bin/$bin.rs exists" >&2
+        missing=1
+    fi
+done
 [[ "$missing" -eq 0 ]] || exit 1
 
 cargo build --release --offline --workspace
