@@ -22,7 +22,9 @@
 //!
 //! [`YtxPartial`] is the accumulator of the paper's consolidated `YtXJob`
 //! (Figure 3): one pass computes the `YtX` contributions *and* the
-//! hoisted sums. Two entry points fold data in:
+//! hoisted sums. The randomized arm's pass partial is the same
+//! accumulator of width K over `W` and `Wᵀμ` ([`crate::rpca`]). Two entry
+//! points fold data in:
 //!
 //! * [`YtxPartial::add_block`] — the batched path. A whole partition goes
 //!   through the blocked kernels: the latent rows `x = y·CM − Xm` one at a
@@ -233,7 +235,7 @@ impl YtxPartial {
         let (cols, slab) = match csc {
             Some(csc) => {
                 let mut slab = linalg::scratch::take_cleared(csc.support().len() * d);
-                kernels::spmm_gather(csc, &x_blk, d, (&mut slab, true), |_, _| ());
+                kernels::spmm_gather(csc, &x_blk, d, &mut slab);
                 (csc.support().to_vec(), slab)
             }
             None => {
@@ -504,7 +506,7 @@ pub(crate) fn latent_rows(
         kernels::sparse_mul_dense_slices(pool, y, b, w, rows);
         rows.chunks_exact_mut(w).for_each(finish);
     } else {
-        kernels::sparse_mul_dense_each(y, b, w, (rows, true), finish);
+        kernels::sparse_mul_dense_each(y, b, w, rows, finish);
     }
 }
 

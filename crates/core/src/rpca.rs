@@ -3,13 +3,12 @@
 //! Implements randomized PCA (Halko et al., arXiv:1007.5510; distributed
 //! formulation after Li/Kluger/Tygert, arXiv:1612.08709) on both simulated
 //! engines, selected via `SpcaConfig::with_algorithm(Algorithm::Randomized)`.
-//! Where EM runs *many thin iterations* (two small accumulator jobs per
+//! Where EM runs *many thin iterations* (one accumulator job per
 //! iteration), randomized iteration runs *few fat passes*: each pass
 //! broadcasts the D×K sketch basis `W`, streams the sparse input once, and
-//! ships one D×K covariance-sketch partial per partition back to the
-//! driver.
+//! ships one covariance-sketch partial per partition back to the driver.
 //!
-//! Per pass, partition `p` computes with the batched kernels
+//! Per pass, partition `p` computes
 //!
 //! ```text
 //! P_p    = Y_p·W − 1⊗(Wᵀμ)          (its slab of the centered range sketch)
@@ -17,13 +16,17 @@
 //! t_p    = 1ᵀP_p                     (column sums of the slab)
 //! ```
 //!
-//! over the partition's cached block: `P_p` through the latent-row pass
-//! EM uses, `Zraw_p` gathered per touched column through the block's
-//! column-major copy (the scatter's bits, §8 of DESIGN.md), straight into
-//! the D×K partial.
+//! with EM's accumulator: `P_p` is EM's `Y_p·CM − 1⊗Xm` with `W` for `CM`
+//! and `Wᵀμ` for `Xm`, so a [`YtxPartial`] of width K after
+//! `add_block(Y_p, W, Wᵀμ)` holds `Zraw_p`'s rows at the columns the
+//! partition touches (the other rows are zero) and `t_p` as `sum_x`. The
+//! partial is O(z·K), not O(D·K): the paper's §4.2 sparsity rule, which
+//! on the benchmark's tweets shape ships 0.534× the bytes of a dense D×K
+//! partial per pass (DESIGN.md §15 has the byte formula).
 //!
-//! and the driver folds the partials **sequentially in partition order**,
-//! each as soon as it and every earlier partial have arrived:
+//! The driver folds the partials **sequentially in partition order**,
+//! each as soon as it and every earlier partial have arrived, each packed
+//! row onto its row of `Z`:
 //!
 //! ```text
 //! Z = Σ_p Zraw_p − μ⊗(Σ_p t_p)  =  YcᵀYc·W        (Yc = Y − 1⊗μ)
@@ -31,7 +34,7 @@
 //!
 //! so the N×K sketch `Q` is never materialized or shuffled — the paper's
 //! minimized-intermediate-data discipline carried over to the challenger —
-//! and the host holds a few D×K partials at a time, not one per partition.
+//! and the host holds a few partials at a time, not one per partition.
 //! The driver then factors the small D×K `Z` **once** per pass
 //! (`linalg::decomp::singular_basis`: `Z = U·diag(s)·Vᵀ` through the K×K
 //! Gram matrix, two rounds). Halko et al. only ask for *an* orthonormal
@@ -57,7 +60,7 @@
 //! bar — the *same* model hash across engines, worker counts, timing
 //! models and fault plans. Three design rules buy that: both engines split
 //! rows with the same `split_rows` layout, both run the identical
-//! `pass_partial` kernel per partition, and every cross-partition fold
+//! `sketch_partial` per partition, and every cross-partition fold
 //! happens in one driver closure, in partition index order. The Spark path
 //! streams partials into it with `Rdd::collect_each`, which delivers in
 //! partition order while the stage runs. The MapReduce path keys partials
@@ -69,7 +72,7 @@
 //! measures.
 //!
 //! **What lives here.** The arm only: [`RpcaJobs`] (the distributed
-//! surface), the shared `pass_partial` kernel, `RpcaArm` (the pass body
+//! surface), the shared `sketch_partial`, `RpcaArm` (the pass body
 //! described above, as a [`crate::driver::PassArm`]) and the MapReduce
 //! jobs behind `MrRpcaJobs`. The loop the passes run in — resume, sampled
 //! error, telemetry, checkpoint, stop — is [`crate::driver::run_passes`],
@@ -80,7 +83,7 @@
 use dcluster::{Load, Meter, SimCluster};
 use linalg::decomp::singular_basis;
 use linalg::sparse::{Block, PartitionBlock};
-use linalg::{Mat, WorkerPool};
+use linalg::Mat;
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 
 use crate::checkpoint;
@@ -88,14 +91,9 @@ use crate::config::SpcaConfig;
 use crate::driver::{ArmNames, Dims, PassArm};
 use crate::error::SpcaError;
 use crate::frobenius;
-use crate::mean_prop::latent_rows;
+use crate::mean_prop::YtxPartial;
 use crate::model::PcaModel;
 use crate::Result;
-
-/// One partition's pass contribution: (`Zraw_p` = Y_pᵀP_p, `t_p` = 1ᵀP_p).
-/// Travels as a plain tuple — `Mat` and `Vec<f64>` are `Wire`, so the
-/// partial moves through the versioned codec like every other intermediate.
-pub type PassPartial = (Mat, Vec<f64>);
 
 /// The distributed surface of the randomized driver, one impl per engine.
 /// Every method yields *per-partition* partials in partition index order;
@@ -106,50 +104,24 @@ pub trait RpcaJobs {
     /// Per-partition centered squared-Frobenius partials (Algorithm 3).
     fn fnorm_job(&mut self, mean: &[f64], mean_norm_sq: f64) -> Vec<f64>;
     /// One fat pass: broadcast `w` (D×K) and `shift = Wᵀμ`, and hand each
-    /// partition's [`PassPartial`] to `fold`, in partition order.
+    /// partition's [`sketch_partial`] to `fold`, in partition order: its
+    /// packed rows are the touched rows of `Y_pᵀP_p`, its `sum_x` is
+    /// `1ᵀP_p`.
     fn pass_job(
         &mut self,
         w: &Mat,
         shift: &[f64],
         pass: usize,
-        fold: &mut (dyn FnMut(PassPartial) + Send),
+        fold: &mut (dyn FnMut(YtxPartial) + Send),
     );
 }
 
-/// The per-partition pass kernel, shared verbatim by both engines so their
-/// partials are bit-identical. `block` is the partition's CSR slab; its
-/// `Yᵀ·P` is gathered through the block's column-major copy (the
-/// scatter's bits), or takes the tile route when the block is full.
-///
-/// Both dense buffers come from `linalg::scratch` (the slab goes back before
-/// returning, `Zraw_p` when the driver has folded it): a pass retires one
-/// D×K partial per partition, and fresh allocations of that size are
-/// mapped, faulted in page by page and unmapped again — or not, by where
-/// the allocator happens to put them. The faults cost more host time than
-/// the kernels, and whether a process pays them is not under its control.
-pub(crate) fn pass_partial<B: Block + ?Sized>(block: &B, w: &Mat, shift: &[f64]) -> PassPartial {
-    let csc = block.csc();
-    let block = block.csr();
-    let (rows, d_in, k) = (block.rows(), block.cols(), w.cols());
-    // P = Y_p·W − 1⊗shift, the centered range-sketch slab, and its column
-    // sums, through the block latent pass (row layout is deterministic on
-    // any pool size).
-    let (pool, mut colsum) = (WorkerPool::global(), vec![0.0; k]);
-    let mut p = linalg::scratch::take_cleared(rows * k);
-    latent_rows(pool, block, (w.data(), k), shift, &mut p, |row| {
-        linalg::vector::axpy(1.0, row, &mut colsum)
-    });
-    // `Yᵀ·P` into a recycled buffer, each touched column's row gathered in
-    // place.
-    let mut zraw = linalg::scratch::take_zeroed(d_in * k);
-    match &*csc {
-        Some(csc) => linalg::kernels::spmm_gather(csc, &p, k, (&mut Vec::new(), false), |i, row| {
-            zraw[csc.support()[i] as usize * k..][..k].copy_from_slice(row)
-        }),
-        None => linalg::kernels::spmm_scatter(pool, block, &p, k, None, &mut zraw),
-    }
-    linalg::scratch::recycle(p);
-    (Mat::from_vec(d_in, k, zraw), colsum)
+/// One partition's sketch partial, built the same way on both engines: a
+/// [`YtxPartial`] of width K after `add_block(block, w, shift)`.
+pub(crate) fn sketch_partial<B: Block + ?Sized>(block: &B, w: &Mat, shift: &[f64]) -> YtxPartial {
+    let mut partial = YtxPartial::new(w.cols());
+    partial.add_block(block, w, shift);
+    partial
 }
 
 static NAMES: ArmNames = ArmNames {
@@ -265,14 +237,19 @@ impl PassArm for RpcaArm<'_> {
 
         // The fat pass (distributed): per-partition covariance-sketch
         // partials, folded sequentially in partition order as the engine
-        // delivers them. Each D×K partial is retired as soon as it is
-        // folded, for the pass's later tasks to take (see `pass_partial`).
+        // delivers them, each touched row onto its row of `Z`. An untouched
+        // row would add +0.0, which leaves `Z` (never −0.0: it starts at
+        // +0.0) as it is. Each slab is retired as soon as it is folded, for
+        // the pass's later tasks to take.
         let (mut z, mut tsum) = (Mat::zeros(d_in, k), vec![0.0; k]);
-        self.jobs.pass_job(&self.w, &shift, pass, &mut |(zraw, t)| {
+        self.jobs.pass_job(&self.w, &shift, pass, &mut |mut part| {
             let _s = obs::span("driver", "rpca fold partial");
-            z.add_assign(&zraw);
-            linalg::scratch::recycle(zraw.into_vec());
-            linalg::vector::axpy(1.0, &t, &mut tsum);
+            let (cols, slab) = part.take_packed_ytx();
+            for (&c, row) in cols.iter().zip(slab.chunks_exact(k)) {
+                linalg::vector::axpy(1.0, row, z.row_mut(c as usize));
+            }
+            linalg::vector::axpy(1.0, &part.sum_x, &mut tsum);
+            linalg::scratch::recycle(slab);
         });
         {
             let _s = obs::span("driver", "rpca driver fold");
@@ -366,8 +343,8 @@ impl MapReduceJob for RpcaFnormJob<'_> {
     }
 }
 
-/// The fat pass: stateful mapper runs the shared kernel once per block and
-/// emits its D×K partial under its partition key.
+/// The fat pass: the mapper folds its block into one sketch partial, as
+/// the Spark task does, and emits it under its partition key.
 struct PassJob<'a> {
     w: &'a Mat,
     shift: &'a [f64],
@@ -376,14 +353,14 @@ struct PassJob<'a> {
 impl MapReduceJob for PassJob<'_> {
     type Input = (u32, PartitionBlock);
     type Key = u32;
-    type Value = PassPartial;
-    type Output = PassPartial;
+    type Value = YtxPartial;
+    type Output = YtxPartial;
 
-    fn map(&self, block: &(u32, PartitionBlock), emitter: &mut Emitter<u32, PassPartial>) {
-        emitter.emit(block.0, pass_partial(&block.1, self.w, self.shift));
+    fn map(&self, block: &(u32, PartitionBlock), emitter: &mut Emitter<u32, YtxPartial>) {
+        emitter.emit(block.0, sketch_partial(&block.1, self.w, self.shift));
     }
 
-    fn reduce(&self, _key: u32, mut values: Vec<PassPartial>) -> PassPartial {
+    fn reduce(&self, _key: u32, mut values: Vec<YtxPartial>) -> YtxPartial {
         values.pop().expect("one partial per partition key")
     }
 }
@@ -424,7 +401,7 @@ impl RpcaJobs for MrRpcaJobs<'_> {
         w: &Mat,
         shift: &[f64],
         pass: usize,
-        fold: &mut (dyn FnMut(PassPartial) + Send),
+        fold: &mut (dyn FnMut(YtxPartial) + Send),
     ) {
         // Distributed-cache shipment of W and the shift vector (each MR
         // job re-reads its cache; nothing persists across jobs).
@@ -488,28 +465,45 @@ mod tests {
         assert!(mr.virtual_time_secs > spark.virtual_time_secs);
     }
 
+    /// One block's sketch partial: every packed row is that row of the
+    /// dense `Y_pᵀP_p` bit for bit, every row it leaves out is zero there,
+    /// and `sum_x` is `1ᵀP_p` — on a sparse, a full and two empty blocks.
     #[test]
-    fn pass_partial_matches_direct_computation() {
-        let y = lowrank();
+    fn sketch_partial_is_the_touched_rows_of_the_dense_product() {
         let mut rng = linalg::Prng::seed_from_u64(11);
-        let w = rng.normal_mat(y.cols(), 5);
-        let mean = y.col_means();
-        let shift = w.vecmat(&mean);
-        let (zraw, colsum) = pass_partial(&y, &w, &shift);
-        // Reference: dense Yc, P = Yc·W, Z = YᵀP, t = 1ᵀP.
-        let mut yc = y.to_dense();
-        yc.sub_row_vector(&mean);
-        let p_ref = yc.matmul(&w);
-        for j in 0..w.cols() {
-            let t: f64 = (0..y.rows()).map(|r| p_ref[(r, j)]).sum();
-            assert!((colsum[j] - t).abs() <= 1e-9 * (1.0 + t.abs()));
+        let full = datasets::diabetes::generate_sparse(40, 24, &mut rng);
+        assert!(linalg::kernels::takes_full_routes(&full), "the diabetes block is full");
+        let blocks = [
+            ("sparse", lowrank()),
+            ("full", full),
+            ("no rows", SparseMat::from_rows(0, 30, Vec::new())),
+            ("no entries", SparseMat::from_rows(5, 30, vec![Vec::new(); 5])),
+        ];
+        for (what, y) in blocks {
+            let w = rng.normal_mat(y.cols(), 5);
+            let shift = w.vecmat(&rng.normal_mat(1, y.cols()).into_vec());
+            let partial = sketch_partial(&y, &w, &shift);
+
+            // P_p row by row (the block pass's bits), then the D-wide scatter.
+            let mut p = Mat::zeros(y.rows(), 5);
+            let mut colsum = vec![0.0; 5];
+            for r in 0..y.rows() {
+                let row = crate::mean_prop::latent_row(y.row(r), &w, &shift);
+                linalg::vector::axpy(1.0, &row, &mut colsum);
+                p.row_mut(r).copy_from_slice(&row);
+            }
+            let dense = linalg::kernels::spmm_tn(&y, &p);
+            let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut touched = vec![false; y.cols()];
+            for (c, row) in partial.ytx_iter() {
+                assert_eq!(bits(row), bits(dense.row(c as usize)), "{what}: row {c}");
+                touched[c as usize] = true;
+            }
+            for c in (0..y.cols()).filter(|&c| !touched[c]) {
+                assert!(dense.row(c).iter().all(|&v| v == 0.0), "{what}: row {c} left out");
+            }
+            assert_eq!(partial.sum_x, colsum, "{what}: sum_x");
+            assert_eq!(partial.rows_seen, y.rows() as u64, "{what}");
         }
-        // Driver-side fold of a single partition reproduces YcᵀYc·W.
-        let mut z = zraw;
-        for j in 0..y.cols() {
-            linalg::vector::axpy(-mean[j], &colsum, z.row_mut(j));
-        }
-        let z_ref = yc.matmul_tn(&p_ref);
-        assert!(z.approx_eq(&z_ref, 1e-8), "max diff {:.3e}", z.max_abs_diff(&z_ref));
     }
 }

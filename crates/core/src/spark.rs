@@ -42,7 +42,7 @@ use crate::init;
 use crate::error::SpcaError;
 use crate::mean_prop::{latent_matrix, ytx_counter_snapshot, YtxPartial};
 use crate::model::SpcaRun;
-use crate::rpca::{pass_partial, PassPartial, RpcaArm, RpcaJobs};
+use crate::rpca::{sketch_partial, RpcaArm, RpcaJobs};
 use crate::Result;
 
 /// One sparse matrix row as an RDD element.
@@ -302,7 +302,7 @@ impl RpcaJobs for SparkJobs<'_> {
         w: &Mat,
         shift: &[f64],
         pass: usize,
-        fold: &mut (dyn FnMut(PassPartial) + Send),
+        fold: &mut (dyn FnMut(YtxPartial) + Send),
     ) {
         // Broadcast the pass's basis W (D×K) and shift vector to every
         // node — the fat part of the fat pass, priced like every other
@@ -311,11 +311,11 @@ impl RpcaJobs for SparkJobs<'_> {
         let bytes = cluster.wire_size(w) + cluster.sizing().f64_payload(shift.len());
         cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
         // A streaming collect: partials reach the fold in partition order
-        // while the stage runs, charged one flow per partition — the D×K
-        // partial each executor ships home.
+        // while the stage runs, charged one flow per partition — the
+        // touched rows of the sketch each executor ships home.
         self.rdd.collect_each(
             &format!("rpca/pass{pass}"),
-            |part| part.iter().map(|block| pass_partial(&block.0, w, shift)).collect(),
+            |part| part.iter().map(|block| sketch_partial(&block.0, w, shift)).collect(),
             fold,
         );
     }

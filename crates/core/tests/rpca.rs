@@ -19,11 +19,15 @@
 //!    loop).
 //! 4. **Knob validation** — each nonsensical randomized configuration is
 //!    rejected with `SpcaError::InvalidConfig` before any cluster work.
+//! 5. **Pinned bits and bytes** — both engines' model hash, sampled
+//!    errors, driver peak and pass count at one shape, and the Spark fit's
+//!    intermediate bytes against their closed form.
 
 use std::sync::Arc;
 
 use dcluster::{ClusterConfig, FaultPlan, FaultSpec, SimCluster, TimingModel};
 use linalg::decomp::{subspace_overlap, svd_jacobi};
+use linalg::wire::{ascending_u32_len, uvarint_len};
 use linalg::{Mat, Prng, SparseMat, WorkerPool};
 use spca_core::checkpoint::{CHECKPOINT_FILE, RPCA_CHECKPOINT_FILE};
 use spca_core::{Algorithm, Spca, SpcaConfig, SpcaError, SpcaRun};
@@ -369,4 +373,72 @@ fn sketch_wider_than_input_is_rejected() {
     let config = rpca_config().with_rpca_oversample(98); // 3 + 98 > 100
     assert!(matches!(config.validate(y.cols()), Err(SpcaError::InvalidConfig { .. })));
     expect_invalid(Spca::new(config).fit_spark(&cluster, &y), "sketch width");
+}
+
+// ---------------------------------------------------------------------------
+// 5. Pinned bits and bytes
+// ---------------------------------------------------------------------------
+
+/// Fits on a fresh paper cluster and renders what no change to how a pass
+/// moves its partials may move: the model hash, the driver peak, the pass
+/// count and every pass's sampled error.
+fn pin(spark: bool) -> String {
+    let y = test_matrix(31);
+    let cluster = SimCluster::new(ClusterConfig::paper_cluster());
+    let spca = Spca::new(rpca_config());
+    let run = if spark { spca.fit_spark(&cluster, &y) } else { spca.fit_mapreduce(&cluster, &y) };
+    let run = run.unwrap();
+    let errors: Vec<String> =
+        run.iterations.iter().map(|s| format!("{:016x}", s.error.to_bits())).collect();
+    format!(
+        "model {:016x} driver_peak {} passes {} errors {}",
+        run.model.content_hash(),
+        cluster.metrics().driver_peak_bytes,
+        run.iterations.len(),
+        errors.join(",")
+    )
+}
+
+#[test]
+fn randomized_bits_are_pinned_on_both_engines() {
+    let want = "model a15876dbcf976566 driver_peak 26400 passes 3 \
+                errors 3ffac8e22763127f,3ff8fd3e9fddf3c5,3ff8b5833c2820d5";
+    assert_eq!(pin(true), want, "Spark");
+    assert_eq!(pin(false), want, "MapReduce");
+}
+
+/// The byte oracle of the Spark fit: per pass, `W` (D×K) and the K-vector
+/// shift to every node, then one sketch partial per partition — `Σx`,
+/// the touched columns ascending, their K-rows and the row count; once,
+/// the colsum job's D-vector and the FnormJob's scalar per partition.
+#[test]
+fn spark_intermediate_bytes_are_the_closed_form() {
+    let y = test_matrix(31);
+    let cluster = SimCluster::new(ClusterConfig::paper_cluster());
+    let config = rpca_config();
+    let run = Spca::new(config.clone()).fit_spark(&cluster, &y).unwrap();
+    let cfg = cluster.config();
+    let (d_in, k) = (y.cols() as u64, (config.components + config.rpca_oversample) as u64);
+    let f64_payload = |len: u64| uvarint_len(len) + 8 * len;
+    let blocks = y.split_rows(cfg.total_cores().min(y.rows()));
+    let broadcast =
+        cfg.nodes as u64 * (uvarint_len(d_in) + uvarint_len(k) + 8 * d_in * k + f64_payload(k));
+    let partials: u64 = blocks
+        .iter()
+        .map(|b| {
+            let mut cols = b.col_indices().to_vec();
+            cols.sort_unstable();
+            cols.dedup();
+            let t = cols.len() as u64;
+            f64_payload(k)
+                + uvarint_len(t)
+                + ascending_u32_len(&cols)
+                + 8 * t * k
+                + uvarint_len(b.rows() as u64)
+        })
+        .sum();
+    let once = blocks.len() as u64 * (f64_payload(d_in) + 8);
+    let passes = run.iterations.len() as u64;
+    assert_eq!(run.intermediate_bytes, once + passes * (broadcast + partials));
+    assert_eq!(cluster.metrics().network_bytes, run.intermediate_bytes);
 }

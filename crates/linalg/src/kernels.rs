@@ -836,18 +836,17 @@ pub fn sparse_mul_dense_slices(
 
 /// [`sparse_mul_dense_slices`] one output row at a time, for a block the
 /// sparse route takes: row `r` of `Y·B` is zeroed and computed at the end
-/// of `rows` — in L1 — and handed to `f` there, in ascending `r`. With
-/// `keep` the rows stay, `rows` ending as the `y.rows() × n` product after
-/// whatever it held; without, `rows` holds one row at a time. Nothing is
-/// zeroed or written but the rows themselves. Same `kernel` span, flops
-/// and bits as [`sparse_mul_dense_slices`]; serial, the caller being a
-/// pool task.
+/// of `rows` — in L1 — and handed to `f` there, in ascending `r`, so
+/// `rows` ends as the `y.rows() × n` product after whatever it held.
+/// Nothing is zeroed or written but the rows themselves. Same `kernel`
+/// span, flops and bits as [`sparse_mul_dense_slices`]; serial, the caller
+/// being a pool task.
 pub fn sparse_mul_dense_each(
     y: &SparseMat,
     b: &[f64],
     n: usize,
-    (rows, keep): (&mut Vec<f64>, bool),
-    mut f: impl FnMut(&mut [f64]),
+    rows: &mut Vec<f64>,
+    f: impl FnMut(&mut [f64]),
 ) {
     assert_eq!(b.len(), y.cols() * n, "mul_dense: inner dimensions differ");
     debug_assert!(full_block(y).is_none(), "mul_dense: a full block takes the tile route");
@@ -856,27 +855,23 @@ pub fn sparse_mul_dense_each(
     })
     .with_flops(2 * y.nnz() as u64 * n as u64);
     span.arg("route", route_name(false));
-    rows_each(y, b, n, (rows, keep), |_, row| f(row));
+    rows_each(y, b, n, rows, f);
 }
 
 /// Row `r` of `Y·B` for `r` in ascending order, each zeroed and computed
-/// at the end of `rows` and handed to `f(r, row)` there; `rows` keeps them
-/// only with `keep`.
+/// at the end of `rows` and handed to `f(row)` there.
 fn rows_each(
     y: &SparseMat,
     b: &[f64],
     n: usize,
-    (rows, keep): (&mut Vec<f64>, bool),
-    mut f: impl FnMut(usize, &mut [f64]),
+    rows: &mut Vec<f64>,
+    mut f: impl FnMut(&mut [f64]),
 ) {
     for r in 0..y.rows() {
-        if !keep {
-            rows.clear();
-        }
         let at = rows.len();
         rows.resize(at + n, 0.0);
         row_mul(y, b, n, r, y.rows(), &mut rows[at..]);
-        f(r, &mut rows[at..]);
+        f(&mut rows[at..]);
     }
 }
 
@@ -1061,20 +1056,14 @@ pub fn spmm_tn_packed_with_pool(
 /// column `i`'s output row adds `y[r][c]·x_r` over its entries in
 /// ascending `r` — [`sparse_mul_dense_each`]'s row loop over row `i` of
 /// [`Csc::transposed`], whose fused axpys are sequential axpys bit for bit
-/// — zeroed and gathered at the end of `out` and handed to `put(i, row)`
-/// there, in ascending `i`; `keep` as [`sparse_mul_dense_each`]'s. Every
+/// — zeroed and gathered at the end of `out`, in ascending `i`, so `out`
+/// ends as the packed `support × d` product after whatever it held. Every
 /// output row thus gets the scatter's operations in the scatter's order:
 /// the bits of [`spmm_tn`] / [`spmm_tn_packed`] under the block's column
 /// table, with no per-call bucket pass, table or zeroed slab. The `kernel`
 /// span is [`spmm_tn`]'s, route `sparse`; serial, the caller being a pool
 /// task.
-pub fn spmm_gather(
-    csc: &Csc,
-    x: &[f64],
-    d: usize,
-    out: (&mut Vec<f64>, bool),
-    put: impl FnMut(usize, &mut [f64]),
-) {
+pub fn spmm_gather(csc: &Csc, x: &[f64], d: usize, out: &mut Vec<f64>) {
     let t = csc.transposed();
     assert_eq!(x.len(), t.cols() * d, "spmm_tn: X is {} elements, not {}x{d}", x.len(), t.cols());
     let mut span = obs::span_lazy("kernel", || {
@@ -1082,7 +1071,7 @@ pub fn spmm_gather(
     })
     .with_flops(2 * t.nnz() as u64 * d as u64);
     span.arg("route", route_name(false));
-    rows_each(t, x, d, out, put);
+    rows_each(t, x, d, out, |_| ());
 }
 
 /// The scatter driver behind every `spmm_tn*` entry point: `x` is

@@ -1007,13 +1007,13 @@ mod tests {
             }
             let each = |y: &SparseMat| {
                 let mut out = Vec::new();
-                kernels::sparse_mul_dense_each(y, b.data(), d, (&mut out, true), |_| {});
+                kernels::sparse_mul_dense_each(y, b.data(), d, &mut out, |_| {});
                 out
             };
             assert_eq!(bits(&each(&view)), bits(&each(&copy)));
             let gather = |y: &SparseMat| {
                 let mut out = Vec::new();
-                kernels::spmm_gather(&Csc::of(y), x.data(), d, (&mut out, true), |_, _| {});
+                kernels::spmm_gather(&Csc::of(y), x.data(), d, &mut out);
                 out
             };
             assert_eq!(bits(&gather(&view)), bits(&gather(&copy)));

@@ -493,7 +493,7 @@ fn gather_is_bitwise_the_packed_scatter() {
                 *v = -0.0;
             }
             let mut gathered = Vec::new();
-            kernels::spmm_gather(&csc, x.data(), d, (&mut gathered, true), |_, _| ());
+            kernels::spmm_gather(&csc, x.data(), d, &mut gathered);
             pools.each(
                 |pool| {
                     let mut out = vec![0.0; touched * d];
@@ -502,12 +502,11 @@ fn gather_is_bitwise_the_packed_scatter() {
                 },
                 |got, on| assert_eq!(nan_bits(&got), nan_bits(&gathered), "{what} d={d} on {on}"),
             );
-            // By column, as the randomized pass writes it: `spmm_tn`.
+            // Placed by column: `spmm_tn`.
             let mut by_column = vec![0.0; y.cols() * d];
-            kernels::spmm_gather(&csc, x.data(), d, (&mut Vec::new(), false), |i, row| {
-                let c = csc.support()[i] as usize;
-                by_column[c * d..(c + 1) * d].copy_from_slice(row);
-            });
+            for (&c, row) in csc.support().iter().zip(gathered.chunks_exact(d)) {
+                by_column[c as usize * d..][..d].copy_from_slice(row);
+            }
             assert_eq!(nan_bits(&by_column), nan_bits(kernels::spmm_tn(&y, &x).data()), "{what} d={d}");
         }
     }
@@ -521,7 +520,7 @@ fn mul_dense_each_is_bitwise_the_blocked_product() {
         for n in [1, 8, 50] {
             let b = rng.normal_mat(y.cols(), n);
             let mut rows = Vec::new();
-            kernels::sparse_mul_dense_each(&y, b.data(), n, (&mut rows, true), |_| ());
+            kernels::sparse_mul_dense_each(&y, b.data(), n, &mut rows, |_| ());
             pools.each(
                 |pool| kernels::sparse_mul_dense_with_pool(pool, &y, &b),
                 |got, on| assert_eq!(bits(got.data()), bits(&rows), "{what} n={n} on {on}"),
