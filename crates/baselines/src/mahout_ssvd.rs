@@ -22,7 +22,6 @@
 //! `Yc·Ω = Y·Ω − 1⊗(Ym·Ω)` and `Q'·Yc = Q'·Y − (Q'·1)⊗Ym`.
 
 use dcluster::{Load, Meter, SimCluster, StageOptions};
-use linalg::bytes::ByteSized;
 use linalg::decomp::eig::sym_eigen;
 use linalg::decomp::tsqr::tsqr;
 use linalg::wire::{self, Wire, WireError, WireReader};
@@ -107,15 +106,6 @@ enum BtKey {
     SumQ,
     /// Column `j` of the input: accumulates `Σᵢ y_ij·qᵢ`.
     Col(u32),
-}
-
-impl ByteSized for BtKey {
-    fn size_bytes(&self) -> u64 {
-        match self {
-            BtKey::SumQ => 1,
-            BtKey::Col(_) => 5,
-        }
-    }
 }
 
 impl Wire for BtKey {
@@ -249,7 +239,7 @@ impl PassArm for MahoutArm<'_> {
         // ---- Q job: proj = Yc·projector = Y·projector − 1⊗(Ym·projector).
         cluster.advance_time(6.0); // Hadoop job init for the Q job
         // The D×K projector ships to every node via distributed cache.
-        let bytes = cluster.wire_size(&self.projector);
+        let bytes = self.projector.encoded_size();
         cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
         let shift = self.projector.vecmat(mean); // K
         let (projector, shift) = (&self.projector, &shift);
@@ -270,7 +260,7 @@ impl PassArm for MahoutArm<'_> {
             tasks,
         );
         // Mahout writes the projection, then Q, to HDFS; Bt re-reads Q.
-        let proj_bytes: u64 = proj_blocks.iter().map(|b| cluster.wire_size(b)).sum();
+        let proj_bytes: u64 = proj_blocks.iter().map(Wire::encoded_size).sum();
         cluster.charge(Meter::DfsWrite, Load::Even(proj_bytes), "dfs-write");
         let tsqr_out = cluster.run_driver("Mahout/TSQR-final", || tsqr(&proj_blocks));
         cluster.charge(Meter::DfsWrite, Load::Even(proj_bytes), "dfs-write"); // Q matrix
@@ -336,7 +326,7 @@ impl PassArm for MahoutArm<'_> {
         // MR passes that materialize the factors in HDFS.
         cluster.advance_time(2.0 * 6.0);
         for rows in [n, d_in] {
-            let bytes = cluster.sizing().f64_payload(rows * d);
+            let bytes = wire::f64_payload_len(rows * d);
             cluster.charge(Meter::DfsWrite, Load::Even(bytes), "dfs-write");
         }
         self.c = c;

@@ -16,7 +16,6 @@
 //!   [`SpcaError::Cluster`]`(`[`dcluster::ClusterError::DriverOom`]`)`.
 
 use dcluster::SimCluster;
-use linalg::bytes::ByteSized;
 use linalg::decomp::eig::sym_eigen;
 use linalg::wire::{Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
@@ -58,12 +57,6 @@ impl MllibConfig {
 
 /// Gram-matrix accumulator: a dense D×D partial per task.
 struct GramAcc(Mat);
-
-impl ByteSized for GramAcc {
-    fn size_bytes(&self) -> u64 {
-        ByteSized::size_bytes(&self.0)
-    }
-}
 
 impl Wire for GramAcc {
     fn encode_into(&self, out: &mut Vec<u8>) {

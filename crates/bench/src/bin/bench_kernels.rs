@@ -262,11 +262,9 @@ fn main() {
     // dense_block: one `em_spark_dense` partition (188×1000 rows, d = 50)
     // through the kernels' full-block routes, against the same block with
     // one entry removed — which takes the sparse routes and does 0.0005 %
-    // less work — and one `em_spark_sparse` partition's Gram (3125×50)
-    // against the band loop it replaced. One core, as inside a stage task.
-    // Same shapes under --smoke: each is milliseconds, and the ratios are
-    // what is asserted.
-    let (blk_rows, blk_cols, gram_rows) = (188, 1000, 3125);
+    // less work. One core, as inside a stage task. Same shapes under
+    // --smoke: each is milliseconds, and the ratios are what is asserted.
+    let (blk_rows, blk_cols) = (188, 1000);
     let dense_reps = 4 * reps;
     let full = SparseMat::from_dense(&rng.normal_mat(blk_rows, blk_cols));
     let holed = SparseMat::from_rows(
@@ -301,29 +299,10 @@ fn main() {
             linalg::vector::axpy(v, x_blk.row(r), tn_rowwise.row_mut(c));
         }
     }
-    let x_gram = rng.normal_mat(gram_rows, d);
-    let band_gram = || {
-        let mut g = Mat::zeros(d, d);
-        for r in 0..gram_rows {
-            let row = x_gram.row(r);
-            for i in 0..d {
-                linalg::vector::axpy(row[i], &row[i..], &mut g.row_mut(i)[i..]);
-            }
-        }
-        for i in 0..d {
-            for j in 0..i {
-                g[(i, j)] = g[(j, i)];
-            }
-        }
-        g
-    };
-    let ((band_secs, band), (tile_secs, tiled_gram)) =
-        best_of_pair(dense_reps, band_gram, || kernels::syrk_tn_with_pool(&serial, &x_gram));
     let dense_block = format!(
-        "{{\"sparse_mul_dense\": {{\"shape\": \"{blk_rows}x{blk_cols}x{d}\", \"sparse_route_secs\": {mul_sparse_secs:.6e}, \"dense_route_secs\": {mul_dense_secs:.6e}, \"speedup\": {:.3}}}, \"spmm_tn_packed\": {{\"shape\": \"{blk_rows}x{blk_cols}x{d}\", \"sparse_route_secs\": {tn_sparse_secs:.6e}, \"dense_route_secs\": {tn_dense_secs:.6e}, \"speedup\": {:.3}}}, \"syrk_tn\": {{\"shape\": \"{gram_rows}x{d}\", \"band_secs\": {band_secs:.6e}, \"tile_secs\": {tile_secs:.6e}, \"speedup\": {:.3}}}}}",
+        "{{\"sparse_mul_dense\": {{\"shape\": \"{blk_rows}x{blk_cols}x{d}\", \"sparse_route_secs\": {mul_sparse_secs:.6e}, \"dense_route_secs\": {mul_dense_secs:.6e}, \"speedup\": {:.3}}}, \"spmm_tn_packed\": {{\"shape\": \"{blk_rows}x{blk_cols}x{d}\", \"sparse_route_secs\": {tn_sparse_secs:.6e}, \"dense_route_secs\": {tn_dense_secs:.6e}, \"speedup\": {:.3}}}}}",
         mul_sparse_secs / mul_dense_secs,
         tn_sparse_secs / tn_dense_secs,
-        band_secs / tile_secs,
     );
     println!("{:>18} {dense_block}", "dense_block");
 
@@ -391,15 +370,13 @@ fn main() {
         "driver_em: lane-blocked solve under 2x or tiled error under 1.3x: {driver_em}"
     );
     assert!(
-        mul_dense == mul_rowwise && tn_dense == tn_rowwise.data() && tiled_gram == band,
+        mul_dense == mul_rowwise && tn_dense == tn_rowwise.data(),
         "dense_block: a register-tile route is not bitwise the row-at-a-time fold: {dense_block}"
     );
-    // In-run ratios once more (1.8–2.1x, 3.9–4.8x and 2.1–3.2x when written, on one core).
+    // In-run ratios once more (1.8–2.1x and 3.9–4.8x when written, on one core).
     assert!(
         cfg!(debug_assertions)
-            || (mul_sparse_secs >= 1.5 * mul_dense_secs
-                && tn_sparse_secs >= 1.5 * tn_dense_secs
-                && band_secs >= 1.3 * tile_secs),
-        "dense_block: a full-block route under 1.5x or the tiled Gram under 1.3x: {dense_block}"
+            || (mul_sparse_secs >= 1.5 * mul_dense_secs && tn_sparse_secs >= 1.5 * tn_dense_secs),
+        "dense_block: a full-block route under 1.5x: {dense_block}"
     );
 }

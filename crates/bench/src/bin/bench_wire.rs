@@ -1,17 +1,18 @@
-//! Wire-codec benchmark: encoded bytes-per-record vs the legacy
-//! `ByteSized` flat estimate, at the paper's dataset shapes.
+//! Wire-codec benchmark: encoded bytes-per-record under each codec, at
+//! the paper's dataset shapes.
 //!
 //! For each dataset (Bio-Text, Tweets) the harness measures every record
 //! family the meters ship — sparse input blocks, dense latent rows, the
 //! broadcast `CM` matrix, and the EM checkpoint blob — reporting the
-//! encoded size (what `Sizing::Encoded` charges), the legacy estimate
-//! (what `Sizing::Estimated` charges), and encode/decode throughput. It
-//! then runs a short sPCA fit under both sizing policies and records the
-//! end-to-end `intermediate_bytes` delta.
+//! encoded size (what the meters charge) and encode/decode throughput,
+//! then the v2 / v3 / v3q size of each shuffle family. It ends with the
+//! `intermediate_bytes` of a short MapReduce fit, and of a short Spark fit
+//! under each shuffle codec.
 //!
-//! Two invariants are asserted on the way:
+//! Three invariants are asserted on the way:
 //!   * `encoded_size() == encode().len()` for every measured record;
-//!   * decoded records are bitwise identical to their sources.
+//!   * decoded records are bitwise identical to their sources;
+//!   * lossless v3 at least halves the sparse input blocks.
 //!
 //! Usage:
 //!   bench_wire                # paper shapes, writes BENCH_wire.json
@@ -21,7 +22,6 @@
 use std::time::Instant;
 
 use dcluster::{ClusterConfig, SimCluster};
-use linalg::bytes::ByteSized;
 use linalg::wire::Wire;
 use linalg::{Prng, SparseMat};
 use spca_bench::data;
@@ -33,7 +33,6 @@ struct Line {
     kind: &'static str,
     count: u64,
     encoded: u64,
-    estimated: u64,
     encode_secs: f64,
     decode_secs: f64,
 }
@@ -43,16 +42,12 @@ impl Line {
         let per_rec = |total: u64| total as f64 / self.count.max(1) as f64;
         format!(
             "{{\"kind\": \"{}\", \"count\": {}, \"encoded_bytes\": {}, \
-             \"estimated_bytes\": {}, \"encoded_per_record\": {:.1}, \
-             \"estimated_per_record\": {:.1}, \"estimate_over_encoded\": {:.3}, \
+             \"encoded_per_record\": {:.1}, \
              \"encode_mb_per_sec\": {:.1}, \"decode_mb_per_sec\": {:.1}}}",
             self.kind,
             self.count,
             self.encoded,
-            self.estimated,
             per_rec(self.encoded),
-            per_rec(self.estimated),
-            self.estimated as f64 / self.encoded.max(1) as f64,
             self.encoded as f64 / 1e6 / self.encode_secs.max(1e-12),
             self.encoded as f64 / 1e6 / self.decode_secs.max(1e-12),
         )
@@ -62,7 +57,6 @@ impl Line {
 /// Encodes every record, checking the size contract and a bitwise decode,
 /// and returns the family's totals.
 fn measure<T: Wire + PartialEq>(kind: &'static str, records: &[T]) -> Line {
-    let estimated: u64 = records.iter().map(ByteSized::size_bytes).sum();
     let encoded: u64 = records.iter().map(Wire::encoded_size).sum();
 
     let start = Instant::now();
@@ -78,7 +72,7 @@ fn measure<T: Wire + PartialEq>(kind: &'static str, records: &[T]) -> Line {
     }
     let decode_secs = start.elapsed().as_secs_f64();
 
-    Line { kind, count: records.len() as u64, encoded, estimated, encode_secs, decode_secs }
+    Line { kind, count: records.len() as u64, encoded, encode_secs, decode_secs }
 }
 
 /// Per-codec totals for one shuffle record family — v2 (lossless framed),
@@ -144,11 +138,9 @@ fn fit_intermediate_codec(
     run.intermediate_bytes
 }
 
-/// `intermediate_bytes` of a short MapReduce fit under one sizing policy.
-fn fit_intermediate(estimated: bool, y: &SparseMat, d: usize, iters: usize) -> u64 {
-    let cfg = ClusterConfig::paper_cluster();
-    let cfg = if estimated { cfg.with_estimated_sizes() } else { cfg };
-    let cluster = SimCluster::new(cfg);
+/// `intermediate_bytes` of a short MapReduce fit.
+fn fit_intermediate(y: &SparseMat, d: usize, iters: usize) -> u64 {
+    let cluster = SimCluster::new(ClusterConfig::paper_cluster());
     let run = Spca::new(
         SpcaConfig::new(d)
             .with_max_iters(iters)
@@ -164,7 +156,7 @@ fn fit_intermediate(estimated: bool, y: &SparseMat, d: usize, iters: usize) -> u
 fn main() {
     let (_trace, smoke, out_path) = spca_bench::cli::bench_args(
         "bench_wire",
-        "Wire-codec benchmark: encoded bytes-per-record vs the ByteSized estimate",
+        "Wire-codec benchmark: encoded bytes-per-record under each codec",
         "Small shapes (quick CI sanity run)",
         &[],
     );
@@ -220,14 +212,7 @@ fn main() {
             checkpoint_line(&ckpt[0]),
         ];
         for l in &lines {
-            println!(
-                "  {:>12}: {:>6} records, {:>12} B encoded vs {:>12} B estimated ({:.3}x)",
-                l.kind,
-                l.count,
-                l.encoded,
-                l.estimated,
-                l.estimated as f64 / l.encoded.max(1) as f64
-            );
+            println!("  {:>12}: {:>6} records, {:>12} B encoded", l.kind, l.count, l.encoded);
         }
 
         // The v3 fast path, family by family. The term-count datasets are
@@ -259,13 +244,8 @@ fn main() {
             sparse.v3
         );
 
-        let enc_fit = fit_intermediate(false, y, d, iters);
-        let est_fit = fit_intermediate(true, y, d, iters);
-        assert!(enc_fit < est_fit, "{name}: encoded fit must undercut the estimate");
-        println!(
-            "  fit intermediate: {enc_fit} B encoded vs {est_fit} B estimated ({:.3}x)",
-            est_fit as f64 / enc_fit as f64
-        );
+        let enc_fit = fit_intermediate(y, d, iters);
+        println!("  fit intermediate: {enc_fit} B encoded");
 
         // End-to-end: the same short Spark fit under each shuffle codec.
         // The model is codec-invariant; only the byte meters move.
@@ -283,11 +263,10 @@ fn main() {
         let records = lines.iter().map(Line::json).collect::<Vec<_>>().join(",\n      ");
         let codecs = codec_lines.iter().map(CodecLine::json).collect::<Vec<_>>().join(",\n      ");
         dataset_jsons.push(format!(
-            "{{\n    \"name\": \"{name}\",\n    \"shape\": {{\"rows\": {}, \"cols\": {}, \"nnz\": {}}},\n    \"records\": [\n      {records}\n    ],\n    \"codecs\": [\n      {codecs}\n    ],\n    \"fit\": {{\"engine\": \"mapreduce\", \"iters\": {iters}, \"encoded_intermediate_bytes\": {enc_fit}, \"estimated_intermediate_bytes\": {est_fit}, \"estimate_over_encoded\": {:.3}}},\n    \"fit_by_codec\": {{\"engine\": \"spark\", \"iters\": {iters}, \"v2_bytes\": {fit_v2}, \"v3_bytes\": {fit_v3}, \"v3q_bytes\": {fit_v3q}, \"v2_over_v3\": {:.3}}}\n  }}",
+            "{{\n    \"name\": \"{name}\",\n    \"shape\": {{\"rows\": {}, \"cols\": {}, \"nnz\": {}}},\n    \"records\": [\n      {records}\n    ],\n    \"codecs\": [\n      {codecs}\n    ],\n    \"fit\": {{\"engine\": \"mapreduce\", \"iters\": {iters}, \"encoded_intermediate_bytes\": {enc_fit}}},\n    \"fit_by_codec\": {{\"engine\": \"spark\", \"iters\": {iters}, \"v2_bytes\": {fit_v2}, \"v3_bytes\": {fit_v3}, \"v3q_bytes\": {fit_v3q}, \"v2_over_v3\": {:.3}}}\n  }}",
             y.rows(),
             y.cols(),
             y.nnz(),
-            est_fit as f64 / enc_fit as f64,
             fit_v2 as f64 / fit_v3.max(1) as f64,
         ));
     }
@@ -303,8 +282,7 @@ fn main() {
 }
 
 /// The checkpoint is framed with its own magic rather than the `Wire`
-/// trait, so it gets a bespoke line: "estimated" is the fixed-header v1
-/// blob length the previous format produced.
+/// trait, so it gets a bespoke line.
 fn checkpoint_line(ck: &EmCheckpoint) -> Line {
     let start = Instant::now();
     let blob = ck.encode();
@@ -314,15 +292,5 @@ fn checkpoint_line(ck: &EmCheckpoint) -> Line {
     let back = EmCheckpoint::decode(&blob).expect("checkpoint decodes");
     let decode_secs = start.elapsed().as_secs_f64();
     assert_eq!(&back, ck, "checkpoint decode is not the identity");
-    // v1 layout: 8-byte magic, u32 version, three fixed u64 header ints,
-    // two f64 scalars, then the dense payload.
-    let v1_len = 8 + 4 + 3 * 8 + 2 * 8 + 8 * (ck.c.rows() * ck.c.cols()) as u64;
-    Line {
-        kind: "checkpoint",
-        count: 1,
-        encoded: blob.len() as u64,
-        estimated: v1_len,
-        encode_secs,
-        decode_secs,
-    }
+    Line { kind: "checkpoint", count: 1, encoded: blob.len() as u64, encode_secs, decode_secs }
 }

@@ -12,7 +12,8 @@
 //!
 //! With `--rebaseline`, the baselines are rewritten instead: every gated
 //! leaf whose dotted path matches a GLOB (`*` any run, `?` one character)
-//! takes the fresh value, every other byte stays, and nothing is written if
+//! takes the fresh value (or, when the fresh artifact has no such leaf, is
+//! removed), every other byte stays, and nothing is written if
 //! any file has a leaf outside the globs that fails its rule — a hash or
 //! byte move is spliced only where a PR names it — or if a GLOB matches no
 //! gated leaf (leaves the gate ignores are never spliced).

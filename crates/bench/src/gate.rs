@@ -318,11 +318,15 @@ pub fn glob_match(glob: &str, path: &str) -> bool {
 /// document's text, every other byte kept (ignored leaves too); with the
 /// paths that changed.
 ///
+/// A matching leaf with no fresh counterpart is removed, with the comma
+/// that joined it to its object, and listed as `"<path> (removed)"`.
+///
 /// Refused, with the gate's delta table, when a leaf matching no glob fails
 /// its rule (as [`compare`] judges it under `band`) — a rebaseline moves
-/// only what it names — or when a matching leaf has no fresh counterpart;
-/// and when a glob matches leaves of `base` but only ignored ones, whose
-/// splice would gate nothing.
+/// only what it names — or when a matching leaf to remove is an array
+/// element (removing it would renumber its siblings); and when a glob
+/// matches leaves of `base` but only ignored ones, whose splice would gate
+/// nothing.
 pub fn rebaseline(
     base: &str,
     fresh: &str,
@@ -352,16 +356,67 @@ pub fn rebaseline(
     let (mut out, mut kept_to, mut spliced) = (String::new(), 0, Vec::new());
     let gated = base_spans.into_iter().filter(|(p, _)| named(p) && classify(p) != Rule::Ignore);
     for (path, span) in gated {
-        let new = fresh_spans.get(&path).ok_or(format!("{path}: no fresh leaf to splice"))?;
-        if base[span.clone()] != fresh[new.clone()] {
-            out.push_str(&base[kept_to..span.start]);
-            out.push_str(&fresh[new.clone()]);
-            kept_to = span.end;
-            spliced.push(path);
-        }
+        let (cut, text, path) = match fresh_spans.get(&path) {
+            Some(new) if base[span.clone()] == fresh[new.clone()] => continue,
+            Some(new) => (span, &fresh[new.clone()], path),
+            None => match member_cut(base, span, kept_to) {
+                Some(cut) => (cut, "", format!("{path} (removed)")),
+                None => {
+                    return Err(format!(
+                        "{path}: no fresh leaf, and an array element cannot be removed"
+                    ))
+                }
+            },
+        };
+        out.push_str(&base[kept_to..cut.start]);
+        out.push_str(text);
+        kept_to = cut.end;
+        spliced.push(path);
     }
     out.push_str(&base[kept_to..]);
+    obs::json::parse(&out)?;
     Ok((out, spliced))
+}
+
+/// The bytes of `base` that remove the object member whose value spans
+/// `value`: the member and the comma before it, or — when no comma at or
+/// after `kept_to` (the end of the text already kept) precedes it, so it
+/// is the first member left — the member and the comma and blanks after
+/// it. `None` when the value is an array element.
+fn member_cut(
+    base: &str,
+    value: std::ops::Range<usize>,
+    kept_to: usize,
+) -> Option<std::ops::Range<usize>> {
+    let b = base.as_bytes();
+    let back = |mut i: usize| {
+        while i > 0 && b[i - 1].is_ascii_whitespace() {
+            i -= 1;
+        }
+        i
+    };
+    let ahead = |mut i: usize| {
+        while b.get(i).is_some_and(u8::is_ascii_whitespace) {
+            i += 1;
+        }
+        i
+    };
+    let colon = back(value.start).checked_sub(1).filter(|&i| b[i] == b':')?;
+    // The key's closing quote, then its opening one: the last quote before
+    // it that an even run of backslashes precedes.
+    let mut open = back(colon).checked_sub(1)?;
+    loop {
+        open = base[..open].rfind('"')?;
+        if b[..open].iter().rev().take_while(|&&c| c == b'\\').count() % 2 == 0 {
+            break;
+        }
+    }
+    let lead = back(open);
+    if lead > kept_to && b[lead - 1] == b',' {
+        return Some(lead - 1..value.end);
+    }
+    let next = ahead(value.end);
+    Some(open..if b.get(next) == Some(&b',') { ahead(next + 1) } else { value.end })
 }
 
 #[cfg(test)]
@@ -517,5 +572,25 @@ mod tests {
         assert_eq!(spliced, ["bytes"]);
         let refused = rebaseline(base, fresh, &["bytes", "*per_sec.count"], 0.05).unwrap_err();
         assert!(refused.contains("*per_sec.count matches no gated leaf"), "{refused}");
+
+        // A named leaf the fresh document lacks is removed with its comma,
+        // first, middle or last in its object; an unnamed one is refused.
+        let base = "{\"a\": 1, \"b\": {\"x\": 2, \"y\": 3}, \"c\": [4, 5]}";
+        let fresh = "{\"a\": 1, \"b\": {\"y\": 3}, \"c\": [4, 5]}";
+        let refused = rebaseline(base, fresh, &["a"], 0.05).unwrap_err();
+        assert!(refused.contains("b.x"), "{refused}");
+        let (text, spliced) = rebaseline(base, fresh, &["b.x"], 0.05).unwrap();
+        assert_eq!(text, fresh);
+        assert_eq!(spliced, ["b.x (removed)"]);
+        let base = "{\n  \"a\": 1,\n  \"b\": 2,\n  \"c\": 3\n}\n";
+        let (text, _) = rebaseline(base, "{\"b\": 2}", &["a", "c"], 0.05).unwrap();
+        assert_eq!(text, "{\n  \"b\": 2\n}\n");
+        let (text, _) = rebaseline(base, "{\"a\": 1, \"c\": 3}", &["b"], 0.05).unwrap();
+        assert_eq!(text, "{\n  \"a\": 1,\n  \"c\": 3\n}\n");
+        let (text, _) = rebaseline(base, "{}", &["*"], 0.05).unwrap();
+        assert_eq!(text, "{\n  \n}\n");
+        // Removing an array element would renumber its siblings.
+        let refused = rebaseline("{\"c\": [4, 5]}", "{\"c\": [4]}", &["c.1"], 0.05).unwrap_err();
+        assert!(refused.contains("array element"), "{refused}");
     }
 }

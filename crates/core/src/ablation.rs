@@ -7,7 +7,6 @@
 //! the ablation reusable (and testable) outside the bench harness.
 
 use dcluster::{Load, Meter, SimCluster, StageOptions};
-use linalg::bytes::ByteSized;
 use linalg::wire::{Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
 use sparkle::SparkleContext;
@@ -41,12 +40,6 @@ impl AblationResult {
 
 struct Scalar(f64);
 
-impl ByteSized for Scalar {
-    fn size_bytes(&self) -> u64 {
-        8
-    }
-}
-
 impl Wire for Scalar {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.0.encode_into(out);
@@ -62,12 +55,6 @@ impl Wire for Scalar {
 }
 
 struct SmallMat(Mat);
-
-impl ByteSized for SmallMat {
-    fn size_bytes(&self) -> u64 {
-        ByteSized::size_bytes(&self.0)
-    }
-}
 
 impl Wire for SmallMat {
     fn encode_into(&self, out: &mut Vec<u8>) {

@@ -47,7 +47,6 @@
 //! accumulator is preserved verbatim in [`rowwise`] as the ablation arm
 //! `bench_em` measures against.
 
-use linalg::bytes::ByteSized;
 use linalg::kernels;
 use linalg::sparse::{Block, SparseRow};
 use linalg::wire::{self, Wire, WireError, WireReader};
@@ -365,14 +364,6 @@ pub fn xtx_from_ytx(cm: &Mat, ytx: &Mat) -> Mat {
     xtx.add_assign(&a);
     xtx.scale(0.5);
     xtx
-}
-
-impl ByteSized for YtxPartial {
-    fn size_bytes(&self) -> u64 {
-        let d = self.d() as u64;
-        let rows: u64 = self.cols.len() as u64 * (4 + 8 * d);
-        rows + 8 * d + 8
-    }
 }
 
 /// Wire layout: `Σx` first (its length prefix is `d`), the touched
@@ -1002,10 +993,11 @@ mod tests {
     #[test]
     fn byte_size_reflects_sparsity() {
         let mut p = YtxPartial::new(4);
-        let before = p.size_bytes();
+        let before = p.encoded_size();
         let y = SparseMat::from_triplets(1, 10, &[(0, 2, 1.0)]);
         let cm = Mat::zeros(10, 4);
         p.add_row(y.row(0), &cm, &[0.0; 4]);
-        assert_eq!(p.size_bytes() - before, 4 + 8 * 4);
+        // One touched column: a one-byte index and a d-wide row.
+        assert_eq!(p.encoded_size() - before, 1 + 8 * 4);
     }
 }

@@ -27,9 +27,8 @@
 use std::sync::Arc;
 
 use dcluster::{Load, Meter, SimCluster};
-use linalg::bytes::ByteSized;
 use linalg::sparse::{Block, PartitionBlock};
-use linalg::wire::{self, Sizing, Wire, WireError, WireReader};
+use linalg::wire::{self, Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 
@@ -52,15 +51,6 @@ pub enum MrKey {
     Count,
     /// One key per touched `YtX` row — spreads across reducers.
     Row(u32),
-}
-
-impl ByteSized for MrKey {
-    fn size_bytes(&self) -> u64 {
-        match self {
-            MrKey::Row(_) => 5,
-            _ => 1,
-        }
-    }
 }
 
 /// Wire layout: one tag byte, plus a varint row index for [`MrKey::Row`].
@@ -171,12 +161,6 @@ impl AsRef<[f64]> for RowView {
     }
 }
 
-impl ByteSized for RowView {
-    fn size_bytes(&self) -> u64 {
-        Sizing::Estimated.f64_payload(self.len)
-    }
-}
-
 /// Byte for byte the `Vec<f64>` layouts (v2, and v3 exact / quantized).
 impl Wire for RowView {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -186,7 +170,7 @@ impl Wire for RowView {
         }
     }
     fn encoded_size(&self) -> u64 {
-        Sizing::Encoded.f64_payload(self.len)
+        wire::f64_payload_len(self.len)
     }
     fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
         Vec::<f64>::decode_from(r).map(RowView::whole)
@@ -273,9 +257,9 @@ impl EmJobs for MrJobs<'_> {
 
     fn ytx_job(&mut self, cm: &Mat, xm: &[f64]) -> YtxPartial {
         // Distributed-cache shipment of the broadcast matrices (CM, Xm),
-        // priced under the cluster's sizing policy.
+        // at their encoded sizes.
         let cluster = self.engine.cluster();
-        let bytes = cluster.wire_size(cm) + cluster.sizing().f64_payload(xm.len());
+        let bytes = cm.encoded_size() + wire::f64_payload_len(xm.len());
         cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
         let job = YtXJob { cm, xm, d: self.d };
         let before = ytx_counter_snapshot();
@@ -335,8 +319,8 @@ fn fit_with_input(
     // HDFS-materialized input: MapReduce recovery re-reads failed tasks'
     // splits from here (sized per task by the engine), and node crashes
     // re-replicate it like any other file — sized at its encoded CSR
-    // length under the default policy, so re-reads match the real file.
-    cluster.dfs().seed(cluster, input_file, cluster.wire_size(y));
+    // length, so re-reads match the real file.
+    cluster.dfs().seed(cluster, input_file, y.encoded_size());
 
     let error_sample = crate::accuracy::sample_rows(y, config.error_sample_rows, config.seed);
     let engine = MapReduceEngine::new(cluster);
@@ -408,7 +392,6 @@ mod tests {
             for view in [RowView::whole(row.clone()), inside] {
                 assert_eq!(view.encode(), row.encode());
                 assert_eq!(view.encoded_size(), row.encoded_size());
-                assert_eq!(view.size_bytes(), row.size_bytes());
                 for quantize in [false, true] {
                     assert_eq!(view.encode_v3(quantize), row.encode_v3(quantize));
                     assert_eq!(view.encoded_size_v3(quantize), row.encoded_size_v3(quantize));

@@ -83,7 +83,7 @@
 use dcluster::{Load, Meter, SimCluster};
 use linalg::decomp::singular_basis;
 use linalg::sparse::{Block, PartitionBlock};
-use linalg::Mat;
+use linalg::{wire, Mat, Wire};
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 
 use crate::checkpoint;
@@ -406,7 +406,7 @@ impl RpcaJobs for MrRpcaJobs<'_> {
         // Distributed-cache shipment of W and the shift vector (each MR
         // job re-reads its cache; nothing persists across jobs).
         let cluster = self.engine.cluster();
-        let bytes = cluster.wire_size(w) + cluster.sizing().f64_payload(shift.len());
+        let bytes = w.encoded_size() + wire::f64_payload_len(shift.len());
         cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
         let job = PassJob { w, shift };
         let (out, _) =

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use dcluster::events::{ns_to_secs, secs_to_ns, EventQueue, SimNanos};
 use dcluster::jobs::{percentile, schedule_jobs, JobSpec, ScheduleOutcome};
 use dcluster::{Load, Meter, SimCluster};
-use linalg::{Mat, SparseMat};
+use linalg::{wire, Mat, SparseMat, Wire};
 
 use crate::config::SpcaConfig;
 use crate::error::SpcaError;
@@ -292,10 +292,10 @@ fn fit_runtime_secs(job: &FitJob, flops_per_sec_per_core: f64) -> f64 {
 }
 
 /// Encoded size of a model on the wire: `C` (D×d), `μ` (D), `ss`.
-fn model_wire_bytes(cluster: &SimCluster, model: &PcaModel) -> u64 {
+fn model_wire_bytes(model: &PcaModel) -> u64 {
     let d_in = model.input_dim() as u64;
     let d = model.output_dim() as u64;
-    cluster.sizing().f64_payload((d_in * d + d_in + 1) as usize)
+    wire::f64_payload_len((d_in * d + d_in + 1) as usize)
 }
 
 /// One precomputed serve batch: arrival, routing salt, modeled service
@@ -369,8 +369,8 @@ impl Stream<'_> {
         let flops = (2 * req.nnz() * d + 2 * d * serve.batch_rows) as f64;
         // Wire pricing: the request is the encoded sparse batch, the
         // response a dense rows×d payload.
-        let req_bytes = cluster.wire_size(&req);
-        let resp_bytes = cluster.sizing().f64_payload(serve.batch_rows * d);
+        let req_bytes = req.encoded_size();
+        let resp_bytes = wire::f64_payload_len(serve.batch_rows * d);
         let wire_secs = cluster.link_secs(req_bytes + resp_bytes);
         let service_ns = secs_to_ns(flops / spec.flops_per_sec_per_core + wire_secs);
         Batch { tenant: t, index: k as u64, arrival_ns, service_ns, req_bytes, resp_bytes, checksum }
@@ -464,7 +464,7 @@ pub fn run_serving(cluster: &SimCluster, spec: &ServeSpec) -> Result<ServingOutc
     // ---- Phase 3: precompute every batch (real transforms). -------------
     let model_bytes: Vec<u64> = models
         .iter()
-        .map(|m| m.as_ref().map_or(0, |m| model_wire_bytes(cluster, m)))
+        .map(|m| m.as_ref().map_or(0, model_wire_bytes))
         .collect();
     let mut streams: Vec<Stream<'_>> = Vec::new();
     for (t, tenant) in spec.tenants.iter().enumerate() {
@@ -887,8 +887,8 @@ mod tests {
                         }
                     }
                     let views: Vec<_> = window.iter().map(|&r| pool.row(r)).collect();
-                    let req_bytes = cluster.wire_size(&SparseMat::from_row_views(12, &views));
-                    let resp_bytes = cluster.sizing().f64_payload(batch_rows * d);
+                    let req_bytes = SparseMat::from_row_views(12, &views).encoded_size();
+                    let resp_bytes = wire::f64_payload_len(batch_rows * d);
                     let wire_secs = (req_bytes + resp_bytes) as f64
                         / cluster.config().network_bytes_per_sec;
                     let service_ns = secs_to_ns(flops / spec.flops_per_sec_per_core + wire_secs);

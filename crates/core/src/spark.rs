@@ -28,7 +28,6 @@
 //! loop ([`crate::driver`]).
 
 use dcluster::{Load, Meter, SimCluster};
-use linalg::bytes::ByteSized;
 use linalg::sparse::{Block, PartitionBlock, RowRecords, SparseRow};
 use linalg::wire::{self, Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
@@ -58,12 +57,6 @@ impl SpRow {
     /// Borrowed view compatible with the linalg kernels.
     pub fn view(&self) -> SparseRow<'_> {
         SparseRow { indices: &self.indices, values: &self.values }
-    }
-}
-
-impl ByteSized for SpRow {
-    fn size_bytes(&self) -> u64 {
-        (self.indices.len() * 12 + 8) as u64
     }
 }
 
@@ -125,12 +118,6 @@ pub fn to_rows(y: &SparseMat) -> Vec<SpRow> {
 #[derive(Debug, Clone, Copy, Default)]
 struct Scalar(f64);
 
-impl ByteSized for Scalar {
-    fn size_bytes(&self) -> u64 {
-        8
-    }
-}
-
 impl Wire for Scalar {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.0.encode_into(out);
@@ -145,12 +132,6 @@ impl Wire for Scalar {
 
 /// Dense vector accumulator (column sums of the mean job).
 struct DenseAcc(Vec<f64>);
-
-impl ByteSized for DenseAcc {
-    fn size_bytes(&self) -> u64 {
-        8 + 8 * self.0.len() as u64
-    }
-}
 
 impl Wire for DenseAcc {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -233,10 +214,10 @@ impl EmJobs for SparkJobs<'_> {
 
     fn ytx_job(&mut self, cm: &Mat, xm: &[f64]) -> YtxPartial {
         // Broadcast the iteration's in-memory matrices (Section 3.3) to
-        // every node: CM (D×d) and Xm (d), priced under the cluster's
-        // sizing policy like every other metered value.
+        // every node: CM (D×d) and Xm (d), at their encoded sizes like
+        // every other metered value.
         let cluster = self.rdd.cluster();
-        let bytes = cluster.wire_size(cm) + cluster.sizing().f64_payload(xm.len());
+        let bytes = cm.encoded_size() + wire::f64_payload_len(xm.len());
         cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
         let d = self.d;
         let before = ytx_counter_snapshot();
@@ -308,7 +289,7 @@ impl RpcaJobs for SparkJobs<'_> {
         // node — the fat part of the fat pass, priced like every other
         // broadcast.
         let cluster = self.rdd.cluster();
-        let bytes = cluster.wire_size(w) + cluster.sizing().f64_payload(shift.len());
+        let bytes = w.encoded_size() + wire::f64_payload_len(shift.len());
         cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
         // A streaming collect: partials reach the fold in partition order
         // while the stage runs, charged one flow per partition — the
@@ -342,7 +323,7 @@ pub fn transform(
 
     let cm = model.latent_projection()?;
     let xm = cm.vecmat(model.mean());
-    let bytes = cluster.wire_size(&cm) + cluster.sizing().f64_payload(xm.len());
+    let bytes = cm.encoded_size() + wire::f64_payload_len(xm.len());
     cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
 
     let latent = rdd.map_partitions("transform", |part| {
@@ -391,7 +372,7 @@ fn fit_with_input(
     // both what lineage recomputation re-reads after a cache loss and what
     // node crashes re-replicate — sized at its encoded CSR length so
     // re-reads and re-replication charge the same bytes a real file holds.
-    cluster.dfs().seed(cluster, input_file, cluster.wire_size(y));
+    cluster.dfs().seed(cluster, input_file, y.encoded_size());
 
     // Build and persist the input RDD (cached across all passes), one
     // analysed block per partition, with the lineage that rebuilds any
@@ -439,7 +420,6 @@ mod tests {
         let rows = to_rows(&y);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].indices, vec![1, 4]);
-        assert_eq!(rows[0].size_bytes(), 32);
         // Encoded: varint nnz (1) + indices 1,Δ2 (2) + two raw f64 (16).
         assert_eq!(rows[0].encoded_size(), 19);
         assert_eq!(rows[0].encode().len(), 19);
@@ -490,21 +470,19 @@ mod tests {
     fn cached_blocks_are_priced_as_the_rows_they_replace() {
         let mut rng = linalg::Prng::seed_from_u64(9);
         let y = datasets::sparse_lowrank(&datasets::LowRankSpec::small_test(), &mut rng);
-        for sizing in [linalg::Sizing::Encoded, linalg::Sizing::Estimated] {
-            for (p, split) in y.split_rows(7).into_iter().enumerate() {
-                // Spark: one element per partition, sized as its rows.
-                let cached = partition_block(&y, 7, p);
-                let rows: u64 = to_rows(&split).iter().map(|r| sizing.size_of(r)).sum();
-                assert_eq!(sizing.size_of(&cached), rows, "{sizing:?} partition {p}");
-                let records: Vec<u8> = to_rows(&split).iter().flat_map(|r| r.encode()).collect();
-                assert_eq!(cached.encode(), records);
-                // The lineage rebuild is the element the split cached.
-                assert_eq!(cached, RowRecords(PartitionBlock::new(split.clone())));
-                assert_eq!(cached.0.csr().rows(), partition_range(y.rows(), 7, p).1);
-                // MapReduce: the split is sized as its CSR block.
-                let block = PartitionBlock::new(split.clone());
-                assert_eq!(sizing.size_of(&block), sizing.size_of(&split));
-            }
+        for (p, split) in y.split_rows(7).into_iter().enumerate() {
+            // Spark: one element per partition, sized as its rows.
+            let cached = partition_block(&y, 7, p);
+            let rows: u64 = to_rows(&split).iter().map(Wire::encoded_size).sum();
+            assert_eq!(cached.encoded_size(), rows, "partition {p}");
+            let records: Vec<u8> = to_rows(&split).iter().flat_map(|r| r.encode()).collect();
+            assert_eq!(cached.encode(), records);
+            // The lineage rebuild is the element the split cached.
+            assert_eq!(cached, RowRecords(PartitionBlock::new(split.clone())));
+            assert_eq!(cached.0.csr().rows(), partition_range(y.rows(), 7, p).1);
+            // MapReduce: the split is sized as its CSR block.
+            let block = PartitionBlock::new(split.clone());
+            assert_eq!(block.encoded_size(), split.encoded_size());
         }
     }
 

@@ -1,16 +1,14 @@
 //! Differential determinism of the wire codec.
 //!
-//! The sizing policy decides *what the meters charge* — never *what is
+//! The shuffle codec decides *what the meters charge* — never *what is
 //! computed*. These tests pin that contract from both sides:
 //!
-//! 1. **Codec transparency** — `fit()` with the real wire codec
-//!    (`Sizing::Encoded`, the default) produces a model bitwise identical
-//!    to the legacy estimated-size path, on both engines. Encoding values
-//!    for metering must never perturb the arithmetic.
-//! 2. **Meter divergence** — the same pair of runs must *disagree* on
-//!    intermediate bytes (and the encoded run must be cheaper at these
-//!    shapes), proving the codec is actually engaged rather than silently
-//!    falling back to estimates.
+//! 1. **Codec transparency** — `fit()` under the v2, v3 and quantized v3
+//!    shuffle codecs produces bitwise the same model, on both engines.
+//!    Encoding values for metering must never perturb the arithmetic.
+//! 2. **Meter divergence** — the quantized run must charge fewer
+//!    intermediate bytes than the v2 one, proving the codec is actually
+//!    engaged rather than silently falling back to v2.
 //! 3. **Composition** — the equivalence holds across 1/2/8 host worker
 //!    threads and under the chaos fault plan from `faults.rs`.
 //! 4. **Durability** — the encoded checkpoint blob on the DFS survives a
@@ -20,7 +18,7 @@
 use std::sync::Arc;
 
 use dcluster::{ClusterConfig, FaultPlan, FaultSpec, SimCluster};
-use linalg::{Prng, SparseMat, WorkerPool};
+use linalg::{Prng, SparseMat, WireCodec, WorkerPool};
 use spca_core::checkpoint::{EmCheckpoint, CHECKPOINT_FILE};
 use spca_core::{Spca, SpcaConfig, SpcaError, SpcaRun};
 
@@ -30,12 +28,10 @@ fn test_matrix(seed: u64) -> SparseMat {
     datasets::sparse_lowrank(&spec, &mut rng)
 }
 
-fn encoded_cluster() -> SimCluster {
-    SimCluster::new(ClusterConfig::paper_cluster())
-}
+const CODECS: [WireCodec; 3] = [WireCodec::V2, WireCodec::V3, WireCodec::V3Quantized];
 
-fn estimated_cluster() -> SimCluster {
-    SimCluster::new(ClusterConfig::paper_cluster().with_estimated_sizes())
+fn codec_cluster(codec: WireCodec) -> SimCluster {
+    SimCluster::new(ClusterConfig::paper_cluster().with_wire_codec(codec))
 }
 
 fn model_bits(run: &SpcaRun) -> (Vec<u64>, Vec<u64>, u64) {
@@ -67,74 +63,77 @@ const SPARK_CRASHES: [u64; 3] = [2, 2, 3];
 const MR_CRASHES: [u64; 3] = [2, 3, 5];
 
 #[test]
-fn spark_fit_is_bitwise_identical_across_sizing_policies() {
+fn spark_fit_is_bitwise_identical_across_codecs() {
     let y = test_matrix(41);
     let config = SpcaConfig::new(3).with_max_iters(5).with_rel_tolerance(None);
 
-    let encoded = Spca::new(config.clone()).fit_spark(&encoded_cluster(), &y).unwrap();
-    let estimated = Spca::new(config).fit_spark(&estimated_cluster(), &y).unwrap();
-
-    assert_eq!(
-        model_bits(&encoded),
-        model_bits(&estimated),
-        "the sizing policy leaked into the Spark arithmetic"
-    );
-    assert_eq!(encoded.iterations.len(), estimated.iterations.len());
-    assert_ne!(
-        encoded.intermediate_bytes, estimated.intermediate_bytes,
-        "identical byte totals mean the codec never engaged"
-    );
+    let runs =
+        CODECS.map(|codec| Spca::new(config.clone()).fit_spark(&codec_cluster(codec), &y).unwrap());
+    let v2 = &runs[0];
+    for (codec, run) in CODECS.iter().zip(&runs) {
+        assert_eq!(
+            model_bits(v2),
+            model_bits(run),
+            "the {codec} codec leaked into the Spark arithmetic"
+        );
+        assert_eq!(v2.iterations.len(), run.iterations.len());
+    }
+    let v3q = &runs[2];
     assert!(
-        encoded.intermediate_bytes < estimated.intermediate_bytes,
-        "varint + delta encoding must beat the flat estimate at paper shapes \
-         ({} encoded vs {} estimated)",
-        encoded.intermediate_bytes,
-        estimated.intermediate_bytes
+        v3q.intermediate_bytes < v2.intermediate_bytes,
+        "f32 payloads must undercut raw f64 ones ({} v3q vs {} v2): \
+         equal totals mean the codec never engaged",
+        v3q.intermediate_bytes,
+        v2.intermediate_bytes
     );
 }
 
 #[test]
-fn mapreduce_fit_is_bitwise_identical_across_sizing_policies() {
+fn mapreduce_fit_is_bitwise_identical_across_codecs() {
     let y = test_matrix(42);
     let config = SpcaConfig::new(3).with_max_iters(4).with_rel_tolerance(None);
 
-    let encoded = Spca::new(config.clone()).fit_mapreduce(&encoded_cluster(), &y).unwrap();
-    let estimated = Spca::new(config).fit_mapreduce(&estimated_cluster(), &y).unwrap();
-
-    assert_eq!(
-        model_bits(&encoded),
-        model_bits(&estimated),
-        "the sizing policy leaked into the MapReduce arithmetic"
-    );
-    assert_ne!(encoded.intermediate_bytes, estimated.intermediate_bytes);
-    assert!(encoded.intermediate_bytes < estimated.intermediate_bytes);
+    let runs = CODECS.map(|codec| {
+        Spca::new(config.clone()).fit_mapreduce(&codec_cluster(codec), &y).unwrap()
+    });
+    for (codec, run) in CODECS.iter().zip(&runs) {
+        assert_eq!(
+            model_bits(&runs[0]),
+            model_bits(run),
+            "the {codec} codec leaked into the MapReduce arithmetic"
+        );
+    }
+    assert!(runs[2].intermediate_bytes < runs[0].intermediate_bytes);
 }
 
 #[test]
-fn mapreduce_sizing_equivalence_survives_chaos() {
+fn mapreduce_codec_equivalence_survives_chaos() {
     let y = test_matrix(43);
     let config = SpcaConfig::new(2).with_max_iters(4).with_rel_tolerance(None);
 
-    let run_with = |cfg: ClusterConfig| {
-        let c = SimCluster::new(cfg);
+    let run_with = |codec: WireCodec| {
+        let c = codec_cluster(codec);
         let (spec, plan) = chaos_spec_and_plan(MR_CRASHES);
         c.install_fault_plan(spec, plan).unwrap();
         let run = Spca::new(config.clone()).fit_mapreduce(&c, &y).unwrap();
         (c.recovery_log(), model_bits(&run))
     };
 
-    let encoded = run_with(ClusterConfig::paper_cluster());
-    let estimated = run_with(ClusterConfig::paper_cluster().with_estimated_sizes());
-    assert_eq!(encoded.0, estimated.0, "fault recovery diverged across sizing policies");
-    assert_eq!(encoded.1, estimated.1, "MapReduce model diverged under chaos");
+    let base = run_with(WireCodec::V2);
+    for codec in CODECS {
+        let other = run_with(codec);
+        assert_eq!(base.0, other.0, "fault recovery diverged under the {codec} codec");
+        assert_eq!(base.1, other.1, "MapReduce model diverged under chaos and the {codec} codec");
+    }
 }
 
 #[test]
-fn sizing_equivalence_survives_worker_pools_and_chaos() {
+fn codec_equivalence_survives_worker_pools_and_chaos() {
     let y = test_matrix(44);
     let config = SpcaConfig::new(2).with_max_iters(4).with_rel_tolerance(None);
 
-    let run_with = |workers: usize, cfg: ClusterConfig| {
+    let run_with = |workers: usize, codec: WireCodec| {
+        let cfg = ClusterConfig::paper_cluster().with_wire_codec(codec);
         let c = SimCluster::new_with_pool(cfg, Arc::new(WorkerPool::new(workers)));
         let (spec, plan) = chaos_spec_and_plan(SPARK_CRASHES);
         c.install_fault_plan(spec, plan).unwrap();
@@ -142,23 +141,12 @@ fn sizing_equivalence_survives_worker_pools_and_chaos() {
         (c.recovery_log(), model_bits(&run))
     };
 
-    let base = run_with(1, ClusterConfig::paper_cluster());
+    let base = run_with(1, WireCodec::V2);
     for workers in [1, 2, 8] {
-        for estimated in [false, true] {
-            let cfg = if estimated {
-                ClusterConfig::paper_cluster().with_estimated_sizes()
-            } else {
-                ClusterConfig::paper_cluster()
-            };
-            let other = run_with(workers, cfg);
-            assert_eq!(
-                base.0, other.0,
-                "recovery log diverged at {workers} workers (estimated={estimated})"
-            );
-            assert_eq!(
-                base.1, other.1,
-                "model diverged at {workers} workers (estimated={estimated})"
-            );
+        for codec in CODECS {
+            let other = run_with(workers, codec);
+            assert_eq!(base.0, other.0, "recovery log diverged at {workers} workers ({codec})");
+            assert_eq!(base.1, other.1, "model diverged at {workers} workers ({codec})");
         }
     }
 }
@@ -166,7 +154,7 @@ fn sizing_equivalence_survives_worker_pools_and_chaos() {
 #[test]
 fn encoded_checkpoint_survives_crash_and_re_replication_then_decodes() {
     let y = test_matrix(45);
-    let c = encoded_cluster();
+    let c = codec_cluster(WireCodec::V2);
     let config = SpcaConfig::new(3)
         .with_max_iters(6)
         .with_checkpoint_every(2)

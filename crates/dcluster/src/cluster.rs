@@ -546,36 +546,12 @@ impl SimCluster {
         &self.cfg
     }
 
-    /// The byte-sizing policy metered traffic is priced under.
-    #[inline]
-    pub fn sizing(&self) -> linalg::Sizing {
-        self.cfg.byte_sizing
-    }
-
-    /// Metered size of `value` under this cluster's sizing policy:
-    /// real `Wire::encoded_size()` by default, the legacy `ByteSized`
-    /// estimate when the config selects [`linalg::Sizing::Estimated`].
-    #[inline]
-    pub fn wire_size<T: linalg::Wire>(&self, value: &T) -> u64 {
-        self.cfg.byte_sizing.size_of(value)
-    }
-
     /// The negotiated shuffle codec. Only shuffle-family charge sites
-    /// consult this; everything else prices exact v2 via [`wire_size`].
-    ///
-    /// [`wire_size`]: SimCluster::wire_size
+    /// consult it ([`linalg::WireCodec::shuffle_size`]); everything else
+    /// charges exact v2 ([`linalg::Wire::encoded_size`]).
     #[inline]
     pub fn wire_codec(&self) -> linalg::WireCodec {
         self.cfg.wire_codec
-    }
-
-    /// Metered size of a shuffle-family record: the negotiated codec's
-    /// encoded length under [`Sizing::Encoded`](linalg::Sizing::Encoded),
-    /// or the flat legacy estimate under `Estimated` (codec-independent,
-    /// so the differential-sizing tests keep one fixed reference).
-    #[inline]
-    pub fn shuffle_size<T: linalg::Wire>(&self, value: &T) -> u64 {
-        self.cfg.wire_codec.shuffle_size_of(self.cfg.byte_sizing, value)
     }
 
     fn faults_lock(&self) -> MutexGuard<'_, FaultDomain> {

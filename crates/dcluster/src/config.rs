@@ -43,17 +43,16 @@ pub struct ClusterConfig {
     /// last replica there are lost and reads fail with
     /// [`ClusterError::BlockLost`].
     pub dfs_replication: usize,
-    /// How the byte meters price metered values: real `wire` encoded
-    /// lengths (default) or the legacy flat `ByteSized` estimates. Only
-    /// moves byte counters and the virtual clock — fitted models are
-    /// bitwise identical under either policy.
+    /// Always [`Sizing::Encoded`], the one pricing left. Only the frozen
+    /// benchmark replay (`benchmark/src/replay.rs`) reads it; ROADMAP item
+    /// 1(a) deletes it.
     pub byte_sizing: Sizing,
     /// Which frame generation shuffle-family records are priced in: exact
     /// v2 (default), bitpacked v3, or v3 with lossy `f32` payload
     /// quantization. Applies only to shuffle charge sites — broadcasts,
-    /// collects, DFS blocks and checkpoints always stay exact v2. Like
-    /// `byte_sizing`, this moves byte meters and the virtual clock only;
-    /// fitted models are bitwise identical under every codec.
+    /// collects, DFS blocks and checkpoints always stay exact v2. This
+    /// moves byte meters and the virtual clock only; fitted models are
+    /// bitwise identical under every codec.
     pub wire_codec: WireCodec,
     /// How metered bytes turn into virtual time: the legacy arithmetic
     /// full-aggregate-bandwidth model (default), or the discrete-event
@@ -176,21 +175,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style override of the byte-sizing policy.
-    pub fn with_byte_sizing(mut self, sizing: Sizing) -> Self {
-        self.byte_sizing = sizing;
-        self
-    }
-
     /// Builder-style override of the shuffle wire codec.
     pub fn with_wire_codec(mut self, codec: WireCodec) -> Self {
         self.wire_codec = codec;
         self
-    }
-
-    /// Builder-style shorthand for the legacy estimate-based meters.
-    pub fn with_estimated_sizes(self) -> Self {
-        self.with_byte_sizing(Sizing::Estimated)
     }
 
     /// Builder-style override of the task failure rate.
@@ -317,7 +305,6 @@ impl ClusterConfig {
                 "cluster.admission_queue_capacity".into(),
                 self.admission_queue_capacity.to_string(),
             ),
-            ("cluster.byte_sizing".into(), format!("{:?}", self.byte_sizing).to_lowercase()),
             ("cluster.cores_per_node".into(), self.cores_per_node.to_string()),
             ("cluster.dfs_replication".into(), self.dfs_replication.to_string()),
             ("cluster.disk_bytes_per_sec".into(), format!("{}", self.disk_bytes_per_sec)),
@@ -376,9 +363,6 @@ mod tests {
         let c = c.with_dfs_replication(2).with_task_retry_delay(0.5);
         assert_eq!(c.dfs_replication, 2);
         assert_eq!(c.task_retry_delay_secs, 0.5);
-        assert_eq!(c.byte_sizing, Sizing::Encoded);
-        let c = c.with_estimated_sizes();
-        assert_eq!(c.byte_sizing, Sizing::Estimated);
         assert_eq!(c.wire_codec, WireCodec::V2);
         let c = c.with_wire_codec(WireCodec::V3Quantized);
         assert_eq!(c.wire_codec, WireCodec::V3Quantized);

@@ -5,7 +5,7 @@
 /// Both models consume the same byte meters and produce the same fitted
 /// models — the choice moves *only* virtual time (and, under
 /// [`TimingModel::Contended`], per-link contention statistics). That is
-/// the same contract `byte_sizing` and `wire_codec` already honor, and it
+/// the same contract `wire_codec` already honors, and it
 /// is what keeps `fit()` bitwise identical across timing models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimingModel {

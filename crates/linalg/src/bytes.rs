@@ -1,142 +1,14 @@
-//! Legacy flat byte-size estimates for shuffle metering.
+//! The retired flat byte-size estimate, kept as a bare trait.
 //!
-//! The cluster simulator charges network and disk time per byte moved, and
-//! the paper's headline "intermediate data" numbers (961 GB vs 131 MB on
-//! Tweets) are byte counts of exactly this kind. Metered paths now charge
-//! real *encoded* lengths from the [`crate::wire`] codec (varint + delta
-//! indices, raw-IEEE-bits f64 payloads); this trait keeps the original
-//! flat arithmetic — 8 bytes per `f64`/`u64`, 12 bytes per sparse entry
-//! (4-byte index + 8-byte value) — as the [`crate::wire::Sizing::Estimated`]
-//! policy, used for differential tests and for quoting the paper's own
-//! uncompressed accounting.
-//!
-//! The trait lives in `linalg` (the bottom crate) so that matrix types can
-//! implement it without a dependency cycle; it has no other coupling to
-//! linear algebra.
+//! Every meter charges real encoded lengths from the [`crate::wire`] codec.
+//! No type in the workspace implements this trait any more; it stays only
+//! because the frozen benchmark replay (`benchmark/src/replay.rs`) still
+//! implements it for its own payload type. ROADMAP item 1(a) retires the
+//! replay, and this module goes with it.
 
-use crate::dense::Mat;
-use crate::sparse::SparseMat;
-
-/// Estimated serialized size of a value, in bytes.
+/// A flat per-value byte estimate. Only the frozen benchmark replay
+/// implements it; ROADMAP item 1(a) deletes it.
 pub trait ByteSized {
-    /// Number of bytes this value occupies on the (simulated) wire.
+    /// Estimated bytes this value occupies on the (simulated) wire.
     fn size_bytes(&self) -> u64;
-}
-
-impl ByteSized for f64 {
-    fn size_bytes(&self) -> u64 {
-        8
-    }
-}
-
-impl ByteSized for u64 {
-    fn size_bytes(&self) -> u64 {
-        8
-    }
-}
-
-impl ByteSized for u32 {
-    fn size_bytes(&self) -> u64 {
-        4
-    }
-}
-
-impl ByteSized for usize {
-    fn size_bytes(&self) -> u64 {
-        8
-    }
-}
-
-impl ByteSized for () {
-    fn size_bytes(&self) -> u64 {
-        0
-    }
-}
-
-impl<A: ByteSized, B: ByteSized> ByteSized for (A, B) {
-    fn size_bytes(&self) -> u64 {
-        self.0.size_bytes() + self.1.size_bytes()
-    }
-}
-
-impl<T: ByteSized> ByteSized for Vec<T> {
-    fn size_bytes(&self) -> u64 {
-        // 8-byte length prefix plus elements.
-        8 + self.iter().map(ByteSized::size_bytes).sum::<u64>()
-    }
-}
-
-impl<T: ByteSized> ByteSized for Option<T> {
-    fn size_bytes(&self) -> u64 {
-        1 + self.as_ref().map_or(0, ByteSized::size_bytes)
-    }
-}
-
-impl ByteSized for Mat {
-    fn size_bytes(&self) -> u64 {
-        16 + Mat::size_bytes(self)
-    }
-}
-
-impl ByteSized for SparseMat {
-    fn size_bytes(&self) -> u64 {
-        16 + SparseMat::size_bytes(self)
-    }
-}
-
-/// A sparse vector on the wire: `(index, value)` pairs.
-///
-/// Used by sPCA-Spark's `YtX` accumulator, which ships only the non-zero
-/// rows of each per-row update (Section 4.2: "we only pass the indices of
-/// the sparse entries … reducing O(D×d) to O(z×d)").
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SparseUpdate {
-    /// `(row index, dense row payload)` pairs.
-    pub entries: Vec<(u32, Vec<f64>)>,
-}
-
-impl ByteSized for SparseUpdate {
-    fn size_bytes(&self) -> u64 {
-        8 + self
-            .entries
-            .iter()
-            .map(|(_, row)| 4 + 8 * row.len() as u64)
-            .sum::<u64>()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn primitive_sizes() {
-        assert_eq!(1.0_f64.size_bytes(), 8);
-        assert_eq!(7_u64.size_bytes(), 8);
-        assert_eq!(7_u32.size_bytes(), 4);
-        assert_eq!(().size_bytes(), 0);
-        assert_eq!((1.0_f64, 2_u32).size_bytes(), 12);
-    }
-
-    #[test]
-    fn vec_has_length_prefix() {
-        let v = vec![1.0_f64, 2.0, 3.0];
-        assert_eq!(v.size_bytes(), 8 + 24);
-        let empty: Vec<f64> = vec![];
-        assert_eq!(empty.size_bytes(), 8);
-    }
-
-    #[test]
-    fn matrix_sizes_scale_with_payload() {
-        let m = Mat::zeros(10, 10);
-        assert_eq!(ByteSized::size_bytes(&m), 16 + 800);
-        let s = SparseMat::from_triplets(4, 4, &[(0, 0, 1.0), (1, 2, 2.0)]);
-        assert_eq!(ByteSized::size_bytes(&s), 16 + 2 * 12 + 5 * 8);
-    }
-
-    #[test]
-    fn sparse_update_counts_only_stored_rows() {
-        let u = SparseUpdate { entries: vec![(3, vec![1.0, 2.0]), (9, vec![0.5, 0.5])] };
-        assert_eq!(u.size_bytes(), 8 + 2 * (4 + 16));
-    }
 }

@@ -5,8 +5,7 @@
 //! singular triplets — and only *an* orthonormal basis of range(Z), so the
 //! left singular vectors serve as both. [`gram_svd`] computes them as the
 //! eigSVD of *Fast Randomized PCA for Sparse Data* (arXiv:1810.06825) from
-//! the blocked kernels: `G = AᵀA` (`matmul_tn`, which outruns the
-//! triangle-only `syrk_tn` at these shapes), `G = V·diag(λ)·Vᵀ`
+//! the blocked kernels: `G = AᵀA` (`matmul_tn`), `G = V·diag(λ)·Vᵀ`
 //! ([`sym_eigen`], K×K), `U = A·V·diag(1/√λ)` (`matmul`).
 //!
 //! **Two rounds.** One round leaves `max|UᵀU − I| ≈ ε·cond(A)²` — over the

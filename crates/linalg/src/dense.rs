@@ -121,12 +121,6 @@ impl Mat {
         self.data
     }
 
-    /// In-memory footprint in bytes (used by the cluster simulator to meter
-    /// shuffle volumes and driver memory).
-    pub fn size_bytes(&self) -> u64 {
-        (self.data.len() * std::mem::size_of::<f64>()) as u64
-    }
-
     /// Matrix transpose into a fresh matrix, tiled so both the reads and
     /// the writes stay within a cache-line-sized block (the seed's j-strided
     /// writes missed on every element for large matrices).
@@ -467,11 +461,6 @@ mod tests {
         let a = Mat::from_rows(&[&[1.0, -2.0], &[2.0, 0.0]]);
         assert_eq!(a.frobenius_sq(), 9.0);
         assert_eq!(a.norm1(), 5.0);
-    }
-
-    #[test]
-    fn size_bytes_counts_payload() {
-        assert_eq!(Mat::zeros(4, 5).size_bytes(), 160);
     }
 
     #[test]

@@ -928,85 +928,13 @@ fn row_mul(y: &SparseMat, b: &[f64], n: usize, r: usize, end: usize, o: &mut [f6
 }
 
 // ---------------------------------------------------------------------------
-// syrk_tn: C = Xᵀ·X — a Gram kernel (EM derives its XtX from YtX instead)
+// syrk_tn: C = Xᵀ·X — no fit calls it (EM derives its XtX from YtX)
 // ---------------------------------------------------------------------------
 
-/// `XᵀX` on the process-global pool. Only the upper triangle is
-/// accumulated; the lower triangle is mirrored once at the end.
+/// `XᵀX`, as [`matmul_tn`]`(x, x)`. Only the frozen benchmark replay
+/// calls it; ROADMAP item 1(a) deletes it.
 pub fn syrk_tn(x: &Mat) -> Mat {
-    syrk_tn_with_pool(WorkerPool::global(), x)
-}
-
-/// `XᵀX` on an explicit pool ([`syrk_tn_slices`] has the contract).
-pub fn syrk_tn_with_pool(pool: &WorkerPool, x: &Mat) -> Mat {
-    let mut out = Mat::zeros(x.cols(), x.cols());
-    syrk_tn_slices(pool, x.data(), x.cols(), out.data_mut());
-    out
-}
-
-/// `XᵀX` for the row-major `d`-wide rows `x`,
-/// into the caller-zeroed `d × d` `out`.
-///
-/// Parallelism is over *output* rows: each task scans every row of `X` but
-/// writes only its own disjoint band of the upper triangle, so there is no
-/// partial-buffer reduction and every output element accumulates its
-/// `x_r[i]·x_r[j]` terms in ascending-`r` order — the exact operation
-/// sequence of the row-at-a-time EM reference (which axpys row `i` of the
-/// Gram whenever `x_r[i] != 0`). The mirror step is exact too:
-/// floating-point multiplication commutes bit-for-bit, so
-/// `C[j][i] = C[i][j]` reproduces the lower-triangle accumulation of the
-/// reference (accumulators starting at +0.0 can never become -0.0, so the
-/// reference's zero-skip asymmetry cannot change bits either). Results are
-/// therefore bit-identical to the reference on any pool size.
-///
-/// From [`TILE_MIN_ROWS`] rows up the bands are rows of 8×8 register
-/// tiles over `X` packed once into panels ([`syrk_tn_tiles`]); below it
-/// they are row axpys into memory ([`syrk_tn_band`]), which need no pack.
-/// The tiles do not skip zeros, which for finite `X` adds `±0.0` to an
-/// accumulator that is never `-0.0` — the same bits on both sides of the
-/// cut-over.
-pub fn syrk_tn_slices(pool: &WorkerPool, x: &[f64], d: usize, out: &mut [f64]) {
-    let n = if d == 0 { 0 } else { x.len() / d };
-    assert_eq!(x.len(), n * d, "syrk_tn: input is a whole number of rows");
-    assert_eq!(out.len(), d * d, "syrk_tn: output buffer is {} not {d}x{d}", out.len());
-    let _span = obs::span_lazy("kernel", || format!("syrk_tn {n}x{d}"))
-        .with_flops(n as u64 * d as u64 * (d as u64 + 1));
-    if n == 0 {
-        return;
-    }
-    // Mean flops per output row of the triangle: n·(d+1).
-    let chunks = chunk_count(d, n * (d + 1));
-    if n >= TILE_MIN_ROWS {
-        syrk_tn_tiled(pool, x, d, chunks, out);
-    } else if chunks == 1 {
-        syrk_tn_band(x, d, 0, d, out);
-    } else {
-        pool.run(
-            split_rows_mut(out, &row_ranges(d, chunks), d)
-                .into_iter()
-                .map(|(start, end, slice)| move || syrk_tn_band(x, d, start, end, slice))
-                .collect(),
-        );
-    }
-    for i in 0..d {
-        for j in 0..i {
-            out[i * d + j] = out[j * d + i];
-        }
-    }
-}
-
-/// Accumulates upper-triangle output rows `[lo, hi)` of `XᵀX` into `out`
-/// (`(hi-lo)×d` row-major; entries left of the diagonal stay zero).
-fn syrk_tn_band(x: &[f64], d: usize, lo: usize, hi: usize, out: &mut [f64]) {
-    for row in x.chunks_exact(d) {
-        for i in lo..hi {
-            let xi = row[i];
-            if xi != 0.0 {
-                let base = (i - lo) * d;
-                vector::axpy(xi, &row[i..], &mut out[base + i..base + d]);
-            }
-        }
-    }
+    matmul_tn(x, x)
 }
 
 // ---------------------------------------------------------------------------
@@ -1020,11 +948,11 @@ pub fn spmm_tn(y: &SparseMat, x: &Mat) -> Mat {
 
 /// `YᵀX` on an explicit pool.
 ///
-/// Same output-row parallelism as [`syrk_tn_with_pool`]: each task scans
-/// every non-zero of `Y` but scatters only into its own disjoint band of
-/// output rows, so every output row accumulates one axpy per contributing
-/// non-zero in ascending input-row order — bit-identical to the
-/// row-at-a-time reference on any pool size.
+/// Parallelism is over output rows: each task scans every non-zero of `Y`
+/// but scatters only into its own disjoint band of output rows, so every
+/// output row accumulates one axpy per contributing non-zero in ascending
+/// input-row order — bit-identical to the row-at-a-time reference on any
+/// pool size.
 pub fn spmm_tn_with_pool(pool: &WorkerPool, y: &SparseMat, x: &Mat) -> Mat {
     let mut out = Mat::zeros(y.cols(), x.cols());
     spmm_scatter(pool, y, x.data(), x.cols(), None, out.data_mut());
@@ -1285,7 +1213,7 @@ impl Panels {
 }
 
 /// One row of tiles: `apanel` (interleaved, some rows deep) against the
-/// same rows — `r0` on — of every panel of `b` from column `j_from`, into
+/// same rows — `r0` on — of every panel of `b`, into
 /// output rows `[i0, i0 + h)` of the `width`-wide row-major `out`. Each
 /// tile is seeded from `out` and stored back, so `out` accumulates; a tile
 /// overhanging the last row or column computes its padding and stores only
@@ -1297,10 +1225,9 @@ fn tile_row(
     out: &mut [f64],
     width: usize,
     (i0, h): (usize, usize),
-    j_from: usize,
 ) {
     let depth = apanel.len() / TN_IR;
-    for j0 in (j_from..width).step_by(TN_JR) {
+    for j0 in (0..width).step_by(TN_JR) {
         let w = (width - j0).min(TN_JR);
         let mut acc = [[0.0; TN_JR]; TN_IR];
         for (t, acc_row) in acc.iter_mut().enumerate().take(h) {
@@ -1323,7 +1250,7 @@ fn tile_row(
     }
 }
 
-// The three drivers below are kept out of line: their callers are also
+// The two drivers below are kept out of line: their callers are also
 // the per-task path of fits over thousands of few-row partitions, which
 // never take them, and whose code should stay as compact as it was.
 
@@ -1367,21 +1294,6 @@ fn full_tn(pool: &WorkerPool, y: &[f64], cols: usize, x: &[f64], d: usize, out: 
     xpack.recycle();
 }
 
-/// The upper triangle of `XᵀX` into the zeroed `d × d` `out`, by tiles:
-/// `X` is packed once; output-row panels go on the pool.
-#[inline(never)]
-fn syrk_tn_tiled(pool: &WorkerPool, x: &[f64], d: usize, chunks: usize, out: &mut [f64]) {
-    let xpack = Panels::pack(x, d);
-    let xpack_ref = &xpack;
-    pool.run(
-        split_rows_mut(out, &panel_ranges(d, chunks), d)
-            .into_iter()
-            .map(|(lo, hi, slice)| move || syrk_tn_tiles(xpack_ref, d, lo, hi, slice))
-            .collect(),
-    );
-    xpack.recycle();
-}
-
 /// `out += Y·B` for the row-major dense rows `y` (`k` wide) against packed
 /// `B` (`n` columns). Eight rows of `Y` at a time are transposed into an
 /// interleaved panel, [`TILE_DEPTH`] columns deep, and run against every
@@ -1404,7 +1316,7 @@ fn full_rows_mul(y: &[f64], k: usize, b: &Panels, n: usize, out: &mut [f64]) {
                     *lane = row[kk];
                 }
             }
-            tile_row(&ypanel[..depth * TN_IR], b, k0, out, n, (i0, h), 0);
+            tile_row(&ypanel[..depth * TN_IR], b, k0, out, n, (i0, h));
         }
     }
 }
@@ -1436,22 +1348,7 @@ fn full_tn_band(
                 }
                 slot[h..].fill(0.0);
             }
-            tile_row(&ypanel[..depth * TN_IR], x, r0, out, d, (c0 - lo, h), 0);
-        }
-    }
-}
-
-/// Upper-triangle output rows `[lo, hi)` (`lo` on a panel boundary) of
-/// `XᵀX` from packed `X` (`d` columns): the tiles on and right of the
-/// diagonal, [`TILE_DEPTH`] rows at a time. A diagonal tile also fills its
-/// own lower corner — with the bits the mirror step then writes there
-/// again.
-fn syrk_tn_tiles(x: &Panels, d: usize, lo: usize, hi: usize, out: &mut [f64]) {
-    for r0 in (0..x.rows).step_by(TILE_DEPTH) {
-        let depth = (x.rows - r0).min(TILE_DEPTH);
-        for i0 in (lo..hi).step_by(TN_IR) {
-            let rows = (i0 - lo, (hi - i0).min(TN_IR));
-            tile_row(x.rows(i0, r0, depth), x, r0, out, d, rows, i0);
+            tile_row(&ypanel[..depth * TN_IR], x, r0, out, d, (c0 - lo, h));
         }
     }
 }
@@ -1606,21 +1503,6 @@ mod tests {
         let fast = matmul_tn(&a, &b);
         let reference = naive::matmul_tn(&a, &b);
         assert!(fast.approx_eq(&reference, 1e-12));
-    }
-
-    #[test]
-    fn syrk_tn_is_bitwise_naive_gram_on_any_pool() {
-        let mut rng = Prng::seed_from_u64(11);
-        for &(n, d) in &[(1usize, 1usize), (37, 5), (900, 48)] {
-            let x = rng.normal_mat(n, d);
-            let reference = naive::matmul_tn(&x, &x);
-            let serial = WorkerPool::new(1);
-            let wide = WorkerPool::new(7);
-            for pool in [&serial, &wide, WorkerPool::global()] {
-                let got = syrk_tn_with_pool(pool, &x);
-                assert_eq!(got.max_abs_diff(&reference), 0.0, "syrk {n}x{d} reassociated");
-            }
-        }
     }
 
     #[test]

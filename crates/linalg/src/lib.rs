@@ -39,8 +39,7 @@ pub mod wire;
 
 pub mod decomp;
 
-pub use bytes::ByteSized;
-pub use wire::{Sizing, Wire, WireCodec, WireError, WireReader};
+pub use wire::{Wire, WireCodec, WireError, WireReader};
 pub use dense::Mat;
 pub use error::LinalgError;
 pub use pool::WorkerPool;

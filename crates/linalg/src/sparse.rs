@@ -12,7 +12,6 @@ use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-use crate::bytes::ByteSized;
 use crate::dense::Mat;
 use crate::vector;
 use crate::wire::{self, Wire, WireError, WireReader};
@@ -289,13 +288,6 @@ impl SparseMat {
         debug_assert!(r < self.rows);
         let (s, e) = (self.indptr[r], self.indptr[r + 1]);
         SparseRow { indices: &self.indices[s..e], values: &self.values[s..e] }
-    }
-
-    /// In-memory footprint in bytes: 4-byte index + 8-byte value per
-    /// non-zero, plus row pointers. This is what the cluster simulator
-    /// charges when sparse data moves.
-    pub fn size_bytes(&self) -> u64 {
-        (self.nnz() * 12 + self.indptr.len() * 8) as u64
     }
 
     /// Product `self * B` with a dense matrix, iterating non-zeros only
@@ -614,12 +606,6 @@ impl Block for PartitionBlock {
     }
 }
 
-impl ByteSized for PartitionBlock {
-    fn size_bytes(&self) -> u64 {
-        ByteSized::size_bytes(&self.csr)
-    }
-}
-
 impl Wire for PartitionBlock {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.csr.encode_into(out);
@@ -644,21 +630,13 @@ impl Wire for PartitionBlock {
 /// A [`PartitionBlock`] that is cached, sized and shipped as its rows'
 /// records ([`wire::write_row_record`]), one after another: byte for byte
 /// the elements of a `Vec` of per-row records, so an RDD caching one block
-/// per partition is priced as one that cached its rows, under either
-/// [`Sizing`](crate::Sizing).
+/// per partition is priced as one that cached its rows.
 ///
 /// There is no header. [`Wire::decode_from`] reads the rest of its buffer
 /// as records, and — the width not being on the wire — the decoded block
 /// is one column wider than its largest index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowRecords(pub PartitionBlock);
-
-impl ByteSized for RowRecords {
-    /// Per row: 8 bytes, plus a 4-byte index and an 8-byte value per entry.
-    fn size_bytes(&self) -> u64 {
-        (12 * self.0.csr.nnz() + 8 * self.0.csr.rows) as u64
-    }
-}
 
 impl Wire for RowRecords {
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -868,7 +846,6 @@ mod tests {
         let block = PartitionBlock::new(sample());
         assert_eq!(block.encode(), sample().encode());
         assert_eq!(block.encoded_size(), sample().encoded_size());
-        assert_eq!(ByteSized::size_bytes(&block), ByteSized::size_bytes(&sample()));
         for quantize in [false, true] {
             assert_eq!(block.encode_v3(quantize), sample().encode_v3(quantize));
             assert_eq!(block.encoded_size_v3(quantize), sample().encoded_size_v3(quantize));
@@ -900,8 +877,6 @@ mod tests {
         }
         assert_eq!(block.encode(), rows);
         assert_eq!(block.encoded_size(), rows.len() as u64);
-        // Per row: 8 bytes, plus 12 per entry.
-        assert_eq!(block.size_bytes(), 3 * 8 + 4 * 12);
         // No header: the width is one past the largest column decoded.
         assert_eq!(RowRecords::decode(&rows).unwrap(), block);
         let narrow = RowRecords(PartitionBlock::new(sample().row_block(0, 1)));
@@ -924,8 +899,6 @@ mod tests {
         for quantize in [false, true] {
             assert_eq!(view.encode_v3(quantize), copy.encode_v3(quantize));
         }
-        assert_eq!(view.size_bytes(), copy.size_bytes());
-        assert_eq!(ByteSized::size_bytes(view), ByteSized::size_bytes(copy));
         assert_eq!(view.full_rows(), copy.full_rows());
         assert_eq!(Csc::of(view), Csc::of(copy));
     }
@@ -1067,10 +1040,9 @@ mod tests {
     }
 
     #[test]
-    fn density_and_sizes() {
+    fn density_is_nnz_over_cells() {
         let m = sample();
         assert!((m.density() - 4.0 / 9.0).abs() < 1e-12);
-        assert_eq!(m.size_bytes(), (4 * 12 + 4 * 8) as u64);
     }
 
     #[test]

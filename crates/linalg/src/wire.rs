@@ -2,7 +2,9 @@
 //!
 //! Every byte the cluster simulator charges — MapReduce shuffle records,
 //! sparkle RDD spill/broadcast, HDFS blocks, EM checkpoints — is priced by
-//! this codec instead of the flat per-field estimates in [`crate::bytes`].
+//! this codec: exact v2 lengths ([`Wire::encoded_size`], [`f64_payload_len`])
+//! everywhere, and the cluster's [`WireCodec`] on shuffle records
+//! ([`WireCodec::shuffle_size`]).
 //! The encoding is what a production system would plausibly ship:
 //!
 //! * **varints** — unsigned LEB128 for all integer fields (lengths, shapes,
@@ -46,7 +48,6 @@
 //! moves the byte meters only: simulated shuffles hand values over
 //! in-memory, so the fitted model is bitwise identical across codecs.
 
-use crate::bytes::{ByteSized, SparseUpdate};
 use crate::dense::Mat;
 use crate::sparse::SparseMat;
 
@@ -183,6 +184,13 @@ pub fn uvarint_len(v: u64) -> u64 {
     // bits 1..=64 → ceil(bits / 7) bytes; v == 0 still takes one byte.
     let bits = 64 - v.leading_zeros().min(63) as u64;
     bits.div_ceil(7).max(1)
+}
+
+/// Encoded length of a length-`n` `f64` slice as a `Vec<f64>`: the
+/// varint count plus 8 raw bytes per value. For charge sites that hold
+/// `&[f64]` rather than an owned vector.
+pub fn f64_payload_len(n: usize) -> u64 {
+    uvarint_len(n as u64) + 8 * n as u64
 }
 
 /// Appends a strictly-ascending `u32` index list, delta-encoded: first
@@ -498,9 +506,8 @@ pub fn read_f64_slice_v3(r: &mut WireReader<'_>, n: usize) -> Result<Vec<f64>, W
 /// Everything metered by the cluster simulator implements this; the meters
 /// charge [`Wire::encoded_size`], which must equal `encode().len()` exactly
 /// (property-tested), and [`Wire::decode`] must reproduce the input
-/// bitwise. [`ByteSized`] remains as the legacy flat estimate, selectable
-/// per cluster via [`Sizing::Estimated`] for differential testing.
-pub trait Wire: ByteSized + Sized {
+/// bitwise.
+pub trait Wire: Sized {
     /// Appends the encoding of `self` to `out`.
     fn encode_into(&self, out: &mut Vec<u8>);
 
@@ -944,80 +951,6 @@ impl Wire for SparseMat {
     }
 }
 
-/// Sparse-triple shuffle record: `varint entry count`, then per entry a
-/// `varint` row index, `varint` payload length and raw f64 bits.
-impl Wire for SparseUpdate {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        write_uvarint(out, self.entries.len() as u64);
-        for (idx, row) in &self.entries {
-            write_uvarint(out, u64::from(*idx));
-            write_uvarint(out, row.len() as u64);
-            for &v in row {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-        }
-    }
-    fn encoded_size(&self) -> u64 {
-        uvarint_len(self.entries.len() as u64)
-            + self
-                .entries
-                .iter()
-                .map(|(idx, row)| {
-                    uvarint_len(u64::from(*idx))
-                        + uvarint_len(row.len() as u64)
-                        + 8 * row.len() as u64
-                })
-                .sum::<u64>()
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n = r.ulen()?;
-        let mut entries = Vec::with_capacity(n.min(r.remaining() + 1));
-        for _ in 0..n {
-            let idx = u32::decode_from(r)?;
-            let len = r.ulen()?;
-            let raw = r.take(len.checked_mul(8).ok_or(WireError::Truncated)?)?;
-            let row = raw
-                .chunks_exact(8)
-                .map(|c| {
-                    f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-                })
-                .collect();
-            entries.push((idx, row));
-        }
-        Ok(SparseUpdate { entries })
-    }
-    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
-        write_uvarint(out, self.entries.len() as u64);
-        for (idx, row) in &self.entries {
-            write_uvarint(out, u64::from(*idx));
-            write_uvarint(out, row.len() as u64);
-            write_f64_slice_v3(out, row, quantize);
-        }
-    }
-    fn encoded_size_v3(&self, quantize: bool) -> u64 {
-        uvarint_len(self.entries.len() as u64)
-            + self
-                .entries
-                .iter()
-                .map(|(idx, row)| {
-                    uvarint_len(u64::from(*idx))
-                        + uvarint_len(row.len() as u64)
-                        + f64_slice_v3_len(row, quantize)
-                })
-                .sum::<u64>()
-    }
-    fn decode_v3_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n = r.ulen()?;
-        let mut entries = Vec::with_capacity(n.min(r.remaining() + 1));
-        for _ in 0..n {
-            let idx = u32::decode_from(r)?;
-            let len = r.ulen()?;
-            entries.push((idx, read_f64_slice_v3(r, len)?));
-        }
-        Ok(SparseUpdate { entries })
-    }
-}
-
 /// Frame overhead in bytes: 4-byte magic + 2-byte little-endian version.
 pub const FRAME_OVERHEAD: u64 = 6;
 
@@ -1087,41 +1020,29 @@ pub fn decode_framed_v3<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
     Ok(v)
 }
 
-/// How a cluster prices the bytes of a metered value.
-///
-/// [`Sizing::Encoded`] (the default) charges real [`Wire`] encoded lengths;
-/// [`Sizing::Estimated`] keeps the legacy flat [`ByteSized`] arithmetic for
-/// differential testing (`crates/core/tests/wire_determinism.rs` proves the
-/// fitted model is bitwise identical either way — sizing only moves the
-/// byte meters and the virtual clock).
+/// The one byte-pricing policy left: real encoded lengths. Only the
+/// frozen benchmark replay (`benchmark/src/replay.rs`) names it, through
+/// `ClusterConfig::byte_sizing`; ROADMAP item 1(a) deletes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Sizing {
     /// Charge `Wire::encoded_size()` — real serialized bytes.
     #[default]
     Encoded,
-    /// Charge `ByteSized::size_bytes()` — the legacy flat estimate.
-    Estimated,
 }
 
 impl Sizing {
-    /// Metered size of `value` under this policy.
+    /// [`Wire::encoded_size`]. Only the frozen benchmark replay calls
+    /// this; ROADMAP item 1(a) deletes it.
     #[inline]
     pub fn size_of<T: Wire>(self, value: &T) -> u64 {
-        match self {
-            Sizing::Encoded => value.encoded_size(),
-            Sizing::Estimated => value.size_bytes(),
-        }
+        value.encoded_size()
     }
 
-    /// Metered size of a length-`len` `f64` slice (a `Vec<f64>` on the
-    /// wire), for charge sites that hold `&[f64]` rather than an owned
-    /// vector.
+    /// [`f64_payload_len`]. Only the frozen benchmark replay calls this;
+    /// ROADMAP item 1(a) deletes it.
     #[inline]
     pub fn f64_payload(self, len: usize) -> u64 {
-        match self {
-            Sizing::Encoded => uvarint_len(len as u64) + 8 * len as u64,
-            Sizing::Estimated => 8 + 8 * len as u64,
-        }
+        f64_payload_len(len)
     }
 }
 
@@ -1175,18 +1096,21 @@ impl WireCodec {
         }
     }
 
-    /// Metered size of a shuffle-family record under this codec and
-    /// `sizing` policy. [`Sizing::Estimated`] short-circuits to the flat
-    /// [`ByteSized`](crate::ByteSized) estimate regardless of codec, so
-    /// the legacy differential arm stays untouched.
+    /// Metered size of a shuffle-family record under this codec.
     #[inline]
-    pub fn shuffle_size_of<T: Wire>(self, sizing: Sizing, value: &T) -> u64 {
-        match (sizing, self) {
-            (Sizing::Estimated, _) => value.size_bytes(),
-            (Sizing::Encoded, WireCodec::V2) => value.encoded_size(),
-            (Sizing::Encoded, WireCodec::V3) => value.encoded_size_v3(false),
-            (Sizing::Encoded, WireCodec::V3Quantized) => value.encoded_size_v3(true),
+    pub fn shuffle_size<T: Wire>(self, value: &T) -> u64 {
+        match self {
+            WireCodec::V2 => value.encoded_size(),
+            WireCodec::V3 => value.encoded_size_v3(false),
+            WireCodec::V3Quantized => value.encoded_size_v3(true),
         }
+    }
+
+    /// [`WireCodec::shuffle_size`]. Only the frozen benchmark replay calls
+    /// this; ROADMAP item 1(a) deletes it.
+    #[inline]
+    pub fn shuffle_size_of<T: Wire>(self, _sizing: Sizing, value: &T) -> u64 {
+        self.shuffle_size(value)
     }
 
     /// Whether this codec quantizes payloads (the lossy arm).
@@ -1281,19 +1205,17 @@ mod tests {
         roundtrip(&Mat::zeros(0, 5));
         roundtrip(&SparseMat::from_triplets(3, 10, &[(0, 2, 1.5), (0, 9, -2.0), (2, 0, 4.0)]));
         roundtrip(&SparseMat::from_triplets(0, 0, &[]));
-        roundtrip(&SparseUpdate { entries: vec![(3, vec![1.0, 2.0]), (90, vec![-0.5])] });
     }
 
     #[test]
-    fn varints_beat_flat_estimates_on_small_values() {
-        // The whole point: a (u32, f64) shuffle record estimated at 12
-        // bytes encodes to 9 when the key is small.
+    fn varints_keep_small_values_small() {
+        // A (u32, f64) shuffle record with a small key encodes to 9 bytes.
         let record = (1u32, 2.5f64);
-        assert_eq!(ByteSized::size_bytes(&record), 12);
         assert_eq!(record.encoded_size(), 9);
-        // Sparse entries estimated at 12 bytes each cost ~9 with deltas.
+        // Three adjacent sparse entries: 5 header bytes (the width 1000
+        // takes two), 3 one-byte indices, 24 value bytes.
         let s = SparseMat::from_triplets(1, 1000, &[(0, 10, 1.0), (0, 11, 2.0), (0, 12, 3.0)]);
-        assert!(s.encoded_size() < ByteSized::size_bytes(&s));
+        assert_eq!(s.encoded_size(), 5 + 3 + 24);
     }
 
     #[test]
@@ -1349,13 +1271,15 @@ mod tests {
     }
 
     #[test]
-    fn sizing_dispatches_between_codec_and_estimate() {
-        let v = vec![1.0f64; 4];
-        assert_eq!(Sizing::Encoded.size_of(&v), 33);
-        assert_eq!(Sizing::Estimated.size_of(&v), 40);
-        assert_eq!(Sizing::Encoded.f64_payload(4), 33);
-        assert_eq!(Sizing::Estimated.f64_payload(4), 40);
-        assert_eq!(Sizing::default(), Sizing::Encoded);
+    fn replay_shims_forward_to_the_codec() {
+        let v = vec![0.5f64; 4];
+        assert_eq!(f64_payload_len(4), 33);
+        assert_eq!(v.encoded_size(), f64_payload_len(4));
+        assert_eq!(Sizing::default().size_of(&v), v.encoded_size());
+        assert_eq!(Sizing::default().f64_payload(4), f64_payload_len(4));
+        for codec in [WireCodec::V2, WireCodec::V3, WireCodec::V3Quantized] {
+            assert_eq!(codec.shuffle_size_of(Sizing::Encoded, &v), codec.shuffle_size(&v));
+        }
     }
 
     // ---- v3 fast path ----
@@ -1477,10 +1401,6 @@ mod tests {
             &[(0, 1, 1.0), (0, 7, 1.0), (2, 0, 1.0), (2, 2, 1.0), (2, 3, 1.0), (4, 6, 1.0)],
         );
         roundtrip_v3(&sm);
-        let upd = SparseUpdate {
-            entries: vec![(3, vec![1.0, 2.0]), (9, vec![0.25]), (11, vec![])],
-        };
-        roundtrip_v3(&upd);
     }
 
     #[test]
@@ -1527,20 +1447,10 @@ mod tests {
     fn wire_codec_prices_by_arm() {
         let v = vec![1.0f64; 32]; // integral: big v3 win
         let exact = v.encoded_size();
-        assert_eq!(WireCodec::V2.shuffle_size_of(Sizing::Encoded, &v), exact);
-        assert_eq!(
-            WireCodec::V3.shuffle_size_of(Sizing::Encoded, &v),
-            v.encoded_size_v3(false)
-        );
-        assert_eq!(
-            WireCodec::V3Quantized.shuffle_size_of(Sizing::Encoded, &v),
-            v.encoded_size_v3(true)
-        );
-        assert!(WireCodec::V3.shuffle_size_of(Sizing::Encoded, &v) * 2 < exact);
-        // Estimated sizing short-circuits to the flat legacy arithmetic.
-        for codec in [WireCodec::V2, WireCodec::V3, WireCodec::V3Quantized] {
-            assert_eq!(codec.shuffle_size_of(Sizing::Estimated, &v), v.size_bytes());
-        }
+        assert_eq!(WireCodec::V2.shuffle_size(&v), exact);
+        assert_eq!(WireCodec::V3.shuffle_size(&v), v.encoded_size_v3(false));
+        assert_eq!(WireCodec::V3Quantized.shuffle_size(&v), v.encoded_size_v3(true));
+        assert!(WireCodec::V3.shuffle_size(&v) * 2 < exact);
         for codec in [WireCodec::V2, WireCodec::V3, WireCodec::V3Quantized] {
             assert_eq!(WireCodec::parse(codec.label()), Some(codec));
         }

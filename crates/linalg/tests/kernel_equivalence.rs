@@ -233,7 +233,7 @@ fn kernels_are_bitwise_deterministic_across_pool_sizes() {
 }
 
 // ---------------------------------------------------------------------------
-// Full-row blocks and the Gram: the register-tile routes against the
+// Full-row blocks: the register-tile routes against the
 // row-at-a-time folds, bit for bit. Inputs are random normals throughout —
 // integer inputs sum exactly in any order and under a fused multiply-add,
 // so they cannot see either mistake.
@@ -524,22 +524,6 @@ fn mul_dense_each_is_bitwise_the_blocked_product() {
             pools.each(
                 |pool| kernels::sparse_mul_dense_with_pool(pool, &y, &b),
                 |got, on| assert_eq!(bits(got.data()), bits(&rows), "{what} n={n} on {on}"),
-            );
-        }
-    }
-}
-
-#[test]
-fn syrk_tn_is_bitwise_the_naive_gram_on_both_sides_of_its_cut_over() {
-    let pools = Pools::new();
-    let mut rng = Prng::seed_from_u64(2104);
-    for &rows in &[0usize, 1, 7, 8, 9, 63, 64, 65, 3125] {
-        for &d in &[1usize, 7, 8, 9, 50] {
-            let x = rng.normal_mat(rows, d);
-            let want = naive::matmul_tn(&x, &x);
-            pools.each(
-                |pool| kernels::syrk_tn_with_pool(pool, &x),
-                |got, on| assert_eq!(bits(got.data()), bits(want.data()), "syrk {rows}x{d} on {on}"),
             );
         }
     }

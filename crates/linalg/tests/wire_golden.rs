@@ -15,7 +15,6 @@
 //! If a fixture here ever needs to change, that is a format break: bump
 //! `wire::WIRE_VERSION` and keep the old decoder path.
 
-use linalg::bytes::SparseUpdate;
 use linalg::wire::{
     decode_framed, decode_framed_v3, encode_framed, encode_framed_v3, Wire, WireError,
     WIRE_VERSION, WIRE_VERSION_V3,
@@ -108,19 +107,6 @@ fn golden_sparse_mat_delta_indices() {
         "SparseMat",
     );
     assert_eq!(back, m);
-}
-
-#[test]
-fn golden_sparse_update() {
-    // varint entry count, then per entry: varint index, varint row length,
-    // raw f64s. Index 700 encodes as 0xBC 0x05; its row is empty.
-    let u = SparseUpdate { entries: vec![(2, vec![0.5, -0.5]), (700, vec![])] };
-    let back = assert_golden(
-        &u,
-        "020202000000000000e03f000000000000e0bfbc0500",
-        "SparseUpdate",
-    );
-    assert_eq!(back, u);
 }
 
 #[test]

@@ -13,7 +13,6 @@
 //! a longer fuzz (the CI smoke gate does). The seed is fixed, so failures
 //! reproduce deterministically.
 
-use linalg::bytes::SparseUpdate;
 use linalg::sparse::{Block, PartitionBlock, RowRecords};
 use linalg::wire::{
     decode_framed, decode_framed_v3, encode_framed, encode_framed_v3, framed_size, framed_size_v3,
@@ -226,28 +225,6 @@ fn partition_blocks_roundtrip_and_rebuild_their_copy() {
 }
 
 #[test]
-fn sparse_update_roundtrip() {
-    let mut rng = Prng::seed_from_u64(0x51ca_0007);
-    assert_eq!(roundtrip(&SparseUpdate::default()), SparseUpdate::default());
-    for _ in 0..iters() {
-        let entries: Vec<(u32, Vec<f64>)> = (0..rng.index(6))
-            .map(|_| {
-                let idx = (rng.next_u64() >> rng.index(64)) as u32;
-                let row: Vec<f64> = (0..rng.index(8)).map(|_| edge_f64(&mut rng)).collect();
-                (idx, row)
-            })
-            .collect();
-        let u = SparseUpdate { entries };
-        let back = roundtrip(&u);
-        assert_eq!(back.entries.len(), u.entries.len());
-        for ((ia, ra), (ib, rb)) in back.entries.iter().zip(&u.entries) {
-            assert_eq!(ia, ib);
-            assert_bits_eq(ra, rb, "SparseUpdate row");
-        }
-    }
-}
-
-#[test]
 fn framed_blobs_roundtrip_and_size_contract_holds() {
     let mut rng = Prng::seed_from_u64(0x51ca_0008);
     for _ in 0..iters().min(16) {
@@ -365,7 +342,6 @@ fn v3_decoder_survives_truncation_and_corruption() {
         let _ = SparseMat::decode_v3(&bytes);
         let _ = Mat::decode_v3(&bytes);
         let _ = Vec::<f64>::decode_v3(&bytes);
-        let _ = SparseUpdate::decode_v3(&bytes);
     }
 }
 
@@ -398,7 +374,6 @@ fn decoder_survives_truncation_and_corruption() {
         let _ = SparseMat::decode(&bytes);
         let _ = Mat::decode(&bytes);
         let _ = Vec::<f64>::decode(&bytes);
-        let _ = SparseUpdate::decode(&bytes);
     }
 }
 

@@ -1,6 +1,7 @@
 //! Job execution: map stage, combine, shuffle, reduce stage.
 
 use dcluster::{Load, Meter, SimCluster, StageOptions};
+use linalg::Wire;
 
 use crate::job::{for_each_group, Emitter, MapReduceJob};
 
@@ -72,11 +73,9 @@ impl<'a> MapReduceEngine<'a> {
             );
         }
         self.cluster.advance_time_labeled(self.job_overhead_secs, "job-init");
-        // Byte meters price records under the cluster's sizing policy:
-        // real encoded lengths by default. Shuffle-family records (map
-        // emits, spills, the shuffle itself) additionally go through the
-        // negotiated wire codec; input splits stay exact v2.
-        let sizing = self.cluster.sizing();
+        // Byte meters charge real encoded lengths. Shuffle-family records
+        // (map emits, spills, the shuffle itself) go through the negotiated
+        // wire codec; input splits stay exact v2.
         let codec = self.cluster.wire_codec();
 
         // ---- Map stage (with per-mapper combine and shuffle sizing, inside
@@ -88,15 +87,14 @@ impl<'a> MapReduceEngine<'a> {
                 move || -> MapOut<J::Key, J::Value> {
                     let combiner = |k: &J::Key, vs: Vec<J::Value>| job.combine(k, vs);
                     let mut emitter =
-                        Emitter::with_combiner(&combiner).with_sizing(sizing).with_codec(codec);
+                        Emitter::with_combiner(&combiner).with_codec(codec);
                     job.map(p, &mut emitter);
                     let (pairs, bytes, records) = emitter.into_parts();
                     let mut combined = Vec::with_capacity(pairs.len());
                     let mut shuffle_bytes = 0;
                     for_each_group(pairs, |k, vs| {
                         for v in job.combine(&k, vs) {
-                            shuffle_bytes += codec.shuffle_size_of(sizing, &k)
-                                + codec.shuffle_size_of(sizing, &v);
+                            shuffle_bytes += codec.shuffle_size(&k) + codec.shuffle_size(&v);
                             combined.push((k.clone(), v));
                         }
                     });
@@ -107,7 +105,7 @@ impl<'a> MapReduceEngine<'a> {
         // Recovery sizing: a map task killed by a node crash re-reads its
         // HDFS split (MapReduce's recovery path — inputs are materialized,
         // unlike Spark's recompute-from-lineage).
-        let input_bytes: u64 = partitions.iter().map(|p| sizing.size_of(p)).sum();
+        let input_bytes: u64 = partitions.iter().map(Wire::encoded_size).sum();
         let map_reexec_bytes = input_bytes / partitions.len().max(1) as u64;
         let map_outputs = self.cluster.run_stage(
             StageOptions::new(format!("{name}/map"))
@@ -265,17 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn estimated_sizing_restores_legacy_byte_counts() {
-        let c = SimCluster::new(ClusterConfig::paper_cluster().with_estimated_sizes());
-        let engine = MapReduceEngine::new(&c).with_overheads(0.0, 0.0);
-        let parts: Vec<Vec<u64>> = vec![(0..1000).collect()];
-        let (_, stats) = engine.run_job("modcount", &ModCount { modulus: 2 }, &parts, 1);
-        // Legacy flat estimate: 1000 records of 8 + 8 B, combined to 2.
-        assert_eq!(stats.map_emit_bytes, 16_000);
-        assert_eq!(stats.shuffle_bytes, 32);
-    }
-
-    #[test]
     fn bytes_are_charged_to_cluster_meters() {
         let c = cluster();
         let engine = MapReduceEngine::new(&c).with_overheads(0.0, 0.0);
@@ -357,13 +344,12 @@ mod tests {
             reducers: usize,
         ) -> (JobOutput<J>, JobStats) {
             self.cluster.advance_time_labeled(self.job_overhead_secs, "job-init");
-            let sizing = self.cluster.sizing();
             let codec = self.cluster.wire_codec();
             let map_tasks: Vec<_> = partitions
                 .iter()
                 .map(|p| {
                     move || {
-                        let mut emitter = Emitter::new().with_sizing(sizing).with_codec(codec);
+                        let mut emitter = Emitter::new().with_codec(codec);
                         job.map(p, &mut emitter);
                         let (pairs, bytes, records) = emitter.into_parts();
                         let mut buffer = Vec::new();
@@ -377,7 +363,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let input_bytes: u64 = partitions.iter().map(|p| sizing.size_of(p)).sum();
+            let input_bytes: u64 = partitions.iter().map(Wire::encoded_size).sum();
             let map_outputs = self.cluster.run_stage(
                 StageOptions::new(format!("{name}/map"))
                     .with_task_overhead(self.task_overhead_secs)
@@ -394,9 +380,7 @@ mod tests {
                 stats.map_emit_records += records;
                 let mapper_shuffle: u64 = pairs
                     .iter()
-                    .map(|(k, v)| {
-                        codec.shuffle_size_of(sizing, k) + codec.shuffle_size_of(sizing, v)
-                    })
+                    .map(|(k, v)| codec.shuffle_size(k) + codec.shuffle_size(v))
                     .sum();
                 stats.shuffle_bytes += mapper_shuffle;
                 spill_sizes.push(bytes);
@@ -525,8 +509,8 @@ mod tests {
     fn sorted_runs_agree_with_the_btreemap_oracle_on_random_jobs() {
         let configs = [
             ClusterConfig::paper_cluster(),
-            ClusterConfig::paper_cluster().with_estimated_sizes(),
             ClusterConfig::paper_cluster().with_wire_codec(WireCodec::V3),
+            ClusterConfig::paper_cluster().with_wire_codec(WireCodec::V3Quantized),
         ];
         let mut rng = Prng::seed_from_u64(22);
         for round in 0..60 {

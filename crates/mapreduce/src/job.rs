@@ -1,7 +1,6 @@
 //! Job definition: the user-facing mapper/combiner/reducer traits.
 
-use linalg::wire::{Sizing, WireCodec};
-use linalg::Wire;
+use linalg::{Wire, WireCodec};
 
 /// How many buffered records trigger an in-memory spill-combine.
 ///
@@ -33,17 +32,14 @@ pub(crate) fn for_each_group<K: Ord, V>(mut pairs: Vec<(K, V)>, mut f: impl FnMu
 
 /// Collects the `(key, value)` pairs a mapper emits and meters their wire
 /// size at emission time — the "map output bytes" Hadoop counter. Sizes
-/// are real `wire` encoded lengths (or the legacy `ByteSized` estimate,
-/// per the cluster's [`Sizing`] policy), priced under the cluster's
-/// negotiated shuffle [`WireCodec`]: map output is shuffle-family data, so
-/// the v3 fast path applies here (input splits and DFS blocks stay exact
-/// v2).
+/// are real `wire` encoded lengths under the cluster's negotiated shuffle
+/// [`WireCodec`]: map output is shuffle-family data, so the v3 fast path
+/// applies here (input splits and DFS blocks stay exact v2).
 pub struct Emitter<'a, K, V> {
     pairs: Vec<(K, V)>,
     bytes: u64,
     records: usize,
     combiner: Option<CombineFn<'a, K, V>>,
-    sizing: Sizing,
     codec: WireCodec,
 }
 
@@ -56,7 +52,6 @@ impl<K: Wire + Ord + Clone, V: Wire> Emitter<'_, K, V> {
             bytes: 0,
             records: 0,
             combiner: None,
-            sizing: Sizing::Encoded,
             codec: WireCodec::V2,
         }
     }
@@ -69,16 +64,8 @@ impl<K: Wire + Ord + Clone, V: Wire> Emitter<'_, K, V> {
             bytes: 0,
             records: 0,
             combiner: Some(combiner),
-            sizing: Sizing::Encoded,
             codec: WireCodec::V2,
         }
-    }
-
-    /// Builder-style override of the byte-sizing policy (the engine passes
-    /// its cluster's).
-    pub fn with_sizing(mut self, sizing: Sizing) -> Self {
-        self.sizing = sizing;
-        self
     }
 
     /// Builder-style override of the shuffle codec (the engine passes its
@@ -90,8 +77,7 @@ impl<K: Wire + Ord + Clone, V: Wire> Emitter<'_, K, V> {
 
     /// Emits one pair.
     pub fn emit(&mut self, key: K, value: V) {
-        self.bytes += self.codec.shuffle_size_of(self.sizing, &key)
-            + self.codec.shuffle_size_of(self.sizing, &value);
+        self.bytes += self.codec.shuffle_size(&key) + self.codec.shuffle_size(&value);
         self.records += 1;
         self.pairs.push((key, value));
         if self.combiner.is_some() && self.pairs.len() >= SPILL_THRESHOLD {
@@ -199,16 +185,6 @@ mod tests {
         let expect = (k.encode().len() + v.encode().len()) as u64;
         e.emit(k, v);
         assert_eq!(e.bytes(), expect);
-    }
-
-    #[test]
-    fn estimated_sizing_restores_legacy_arithmetic() {
-        let mut e: Emitter<'_, u32, f64> =
-            Emitter::new().with_sizing(Sizing::Estimated);
-        e.emit(1, 2.0);
-        e.emit(2, 3.0);
-        // Legacy flat estimate: 4-byte key + 8-byte value.
-        assert_eq!(e.bytes(), 2 * (4 + 8));
     }
 
     #[test]

@@ -20,10 +20,9 @@ pub struct Broadcast<T> {
 
 impl<T: Wire> Broadcast<T> {
     /// Ships `value` to every node, charging the transfer to the cluster's
-    /// intermediate-data meters at its encoded size (or the legacy
-    /// estimate, per the cluster's sizing policy).
+    /// intermediate-data meters at its encoded size.
     pub fn new(cluster: &SimCluster, value: T) -> Self {
-        let bytes = cluster.wire_size(&value);
+        let bytes = value.encoded_size();
         cluster.charge(Meter::Network, Load::EachNode(bytes), "broadcast");
         if obs::enabled() {
             cluster.registry().counter("sparkle.broadcast_bytes").add(bytes);
@@ -58,16 +57,6 @@ mod tests {
         assert_eq!(b.size_bytes(), 801);
         assert_eq!(cluster.metrics().network_bytes, 801 * 8);
         assert_eq!(b.len(), 100, "deref reaches the payload");
-    }
-
-    #[test]
-    fn estimated_sizing_restores_legacy_broadcast_bytes() {
-        let cluster =
-            SimCluster::new(ClusterConfig::paper_cluster().with_estimated_sizes());
-        // Legacy flat estimate: 8-byte length prefix + 100 f64s.
-        let b = Broadcast::new(&cluster, vec![0.0_f64; 100]);
-        assert_eq!(b.size_bytes(), 808);
-        assert_eq!(cluster.metrics().network_bytes, 808 * 8);
     }
 
     #[test]

@@ -629,7 +629,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         let cluster = self.cluster;
         let mut sizes = Vec::with_capacity(tasks.len());
         cluster.run_stage_with(self.stage_options(label), tasks, |_, partial: A| {
-            sizes.push(cluster.shuffle_size(&partial));
+            sizes.push(cluster.wire_codec().shuffle_size(&partial));
             sink(partial);
         });
         let bytes: u64 = sizes.iter().sum();
@@ -656,7 +656,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         // One flow per partition endpoint for the contended timing model;
         // the byte meter charges the per-partition sum as before.
         let sizes: Vec<u64> =
-            parts.iter().map(|p| p.iter().map(|t| cluster.wire_size(t)).sum()).collect();
+            parts.iter().map(|p| p.iter().map(Wire::encoded_size).sum()).collect();
         cluster.charge(Meter::Network, Load::PerEndpoint(&sizes), "collect");
         let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
         for p in parts {
@@ -672,7 +672,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
     /// ([`SimCluster::run_stage_with`]). A driver that folds what it
     /// collects holds only the outputs that finished ahead of an earlier,
     /// still running partition, not all of them. Charged as the collect
-    /// is: one `"collect"` flow per partition, at the `wire_size` of its
+    /// is: one `"collect"` flow per partition, at the encoded size of its
     /// output before the sink consumed it, after the stage.
     pub fn collect_each<U, F>(&self, label: &str, f: F, mut sink: impl FnMut(U) + Send)
     where
@@ -685,7 +685,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         let cluster = self.cluster;
         let mut sizes = Vec::with_capacity(tasks.len());
         cluster.run_stage_with(self.stage_options(label), tasks, |_, part: Vec<U>| {
-            sizes.push(part.iter().map(|u| cluster.wire_size(u)).sum());
+            sizes.push(part.iter().map(Wire::encoded_size).sum());
             part.into_iter().for_each(&mut sink);
         });
         cluster.charge(Meter::Network, Load::PerEndpoint(&sizes), "collect");
@@ -706,7 +706,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         let total = match &self.storage {
             Storage::Plain(parts) => parts
                 .iter()
-                .map(|p| p.iter().map(|t| self.cluster.wire_size(t)).sum::<u64>())
+                .map(|p| p.iter().map(Wire::encoded_size).sum::<u64>())
                 .sum(),
             Storage::Cached(c) => c.total_bytes,
         };
@@ -732,7 +732,7 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         let sizes: Vec<usize> = parts.iter().map(|p| p.len()).collect();
         let total: u64 = parts
             .iter()
-            .map(|p| p.iter().map(|t| self.cluster.wire_size(t)).sum::<u64>())
+            .map(|p| p.iter().map(Wire::encoded_size).sum::<u64>())
             .sum();
         self.spill_bytes = total.saturating_sub(self.cluster.config().total_memory());
         let id = self.cluster.register_cache(parts.len());
@@ -872,19 +872,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_charges_legacy_bytes_under_estimated_sizing() {
-        let c = SimCluster::new(ClusterConfig::paper_cluster().with_estimated_sizes());
-        let ctx = SparkleContext::new(&c);
-        let rdd = ctx.parallelize((1_u64..=100).collect(), 4);
-        let (sum, bytes) =
-            rdd.aggregate("sum", || 0_u64, |acc, x| *acc += x, |acc, other| *acc += other);
-        assert_eq!(sum, 5050);
-        // Legacy flat estimate: 4 partials of 8 bytes each.
-        assert_eq!(bytes, 32);
-        assert_eq!(c.metrics().network_bytes, 32);
-    }
-
-    #[test]
     fn aggregate_of_empty_rdd_returns_init() {
         let c = cluster();
         let ctx = SparkleContext::new(&c);
@@ -911,12 +898,6 @@ mod tests {
         fn clone(&self) -> Self {
             self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             Counted(self.0, Arc::clone(&self.1))
-        }
-    }
-
-    impl linalg::ByteSized for Counted {
-        fn size_bytes(&self) -> u64 {
-            self.0.size_bytes()
         }
     }
 
@@ -1218,12 +1199,12 @@ mod tests {
     /// The streaming aggregate charges exactly what the collecting stage
     /// it replaced did — that stage's partials, sized one by one, then one
     /// `"accumulator-merge"` flow per partition after the stage — under
-    /// both sizings, the v3 codec and both timing models: same bytes, same
+    /// every codec and both timing models: same bytes, same
     /// flows (contended network time depends on them), same result.
     #[test]
     fn streaming_aggregate_charges_what_the_collecting_stage_did() {
         use dcluster::TimingModel;
-        use linalg::{Sizing, WireCodec};
+        use linalg::WireCodec;
         type Partial = Vec<f64>;
         let init = Partial::new;
         // ~5–10 KB partials: their flows take whole virtual microseconds.
@@ -1235,7 +1216,6 @@ mod tests {
         let base = ClusterConfig::paper_cluster().with_nodes(3);
         let configs = [
             base.clone(),
-            base.clone().with_byte_sizing(Sizing::Estimated),
             base.clone().with_wire_codec(WireCodec::V3),
             base.clone().with_wire_codec(WireCodec::V3Quantized),
         ];
@@ -1262,7 +1242,7 @@ mod tests {
                                 .collect();
                             let partials = c.run_stage(StageOptions::new("agg"), tasks);
                             let sizes: Vec<u64> =
-                                partials.iter().map(|p| c.shuffle_size(p)).collect();
+                                partials.iter().map(|p| c.wire_codec().shuffle_size(p)).collect();
                             c.charge(Meter::Network, Load::PerEndpoint(&sizes), "accumulator-merge");
                             (tree_merge(partials, init, merge), sizes.iter().sum())
                         }
