@@ -24,7 +24,7 @@
 use dcluster::{Load, Meter, SimCluster, StageOptions};
 use linalg::decomp::eig::sym_eigen;
 use linalg::decomp::tsqr::tsqr;
-use linalg::wire::{self, Wire, WireError, WireReader};
+use linalg::wire::{self, Layout, Sink, Wire, WireCodec, WireError, WireReader};
 use linalg::{Mat, Prng, SparseMat};
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 use spca_core::accuracy;
@@ -108,28 +108,21 @@ enum BtKey {
     Col(u32),
 }
 
-impl Wire for BtKey {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+impl Layout for BtKey {
+    fn put<S: Sink>(&self, s: &mut S) {
         match self {
-            BtKey::SumQ => out.push(0),
+            BtKey::SumQ => s.byte(0),
             BtKey::Col(c) => {
-                out.push(1);
-                wire::write_uvarint(out, u64::from(*c));
+                s.byte(1);
+                c.put(s);
             }
         }
     }
 
-    fn encoded_size(&self) -> u64 {
-        match self {
-            BtKey::SumQ => 1,
-            BtKey::Col(c) => 1 + wire::uvarint_len(u64::from(*c)),
-        }
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> std::result::Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(BtKey::SumQ),
-            1 => Ok(BtKey::Col(u32::decode_from(r)?)),
+            1 => Ok(BtKey::Col(u32::get(r, codec)?)),
             _ => Err(WireError::Malformed("unknown BtKey tag")),
         }
     }

@@ -17,7 +17,6 @@
 
 use dcluster::SimCluster;
 use linalg::decomp::eig::sym_eigen;
-use linalg::wire::{Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
 use sparkle::{Rdd, SparkleContext};
 use spca_core::accuracy;
@@ -52,23 +51,6 @@ impl MllibConfig {
         assert!(parts > 0);
         self.partitions = parts;
         self
-    }
-}
-
-/// Gram-matrix accumulator: a dense D×D partial per task.
-struct GramAcc(Mat);
-
-impl Wire for GramAcc {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-
-    fn encoded_size(&self) -> u64 {
-        self.0.encoded_size()
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        Ok(GramAcc(Mat::decode_from(r)?))
     }
 }
 
@@ -151,15 +133,15 @@ impl PassArm for MllibArm<'_> {
         // MLlib's `computeGramianMatrix` does with BLAS `spr`.
         let (gram, _bytes) = rdd.aggregate(
             "MLlib/gram",
-            || GramAcc(Mat::zeros(d_in, d_in)),
-            |acc, row| add_upper_outer(&mut acc.0, row),
-            |acc, other| acc.0.add_assign(&other.0),
+            || Mat::zeros(d_in, d_in),
+            |acc, row| add_upper_outer(acc, row),
+            |acc, other| acc.add_assign(&other),
         );
 
         // Covariance = (Gram − N·μ⊗μ)/(N−1), then eigendecomposition — all
         // on the driver, charged as driver compute.
         let (c, values) = self.cluster.run_driver("MLlib/eigendecomposition", || {
-            let mut cov = gram.0;
+            let mut cov = gram;
             mirror_upper(&mut cov);
             cov.add_outer(-(n as f64), &mean, &mean);
             let denom = (n.max(2) - 1) as f64;
@@ -289,6 +271,43 @@ mod tests {
         let bits = |m: &Mat| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert!(full.data().iter().any(|&v| v != 0.0));
         assert_eq!(bits(&upper), bits(&full));
+    }
+
+    /// The Gram partials are priced under the cluster's codec as the `Mat`
+    /// they are: from codec to codec the fit's bytes move by exactly the
+    /// difference in its partials' sizes (column sums and Gram matrices).
+    #[test]
+    fn gram_partials_price_as_their_matrix_under_every_codec() {
+        use linalg::WireCodec;
+        let y = tiny_data();
+        let codecs = [WireCodec::V2, WireCodec::V3, WireCodec::V3Quantized];
+        let config = MllibConfig::new(3);
+        let bytes = codecs.map(|codec| {
+            let cluster =
+                SimCluster::new(ClusterConfig::paper_cluster().with_wire_codec(codec));
+            MllibPca::new(config.clone()).fit(&cluster, &y).unwrap().intermediate_bytes
+        });
+        let d = y.cols();
+        let partials: Vec<(Vec<f64>, Mat)> = y
+            .split_rows(config.partitions)
+            .iter()
+            .map(|block| {
+                let mut gram = Mat::zeros(d, d);
+                for row in spca_core::spark::to_rows(block) {
+                    add_upper_outer(&mut gram, &row);
+                }
+                (block.col_sums(), gram)
+            })
+            .collect();
+        let size = |codec: WireCodec| -> u64 {
+            partials.iter().map(|(s, g)| codec.shuffle_size(s) + codec.shuffle_size(g)).sum()
+        };
+        let fixed = bytes[0] - size(WireCodec::V2);
+        for (codec, bytes) in codecs.iter().zip(bytes) {
+            assert_eq!(bytes, fixed + size(*codec), "{codec}: Gram partials mispriced");
+        }
+        // Binary input: integral Gram entries take v3's varint payload.
+        assert!(bytes[1] * 2 < bytes[0], "v3 must engage on the Gram partials: {bytes:?}");
     }
 
     #[test]

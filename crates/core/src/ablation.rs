@@ -7,7 +7,6 @@
 //! the ablation reusable (and testable) outside the bench harness.
 
 use dcluster::{Load, Meter, SimCluster, StageOptions};
-use linalg::wire::{Wire, WireError, WireReader};
 use linalg::{Mat, SparseMat};
 use sparkle::SparkleContext;
 
@@ -35,38 +34,6 @@ impl AblationResult {
     /// `without / with` time ratio.
     pub fn speedup(&self) -> f64 {
         self.without_secs / self.with_secs.max(1e-12)
-    }
-}
-
-struct Scalar(f64);
-
-impl Wire for Scalar {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-
-    fn encoded_size(&self) -> u64 {
-        8
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        Ok(Scalar(f64::decode_from(r)?))
-    }
-}
-
-struct SmallMat(Mat);
-
-impl Wire for SmallMat {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-
-    fn encoded_size(&self) -> u64 {
-        self.0.encoded_size()
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        Ok(SmallMat(Mat::decode_from(r)?))
     }
 }
 
@@ -109,16 +76,16 @@ pub fn mean_propagation(
             let rdd = ctx.from_partitions(parts.clone());
             rdd.aggregate(
                 if dense { "X/dense" } else { "X/mean-prop" },
-                || Scalar(0.0),
-                |acc, row: &SpRow| {
+                || 0.0,
+                |acc: &mut f64, row: &SpRow| {
                     let x = if dense {
                         mean_prop::latent_row_dense(row.view(), &mean, &cm)
                     } else {
                         mean_prop::latent_row(row.view(), &cm, &xm)
                     };
-                    acc.0 += x.iter().sum::<f64>();
+                    *acc += x.iter().sum::<f64>();
                 },
-                |acc, o| acc.0 += o.0,
+                |acc, o| *acc += o,
             )
         })
     };
@@ -148,12 +115,12 @@ pub fn intermediate_data(
         let rdd = ctx.from_partitions(parts.clone());
         rdd.aggregate(
             "XtX/on-demand",
-            || SmallMat(Mat::zeros(d, d)),
+            || Mat::zeros(d, d),
             |acc, row: &SpRow| {
                 let x = mean_prop::latent_row(row.view(), &cm, &xm);
-                acc.0.add_outer(1.0, &x, &x);
+                acc.add_outer(1.0, &x, &x);
             },
-            |acc, o| acc.0.add_assign(&o.0),
+            |acc, o| acc.add_assign(&o),
         )
     });
 
@@ -174,9 +141,9 @@ pub fn intermediate_data(
         }
         x_rdd.aggregate(
             "XtX/from-stored-X",
-            || SmallMat(Mat::zeros(d, d)),
-            |acc, x: &Vec<f64>| acc.0.add_outer(1.0, x, x),
-            |acc, o| acc.0.add_assign(&o.0),
+            || Mat::zeros(d, d),
+            |acc, x: &Vec<f64>| acc.add_outer(1.0, x, x),
+            |acc, o| acc.add_assign(&o),
         )
     });
     Ok(AblationResult { with_secs, without_secs, with_bytes, without_bytes })

@@ -114,11 +114,6 @@ pub struct SpcaConfig {
     /// Randomized arm only: number of power-iteration passes `q` after the
     /// initial range sketch (total distributed passes = `q + 1`).
     pub rpca_power_iters: usize,
-    /// Randomized arm only: caller's declaration that the input spectrum
-    /// decays slowly (noisy). Purely a validation hint: with it set,
-    /// `rpca_power_iters == 0` is rejected, because a plain one-pass sketch
-    /// on a flat spectrum gives a subspace dominated by noise.
-    pub rpca_noisy_spectrum: bool,
 }
 
 impl SpcaConfig {
@@ -141,7 +136,6 @@ impl SpcaConfig {
             algorithm: Algorithm::PpcaEm,
             rpca_oversample: 10,
             rpca_power_iters: 2,
-            rpca_noisy_spectrum: false,
         }
     }
 
@@ -163,18 +157,11 @@ impl SpcaConfig {
         self
     }
 
-    /// Declares the input spectrum noisy (flat tail). Validation then
-    /// insists on at least one power pass.
-    pub fn with_rpca_noisy_spectrum(mut self, noisy: bool) -> Self {
-        self.rpca_noisy_spectrum = noisy;
-        self
-    }
-
     /// Rejects nonsensical knob combinations before any cluster work runs;
     /// both engines' `fit` call it first. `n_cols` is the input width `D`
     /// (the sketch `d + p` must fit in it). A smart-guess sample fraction
     /// outside `(0, 1]` is rejected on either arm; the randomized arm has
-    /// three more rejectable combinations, each pinned by a test in
+    /// two more rejectable combinations, each pinned by a test in
     /// `crates/core/tests/rpca.rs`, and its knobs are inert on the EM arm.
     pub fn validate(&self, n_cols: usize) -> Result<(), SpcaError> {
         if let Some(fraction) = self.smart_guess.as_ref().map(|sg| sg.sample_fraction) {
@@ -192,13 +179,6 @@ impl SpcaConfig {
             return Err(SpcaError::InvalidConfig {
                 what: "randomized sketch needs oversampling >= 1 (rpca_oversample = 0 \
                        leaves no slack columns to capture the tail)"
-                    .into(),
-            });
-        }
-        if self.rpca_power_iters == 0 && self.rpca_noisy_spectrum {
-            return Err(SpcaError::InvalidConfig {
-                what: "spectrum flagged noisy but rpca_power_iters = 0: a one-pass \
-                       sketch on a flat spectrum recovers noise, not signal"
                     .into(),
             });
         }
@@ -296,7 +276,6 @@ impl SpcaConfig {
             ("spca.max_iters".into(), self.max_iters.to_string()),
             ("spca.partitions".into(), opt_usize(self.partitions)),
             ("spca.rel_tolerance".into(), opt_f64(self.rel_tolerance)),
-            ("spca.rpca_noisy_spectrum".into(), self.rpca_noisy_spectrum.to_string()),
             ("spca.rpca_oversample".into(), self.rpca_oversample.to_string()),
             ("spca.rpca_power_iters".into(), self.rpca_power_iters.to_string()),
             ("spca.seed".into(), self.seed.to_string()),
@@ -378,12 +357,10 @@ mod tests {
             .with_algorithm(Algorithm::Randomized)
             .with_rpca_oversample(4)
             .with_rpca_power_iters(3)
-            .with_rpca_noisy_spectrum(true)
             .fingerprint();
         assert!(fp.contains(&("spca.algorithm".into(), "randomized".into())));
         assert!(fp.contains(&("spca.rpca_oversample".into(), "4".into())));
         assert!(fp.contains(&("spca.rpca_power_iters".into(), "3".into())));
-        assert!(fp.contains(&("spca.rpca_noisy_spectrum".into(), "true".into())));
         let keys: Vec<&String> = fp.iter().map(|(k, _)| k).collect();
         let mut sorted = keys.clone();
         sorted.sort();

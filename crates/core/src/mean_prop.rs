@@ -49,7 +49,7 @@
 
 use linalg::kernels;
 use linalg::sparse::{Block, SparseRow};
-use linalg::wire::{self, Wire, WireError, WireReader};
+use linalg::wire::{Layout, Sink, WireCodec, WireError, WireReader};
 use linalg::{Mat, SparseMat, WorkerPool};
 
 /// Latent row `x = y·CM − Xm` for one sparse row (O(z·d)).
@@ -367,69 +367,26 @@ pub fn xtx_from_ytx(cm: &Mat, ytx: &Mat) -> Mat {
 }
 
 /// Wire layout: `Σx` first (its length prefix is `d`), the touched
-/// columns, the packed rows, the row count. `xtx` is not carried.
-impl Wire for YtxPartial {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.sum_x.encode_into(out);
-        wire::write_uvarint(out, self.cols.len() as u64);
-        wire::write_ascending_u32(out, &self.cols);
-        for v in &self.slab {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        wire::write_uvarint(out, self.rows_seen);
+/// columns (their count, then the ascending list: bitpacked under v3),
+/// the packed rows as one payload, the row count. `xtx` is not carried.
+impl Layout for YtxPartial {
+    fn put<S: Sink>(&self, s: &mut S) {
+        self.sum_x.put(s);
+        s.uvarint(self.cols.len() as u64);
+        s.ascending(&self.cols);
+        s.f64s(&self.slab);
+        s.uvarint(self.rows_seen);
     }
 
-    fn encoded_size(&self) -> u64 {
-        self.sum_x.encoded_size()
-            + wire::uvarint_len(self.cols.len() as u64)
-            + wire::ascending_u32_len(&self.cols)
-            + 8 * self.slab.len() as u64
-            + wire::uvarint_len(self.rows_seen)
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let sum_x = Vec::<f64>::decode_from(r)?;
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> Result<Self, WireError> {
+        let sum_x = Vec::<f64>::get(r, codec)?;
         let d = sum_x.len();
         let n = r.ulen()?;
-        let cols = wire::read_ascending_u32(r, n, u64::from(u32::MAX) + 1)?;
+        let cols = r.ascending(n, u64::from(u32::MAX) + 1, codec)?;
         let slab_len = n
             .checked_mul(d)
             .ok_or(WireError::Malformed("YtxPartial slab overflows"))?;
-        let mut slab = Vec::with_capacity(slab_len.min(r.remaining() / 8 + 1));
-        for _ in 0..slab_len {
-            slab.push(r.f64_bits()?);
-        }
-        let rows_seen = r.uvarint()?;
-        Ok(YtxPartial { xtx: Mat::zeros(d, d), cols, slab, sum_x, rows_seen })
-    }
-
-    // v3 fast path: the touched-column set is strictly ascending, so it
-    // bitpacks; the slab and sum_x ride the mode-tagged f64 payloads.
-    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
-        self.sum_x.encode_v3_into(out, quantize);
-        wire::write_uvarint(out, self.cols.len() as u64);
-        wire::write_bitpacked_u32(out, &self.cols);
-        wire::write_f64_slice_v3(out, &self.slab, quantize);
-        wire::write_uvarint(out, self.rows_seen);
-    }
-
-    fn encoded_size_v3(&self, quantize: bool) -> u64 {
-        self.sum_x.encoded_size_v3(quantize)
-            + wire::uvarint_len(self.cols.len() as u64)
-            + wire::bitpacked_u32_len(&self.cols)
-            + wire::f64_slice_v3_len(&self.slab, quantize)
-            + wire::uvarint_len(self.rows_seen)
-    }
-
-    fn decode_v3_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let sum_x = Vec::<f64>::decode_v3_from(r)?;
-        let d = sum_x.len();
-        let n = r.ulen()?;
-        let cols = wire::read_bitpacked_u32(r, n, u64::from(u32::MAX) + 1)?;
-        let slab_len = n
-            .checked_mul(d)
-            .ok_or(WireError::Malformed("YtxPartial slab overflows"))?;
-        let slab = wire::read_f64_slice_v3(r, slab_len)?;
+        let slab = r.f64s(slab_len, codec)?;
         let rows_seen = r.uvarint()?;
         Ok(YtxPartial { xtx: Mat::zeros(d, d), cols, slab, sum_x, rows_seen })
     }
@@ -621,7 +578,7 @@ pub mod rowwise {
 mod tests {
     use super::*;
     use linalg::sparse::PartitionBlock;
-    use linalg::Prng;
+    use linalg::{Prng, Wire};
 
     fn fixture() -> (SparseMat, Vec<f64>, Mat, Vec<f64>) {
         let mut rng = Prng::seed_from_u64(5);

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use dcluster::{Load, Meter, SimCluster};
 use linalg::sparse::{Block, PartitionBlock};
-use linalg::wire::{self, Wire, WireError, WireReader};
+use linalg::wire::{self, Layout, Sink, Wire, WireCodec, WireError, WireReader};
 use linalg::{Mat, SparseMat};
 use mapreduce::{Emitter, MapReduceEngine, MapReduceJob};
 
@@ -56,28 +56,22 @@ pub enum MrKey {
 /// Wire layout: one tag byte, plus a varint row index for [`MrKey::Row`].
 /// Tag 0 was the paper's `XtX-p` key; it is retired, and decodes as
 /// malformed.
-impl Wire for MrKey {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+impl Layout for MrKey {
+    fn put<S: Sink>(&self, s: &mut S) {
         match self {
-            MrKey::SumX => out.push(1),
-            MrKey::Count => out.push(2),
+            MrKey::SumX => s.byte(1),
+            MrKey::Count => s.byte(2),
             MrKey::Row(c) => {
-                out.push(3);
-                wire::write_uvarint(out, u64::from(*c));
+                s.byte(3);
+                c.put(s);
             }
         }
     }
-    fn encoded_size(&self) -> u64 {
-        match self {
-            MrKey::Row(c) => 1 + wire::uvarint_len(u64::from(*c)),
-            _ => 1,
-        }
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> std::result::Result<Self, WireError> {
         match r.u8()? {
             1 => Ok(MrKey::SumX),
             2 => Ok(MrKey::Count),
-            3 => Ok(MrKey::Row(u32::decode_from(r)?)),
+            3 => Ok(MrKey::Row(u32::get(r, codec)?)),
             _ => Err(WireError::Malformed("unknown MrKey tag")),
         }
     }
@@ -161,29 +155,14 @@ impl AsRef<[f64]> for RowView {
     }
 }
 
-/// Byte for byte the `Vec<f64>` layouts (v2, and v3 exact / quantized).
-impl Wire for RowView {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        wire::write_uvarint(out, self.len as u64);
-        for v in self.as_ref() {
-            v.encode_into(out);
-        }
+/// Byte for byte the `Vec<f64>` it shows, under every codec.
+impl Layout for RowView {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.uvarint(self.len as u64);
+        s.f64s(self.as_ref());
     }
-    fn encoded_size(&self) -> u64 {
-        wire::f64_payload_len(self.len)
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        Vec::<f64>::decode_from(r).map(RowView::whole)
-    }
-    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
-        wire::write_uvarint(out, self.len as u64);
-        wire::write_f64_slice_v3(out, self.as_ref(), quantize);
-    }
-    fn encoded_size_v3(&self, quantize: bool) -> u64 {
-        wire::uvarint_len(self.len as u64) + wire::f64_slice_v3_len(self.as_ref(), quantize)
-    }
-    fn decode_v3_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        Vec::<f64>::decode_v3_from(r).map(RowView::whole)
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> std::result::Result<Self, WireError> {
+        Vec::get(r, codec).map(RowView::whole)
     }
 }
 
@@ -402,10 +381,8 @@ mod tests {
                 for quantize in [false, true] {
                     // Quantized bytes decode to whatever the `Vec` decodes to.
                     let bytes = row.encode_v3(quantize);
-                    let want = Vec::<f64>::decode_v3_from(&mut WireReader::new(&bytes)).unwrap();
-                    let mut r = WireReader::new(&bytes);
-                    let got = RowView::decode_v3_from(&mut r).unwrap();
-                    r.finish().unwrap();
+                    let want = Vec::<f64>::decode_v3(&bytes).unwrap();
+                    let got = RowView::decode_v3(&bytes).unwrap();
                     assert_eq!(bits(got.as_ref()), bits(&want));
                 }
             }

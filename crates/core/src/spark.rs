@@ -29,7 +29,7 @@
 
 use dcluster::{Load, Meter, SimCluster};
 use linalg::sparse::{Block, PartitionBlock, RowRecords, SparseRow};
-use linalg::wire::{self, Wire, WireError, WireReader};
+use linalg::wire::{self, Layout, Sink, Wire, WireCodec, WireError, WireReader};
 use linalg::{Mat, SparseMat};
 use sparkle::{Lineage, Rdd, SparkleContext, TreeFold};
 
@@ -61,36 +61,16 @@ impl SpRow {
 }
 
 /// Wire layout: the per-row record a Spark shuffle file would hold
-/// ([`wire::write_row_record`]: `varint nnz`, delta-encoded ascending
-/// indices, raw f64 values).
-impl Wire for SpRow {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        wire::write_row_record(out, &self.indices, &self.values);
+/// ([`wire::put_row_record`]: `varint nnz`, the ascending indices, the
+/// values). Under v3 it is the sparse shuffle record the codec's ≥2x
+/// reduction target is about: on the binary text datasets the indices
+/// bitpack and the values collapse to one byte each.
+impl Layout for SpRow {
+    fn put<S: Sink>(&self, s: &mut S) {
+        wire::put_row_record(s, &self.indices, &self.values);
     }
-    fn encoded_size(&self) -> u64 {
-        wire::row_record_len(&self.indices)
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        wire::read_row_record(r).map(|(indices, values)| SpRow { indices, values })
-    }
-    // v3 fast path: bitpacked index deltas + mode-tagged value payload —
-    // the sparse shuffle record the codec's ≥2x reduction target is about
-    // (on the binary text datasets the values collapse to one byte each).
-    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
-        wire::write_uvarint(out, self.indices.len() as u64);
-        wire::write_bitpacked_u32(out, &self.indices);
-        wire::write_f64_slice_v3(out, &self.values, quantize);
-    }
-    fn encoded_size_v3(&self, quantize: bool) -> u64 {
-        wire::uvarint_len(self.indices.len() as u64)
-            + wire::bitpacked_u32_len(&self.indices)
-            + wire::f64_slice_v3_len(&self.values, quantize)
-    }
-    fn decode_v3_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        let n = r.ulen()?;
-        let indices = wire::read_bitpacked_u32(r, n, u64::from(u32::MAX) + 1)?;
-        let values = wire::read_f64_slice_v3(r, n)?;
-        Ok(SpRow { indices, values })
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> std::result::Result<Self, WireError> {
+        wire::get_row_record(r, codec).map(|(indices, values)| SpRow { indices, values })
     }
 }
 
@@ -112,37 +92,6 @@ pub fn to_rows(y: &SparseMat) -> Vec<SpRow> {
             SpRow { indices: row.indices.to_vec(), values: row.values.to_vec() }
         })
         .collect()
-}
-
-/// Accumulator wrapper so `f64` partials get a wire size.
-#[derive(Debug, Clone, Copy, Default)]
-struct Scalar(f64);
-
-impl Wire for Scalar {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-    fn encoded_size(&self) -> u64 {
-        8
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        Ok(Scalar(f64::decode_from(r)?))
-    }
-}
-
-/// Dense vector accumulator (column sums of the mean job).
-struct DenseAcc(Vec<f64>);
-
-impl Wire for DenseAcc {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-    fn encoded_size(&self) -> u64 {
-        self.0.encoded_size()
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        Ok(DenseAcc(Vec::<f64>::decode_from(r)?))
-    }
 }
 
 /// The cached element of partition `p` of `y` split into `parts`.
@@ -179,18 +128,18 @@ impl EmJobs for SparkJobs<'_> {
         let d_in = self.d_in;
         let (sums, _) = self.rdd.aggregate(
             "meanJob",
-            || DenseAcc(vec![0.0; d_in]),
+            || vec![0.0; d_in],
             |acc, block| {
                 let y = block.0.csr();
                 for r in 0..y.rows() {
                     for (c, v) in y.row(r).iter() {
-                        acc.0[c] += v;
+                        acc[c] += v;
                     }
                 }
             },
-            |acc, other| linalg::vector::axpy(1.0, &other.0, &mut acc.0),
+            |acc, other| linalg::vector::axpy(1.0, &other, acc),
         );
-        let mut mean = sums.0;
+        let mut mean = sums;
         linalg::vector::scale(1.0 / self.n as f64, &mut mean);
         mean
     }
@@ -199,17 +148,17 @@ impl EmJobs for SparkJobs<'_> {
         let msum = linalg::vector::norm2_sq(mean);
         let (total, _) = self.rdd.aggregate_partitions(
             "FnormJob",
-            || Scalar(0.0),
-            |acc, part| {
+            || 0.0,
+            |acc: &mut f64, part| {
                 // Algorithm 3 over the partition's block — the MapReduce
                 // engine's per-block pass.
                 for block in part {
-                    acc.0 += frobenius::centered_sq_block(block.0.csr(), mean, msum);
+                    *acc += frobenius::centered_sq_block(block.0.csr(), mean, msum);
                 }
             },
-            |acc, other| acc.0 += other.0,
+            |acc, other| *acc += other,
         );
-        total.0
+        total
     }
 
     fn ytx_job(&mut self, cm: &Mat, xm: &[f64]) -> YtxPartial {

@@ -155,9 +155,7 @@ fn subspace_matches_exact_pca_on_noisy_spectrum_with_power_passes() {
     let d = 3;
     let y = planted(200, 50, &[12.0, 9.0, 6.0], 0.5, 43);
     let cluster = SimCluster::new(ClusterConfig::paper_cluster());
-    let config = rpca_config()
-        .with_rpca_power_iters(3)
-        .with_rpca_noisy_spectrum(true);
+    let config = rpca_config().with_rpca_power_iters(3);
     let run = Spca::new(SpcaConfig { components: d, ..config }).fit_spark(&cluster, &y).unwrap();
     let exact = exact_pca_basis(&y, d);
     let overlap = subspace_overlap(run.model.components(), &exact).unwrap();
@@ -355,15 +353,6 @@ fn zero_oversampling_is_rejected() {
     let config = rpca_config().with_rpca_oversample(0);
     assert!(matches!(config.validate(y.cols()), Err(SpcaError::InvalidConfig { .. })));
     expect_invalid(Spca::new(config).fit_spark(&cluster, &y), "oversampling");
-}
-
-#[test]
-fn zero_power_iterations_with_noisy_spectrum_is_rejected() {
-    let y = test_matrix(37);
-    let cluster = SimCluster::new(ClusterConfig::paper_cluster());
-    let config = rpca_config().with_rpca_power_iters(0).with_rpca_noisy_spectrum(true);
-    assert!(matches!(config.validate(y.cols()), Err(SpcaError::InvalidConfig { .. })));
-    expect_invalid(Spca::new(config).fit_mapreduce(&cluster, &y), "noisy");
 }
 
 #[test]

@@ -88,6 +88,41 @@ fn spark_fit_is_bitwise_identical_across_codecs() {
     );
 }
 
+/// The one-time jobs' accumulators are priced under the cluster's codec
+/// like every other shuffle record: a fit that runs only `meanJob` and
+/// `FnormJob` moves, from codec to codec, exactly the difference in the
+/// wire sizes of their partials — each partition's column sums as a
+/// `Vec<f64>` and its Algorithm 3 term as an `f64`.
+#[test]
+fn spark_one_time_jobs_price_their_accumulators_under_the_codec() {
+    let y = test_matrix(43);
+    let parts = 8;
+    let config = SpcaConfig::new(3).with_max_iters(0).with_partitions(parts);
+    let runs =
+        CODECS.map(|codec| Spca::new(config.clone()).fit_spark(&codec_cluster(codec), &y).unwrap());
+    let mean = runs[0].model.mean();
+    let msum = linalg::vector::norm2_sq(mean);
+    let blocks = y.split_rows(parts);
+    let partials_size = |codec: WireCodec| -> u64 {
+        blocks
+            .iter()
+            .map(|b| {
+                let fnorm = 0.0 + spca_core::frobenius::centered_sq_block(b, mean, msum);
+                codec.shuffle_size(&b.col_sums()) + codec.shuffle_size(&fnorm)
+            })
+            .sum()
+    };
+    let fixed = runs[0].intermediate_bytes - partials_size(WireCodec::V2);
+    for (codec, run) in CODECS.iter().zip(&runs) {
+        assert_eq!(
+            run.intermediate_bytes,
+            fixed + partials_size(*codec),
+            "{codec}: meanJob/FnormJob partials priced as something else"
+        );
+    }
+    assert!(runs[2].intermediate_bytes < runs[1].intermediate_bytes);
+}
+
 #[test]
 fn mapreduce_fit_is_bitwise_identical_across_codecs() {
     let y = test_matrix(42);

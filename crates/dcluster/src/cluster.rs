@@ -152,8 +152,6 @@ pub struct SimCluster {
     metrics: Mutex<Metrics>,
     /// Persistent host-thread pool shared with the linalg kernels.
     pool: Arc<WorkerPool>,
-    /// Counter feeding the deterministic failure-injection hash.
-    failure_counter: AtomicU64,
     /// Binding of this cluster to a virtual trace process.
     trace: Mutex<TraceBinding>,
     /// The cluster's distributed filesystem (replicated block namespace).
@@ -346,7 +344,6 @@ impl SimCluster {
             cfg,
             metrics: Mutex::new(Metrics::default()),
             pool,
-            failure_counter: AtomicU64::new(0),
             trace: Mutex::new(TraceBinding::default()),
             dfs: Dfs::new(),
             stage_seq: AtomicU64::new(0),
@@ -525,20 +522,6 @@ impl SimCluster {
         // Metrics are plain data; a panic mid-update can't leave them in a
         // state worth refusing to read.
         self.metrics.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Deterministic per-task failure decision (splitmix64 hash of a
-    /// global attempt counter against the configured rate).
-    fn task_fails(&self) -> bool {
-        if self.cfg.task_failure_rate <= 0.0 {
-            return false;
-        }
-        let i = self.failure_counter.fetch_add(1, Ordering::Relaxed);
-        let mut z = i.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z as f64 / u64::MAX as f64) < self.cfg.task_failure_rate
     }
 
     /// The hardware description.
@@ -848,21 +831,8 @@ impl SimCluster {
         let pending_peak = delivery.finish();
 
         let cpu_secs: f64 = durations.iter().sum();
-        // Failure injection: a failed first attempt is re-executed — same
-        // result (the retry recomputes it), twice the duration plus the
-        // rescheduling delay. Charged in the schedule, invisible in the
-        // output, exactly like the platforms the paper targets.
-        let mut with_overhead: Vec<f64> = durations
-            .iter()
-            .map(|d| {
-                let base = d + opts.task_overhead_secs;
-                if self.task_fails() {
-                    base * 2.0 + self.cfg.task_retry_delay_secs
-                } else {
-                    base
-                }
-            })
-            .collect();
+        let mut with_overhead: Vec<f64> =
+            durations.iter().map(|d| d + opts.task_overhead_secs).collect();
         // Makespan of the bare measured durations and of the overhead-laden
         // (pre-fault) schedule: the anchors of the cpu / scheduler-wait /
         // recovery decomposition below.
@@ -903,11 +873,11 @@ impl SimCluster {
         let sched_anchor = overhead_span.min(compute_secs);
         let sched_part = (sched_anchor - cpu_part).max(0.0);
         let recovery_part = compute_secs - cpu_part.max(sched_anchor);
-        // Segment *presence* is structural: overhead/retry knobs and the
+        // Segment *presence* is structural: the overhead knob and the
         // fault plan are config, never measured time. When a knob is off
         // its part is exactly 0.0 (bitwise-equal makespans), so skipping
         // the advance changes nothing.
-        let emit_sched = opts.task_overhead_secs > 0.0 || self.cfg.task_failure_rate > 0.0;
+        let emit_sched = opts.task_overhead_secs > 0.0;
         let emit_recovery = has_fault_plan;
 
         let label = match self.job_scope() {
@@ -1432,33 +1402,9 @@ mod tests {
     }
 
     #[test]
-    fn failure_injection_slows_but_never_corrupts() {
-        let run = |rate: f64| {
-            let c = SimCluster::new(
-                ClusterConfig::paper_cluster()
-                    .with_nodes(1)
-                    .with_cores_per_node(4)
-                    .with_task_failure_rate(rate),
-            );
-            let tasks: Vec<_> = (0..100).map(|i| move || i * 3).collect();
-            let out = c.run_stage(StageOptions::new("t").with_task_overhead(0.5), tasks);
-            (out, c.metrics().virtual_time_secs)
-        };
-        let (ok_out, ok_time) = run(0.0);
-        let (faulty_out, faulty_time) = run(0.3);
-        assert_eq!(ok_out, faulty_out, "retries must be invisible in results");
-        assert!(
-            faulty_time > ok_time * 1.1,
-            "30% failures must cost time: {ok_time} vs {faulty_time}"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "invalid cluster config")]
     fn bad_config_fails_at_construction() {
-        let mut cfg = ClusterConfig::paper_cluster();
-        cfg.task_failure_rate = 1.0;
-        let _ = SimCluster::new(cfg);
+        let _ = SimCluster::new(ClusterConfig::paper_cluster().with_cores_per_node(0));
     }
 
     #[test]

@@ -29,13 +29,9 @@ pub struct ClusterConfig {
     /// nodes); MapReduce routes intermediate data through disk on both
     /// ends of a shuffle.
     pub disk_bytes_per_sec: f64,
-    /// Probability that a task's first attempt fails and is transparently
-    /// re-executed (straggler/failure injection). Both platforms the paper
-    /// targets retry failed tasks without algorithmic consequences; the
-    /// simulator charges the retry's time but never its results.
-    pub task_failure_rate: f64,
     /// Extra virtual seconds before a failed task's re-execution is
-    /// scheduled (failure detection + rescheduling latency).
+    /// scheduled (failure detection + rescheduling latency): what a
+    /// [`crate::FaultPlan`] crash's re-attempts wait.
     pub task_retry_delay_secs: f64,
     /// DFS block replication factor (HDFS `dfs.replication`, default 3).
     /// A node crash drops that node's replicas; files still holding a
@@ -91,7 +87,6 @@ impl ClusterConfig {
             driver_memory: 32 << 30,
             network_bytes_per_sec: 120e6,
             disk_bytes_per_sec: 100e6,
-            task_failure_rate: 0.0,
             task_retry_delay_secs: 2.0,
             dfs_replication: 3,
             byte_sizing: Sizing::Encoded,
@@ -125,7 +120,6 @@ impl ClusterConfig {
             driver_memory: 96 << 20,
             network_bytes_per_sec: 1.5e6,
             disk_bytes_per_sec: 1.2e6,
-            task_failure_rate: 0.0,
             task_retry_delay_secs: 2.0,
             dfs_replication: 3,
             byte_sizing: Sizing::Encoded,
@@ -178,13 +172,6 @@ impl ClusterConfig {
     /// Builder-style override of the shuffle wire codec.
     pub fn with_wire_codec(mut self, codec: WireCodec) -> Self {
         self.wire_codec = codec;
-        self
-    }
-
-    /// Builder-style override of the task failure rate.
-    pub fn with_task_failure_rate(mut self, rate: f64) -> Self {
-        assert!((0.0..1.0).contains(&rate), "failure rate must be in [0, 1)");
-        self.task_failure_rate = rate;
         self
     }
 
@@ -242,12 +229,6 @@ impl ClusterConfig {
         }
         if self.cores_per_node == 0 {
             return bad("cores_per_node must be >= 1".into());
-        }
-        if !self.task_failure_rate.is_finite() || !(0.0..1.0).contains(&self.task_failure_rate) {
-            return bad(format!(
-                "task_failure_rate must be in [0, 1), got {}",
-                self.task_failure_rate
-            ));
         }
         if !self.task_retry_delay_secs.is_finite() || self.task_retry_delay_secs < 0.0 {
             return bad(format!(
@@ -316,7 +297,6 @@ impl ClusterConfig {
             ("cluster.network_bytes_per_sec".into(), format!("{}", self.network_bytes_per_sec)),
             ("cluster.nodes".into(), self.nodes.to_string()),
             ("cluster.scheduler".into(), self.scheduler.label().to_string()),
-            ("cluster.task_failure_rate".into(), format!("{}", self.task_failure_rate)),
             ("cluster.task_retry_delay_secs".into(), format!("{}", self.task_retry_delay_secs)),
             ("cluster.timing".into(), self.timing.label().to_string()),
             ("cluster.wire_codec".into(), self.wire_codec.label().to_string()),
@@ -380,27 +360,6 @@ mod tests {
             Err(ClusterError::InvalidConfig { what }) => what,
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn validate_rejects_failure_rate_of_one() {
-        let mut c = ClusterConfig::paper_cluster();
-        c.task_failure_rate = 1.0;
-        assert!(rejected(c).contains("task_failure_rate"));
-    }
-
-    #[test]
-    fn validate_rejects_negative_failure_rate() {
-        let mut c = ClusterConfig::paper_cluster();
-        c.task_failure_rate = -0.1;
-        assert!(rejected(c).contains("task_failure_rate"));
-    }
-
-    #[test]
-    fn validate_rejects_nan_failure_rate() {
-        let mut c = ClusterConfig::paper_cluster();
-        c.task_failure_rate = f64::NAN;
-        assert!(rejected(c).contains("task_failure_rate"));
     }
 
     #[test]

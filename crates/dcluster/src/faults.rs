@@ -1,10 +1,10 @@
 //! Deterministic fault plans and the recovery-event log.
 //!
-//! The legacy `task_failure_rate` knob only stretches task durations; this
-//! module makes failures *stateful*: a seeded [`FaultPlan`] schedules node
-//! crashes at specific global stage indices, and a crashed node really
-//! loses its share of cached RDD partitions, its DFS block replicas, and
-//! the in-flight first attempts of its tasks. Recovery is algorithmic and
+//! The simulator's one fault-injection path, and a *stateful* one: a
+//! seeded [`FaultPlan`] schedules node crashes at specific global stage
+//! indices, and a crashed node really loses its share of cached RDD
+//! partitions, its DFS block replicas, and the in-flight first attempts of
+//! its tasks. Recovery is algorithmic and
 //! platform-specific (lineage recomputation in `sparkle`, HDFS re-reads in
 //! `mapreduce`, re-replication in the DFS) — every recovery action is
 //! appended to a structural [`RecoveryEvent`] log.

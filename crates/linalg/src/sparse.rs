@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use crate::dense::Mat;
 use crate::vector;
-use crate::wire::{self, Wire, WireError, WireReader};
+use crate::wire::{self, Layout, Sink, WireCodec, WireError, WireReader};
 
 /// Compressed-sparse-row matrix of `f64`.
 ///
@@ -606,52 +606,37 @@ impl Block for PartitionBlock {
     }
 }
 
-impl Wire for PartitionBlock {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.csr.encode_into(out);
+impl Layout for PartitionBlock {
+    fn put<S: Sink>(&self, s: &mut S) {
+        self.csr.put(s);
     }
-    fn encoded_size(&self) -> u64 {
-        self.csr.encoded_size()
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        SparseMat::decode_from(r).map(PartitionBlock::new)
-    }
-    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
-        self.csr.encode_v3_into(out, quantize);
-    }
-    fn encoded_size_v3(&self, quantize: bool) -> u64 {
-        self.csr.encoded_size_v3(quantize)
-    }
-    fn decode_v3_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        SparseMat::decode_v3_from(r).map(PartitionBlock::new)
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> Result<Self, WireError> {
+        SparseMat::get(r, codec).map(PartitionBlock::new)
     }
 }
 
 /// A [`PartitionBlock`] that is cached, sized and shipped as its rows'
-/// records ([`wire::write_row_record`]), one after another: byte for byte
+/// records ([`wire::put_row_record`]), one after another: byte for byte
 /// the elements of a `Vec` of per-row records, so an RDD caching one block
 /// per partition is priced as one that cached its rows.
 ///
-/// There is no header. [`Wire::decode_from`] reads the rest of its buffer
+/// There is no header. [`Layout::get`] reads the rest of its buffer
 /// as records, and — the width not being on the wire — the decoded block
 /// is one column wider than its largest index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowRecords(pub PartitionBlock);
 
-impl Wire for RowRecords {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+impl Layout for RowRecords {
+    fn put<S: Sink>(&self, s: &mut S) {
         for r in 0..self.0.csr.rows {
             let row = self.0.csr.row(r);
-            wire::write_row_record(out, row.indices, row.values);
+            wire::put_row_record(s, row.indices, row.values);
         }
     }
-    fn encoded_size(&self) -> u64 {
-        (0..self.0.csr.rows).map(|r| wire::row_record_len(self.0.csr.row(r).indices)).sum()
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> Result<Self, WireError> {
         let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
         while r.remaining() > 0 {
-            let (idx, vals) = wire::read_row_record(r)?;
+            let (idx, vals) = wire::get_row_record(r, codec)?;
             indices.extend(idx);
             values.extend(vals);
             indptr.push(indices.len());
@@ -665,6 +650,7 @@ impl Wire for RowRecords {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Wire;
 
     fn sample() -> SparseMat {
         // [ 1 0 2 ]
@@ -873,7 +859,8 @@ mod tests {
         let block = RowRecords(PartitionBlock::new(sample()));
         let (y, mut rows) = (sample(), Vec::new());
         for r in 0..3 {
-            wire::write_row_record(&mut rows, y.row(r).indices, y.row(r).values);
+            let mut w = wire::Writer::new(&mut rows, WireCodec::V2);
+            wire::put_row_record(&mut w, y.row(r).indices, y.row(r).values);
         }
         assert_eq!(block.encode(), rows);
         assert_eq!(block.encoded_size(), rows.len() as u64);

@@ -21,14 +21,18 @@
 //!   format version ([`WIRE_VERSION`]); bare record encodings (shuffle
 //!   keys/values) omit the frame since the stream context fixes the type.
 //!
-//! The central contract, enforced by `tests/wire_roundtrip.rs`:
-//! `encoded_size() == encode().len()` and `decode(encode(v)) == v` bitwise,
-//! for every type that crosses a metered boundary.
+//! Each type states its layout once, as a [`Layout`]: `put` writes its
+//! fields through a [`Sink`]'s codec-aware primitives, `get` reads them
+//! back. The sink is a [`Writer`] or a [`Counter`], so
+//! `encoded_size() == encode().len()` holds by construction under every
+//! codec; `decode(encode(v)) == v` bitwise is enforced by
+//! `tests/wire_roundtrip.rs`.
 //!
 //! # The v3 fast path
 //!
-//! Shuffle-only records may opt into the **v3** encoding
-//! ([`Wire::encode_v3_into`], selected per cluster by [`WireCodec`]):
+//! Shuffle-only records may opt into the **v3** encoding (selected per
+//! cluster by [`WireCodec`]). It is the v2 layout with two primitives
+//! swapped:
 //!
 //! * **bitpacked deltas** — an ascending index list stores its first
 //!   index absolute, then one byte naming the fixed bit width `w` of the
@@ -156,6 +160,35 @@ impl<'a> WireReader<'a> {
         Ok(f64::from_bits(u64::from_le_bytes(b.try_into().expect("take(8)"))))
     }
 
+    /// Consumes `n` strictly ascending indices, each `< max_exclusive`,
+    /// written by [`Sink::ascending`] under `codec`.
+    pub fn ascending(
+        &mut self,
+        n: usize,
+        max_exclusive: u64,
+        codec: WireCodec,
+    ) -> Result<Vec<u32>, WireError> {
+        match codec {
+            WireCodec::V2 => read_ascending_u32(self, n, max_exclusive),
+            WireCodec::V3 | WireCodec::V3Quantized => read_bitpacked_u32(self, n, max_exclusive),
+        }
+    }
+
+    /// Consumes an `n`-value payload written by [`Sink::f64s`] under
+    /// `codec`.
+    pub fn f64s(&mut self, n: usize, codec: WireCodec) -> Result<Vec<f64>, WireError> {
+        match codec {
+            WireCodec::V2 => {
+                let raw = self.take(n.checked_mul(8).ok_or(WireError::Truncated)?)?;
+                Ok(raw
+                    .chunks_exact(8)
+                    .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunks(8)"))))
+                    .collect())
+            }
+            WireCodec::V3 | WireCodec::V3Quantized => read_f64_slice_v3(self, n),
+        }
+    }
+
     /// Errors unless every byte has been consumed.
     pub fn finish(&self) -> Result<(), WireError> {
         if self.remaining() == 0 {
@@ -247,34 +280,6 @@ pub fn read_ascending_u32(
         prev = Some(c);
     }
     Ok(out)
-}
-
-/// Appends one sparse row record — `varint nnz`, the ascending indices
-/// delta-encoded, the raw `f64` values: the per-row record a Spark cache
-/// or shuffle file holds.
-pub fn write_row_record(out: &mut Vec<u8>, indices: &[u32], values: &[f64]) {
-    write_uvarint(out, indices.len() as u64);
-    write_ascending_u32(out, indices);
-    for &v in values {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-}
-
-/// Encoded length of [`write_row_record`]'s output.
-pub fn row_record_len(indices: &[u32]) -> u64 {
-    uvarint_len(indices.len() as u64) + ascending_u32_len(indices) + 8 * indices.len() as u64
-}
-
-/// Reads one [`write_row_record`] record.
-pub fn read_row_record(r: &mut WireReader<'_>) -> Result<(Vec<u32>, Vec<f64>), WireError> {
-    let n = r.ulen()?;
-    let indices = read_ascending_u32(r, n, u64::from(u32::MAX) + 1)?;
-    let raw = r.take(n.checked_mul(8).ok_or(WireError::Truncated)?)?;
-    let values = raw
-        .chunks_exact(8)
-        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunks_exact(8)"))))
-        .collect();
-    Ok((indices, values))
 }
 
 // ---------------------------------------------------------------------------
@@ -490,391 +495,377 @@ pub fn read_f64_slice_v3(r: &mut WireReader<'_>, n: usize) -> Result<Vec<f64>, W
                 f64::from(f32::from_bits(u32::from_le_bytes(c.try_into().expect("chunks(4)"))))
             }));
         }
-        PAYLOAD_RAW => {
-            let raw = r.take(n.checked_mul(8).ok_or(WireError::Truncated)?)?;
-            out.extend(raw.chunks_exact(8).map(|c| {
-                f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunks(8)")))
-            }));
-        }
+        PAYLOAD_RAW => return r.f64s(n, WireCodec::V2),
         _ => return Err(WireError::Malformed("unknown v3 payload mode")),
     }
     Ok(out)
 }
 
+/// Where a [`Layout`] writes its fields: [`Writer`] appends the bytes,
+/// [`Counter`] only counts them, so a type's size is the code that
+/// encodes it. Each field primitive picks its codec's form itself, which
+/// is what lets one `put` state a layout for v2 and v3 alike.
+pub trait Sink {
+    /// One raw byte (enum and `Option` tags): the same under every codec.
+    fn byte(&mut self, b: u8);
+    /// A count or integer field: an unsigned LEB128 varint under every
+    /// codec.
+    fn uvarint(&mut self, v: u64);
+    /// A strictly ascending index list, without its count: varint deltas
+    /// under v2 ([`write_ascending_u32`]), bitpacked under v3
+    /// ([`write_bitpacked_u32`]).
+    fn ascending(&mut self, indices: &[u32]);
+    /// An `f64` payload, without its count: raw bits under v2, one
+    /// mode-tagged payload under v3 ([`write_f64_slice_v3`]; `f32` bits
+    /// only under [`WireCodec::V3Quantized`]).
+    fn f64s(&mut self, vals: &[f64]);
+}
+
+/// The [`Sink`] that appends a value's bytes to a buffer.
+pub struct Writer<'a> {
+    out: &'a mut Vec<u8>,
+    codec: WireCodec,
+}
+
+impl<'a> Writer<'a> {
+    /// Appends to `out` under `codec`.
+    pub fn new(out: &'a mut Vec<u8>, codec: WireCodec) -> Self {
+        Writer { out, codec }
+    }
+}
+
+impl Sink for Writer<'_> {
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        self.out.push(b);
+    }
+    #[inline]
+    fn uvarint(&mut self, v: u64) {
+        write_uvarint(self.out, v);
+    }
+    #[inline]
+    fn ascending(&mut self, indices: &[u32]) {
+        match self.codec {
+            WireCodec::V2 => write_ascending_u32(self.out, indices),
+            _ => write_bitpacked_u32(self.out, indices),
+        }
+    }
+    #[inline]
+    fn f64s(&mut self, vals: &[f64]) {
+        match self.codec {
+            WireCodec::V2 => {
+                self.out.reserve(8 * vals.len());
+                for &v in vals {
+                    self.out.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
+            }
+            codec => write_f64_slice_v3(self.out, vals, codec.quantizes()),
+        }
+    }
+}
+
+/// The [`Sink`] that only counts the bytes a [`Writer`] would append.
+pub struct Counter {
+    len: u64,
+    codec: WireCodec,
+}
+
+impl Sink for Counter {
+    #[inline]
+    fn byte(&mut self, _b: u8) {
+        self.len += 1;
+    }
+    #[inline]
+    fn uvarint(&mut self, v: u64) {
+        self.len += uvarint_len(v);
+    }
+    #[inline]
+    fn ascending(&mut self, indices: &[u32]) {
+        self.len += match self.codec {
+            WireCodec::V2 => ascending_u32_len(indices),
+            _ => bitpacked_u32_len(indices),
+        };
+    }
+    #[inline]
+    fn f64s(&mut self, vals: &[f64]) {
+        self.len += match self.codec {
+            WireCodec::V2 => 8 * vals.len() as u64,
+            codec => f64_slice_v3_len(vals, codec.quantizes()),
+        };
+    }
+}
+
+/// A type's one wire layout: [`Layout::put`] writes its fields through
+/// the [`Sink`] primitives, [`Layout::get`] reads them back under the
+/// codec they were written in and rejects what no `put` could have
+/// written. Implementing it is what makes a type [`Wire`].
+pub trait Layout: Sized {
+    /// Writes the fields of `self`.
+    fn put<S: Sink>(&self, s: &mut S);
+
+    /// Reads one value written by [`Layout::put`] under `codec`, leaving
+    /// the cursor after it.
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> Result<Self, WireError>;
+
+    /// Writes `items` without their count; `f64` writes them as one
+    /// payload (one v3 mode byte for the whole run).
+    #[doc(hidden)]
+    fn put_all<S: Sink>(items: &[Self], s: &mut S) {
+        for v in items {
+            v.put(s);
+        }
+    }
+
+    /// Reads `n` values written by [`Layout::put_all`].
+    #[doc(hidden)]
+    fn get_all(r: &mut WireReader<'_>, n: usize, codec: WireCodec) -> Result<Vec<Self>, WireError> {
+        let mut out = Vec::with_capacity(n.min(r.remaining() + 1));
+        for _ in 0..n {
+            out.push(Self::get(r, codec)?);
+        }
+        Ok(out)
+    }
+}
+
 /// A value with a real binary encoding.
 ///
 /// Everything metered by the cluster simulator implements this; the meters
-/// charge [`Wire::encoded_size`], which must equal `encode().len()` exactly
-/// (property-tested), and [`Wire::decode`] must reproduce the input
-/// bitwise.
+/// charge [`Wire::encoded_size`] (or [`WireCodec::shuffle_size`]), which
+/// must equal `encode().len()` exactly, and [`Wire::decode`] must
+/// reproduce the input bitwise. Every library type gets it from its
+/// [`Layout`] through the one blanket impl, so size and bytes cannot
+/// drift apart; implementing `Wire` directly (v2 only, the same bytes under
+/// every codec) is left to the frozen benchmark replay's payload-free
+/// accumulator.
 pub trait Wire: Sized {
-    /// Appends the encoding of `self` to `out`.
+    /// Appends the v2 encoding of `self` to `out`.
     fn encode_into(&self, out: &mut Vec<u8>);
 
     /// Exact length of [`Wire::encode`]'s output, without materializing it.
     fn encoded_size(&self) -> u64;
 
-    /// Decodes one value from the reader, leaving the cursor after it.
+    /// Decodes one v2 value from the reader, leaving the cursor after it.
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+
+    /// Appends the encoding of `self` under `codec`.
+    fn encode_in(&self, codec: WireCodec, out: &mut Vec<u8>) {
+        let _ = codec;
+        self.encode_into(out);
+    }
+
+    /// Exact length of [`Wire::encode_in`]'s output under `codec`.
+    fn size_in(&self, codec: WireCodec) -> u64 {
+        let _ = codec;
+        self.encoded_size()
+    }
+
+    /// Decodes one value encoded under `codec`. The v3 payload mode bytes
+    /// tell the decoder whether the encoder quantized, so `V3` and
+    /// `V3Quantized` read alike.
+    fn decode_in(r: &mut WireReader<'_>, codec: WireCodec) -> Result<Self, WireError> {
+        let _ = codec;
+        Self::decode_from(r)
+    }
 
     /// Encodes `self` into a fresh buffer.
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_size() as usize);
-        self.encode_into(&mut out);
-        debug_assert_eq!(out.len() as u64, self.encoded_size(), "encoded_size out of sync");
-        out
+        encode_whole(self, WireCodec::V2)
     }
 
     /// Decodes a value occupying the whole buffer.
     fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(buf);
-        let v = Self::decode_from(&mut r)?;
-        r.finish()?;
-        Ok(v)
+        decode_whole(buf, WireCodec::V2)
     }
 
-    // --- v3 fast path -----------------------------------------------------
-
-    /// Appends the v3 encoding (bitpacked deltas, mode-tagged payloads).
-    /// `quantize` allows the lossy f32 payload mode; `false` keeps v3
-    /// fully exact. The default falls back to the v2 layout — correct
-    /// for scalar/integer types whose two layouts coincide; types with
-    /// f64 payloads or index lists override it.
-    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
-        let _ = quantize;
-        self.encode_into(out);
-    }
-
-    /// Exact length of [`Wire::encode_v3`]'s output — what the byte
-    /// meters charge under [`WireCodec::V3`]/[`WireCodec::V3Quantized`].
-    fn encoded_size_v3(&self, quantize: bool) -> u64 {
-        let _ = quantize;
-        self.encoded_size()
-    }
-
-    /// Decodes one v3-encoded value. Self-describing: the payload mode
-    /// bytes tell the decoder whether the encoder quantized, so no flag
-    /// is needed here.
-    fn decode_v3_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Self::decode_from(r)
-    }
-
-    /// Encodes `self` with the v3 layout into a fresh buffer.
+    /// Encodes `self` with the v3 layout into a fresh buffer; `quantize`
+    /// allows the lossy f32 payload mode.
     fn encode_v3(&self, quantize: bool) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_size_v3(quantize) as usize);
-        self.encode_v3_into(&mut out, quantize);
-        debug_assert_eq!(
-            out.len() as u64,
-            self.encoded_size_v3(quantize),
-            "encoded_size_v3 out of sync"
-        );
-        out
+        encode_whole(self, WireCodec::v3(quantize))
+    }
+
+    /// Exact length of [`Wire::encode_v3`]'s output — what the byte meters
+    /// charge under [`WireCodec::V3`]/[`WireCodec::V3Quantized`].
+    fn encoded_size_v3(&self, quantize: bool) -> u64 {
+        self.size_in(WireCodec::v3(quantize))
     }
 
     /// Decodes a v3 value occupying the whole buffer.
     fn decode_v3(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(buf);
-        let v = Self::decode_v3_from(&mut r)?;
-        r.finish()?;
-        Ok(v)
-    }
-
-    /// Poor-man's specialization hook: `true` only for `f64`, so generic
-    /// containers (`Vec<T>`) can batch a whole `f64` slice through one
-    /// mode-tagged payload instead of tagging every element.
-    #[doc(hidden)]
-    const IS_F64: bool = false;
-
-    /// The value as an `f64`; only called when [`Wire::IS_F64`] is true.
-    #[doc(hidden)]
-    fn f64_value(&self) -> f64 {
-        unreachable!("f64_value on a non-f64 Wire type")
-    }
-
-    /// Rebuilds the value from an `f64`; only called when
-    /// [`Wire::IS_F64`] is true.
-    #[doc(hidden)]
-    fn from_f64_value(v: f64) -> Option<Self> {
-        let _ = v;
-        None
+        decode_whole(buf, WireCodec::V3)
     }
 }
 
-impl Wire for f64 {
+impl<T: Layout> Wire for T {
+    #[inline]
     fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
+        self.put(&mut Writer::new(out, WireCodec::V2));
     }
+    #[inline]
     fn encoded_size(&self) -> u64 {
-        8
+        self.size_in(WireCodec::V2)
     }
+    #[inline]
     fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.f64_bits()
+        T::get(r, WireCodec::V2)
     }
-    // v3: a scalar is a length-1 payload (the mode byte pays for itself
-    // on the integral shuffle values the text datasets produce).
-    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
-        write_f64_slice_v3(out, std::slice::from_ref(self), quantize);
+    #[inline]
+    fn encode_in(&self, codec: WireCodec, out: &mut Vec<u8>) {
+        self.put(&mut Writer::new(out, codec));
     }
-    fn encoded_size_v3(&self, quantize: bool) -> u64 {
-        f64_slice_v3_len(std::slice::from_ref(self), quantize)
+    #[inline]
+    fn size_in(&self, codec: WireCodec) -> u64 {
+        let mut counter = Counter { len: 0, codec };
+        self.put(&mut counter);
+        counter.len
     }
-    fn decode_v3_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let v = read_f64_slice_v3(r, 1)?;
-        Ok(v[0])
-    }
-    const IS_F64: bool = true;
-    fn f64_value(&self) -> f64 {
-        *self
-    }
-    fn from_f64_value(v: f64) -> Option<Self> {
-        Some(v)
+    #[inline]
+    fn decode_in(r: &mut WireReader<'_>, codec: WireCodec) -> Result<Self, WireError> {
+        T::get(r, codec)
     }
 }
 
-impl Wire for u64 {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        write_uvarint(out, *self);
+fn encode_whole<T: Wire>(v: &T, codec: WireCodec) -> Vec<u8> {
+    let mut out = Vec::with_capacity(v.size_in(codec) as usize);
+    v.encode_in(codec, &mut out);
+    debug_assert_eq!(out.len() as u64, v.size_in(codec), "size_in out of sync");
+    out
+}
+
+fn decode_whole<T: Wire>(buf: &[u8], codec: WireCodec) -> Result<T, WireError> {
+    let mut r = WireReader::new(buf);
+    let v = T::decode_in(&mut r, codec)?;
+    r.finish()?;
+    Ok(v)
+}
+
+/// A scalar is a one-value payload: 8 raw bytes under v2; under v3 the
+/// mode byte pays for itself on the integral values of the text datasets.
+impl Layout for f64 {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.f64s(std::slice::from_ref(self));
     }
-    fn encoded_size(&self) -> u64 {
-        uvarint_len(*self)
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> Result<Self, WireError> {
+        Ok(r.f64s(1, codec)?[0])
     }
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn put_all<S: Sink>(items: &[Self], s: &mut S) {
+        s.f64s(items);
+    }
+    fn get_all(r: &mut WireReader<'_>, n: usize, codec: WireCodec) -> Result<Vec<Self>, WireError> {
+        r.f64s(n, codec)
+    }
+}
+
+impl Layout for u64 {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.uvarint(*self);
+    }
+    fn get(r: &mut WireReader<'_>, _codec: WireCodec) -> Result<Self, WireError> {
         r.uvarint()
     }
 }
 
-impl Wire for u32 {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        write_uvarint(out, u64::from(*self));
+impl Layout for u32 {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.uvarint(u64::from(*self));
     }
-    fn encoded_size(&self) -> u64 {
-        uvarint_len(u64::from(*self))
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut WireReader<'_>, _codec: WireCodec) -> Result<Self, WireError> {
         u32::try_from(r.uvarint()?).map_err(|_| WireError::Malformed("u32 overflow"))
     }
 }
 
-impl Wire for usize {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        write_uvarint(out, *self as u64);
+impl Layout for usize {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.uvarint(*self as u64);
     }
-    fn encoded_size(&self) -> u64 {
-        uvarint_len(*self as u64)
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut WireReader<'_>, _codec: WireCodec) -> Result<Self, WireError> {
         r.ulen()
     }
 }
 
-impl Wire for () {
-    fn encode_into(&self, _out: &mut Vec<u8>) {}
-    fn encoded_size(&self) -> u64 {
-        0
-    }
-    fn decode_from(_r: &mut WireReader<'_>) -> Result<Self, WireError> {
+impl Layout for () {
+    fn put<S: Sink>(&self, _s: &mut S) {}
+    fn get(_r: &mut WireReader<'_>, _codec: WireCodec) -> Result<Self, WireError> {
         Ok(())
     }
 }
 
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-        self.1.encode_into(out);
+impl<A: Layout, B: Layout> Layout for (A, B) {
+    fn put<S: Sink>(&self, s: &mut S) {
+        self.0.put(s);
+        self.1.put(s);
     }
-    fn encoded_size(&self) -> u64 {
-        self.0.encoded_size() + self.1.encoded_size()
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok((A::decode_from(r)?, B::decode_from(r)?))
-    }
-    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
-        self.0.encode_v3_into(out, quantize);
-        self.1.encode_v3_into(out, quantize);
-    }
-    fn encoded_size_v3(&self, quantize: bool) -> u64 {
-        self.0.encoded_size_v3(quantize) + self.1.encoded_size_v3(quantize)
-    }
-    fn decode_v3_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok((A::decode_v3_from(r)?, B::decode_v3_from(r)?))
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> Result<Self, WireError> {
+        Ok((A::get(r, codec)?, B::get(r, codec)?))
     }
 }
 
-impl<T: Wire> Wire for Vec<T> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        write_uvarint(out, self.len() as u64);
-        for v in self {
-            v.encode_into(out);
-        }
+/// `varint len`, then the elements ([`Layout::put_all`]: an `f64` vector
+/// is one payload under a single v3 mode byte).
+impl<T: Layout> Layout for Vec<T> {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.uvarint(self.len() as u64);
+        T::put_all(self, s);
     }
-    fn encoded_size(&self) -> u64 {
-        uvarint_len(self.len() as u64) + self.iter().map(Wire::encoded_size).sum::<u64>()
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> Result<Self, WireError> {
         let n = r.ulen()?;
-        let mut out = Vec::with_capacity(n.min(r.remaining() + 1));
-        for _ in 0..n {
-            out.push(T::decode_from(r)?);
-        }
-        Ok(out)
-    }
-    // v3: an f64 vector is one batched payload under a single mode byte
-    // (the `IS_F64` hook stands in for specialization); other element
-    // types forward element-wise so nested payloads still compress.
-    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
-        write_uvarint(out, self.len() as u64);
-        if T::IS_F64 {
-            let vals: Vec<f64> = self.iter().map(Wire::f64_value).collect();
-            write_f64_slice_v3(out, &vals, quantize);
-        } else {
-            for v in self {
-                v.encode_v3_into(out, quantize);
-            }
-        }
-    }
-    fn encoded_size_v3(&self, quantize: bool) -> u64 {
-        let header = uvarint_len(self.len() as u64);
-        if T::IS_F64 {
-            let vals: Vec<f64> = self.iter().map(Wire::f64_value).collect();
-            header + f64_slice_v3_len(&vals, quantize)
-        } else {
-            header + self.iter().map(|v| v.encoded_size_v3(quantize)).sum::<u64>()
-        }
-    }
-    fn decode_v3_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n = r.ulen()?;
-        if T::IS_F64 {
-            let vals = read_f64_slice_v3(r, n)?;
-            return Ok(vals
-                .into_iter()
-                .map(|v| T::from_f64_value(v).expect("IS_F64 implies from_f64_value"))
-                .collect());
-        }
-        let mut out = Vec::with_capacity(n.min(r.remaining() + 1));
-        for _ in 0..n {
-            out.push(T::decode_v3_from(r)?);
-        }
-        Ok(out)
+        T::get_all(r, n, codec)
     }
 }
 
-impl<T: Wire> Wire for Option<T> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+/// One tag byte (0 or 1), then the value when present.
+impl<T: Layout> Layout for Option<T> {
+    fn put<S: Sink>(&self, s: &mut S) {
         match self {
-            None => out.push(0),
+            None => s.byte(0),
             Some(v) => {
-                out.push(1);
-                v.encode_into(out);
+                s.byte(1);
+                v.put(s);
             }
         }
     }
-    fn encoded_size(&self) -> u64 {
-        1 + self.as_ref().map_or(0, Wire::encoded_size)
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(None),
-            1 => Ok(Some(T::decode_from(r)?)),
-            _ => Err(WireError::Malformed("Option tag must be 0 or 1")),
-        }
-    }
-    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.encode_v3_into(out, quantize);
-            }
-        }
-    }
-    fn encoded_size_v3(&self, quantize: bool) -> u64 {
-        1 + self.as_ref().map_or(0, |v| v.encoded_size_v3(quantize))
-    }
-    fn decode_v3_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode_v3_from(r)?)),
+            1 => Ok(Some(T::get(r, codec)?)),
             _ => Err(WireError::Malformed("Option tag must be 0 or 1")),
         }
     }
 }
 
-/// Dense block: `varint rows, varint cols`, then `rows·cols` raw f64 bits
-/// in row-major order.
-impl Wire for Mat {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        write_uvarint(out, self.rows() as u64);
-        write_uvarint(out, self.cols() as u64);
-        for &v in self.data() {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+/// Dense block: `varint rows, varint cols`, then the `rows·cols` values in
+/// row-major order as one payload.
+impl Layout for Mat {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.uvarint(self.rows() as u64);
+        s.uvarint(self.cols() as u64);
+        s.f64s(self.data());
     }
-    fn encoded_size(&self) -> u64 {
-        uvarint_len(self.rows() as u64)
-            + uvarint_len(self.cols() as u64)
-            + 8 * self.data().len() as u64
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> Result<Self, WireError> {
         let rows = r.ulen()?;
         let cols = r.ulen()?;
         let n = rows.checked_mul(cols).ok_or(WireError::Malformed("Mat shape overflows"))?;
-        let raw = r.take(n.checked_mul(8).ok_or(WireError::Malformed("Mat payload overflows"))?)?;
-        let data = raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunks_exact(8)"))))
-            .collect();
-        Ok(Mat::from_vec(rows, cols, data))
-    }
-    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
-        write_uvarint(out, self.rows() as u64);
-        write_uvarint(out, self.cols() as u64);
-        write_f64_slice_v3(out, self.data(), quantize);
-    }
-    fn encoded_size_v3(&self, quantize: bool) -> u64 {
-        uvarint_len(self.rows() as u64)
-            + uvarint_len(self.cols() as u64)
-            + f64_slice_v3_len(self.data(), quantize)
-    }
-    fn decode_v3_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let rows = r.ulen()?;
-        let cols = r.ulen()?;
-        let n = rows.checked_mul(cols).ok_or(WireError::Malformed("Mat shape overflows"))?;
-        let data = read_f64_slice_v3(r, n)?;
-        Ok(Mat::from_vec(rows, cols, data))
+        Ok(Mat::from_vec(rows, cols, r.f64s(n, codec)?))
     }
 }
 
 /// CSR slice: `varint rows, varint cols, varint nnz`, then per row a
-/// `varint` length (the row-pointer delta) followed by its delta-encoded
-/// ascending column indices, then all `nnz` values as raw f64 bits.
-impl Wire for SparseMat {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        write_uvarint(out, self.rows() as u64);
-        write_uvarint(out, self.cols() as u64);
-        write_uvarint(out, self.nnz() as u64);
+/// `varint` length (the row-pointer delta) and its ascending column
+/// indices, then all `nnz` values as one payload. Under v3 each row's
+/// indices bitpack at their own width, so a dense text row packs its gaps
+/// into 0-3 bits each.
+impl Layout for SparseMat {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.uvarint(self.rows() as u64);
+        s.uvarint(self.cols() as u64);
+        s.uvarint(self.nnz() as u64);
         for row in 0..self.rows() {
-            let r = self.row(row);
-            write_uvarint(out, r.indices.len() as u64);
-            write_ascending_u32(out, r.indices);
+            let indices = self.row(row).indices;
+            s.uvarint(indices.len() as u64);
+            s.ascending(indices);
         }
-        for row in 0..self.rows() {
-            for &v in self.row(row).values {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-        }
+        s.f64s(self.values());
     }
-    fn encoded_size(&self) -> u64 {
-        let mut total = uvarint_len(self.rows() as u64)
-            + uvarint_len(self.cols() as u64)
-            + uvarint_len(self.nnz() as u64)
-            + 8 * self.nnz() as u64;
-        for row in 0..self.rows() {
-            let r = self.row(row);
-            total += uvarint_len(r.indices.len() as u64) + ascending_u32_len(r.indices);
-        }
-        total
-    }
-    fn decode_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut WireReader<'_>, codec: WireCodec) -> Result<Self, WireError> {
         let rows = r.ulen()?;
         let cols = r.ulen()?;
         let nnz = r.ulen()?;
@@ -888,134 +879,76 @@ impl Wire for SparseMat {
             if total > nnz {
                 return Err(WireError::Malformed("row lengths exceed declared nnz"));
             }
-            indices.extend(read_ascending_u32(r, len, cols as u64)?);
+            indices.extend(r.ascending(len, cols as u64, codec)?);
             indptr.push(total);
         }
         if *indptr.last().expect("non-empty") != nnz {
             return Err(WireError::Malformed("row lengths disagree with declared nnz"));
         }
-        let raw = r.take(nnz.checked_mul(8).ok_or(WireError::Truncated)?)?;
-        let values = raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunks_exact(8)"))))
-            .collect();
+        let values = r.f64s(nnz, codec)?;
         Ok(SparseMat::from_raw_parts(rows, cols, indptr, indices, values))
     }
-    // v3: per-row *bitpacked* index blocks (the fixed width is chosen per
-    // row, so a dense text row packs its gaps into 0-3 bits each) and one
-    // mode-tagged payload over all nnz values.
-    fn encode_v3_into(&self, out: &mut Vec<u8>, quantize: bool) {
-        write_uvarint(out, self.rows() as u64);
-        write_uvarint(out, self.cols() as u64);
-        write_uvarint(out, self.nnz() as u64);
-        for row in 0..self.rows() {
-            let r = self.row(row);
-            write_uvarint(out, r.indices.len() as u64);
-            write_bitpacked_u32(out, r.indices);
-        }
-        write_f64_slice_v3(out, self.values(), quantize);
-    }
-    fn encoded_size_v3(&self, quantize: bool) -> u64 {
-        let mut total = uvarint_len(self.rows() as u64)
-            + uvarint_len(self.cols() as u64)
-            + uvarint_len(self.nnz() as u64)
-            + f64_slice_v3_len(self.values(), quantize);
-        for row in 0..self.rows() {
-            let r = self.row(row);
-            total += uvarint_len(r.indices.len() as u64) + bitpacked_u32_len(r.indices);
-        }
-        total
-    }
-    fn decode_v3_from(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let rows = r.ulen()?;
-        let cols = r.ulen()?;
-        let nnz = r.ulen()?;
-        let mut indptr = Vec::with_capacity(rows.min(r.remaining()) + 1);
-        indptr.push(0usize);
-        let mut indices = Vec::with_capacity(nnz.min(r.remaining()));
-        for _ in 0..rows {
-            let len = r.ulen()?;
-            let total =
-                indptr.last().expect("non-empty").checked_add(len).ok_or(WireError::Truncated)?;
-            if total > nnz {
-                return Err(WireError::Malformed("row lengths exceed declared nnz"));
-            }
-            indices.extend(read_bitpacked_u32(r, len, cols as u64)?);
-            indptr.push(total);
-        }
-        if *indptr.last().expect("non-empty") != nnz {
-            return Err(WireError::Malformed("row lengths disagree with declared nnz"));
-        }
-        let values = read_f64_slice_v3(r, nnz)?;
-        Ok(SparseMat::from_raw_parts(rows, cols, indptr, indices, values))
-    }
+}
+
+/// Writes one sparse row record — `varint nnz`, the ascending indices,
+/// the values: the per-row record a Spark cache or shuffle file holds.
+pub fn put_row_record<S: Sink>(s: &mut S, indices: &[u32], values: &[f64]) {
+    s.uvarint(indices.len() as u64);
+    s.ascending(indices);
+    s.f64s(values);
+}
+
+/// Reads one [`put_row_record`] record written under `codec`.
+pub fn get_row_record(
+    r: &mut WireReader<'_>,
+    codec: WireCodec,
+) -> Result<(Vec<u32>, Vec<f64>), WireError> {
+    let n = r.ulen()?;
+    let indices = r.ascending(n, u64::from(u32::MAX) + 1, codec)?;
+    Ok((indices, r.f64s(n, codec)?))
 }
 
 /// Frame overhead in bytes: 4-byte magic + 2-byte little-endian version.
 pub const FRAME_OVERHEAD: u64 = 6;
 
-/// Encodes `v` as a self-describing framed blob: magic + version + payload.
-pub fn encode_framed<T: Wire>(v: &T) -> Vec<u8> {
-    let mut out = Vec::with_capacity((FRAME_OVERHEAD + v.encoded_size()) as usize);
+/// The frame version a codec's blobs carry.
+fn frame_version(codec: WireCodec) -> u16 {
+    match codec {
+        WireCodec::V2 => WIRE_VERSION,
+        WireCodec::V3 | WireCodec::V3Quantized => WIRE_VERSION_V3,
+    }
+}
+
+/// Encodes `v` under `codec` as a self-describing framed blob: magic +
+/// version + payload. Shuffle-only records may take the lossy
+/// [`WireCodec::V3Quantized`]; checkpoints and DFS blocks must not.
+pub fn encode_framed<T: Wire>(v: &T, codec: WireCodec) -> Vec<u8> {
+    let mut out = Vec::with_capacity(framed_size(v, codec) as usize);
     out.extend_from_slice(&WIRE_MAGIC);
-    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    v.encode_into(&mut out);
+    out.extend_from_slice(&frame_version(codec).to_le_bytes());
+    v.encode_in(codec, &mut out);
     out
 }
 
 /// Exact length of [`encode_framed`]'s output.
-pub fn framed_size<T: Wire>(v: &T) -> u64 {
-    FRAME_OVERHEAD + v.encoded_size()
+pub fn framed_size<T: Wire>(v: &T, codec: WireCodec) -> u64 {
+    FRAME_OVERHEAD + v.size_in(codec)
 }
 
-/// Decodes a framed blob, validating magic and version.
-pub fn decode_framed<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
+/// Decodes a framed blob of `codec`'s generation, validating magic and
+/// version. A v2 decoder rejects a v3 frame and the other way round, each
+/// with a typed [`WireError::BadVersion`]: there is no silent
+/// cross-decoding.
+pub fn decode_framed<T: Wire>(buf: &[u8], codec: WireCodec) -> Result<T, WireError> {
     let mut r = WireReader::new(buf);
     if r.take(4)? != WIRE_MAGIC {
         return Err(WireError::BadMagic);
     }
     let version = u16::from_le_bytes(r.take(2)?.try_into().expect("take(2)"));
-    if version != WIRE_VERSION {
+    if version != frame_version(codec) {
         return Err(WireError::BadVersion(version));
     }
-    let v = T::decode_from(&mut r)?;
-    r.finish()?;
-    Ok(v)
-}
-
-/// Encodes `v` as a framed v3 blob: magic + version 3 + bitpacked payload.
-///
-/// `quantize` selects the lossy `f64`→`f32` payload mode for values that
-/// survive neither the integral nor the exact test — shuffle-only records
-/// may opt in; checkpoints and DFS blocks must not.
-pub fn encode_framed_v3<T: Wire>(v: &T, quantize: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity((FRAME_OVERHEAD + v.encoded_size_v3(quantize)) as usize);
-    out.extend_from_slice(&WIRE_MAGIC);
-    out.extend_from_slice(&WIRE_VERSION_V3.to_le_bytes());
-    v.encode_v3_into(&mut out, quantize);
-    out
-}
-
-/// Exact length of [`encode_framed_v3`]'s output.
-pub fn framed_size_v3<T: Wire>(v: &T, quantize: bool) -> u64 {
-    FRAME_OVERHEAD + v.encoded_size_v3(quantize)
-}
-
-/// Decodes a framed v3 blob, validating magic and version.
-///
-/// Only version 3 frames are accepted here; v2 frames go through
-/// [`decode_framed`], and each decoder rejects the other's version with a
-/// typed [`WireError::BadVersion`] — there is no silent cross-decoding.
-pub fn decode_framed_v3<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
-    let mut r = WireReader::new(buf);
-    if r.take(4)? != WIRE_MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let version = u16::from_le_bytes(r.take(2)?.try_into().expect("take(2)"));
-    if version != WIRE_VERSION_V3 {
-        return Err(WireError::BadVersion(version));
-    }
-    let v = T::decode_v3_from(&mut r)?;
+    let v = T::decode_in(&mut r, codec)?;
     r.finish()?;
     Ok(v)
 }
@@ -1096,14 +1029,19 @@ impl WireCodec {
         }
     }
 
+    /// The v3 arm, quantized or exact.
+    pub fn v3(quantize: bool) -> WireCodec {
+        if quantize {
+            WireCodec::V3Quantized
+        } else {
+            WireCodec::V3
+        }
+    }
+
     /// Metered size of a shuffle-family record under this codec.
     #[inline]
     pub fn shuffle_size<T: Wire>(self, value: &T) -> u64 {
-        match self {
-            WireCodec::V2 => value.encoded_size(),
-            WireCodec::V3 => value.encoded_size_v3(false),
-            WireCodec::V3Quantized => value.encoded_size_v3(true),
-        }
+        value.size_in(self)
     }
 
     /// [`WireCodec::shuffle_size`]. Only the frozen benchmark replay calls
@@ -1254,20 +1192,23 @@ mod tests {
     #[test]
     fn framed_blob_checks_magic_and_version() {
         let v = vec![1.0f64, 2.0];
-        let blob = encode_framed(&v);
-        assert_eq!(blob.len() as u64, framed_size(&v));
-        assert_eq!(decode_framed::<Vec<f64>>(&blob).unwrap(), v);
+        let blob = encode_framed(&v, WireCodec::V2);
+        assert_eq!(blob.len() as u64, framed_size(&v, WireCodec::V2));
+        assert_eq!(decode_framed::<Vec<f64>>(&blob, WireCodec::V2).unwrap(), v);
 
         let mut bad = blob.clone();
         bad[0] = b'X';
-        assert_eq!(decode_framed::<Vec<f64>>(&bad), Err(WireError::BadMagic));
+        assert_eq!(decode_framed::<Vec<f64>>(&bad, WireCodec::V2), Err(WireError::BadMagic));
 
         let mut future = blob.clone();
         future[4] = 0xff;
         future[5] = 0xff;
-        assert_eq!(decode_framed::<Vec<f64>>(&future), Err(WireError::BadVersion(0xffff)));
+        assert_eq!(
+            decode_framed::<Vec<f64>>(&future, WireCodec::V2),
+            Err(WireError::BadVersion(0xffff))
+        );
 
-        assert_eq!(decode_framed::<Vec<f64>>(&blob[..3]), Err(WireError::Truncated));
+        assert_eq!(decode_framed::<Vec<f64>>(&blob[..3], WireCodec::V2), Err(WireError::Truncated));
     }
 
     #[test]
@@ -1289,9 +1230,9 @@ mod tests {
         let buf = v.encode_v3(false);
         assert_eq!(buf.len() as u64, v.encoded_size_v3(false), "v3 size mismatch for {v:?}");
         assert_eq!(&T::decode_v3(&buf).expect("decode_v3"), v);
-        let framed = encode_framed_v3(v, false);
-        assert_eq!(framed.len() as u64, framed_size_v3(v, false));
-        assert_eq!(&decode_framed_v3::<T>(&framed).expect("decode_framed_v3"), v);
+        let framed = encode_framed(v, WireCodec::V3);
+        assert_eq!(framed.len() as u64, framed_size(v, WireCodec::V3));
+        assert_eq!(&decode_framed::<T>(&framed, WireCodec::V3).expect("decode_framed v3"), v);
         // Quantized arm still satisfies the size contract.
         let q = v.encode_v3(true);
         assert_eq!(q.len() as u64, v.encoded_size_v3(true), "v3q size mismatch for {v:?}");
@@ -1430,17 +1371,17 @@ mod tests {
     #[test]
     fn v2_and_v3_frames_reject_each_other() {
         let v = vec![1.0f64, 2.5, -3.0];
-        let v2 = encode_framed(&v);
-        let v3 = encode_framed_v3(&v, false);
+        let v2 = encode_framed(&v, WireCodec::V2);
+        let v3 = encode_framed(&v, WireCodec::V3);
         assert_eq!(
-            decode_framed::<Vec<f64>>(&v3),
+            decode_framed::<Vec<f64>>(&v3, WireCodec::V2),
             Err(WireError::BadVersion(WIRE_VERSION_V3))
         );
         assert_eq!(
-            decode_framed_v3::<Vec<f64>>(&v2),
+            decode_framed::<Vec<f64>>(&v2, WireCodec::V3),
             Err(WireError::BadVersion(WIRE_VERSION))
         );
-        assert_eq!(decode_framed_v3::<Vec<f64>>(&v3).unwrap(), v);
+        assert_eq!(decode_framed::<Vec<f64>>(&v3, WireCodec::V3Quantized).unwrap(), v);
     }
 
     #[test]

@@ -15,11 +15,8 @@
 //! If a fixture here ever needs to change, that is a format break: bump
 //! `wire::WIRE_VERSION` and keep the old decoder path.
 
-use linalg::wire::{
-    decode_framed, decode_framed_v3, encode_framed, encode_framed_v3, Wire, WireError,
-    WIRE_VERSION, WIRE_VERSION_V3,
-};
-use linalg::{Mat, SparseMat};
+use linalg::wire::{decode_framed, encode_framed, Wire, WireError, WIRE_VERSION, WIRE_VERSION_V3};
+use linalg::{Mat, SparseMat, WireCodec};
 
 fn unhex(s: &str) -> Vec<u8> {
     assert!(s.len() % 2 == 0, "odd hex fixture");
@@ -115,8 +112,8 @@ fn golden_framed_blob() {
     // matrix holding 42.0).
     let m = Mat::from_vec(1, 1, vec![42.0]);
     let blob = unhex("53505752010001010000000000004540");
-    assert_eq!(encode_framed(&m), blob, "framed encoder drifted");
-    let back: Mat = decode_framed(&blob).expect("framed fixture decodes");
+    assert_eq!(encode_framed(&m, WireCodec::V2), blob, "framed encoder drifted");
+    let back: Mat = decode_framed(&blob, WireCodec::V2).expect("framed fixture decodes");
     assert_eq!(back.data(), m.data());
     assert_eq!(&blob[..4], b"SPWR", "magic is the literal ASCII tag");
 }
@@ -188,20 +185,20 @@ fn golden_v3_framed_blob_and_cross_version_rejection() {
     // 1×1 matrix of 42.0 → integral payload, 2 bytes instead of 8.
     let m = Mat::from_vec(1, 1, vec![42.0]);
     let blob = unhex("53505752030001010254");
-    assert_eq!(encode_framed_v3(&m, false), blob, "framed v3 encoder drifted");
-    let back: Mat = decode_framed_v3(&blob).expect("framed v3 fixture decodes");
+    assert_eq!(encode_framed(&m, WireCodec::V3), blob, "framed v3 encoder drifted");
+    let back: Mat = decode_framed(&blob, WireCodec::V3).expect("framed v3 fixture decodes");
     assert_eq!(back.data(), m.data());
 
     // The typed cross-version contract: each decoder rejects the other
     // generation's frames with BadVersion, never a silent mis-decode.
     assert_eq!(
-        decode_framed::<Mat>(&blob),
+        decode_framed::<Mat>(&blob, WireCodec::V2),
         Err(WireError::BadVersion(WIRE_VERSION_V3)),
         "v2 decoder must reject v3 frames"
     );
     let v2_blob = unhex("53505752010001010000000000004540");
     assert_eq!(
-        decode_framed_v3::<Mat>(&v2_blob),
+        decode_framed::<Mat>(&v2_blob, WireCodec::V3),
         Err(WireError::BadVersion(WIRE_VERSION)),
         "v3 decoder must reject v2 frames"
     );

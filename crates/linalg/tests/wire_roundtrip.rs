@@ -14,11 +14,8 @@
 //! reproduce deterministically.
 
 use linalg::sparse::{Block, PartitionBlock, RowRecords};
-use linalg::wire::{
-    decode_framed, decode_framed_v3, encode_framed, encode_framed_v3, framed_size, framed_size_v3,
-    Wire,
-};
-use linalg::{Mat, Prng, SparseMat};
+use linalg::wire::{decode_framed, encode_framed, framed_size, Wire};
+use linalg::{Mat, Prng, SparseMat, WireCodec};
 
 fn iters() -> u64 {
     std::env::var("WIRE_FUZZ_ITERS")
@@ -229,9 +226,9 @@ fn framed_blobs_roundtrip_and_size_contract_holds() {
     let mut rng = Prng::seed_from_u64(0x51ca_0008);
     for _ in 0..iters().min(16) {
         let m = Mat::from_fn(1 + rng.index(4), 1 + rng.index(4), |_, _| edge_f64(&mut rng));
-        let blob = encode_framed(&m);
-        assert_eq!(blob.len() as u64, framed_size(&m));
-        let back: Mat = decode_framed(&blob).expect("framed decode");
+        let blob = encode_framed(&m, WireCodec::V2);
+        assert_eq!(blob.len() as u64, framed_size(&m, WireCodec::V2));
+        let back: Mat = decode_framed(&blob, WireCodec::V2).expect("framed decode");
         assert_bits_eq(back.data(), m.data(), "framed Mat");
     }
 }
@@ -307,9 +304,9 @@ fn v3_framed_blobs_roundtrip_and_size_contract_holds() {
     let mut rng = Prng::seed_from_u64(0x51ca_000d);
     for _ in 0..iters().min(16) {
         let m = Mat::from_fn(1 + rng.index(4), 1 + rng.index(4), |_, _| edge_f64(&mut rng));
-        let blob = encode_framed_v3(&m, false);
-        assert_eq!(blob.len() as u64, framed_size_v3(&m, false));
-        let back: Mat = decode_framed_v3(&blob).expect("framed v3 decode");
+        let blob = encode_framed(&m, WireCodec::V3);
+        assert_eq!(blob.len() as u64, framed_size(&m, WireCodec::V3));
+        let back: Mat = decode_framed(&blob, WireCodec::V3).expect("framed v3 decode");
         assert_bits_eq(back.data(), m.data(), "framed v3 Mat");
     }
 }

@@ -486,32 +486,6 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         }
     }
 
-    /// [`Self::map_partitions`] with the partition's index passed to the
-    /// task — Spark's `mapPartitionsWithIndex`. The index comes from the
-    /// RDD's layout, not from execution order, so per-partition seeding
-    /// derived from it is deterministic under any scheduling.
-    pub fn map_partitions_with_index<U, F>(&self, label: &str, f: F) -> Rdd<'a, U>
-    where
-        U: Send + Sync,
-        F: Fn(usize, &[T]) -> Vec<U> + Sync,
-    {
-        self.charge_spill();
-        let f = &f;
-        let tasks: Vec<_> = self
-            .snapshot()
-            .into_iter()
-            .enumerate()
-            .map(|(idx, p)| move || f(idx, &p))
-            .collect();
-        let outputs = self.cluster.run_stage(self.stage_options(label), tasks);
-        Rdd {
-            cluster: self.cluster,
-            task_overhead_secs: self.task_overhead_secs,
-            storage: Storage::Plain(outputs.into_iter().map(Arc::new).collect()),
-            spill_bytes: 0,
-        }
-    }
-
     /// Element-wise map.
     pub fn map<U, F>(&self, label: &str, f: F) -> Rdd<'a, U>
     where
@@ -759,70 +733,6 @@ impl<'a, T: Send + Sync> Rdd<'a, T> {
         self.spill_bytes
     }
 
-    /// Concatenates two RDDs on the same cluster (partition lists are
-    /// appended; no data moves).
-    pub fn union(&self, other: &Rdd<'a, T>) -> Rdd<'a, T> {
-        assert!(
-            std::ptr::eq(self.cluster, other.cluster),
-            "union: RDDs live on different clusters"
-        );
-        let mut partitions = self.snapshot();
-        partitions.extend(other.snapshot());
-        Rdd {
-            cluster: self.cluster,
-            task_overhead_secs: self.task_overhead_secs,
-            storage: Storage::Plain(partitions),
-            spill_bytes: self.spill_bytes + other.spill_bytes,
-        }
-    }
-
-    /// Bernoulli sample of the elements with probability `fraction`,
-    /// seeded — the primitive behind sPCA-SG's warm-up sample.
-    pub fn sample(&self, label: &str, fraction: f64, seed: u64) -> Rdd<'a, T>
-    where
-        T: Clone,
-    {
-        assert!((0.0..=1.0).contains(&fraction), "fraction must be a probability");
-        // One independent stream per partition, seeded from the partition's
-        // *layout* index — not from a shared counter bumped during parallel
-        // execution, whose value would depend on task scheduling order.
-        self.map_partitions_with_index(label, move |pidx, part| {
-            let mut rng = linalg::Prng::seed_from_u64(seed ^ ((pidx as u64).wrapping_mul(0x9e37)));
-            part.iter().filter(|_| rng.uniform() < fraction).cloned().collect()
-        })
-    }
-
-    /// Zips two RDDs with identical partitioning, partition by partition
-    /// (Spark's `zipPartitions`) — the join pattern Mahout's Bt job uses
-    /// to align `Q` rows with input rows.
-    pub fn zip_partitions<U, V, F>(&self, label: &str, other: &Rdd<'a, U>, f: F) -> Rdd<'a, V>
-    where
-        U: Send + Sync,
-        V: Send + Sync,
-        F: Fn(&[T], &[U]) -> Vec<V> + Sync,
-    {
-        assert_eq!(
-            self.num_partitions(),
-            other.num_partitions(),
-            "zip_partitions: partition counts differ"
-        );
-        self.charge_spill();
-        other.charge_spill();
-        let f = &f;
-        let tasks: Vec<_> = self
-            .snapshot()
-            .into_iter()
-            .zip(other.snapshot())
-            .map(|(a, b)| move || f(&a, &b))
-            .collect();
-        let outputs = self.cluster.run_stage(self.stage_options(label), tasks);
-        Rdd {
-            cluster: self.cluster,
-            task_overhead_secs: self.task_overhead_secs,
-            storage: Storage::Plain(outputs.into_iter().map(Arc::new).collect()),
-            spill_bytes: 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -830,6 +740,7 @@ mod tests {
     use super::*;
     use crate::context::SparkleContext;
     use dcluster::ClusterConfig;
+    use linalg::wire::{Layout, Sink, WireCodec, WireError, WireReader};
 
     fn cluster() -> SimCluster {
         SimCluster::new(ClusterConfig::paper_cluster())
@@ -901,15 +812,12 @@ mod tests {
         }
     }
 
-    impl Wire for Counted {
-        fn encode_into(&self, out: &mut Vec<u8>) {
-            self.0.encode_into(out)
+    impl Layout for Counted {
+        fn put<S: Sink>(&self, s: &mut S) {
+            self.0.put(s)
         }
-        fn encoded_size(&self) -> u64 {
-            self.0.encoded_size()
-        }
-        fn decode_from(r: &mut linalg::WireReader<'_>) -> Result<Self, linalg::WireError> {
-            Ok(Counted(u64::decode_from(r)?, Arc::default()))
+        fn get(r: &mut WireReader<'_>, codec: WireCodec) -> Result<Self, WireError> {
+            Ok(Counted(u64::get(r, codec)?, Arc::default()))
         }
     }
 
@@ -1011,32 +919,6 @@ mod tests {
         assert_eq!(sums.count(), 3);
         let total: u64 = sums.collect().iter().sum();
         assert_eq!(total, 66);
-    }
-
-    #[test]
-    fn union_concatenates_partitions() {
-        let c = cluster();
-        let ctx = SparkleContext::new(&c);
-        let a = ctx.parallelize((0_u64..5).collect(), 2);
-        let b = ctx.parallelize((5_u64..8).collect(), 1);
-        let u = a.union(&b);
-        assert_eq!(u.num_partitions(), 3);
-        assert_eq!(u.collect(), (0..8).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn sample_is_seeded_and_roughly_proportional() {
-        let c = cluster();
-        let ctx = SparkleContext::new(&c);
-        let rdd = ctx.parallelize((0_u64..10_000).collect(), 4);
-        let s1 = rdd.sample("s", 0.2, 9);
-        let s2 = rdd.sample("s", 0.2, 9);
-        let count = s1.count() as f64;
-        assert!((count / 10_000.0 - 0.2).abs() < 0.03, "got fraction {}", count / 10_000.0);
-        let first = s1.collect();
-        assert_eq!(first, s2.collect(), "same seed, same sample");
-        let s3 = rdd.sample("s", 0.2, 10);
-        assert_ne!(first, s3.collect(), "different seed, different sample");
     }
 
     #[test]
@@ -1151,35 +1033,6 @@ mod tests {
     }
 
     #[test]
-    fn map_partitions_with_index_sees_layout_index() {
-        let c = cluster();
-        let ctx = SparkleContext::new(&c);
-        let rdd = ctx.from_partitions(vec![vec![10_u64], vec![20, 21], vec![30]]);
-        let tagged = rdd.map_partitions_with_index("tag", |idx, part| {
-            part.iter().map(|x| (idx as u64, *x)).collect::<Vec<_>>()
-        });
-        assert_eq!(tagged.collect(), vec![(0, 10), (1, 20), (1, 21), (2, 30)]);
-    }
-
-    #[test]
-    fn sample_is_identical_across_worker_counts() {
-        use linalg::WorkerPool;
-        let run_with = |workers: usize| {
-            let c = SimCluster::new_with_pool(
-                ClusterConfig::paper_cluster(),
-                Arc::new(WorkerPool::new(workers)),
-            );
-            let ctx = SparkleContext::new(&c);
-            let rdd = ctx.parallelize((0_u64..5_000).collect(), 7);
-            let out = rdd.sample("s", 0.3, 42).collect();
-            out
-        };
-        let one = run_with(1);
-        assert_eq!(one, run_with(2), "1 vs 2 workers");
-        assert_eq!(one, run_with(8), "1 vs 8 workers");
-    }
-
-    #[test]
     fn aggregate_partitions_matches_elementwise_aggregate() {
         let c = cluster();
         let ctx = SparkleContext::new(&c);
@@ -1204,7 +1057,6 @@ mod tests {
     #[test]
     fn streaming_aggregate_charges_what_the_collecting_stage_did() {
         use dcluster::TimingModel;
-        use linalg::WireCodec;
         type Partial = Vec<f64>;
         let init = Partial::new;
         // ~5–10 KB partials: their flows take whole virtual microseconds.
@@ -1272,28 +1124,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn zip_partitions_aligns_by_partition() {
-        let c = cluster();
-        let ctx = SparkleContext::new(&c);
-        let a = ctx.from_partitions(vec![vec![1_u64, 2], vec![3]]);
-        let b = ctx.from_partitions(vec![vec![10_u64, 20], vec![30]]);
-        let z = a.zip_partitions("zip", &b, |xs, ys| {
-            xs.iter().zip(ys).map(|(x, y)| x + y).collect::<Vec<u64>>()
-        });
-        assert_eq!(z.collect(), vec![11, 22, 33]);
-    }
-
-    #[test]
-    #[should_panic(expected = "partition counts differ")]
-    fn zip_partitions_rejects_mismatched_layout() {
-        let c = cluster();
-        let ctx = SparkleContext::new(&c);
-        let a = ctx.parallelize((0_u64..4).collect(), 2);
-        let b = ctx.parallelize((0_u64..4).collect(), 4);
-        let _ = a.zip_partitions("zip", &b, |x, _| x.to_vec());
     }
 
     #[test]
