@@ -28,15 +28,10 @@ pub fn centered_sq_simple_block(block: &SparseMat, mean: &[f64]) -> f64 {
     linalg::norms::centered_frobenius_sq_simple(block, mean)
 }
 
-/// Convenience: Algorithm 3 over a whole matrix.
-pub fn centered_sq(y: &SparseMat, mean: &[f64]) -> f64 {
-    let msum = linalg::vector::norm2_sq(mean);
-    centered_sq_block(y, mean, msum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linalg::vector::norm2_sq;
     use linalg::Prng;
 
     fn random_sparse(rows: usize, cols: usize, seed: u64) -> SparseMat {
@@ -56,7 +51,7 @@ mod tests {
     fn optimized_matches_simple_and_dense() {
         let y = random_sparse(30, 20, 1);
         let mean = y.col_means();
-        let opt = centered_sq(&y, &mean);
+        let opt = centered_sq_block(&y, &mean, norm2_sq(&mean));
         let simple = centered_sq_simple_block(&y, &mean);
         let dense = linalg::norms::centered_frobenius_sq_dense(&y.to_dense(), &mean);
         assert!((opt - simple).abs() < 1e-9, "{opt} vs {simple}");
@@ -67,8 +62,8 @@ mod tests {
     fn blocks_sum_to_whole() {
         let y = random_sparse(40, 15, 2);
         let mean = y.col_means();
-        let msum = linalg::vector::norm2_sq(&mean);
-        let whole = centered_sq(&y, &mean);
+        let msum = norm2_sq(&mean);
+        let whole = centered_sq_block(&y, &mean, msum);
         let split: f64 = y
             .split_rows(4)
             .iter()
@@ -81,13 +76,13 @@ mod tests {
     fn zero_mean_reduces_to_plain_frobenius() {
         let y = random_sparse(10, 10, 3);
         let zero = vec![0.0; 10];
-        assert!((centered_sq(&y, &zero) - y.frobenius_sq()).abs() < 1e-12);
+        assert!((centered_sq_block(&y, &zero, norm2_sq(&zero)) - y.frobenius_sq()).abs() < 1e-12);
     }
 
     #[test]
     fn empty_block_contributes_nothing() {
         let y = SparseMat::from_rows(0, 5, vec![]);
-        assert_eq!(centered_sq(&y, &[1.0; 5]), 0.0);
+        assert_eq!(centered_sq_block(&y, &[1.0; 5], norm2_sq(&[1.0; 5])), 0.0);
     }
 
     #[test]
@@ -96,7 +91,7 @@ mod tests {
         let y = random_sparse(12, 8, 4);
         let mut rng = Prng::seed_from_u64(5);
         let fake_mean = rng.normal_vec(8);
-        let opt = centered_sq(&y, &fake_mean);
+        let opt = centered_sq_block(&y, &fake_mean, norm2_sq(&fake_mean));
         let dense = linalg::norms::centered_frobenius_sq_dense(&y.to_dense(), &fake_mean);
         assert!((opt - dense).abs() < 1e-9);
     }

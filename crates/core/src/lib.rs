@@ -21,10 +21,7 @@
 //! Entry points: [`Spca::fit_spark`] and [`Spca::fit_mapreduce`] run the
 //! full distributed algorithm on the two simulated platforms; [`ppca`]
 //! holds the single-machine reference implementation (the paper's
-//! Algorithm 1) the distributed versions are tested against; [`missing`]
-//! and [`mixture`] implement the two PPCA extensions Section 2.4 credits
-//! the probabilistic formulation with (EM under missing values, mixtures
-//! of PPCA).
+//! Algorithm 1) the distributed versions are tested against.
 
 pub mod ablation;
 pub mod accuracy;
@@ -35,10 +32,7 @@ pub mod em;
 pub mod error;
 pub mod frobenius;
 pub mod init;
-pub mod likelihood;
 pub mod mean_prop;
-pub mod missing;
-pub mod mixture;
 pub mod model;
 pub mod mr;
 pub mod ppca;

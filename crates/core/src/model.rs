@@ -193,18 +193,18 @@ impl PcaModel {
         let d_out: usize = it.next().ok_or("missing d")?.parse().map_err(|e| format!("d: {e}"))?;
 
         let ss_line = lines.next().ok_or("missing ss")?;
-        let ss: f64 = ss_line
-            .strip_prefix("ss ")
-            .ok_or("expected ss line")?
-            .parse()
+        let ss = finite(ss_line.strip_prefix("ss ").ok_or("expected ss line")?)
             .map_err(|e| format!("ss: {e}"))?;
+        if ss < 0.0 {
+            return Err(format!("ss: {ss} is negative"));
+        }
 
         let mean_line = lines.next().ok_or("missing mean")?;
         let mean: Vec<f64> = mean_line
             .strip_prefix("mean")
             .ok_or("expected mean line")?
             .split_whitespace()
-            .map(|t| t.parse().map_err(|e| format!("mean: {e}")))
+            .map(|t| finite(t).map_err(|e| format!("mean: {e}")))
             .collect::<std::result::Result<_, _>>()?;
         if mean.len() != d_in {
             return Err(format!("mean has {} entries, expected {d_in}", mean.len()));
@@ -217,7 +217,7 @@ impl PcaModel {
                 .strip_prefix("c")
                 .ok_or("expected c line")?
                 .split_whitespace()
-                .map(|t| t.parse().map_err(|e| format!("C[{r}]: {e}")))
+                .map(|t| finite(t).map_err(|e| format!("C[{r}]: {e}")))
                 .collect::<std::result::Result<_, _>>()?;
             if vals.len() != d_out {
                 return Err(format!("C row {r} has {} entries, expected {d_out}", vals.len()));
@@ -225,6 +225,17 @@ impl PcaModel {
             c.row_mut(r).copy_from_slice(&vals);
         }
         Ok(PcaModel::new(c, mean, ss))
+    }
+}
+
+/// Parses one entry of a model file, which must be finite: a file is
+/// input from outside the program, and a NaN or infinite entry would
+/// reach every projection the model makes.
+fn finite(token: &str) -> std::result::Result<f64, String> {
+    match token.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        Ok(v) => Err(format!("{v} is not finite")),
+        Err(e) => Err(e.to_string()),
     }
 }
 
@@ -353,6 +364,20 @@ mod tests {
         // Truncated C rows.
         let text = "spca-model v1\ndims 2 1\nss 0.5\nmean 0 0\nc 1\n";
         assert!(PcaModel::from_text(text).is_err());
+        // A negative or non-finite noise variance, mean or component is
+        // an `Err`, never the panic of `PcaModel::new`'s contract.
+        let model = |ss: &str, mean: &str, c: &str| {
+            PcaModel::from_text(&format!("spca-model v1\ndims 2 1\nss {ss}\nmean {mean}\nc 1\nc {c}\n"))
+        };
+        assert!(model("0.5", "0 0", "2").is_ok());
+        for ss in ["-1", "-1e-300", "NaN", "inf", "-inf"] {
+            let err = model(ss, "0 0", "2").unwrap_err();
+            assert!(err.starts_with("ss: "), "ss {ss}: {err}");
+        }
+        for bad in ["NaN", "inf", "-infinity"] {
+            assert!(model("0.5", &format!("0 {bad}"), "2").unwrap_err().starts_with("mean: "));
+            assert!(model("0.5", "0 0", bad).unwrap_err().starts_with("C[1]: "));
+        }
     }
 
     #[test]

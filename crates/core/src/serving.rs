@@ -7,7 +7,7 @@
 //! module is that serving path:
 //!
 //! * **Fit jobs** are admitted by the configured [`SchedulerPolicy`]
-//!   (FIFO / fair-share / backfill) onto the shared core pool; each
+//!   (FIFO / fair-share) onto the shared core pool; each
 //!   dispatched job then *really* fits (the engines' bitwise-determinism
 //!   contract carries over verbatim) under a job-scoped DFS namespace.
 //! * **Serve batches** are modeled requests: each batch of rows drawn

@@ -208,7 +208,7 @@ fn serve_chaos_composes_with_fit_side_fault_plans() {
 
     let run = |faults: bool| -> ServingOutcome {
         let cfg = ClusterConfig::paper_cluster()
-            .with_scheduler(SchedulerPolicy::Backfill)
+            .with_scheduler(SchedulerPolicy::FairShare)
             .with_fair_share_weights(vec![1.0, 1.0, 1.0]);
         let cluster = SimCluster::new_with_pool(cfg, Arc::new(WorkerPool::new(2)));
         if faults {

@@ -10,7 +10,7 @@
 //! machine, host-pool size and run (the determinism contract the serving
 //! subsystem inherits).
 //!
-//! Three policies are modeled, selected via
+//! Two policies are modeled, selected via
 //! [`crate::ClusterConfig::scheduler`]:
 //!
 //! * **FIFO** — strict arrival order with head-of-line blocking: if the
@@ -20,11 +20,6 @@
 //!   (usage is charged as `cores x runtime` at dispatch). A flood from
 //!   one tenant can no longer starve the others, which is exactly the
 //!   p99-wait gap `bench_serving` measures.
-//! * **Backfill** — EASY backfilling: the head job reserves a shadow
-//!   time (the earliest instant enough running jobs finish for it to
-//!   fit) and smaller jobs behind it may start out of order iff they fit
-//!   in the free cores *and* complete before the shadow time, so the
-//!   head's start is never delayed.
 //!
 //! Admission control is a bounded pending queue: an arrival that finds
 //! the queue at `admission_queue_capacity` is rejected, counted, and
@@ -45,17 +40,14 @@ pub enum SchedulerPolicy {
     Fifo,
     /// Weighted fair share across tenants.
     FairShare,
-    /// EASY backfilling behind a shadow-time reservation for the head.
-    Backfill,
 }
 
 impl SchedulerPolicy {
-    /// Parses the CLI spelling (`fifo` | `fair-share` | `backfill`).
+    /// Parses the CLI spelling (`fifo` | `fair-share`).
     pub fn parse(s: &str) -> Option<SchedulerPolicy> {
         match s.trim().to_ascii_lowercase().as_str() {
             "fifo" => Some(SchedulerPolicy::Fifo),
             "fair" | "fairshare" | "fair-share" | "fair_share" => Some(SchedulerPolicy::FairShare),
-            "backfill" | "easy" => Some(SchedulerPolicy::Backfill),
             _ => None,
         }
     }
@@ -65,13 +57,12 @@ impl SchedulerPolicy {
         match self {
             SchedulerPolicy::Fifo => "fifo",
             SchedulerPolicy::FairShare => "fair-share",
-            SchedulerPolicy::Backfill => "backfill",
         }
     }
 
     /// All policies, in a stable order (test matrices, reports).
-    pub fn all() -> [SchedulerPolicy; 3] {
-        [SchedulerPolicy::Fifo, SchedulerPolicy::FairShare, SchedulerPolicy::Backfill]
+    pub fn all() -> [SchedulerPolicy; 2] {
+        [SchedulerPolicy::Fifo, SchedulerPolicy::FairShare]
     }
 }
 
@@ -182,7 +173,6 @@ pub fn schedule_jobs(
     let tenants = jobs.iter().map(|j| j.tenant + 1).max().unwrap_or(1);
     let mut usage = vec![0.0_f64; tenants];
     let mut pending: Vec<usize> = Vec::new(); // job indices, arrival order
-    let mut running: Vec<(SimNanos, usize)> = Vec::new(); // (finish_ns, idx)
     let mut free = total_cores;
     let mut starts: Vec<Option<SimNanos>> = vec![None; jobs.len()];
     let mut finishes: Vec<Option<SimNanos>> = vec![None; jobs.len()];
@@ -206,7 +196,6 @@ pub fn schedule_jobs(
                 free += jobs[idx].cores;
                 finishes[idx] = Some(now);
                 makespan_ns = makespan_ns.max(now);
-                running.retain(|&(_, r)| r != idx);
             }
         }
         dispatch(
@@ -214,7 +203,6 @@ pub fn schedule_jobs(
             jobs,
             weights,
             &mut pending,
-            &mut running,
             &mut free,
             &mut usage,
             &mut starts,
@@ -252,7 +240,6 @@ fn dispatch(
     jobs: &[JobSpec],
     weights: &[f64],
     pending: &mut Vec<usize>,
-    running: &mut Vec<(SimNanos, usize)>,
     free: &mut usize,
     usage: &mut [f64],
     starts: &mut [Option<SimNanos>],
@@ -260,18 +247,13 @@ fn dispatch(
     queue: &mut EventQueue<Ev>,
     now: SimNanos,
 ) {
-    let mut start = |idx: usize,
-                     pending: &mut Vec<usize>,
-                     running: &mut Vec<(SimNanos, usize)>,
-                     free: &mut usize,
-                     usage: &mut [f64]| {
+    let mut start = |idx: usize, pending: &mut Vec<usize>, free: &mut usize, usage: &mut [f64]| {
         let job = &jobs[idx];
         *free -= job.cores;
         usage[job.tenant] += job.cores as f64 * job.runtime_secs;
         starts[idx] = Some(now);
         start_order.push(job.id.clone());
         let finish_ns = now.saturating_add(secs_to_ns(job.runtime_secs));
-        running.push((finish_ns, idx));
         queue.push(finish_ns, Ev::Finish(idx));
         pending.retain(|&p| p != idx);
     };
@@ -282,7 +264,7 @@ fn dispatch(
                 if jobs[head].cores > *free {
                     break;
                 }
-                start(head, pending, running, free, usage);
+                start(head, pending, free, usage);
             }
         }
         SchedulerPolicy::FairShare => loop {
@@ -305,45 +287,8 @@ fn dispatch(
             if jobs[idx].cores > *free {
                 break; // strict: the entitled tenant blocks the pool
             }
-            start(idx, pending, running, free, usage);
+            start(idx, pending, free, usage);
         },
-        SchedulerPolicy::Backfill => {
-            // Dispatch the head while it fits, exactly like FIFO.
-            while let Some(&head) = pending.first() {
-                if jobs[head].cores > *free {
-                    break;
-                }
-                start(head, pending, running, free, usage);
-            }
-            let Some(&head) = pending.first() else { return };
-            // EASY reservation: walk running jobs in finish order and
-            // find the shadow time at which the head first fits.
-            let mut order: Vec<(SimNanos, usize)> = running.clone();
-            order.sort_unstable();
-            let mut freed = *free;
-            let mut shadow = SimNanos::MAX;
-            for &(finish_ns, idx) in &order {
-                freed += jobs[idx].cores;
-                if freed >= jobs[head].cores {
-                    shadow = finish_ns;
-                    break;
-                }
-            }
-            // Backfill later jobs that fit the free cores *and* finish
-            // before the reservation, so the head never slips.
-            let candidates: Vec<usize> = pending.iter().skip(1).copied().collect();
-            for idx in candidates {
-                let job = &jobs[idx];
-                if job.cores > *free {
-                    continue;
-                }
-                let finish_ns = now.saturating_add(secs_to_ns(job.runtime_secs));
-                if finish_ns > shadow {
-                    continue;
-                }
-                start(idx, pending, running, free, usage);
-            }
-        }
     }
 }
 
@@ -376,10 +321,9 @@ mod tests {
         assert_eq!(SchedulerPolicy::parse("fifo"), Some(SchedulerPolicy::Fifo));
         assert_eq!(SchedulerPolicy::parse("Fair-Share"), Some(SchedulerPolicy::FairShare));
         assert_eq!(SchedulerPolicy::parse("fairshare"), Some(SchedulerPolicy::FairShare));
-        assert_eq!(SchedulerPolicy::parse("easy"), Some(SchedulerPolicy::Backfill));
         assert_eq!(SchedulerPolicy::parse("bogus"), None);
         assert_eq!(SchedulerPolicy::default().label(), "fifo");
-        assert_eq!(SchedulerPolicy::Backfill.to_string(), "backfill");
+        assert_eq!(SchedulerPolicy::FairShare.to_string(), "fair-share");
     }
 
     #[test]
@@ -395,36 +339,6 @@ mod tests {
         assert!(out.rejected.is_empty());
         let c = out.records.iter().find(|r| r.id == "c").unwrap();
         assert!(c.start_secs >= 20.0, "c must wait behind b: {}", c.start_secs);
-    }
-
-    #[test]
-    fn backfill_slips_small_jobs_without_delaying_the_head() {
-        // Same queue: c (1 core, 1 s) fits before b's shadow time, so
-        // backfill runs it at t=2 while FIFO held it to t=20.
-        let jobs = vec![
-            job("a", 0, 0.0, 4, 10.0),
-            job("b", 0, 1.0, 8, 10.0),
-            job("c", 1, 2.0, 1, 1.0),
-        ];
-        let out = schedule_jobs(&jobs, &[1.0], 8, SchedulerPolicy::Backfill, 16);
-        let b = out.records.iter().find(|r| r.id == "b").unwrap();
-        let c = out.records.iter().find(|r| r.id == "c").unwrap();
-        assert_eq!(c.start_secs, 2.0, "c backfills immediately");
-        assert_eq!(b.start_secs, 10.0, "the head's start never slips");
-    }
-
-    #[test]
-    fn backfill_refuses_jobs_that_would_delay_the_head() {
-        // d takes 100 s — it would run past the shadow time, so it must
-        // NOT backfill even though its cores fit.
-        let jobs = vec![
-            job("a", 0, 0.0, 4, 10.0),
-            job("b", 0, 1.0, 8, 10.0),
-            job("d", 1, 2.0, 4, 100.0),
-        ];
-        let out = schedule_jobs(&jobs, &[1.0], 8, SchedulerPolicy::Backfill, 16);
-        let d = out.records.iter().find(|r| r.id == "d").unwrap();
-        assert!(d.start_secs >= 10.0, "d must not delay the head: {}", d.start_secs);
     }
 
     #[test]

@@ -16,8 +16,6 @@ pub struct Lu {
     /// Row permutation applied to the input: `perm[i]` is the original row
     /// now sitting at position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation, for the determinant.
-    perm_sign: f64,
 }
 
 impl Lu {
@@ -28,7 +26,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
 
         for k in 0..n {
             // Partial pivoting: largest magnitude in column k at or below k.
@@ -46,7 +43,6 @@ impl Lu {
             }
             if p != k {
                 perm.swap(p, k);
-                perm_sign = -perm_sign;
                 for j in 0..n {
                     let tmp = lu[(p, j)];
                     lu[(p, j)] = lu[(k, j)];
@@ -63,7 +59,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, perm_sign })
+        Ok(Lu { lu, perm })
     }
 
     /// Dimension of the factored matrix.
@@ -112,15 +108,6 @@ impl Lu {
     pub fn inverse(&self) -> Mat {
         self.solve_mat(&Mat::identity(self.dim()))
     }
-
-    /// Determinant of the factored matrix.
-    pub fn det(&self) -> f64 {
-        let mut d = self.perm_sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
 }
 
 /// Convenience: invert a square matrix in one call.
@@ -162,7 +149,6 @@ mod tests {
         let x = lu.solve(&[2.0, 3.0]);
         assert!((x[0] - 3.0).abs() < 1e-15);
         assert!((x[1] - 2.0).abs() < 1e-15);
-        assert!((lu.det() + 1.0).abs() < 1e-15, "swap gives det -1");
     }
 
     #[test]
@@ -172,12 +158,6 @@ mod tests {
             Err(LinalgError::Singular { routine, .. }) => assert_eq!(routine, "lu"),
             other => panic!("expected Singular, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn det_of_diagonal() {
-        let a = Mat::from_rows(&[&[2.0, 0.0], &[0.0, 3.0]]);
-        assert!((Lu::new(&a).unwrap().det() - 6.0).abs() < 1e-14);
     }
 
     #[test]

@@ -69,13 +69,13 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # iteration count (deterministic — failures reproduce with the same seed).
 WIRE_FUZZ_ITERS=512 cargo test -q --release --offline -p linalg --test wire_roundtrip
 cargo run --release --offline -p spca-bench --bin bench_kernels -- \
-    --smoke --out /tmp/BENCH_kernels_smoke.json --trace "$TRACE_DIR/bench_kernels.json"
+    --smoke --out "$TRACE_DIR/BENCH_kernels_smoke.json" --trace "$TRACE_DIR/bench_kernels.json"
 cargo run --release --offline -p spca-bench --bin bench_em -- \
     --smoke --out "$TRACE_DIR/BENCH_em.json" --trace "$TRACE_DIR/bench_em.json"
 # A bench binary refuses any flag it does not declare: a removed flag
 # (bench_em's --precision) must fail the run, not fall back to the default.
 if cargo run -q --release --offline -p spca-bench --bin bench_em -- \
-    --smoke --precision f32 --out /tmp/x.json 2>/dev/null; then
+    --smoke --precision f32 --out "$TRACE_DIR/x.json" 2>/dev/null; then
     echo "ci: bench_em accepted the undeclared flag --precision" >&2
     exit 1
 fi
@@ -97,8 +97,8 @@ cargo run --release --offline -p spca-bench --bin bench_rpca -- \
 # timing-model bit-identity of the fitted models.
 cargo run --release --offline -p spca-bench --bin bench_scale -- \
     --smoke --out "$TRACE_DIR/BENCH_scale.json"
-# bench_serving replays the skewed multi-tenant fit+serve mix under all
-# three scheduler policies and asserts fair-share beats FIFO on the light
+# bench_serving replays the skewed multi-tenant fit+serve mix under both
+# scheduler policies (FIFO, fair-share) and asserts fair-share beats FIFO on the light
 # tenants' p99 wait; its virtual latencies and trace hashes gate below.
 cargo run --release --offline -p spca-bench --bin bench_serving -- \
     --smoke --out "$TRACE_DIR/BENCH_serving.json"
@@ -114,9 +114,9 @@ cargo run --release --offline -p spca-bench --bin trace_report -- \
 # End-to-end ledger through the CLI: generate a small matrix, fit it with
 # --ledger, and gate that artifact like any other.
 cargo run --release --offline --bin spca-cli -- \
-    generate tweets 400 120 --seed 5 -o /tmp/spca_ci_tweets.sm
+    generate tweets 400 120 --seed 5 -o "$TRACE_DIR/spca_ci_tweets.sm"
 cargo run --release --offline --bin spca-cli -- \
-    fit -i /tmp/spca_ci_tweets.sm -o /tmp/spca_ci_model.txt -d 4 --iters 3 \
+    fit -i "$TRACE_DIR/spca_ci_tweets.sm" -o "$TRACE_DIR/spca_ci_model.txt" -d 4 --iters 3 \
     --seed 11 --partitions 8 --ledger "$TRACE_DIR/RUN_cli.json"
 # A fit-running producer that silently drops its run ledger is a CI
 # failure even before perf_gate diffs it against the baseline.

@@ -6,7 +6,6 @@
 //! spca-cli fit -i tweets.sm -o model.txt -d 10 --engine spark --iters 8
 //! spca-cli fit -i tweets.sm -o model.txt -d 10 --algorithm randomized --power-iters 3
 //! spca-cli transform -i tweets.sm -m model.txt -o latent.dm
-//! spca-cli likelihood -i tweets.sm -m model.txt
 //! ```
 //!
 //! Matrices use the `spca-sparse`/`spca-dense` text formats of
@@ -18,7 +17,7 @@ use std::process::ExitCode;
 use dcluster::{ClusterConfig, SimCluster};
 use linalg::{io as mio, Prng, SparseMat};
 use spca_core::model::PcaModel;
-use spca_core::{likelihood, Spca, SpcaConfig};
+use spca_core::{Spca, SpcaConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,9 +43,8 @@ usage:
            [--codec v2|v3|v3q] [--timing uncontended|contended]
            [--ledger FILE]
   spca-cli transform -i DATA -m MODEL -o OUT
-  spca-cli likelihood -i DATA -m MODEL
   spca-cli serve -i DATA -m MODEL [--tenants N] [--batches N]
-           [--batch-rows N] [--rate R] [--policy fifo|fair|backfill]
+           [--batch-rows N] [--rate R] [--policy fifo|fair]
            [--fit-jobs N] [--nodes N] [--seed N] [--queue-cap N]
            [--cache-bytes N]";
 
@@ -115,7 +113,6 @@ fn run(raw: &[String]) -> Result<(), String> {
         "info" => info(&args),
         "fit" => fit(&args),
         "transform" => transform(&args),
-        "likelihood" => likelihood_cmd(&args),
         "serve" => serve(&args),
         other => Err(format!("unknown command {other:?}")),
     }
@@ -306,7 +303,7 @@ fn serve(args: &Args<'_>) -> Result<(), String> {
     let seed: u64 = args.numeric("seed", 0x5eaf)?;
     let policy = args.flag("policy").unwrap_or("fair");
     let policy = dcluster::SchedulerPolicy::parse(policy)
-        .ok_or_else(|| format!("--policy: unknown policy {policy:?} (use fifo|fair|backfill)"))?;
+        .ok_or_else(|| format!("--policy: unknown policy {policy:?} (use fifo|fair)"))?;
 
     let mut cluster_cfg = ClusterConfig::paper_cluster()
         .with_nodes(nodes)
@@ -379,14 +376,5 @@ fn serve(args: &Args<'_>) -> Result<(), String> {
     println!("virtual p50 / p99 : {:.4} s / {:.4} s", out.latency_p50_secs, out.latency_p99_secs);
     println!("virtual makespan  : {:.1} s", out.makespan_secs);
     println!("trace hash        : {:#018x}", out.trace_hash);
-    Ok(())
-}
-
-fn likelihood_cmd(args: &Args<'_>) -> Result<(), String> {
-    let y = load_data(args)?;
-    let model = load_model(args)?;
-    args.reject_unread("likelihood")?;
-    let ll = likelihood::avg_log_likelihood(&y, &model).map_err(|e| e.to_string())?;
-    println!("average log-likelihood per row: {ll:.6}");
     Ok(())
 }

@@ -1,11 +1,13 @@
 //! End-to-end tests of the evaluation pipeline itself: the accuracy
-//! metric, the percent-of-ideal scale, stop conditions, and model
-//! persistence through a full distributed fit.
+//! metric, the percent-of-ideal scale, stop conditions, model
+//! persistence through a full distributed fit, and EM's defining
+//! invariant, a data log-likelihood that never decreases.
 
 use dcluster::{ClusterConfig, SimCluster};
+use linalg::decomp::cholesky::Cholesky;
 use linalg::{Prng, SparseMat};
 use spca_core::model::PcaModel;
-use spca_core::{accuracy, Spca, SpcaConfig};
+use spca_core::{accuracy, init, ppca, Spca, SpcaConfig};
 
 fn dataset() -> SparseMat {
     let mut rng = Prng::seed_from_u64(606);
@@ -123,4 +125,76 @@ fn error_sample_is_stable_across_engines() {
     for (a, b) in spark.iterations.iter().zip(&mr.iterations) {
         assert!((a.error - b.error).abs() < 1e-9, "iteration errors diverged");
     }
+}
+
+/// The PPCA data log-likelihood (Section 2.4 of the paper),
+/// `−N/2 · (D·ln 2π + ln|Σ| + tr(Σ⁻¹·S))` with `Σ = ss·I + C·Cᵀ` and `S`
+/// the sample covariance about the model's mean, evaluated densely:
+/// `ln|Σ| = 2·Σ ln Lᵢᵢ` and `tr(Σ⁻¹·S)` through one Cholesky factor.
+fn log_likelihood(y: &SparseMat, model: &PcaModel) -> f64 {
+    let n = y.rows() as f64;
+    let mut yc = y.to_dense();
+    yc.sub_row_vector(model.mean());
+    let mut s = yc.matmul_tn(&yc);
+    s.scale(1.0 / n);
+    let mut sigma = model.components().matmul_nt(model.components());
+    sigma.add_diag(model.noise_variance());
+    let chol = Cholesky::new(&sigma).unwrap();
+    let ln_det: f64 = (0..chol.dim()).map(|i| 2.0 * chol.l()[(i, i)].ln()).sum();
+    let tr = chol.solve_mat(&s).trace();
+    let two_pi = 2.0 * std::f64::consts::PI;
+    -0.5 * n * (y.cols() as f64 * two_pi.ln() + ln_det + tr)
+}
+
+fn likelihood_data(seed: u64) -> SparseMat {
+    let mut rng = Prng::seed_from_u64(seed);
+    let spec = datasets::LowRankSpec {
+        rows: 120,
+        cols: 25,
+        topics: 3,
+        words_per_row: 6.0,
+        topic_affinity: 0.85,
+        zipf_exponent: 1.0,
+    };
+    datasets::sparse_lowrank(&spec, &mut rng)
+}
+
+#[test]
+fn em_increases_likelihood_monotonically() {
+    // The EM guarantee, asserted on every iterate of Algorithm 1.
+    let y = likelihood_data(2);
+    let dense = y.to_dense();
+    let (_, trace) = ppca::fit_dense(&dense, 3, 12, 11).unwrap();
+    let mean = dense.col_means();
+    let mut prev = f64::NEG_INFINITY;
+    for (c_iter, ss_iter) in trace.c_history.iter().zip(&trace.ss_history) {
+        let model = PcaModel::new(c_iter.clone(), mean.clone(), *ss_iter);
+        let ll = log_likelihood(&y, &model);
+        assert!(ll >= prev - 1e-6 * prev.abs().max(1.0), "likelihood decreased: {prev} → {ll}");
+        prev = ll;
+    }
+}
+
+#[test]
+fn distributed_fit_increases_likelihood_too() {
+    let y = likelihood_data(3);
+    let cluster = SimCluster::new(ClusterConfig::paper_cluster());
+    let run = Spca::new(SpcaConfig::new(3).with_max_iters(6).with_rel_tolerance(None))
+        .fit_spark(&cluster, &y)
+        .unwrap();
+    // Final model beats the random-init model decisively.
+    let (c0, ss0) = init::random_init(y.cols(), 3, run.model.components().cols() as u64);
+    let init_model = PcaModel::new(c0, run.model.mean().to_vec(), ss0);
+    let ll_init = log_likelihood(&y, &init_model);
+    let ll_fit = log_likelihood(&y, &run.model);
+    assert!(ll_fit > ll_init, "fit {ll_fit} must beat init {ll_init}");
+}
+
+#[test]
+fn better_model_scores_higher() {
+    let y = likelihood_data(4);
+    let dense = y.to_dense();
+    let (short, _) = ppca::fit_dense(&dense, 3, 1, 5).unwrap();
+    let (long, _) = ppca::fit_dense(&dense, 3, 15, 5).unwrap();
+    assert!(log_likelihood(&y, &long) >= log_likelihood(&y, &short));
 }

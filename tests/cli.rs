@@ -1,5 +1,5 @@
 //! End-to-end tests of the `spca-cli` binary: generate → info → fit →
-//! transform → likelihood, through real files.
+//! transform, through real files.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -61,17 +61,6 @@ fn full_pipeline_roundtrip() {
     assert!(out.status.success());
     let x = linalg::io::load_dense(&latent).unwrap();
     assert_eq!((x.rows(), x.cols()), (800, 4));
-
-    // likelihood
-    let out = cli()
-        .args(["likelihood", "-i"])
-        .arg(&data)
-        .arg("-m")
-        .arg(&model)
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("log-likelihood"));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -193,4 +182,50 @@ fn helpful_errors_on_bad_usage() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(&format!("unknown flag {flag} for `fit`")), "{err}");
     }
+
+    // Removed surfaces are usage errors: the `likelihood` command and the
+    // `backfill` scheduler policy.
+    let out = cli()
+        .args(["fit", "-d", "2", "--iters", "1", "-i"])
+        .arg(&data)
+        .arg("-o")
+        .arg(&model)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "fit failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = cli().args(["likelihood", "-i"]).arg(&data).arg("-m").arg(&model).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    let out = cli()
+        .args(["serve", "--policy", "backfill", "-i"])
+        .arg(&data)
+        .arg("-m")
+        .arg(&model)
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown policy \"backfill\""), "{err}");
+
+    // A model file is input from outside the program: a negative or
+    // non-finite entry is an error message, never a panic.
+    let latent = dir.join("x.dm");
+    for (ss, mean, c) in [("-1", "0", "1"), ("NaN", "0", "1"), ("0.5", "inf", "1"), ("0.5", "0", "NaN")] {
+        let text = format!("spca-model v1\ndims 2 1\nss {ss}\nmean 0 {mean}\nc 1\nc {c}\n");
+        std::fs::write(&model, &text).unwrap();
+        let out = cli()
+            .args(["transform", "-i"])
+            .arg(&data)
+            .arg("-m")
+            .arg(&model)
+            .arg("-o")
+            .arg(&latent)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{text}: {err}");
+        assert!(err.contains("is not finite") || err.contains("is negative"), "{text}: {err}");
+        assert!(!err.contains("panicked"), "{text}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

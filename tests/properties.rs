@@ -44,7 +44,7 @@ fn frobenius_algorithm3_equals_dense_oracle() {
     for case in 0..CASES {
         let y = sparse_matrix(case, 20, 15);
         let mean = y.col_means();
-        let fast = frobenius::centered_sq(&y, &mean);
+        let fast = frobenius::centered_sq_block(&y, &mean, linalg::vector::norm2_sq(&mean));
         let oracle = linalg::norms::centered_frobenius_sq_dense(&y.to_dense(), &mean);
         assert!((fast - oracle).abs() <= 1e-8 * (1.0 + oracle.abs()), "case {case}");
     }
